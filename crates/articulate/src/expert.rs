@@ -4,7 +4,7 @@
 //! generation and is responsible to correct inconsistencies in the
 //! suggested articulation" (§2.4). A human drives the ONION viewer; the
 //! reproduction substitutes deterministic policies behind the [`Expert`]
-//! trait (DESIGN.md substitution table) so that the identical engine
+//! trait (ARCHITECTURE.md, "Articulation engine") so that the identical engine
 //! control flow — propose → confirm → generate → iterate — runs
 //! unattended and is measurable.
 

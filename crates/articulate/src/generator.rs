@@ -580,31 +580,16 @@ impl ArticulationGenerator {
         // seed: source subclass edges and articulation-internal subclass
         // edges — edge-label compared by id, endpoints resolved through
         // the per-graph label→atom memo. With an executor configured
-        // the scan partitions by snapshot shard and each worker interns
-        // into its OWN partition table (ontologies still in
-        // sources-then-articulation order, so the dead-node counter
-        // merges deterministically either way); the shared table sees
-        // those symbols only at the fixpoint fold.
-        let mut sfb = match &self.config.executor {
+        // the scan partitions by snapshot shard instead (ontologies
+        // still in sources-then-articulation order, so the dead-node
+        // counter merges deterministically either way).
+        match &self.config.executor {
             Some(exec) => {
-                // Partition count follows the GRAPHS (widest snapshot
-                // shard count in play), never the thread count — the
-                // per-worker stats vectors land in `GeneratorStats`,
-                // which stays byte-identical across thread counts.
-                let shards = sources
-                    .iter()
-                    .copied()
-                    .chain([&art.ontology])
-                    .map(|o| o.graph().shard_count())
-                    .max()
-                    .unwrap_or(1);
-                let mut sfb = onion_rules::ShardedFactBase::new(shards);
                 for o in sources.iter().copied().chain([&art.ontology]) {
-                    let s = onion_exec::par_seed_subclass_partitions(exec, o.graph(), &mut sfb);
+                    let s = onion_exec::par_seed_subclass_facts(exec, o.graph(), atoms, &mut fb);
                     stats.seeded_facts += s.seeded;
                     stats.skipped_dead_nodes += s.skipped_dead_nodes;
                 }
-                Some(sfb)
             }
             None => {
                 for o in sources.iter().copied().chain([&art.ontology]) {
@@ -625,9 +610,8 @@ impl ArticulationGenerator {
                         }
                     }
                 }
-                None
             }
-        };
+        }
         // the dead-node skips are final after seeding — surface them
         onion_obs::count!("onion_generator_skipped_dead_nodes_total", stats.skipped_dead_nodes);
         // seed: rule lowering (synthesised classes appear as synth.*)
@@ -637,14 +621,9 @@ impl ArticulationGenerator {
             }
         }
         let program = HornProgram::standard(&RelationRegistry::onion_default());
-        stats.inference = match (&self.config.executor, &mut sfb) {
-            // shard-local saturation: workers keep their partition
-            // tables, bridges/rule facts are absorbed by owner, and the
-            // canonical table is touched once, at fixpoint
-            (Some(exec), Some(sfb)) => onion_exec::ShardLocalEngine::new(program)
-                .with_shards(sfb.shards())
-                .run_partitioned(exec, sfb, atoms, &mut fb)?,
-            _ => InferenceEngine::new(program).run(atoms, &mut fb)?,
+        stats.inference = match &self.config.executor {
+            Some(exec) => onion_exec::ParallelEngine::new(program).run(exec, atoms, &mut fb)?,
+            None => InferenceEngine::new(program).run(atoms, &mut fb)?,
         };
 
         // keep source-term → articulation-term implications. An

@@ -1,4 +1,4 @@
-//! Prints the full experiment tables recorded in EXPERIMENTS.md.
+//! Prints the full experiment tables.
 //!
 //! ```text
 //! cargo run -p onion-bench --release --bin experiments
@@ -6,7 +6,7 @@
 //! cargo run -p onion-bench --release --bin experiments -- --metrics
 //! ```
 //!
-//! Each section regenerates one DESIGN.md experiment (E1–E2, B1–B8) and
+//! Each section regenerates one experiment (E1–E2, B1–B8) and
 //! prints the series in "who wins, by what factor, where is the
 //! crossover" form. Wall times are medians of several in-process
 //! repetitions — indicative shapes, not Criterion-grade statistics (use
@@ -72,25 +72,15 @@ const INDEX_LAYER_REFERENCE_US: &[(&str, f64, f64)] = &[
     ("find_edge_all_triples", 4748.8, 3652.3),
 ];
 
-/// Before/after medians (µs) for the `find_edge` point-probe across
-/// the edge-index redesigns, each stage measured pre/post on the same
-/// dev machine in the session that landed it (ROADMAP "Point-probe
-/// latency"):
-///
-/// * `hashmap_to_inline_key` — `FxHashMap<(NodeId, LabelId, NodeId),
-///   EdgeId>` probe replaced by one flat open-addressed array with the
-///   key inline (`onion_graph::edge_index`);
-/// * `inline_key_to_l2_subtables` — the flat table split into
-///   per-source sub-tables capped at 256 KiB so a probe stream's
-///   universe stays L2-resident. Measured back-to-back on the
-///   single-core dev container, whose run-to-run drift (~1.2×)
-///   swamps the ~2% median delta — recorded as within-noise there;
-///   the lever targets hosts where the probe set exceeds L2.
-///
-/// Same-machine pairs — like `index_layer_reference`, not comparable
-/// against the live machine-local `results`.
-const POINT_PROBE_STAGES_US: &[(&str, f64, f64)] =
-    &[("hashmap_to_inline_key", 4013.5, 3224.4), ("inline_key_to_l2_subtables", 3511.3, 3457.9)];
+/// Before/after medians (µs) for the `find_edge` point-probe, both
+/// measured on the same dev machine when the open-addressed inline-key
+/// table (`onion_graph::edge_index`) replaced the `HashMap`-backed edge
+/// index: "pre" = `FxHashMap<(NodeId, LabelId, NodeId), EdgeId>` probe,
+/// "post" = one flat-array probe with the key inline (ROADMAP
+/// "Point-probe latency"). Same-machine pair — like
+/// `index_layer_reference`, not comparable against the live
+/// machine-local `results`.
+const POINT_PROBE_REFERENCE_US: (f64, f64) = (4013.5, 3224.4);
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -216,13 +206,8 @@ fn emit_json(path: &str) {
     let b14 = onion_bench::observability::run_b14(5);
     eprintln!("running B15 query cache (checksums + hit ratio + 10x warm bar asserted) …");
     let b15 = onion_bench::cache::run_b15(5);
-    eprintln!(
-        "running B16 shard-local saturation (fixpoint identity + merge-stream conservation \
-         asserted) …"
-    );
-    let b16 = onion_bench::shardlocal::run_b16();
     let mut body = String::new();
-    body.push_str("{\n  \"schema\": \"onion-bench/v9\",\n");
+    body.push_str("{\n  \"schema\": \"onion-bench/v10\",\n");
     body.push_str(&format!(
         "  \"tier\": {{ \"seed\": {}, \"nodes\": {}, \"edges\": {} }},\n",
         tier.seed, tier.nodes, tier.edges
@@ -429,56 +414,15 @@ fn emit_json(path: &str) {
     }
     body.push_str("    ]\n  },\n");
     body.push_str(&format!(
-        "  \"b16_shardlocal_saturation\": {{\n    \"note\": \"shard-local semi-naive \
-         saturation on the deep-hierarchy tier: workers own fact partitions with local \
-         atom tables, exchange per-round deltas through per-pair mailboxes, and fold into \
-         the canonical table once, at fixpoint. Before timing, the gate asserts fixpoint \
-         identity with the sequential engine at shards x threads, byte-identical \
-         InferenceStats across thread counts, and merge-stream conservation: the sum of \
-         the per-worker merge ledgers equals the parallel engine's single-barrier push \
-         count while the busiest owner handles strictly less — the per-round global merge \
-         eliminated, asserted on counters so it holds on a single-core host\",\n    \
-         \"classes\": {}, \"seeded\": {}, \"derived\": {}, \"rounds\": {},\n    \
-         \"barrier_merge_facts\": {}, \"max_owner_merge_facts\": {}, \
-         \"local_interned\": {},\n    \"rows\": [\n",
-        b16.classes,
-        b16.seeded,
-        b16.derived,
-        b16.rounds,
-        b16.barrier_merge_facts,
-        b16.max_owner_merge_facts,
-        b16.local_interned,
+        "  \"point_probe_reference\": {{\n    \"note\": \"pre/post find_edge_all_triples \
+         medians for the open-addressed inline-key edge index, both measured on the same \
+         dev machine when it landed; same-machine speedup — do not compare against the \
+         machine-local 'results' above\",\n    \"pre_us\": {:.1}, \"post_us\": {:.1}, \
+         \"speedup\": {:.2}\n  }},\n",
+        POINT_PROBE_REFERENCE_US.0,
+        POINT_PROBE_REFERENCE_US.1,
+        POINT_PROBE_REFERENCE_US.0 / POINT_PROBE_REFERENCE_US.1
     ));
-    for (i, r) in b16.rows.iter().enumerate() {
-        body.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"median_us\": {:.1}, \"min_us\": {:.1}, \"max_us\": \
-             {:.1}, \"reps\": {} }}{}\n",
-            r.name,
-            r.median_us,
-            r.min_us,
-            r.max_us,
-            r.reps,
-            if i + 1 == b16.rows.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("    ]\n  },\n");
-    body.push_str(
-        "  \"point_probe_reference\": {\n    \"note\": \"pre/post find_edge_all_triples \
-         medians for each edge-index redesign stage, every pair measured back-to-back on \
-         the same dev machine in the session that landed it; same-machine speedups — do \
-         not compare against the machine-local 'results' above. The l2_subtables stage's \
-         delta is within the single-core dev container's run-to-run drift; it is recorded \
-         for the trajectory, not claimed as a win there\",\n    \"stages\": [\n",
-    );
-    for (i, (name, pre, post)) in POINT_PROBE_STAGES_US.iter().enumerate() {
-        body.push_str(&format!(
-            "      {{ \"name\": \"{name}\", \"pre_us\": {pre:.1}, \"post_us\": {post:.1}, \
-             \"speedup\": {:.2} }}{}\n",
-            pre / post,
-            if i + 1 == POINT_PROBE_STAGES_US.len() { "" } else { "," }
-        ));
-    }
-    body.push_str("    ]\n  },\n");
     body.push_str(
         "  \"index_layer_reference\": {\n    \"note\": \"pre/post medians for the \
          label-indexed adjacency layer, both measured on the same dev machine when it \
@@ -565,18 +509,6 @@ fn emit_json(path: &str) {
     println!(
         "b15 query cache: warm hits {:.1}x faster than cold misses (hit ratio {:.4})",
         b15.speedup, b15.warm_hit_ratio
-    );
-    for r in &b16.rows {
-        println!("{:<32} {}", r.name, fmt_us(r.median_us));
-    }
-    println!(
-        "b16 shard-local: busiest owner merges {} of {} barrier pushes ({} locally interned \
-         symbols, {} derived in {} rounds)",
-        b16.max_owner_merge_facts,
-        b16.barrier_merge_facts,
-        b16.local_interned,
-        b16.derived,
-        b16.rounds
     );
     let worst_spread =
         results.iter().map(onion_bench::hotpaths::BenchResult::spread).fold(1.0f64, f64::max);

@@ -1,9 +1,9 @@
-//! Shared scaffolding for the experiment benches (B1–B8 in DESIGN.md).
+//! Shared scaffolding for the experiment benches (README.md, "Tests and
+//! benches").
 //!
 //! Each bench target regenerates one experiment's series; the
 //! `experiments` binary (`cargo run -p onion-bench --release --bin
-//! experiments`) prints the full set of tables recorded in
-//! EXPERIMENTS.md.
+//! experiments`) prints the full set of experiment tables.
 
 use onion_core::prelude::*;
 use onion_core::testkit::{overlap_pair, OverlapPair, OverlapSpec};
@@ -15,7 +15,6 @@ pub mod inference;
 pub mod observability;
 pub mod parallel;
 pub mod publish;
-pub mod shardlocal;
 
 /// Median wall time (µs) of `reps` runs of `f` — the one in-process
 /// timing helper shared by the experiment tables, the B10 runner, and

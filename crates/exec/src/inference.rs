@@ -1,5 +1,13 @@
 //! Shard-parallel semi-naive Horn inference on the executor pool.
 //!
+//! This is the articulation generator's one parallel saturation path:
+//! with `GeneratorConfig::executor` set (the facade's
+//! `OnionSystem::set_parallel_inference`), `expand` seeds graph edges
+//! with [`par_seed_subclass_facts`] into its single fact base and the
+//! shared atom table, then saturates with [`ParallelEngine`]. Without
+//! an executor it runs the sequential `InferenceEngine`; both yield
+//! the same derived facts and bridges.
+//!
 //! Two entry points, both with a hard determinism contract:
 //!
 //! * [`par_seed_subclass_facts`] — the parallel counterpart of the
@@ -237,8 +245,7 @@ impl ParallelEngine {
             // Merge in unit order: effort sums are partition-invariant,
             // and add_fact dedup fixes the next delta's order. Every
             // fact pushed through this single barrier (duplicates
-            // included) counts toward the one-entry merge ledger —
-            // the serial work the shard-local engine distributes.
+            // included) counts toward the one-entry merge ledger.
             let mut round_examined = 0usize;
             let mut added: Vec<Fact> = Vec::new();
             for (new_facts, effort) in results {

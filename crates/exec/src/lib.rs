@@ -45,14 +45,12 @@
 pub mod cache;
 pub mod closure;
 pub mod inference;
-pub mod shardlocal;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use closure::{
     par_closure_pairs, par_descendants, par_frontier_bfs, par_reachable, par_subclass_closure,
 };
 pub use inference::{fact_set_checksum, par_seed_subclass_facts, ParallelEngine, ShardSeedStats};
-pub use shardlocal::{par_seed_subclass_partitions, ShardLocalEngine};
 
 use onion_graph::ShardedSnapshot;
 

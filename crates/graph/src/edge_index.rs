@@ -1,5 +1,4 @@
-//! Open-addressed `(src, label, dst) → EdgeId` index with inline keys,
-//! split into per-shard sub-tables sized to L2.
+//! Open-addressed `(src, label, dst) → EdgeId` index with inline keys.
 //!
 //! The edge index is probed once per `find_edge`/`ensure_edge` and the
 //! probes are random-access (B4-style point lookups), so the limiting
@@ -10,20 +9,6 @@
 //! *inline* with its value in one flat array of 16-byte slots (four per
 //! cache line): a probe is one multiply-hash plus a linear scan that
 //! almost always ends within the first line touched.
-//!
-//! ## Sub-tables
-//!
-//! One flat table for a large graph spans many megabytes, so a random
-//! probe stream misses L2 on nearly every access. The index therefore
-//! shards into up to [`MAX_SUBS`] **sub-tables keyed by source node**
-//! (`src & (subs-1)`), each kept at or under [`L2_SLOTS`] slots
-//! (256 KiB — comfortably inside a per-core L2). A sub-table that
-//! would have to grow past that budget triggers a doubling of the
-//! sub-table count instead (redistributing all entries), so a workload
-//! that revisits a source's neighbourhood — the shape of
-//! `find_edge_all_triples` and of `ensure_edge` churn — keeps its
-//! whole probe universe L2-resident. Once all [`MAX_SUBS`] sub-tables
-//! exist, they grow past the budget like the old single table did.
 //!
 //! Deletion uses tombstones (the slot keeps its key, the value field
 //! becomes the `TOMBSTONE` sentinel); rehashing on growth drops them,
@@ -40,12 +25,6 @@ const EMPTY: u32 = u32::MAX;
 const TOMBSTONE: u32 = u32::MAX - 1;
 /// The FxHash multiplier (same constant as [`crate::hash`]).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-/// Per-sub-table slot budget: 16384 × 16 B = 256 KiB, sized so one
-/// sub-table's hot probe set fits a per-core L2.
-const L2_SLOTS: usize = 16 * 1024;
-/// Sub-table count ceiling (64 × 256 KiB = 16 MiB of index before any
-/// sub-table exceeds the L2 budget).
-const MAX_SUBS: usize = 64;
 
 /// One 16-byte slot: the full key inline plus the edge id / state word.
 #[derive(Debug, Clone, Copy)]
@@ -67,26 +46,34 @@ fn hash3(src: u32, label: u32, dst: u32) -> u64 {
     h
 }
 
-/// One open-addressed sub-table (linear probing, power-of-two capacity,
-/// inline keys).
+/// The open-addressed edge index (linear probing, power-of-two
+/// capacity, inline keys). Holds exactly the live `(src, label, dst)`
+/// triples of its [`crate::OntGraph`].
 #[derive(Debug, Clone, Default)]
-struct Sub {
+pub(crate) struct EdgeIndex {
     slots: Vec<Slot>,
     live: usize,
     tombstones: usize,
 }
 
-impl Sub {
+impl EdgeIndex {
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+
     #[inline]
     fn mask(&self) -> usize {
         self.slots.len() - 1
     }
 
+    /// Looks up the edge id of a triple: one hash, one linear scan.
     #[inline]
-    fn get(&self, s: u32, l: u32, d: u32) -> Option<EdgeId> {
+    pub(crate) fn get(&self, src: NodeId, label: LabelId, dst: NodeId) -> Option<EdgeId> {
         if self.slots.is_empty() {
             return None;
         }
+        let (s, l, d) = (src.0, label.0, dst.0);
         let mut i = hash3(s, l, d) as usize & self.mask();
         loop {
             let slot = &self.slots[i];
@@ -100,8 +87,17 @@ impl Sub {
         }
     }
 
-    fn insert(&mut self, s: u32, l: u32, d: u32, edge: u32) {
+    /// True if the triple is present.
+    #[inline]
+    pub(crate) fn contains(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
+        self.get(src, label, dst).is_some()
+    }
+
+    /// Inserts (or updates) a triple's edge id.
+    pub(crate) fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId, edge: EdgeId) {
+        debug_assert!(edge.0 < TOMBSTONE, "edge arena outgrew the sentinel range");
         self.reserve_one();
+        let (s, l, d) = (src.0, label.0, dst.0);
         let mut i = hash3(s, l, d) as usize & self.mask();
         let mut first_tomb: Option<usize> = None;
         loop {
@@ -111,7 +107,7 @@ impl Sub {
                 if self.slots[at].edge == TOMBSTONE {
                     self.tombstones -= 1;
                 }
-                self.slots[at] = Slot { src: s, label: l, dst: d, edge };
+                self.slots[at] = Slot { src: s, label: l, dst: d, edge: edge.0 };
                 self.live += 1;
                 return;
             }
@@ -120,17 +116,19 @@ impl Sub {
                     first_tomb = Some(i);
                 }
             } else if slot.src == s && slot.label == l && slot.dst == d {
-                self.slots[i].edge = edge;
+                self.slots[i].edge = edge.0;
                 return;
             }
             i = (i + 1) & self.mask();
         }
     }
 
-    fn remove(&mut self, s: u32, l: u32, d: u32) -> Option<EdgeId> {
+    /// Removes a triple, returning its edge id if it was present.
+    pub(crate) fn remove(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> Option<EdgeId> {
         if self.slots.is_empty() {
             return None;
         }
+        let (s, l, d) = (src.0, label.0, dst.0);
         let mut i = hash3(s, l, d) as usize & self.mask();
         loop {
             let slot = &self.slots[i];
@@ -165,15 +163,6 @@ impl Sub {
         }
     }
 
-    /// True when accommodating one more entry would push the LIVE set's
-    /// natural capacity past the L2 budget — the signal to split the
-    /// index rather than grow this sub-table.
-    fn wants_split(&self) -> bool {
-        !self.slots.is_empty()
-            && (self.live + self.tombstones + 1) * 8 >= self.slots.len() * 7
-            && ((self.live + 1) * 4).next_power_of_two() > L2_SLOTS
-    }
-
     fn rehash(&mut self, capacity: usize) {
         let old = std::mem::replace(&mut self.slots, vec![VACANT; capacity]);
         self.tombstones = 0;
@@ -187,80 +176,6 @@ impl Sub {
                 i = (i + 1) & mask;
             }
             self.slots[i] = slot;
-        }
-    }
-}
-
-/// The sharded edge index: a power-of-two set of [`Sub`] tables keyed
-/// by source node (module docs). Holds exactly the live
-/// `(src, label, dst)` triples of its [`crate::OntGraph`].
-#[derive(Debug, Clone)]
-pub(crate) struct EdgeIndex {
-    subs: Vec<Sub>,
-}
-
-impl Default for EdgeIndex {
-    fn default() -> Self {
-        EdgeIndex { subs: vec![Sub::default()] }
-    }
-}
-
-impl EdgeIndex {
-    /// Number of live entries.
-    pub(crate) fn len(&self) -> usize {
-        self.subs.iter().map(|s| s.live).sum()
-    }
-
-    /// The sub-table owning `src` (power-of-two count ⇒ mask).
-    #[inline]
-    fn sub_of(&self, src: u32) -> usize {
-        src as usize & (self.subs.len() - 1)
-    }
-
-    /// Looks up the edge id of a triple: one hash, one linear scan
-    /// inside the source's L2-sized sub-table.
-    #[inline]
-    pub(crate) fn get(&self, src: NodeId, label: LabelId, dst: NodeId) -> Option<EdgeId> {
-        self.subs[self.sub_of(src.0)].get(src.0, label.0, dst.0)
-    }
-
-    /// True if the triple is present.
-    #[inline]
-    pub(crate) fn contains(&self, src: NodeId, label: LabelId, dst: NodeId) -> bool {
-        self.get(src, label, dst).is_some()
-    }
-
-    /// Inserts (or updates) a triple's edge id.
-    pub(crate) fn insert(&mut self, src: NodeId, label: LabelId, dst: NodeId, edge: EdgeId) {
-        debug_assert!(edge.0 < TOMBSTONE, "edge arena outgrew the sentinel range");
-        while self.subs.len() < MAX_SUBS && self.subs[self.sub_of(src.0)].wants_split() {
-            self.split();
-        }
-        let k = self.sub_of(src.0);
-        self.subs[k].insert(src.0, label.0, dst.0, edge.0);
-    }
-
-    /// Removes a triple, returning its edge id if it was present.
-    pub(crate) fn remove(&mut self, src: NodeId, label: LabelId, dst: NodeId) -> Option<EdgeId> {
-        let k = self.sub_of(src.0);
-        self.subs[k].remove(src.0, label.0, dst.0)
-    }
-
-    /// Doubles the sub-table count, redistributing every live entry by
-    /// its source bit. Each doubling roughly halves per-sub occupancy,
-    /// keeping sub-tables inside the L2 budget until [`MAX_SUBS`].
-    fn split(&mut self) {
-        let old = std::mem::replace(&mut self.subs, Vec::new());
-        self.subs = (0..old.len() * 2).map(|_| Sub::default()).collect();
-        let mask = self.subs.len() - 1;
-        for sub in old {
-            for slot in sub.slots {
-                if slot.edge == EMPTY || slot.edge == TOMBSTONE {
-                    continue;
-                }
-                self.subs[slot.src as usize & mask]
-                    .insert(slot.src, slot.label, slot.dst, slot.edge);
-            }
         }
     }
 }
@@ -348,24 +263,19 @@ mod tests {
     }
 
     #[test]
-    fn splits_into_subtables_past_the_l2_budget() {
-        // enough live entries to force sub-table splits: every key must
-        // remain findable through redistribution, deletions included
+    fn bulk_insert_then_half_delete_keeps_lookups_exact() {
+        // 32k entries force several growth rehashes; every key must stay
+        // findable through them, and deleting every other key must leave
+        // exactly the odd ones
         let mut ix = EdgeIndex::default();
-        let n = (L2_SLOTS as u32) * 2; // 32k entries > one sub's budget
+        let n = 32 * 1024u32;
         for i in 0..n {
             ix.insert(NodeId(i), LabelId(i % 5), NodeId(i ^ 0x55aa), EdgeId(i));
         }
-        assert!(ix.subs.len() > 1, "index split ({} subs)", ix.subs.len());
-        assert!(
-            ix.subs.iter().all(|s| s.slots.len() <= L2_SLOTS),
-            "every sub-table within the L2 budget"
-        );
         assert_eq!(ix.len(), n as usize);
         for i in 0..n {
             assert_eq!(ix.get(NodeId(i), LabelId(i % 5), NodeId(i ^ 0x55aa)), Some(EdgeId(i)));
         }
-        // delete half, verify the rest
         for i in (0..n).step_by(2) {
             assert!(ix.remove(NodeId(i), LabelId(i % 5), NodeId(i ^ 0x55aa)).is_some());
         }
@@ -377,15 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn single_source_hot_spot_stays_correct_at_the_sub_cap() {
-        // all keys share src 0 so splitting cannot spread them: the
-        // index must cap at MAX_SUBS and let sub 0 grow past the budget
+    fn single_source_hot_spot_stays_correct() {
+        // every key shares src 0, so all of them hash around one source's
+        // neighbourhood of the table
         let mut ix = EdgeIndex::default();
-        let n = (L2_SLOTS as u32) + 100;
+        let n = 16 * 1024u32 + 100;
         for i in 0..n {
             ix.insert(NodeId(0), LabelId(1), NodeId(i), EdgeId(i));
         }
-        assert!(ix.subs.len() <= MAX_SUBS);
         assert_eq!(ix.len(), n as usize);
         for i in 0..n {
             assert_eq!(ix.get(NodeId(0), LabelId(1), NodeId(i)), Some(EdgeId(i)));

@@ -432,7 +432,7 @@ impl OntGraph {
     ///
     /// The journal is the mechanism behind incremental articulation
     /// maintenance: source-ontology deltas are replayed against the
-    /// articulation instead of rebuilding it (§5.3, DESIGN.md B1).
+    /// articulation instead of rebuilding it (§5.3; measured by bench B1).
     pub fn enable_journal(&mut self) {
         if self.journal.is_none() {
             self.journal = Some(Vec::new());

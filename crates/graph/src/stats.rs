@@ -1,5 +1,5 @@
-//! Summary statistics for ontology graphs — used by the viewer, the
-//! bench harness and EXPERIMENTS.md reporting.
+//! Summary statistics for ontology graphs — used by the viewer and the
+//! bench harness's experiment tables.
 
 use std::collections::HashMap;
 

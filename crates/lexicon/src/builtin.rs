@@ -4,7 +4,7 @@
 //! factory / transportation ontologies) plus common automotive synonyms,
 //! so SKAT-style matchers can propose the bridges the paper's expert
 //! confirms. This is the reproduction's substitute for consulting
-//! WordNet (DESIGN.md §3 substitution table).
+//! WordNet (see ARCHITECTURE.md, `onion-lexicon`).
 
 use crate::lexicon::Lexicon;
 

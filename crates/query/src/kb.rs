@@ -1,6 +1,6 @@
 //! In-memory knowledge bases — the reproduction's stand-in for the
 //! external sources behind ONION's wrappers (KB1–KB3 in Fig. 1; see
-//! DESIGN.md substitution table).
+//! ARCHITECTURE.md, "Query system").
 
 use std::collections::BTreeMap;
 

@@ -54,13 +54,6 @@ impl AtomId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Rebuilds an id from a raw index. Crate-internal: callers must
-    /// only pass indexes obtained from a live table.
-    #[inline]
-    pub(crate) fn from_index(i: usize) -> AtomId {
-        AtomId(i as u32)
-    }
 }
 
 impl fmt::Debug for AtomId {
@@ -283,28 +276,6 @@ impl AtomTable {
                 format!("{}.{}", self.ns[ns as usize], self.names[name as usize]).into_boxed_str()
             })
             .as_ref()
-    }
-
-    /// Folds every symbol of `other` into this table, returning a remap
-    /// indexed by the *other* table's `AtomId::index()`.
-    ///
-    /// Symbols are interned in ascending `(namespace, name)` string
-    /// order, so the ids a fold assigns to novel symbols depend only on
-    /// the **set** of symbols in `other` — never on the order a
-    /// partitioned run happened to intern them. This is the
-    /// remap-at-fixpoint contract the shard-local engine relies on: any
-    /// shard/thread schedule producing the same symbol set folds into a
-    /// byte-identical canonical table. Symbols already present keep
-    /// their existing ids (the fold is a no-op for them).
-    pub fn merge_remap(&mut self, other: &AtomTable) -> Vec<AtomId> {
-        let mut order: Vec<u32> = (0..other.syms.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| other.parts(AtomId(a)).cmp(&other.parts(AtomId(b))));
-        let mut remap = vec![AtomId(0); other.syms.len()];
-        for i in order {
-            let (ns, name) = other.parts(AtomId(i));
-            remap[i as usize] = self.intern_parts(ns, name);
-        }
-        remap
     }
 
     /// A cursor interning node labels of `g` under the graph's own name
@@ -530,40 +501,6 @@ mod tests {
         let mut t = AtomTable::new();
         let mut c = t.graph_atoms(&g);
         assert!(c.node_atom(n).is_none());
-    }
-
-    #[test]
-    fn merge_remap_is_order_insensitive() {
-        // two tables interning the same symbol set in different orders
-        let mut fwd = AtomTable::new();
-        let mut rev = AtomTable::new();
-        let symbols = ["carrier.Car", "si", "factory.Vehicle", "a.b.c", "zeta"];
-        for s in symbols {
-            fwd.intern(s);
-        }
-        for s in symbols.iter().rev() {
-            rev.intern(s);
-        }
-        // folding either into the same canonical prefix yields the same
-        // canonical table (ids assigned in ascending (ns, name) order)
-        let mut canon_a = AtomTable::new();
-        canon_a.intern("si");
-        let mut canon_b = canon_a.clone();
-        let remap_fwd = canon_a.merge_remap(&fwd);
-        let remap_rev = canon_b.merge_remap(&rev);
-        assert_eq!(canon_a.len(), canon_b.len());
-        for i in 0..canon_a.len() {
-            assert_eq!(
-                canon_a.resolve(AtomId(i as u32)),
-                canon_b.resolve(AtomId(i as u32)),
-                "canonical tables diverge at {i}"
-            );
-        }
-        // remaps translate faithfully: other's text == canonical text
-        for s in symbols {
-            assert_eq!(canon_a.resolve(remap_fwd[fwd.lookup(s).unwrap().index()]), s);
-            assert_eq!(canon_b.resolve(remap_rev[rev.lookup(s).unwrap().index()]), s);
-        }
     }
 
     #[test]

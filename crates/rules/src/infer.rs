@@ -11,7 +11,7 @@
 //!   fact base each round (still indexed);
 //! * [`Strategy::FullClosure`] — the deliberately heavyweight stand-in
 //!   for a full first-order prover: no indexes, every body atom scans the
-//!   entire fact base every round (see DESIGN.md substitution table).
+//!   entire fact base every round.
 //!
 //! All strategies compute the same least fixpoint; they differ only in
 //! work done, which [`InferenceStats`] exposes (`atoms_examined` is the
@@ -170,26 +170,15 @@ impl FactBase {
     /// engine's work-unit grid in `onion-exec` — goes through this
     /// instead of iterating the map directly.
     pub fn facts_in_pred_order(&self) -> Vec<Fact> {
-        let mut out = Vec::new();
-        self.facts_in_pred_order_into(&mut out);
-        out
-    }
-
-    /// Scratch-buffer variant of [`FactBase::facts_in_pred_order`]:
-    /// clears `out` and refills it, reusing its allocation. Hot callers
-    /// (the engines re-seed a delta sequence per run, the shard-local
-    /// engine once per partition) keep one buffer alive instead of
-    /// allocating a fresh `Vec` each time.
-    pub fn facts_in_pred_order_into(&self, out: &mut Vec<Fact>) {
-        out.clear();
-        out.reserve(self.facts.len());
         let mut preds: Vec<AtomId> = self.by_pred.keys().copied().collect();
         preds.sort_unstable_by_key(|p| p.index());
+        let mut out = Vec::with_capacity(self.facts.len());
         for p in preds {
             for args in &self.by_pred[&p] {
                 out.push((p, args.clone()));
             }
         }
+        out
     }
 
     /// Binary-predicate query over pre-interned atoms — the id-path
@@ -238,19 +227,12 @@ pub struct InferenceStats {
     /// run aborted on budget) and the `derived` fields sum to
     /// `derived` minus ground-clause fires.
     pub rounds: Vec<RoundStats>,
-    /// Per-worker count of facts that crossed a merge boundary. The
-    /// sequential engines leave this empty; `onion-exec`'s parallel
-    /// engine records one entry (every derived fact funnels through
-    /// the single per-round merge barrier); the shard-local engine
-    /// records one entry per partition (arrivals scanned at that
-    /// owner's local dedup — the same stream, distributed). Summing
-    /// the vector is engine-independent; its *shape* shows where the
-    /// merge work happened.
+    /// Facts pushed through a merge barrier, one entry per merging
+    /// worker. The sequential engines leave this empty; `onion-exec`'s
+    /// parallel engine records a single entry: every fact its work
+    /// units emit, duplicates included, funnelled through the one
+    /// per-round merge.
     pub worker_merge_facts: Vec<usize>,
-    /// Per-worker count of symbols interned into worker-local atom
-    /// tables during partition seeding. Empty for engines that intern
-    /// straight into the canonical table.
-    pub worker_interned: Vec<usize>,
 }
 
 /// Counters for one fixpoint round.

@@ -41,7 +41,6 @@ pub mod infer;
 pub mod parser;
 pub mod properties;
 pub mod reference;
-pub mod sharded;
 
 pub use ast::{ArticulationRule, RuleExpr, RuleSet, Term};
 pub use atoms::{AtomId, AtomTable};
@@ -53,7 +52,6 @@ pub use infer::{
 };
 pub use parser::parse_rules;
 pub use properties::{RelationProperties, RelationRegistry};
-pub use sharded::{FactPartition, ShardedFactBase};
 
 /// Errors for rule parsing and evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]

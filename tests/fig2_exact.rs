@@ -1,5 +1,5 @@
 //! Experiment E1: the Fig. 2 articulation, asserted node by node and
-//! edge by edge against the canonical reconstruction (DESIGN.md / the
+//! edge by edge against the canonical reconstruction (the
 //! `onion_ontology::examples` docs).
 
 use std::collections::HashSet;

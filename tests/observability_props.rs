@@ -130,12 +130,17 @@ proptest! {
     fn snapshot_counters_never_decrease(writers in 1usize..4, per_writer in 1u64..4000) {
         let reg = std::sync::Arc::new(Registry::new());
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // writers start only once the reader holds its first snapshot,
+        // so the reader cannot be starved into observing nothing
+        let start = std::sync::Arc::new(std::sync::Barrier::new(writers + 1));
         let handles: Vec<_> = (0..writers)
             .map(|w| {
                 let reg = std::sync::Arc::clone(&reg);
+                let start = std::sync::Arc::clone(&start);
                 std::thread::spawn(move || {
                     let c = reg.counter("obs_props_total");
                     let h = reg.histogram("obs_props_us", HistKind::LatencyUs);
+                    start.wait();
                     for i in 0..per_writer {
                         c.add(1 + (w as u64 & 1));
                         h.observe(i & 2047);
@@ -146,6 +151,7 @@ proptest! {
         let reader = {
             let reg = std::sync::Arc::clone(&reg);
             let stop = std::sync::Arc::clone(&stop);
+            let start = std::sync::Arc::clone(&start);
             std::thread::spawn(move || {
                 let (mut last_c, mut last_h) = (0u64, 0u64);
                 let mut observed = 0usize;
@@ -157,6 +163,9 @@ proptest! {
                     assert!(h >= last_h, "hist count went backwards: {last_h} -> {h}");
                     (last_c, last_h) = (c, h);
                     observed += 1;
+                    if observed == 1 {
+                        start.wait();
+                    }
                 }
                 observed
             })

@@ -9,35 +9,23 @@
 //! counts {1, 2, 4}**, and must agree with the sequential engines on
 //! fact sets, conflict verdicts, totals, and per-round counters.
 //!
-//! The shard-local engine (`onion_exec::ShardLocalEngine`) joins the
-//! matrix with its own contract: per-worker fact partitions and atom
-//! tables, per-pair delta mailboxes, one canonical fold at fixpoint.
-//! Its full `InferenceStats` (worker vectors included) and final fact
-//! base are byte-identical across THREAD counts; across SHARD counts
-//! the scalar counters, round ledger, and fact base stay byte-identical
-//! while the per-worker vectors change shape by construction; its round
-//! ledger and `atoms_examined` equal the parallel engine's (same
-//! delta-first join), and the sum of its per-worker merge ledger equals
-//! the parallel engine's single-barrier push count — the same merge
-//! stream, distributed by ownership.
-//!
 //! Also here: the deep-hierarchy regression test pinning semi-naive's
 //! O(log depth) round count and per-round deltas through the
 //! [`RoundStats`] ledger (never wall-clock), and the generator-level
-//! determinism of `GeneratorStats` through the parallel expand path.
+//! determinism of `GeneratorStats` through the parallel expand path on
+//! generated overlap pairs spread over 1 to 64 snapshot shards.
 
 use proptest::prelude::*;
 
 use onion_core::articulate::{ArticulationGenerator, GeneratorConfig};
-use onion_core::exec::{par_seed_subclass_facts, ParallelEngine, ShardLocalEngine};
-use onion_core::ontology::examples::{carrier, factory};
+use onion_core::exec::{par_seed_subclass_facts, ParallelEngine};
 use onion_core::prelude::*;
 use onion_core::rules::conflict::Disjointness;
 use onion_core::rules::horn::HornProgram;
 use onion_core::rules::infer::{FactBase, InferenceEngine, RoundStats, Strategy as InferStrategy};
 use onion_core::rules::properties::RelationRegistry;
-use onion_core::rules::{parse_rules, AtomTable, InferenceStats};
-use onion_core::testkit::deep_chain_ontology;
+use onion_core::rules::{AtomTable, InferenceStats};
+use onion_core::testkit::{deep_chain_ontology, overlap_pair, OverlapPair, OverlapSpec};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 64];
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -109,6 +97,17 @@ fn round_profile(stats: &InferenceStats) -> Vec<(usize, usize)> {
     stats.rounds.iter().map(|r| (r.delta, r.derived)).collect()
 }
 
+/// One `left.X => right.Y` rule per planted equivalence of `pair`.
+fn rules_from_truth(pair: &OverlapPair) -> RuleSet {
+    let mut rs = RuleSet::new();
+    for (l, r) in &pair.truth {
+        let (lo, ln) = l.split_once('.').expect("qualified");
+        let (ro, rn) = r.split_once('.').expect("qualified");
+        rs.push(ArticulationRule::term_implies(Term::qualified(lo, ln), Term::qualified(ro, rn)));
+    }
+    rs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -139,15 +138,8 @@ proptest! {
 
         // byte-identity baseline within the parallel family
         let mut family: Option<(usize, Vec<onion_core::rules::Fact>, InferenceStats)> = None;
-        // shard-local cross-SHARD family: fact base + scalar counters +
-        // round ledger (worker vectors excluded — their shape is the
-        // shard count)
-        let mut sl_family: Option<(Vec<onion_core::rules::Fact>, usize, usize, usize)> = None;
         for shards in SHARD_COUNTS {
             let g = build_graph(&edges, shards);
-            // shard-local cross-THREAD family at this shard count:
-            // everything byte-identical, worker vectors included
-            let mut sl_threads: Option<(Vec<onion_core::rules::Fact>, InferenceStats)> = None;
             for threads in THREAD_COUNTS {
                 let exec = Executor::new(threads);
                 let mut atoms = AtomTable::new();
@@ -184,71 +176,6 @@ proptest! {
                         "byte-identical at shards={}, threads={}", shards, threads
                     ),
                 }
-                let par_stats = &family.as_ref().unwrap().2;
-
-                // ---- the shard-local engine on the same input ----
-                let mut sl_atoms = AtomTable::new();
-                let mut sl_fb = FactBase::new();
-                par_seed_subclass_facts(&exec, &g, &mut sl_atoms, &mut sl_fb);
-                let sl_stats = ShardLocalEngine::new(program.clone())
-                    .with_shards(shards)
-                    .run(&exec, &mut sl_atoms, &mut sl_fb)
-                    .unwrap();
-
-                // vs sequential: sets, verdicts, totals, rounds
-                prop_assert_eq!(sl_stats.iterations, seq_stats.iterations);
-                prop_assert_eq!(sl_stats.derived, seq_stats.derived);
-                prop_assert_eq!(round_profile(&sl_stats), round_profile(&seq_stats),
-                    "shard-local rounds (shards={}, threads={})", shards, threads);
-                prop_assert_eq!(
-                    (resolved(&sl_atoms, &sl_fb, "subclassof"), resolved(&sl_atoms, &sl_fb, "si")),
-                    seq_facts.clone(),
-                    "shard-local fact sets (shards={}, threads={})", shards, threads
-                );
-                prop_assert_eq!(
-                    disjointness_verdicts(&sl_atoms, &sl_fb, &disjoint),
-                    seq_verdicts.clone(),
-                    "shard-local verdicts (shards={}, threads={})", shards, threads
-                );
-                // engine path: saturation derives no new symbols, so
-                // the fold interns nothing and the canonical table is
-                // byte-identical to the parallel engine's
-                prop_assert_eq!(sl_atoms.len(), atoms.len(),
-                    "canonical table untouched by the fold (shards={})", shards);
-
-                // vs the parallel engine: same delta-first join ⇒ the
-                // examined column matches too, and the merge stream it
-                // serialised is exactly what the owners split up
-                prop_assert_eq!(sl_stats.atoms_examined, par_stats.atoms_examined);
-                prop_assert_eq!(&sl_stats.rounds, &par_stats.rounds);
-                prop_assert_eq!(
-                    sl_stats.worker_merge_facts.iter().sum::<usize>(),
-                    par_stats.worker_merge_facts.iter().sum::<usize>(),
-                    "merge stream total (shards={}, threads={})", shards, threads
-                );
-                prop_assert_eq!(sl_stats.worker_merge_facts.len(), shards);
-
-                // byte identity across THREAD counts (worker vectors
-                // included) …
-                let sl_snapshot = (sl_fb.facts_in_pred_order(), sl_stats);
-                match &sl_threads {
-                    None => sl_threads = Some(sl_snapshot),
-                    Some(first) => prop_assert_eq!(
-                        &sl_snapshot, first,
-                        "shard-local byte-identical at shards={}, threads={}", shards, threads
-                    ),
-                }
-            }
-            // … and across SHARD counts everything except the worker
-            // vectors' shape — the final fb insertion order included
-            // (novel facts land sorted by canonical ids)
-            let (fb_order, st) = sl_threads.unwrap();
-            let scalar = (fb_order, st.iterations, st.derived, st.atoms_examined);
-            match &sl_family {
-                None => sl_family = Some(scalar),
-                Some(first) => prop_assert_eq!(
-                    &scalar, first, "shard-local scalar identity at shards={}", shards
-                ),
             }
         }
     }
@@ -256,27 +183,37 @@ proptest! {
     /// The generator's parallel expand path reproduces the sequential
     /// path's articulation exactly — same bridges, same seed counts,
     /// same round profile — and its `GeneratorStats` are identical at
-    /// every thread count (satellite: counters survive the parallel
-    /// merge deterministically).
+    /// every thread count (counters survive the parallel merge
+    /// deterministically). Inputs are planted overlap pairs bridged by
+    /// their ground truth, each source on its own drawn shard count.
     #[test]
-    fn generator_parallel_expand_is_deterministic(threads_ix in 0usize..3) {
+    fn generator_parallel_expand_is_deterministic(
+        seed in 0u64..1000,
+        concepts in 20usize..80,
+        shard_ix in (0usize..4, 0usize..4),
+        threads_ix in 0usize..3,
+    ) {
         let threads = THREAD_COUNTS[threads_ix];
-        let c = carrier();
-        let f = factory();
-        let rules = parse_rules("carrier.Cars => transport.Vehicle\n").unwrap();
+        let spec = OverlapSpec { seed, concepts, overlap: 0.4, ..Default::default() };
+        let mut pair = overlap_pair(&spec);
+        pair.left.graph_mut().set_shard_count(SHARD_COUNTS[shard_ix.0]);
+        pair.right.graph_mut().set_shard_count(SHARD_COUNTS[shard_ix.1]);
+        let rules = rules_from_truth(&pair);
+        let sources = [&pair.left, &pair.right];
 
         let seq_gen = ArticulationGenerator::with_config(GeneratorConfig {
             expand_with_inference: true,
             ..Default::default()
         });
-        let (seq_art, seq_stats) = seq_gen.generate_with_stats(&rules, &[&c, &f]).unwrap();
+        let (seq_art, seq_stats) = seq_gen.generate_with_stats(&rules, &sources).unwrap();
+        prop_assert!(seq_stats.derived_bridges > 0, "the input exercises inference");
 
         let par_gen = ArticulationGenerator::with_config(GeneratorConfig {
             expand_with_inference: true,
             executor: Some(std::sync::Arc::new(Executor::new(threads))),
             ..Default::default()
         });
-        let (par_art, par_stats) = par_gen.generate_with_stats(&rules, &[&c, &f]).unwrap();
+        let (par_art, par_stats) = par_gen.generate_with_stats(&rules, &sources).unwrap();
 
         prop_assert_eq!(par_art.bridges, seq_art.bridges, "threads={}", threads);
         prop_assert_eq!(par_stats.seeded_facts, seq_stats.seeded_facts);
@@ -295,7 +232,7 @@ proptest! {
             executor: Some(std::sync::Arc::new(Executor::new(THREAD_COUNTS[(threads_ix + 1) % 3]))),
             ..Default::default()
         });
-        let (_, par_stats2) = par_gen2.generate_with_stats(&rules, &[&c, &f]).unwrap();
+        let (_, par_stats2) = par_gen2.generate_with_stats(&rules, &sources).unwrap();
         prop_assert_eq!(par_stats, par_stats2, "GeneratorStats byte-identical across threads");
     }
 }
@@ -405,44 +342,6 @@ fn deep_chain_saturation_rounds_are_logarithmic() {
         match &first {
             None => first = Some(stats),
             Some(f) => assert_eq!(&stats, f, "threads={threads}"),
-        }
-    }
-
-    // So does the shard-local engine — O(log depth) rounds survive the
-    // partitioned delta exchange at every shard/thread combination,
-    // and with more than one shard the merge ledger shows the stream
-    // split across owners instead of serialised at one barrier.
-    for shards in [1usize, 4, 64] {
-        let mut sl_first: Option<InferenceStats> = None;
-        for threads in THREAD_COUNTS {
-            let exec = Executor::new(threads);
-            let mut atoms = AtomTable::new();
-            let mut fb = FactBase::new();
-            onion_core::testkit::seed_subclass_facts(&onto, &mut atoms, &mut fb);
-            let stats = ShardLocalEngine::new(program.clone())
-                .with_shards(shards)
-                .run(&exec, &mut atoms, &mut fb)
-                .unwrap();
-            assert_eq!(fb.len(), semi_fb.len(), "shards={shards} threads={threads}");
-            assert_eq!(stats.iterations, semi.iterations);
-            assert_eq!(stats.derived, semi.derived);
-            assert_eq!(
-                stats.rounds.iter().map(|r| (r.delta, r.derived)).collect::<Vec<_>>(),
-                semi.rounds.iter().map(|r| (r.delta, r.derived)).collect::<Vec<_>>()
-            );
-            assert_eq!(stats.worker_merge_facts.len(), shards);
-            if shards > 1 {
-                let total: usize = stats.worker_merge_facts.iter().sum();
-                let max = stats.worker_merge_facts.iter().copied().max().unwrap();
-                assert!(
-                    max < total,
-                    "merge work distributed: max {max} of {total} (shards={shards})"
-                );
-            }
-            match &sl_first {
-                None => sl_first = Some(stats),
-                Some(f) => assert_eq!(&stats, f, "shards={shards} threads={threads}"),
-            }
         }
     }
 }
