@@ -8,7 +8,6 @@ use onion_rules::ConversionRegistry;
 
 use crate::ast::Query;
 use crate::plan::QueryPlan;
-use crate::reformulate::Reformulator;
 use crate::result::{ResultRow, ResultSet};
 use crate::wrapper::Wrapper;
 use crate::Result;
@@ -17,14 +16,21 @@ use crate::Result;
 /// name; missing wrappers contribute nothing, mirroring an offline
 /// source). Values are converted into articulation metric space and
 /// attribute names into articulation vocabulary.
+///
+/// Execution needs only the plan and `conversions`: each
+/// [`SourceQuery`](crate::plan::SourceQuery) already carries its local
+/// classes, pushed-down conditions, attribute map and conversions, so
+/// nothing is reformulated here. `_articulation` and `_sources` are
+/// unused; they stay so that the signature matches [`plan`](crate::plan())
+/// and existing callers (the traced batch scheduler in `perfbench`)
+/// keep compiling.
 pub fn execute_plan(
     plan: &QueryPlan,
-    articulation: &Articulation,
-    sources: &[&Ontology],
+    _articulation: &Articulation,
+    _sources: &[&Ontology],
     conversions: &ConversionRegistry,
     wrappers: &[&dyn Wrapper],
 ) -> Result<ResultSet> {
-    let reformulator = Reformulator::new(articulation, sources.to_vec(), conversions);
     let mut rs = ResultSet::default();
     for sq in &plan.source_queries {
         let Some(wrapper) = wrappers.iter().find(|w| w.source() == sq.source) else {
@@ -36,7 +42,7 @@ pub fn execute_plan(
             for art_attr in &plan.query.select {
                 if let Some(local) = sq.attr_map.get(art_attr) {
                     if let Some(v) = inst.attrs.get(local) {
-                        let converted = reformulator.to_articulation_space(sq, local, v)?;
+                        let converted = sq.to_articulation_space(conversions, local, v)?;
                         attrs.insert(art_attr.clone(), converted);
                     }
                 }

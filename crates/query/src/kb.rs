@@ -2,7 +2,7 @@
 //! external sources behind ONION's wrappers (KB1–KB3 in Fig. 1; see
 //! ARCHITECTURE.md, "Query system").
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::ast::{Condition, Value};
 
@@ -78,11 +78,14 @@ impl KnowledgeBase {
     }
 
     /// Instances whose class is in `classes` and which satisfy every
-    /// condition (local vocabulary).
+    /// condition (local vocabulary), in insertion order. The class list
+    /// becomes a hash set once per call, so each instance costs one
+    /// probe however many classes the plan names.
     pub fn query(&self, classes: &[String], conditions: &[Condition]) -> Vec<&Instance> {
+        let wanted: HashSet<&str> = classes.iter().map(String::as_str).collect();
         self.instances
             .iter()
-            .filter(|i| classes.iter().any(|c| c == &i.class))
+            .filter(|i| wanted.contains(i.class.as_str()))
             .filter(|i| conditions.iter().all(|c| i.satisfies(c)))
             .collect()
     }
@@ -121,6 +124,10 @@ mod tests {
         let kb = kb();
         let all = kb.query(&["Cars".to_string(), "SUV".to_string()], &[]);
         assert_eq!(all.len(), 3);
+        // duplicate and unknown names neither repeat nor add instances
+        let names = ["SUV", "Cars", "Bicycles", "Cars", "SUV"].map(String::from);
+        let ids: Vec<&str> = kb.query(&names, &[]).iter().map(|i| i.id.as_str()).collect();
+        assert_eq!(ids, vec!["car1", "car2", "suv1"]);
     }
 
     #[test]

@@ -7,6 +7,18 @@
 //! `SubclassOf` edges — to find, per source, every local class whose
 //! instances are semantically instances of the queried class, plus the
 //! attribute renamings and metric conversions the bridges record.
+//!
+//! [`Reformulator::new`] stores the implication edges **reversed** (term
+//! → the terms that directly imply it). Finding the local terms that
+//! imply a target is then one backward BFS from the target, which visits
+//! only the terms that imply it, followed by one pass over the source's
+//! nodes that keeps each node whose key the search reached. Once the
+//! index is built, each (source, target term) pair costs that BFS plus
+//! one hash probe per source node. `tests/reformulation_props.rs` checks
+//! the results against a forward BFS from every source node.
+//! Reformulation fixes each source's conversions, so converting fetched
+//! values back ([`SourceReformulation::to_articulation_space`]) needs
+//! only the plan and the [`ConversionRegistry`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -71,6 +83,28 @@ pub struct SourceReformulation {
     pub conditions: Vec<Condition>,
 }
 
+impl SourceReformulation {
+    /// Converts a value fetched for `local_attr` into articulation
+    /// space with this source's conversion for it, if any; values
+    /// without one pass through unchanged.
+    pub fn to_articulation_space(
+        &self,
+        conversions: &ConversionRegistry,
+        local_attr: &str,
+        value: &Value,
+    ) -> Result<Value> {
+        match (value, self.conversions.iter().find(|c| c.local_attr == local_attr)) {
+            (Value::Num(n), Some(conv)) => {
+                let converted = conversions
+                    .apply(&conv.to_articulation, *n)
+                    .map_err(|e| QueryError::Conversion(e.to_string()))?;
+                Ok(Value::Num(converted))
+            }
+            (v, _) => Ok(v.clone()),
+        }
+    }
+}
+
 /// Reformulates articulation-vocabulary queries for each source.
 pub struct Reformulator<'a> {
     articulation: &'a Articulation,
@@ -84,8 +118,9 @@ pub struct Reformulator<'a> {
     /// Per namespace: bridge-only terms → overflow ids (≥ the canonical
     /// interner's length, so they never collide with real label ids).
     overflow: Vec<HashMap<String, u32>>,
-    /// term → directly implied terms (directed).
-    implication: HashMap<TermKey, Vec<TermKey>>,
+    /// term → the terms that directly imply it (implication edges
+    /// reversed).
+    implied_by: HashMap<TermKey, Vec<TermKey>>,
 }
 
 impl<'a> Reformulator<'a> {
@@ -102,7 +137,7 @@ impl<'a> Reformulator<'a> {
             names: HashMap::new(),
             graphs: Vec::new(),
             overflow: Vec::new(),
-            implication: HashMap::new(),
+            implied_by: HashMap::new(),
         };
         let art_g = articulation.ontology.graph();
         r.add_namespace(articulation.name(), Some(art_g));
@@ -113,7 +148,7 @@ impl<'a> Reformulator<'a> {
             if b.label == rel::SI_BRIDGE {
                 let s = r.intern_term(b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
                 let d = r.intern_term(b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
-                r.implication.entry(s).or_default().push(d);
+                r.implied_by.entry(d).or_default().push(s);
             }
         }
         // articulation-internal subclass edges imply, on ids directly
@@ -123,7 +158,7 @@ impl<'a> Reformulator<'a> {
                 if lid == sub {
                     let s = key_of_label(ART, art_g.node_label_id(src).expect("live"));
                     let d = key_of_label(ART, art_g.node_label_id(dst).expect("live"));
-                    r.implication.entry(s).or_default().push(d);
+                    r.implied_by.entry(d).or_default().push(s);
                 }
             }
         }
@@ -152,7 +187,7 @@ impl<'a> Reformulator<'a> {
                             r.intern_term(o.name(), g.node_label(dst).expect("live")),
                         )
                     };
-                    r.implication.entry(s).or_default().push(d);
+                    r.implied_by.entry(d).or_default().push(s);
                 }
             }
         }
@@ -206,43 +241,35 @@ impl<'a> Reformulator<'a> {
         }
     }
 
-    /// Does a directed implication path lead from `from` to `to`?
-    fn implies(&self, from: TermKey, to: TermKey) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen: HashSet<TermKey> = HashSet::new();
-        let mut q: VecDeque<TermKey> = VecDeque::new();
-        q.push_back(from);
+    /// Every term with a directed implication path to `target`, `target`
+    /// included: one BFS over the reversed edges.
+    fn implying_keys(&self, target: TermKey) -> HashSet<TermKey> {
+        let mut seen = HashSet::from([target]);
+        let mut q = VecDeque::from([target]);
         while let Some(cur) = q.pop_front() {
-            if let Some(nexts) = self.implication.get(&cur) {
-                for &n in nexts {
-                    if n == to {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        q.push_back(n);
-                    }
+            for &prev in self.implied_by.get(&cur).into_iter().flatten() {
+                if seen.insert(prev) {
+                    q.push_back(prev);
                 }
             }
         }
-        false
+        seen
     }
 
     /// Source labels whose term implies `target` — the shared kernel of
-    /// [`Reformulator::local_classes`] and [`Reformulator::local_attr`],
-    /// allocation-free per candidate node.
+    /// [`Reformulator::local_classes`] and [`Reformulator::local_attr`]:
+    /// one backward search, then one pass over the source's nodes with a
+    /// hash probe per node, sorted by label.
     fn implying_labels(&self, source: &Ontology, target: TermKey) -> Vec<String> {
         let Some(&idx) = self.names.get(source.name()) else { return Vec::new() };
+        let implying = self.implying_keys(target);
         let g = source.graph();
         let mut out: Vec<String> = g
             .node_ids()
             .filter_map(|n| {
                 let lid = g.node_label_id(n)?;
-                match self.node_key(idx, g, lid) {
-                    Some(key) if self.implies(key, target) => Some(g.resolve(lid).to_string()),
-                    _ => None,
-                }
+                let key = self.node_key(idx, g, lid)?;
+                implying.contains(&key).then(|| g.resolve(lid).to_string())
             })
             .collect();
         out.sort();
@@ -379,25 +406,6 @@ impl<'a> Reformulator<'a> {
     ) -> Option<&'c AttrConversion> {
         conversions.iter().find(|c| c.local_attr == local_attr)
     }
-
-    /// Converts a fetched local value into articulation space.
-    pub fn to_articulation_space(
-        &self,
-        reform: &SourceReformulation,
-        local_attr: &str,
-        value: &Value,
-    ) -> Result<Value> {
-        match (value, reform.conversions.iter().find(|c| c.local_attr == local_attr)) {
-            (Value::Num(n), Some(conv)) => {
-                let converted = self
-                    .conversions
-                    .apply(&conv.to_articulation, *n)
-                    .map_err(|e| QueryError::Conversion(e.to_string()))?;
-                Ok(Value::Num(converted))
-            }
-            (v, _) => Ok(v.clone()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -479,10 +487,11 @@ mod tests {
         let q = Query::parse("find Vehicle(Price)").unwrap();
         let reforms = r.reformulate(&q).unwrap();
         let carrier_side = reforms.iter().find(|x| x.source == "carrier").unwrap();
-        let eur = r.to_articulation_space(carrier_side, "Price", &Value::Num(2203.71)).unwrap();
+        let eur = carrier_side.to_articulation_space(&conv, "Price", &Value::Num(2203.71)).unwrap();
         assert!((eur.as_num().unwrap() - 1000.0).abs() < 1e-9);
         // strings pass through
-        let s = r.to_articulation_space(carrier_side, "Owner", &Value::Str("Ann".into())).unwrap();
+        let s =
+            carrier_side.to_articulation_space(&conv, "Owner", &Value::Str("Ann".into())).unwrap();
         assert_eq!(s, Value::Str("Ann".into()));
     }
 
