@@ -27,6 +27,8 @@ use std::sync::Arc;
 use onion_core::prelude::*;
 use onion_core::testkit::random_queries;
 
+use crate::{run_series, BenchResult};
+
 /// Queries per batch.
 pub const B15_QUERIES: usize = 64;
 /// Instances per knowledge-base side.
@@ -44,12 +46,8 @@ pub struct B15Fixture {
 }
 
 impl B15Fixture {
-    /// Builds the standard fixture with `capacity` cache entries.
-    pub fn new(capacity: usize) -> Self {
-        Self::sized(capacity, B15_CONCEPTS, B15_QUERIES, B15_INSTANCES)
-    }
-
-    /// Parameterised fixture (smaller tiers for tests).
+    /// Builds a fixture with `capacity` cache entries on a
+    /// `concepts`-concept pair.
     pub fn sized(capacity: usize, concepts: usize, queries: usize, instances: usize) -> Self {
         let pair = crate::pair(31, concepts, 0.25);
         let art = crate::articulated(&pair);
@@ -63,11 +61,6 @@ impl B15Fixture {
         system.set_articulation(art);
         system.set_query_cache(capacity);
         B15Fixture { system, queries, exec: Executor::new(4), probe_round: 0 }
-    }
-
-    /// Number of queries in the batch.
-    pub fn query_count(&self) -> usize {
-        self.queries.len()
     }
 
     /// Runs the batch once, returning the shared results.
@@ -116,27 +109,11 @@ impl B15Fixture {
     }
 }
 
-/// One measured B15 series.
-#[derive(Debug, Clone)]
-pub struct B15Row {
-    /// Series name (`b15_cold_miss`, `b15_warm_hit`,
-    /// `b15_publish_storm`).
-    pub name: String,
-    /// Median wall time over the repetitions, µs.
-    pub median_us: f64,
-    /// Fastest repetition, µs.
-    pub min_us: f64,
-    /// Slowest repetition, µs.
-    pub max_us: f64,
-    /// Timed repetitions.
-    pub reps: usize,
-}
-
 /// The full B15 record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B15Report {
-    /// All rows (cold, warm, storm).
-    pub rows: Vec<B15Row>,
+    /// All rows (`b15_cold_miss`, `b15_warm_hit`, `b15_publish_storm`).
+    pub rows: Vec<BenchResult>,
     /// Checksum every workload's batches agreed on.
     pub checksum: u64,
     /// `cold_median / warm_median` — the cache speedup factor.
@@ -144,24 +121,6 @@ pub struct B15Report {
     /// Hit ratio observed across the warm workload (1.0 = every
     /// lookup served from cache).
     pub warm_hit_ratio: f64,
-}
-
-fn timed(name: &str, reps: usize, mut f: impl FnMut()) -> B15Row {
-    let reps = reps.max(1);
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    B15Row {
-        name: name.to_string(),
-        median_us: samples[samples.len() / 2],
-        min_us: samples[0],
-        max_us: *samples.last().expect("non-empty"),
-        reps,
-    }
 }
 
 /// Runs B15 on the standard tier with `reps` repetitions per row,
@@ -185,18 +144,20 @@ pub fn run_b15_sized(
     let want = fx.checksum(&fx.batch());
 
     // cold: every rep starts at a fresh epoch, so every lookup misses
-    let cold = timed("b15_cold_miss", reps, || {
+    let cold = run_series("b15_cold_miss", reps, || {
         fx.edit_and_publish();
-        let out = fx.batch();
-        assert_eq!(fx.checksum(&out), want, "cold batch checksum");
+        let got = fx.checksum(&fx.batch());
+        assert_eq!(got, want, "cold batch checksum");
+        got
     });
 
     // warm: prime once, then every rep is all hits at a pinned epoch
     fx.batch();
     let before = fx.stats();
-    let warm = timed("b15_warm_hit", reps, || {
-        let out = fx.batch();
-        assert_eq!(fx.checksum(&out), want, "warm batch checksum");
+    let warm = run_series("b15_warm_hit", reps, || {
+        let got = fx.checksum(&fx.batch());
+        assert_eq!(got, want, "warm batch checksum");
+        got
     });
     let after = fx.stats();
     let lookups = (after.hits + after.misses) - (before.hits + before.misses);
@@ -206,12 +167,13 @@ pub fn run_b15_sized(
 
     // publish storm: edit + publish, then miss-run and hit-run; the
     // two runs of each rep must agree byte-for-byte
-    let storm = timed("b15_publish_storm", reps, || {
+    let storm = run_series("b15_publish_storm", reps, || {
         fx.edit_and_publish();
         let fresh = fx.batch();
         let cached = fx.batch();
         assert_eq!(fx.checksum(&fresh), want, "post-publish batch checksum");
         assert_eq!(fx.checksum(&cached), want, "cached batch serves identical bytes");
+        want
     });
 
     let speedup = if warm.median_us > 0.0 { cold.median_us / warm.median_us } else { f64::NAN };

@@ -23,7 +23,8 @@ use onion_core::graph::{GraphOp, OntGraph, ShardedSnapshot};
 use onion_core::testkit::fs::TempDir;
 use onion_core::testkit::generate_graph;
 
-use crate::hotpaths::{run_series, tier, BenchResult};
+use crate::hotpaths::tier;
+use crate::{run_series, BenchResult};
 
 /// Shard count the checkpoint series freezes the tier at (same as B11).
 pub const B13_SHARDS: usize = 64;
@@ -32,7 +33,7 @@ pub const B13_SHARDS: usize = 64;
 pub const B13_BATCH_OPS: usize = 1_000;
 
 /// The full B13 record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B13Report {
     /// Tier node count (checkpoint series).
     pub nodes: usize,

@@ -3,10 +3,8 @@
 //! the label-indexed adjacency layer (PR 2) so every future PR has a
 //! machine-readable perf trajectory to compare against.
 //!
-//! The same set backs the `b9_graph_hotpaths` bench target and the
-//! `experiments --json` smoke mode that emits `BENCH_onion.json`.
-
-use std::time::Instant;
+//! The set runs in `experiments --json` and lands in the `results`
+//! block of `BENCH_onion.json`.
 
 use onion_core::graph::closure::{descendants, transitive_pairs};
 use onion_core::graph::rel;
@@ -14,64 +12,7 @@ use onion_core::graph::traverse::{bfs, reachable, Direction, EdgeFilter};
 use onion_core::graph::{NodeId, OntGraph};
 use onion_core::testkit::{generate_graph, GraphSpec};
 
-/// One measured hot path.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Stable bench name (the JSON key).
-    pub name: &'static str,
-    /// Median wall time over `reps` runs, in microseconds.
-    pub median_us: f64,
-    /// Fastest repetition, µs.
-    pub min_us: f64,
-    /// Slowest repetition, µs.
-    pub max_us: f64,
-    /// Number of timed repetitions.
-    pub reps: usize,
-    /// A checksum of the routine's output, so the work cannot be
-    /// optimised away and the id-path refactor can be diffed for
-    /// behavioural drift between runs.
-    pub checksum: u64,
-}
-
-impl BenchResult {
-    /// Run-to-run spread: slowest over fastest repetition. The
-    /// `--compare` regression thresholds are calibrated against the
-    /// spreads recorded in the committed baseline (see `experiments`).
-    pub fn spread(&self) -> f64 {
-        if self.min_us > 0.0 {
-            self.max_us / self.min_us
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Times `reps` runs of `f` (whose `u64` result is black-boxed as the
-/// checksum) into one [`BenchResult`] row — the single series-timing
-/// helper shared by the hot-path set and B12.
-pub(crate) fn run_series(
-    name: &'static str,
-    reps: usize,
-    mut f: impl FnMut() -> u64,
-) -> BenchResult {
-    let reps = reps.max(1);
-    let mut samples = Vec::with_capacity(reps);
-    let mut checksum = 0u64;
-    for _ in 0..reps {
-        let t = Instant::now();
-        checksum = std::hint::black_box(f());
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    BenchResult {
-        name,
-        median_us: samples[samples.len() / 2],
-        min_us: samples[0],
-        max_us: samples[samples.len() - 1],
-        reps,
-        checksum,
-    }
-}
+use crate::{run_series, BenchResult};
 
 /// The standard tier every result in `BENCH_onion.json` is measured on.
 pub fn tier() -> GraphSpec {
@@ -138,23 +79,17 @@ impl Fixture {
     }
 }
 
-/// The hot-path set as `(name, reps, routine)` rows, shared by
-/// `run_all` and the `b9_graph_hotpaths` bench target.
-pub fn routines(fx: &Fixture) -> Vec<(&'static str, usize, Box<dyn Fn() -> u64 + '_>)> {
+/// Runs the full hot-path set on a prebuilt fixture (`Fixture::new(&tier())`
+/// for the recorded series) and returns the series.
+pub fn run_all(fx: &Fixture) -> Vec<BenchResult> {
     vec![
-        ("transitive_pairs_subclass", 5, Box::new(|| fx.transitive_pairs_subclass())),
-        ("out_neighbors_subclass_sweep", 7, Box::new(|| fx.out_neighbors_subclass_sweep())),
-        ("descendants_root", 7, Box::new(|| fx.descendants_root())),
-        ("bfs_backward_subclass", 7, Box::new(|| fx.bfs_backward_subclass())),
-        ("reachable_verbs", 5, Box::new(|| fx.reachable_verbs())),
-        ("find_edge_all_triples", 7, Box::new(|| fx.find_edge_all_triples())),
+        run_series("transitive_pairs_subclass", 5, || fx.transitive_pairs_subclass()),
+        run_series("out_neighbors_subclass_sweep", 7, || fx.out_neighbors_subclass_sweep()),
+        run_series("descendants_root", 7, || fx.descendants_root()),
+        run_series("bfs_backward_subclass", 7, || fx.bfs_backward_subclass()),
+        run_series("reachable_verbs", 5, || fx.reachable_verbs()),
+        run_series("find_edge_all_triples", 7, || fx.find_edge_all_triples()),
     ]
-}
-
-/// Runs the full hot-path set on the 10k tier and returns the series.
-pub fn run_all() -> Vec<BenchResult> {
-    let fx = Fixture::new(&tier());
-    routines(&fx).into_iter().map(|(name, reps, f)| run_series(name, reps, || f())).collect()
 }
 
 #[cfg(test)]
@@ -169,7 +104,9 @@ mod tests {
         assert_eq!(fx.descendants_root(), 119);
         assert_eq!(fx.bfs_backward_subclass(), 120, "root reaches all via in-edges");
         assert_eq!(fx.find_edge_all_triples(), fx.g.edge_count() as u64);
-        // every routine is wired into the shared table
-        assert_eq!(routines(&fx).len(), 6);
+        // every routine is wired into the run, its result the checksum
+        let rows = run_all(&fx);
+        assert_eq!(rows.len(), 6);
+        assert_eq!(rows[2].checksum, 119);
     }
 }

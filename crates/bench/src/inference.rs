@@ -47,7 +47,7 @@ use onion_core::testkit::{
     OntologySpec,
 };
 
-use crate::hotpaths::{run_series, BenchResult};
+use crate::{run_series, BenchResult};
 
 /// Threads for the parallel saturation row — fixed (not
 /// `available_parallelism`) so the row is comparable across machines
@@ -55,6 +55,7 @@ use crate::hotpaths::{run_series, BenchResult};
 const PARALLEL_THREADS: usize = 4;
 
 /// The B12 report: tier shape plus the measured series.
+#[derive(Debug, Clone, Default)]
 pub struct B12Report {
     /// Classes in the generated ontology.
     pub classes: usize,

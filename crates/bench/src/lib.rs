@@ -1,9 +1,12 @@
-//! Shared scaffolding for the experiment benches (README.md, "Tests and
+//! Shared scaffolding for the experiment families (README.md, "Tests and
 //! benches").
 //!
-//! Each bench target regenerates one experiment's series; the
-//! `experiments` binary (`cargo run -p onion-bench --release --bin
-//! experiments`) prints the full set of experiment tables.
+//! The `experiments` binary (`cargo run -p onion-bench --release --bin
+//! experiments`) is the one driver: it prints the experiment tables and,
+//! with `--json`, writes the `BENCH_onion.json` baseline. Every series
+//! in either mode is timed by [`run_series`] into a [`BenchResult`].
+
+use std::time::Instant;
 
 use onion_core::prelude::*;
 use onion_core::testkit::{overlap_pair, OverlapPair, OverlapSpec};
@@ -16,19 +19,72 @@ pub mod observability;
 pub mod parallel;
 pub mod publish;
 
-/// Median wall time (µs) of `reps` runs of `f` — the one in-process
-/// timing helper shared by the experiment tables, the B10 runner, and
-/// the `experiments` binary.
-pub fn median_micros(reps: usize, mut f: impl FnMut()) -> f64 {
+/// One measured series.
+#[derive(Debug, Clone, Default)]
+pub struct BenchResult {
+    /// Stable series name (the JSON key).
+    pub name: String,
+    /// Median wall time over `reps` runs, in microseconds.
+    pub median_us: f64,
+    /// Fastest repetition, µs.
+    pub min_us: f64,
+    /// Slowest repetition, µs.
+    pub max_us: f64,
+    /// Number of timed repetitions.
+    pub reps: usize,
+    /// The routine's `u64` result from the last repetition, so the work
+    /// cannot be optimised away and runs can be diffed for behavioural
+    /// drift.
+    pub checksum: u64,
+}
+
+impl BenchResult {
+    /// Run-to-run spread: slowest over fastest repetition. The
+    /// `--compare` regression thresholds are calibrated against the
+    /// spreads recorded in the committed baseline (see `experiments`).
+    pub fn spread(&self) -> f64 {
+        if self.min_us > 0.0 {
+            self.max_us / self.min_us
+        } else {
+            1.0
+        }
+    }
+}
+
+/// Times `reps` runs of `f` (whose `u64` result is black-boxed as the
+/// checksum) into one [`BenchResult`].
+pub fn run_series(name: &str, reps: usize, mut f: impl FnMut() -> u64) -> BenchResult {
+    run_series_with(name, reps, &mut (), |_| {}, |_| f())
+}
+
+/// [`run_series`] with per-repetition preparation: `untimed` runs on
+/// `state` before every repetition, outside the timed region, then
+/// `timed` runs on it inside. The one timing loop of the crate.
+pub fn run_series_with<S>(
+    name: &str,
+    reps: usize,
+    state: &mut S,
+    mut untimed: impl FnMut(&mut S),
+    mut timed: impl FnMut(&mut S) -> u64,
+) -> BenchResult {
     let reps = reps.max(1);
     let mut samples = Vec::with_capacity(reps);
+    let mut checksum = 0u64;
     for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
+        untimed(state);
+        let t = Instant::now();
+        checksum = std::hint::black_box(timed(state));
         samples.push(t.elapsed().as_secs_f64() * 1e6);
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
+    BenchResult {
+        name: name.to_string(),
+        median_us: samples[samples.len() / 2],
+        min_us: samples[0],
+        max_us: samples[samples.len() - 1],
+        reps,
+        checksum,
+    }
 }
 
 /// Builds the standard experiment pair: `concepts` total concepts,

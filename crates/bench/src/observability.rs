@@ -22,6 +22,7 @@ use onion_core::obs;
 use onion_core::rules::{AtomTable, FactBase, HornProgram, InferenceEngine};
 
 use crate::publish::B11Fixture;
+use crate::{run_series, BenchResult};
 
 /// Chain length for the inference workload (`derived = n(n-1)/2`).
 pub const B14_CHAIN: usize = 128;
@@ -29,37 +30,6 @@ pub const B14_CHAIN: usize = 128;
 pub const B14_PUBLISH_ROUNDS: usize = 50;
 /// Macro hits per count-burst repetition.
 pub const B14_BURST: usize = 1_000_000;
-
-/// The B11 publish fixture wrapped for repeated one-dirty-shard
-/// rounds.
-pub struct B14Fixture(B11Fixture);
-
-impl Default for B14Fixture {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl B14Fixture {
-    /// Builds the tier fixture (10k nodes / 50k edges, 64 shards).
-    pub fn new() -> Self {
-        B14Fixture(B11Fixture::new())
-    }
-
-    /// Runs `rounds` dirty-one-shard-then-publish cycles, asserting
-    /// each publish rebuilt exactly one shard.
-    pub fn publish_rounds(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.0.publish_dirty(1);
-        }
-    }
-}
-
-/// Builds a fixture and runs [`B14Fixture::publish_rounds`] — bench
-/// targets should hold their own fixture and call it directly.
-pub fn publish_loop(rounds: usize) {
-    B14Fixture::new().publish_rounds(rounds);
-}
 
 /// Saturates `p(X,Z) :- p(X,Y), p(Y,Z)` on an `n`-node chain with the
 /// sequential semi-naive engine; returns (and asserts) the derivation
@@ -85,26 +55,11 @@ pub fn count_burst(n: usize) {
     }
 }
 
-/// One measured B14 series.
-#[derive(Debug, Clone)]
-pub struct B14Row {
-    /// Series name (`b14_<workload>_<disabled|enabled>`).
-    pub name: String,
-    /// Median wall time over the repetitions, µs.
-    pub median_us: f64,
-    /// Fastest repetition, µs.
-    pub min_us: f64,
-    /// Slowest repetition, µs.
-    pub max_us: f64,
-    /// Timed repetitions.
-    pub reps: usize,
-}
-
 /// The full B14 record: disabled/enabled row pairs per workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B14Report {
     /// All rows, disabled before enabled per workload.
-    pub rows: Vec<B14Row>,
+    pub rows: Vec<BenchResult>,
 }
 
 impl B14Report {
@@ -124,40 +79,25 @@ impl B14Report {
     }
 }
 
-fn timed(name: &str, reps: usize, mut f: impl FnMut()) -> B14Row {
-    let reps = reps.max(1);
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    B14Row {
-        name: name.to_string(),
-        median_us: samples[samples.len() / 2],
-        min_us: samples[0],
-        max_us: *samples.last().expect("non-empty"),
-        reps,
-    }
-}
-
 /// Runs B14 with `reps` repetitions per row, restoring the recording
 /// state it found.
 pub fn run_b14(reps: usize) -> B14Report {
     let was_enabled = obs::enabled();
-    let mut fixture = B14Fixture::new();
+    let mut fixture = B11Fixture::new();
     let mut rows = Vec::new();
     for enabled in [false, true] {
         obs::set_enabled(enabled);
         let suffix = if enabled { "enabled" } else { "disabled" };
-        rows.push(timed(&format!("b14_publish_{suffix}"), reps, || {
-            fixture.publish_rounds(B14_PUBLISH_ROUNDS)
+        rows.push(run_series(&format!("b14_publish_{suffix}"), reps, || {
+            (0..B14_PUBLISH_ROUNDS).map(|_| fixture.publish_dirty(1).rebuilt as u64).sum()
         }));
-        rows.push(timed(&format!("b14_infer_{suffix}"), reps, || {
-            infer_chain(B14_CHAIN);
+        rows.push(run_series(&format!("b14_infer_{suffix}"), reps, || {
+            infer_chain(B14_CHAIN) as u64
         }));
-        rows.push(timed(&format!("b14_count_burst_{suffix}"), reps, || count_burst(B14_BURST)));
+        rows.push(run_series(&format!("b14_count_burst_{suffix}"), reps, || {
+            count_burst(B14_BURST);
+            B14_BURST as u64
+        }));
     }
     obs::set_enabled(was_enabled);
     // disabled rows first, enabled second, workload order preserved

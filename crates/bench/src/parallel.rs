@@ -25,9 +25,10 @@ use onion_core::prelude::*;
 use onion_core::testkit::{closure_sources, generate_graph, random_queries};
 
 use crate::hotpaths::tier;
+use crate::run_series;
 
 /// One measured thread count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B10Row {
     /// Executor thread count.
     pub threads: usize,
@@ -44,7 +45,7 @@ pub struct B10Row {
 }
 
 /// The full B10 record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B10Report {
     /// Number of closure sources per batch.
     pub closure_sources: usize,
@@ -184,12 +185,10 @@ pub fn run_b10_sized(sources: usize, queries: usize, instances: usize, reps: usi
         );
         assert_eq!(got_query, baseline_query, "query results must be byte-identical");
 
-        let closure_us = crate::median_micros(reps, || {
-            std::hint::black_box(fx.closure_batch(&exec));
-        });
-        let query_us = crate::median_micros(reps, || {
-            std::hint::black_box(fx.query_batch(&exec));
-        });
+        let closure_us =
+            run_series("b10_closure", reps, || fx.closure_batch(&exec).len() as u64).median_us;
+        let query_us =
+            run_series("b10_query", reps, || fx.query_batch(&exec).len() as u64).median_us;
         rows.push(B10Row {
             threads,
             closure_us,

@@ -18,12 +18,13 @@ use onion_core::graph::{NodeId, OntGraph, PublishStats};
 use onion_core::testkit::generate_graph;
 
 use crate::hotpaths::tier;
+use crate::run_series_with;
 
 /// Shard count B11 freezes the tier at.
 pub const B11_SHARDS: usize = 64;
 
 /// One measured dirty fraction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B11Row {
     /// Shards dirtied (and rebuilt) per publish.
     pub dirty_shards: usize,
@@ -38,7 +39,7 @@ pub struct B11Row {
 }
 
 /// The full B11 record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct B11Report {
     /// Tier node count.
     pub nodes: usize,
@@ -137,25 +138,28 @@ pub fn run_b11() -> B11Report {
 pub fn run_b11_sized(dirty_counts: &[usize], reps: usize) -> B11Report {
     let spec = tier();
     let mut fx = B11Fixture::new();
-    let mut rows = Vec::new();
-    for &k in dirty_counts {
-        let k = k.min(B11_SHARDS);
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps.max(1) {
-            fx.dirty(k);
-            let t = std::time::Instant::now();
-            fx.publish_checked(k);
-            samples.push(t.elapsed().as_secs_f64() * 1e6);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        rows.push(B11Row {
-            dirty_shards: k,
-            fraction: k as f64 / B11_SHARDS as f64,
-            median_us: samples[samples.len() / 2],
-            min_us: samples[0],
-            max_us: samples[samples.len() - 1],
-        });
-    }
+    let rows = dirty_counts
+        .iter()
+        .map(|&k| {
+            let k = k.min(B11_SHARDS);
+            let r = run_series_with(
+                "b11_publish",
+                reps,
+                &mut fx,
+                |fx| {
+                    fx.dirty(k);
+                },
+                |fx| fx.publish_checked(k).rebuilt as u64,
+            );
+            B11Row {
+                dirty_shards: k,
+                fraction: k as f64 / B11_SHARDS as f64,
+                median_us: r.median_us,
+                min_us: r.min_us,
+                max_us: r.max_us,
+            }
+        })
+        .collect();
     B11Report { nodes: spec.nodes, edges: spec.edges, shards: B11_SHARDS, reps: reps.max(1), rows }
 }
 

@@ -8,8 +8,7 @@
 //! it is mutex-backed and bounded, not a hot-path structure.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::Histogram;
@@ -33,16 +32,20 @@ pub struct TraceEvent {
 }
 
 /// The bounded event buffer ("TraceRing"): a mutexed deque capped at
-/// [`TRACE_RING_CAP`].
+/// [`TRACE_RING_CAP`], plus the next sequence number. Both sit behind
+/// one lock so events enter the deque in `seq` order.
 #[derive(Debug, Default)]
 struct Ring {
-    events: Mutex<VecDeque<TraceEvent>>,
-    seq: AtomicU64,
+    events: VecDeque<TraceEvent>,
+    next_seq: u64,
 }
 
-fn ring() -> &'static Ring {
-    static RING: OnceLock<Ring> = OnceLock::new();
-    RING.get_or_init(Ring::default)
+/// Locks the global ring. A writer that panicked mid-push leaves it
+/// valid (at worst a `seq` gap), so a poisoned lock is recovered rather
+/// than propagated: `push_event` runs inside `Span::drop`.
+fn ring() -> MutexGuard<'static, Ring> {
+    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
+    RING.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Appends one event to the global trace ring, evicting the oldest if
@@ -54,23 +57,23 @@ pub fn push_event(
     fields: Vec<(&'static str, String)>,
     duration_us: Option<u64>,
 ) {
-    let r = ring();
-    let seq = r.seq.fetch_add(1, Ordering::Relaxed);
-    let mut events = r.events.lock().unwrap();
-    if events.len() == TRACE_RING_CAP {
-        events.pop_front();
+    let mut r = ring();
+    let seq = r.next_seq;
+    r.next_seq += 1;
+    if r.events.len() == TRACE_RING_CAP {
+        r.events.pop_front();
     }
-    events.push_back(TraceEvent { seq, name, fields, duration_us });
+    r.events.push_back(TraceEvent { seq, name, fields, duration_us });
 }
 
 /// A copy of the buffered events, oldest first.
 pub fn trace_events() -> Vec<TraceEvent> {
-    ring().events.lock().unwrap().iter().cloned().collect()
+    ring().events.iter().cloned().collect()
 }
 
 /// Empties the trace ring (sequence numbers keep counting).
 pub fn clear_trace() {
-    ring().events.lock().unwrap().clear();
+    ring().events.clear();
 }
 
 /// A span guard: created by [`span!`](crate::span!), records on drop.
@@ -143,6 +146,28 @@ mod tests {
         for w in events.windows(2) {
             assert!(w[0].seq < w[1].seq);
         }
+    }
+
+    #[test]
+    fn concurrent_writers_keep_the_ring_seq_ordered() {
+        let ordered = || trace_events().windows(2).all(|w| w[0].seq < w[1].seq);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for i in 0..5_000 {
+                        push_event("race_probe", Vec::new(), None);
+                        // check while all four writers contend, not just
+                        // after the last one finished alone
+                        if i % 64 == 0 {
+                            assert!(ordered(), "ring out of seq order");
+                        }
+                    }
+                });
+            }
+        });
+        assert!(ordered(), "ring out of seq order");
     }
 
     #[test]
