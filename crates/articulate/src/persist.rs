@@ -181,7 +181,12 @@ pub fn from_text(input: &str) -> Result<Articulation> {
             }
             Some("rule") => {
                 let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
-                let text = line.strip_prefix("rule ").expect("matched above");
+                // the body follows the bare keyword; a quoted `"rule"` has none
+                let text = line
+                    .strip_prefix("rule")
+                    .map(str::trim_start)
+                    .filter(|body| !body.is_empty())
+                    .ok_or_else(|| parse_err(lineno, "rule expects a bare keyword and a rule"))?;
                 let rule =
                     parser::parse_rule(text).map_err(|e| parse_err(lineno, e.to_string()))?;
                 art.rules.push(rule);
@@ -265,6 +270,30 @@ mod tests {
             "articulation a\nwhatever\n",
         ] {
             assert!(from_text(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn rule_keyword_takes_any_whitespace() {
+        let spaced = from_text("articulation a\nrule x.A => y.B\n").unwrap();
+        let tabbed = from_text("articulation a\nrule\tx.A => y.B\n").unwrap();
+        assert_eq!(tabbed.rules, spaced.rules);
+        assert_eq!(tabbed.rules.len(), 1);
+    }
+
+    #[test]
+    fn quoted_or_empty_rule_is_a_parse_error() {
+        for (bad, line) in [
+            ("articulation a\n\"rule\" x.A => y.B\n", 2),
+            ("articulation a\nrule\n", 2),
+            ("articulation a\n# c\n  rule \t \n", 3),
+        ] {
+            match from_text(bad) {
+                Err(ArticulateError::Graph(GraphError::Parse { line: got, .. })) => {
+                    assert_eq!(got, line, "{bad:?}")
+                }
+                other => panic!("{bad:?} gave {other:?}"),
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use onion_lexicon::normalize::normalize;
-use onion_lexicon::similarity::label_sim;
+use onion_lexicon::similarity::PreparedLabel;
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
 use onion_rules::{ArticulationRule, RuleSet, Term};
@@ -35,6 +35,19 @@ fn labels(o: &Ontology) -> Vec<String> {
     let mut v: Vec<String> = o.graph().nodes().map(|n| n.label.to_string()).collect();
     v.sort();
     v
+}
+
+/// Sorted labels of an ontology's nodes, each with its prepared form.
+fn prepared_labels(o: &Ontology) -> Vec<(PreparedLabel, String)> {
+    labels(o).into_iter().map(|l| (PreparedLabel::new(&l), l)).collect()
+}
+
+/// `label`'s prepared form from `memo`, prepared on first use.
+fn prepared<'m>(memo: &'m mut HashMap<String, PreparedLabel>, label: &str) -> &'m PreparedLabel {
+    if !memo.contains_key(label) {
+        memo.insert(label.to_string(), PreparedLabel::new(label));
+    }
+    &memo[label]
 }
 
 /// normalised label → original labels (an ontology may normalise two
@@ -151,12 +164,19 @@ impl RuleMatcher for SynonymMatcher {
 /// combined lexical similarity (token overlap + Jaro-Winkler); the
 /// fallback when the lexicon is silent. Confidence is the similarity
 /// scaled into `[0, 0.85]` so lexicon knowledge outranks string luck.
+///
+/// The scan prepares each label once per `propose` ([`PreparedLabel`])
+/// and runs Jaro-Winkler only on pairs a character-count bound cannot
+/// rule out; scores are bit-identical to
+/// [`label_sim`](onion_lexicon::similarity::label_sim).
 #[derive(Debug, Clone, Copy)]
 pub struct SimilarityMatcher {
     /// Minimum similarity to propose.
     pub threshold: f64,
     /// Pair-comparison budget; the matcher stops proposing past it
-    /// (guards the O(n·m) scan on large inputs).
+    /// (guards the O(n·m) scan on large inputs). Every visited pair
+    /// counts, in sorted-label order: pairs left to the exact matcher
+    /// and pairs the count bound skips use the budget too.
     pub max_pairs: usize,
 }
 
@@ -172,21 +192,20 @@ impl RuleMatcher for SimilarityMatcher {
     }
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
-        let l1s = labels(o1);
-        let l2s = labels(o2);
+        let l1s = prepared_labels(o1);
+        let l2s = prepared_labels(o2);
         let mut out = Vec::new();
         let mut budget = self.max_pairs;
-        'outer: for l1 in &l1s {
-            for l2 in &l2s {
+        'outer: for (p1, l1) in &l1s {
+            for (p2, l2) in &l2s {
                 if budget == 0 {
                     break 'outer;
                 }
                 budget -= 1;
-                if normalize(l1) == normalize(l2) {
+                if p1.normalized() == p2.normalized() {
                     continue; // the exact matcher owns these
                 }
-                let sim = label_sim(l1, l2);
-                if sim >= self.threshold {
+                if let Some(sim) = p1.sim_at_least(p2, self.threshold) {
                     out.push(CandidateRule::new(
                         simple(o1, l1, o2, l2),
                         0.85 * sim,
@@ -223,6 +242,8 @@ impl RuleMatcher for StructuralMatcher {
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, existing: &RuleSet) -> Vec<CandidateRule> {
         let mut out = Vec::new();
+        // neighbourhoods of different rules overlap: prepare each label once
+        let (mut memo1, mut memo2) = (HashMap::new(), HashMap::new());
         for rule in existing.iter() {
             if !rule.is_simple_implication() {
                 continue;
@@ -242,9 +263,10 @@ impl RuleMatcher for StructuralMatcher {
                 (o1.subclasses(t1), o2.subclasses(t2), "subclasses"),
             ] {
                 for n1 in &n1s {
+                    let p1 = prepared(&mut memo1, n1);
                     for n2 in &n2s {
-                        let sim = label_sim(n1, n2);
-                        if sim >= self.min_sim {
+                        let p2 = prepared(&mut memo2, n2);
+                        if let Some(sim) = p1.sim_at_least(p2, self.min_sim) {
                             out.push(CandidateRule::new(
                                 simple(o1, n1, o2, n2),
                                 (0.4 + 0.45 * sim).min(0.85),

@@ -15,7 +15,7 @@
 //! With `--json` the binary instead runs the machine-readable baseline
 //! suite — the graph hot-path set on the testkit 10k-node / 50k-edge
 //! tier (each series repeated ≥5× with the min/max spread recorded),
-//! the B1/B4 end-to-end medians, the B10 parallel-throughput matrix
+//! the B1/B2/B4 end-to-end medians, the B10 parallel-throughput matrix
 //! (1/2/4/available-parallelism threads, with byte-identical results
 //! asserted against the sequential path), the B11 incremental-publish
 //! curve (publish latency vs dirty-shard fraction, with exact rebuild
@@ -166,13 +166,20 @@ impl Baseline {
             tier.nodes, tier.edges
         );
         let results = onion_bench::hotpaths::run_all(&Fixture::new(&tier));
-        eprintln!("running end-to-end medians (B1 incremental, B4 query) …");
-        // each fixture lives only while its own series runs, so neither
-        // series is timed against the other fixture's heap
+        eprintln!("running end-to-end medians (B1 incremental, B2 propose, B4 query) …");
+        // each fixture lives only while its own series runs, so no series
+        // is timed against another fixture's heap
         let end_to_end = vec![
             {
                 let fx = UpdateFixture::b1(1000);
                 run_series("b1_incremental_1000c", 9, || fx.incremental())
+            },
+            {
+                let p = pair(17, 400, 0.25);
+                let pipeline = b2_pipeline(&p);
+                run_series("b2_propose_400c", 9, || {
+                    pipeline.propose(&p.left, &p.right, &RuleSet::new()).len() as u64
+                })
             },
             {
                 let fx = B4Fixture::new(400, 10_000);
@@ -789,6 +796,15 @@ fn b1_maintenance() {
     println!();
 }
 
+/// B2's matcher stack: exact label, the pair's lexicon, and string
+/// similarity at 0.9. Also backs the `b2_propose_400c` baseline row.
+fn b2_pipeline(p: &OverlapPair) -> MatcherPipeline {
+    MatcherPipeline::new()
+        .with(onion_core::articulate::ExactLabelMatcher)
+        .with(onion_core::articulate::SynonymMatcher::new(p.lexicon.clone()))
+        .with(onion_core::articulate::SimilarityMatcher { threshold: 0.9, max_pairs: 2_000_000 })
+}
+
 fn b2_generation() {
     println!("## B2 — articulation generation: time and quality vs overlap\n");
     println!("| concepts | overlap | propose | engine (oracle) | precision | recall |");
@@ -796,22 +812,13 @@ fn b2_generation() {
     for &concepts in &[100usize, 400, 1600] {
         for &overlap in &[0.05f64, 0.25] {
             let p = pair(17, concepts, overlap);
-            let pipeline = || {
-                MatcherPipeline::new()
-                    .with(onion_core::articulate::ExactLabelMatcher)
-                    .with(onion_core::articulate::SynonymMatcher::new(p.lexicon.clone()))
-                    .with(onion_core::articulate::SimilarityMatcher {
-                        threshold: 0.9,
-                        max_pairs: 2_000_000,
-                    })
-            };
             let propose = run_series("b2_propose", 5, || {
-                pipeline().propose(&p.left, &p.right, &RuleSet::new()).len() as u64
+                b2_pipeline(&p).propose(&p.left, &p.right, &RuleSet::new()).len() as u64
             })
             .median_us;
             let mut art_holder = None;
             let engine_t = run_series("b2_engine", 3, || {
-                let engine = ArticulationEngine::new(pipeline())
+                let engine = ArticulationEngine::new(b2_pipeline(&p))
                     .with_config(EngineConfig { max_rounds: 2, ..Default::default() });
                 let mut oracle = OracleExpert::new(p.truth.iter().cloned());
                 let (art, _) = engine.run(&p.left, &p.right, &mut oracle, RuleSet::new()).unwrap();
@@ -865,18 +872,7 @@ fn b2b_matcher_ablation() {
                 )
             }),
         ),
-        (
-            "exact+synonym+similarity",
-            Box::new(|| {
-                MatcherPipeline::new()
-                    .with(onion_core::articulate::ExactLabelMatcher)
-                    .with(onion_core::articulate::SynonymMatcher::new(p.lexicon.clone()))
-                    .with(onion_core::articulate::SimilarityMatcher {
-                        threshold: 0.9,
-                        max_pairs: 2_000_000,
-                    })
-            }),
-        ),
+        ("exact+synonym+similarity", Box::new(|| b2_pipeline(&p))),
     ];
     for (name, mk) in mixes {
         let candidates = mk().propose(&p.left, &p.right, &RuleSet::new());
