@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use onion_articulate::{
     Articulation, ArticulationEngine, ArticulationGenerator, EngineConfig, EngineReport, Expert,
@@ -13,7 +13,9 @@ use onion_graph::wal::{CheckpointStats, Durability, Lsn, RecoveryStats, WalError
 use onion_graph::{GraphOp, OntGraph, PublishStats, ShardedSnapshot, SnapshotStore};
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
-use onion_query::{InMemoryWrapper, KnowledgeBase, Query, ResultSet, Value, Wrapper};
+use onion_query::{
+    InMemoryWrapper, KnowledgeBase, Query, QueryPlan, ReformulationIndex, ResultSet, Value, Wrapper,
+};
 use onion_rules::{parse_rules, AtomTable, ConversionRegistry, RuleSet};
 
 /// Errors surfaced by the facade.
@@ -113,7 +115,13 @@ pub struct OnionSystem {
     /// articulation, publishes). Part of every query-cache key, so a
     /// bump makes all cached results unaddressable — stale reads are
     /// structurally impossible, no explicit invalidation path exists.
+    /// It is the only notion of "query-visible state changed": the
+    /// reformulation index below lives exactly as long as one epoch.
     state_epoch: u64,
+    /// The reformulation index of the current epoch: emptied by every
+    /// bump, built at the first query miss after it, and shared by
+    /// every later miss (and every batch worker) in the epoch.
+    query_index: OnceLock<ReformulationIndex>,
     /// Optional hot-result cache ([`OnionSystem::set_query_cache`]).
     /// `None` (the default) keeps the serving path allocation-free.
     query_cache: Option<ResultCache<ResultSet>>,
@@ -156,14 +164,17 @@ impl OnionSystem {
             inference_executor: None,
             durables: BTreeMap::new(),
             state_epoch: 0,
+            query_index: OnceLock::new(),
             query_cache: None,
         }
     }
 
     /// Records that query-visible state changed: bumps the state epoch,
-    /// which retires every cached query result at once.
+    /// which retires every cached query result at once, and drops the
+    /// epoch's reformulation index.
     fn touch(&mut self) {
         self.state_epoch += 1;
+        self.query_index.take();
     }
 
     /// System with the built-in transportation lexicon (the Fig. 2
@@ -297,6 +308,12 @@ impl OnionSystem {
     /// one integer compare (`None` until the first publish). The same
     /// value is on the snapshot itself via
     /// [`ShardedSnapshot::epoch`](onion_graph::ShardedSnapshot::epoch).
+    ///
+    /// Store epochs are publish-only: an edit through
+    /// [`OnionSystem::source_mut`] does not move them until it is
+    /// published, and queries read the live graphs. Whether a query's
+    /// answer may have changed is told by [`OnionSystem::query_epoch`]
+    /// alone.
     pub fn source_epoch(&self, name: &str) -> Option<u64> {
         self.stores.get(name).map(SnapshotStore::epoch)
     }
@@ -311,6 +328,12 @@ impl OnionSystem {
     /// publishes). This is the epoch component of every query-cache
     /// key, so comparing two readings tells whether cached results
     /// from the first reading are still servable.
+    ///
+    /// It is the facade's only notion of "query-visible state
+    /// changed": the result cache keys on it, and the reformulation
+    /// index is built once per epoch, at its first query miss. The
+    /// per-source store epochs ([`OnionSystem::source_epoch`]) count
+    /// publishes only.
     pub fn query_epoch(&self) -> u64 {
         self.state_epoch
     }
@@ -649,11 +672,33 @@ impl OnionSystem {
         self.run_query(&q)
     }
 
-    /// Executes a pre-built query.
+    /// Executes a pre-built query. Planning reuses the epoch's
+    /// reformulation index (built here if this is the epoch's first
+    /// miss); the result equals [`onion_query::execute`] over the same
+    /// articulation, sources and knowledge bases.
     pub fn run_query(&self, query: &Query) -> Result<ResultSet> {
         let (art, sources) = self.articulated_pair()?;
+        let plan = self.plan_query(query, art, &sources)?;
         let wrappers: Vec<&dyn Wrapper> = self.kbs.values().map(|w| w as &dyn Wrapper).collect();
-        onion_query::execute(query, art, &sources, &self.conversions, &wrappers)
+        onion_query::exec::execute_plan(&plan, art, &sources, &self.conversions, &wrappers)
+            .map_err(SystemError::Query)
+    }
+
+    /// Plans `query` through the current epoch's reformulation index,
+    /// building it first if the epoch has none yet. Concurrent callers
+    /// (a batch's workers) wait for one build and share it; every build
+    /// counts in `onion_query_index_builds_total`.
+    fn plan_query(
+        &self,
+        query: &Query,
+        art: &Articulation,
+        sources: &[&Ontology],
+    ) -> Result<QueryPlan> {
+        let index = self.query_index.get_or_init(|| {
+            onion_obs::count!("onion_query_index_builds_total");
+            ReformulationIndex::new(art, sources)
+        });
+        onion_query::plan_indexed(query, index, art, sources, &self.conversions)
             .map_err(SystemError::Query)
     }
 
@@ -793,9 +838,7 @@ impl OnionSystem {
     pub fn explain(&self, text: &str) -> Result<String> {
         let q = Query::parse(text).map_err(SystemError::Query)?;
         let (art, sources) = self.articulated_pair()?;
-        let plan =
-            onion_query::plan(&q, art, &sources, &self.conversions).map_err(SystemError::Query)?;
-        Ok(plan.explain())
+        Ok(self.plan_query(&q, art, &sources)?.explain())
     }
 }
 
@@ -804,7 +847,7 @@ mod tests {
     use super::*;
     use onion_articulate::AcceptAll;
     use onion_ontology::examples::{carrier, factory, fig2_rules_text};
-    use onion_query::{Instance, Value};
+    use onion_query::{CmpOp, Instance, Value};
 
     fn loaded() -> OnionSystem {
         let mut s = OnionSystem::with_transport_lexicon();
@@ -999,6 +1042,40 @@ mod tests {
         let out = s.query_batch(&exec, &["find Vehicle(Price)", "not a query"]);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(SystemError::Query(_))));
+    }
+
+    #[test]
+    fn quoted_operators_and_keywords_match_their_rows() {
+        let mut s = loaded();
+        s.add_rules(fig2_rules_text()).unwrap();
+        s.articulate_from_rules("carrier", "factory").unwrap();
+        let owners = ["a<b", "x!=y", "Smith and Sons", r#"say "hi""#];
+        let mut ckb = KnowledgeBase::new("carrier");
+        for (i, owner) in owners.iter().enumerate() {
+            ckb.add(
+                Instance::new(&format!("car{i}"), "Cars")
+                    .with("Owner", Value::Str(owner.to_string())),
+            );
+        }
+        s.add_knowledge_base(ckb);
+        let texts: Vec<String> = owners
+            .iter()
+            .map(|o| {
+                Query::all("Vehicle")
+                    .select("Owner")
+                    .filter("Owner", CmpOp::Eq, Value::Str(o.to_string()))
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(texts[0], r#"find Vehicle(Owner) where Owner = "a<b""#);
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let out = s.query_batch(&onion_exec::Executor::new(2), &refs);
+        for (i, (rs, owner)) in out.iter().zip(owners).enumerate() {
+            let rs = rs.as_ref().unwrap();
+            assert_eq!(rs.len(), 1, "{owner:?}");
+            assert_eq!(rs.rows[0].id, format!("car{i}"));
+            assert_eq!(rs.rows[0].attrs["Owner"], Value::Str(owner.to_string()));
+        }
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //!   only");
 //! * `where` — conjunctive comparisons on attribute values. Numbers are
 //!   interpreted in the articulation's metric space (e.g. Euro) and
-//!   converted per source by the reformulator.
+//!   converted per source by the reformulator. String values are
+//!   double-quoted, with `\"` and `\\` as the only escapes; quoted
+//!   text may hold anything else, operators and ` and ` included.
+//!
+//! [`Query`]'s `Display` writes this syntax, and [`Query::parse`] reads
+//! it back to an equal query (for identifier names and finite numbers).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::{QueryError, Result};
 
@@ -47,7 +52,16 @@ impl fmt::Display for Value {
                     write!(f, "{n}")
                 }
             }
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Str(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    if matches!(c, '"' | '\\') {
+                        f.write_char('\\')?;
+                    }
+                    f.write_char(c)?;
+                }
+                f.write_char('"')
+            }
         }
     }
 }
@@ -204,9 +218,14 @@ impl Query {
         }
         let mut q = Query { class, select, conditions: Vec::new() };
         if let Some(w) = where_part {
-            for clause in w.split(" and ") {
-                q.conditions.push(parse_condition(clause.trim())?);
+            let mut start = 0;
+            for i in unquoted_offsets(w) {
+                if i >= start && w[i..].starts_with(" and ") {
+                    q.conditions.push(parse_condition(w[start..i].trim())?);
+                    start = i + " and ".len();
+                }
             }
+            q.conditions.push(parse_condition(w[start..].trim())?);
         }
         Ok(q)
     }
@@ -225,41 +244,86 @@ impl fmt::Display for Query {
     }
 }
 
-fn parse_condition(s: &str) -> Result<Condition> {
-    // longest operators first
-    for (tok, op) in [
+/// Byte offsets of the characters of `s` outside double-quoted text
+/// (the quotes themselves excluded). Inside quotes a backslash escapes
+/// the next character, so `\"` does not close the string.
+fn unquoted_offsets(s: &str) -> impl Iterator<Item = usize> + '_ {
+    let (mut quoted, mut escaped) = (false, false);
+    s.char_indices().filter_map(move |(i, c)| {
+        if quoted {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => quoted = false,
+                _ => {}
+            }
+            None
+        } else if c == '"' {
+            quoted = true;
+            None
+        } else {
+            Some(i)
+        }
+    })
+}
+
+/// The operator the leftmost unquoted operator character starts; at
+/// one position the two-character operators win over their prefixes.
+fn find_operator(s: &str) -> Option<(usize, &'static str, CmpOp)> {
+    const OPS: [(&str, CmpOp); 6] = [
         ("<=", CmpOp::Le),
         (">=", CmpOp::Ge),
         ("!=", CmpOp::Ne),
         ("<", CmpOp::Lt),
         (">", CmpOp::Gt),
         ("=", CmpOp::Eq),
-    ] {
-        if let Some(i) = s.find(tok) {
-            let attr = s[..i].trim();
-            let val = s[i + tok.len()..].trim();
-            if attr.is_empty() || val.is_empty() {
-                return Err(QueryError::Parse(format!("bad condition {s:?}")));
-            }
-            let value = if let Some(stripped) = val.strip_prefix('"') {
-                let inner = stripped
-                    .strip_suffix('"')
-                    .ok_or_else(|| QueryError::Parse(format!("unterminated string in {s:?}")))?;
-                Value::Str(inner.to_string())
-            } else if let Ok(n) = val.parse::<f64>() {
-                Value::Num(n)
-            } else {
-                Value::Str(val.to_string())
-            };
-            return Ok(Condition::new(attr, op, value));
+    ];
+    unquoted_offsets(s).find_map(|i| {
+        OPS.iter().find(|(tok, _)| s[i..].starts_with(tok)).map(|&(tok, op)| (i, tok, op))
+    })
+}
+
+/// Reads a double-quoted string that makes up all of `val`, undoing the
+/// `\"` and `\\` escapes.
+fn unquote(val: &str) -> Result<String> {
+    let mut out = String::new();
+    let mut chars = val.strip_prefix('"').unwrap_or(val).chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' if chars.as_str().is_empty() => return Ok(out),
+            '"' => return Err(QueryError::Parse(format!("text after closing quote in {val:?}"))),
+            '\\' => match chars.next() {
+                Some(e @ ('"' | '\\')) => out.push(e),
+                _ => return Err(QueryError::Parse(format!("bad escape in {val:?}"))),
+            },
+            c => out.push(c),
         }
     }
-    Err(QueryError::Parse(format!("no operator in condition {s:?}")))
+    Err(QueryError::Parse(format!("unterminated string {val:?}")))
+}
+
+fn parse_condition(s: &str) -> Result<Condition> {
+    let (i, tok, op) = find_operator(s)
+        .ok_or_else(|| QueryError::Parse(format!("no operator in condition {s:?}")))?;
+    let attr = s[..i].trim();
+    let val = s[i + tok.len()..].trim();
+    if attr.is_empty() || val.is_empty() {
+        return Err(QueryError::Parse(format!("bad condition {s:?}")));
+    }
+    let value = if val.starts_with('"') {
+        Value::Str(unquote(val)?)
+    } else if let Ok(n) = val.parse::<f64>() {
+        Value::Num(n)
+    } else {
+        Value::Str(val.to_string())
+    };
+    Ok(Condition::new(attr, op, value))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_full_query() {
@@ -352,5 +416,117 @@ mod tests {
     fn builder_api() {
         let q = Query::all("Vehicle").select("Price").filter("Price", CmpOp::Lt, Value::Num(5.0));
         assert_eq!(q.to_string(), "find Vehicle(Price) where Price < 5");
+    }
+
+    fn owner_is(value: &str) -> Vec<Condition> {
+        vec![Condition::new("Owner", CmpOp::Eq, Value::Str(value.into()))]
+    }
+
+    #[test]
+    fn operators_inside_quotes_are_text() {
+        for value in ["a<b", "x!=y", "p>=q", "=", "<="] {
+            let src = format!("find Vehicle(Owner) where Owner = \"{value}\"");
+            assert_eq!(Query::parse(&src).unwrap().conditions, owner_is(value), "{src}");
+        }
+        // the leftmost operator wins, and the longest one at its offset
+        let q = Query::parse("find V where A <= \"<\" and B != \"=\"").unwrap();
+        assert_eq!(q.conditions[0], Condition::new("A", CmpOp::Le, Value::Str("<".into())));
+        assert_eq!(q.conditions[1], Condition::new("B", CmpOp::Ne, Value::Str("=".into())));
+    }
+
+    #[test]
+    fn and_inside_quotes_is_text() {
+        let q = Query::parse("find Vehicle(Owner) where Owner = \"Smith and Sons\"").unwrap();
+        assert_eq!(q.conditions, owner_is("Smith and Sons"));
+        let q = Query::parse("find V where Owner = \" and \" and Price < 3").unwrap();
+        assert_eq!(q.conditions.len(), 2);
+        assert_eq!(q.conditions[0], owner_is(" and ")[0]);
+        assert_eq!(q.conditions[1], Condition::new("Price", CmpOp::Lt, Value::Num(3.0)));
+    }
+
+    #[test]
+    fn quoted_values_unescape() {
+        let q = Query::parse(r#"find V where Owner = "say \"hi\" \\ bye""#).unwrap();
+        assert_eq!(q.conditions, owner_is(r#"say "hi" \ bye"#));
+        for bad in [
+            r#"find V where Owner = "a\nb""#,
+            r#"find V where Owner = "a" b"#,
+            r#"find V where Owner = "a\""#,
+        ] {
+            assert!(Query::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // the escapes Display writes are exactly the ones the parser reads
+        assert_eq!(Value::Str(r#"a"b\c"#.into()).to_string(), r#""a\"b\\c""#);
+        assert_eq!(Value::Str("x\ny Ü".into()).to_string(), "\"x\ny Ü\"");
+    }
+
+    /// String fragments that trip a naive parser: quotes, backslashes,
+    /// keywords, every operator, newlines and non-ASCII text.
+    const FRAGMENTS: [&str; 22] = [
+        "\"",
+        "\\",
+        " and ",
+        " where ",
+        "and",
+        "<",
+        "<=",
+        "=",
+        "!=",
+        ">=",
+        ">",
+        "!",
+        "\n",
+        " ",
+        "find ",
+        "(",
+        ")",
+        ",",
+        "Smith",
+        "Ünïcødé",
+        "日本",
+        "\\\"",
+    ];
+
+    fn ident() -> impl Strategy<Value = String> {
+        "[A-Za-z][A-Za-z0-9_]{0,7}"
+    }
+
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (-1_000_000i64..1_000_000).prop_map(|n| Value::Num(n as f64)),
+            (-1.0e6..1.0e6f64).prop_map(Value::Num),
+            (-1.0..1.0f64, 0i32..60).prop_map(|(m, e)| Value::Num(m * 10f64.powi(e - 30))),
+            prop::collection::vec(0..FRAGMENTS.len(), 0..7)
+                .prop_map(|ix| Value::Str(ix.into_iter().map(|i| FRAGMENTS[i]).collect())),
+        ]
+    }
+
+    fn query() -> impl Strategy<Value = Query> {
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ne, CmpOp::Ge, CmpOp::Gt];
+        (
+            ident(),
+            prop::collection::vec(ident(), 0..4),
+            prop::collection::vec((ident(), 0..ops.len(), value()), 0..4),
+        )
+            .prop_map(move |(class, select, conds)| Query {
+                class,
+                select,
+                conditions: conds
+                    .into_iter()
+                    .map(|(attr, op, value)| Condition { attr, op: ops[op], value })
+                    .collect(),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Display writes the syntax the parser reads: every generated
+        /// query parses back from its text to an equal query.
+        #[test]
+        fn display_round_trips_through_parse(q in query()) {
+            let text = q.to_string();
+            prop_assert_eq!(Query::parse(&text), Ok(q.clone()), "text: {}", text);
+        }
     }
 }

@@ -15,7 +15,10 @@ use crate::Result;
 /// Executes a plan against the wrappers (matched to plan sources by
 /// name; missing wrappers contribute nothing, mirroring an offline
 /// source). Values are converted into articulation metric space and
-/// attribute names into articulation vocabulary.
+/// attribute names into articulation vocabulary. Each row is built
+/// from the instance its wrapper lends ([`Wrapper::fetch`]): only the
+/// id, class and selected attributes are copied. The first error, from
+/// a wrapper or a conversion, stops execution and is returned.
 ///
 /// Execution needs only the plan and `conversions`: each
 /// [`SourceQuery`](crate::plan::SourceQuery) already carries its local
@@ -36,8 +39,7 @@ pub fn execute_plan(
         let Some(wrapper) = wrappers.iter().find(|w| w.source() == sq.source) else {
             continue;
         };
-        let fetched = wrapper.fetch(&sq.classes, &sq.conditions)?;
-        for inst in fetched {
+        wrapper.fetch(&sq.classes, &sq.conditions, &mut |inst| {
             let mut attrs = BTreeMap::new();
             for art_attr in &plan.query.select {
                 if let Some(local) = sq.attr_map.get(art_attr) {
@@ -48,12 +50,13 @@ pub fn execute_plan(
                 }
             }
             rs.rows.push(ResultRow {
-                id: inst.id,
+                id: inst.id.clone(),
                 source: sq.source.clone(),
-                local_class: inst.class,
+                local_class: inst.class.clone(),
                 attrs,
             });
-        }
+            Ok(())
+        })?;
     }
     rs.normalise();
     Ok(rs)

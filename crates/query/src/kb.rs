@@ -2,7 +2,8 @@
 //! external sources behind ONION's wrappers (KB1–KB3 in Fig. 1; see
 //! ARCHITECTURE.md, "Query system").
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::ast::{Condition, Value};
 
@@ -39,17 +40,24 @@ impl Instance {
     }
 }
 
-/// A per-source instance store.
+/// A per-source instance store, partitioned by class: next to the
+/// instances it keeps each class's instance positions, so a query
+/// visits only the instances of the classes it names.
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
     name: String,
     instances: Vec<Instance>,
+    /// class → ascending positions in `instances` (an inverted index's
+    /// posting lists, `u32` to keep them small). Clones share the map
+    /// until one of them adds an instance (`Arc::make_mut`), so cloning
+    /// a KB copies its instances and nothing more.
+    by_class: Arc<HashMap<String, Vec<u32>>>,
 }
 
 impl KnowledgeBase {
     /// Empty KB for the source ontology `name`.
     pub fn new(name: &str) -> Self {
-        KnowledgeBase { name: name.to_string(), instances: Vec::new() }
+        KnowledgeBase { name: name.to_string(), ..Self::default() }
     }
 
     /// The source ontology this KB instantiates.
@@ -59,6 +67,14 @@ impl KnowledgeBase {
 
     /// Adds an instance.
     pub fn add(&mut self, instance: Instance) {
+        let pos = u32::try_from(self.instances.len()).expect("fewer than 2^32 instances");
+        let by_class = Arc::make_mut(&mut self.by_class);
+        match by_class.get_mut(&instance.class) {
+            Some(positions) => positions.push(pos),
+            None => {
+                by_class.insert(instance.class.clone(), vec![pos]);
+            }
+        }
         self.instances.push(instance);
     }
 
@@ -78,14 +94,23 @@ impl KnowledgeBase {
     }
 
     /// Instances whose class is in `classes` and which satisfy every
-    /// condition (local vocabulary), in insertion order. The class list
-    /// becomes a hash set once per call, so each instance costs one
-    /// probe however many classes the plan names.
+    /// condition (local vocabulary), in insertion order. Duplicate and
+    /// unknown class names add nothing.
+    ///
+    /// Only the named classes' instances are visited: their position
+    /// lists are concatenated, sorted back into insertion order (a
+    /// repeated name repeats positions, which the sort makes adjacent
+    /// and `dedup` drops), and the conditions run on those instances
+    /// alone. The cost is one hash probe per named class plus the
+    /// matching classes' instances, not a probe per instance in the KB.
     pub fn query(&self, classes: &[String], conditions: &[Condition]) -> Vec<&Instance> {
-        let wanted: HashSet<&str> = classes.iter().map(String::as_str).collect();
-        self.instances
-            .iter()
-            .filter(|i| wanted.contains(i.class.as_str()))
+        let mut positions: Vec<u32> =
+            classes.iter().filter_map(|c| self.by_class.get(c)).flatten().copied().collect();
+        positions.sort_unstable();
+        positions.dedup();
+        positions
+            .into_iter()
+            .map(|p| &self.instances[p as usize])
             .filter(|i| conditions.iter().all(|c| i.satisfies(c)))
             .collect()
     }
@@ -146,6 +171,19 @@ mod tests {
             &[Condition::new("Owner", CmpOp::Eq, Value::Str("Ann".into()))],
         );
         assert_eq!(anns.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_the_partition_until_one_adds() {
+        let kb = kb();
+        let mut grown = kb.clone();
+        assert!(Arc::ptr_eq(&kb.by_class, &grown.by_class));
+        grown.add(Instance::new("car3", "Cars"));
+        let ids = |k: &KnowledgeBase| -> Vec<String> {
+            k.query(&["Cars".to_string()], &[]).iter().map(|i| i.id.clone()).collect()
+        };
+        assert_eq!(ids(&kb), vec!["car1", "car2"]);
+        assert_eq!(ids(&grown), vec!["car1", "car2", "car3"]);
     }
 
     #[test]

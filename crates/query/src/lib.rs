@@ -36,8 +36,8 @@ pub use ast::{CmpOp, Condition, Query, Value};
 pub use exec::execute;
 pub use kb::{Instance, KnowledgeBase};
 pub use pattern_query::query_unified;
-pub use plan::{plan, QueryPlan, SourceQuery};
-pub use reformulate::Reformulator;
+pub use plan::{plan, plan_indexed, QueryPlan, SourceQuery};
+pub use reformulate::{ReformulationIndex, Reformulator};
 pub use result::{ResultRow, ResultSet};
 pub use wrapper::{InMemoryWrapper, Wrapper};
 

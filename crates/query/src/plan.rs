@@ -11,7 +11,7 @@ use onion_ontology::Ontology;
 use onion_rules::ConversionRegistry;
 
 use crate::ast::Query;
-use crate::reformulate::{Reformulator, SourceReformulation};
+use crate::reformulate::{ReformulationIndex, Reformulator, SourceReformulation};
 use crate::Result;
 
 /// One source's part of the plan.
@@ -58,14 +58,31 @@ impl QueryPlan {
     }
 }
 
-/// Plans `query` over the articulation and sources.
+/// Plans `query` over the articulation and sources, building a fresh
+/// [`ReformulationIndex`] for the call (see [`plan_indexed`]).
 pub fn plan(
     query: &Query,
     articulation: &Articulation,
     sources: &[&Ontology],
     conversions: &ConversionRegistry,
 ) -> Result<QueryPlan> {
-    let reformulator = Reformulator::new(articulation, sources.to_vec(), conversions);
+    let index = ReformulationIndex::new(articulation, sources);
+    plan_indexed(query, &index, articulation, sources, conversions)
+}
+
+/// [`plan()`] with a prebuilt `index`, which must come from this
+/// articulation and these sources, unchanged and in this order. A
+/// caller that plans many queries against one state builds the index
+/// once and pays per query only for its own reformulation; the plans
+/// are identical to [`plan()`]'s.
+pub fn plan_indexed(
+    query: &Query,
+    index: &ReformulationIndex,
+    articulation: &Articulation,
+    sources: &[&Ontology],
+    conversions: &ConversionRegistry,
+) -> Result<QueryPlan> {
+    let reformulator = Reformulator::with_index(index, articulation, sources.to_vec(), conversions);
     let source_queries = reformulator.reformulate(query)?;
     Ok(QueryPlan { query: query.clone(), source_queries })
 }

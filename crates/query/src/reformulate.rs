@@ -8,18 +8,23 @@
 //! instances are semantically instances of the queried class, plus the
 //! attribute renamings and metric conversions the bridges record.
 //!
-//! [`Reformulator::new`] stores the implication edges **reversed** (term
-//! → the terms that directly imply it). Finding the local terms that
-//! imply a target is then one backward BFS from the target, which visits
-//! only the terms that imply it, followed by one pass over the source's
-//! nodes that keeps each node whose key the search reached. Once the
-//! index is built, each (source, target term) pair costs that BFS plus
-//! one hash probe per source node. `tests/reformulation_props.rs` checks
-//! the results against a forward BFS from every source node.
+//! A [`ReformulationIndex`] stores the implication edges **reversed**
+//! (term → the terms that directly imply it). Finding the local terms
+//! that imply a target is then one backward BFS from the target, which
+//! visits only the terms that imply it, followed by one pass over the
+//! source's nodes that keeps each node whose key the search reached.
+//! Once the index is built, each (source, target term) pair costs that
+//! BFS plus one hash probe per source node. The index owns its keys, so
+//! a caller that holds the state still (the facade, per state epoch)
+//! builds it once and plans through
+//! [`plan_indexed`](crate::plan::plan_indexed); [`Reformulator::new`]
+//! builds a fresh one. `tests/reformulation_props.rs`
+//! checks the results against a forward BFS from every source node.
 //! Reformulation fixes each source's conversions, so converting fetched
 //! values back ([`SourceReformulation::to_articulation_space`]) needs
 //! only the plan and the [`ConversionRegistry`].
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use onion_articulate::Articulation;
@@ -39,8 +44,8 @@ use crate::{QueryError, Result};
 /// `u16` index and terms ride on each ontology's own interner ids;
 /// terms that appear only in bridge text (never as a node of their
 /// graph) get overflow ids above the interner range. Keys are built
-/// once at [`Reformulator::new`] and every query-time lookup is id
-/// hashing only.
+/// once at [`ReformulationIndex::new`] and every query-time lookup is
+/// id hashing only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TermKey {
     onto: u16,
@@ -105,16 +110,27 @@ impl SourceReformulation {
     }
 }
 
-/// Reformulates articulation-vocabulary queries for each source.
-pub struct Reformulator<'a> {
-    articulation: &'a Articulation,
-    sources: Vec<&'a Ontology>,
-    conversions: &'a ConversionRegistry,
+/// The build-time half of reformulation: namespace ids, overflow ids
+/// for bridge-only terms, and the implication edges reversed (term →
+/// the terms that directly imply it).
+///
+/// The index owns everything it keys on and borrows nothing, so it can
+/// outlive one query: the facade builds one per state epoch and shares
+/// it across a batch's workers. It records each namespace's canonical
+/// graph by its position in `[articulation, sources…]`, and its keys
+/// are that graph's label ids, so it is only valid together with the
+/// articulation and sources it was built from, unchanged and in the
+/// same order. [`plan_indexed`](crate::plan::plan_indexed) checks the
+/// names in debug builds; any edit to a source or the articulation
+/// calls for a new index.
+#[derive(Debug, Clone)]
+pub struct ReformulationIndex {
     /// Ontology name → namespace index (articulation first).
     names: HashMap<String, u16>,
-    /// Canonical graph per namespace (`None` for namespaces that only
+    /// Per namespace: the position of its canonical graph in
+    /// `[articulation, sources…]` (`None` for namespaces that only
     /// occur in bridge text).
-    graphs: Vec<Option<&'a OntGraph>>,
+    canonical: Vec<Option<usize>>,
     /// Per namespace: bridge-only terms → overflow ids (≥ the canonical
     /// interner's length, so they never collide with real label ids).
     overflow: Vec<HashMap<String, u32>>,
@@ -123,55 +139,63 @@ pub struct Reformulator<'a> {
     implied_by: HashMap<TermKey, Vec<TermKey>>,
 }
 
-impl<'a> Reformulator<'a> {
-    /// Builds a reformulator over an articulation and its sources.
-    pub fn new(
-        articulation: &'a Articulation,
-        sources: Vec<&'a Ontology>,
-        conversions: &'a ConversionRegistry,
-    ) -> Self {
-        let mut r = Reformulator {
-            articulation,
-            sources,
-            conversions,
+/// The graph at `pos` in `[articulation, sources…]`.
+fn graph_at<'g>(
+    articulation: &'g Articulation,
+    sources: &[&'g Ontology],
+    pos: usize,
+) -> &'g OntGraph {
+    match pos {
+        0 => articulation.ontology.graph(),
+        p => sources[p - 1].graph(),
+    }
+}
+
+impl ReformulationIndex {
+    /// Indexes the implication structure of `articulation` over
+    /// `sources`: its bridges, its own `SubclassOf` edges and the
+    /// sources' `SubclassOf`/`InstanceOf` edges.
+    pub fn new(articulation: &Articulation, sources: &[&Ontology]) -> Self {
+        let mut ix = ReformulationIndex {
             names: HashMap::new(),
-            graphs: Vec::new(),
+            canonical: Vec::new(),
             overflow: Vec::new(),
             implied_by: HashMap::new(),
         };
-        let art_g = articulation.ontology.graph();
-        r.add_namespace(articulation.name(), Some(art_g));
-        for o in r.sources.clone() {
-            r.add_namespace(o.name(), Some(o.graph()));
+        ix.add_namespace(articulation.name(), Some(0));
+        for (i, o) in sources.iter().enumerate() {
+            ix.add_namespace(o.name(), Some(i + 1));
         }
+        let graph = |pos| graph_at(articulation, sources, pos);
         for b in &articulation.bridges {
             if b.label == rel::SI_BRIDGE {
-                let s = r.intern_term(b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
-                let d = r.intern_term(b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
-                r.implied_by.entry(d).or_default().push(s);
+                let s = ix.intern_term(graph, b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
+                let d = ix.intern_term(graph, b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
+                ix.implied_by.entry(d).or_default().push(s);
             }
         }
         // articulation-internal subclass edges imply, on ids directly
         // (the articulation graph is its namespace's canonical graph)
+        let art_g = articulation.ontology.graph();
         if let Some(sub) = art_g.label_id(rel::SUBCLASS_OF) {
             for (_, src, lid, dst) in art_g.edge_entries() {
                 if lid == sub {
                     let s = key_of_label(ART, art_g.node_label_id(src).expect("live"));
                     let d = key_of_label(ART, art_g.node_label_id(dst).expect("live"));
-                    r.implied_by.entry(d).or_default().push(s);
+                    ix.implied_by.entry(d).or_default().push(s);
                 }
             }
         }
         // source-local subclass edges also imply (an SUV is a Cars)
-        for o in r.sources.clone() {
+        for (i, o) in sources.iter().enumerate() {
             let g = o.graph();
             let sub = g.label_id(rel::SUBCLASS_OF);
             let inst = g.label_id(rel::INSTANCE_OF);
             if sub.is_none() && inst.is_none() {
                 continue;
             }
-            let idx = r.names[o.name()];
-            let canonical = r.graphs[idx as usize].map(|c| std::ptr::eq(c, g)).unwrap_or(false);
+            let idx = ix.names[o.name()];
+            let canonical = ix.canonical[idx as usize] == Some(i + 1);
             for (_, src, lid, dst) in g.edge_entries() {
                 if Some(lid) == sub || Some(lid) == inst {
                     let (s, d) = if canonical {
@@ -183,62 +207,57 @@ impl<'a> Reformulator<'a> {
                         // a sibling graph shares this namespace's name:
                         // translate through strings into the canonical space
                         (
-                            r.intern_term(o.name(), g.node_label(src).expect("live")),
-                            r.intern_term(o.name(), g.node_label(dst).expect("live")),
+                            ix.intern_term(graph, o.name(), g.node_label(src).expect("live")),
+                            ix.intern_term(graph, o.name(), g.node_label(dst).expect("live")),
                         )
                     };
-                    r.implied_by.entry(d).or_default().push(s);
+                    ix.implied_by.entry(d).or_default().push(s);
                 }
             }
         }
-        r
+        ix
     }
 
     /// Registers a namespace; the first registration of a name wins and
     /// provides the canonical graph.
-    fn add_namespace(&mut self, name: &str, graph: Option<&'a OntGraph>) -> u16 {
+    fn add_namespace(&mut self, name: &str, pos: Option<usize>) -> u16 {
         if let Some(&i) = self.names.get(name) {
             return i;
         }
-        let i = self.graphs.len() as u16;
+        let i = self.canonical.len() as u16;
         self.names.insert(name.to_string(), i);
-        self.graphs.push(graph);
+        self.canonical.push(pos);
         self.overflow.push(HashMap::new());
         i
     }
 
     /// Build-time interning of a possibly graph-less term.
-    fn intern_term(&mut self, onto: &str, term: &str) -> TermKey {
+    fn intern_term<'g>(
+        &mut self,
+        graph: impl Fn(usize) -> &'g OntGraph,
+        onto: &str,
+        term: &str,
+    ) -> TermKey {
         let idx = self.add_namespace(onto, None);
-        if let Some(g) = self.graphs[idx as usize] {
-            if let Some(lid) = g.label_id(term) {
-                return key_of_label(idx, lid);
-            }
+        let canon = self.canonical[idx as usize].map(graph);
+        if let Some(lid) = canon.and_then(|g| g.label_id(term)) {
+            return key_of_label(idx, lid);
         }
-        let base = self.graphs[idx as usize].map(|g| g.interner().len() as u32).unwrap_or(0);
+        let base = canon.map(|g| g.interner().len() as u32).unwrap_or(0);
         let ov = &mut self.overflow[idx as usize];
         let next = base + ov.len() as u32;
         let label = *ov.entry(term.to_string()).or_insert(next);
         TermKey { onto: idx, label }
     }
 
-    /// Query-time (read-only) key lookup.
-    fn lookup_term(&self, idx: u16, term: &str) -> Option<TermKey> {
-        if let Some(g) = self.graphs[idx as usize] {
-            if let Some(lid) = g.label_id(term) {
-                return Some(key_of_label(idx, lid));
-            }
-        }
-        self.overflow[idx as usize].get(term).map(|&label| TermKey { onto: idx, label })
-    }
-
-    /// Key of a node's label: the fast path reuses the graph's own
-    /// label id when the graph is its namespace's canonical graph.
-    fn node_key(&self, idx: u16, g: &OntGraph, lid: LabelId) -> Option<TermKey> {
-        match self.graphs[idx as usize] {
-            Some(canon) if std::ptr::eq(canon, g) => Some(key_of_label(idx, lid)),
-            _ => self.lookup_term(idx, g.resolve(lid)),
-        }
+    /// Does every namespace with a canonical graph name the ontology
+    /// at that position? (The debug check of `Reformulator::with_index`.)
+    fn built_from(&self, articulation: &Articulation, sources: &[&Ontology]) -> bool {
+        self.names.iter().all(|(name, &i)| match self.canonical[i as usize] {
+            Some(0) => articulation.name() == name,
+            Some(p) => sources.get(p - 1).is_some_and(|o| o.name() == name),
+            None => true,
+        })
     }
 
     /// Every term with a directed implication path to `target`, `target`
@@ -255,14 +274,73 @@ impl<'a> Reformulator<'a> {
         }
         seen
     }
+}
+
+/// Reformulates articulation-vocabulary queries for each source.
+pub struct Reformulator<'a> {
+    articulation: &'a Articulation,
+    sources: Vec<&'a Ontology>,
+    conversions: &'a ConversionRegistry,
+    index: Cow<'a, ReformulationIndex>,
+}
+
+impl<'a> Reformulator<'a> {
+    /// Builds a reformulator over an articulation and its sources,
+    /// with a fresh [`ReformulationIndex`].
+    pub fn new(
+        articulation: &'a Articulation,
+        sources: Vec<&'a Ontology>,
+        conversions: &'a ConversionRegistry,
+    ) -> Self {
+        let index = ReformulationIndex::new(articulation, &sources);
+        Reformulator { articulation, sources, conversions, index: Cow::Owned(index) }
+    }
+
+    /// A reformulator that reuses `index`, which must have been built
+    /// from this articulation and these sources, in this order (see
+    /// [`ReformulationIndex`]).
+    pub(crate) fn with_index(
+        index: &'a ReformulationIndex,
+        articulation: &'a Articulation,
+        sources: Vec<&'a Ontology>,
+        conversions: &'a ConversionRegistry,
+    ) -> Self {
+        debug_assert!(
+            index.built_from(articulation, &sources),
+            "reformulation index built from another articulation or source list"
+        );
+        Reformulator { articulation, sources, conversions, index: Cow::Borrowed(index) }
+    }
+
+    /// The canonical graph of namespace `idx`, if it has one.
+    fn canonical_graph(&self, idx: u16) -> Option<&'a OntGraph> {
+        self.index.canonical[idx as usize].map(|p| graph_at(self.articulation, &self.sources, p))
+    }
+
+    /// Query-time (read-only) key lookup.
+    fn lookup_term(&self, idx: u16, term: &str) -> Option<TermKey> {
+        if let Some(lid) = self.canonical_graph(idx).and_then(|g| g.label_id(term)) {
+            return Some(key_of_label(idx, lid));
+        }
+        self.index.overflow[idx as usize].get(term).map(|&label| TermKey { onto: idx, label })
+    }
+
+    /// Key of a node's label: the fast path reuses the graph's own
+    /// label id when the graph is its namespace's canonical graph.
+    fn node_key(&self, idx: u16, g: &OntGraph, lid: LabelId) -> Option<TermKey> {
+        match self.canonical_graph(idx) {
+            Some(canon) if std::ptr::eq(canon, g) => Some(key_of_label(idx, lid)),
+            _ => self.lookup_term(idx, g.resolve(lid)),
+        }
+    }
 
     /// Source labels whose term implies `target` — the shared kernel of
     /// [`Reformulator::local_classes`] and [`Reformulator::local_attr`]:
     /// one backward search, then one pass over the source's nodes with a
     /// hash probe per node, sorted by label.
     fn implying_labels(&self, source: &Ontology, target: TermKey) -> Vec<String> {
-        let Some(&idx) = self.names.get(source.name()) else { return Vec::new() };
-        let implying = self.implying_keys(target);
+        let Some(&idx) = self.index.names.get(source.name()) else { return Vec::new() };
+        let implying = self.index.implying_keys(target);
         let g = source.graph();
         let mut out: Vec<String> = g
             .node_ids()

@@ -12,9 +12,18 @@ pub trait Wrapper {
     /// The source ontology this wrapper serves.
     fn source(&self) -> &str;
 
-    /// Fetches instances of any of `classes` satisfying `conditions`
-    /// (all in the source's local vocabulary).
-    fn fetch(&self, classes: &[String], conditions: &[Condition]) -> Result<Vec<Instance>>;
+    /// Hands `visit` every instance of any of `classes` that satisfies
+    /// `conditions` (all in the source's local vocabulary), in the
+    /// source's order. The instance is lent for the call only, so an
+    /// in-memory source copies nothing; a remote one can build each
+    /// instance and visit it. An `Err` from `visit` stops the fetch
+    /// and is returned.
+    fn fetch(
+        &self,
+        classes: &[String],
+        conditions: &[Condition],
+        visit: &mut dyn FnMut(&Instance) -> Result<()>,
+    ) -> Result<()>;
 }
 
 /// Wrapper over an in-memory [`KnowledgeBase`], counting calls so tests
@@ -49,9 +58,14 @@ impl Wrapper for InMemoryWrapper {
         self.kb.name()
     }
 
-    fn fetch(&self, classes: &[String], conditions: &[Condition]) -> Result<Vec<Instance>> {
+    fn fetch(
+        &self,
+        classes: &[String],
+        conditions: &[Condition],
+        visit: &mut dyn FnMut(&Instance) -> Result<()>,
+    ) -> Result<()> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        Ok(self.kb.query(classes, conditions).into_iter().cloned().collect())
+        self.kb.query(classes, conditions).into_iter().try_for_each(visit)
     }
 }
 
@@ -68,11 +82,17 @@ mod tests {
         let w = InMemoryWrapper::new(kb);
         assert_eq!(w.source(), "carrier");
         assert_eq!(w.calls(), 0);
-        let got = w
-            .fetch(&["Cars".to_string()], &[Condition::new("Price", CmpOp::Lt, Value::Num(5000.0))])
-            .unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].id, "car1");
+        let mut got = Vec::new();
+        w.fetch(
+            &["Cars".to_string()],
+            &[Condition::new("Price", CmpOp::Lt, Value::Num(5000.0))],
+            &mut |i| {
+                got.push(i.id.clone());
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(got, vec!["car1"]);
         assert_eq!(w.calls(), 1);
     }
 }

@@ -22,7 +22,8 @@ impl Wrapper for FlakyWrapper {
         &self,
         classes: &[String],
         conditions: &[Condition],
-    ) -> onion_core::query::Result<Vec<Instance>> {
+        visit: &mut dyn FnMut(&Instance) -> onion_core::query::Result<()>,
+    ) -> onion_core::query::Result<()> {
         let n = self.calls.get() + 1;
         self.calls.set(n);
         if n % self.period == 0 {
@@ -31,7 +32,7 @@ impl Wrapper for FlakyWrapper {
                 self.source()
             )));
         }
-        self.inner.fetch(classes, conditions)
+        self.inner.fetch(classes, conditions, visit)
     }
 }
 
