@@ -24,6 +24,8 @@
 //! * [`laws`]: executable algebraic sanity properties used by the test
 //!   suite and the B5 bench.
 
+#![forbid(unsafe_code)]
+
 pub mod compose;
 pub mod difference;
 pub mod extract;

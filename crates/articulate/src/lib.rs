@@ -21,6 +21,8 @@
 //! 5. **maintains** the articulation incrementally as sources change
 //!    ([`maintain`]) — the scalability story of §5.3 / experiment B1.
 
+#![forbid(unsafe_code)]
+
 pub mod articulation;
 pub mod candidate;
 pub mod engine;

@@ -34,6 +34,8 @@
 //! the global registry after it — the quickest way to see what the
 //! instrumented layers observed during a full experiment sweep.
 
+#![forbid(unsafe_code)]
+
 use onion_bench::cache::{B15Report, B15_CONCEPTS, B15_INSTANCES, B15_QUERIES};
 use onion_bench::durability::{B13Report, B13_BATCH_OPS};
 use onion_bench::hotpaths::Fixture;
@@ -210,7 +212,7 @@ impl Baseline {
         let (b10, b11, b12, b13, b14, b15) =
             (&self.b10, &self.b11, &self.b12, &self.b13, &self.b14, &self.b15);
         let mut body = format!(
-            "{{\n  \"schema\": \"onion-bench/v11\",\n  \"tier\": {{ \"seed\": {}, \"nodes\": {}, \
+            "{{\n  \"schema\": \"onion-bench/v12\",\n  \"tier\": {{ \"seed\": {}, \"nodes\": {}, \
              \"edges\": {} }},\n  \"results\": [\n",
             tier.seed, tier.nodes, tier.edges
         );
@@ -221,19 +223,15 @@ impl Baseline {
         // checksum is a full-range u64 — emitted as a hex string because
         // bare JSON numbers above 2^53 lose precision in most consumers
         body.push_str(&format!(
-            "  \"b10_parallel\": {{\n    \"closure_sources\": {}, \"batch_queries\": {}, \
-             \"available_parallelism\": {}, \"checksum\": \"{:#018x}\",\n    \"rows\": [\n",
-            b10.closure_sources, b10.batch_queries, b10.available_parallelism, b10.rows[0].checksum
+            "  \"b10_parallel\": {{\n    \"batch_queries\": {}, \"available_parallelism\": {}, \
+             \"checksum\": \"{:#018x}\",\n    \"rows\": [\n",
+            b10.batch_queries, b10.available_parallelism, b10.rows[0].checksum
         ));
         for (i, row) in b10.rows.iter().enumerate() {
             body.push_str(&format!(
-                "      {{ \"threads\": {}, \"closure_us\": {:.1}, \"closure_per_sec\": {:.0}, \
-                 \"closure_speedup\": {:.2}, \"query_us\": {:.1}, \"query_per_sec\": {:.0}, \
+                "      {{ \"threads\": {}, \"query_us\": {:.1}, \"query_per_sec\": {:.0}, \
                  \"query_speedup\": {:.2} }}{}\n",
                 row.threads,
-                row.closure_us,
-                row.closure_per_sec,
-                b10.closure_speedup(row),
                 row.query_us,
                 row.query_per_sec,
                 b10.query_speedup(row),
@@ -386,11 +384,8 @@ impl Baseline {
         }
         for row in &b10.rows {
             println!(
-                "b10 {:>2} thread(s): closure {} ({:.0}/s, {:.2}x)  query {} ({:.0}/s, {:.2}x)",
+                "b10 {:>2} thread(s): query {} ({:.0}/s, {:.2}x)",
                 row.threads,
-                fmt_us(row.closure_us),
-                row.closure_per_sec,
-                b10.closure_speedup(row),
                 fmt_us(row.query_us),
                 row.query_per_sec,
                 b10.query_speedup(row)
@@ -1200,12 +1195,7 @@ mod tests {
             results: vec![row("hot_a", 12.5), row("hot_b", 3.0)],
             end_to_end: vec![row("e2e", 4567.8)],
             b10: B10Report {
-                rows: vec![B10Row {
-                    threads: 1,
-                    closure_us: 9.0,
-                    query_us: 9.0,
-                    ..Default::default()
-                }],
+                rows: vec![B10Row { threads: 1, query_us: 9.0, ..Default::default() }],
                 ..Default::default()
             },
             b11: B11Report {

@@ -33,7 +33,7 @@
 //! timing is recorded, the saturation derivation counts of all engines
 //! are asserted equal, and the deep tier additionally asserts
 //! fact-set checksums and thread-count-invariant `InferenceStats`
-//! (as B10 does for closure) — the series measure the same work.
+//! (as B10 does for query batches) — the series measure the same work.
 
 use onion_core::exec::{fact_set_checksum, par_seed_subclass_facts, Executor, ParallelEngine};
 use onion_core::ontology::Ontology;

@@ -6,6 +6,8 @@
 //! with `--json`, writes the `BENCH_onion.json` baseline. Every series
 //! in either mode is timed by [`run_series`] into a [`BenchResult`].
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use onion_core::prelude::*;

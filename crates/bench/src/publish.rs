@@ -110,7 +110,7 @@ impl B11Fixture {
     /// Publishes and asserts the store rebuilt exactly `expect_dirty`
     /// shards — "fast because it skipped work it should have done" is
     /// a failure, not a result.
-    pub fn publish_checked(&self, expect_dirty: usize) -> PublishStats {
+    pub fn publish_checked(&mut self, expect_dirty: usize) -> PublishStats {
         let (_, stats) = self.store.publish_stats(&self.g);
         assert_eq!(
             (stats.rebuilt, stats.reused),

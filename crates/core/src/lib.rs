@@ -30,6 +30,8 @@
 //! assert!(onion.articulation().unwrap().bridges.len() > 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod system;
 
 pub use system::{DurableOpen, OnionSystem};
@@ -57,9 +59,9 @@ pub mod prelude {
     };
     pub use onion_exec::{CacheKey, CacheStats, Executor, ResultCache};
     pub use onion_graph::{
-        rel, CheckpointStats, Durability, EdgeId, GraphOp, GraphSnapshot, LabelEquiv, Lsn,
-        MatchConfig, Matcher, NodeId, OntGraph, Pattern, PublishStats, RecoveryStats,
-        ShardedSnapshot, SnapshotStore, WalError,
+        rel, CheckpointStats, Durability, EdgeId, GraphOp, LabelEquiv, Lsn, MatchConfig, Matcher,
+        NodeId, OntGraph, Pattern, PublishStats, RecoveryStats, ShardedSnapshot, SnapshotStore,
+        WalError,
     };
     pub use onion_lexicon::{builtin::transport_lexicon, Lexicon};
     pub use onion_obs::{MetricsSnapshot, TraceEvent};

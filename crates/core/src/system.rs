@@ -92,9 +92,9 @@ pub struct OnionSystem {
     /// Snapshot shard count applied to every loaded source graph;
     /// `0` (the default) means adaptive ≈√E sizing per graph.
     shard_count: usize,
-    /// Per-source snapshot stores, created on first publish. Readers
-    /// load from these mutex-free; publishes are incremental
-    /// (dirty shards only).
+    /// Per-source snapshot stores, created on first publish and
+    /// published through `&mut self`; publishes are incremental (dirty
+    /// shards only), and checkpoints serialise the current snapshot.
     stores: BTreeMap<String, SnapshotStore>,
     /// The system-wide atom table backing inference runs. Shared into
     /// every generator the facade builds, so interned symbols and
@@ -295,9 +295,10 @@ impl OnionSystem {
         Ok(out)
     }
 
-    /// The latest published snapshot of a source — a mutex-free load;
-    /// `None` until the first [`OnionSystem::publish_source`]. Safe to
-    /// call from any thread while another publishes.
+    /// The latest published snapshot of a source (`None` until the
+    /// first [`OnionSystem::publish_source`]). The returned `Arc` keeps
+    /// its epoch for as long as the caller holds it, whatever is
+    /// published later.
     pub fn source_snapshot(&self, name: &str) -> Option<Arc<ShardedSnapshot>> {
         self.stores.get(name).map(SnapshotStore::load)
     }

@@ -1,58 +1,39 @@
-//! # onion-exec — snapshot-isolated parallel execution
+//! # onion-exec — parallel batch execution
 //!
-//! The execution subsystem behind ONION's "serve reads from every core"
-//! scaling story. The division of labour:
+//! The execution subsystem behind ONION's batched reads and parallel
+//! inference. The division of labour:
 //!
-//! * `onion-graph` owns the data: the live [`OntGraph`](onion_graph::OntGraph)
-//!   (single-writer) and its immutable, `Send + Sync`
-//!   [`ShardedSnapshot`]s, published incrementally (dirty shards only)
-//!   through a [`SnapshotStore`](onion_graph::SnapshotStore) whose
-//!   `load` is mutex-free;
 //! * the vendored `rayon` stand-in (`crates/compat/rayon`) owns the
 //!   threads: a persistent scoped pool;
 //! * this crate owns the *batching*: an [`Executor`] that fans work —
-//!   generic closures, multi-source transitive closure (grouped by the
-//!   snapshot shard owning each source), single-root frontier-split
-//!   BFS, reformulated query batches — across the pool, over one
-//!   snapshot, with results **identical to the sequential path** (same
-//!   values, same order).
+//!   generic closures ([`Executor::par_map`]), reformulated query
+//!   batches, shard-partitioned fact seeding
+//!   ([`par_seed_subclass_facts`]) and semi-naive rule evaluation
+//!   ([`ParallelEngine`]) — across the pool, with results **identical
+//!   to the sequential path** (same values, same order);
+//! * [`ResultCache`] memoises query results per state epoch.
 //!
 //! Determinism is load-bearing, not cosmetic: every parallel routine
 //! here partitions its input, computes per-partition results with
 //! per-thread scratch, and reassembles them in input order, so
 //! `Executor::new(n)` produces byte-identical output for every `n`.
-//! The property tests in `tests/exec_parallel_props.rs` pin this
-//! against the sequential implementations in `onion_graph::closure`
-//! and `onion_graph::traverse`.
 //!
 //! ```
 //! use onion_exec::Executor;
-//! use onion_graph::{rel, OntGraph};
-//! use onion_graph::traverse::{Direction, EdgeFilter};
 //!
-//! let mut g = OntGraph::new("t");
-//! for (a, b) in [("SUV", "Car"), ("Car", "Vehicle"), ("Truck", "Vehicle")] {
-//!     g.ensure_edge_by_labels(a, rel::SUBCLASS_OF, b).unwrap();
-//! }
-//! let snap = g.snapshot();
-//! let exec = Executor::new(4);
-//! let sources: Vec<_> = snap.node_ids().collect();
-//! let reach =
-//!     onion_exec::par_reachable(&exec, &snap, &sources, Direction::Forward, &EdgeFilter::All);
-//! assert_eq!(reach.len(), sources.len());
+//! let items: Vec<u64> = (0..100).collect();
+//! let squares = Executor::new(4).par_map(&items, |x| x * x);
+//! assert_eq!(squares, Executor::sequential().par_map(&items, |x| x * x));
+//! assert_eq!(squares[9], 81);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
-pub mod closure;
 pub mod inference;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use closure::{
-    par_closure_pairs, par_descendants, par_frontier_bfs, par_reachable, par_subclass_closure,
-};
 pub use inference::{fact_set_checksum, par_seed_subclass_facts, ParallelEngine, ShardSeedStats};
-
-use onion_graph::ShardedSnapshot;
 
 /// A handle for running batches in parallel over immutable data.
 ///
@@ -140,9 +121,9 @@ impl Executor {
 }
 
 /// Order-sensitive FNV-1a accumulator, the one hash used everywhere a
-/// batch result is checksummed (here and in `onion-bench`'s B10): two
-/// result sequences checksum equal only if they agree element for
-/// element, in order.
+/// batch result is checksummed (fact sets here, query batches in
+/// `onion-bench`): two result sequences checksum equal only if they
+/// agree element for element, in order.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -175,21 +156,6 @@ impl Fnv {
     pub fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// Checksum of per-source traversal results (FNV-1a over node ids in
-/// order) — used by the benches to assert byte-identical outputs across
-/// thread counts.
-pub fn result_checksum(snapshot: &ShardedSnapshot, results: &[Vec<onion_graph::NodeId>]) -> u64 {
-    let mut h = Fnv::new();
-    h.mix(snapshot.node_count() as u64);
-    for set in results {
-        h.mix(set.len() as u64);
-        for n in set {
-            h.mix(n.index() as u64);
-        }
-    }
-    h.finish()
 }
 
 #[cfg(test)]

@@ -33,12 +33,12 @@
 //!   fuzzy shard-incremental checkpoints of the published snapshot, and
 //!   crash recovery (torn-tail truncation, torn-manifest fallback,
 //!   committed-batch replay) behind the [`wal::Durability`] handle;
-//! * snapshot isolation for concurrent readers: [`snapshot::ShardedSnapshot`]
-//!   (an immutable, `Send + Sync` frozen view, partitioned into
-//!   node-range [`snapshot::SnapshotShard`]s that rebuild independently)
-//!   and [`snapshot::SnapshotStore`] (mutex-free epoch-pointer load,
-//!   incremental dirty-shard publish), the substrate `onion-exec`
-//!   parallelises over;
+//! * published snapshots: [`snapshot::ShardedSnapshot`] (an immutable,
+//!   `Send + Sync` frozen view holding each node's label and out-edge
+//!   row, partitioned into [`snapshot::SnapshotShard`]s that rebuild
+//!   independently) and [`snapshot::SnapshotStore`] (the single-writer
+//!   slot behind incremental dirty-shard publish), which checkpoints
+//!   serialise;
 //! * interchange formats: a line-oriented [`text`] format, a minimal
 //!   [`xml`] subset, and [`dot`] output for visualisation.
 //!
@@ -46,6 +46,8 @@
 //! relation properties, rules); those live in `onion-ontology` and
 //! `onion-rules`, mirroring the paper's separation of the data layer from
 //! the inference machinery (§2.1).
+
+#![forbid(unsafe_code)]
 
 pub mod closure;
 pub mod dot;
@@ -74,7 +76,7 @@ pub use label::{Interner, LabelId};
 pub use matcher::{CaseInsensitiveEquiv, ExactEquiv, LabelEquiv, Match, MatchConfig, Matcher};
 pub use ops::GraphOp;
 pub use pattern::{EdgeConstraint, NodeConstraint, Pattern, PatternEdge, PatternNode};
-pub use snapshot::{GraphSnapshot, PublishStats, ShardedSnapshot, SnapshotShard, SnapshotStore};
+pub use snapshot::{PublishStats, ShardedSnapshot, SnapshotShard, SnapshotStore};
 pub use wal::{CheckpointStats, Durability, Lsn, RecoveryStats, WalError};
 
 /// Result alias used throughout the crate.

@@ -1,62 +1,41 @@
-//! Sharded, immutable, share-everywhere frozen views of a graph.
+//! Sharded, immutable frozen views of a graph: what a publish hands
+//! out and what a checkpoint writes.
 //!
-//! ONION's read traffic (query reformulation, closure, traversal)
-//! vastly outweighs its write traffic (articulation maintenance), so
-//! the concurrency model is snapshot isolation: writers mutate the live
-//! [`OntGraph`] single-threaded as before, and readers run against a
-//! [`ShardedSnapshot`] — an immutable frozen view that is `Send + Sync`
-//! and can be traversed from any number of threads with zero locking.
+//! Writers mutate the live [`OntGraph`] single-threaded; a publish
+//! freezes it into a [`ShardedSnapshot`] — per shard, every owned
+//! slot's label and out-edge row — that is `Send + Sync` and never
+//! changes under a reader. It has two readers: [`SnapshotStore`], which
+//! publishes it incrementally, and the WAL checkpoint writer
+//! ([`crate::wal`]), which serialises each shard's labels and out-edge
+//! rows. Whoever holds its `Arc` can read it too, at its epoch.
 //!
-//! The frozen view is not one monolithic CSR but **N node-partitioned
-//! shards** ([`SnapshotShard`]), node `n` owned by shard
-//! `n.index() % N`. Sharding buys two things:
-//!
-//! * **incremental publish** — the live graph stamps a per-shard
-//!   version on every mutation; [`SnapshotStore::publish`] rebuilds
-//!   only the shards whose stamp changed and structurally shares the
-//!   clean ones (`Arc`) with the previous epoch, so publish cost is
-//!   `O(dirty shards)`, not `O(graph)`;
-//! * **a natural unit of parallelism** — `onion-exec` fans traversal
-//!   batches out shard-by-shard and splits single-root frontiers across
-//!   the pool; cross-shard edges are mirrored into both endpoints'
-//!   shards (out-entry at the source, in-entry at the target), so a
-//!   traversal crosses shard boundaries by just following global ids.
+//! The frozen view is **N node-partitioned shards** ([`SnapshotShard`]),
+//! node `n` owned by shard `n.index() % N`. The live graph stamps a
+//! per-shard version on every mutation; [`SnapshotStore::publish`]
+//! rebuilds only the shards whose stamp changed and structurally shares
+//! the clean ones (`Arc`) with the previous epoch, so publish cost is
+//! `O(dirty shards)`, not `O(graph)`, and a checkpoint rewrites only the
+//! shard files whose stamp moved.
 //!
 //! Node and edge-label ids are **preserved** from the source graph
 //! ([`NodeId`]s index the same arena slots, [`LabelId`]s the same
-//! interner entries), every per-node adjacency slice is sorted by
-//! `(label, neighbour)` exactly as the monolithic snapshot sorted it,
-//! and the shard partition is invisible to the read API — results are
-//! byte-identical at every shard count, including `N = 1`.
-//!
-//! [`SnapshotStore`] holds the *current* snapshot behind an epoch
-//! pointer and swaps it atomically on publish. [`SnapshotStore::load`]
-//! is **mutex-free**: readers pin, clone the `Arc` out of an atomic
-//! pointer, and unpin — three atomic ops, no lock — while publishers
-//! serialise among themselves on a writer-side mutex and defer freeing
-//! a replaced snapshot until no reader is mid-pin.
+//! interner entries), and each node's out-edge row keeps the live
+//! graph's adjacency order.
 
 pub(crate) mod shard;
 
 pub use shard::SnapshotShard;
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::graph::{NodeId, OntGraph};
 use crate::label::{Interner, LabelId};
-use crate::traverse::{Direction, EdgeFilter, ResolvedFilter};
-
-/// Historical name of the frozen view, kept so call sites written
-/// against the monolithic snapshot keep compiling; the build behind it
-/// is sharded now.
-pub type GraphSnapshot = ShardedSnapshot;
 
 /// An immutable frozen view of an [`OntGraph`] at one epoch, stored as
 /// node-partitioned shards (see the [module docs](self)).
 ///
 /// Cheap to share (`Arc`, and clean shards are shared *between epochs*
-/// too), safe to traverse from any thread, and guaranteed not to change
+/// too), safe to read from any thread, and guaranteed not to change
 /// under a reader: mutations go to the live graph and become visible
 /// only through the *next* snapshot.
 #[derive(Debug, Clone)]
@@ -66,15 +45,6 @@ pub struct ShardedSnapshot {
     graph_id: u64,
     interner: Arc<Interner>,
     shards: Vec<Arc<SnapshotShard>>,
-    shard_count: usize,
-    /// `log2(shard_count)` when the count is a power of two (the
-    /// defaults are), letting the per-node-expansion owner lookup be a
-    /// mask+shift instead of a runtime div/mod; `u32::MAX` otherwise.
-    shard_shift: u32,
-    /// `scratch_base[s]` = number of live nodes owned by shards `< s`:
-    /// the offset of shard `s`'s dense segment in the snapshot-wide
-    /// scratch index space (see [`ShardedSnapshot::dense_of`]).
-    scratch_base: Vec<u32>,
     node_cap: usize,
     live_nodes: usize,
     live_edges: usize,
@@ -108,7 +78,7 @@ impl ShardedSnapshot {
     /// rebuild/reuse split.
     fn of_incremental(g: &OntGraph, prev: &ShardedSnapshot, epoch: u64) -> (Self, PublishStats) {
         let count = g.shard_count();
-        let comparable = prev.graph_id == g.graph_id() && prev.shard_count == count;
+        let comparable = prev.graph_id == g.graph_id() && prev.shard_count() == count;
         let mut rebuilt = 0usize;
         let mut reused = 0usize;
         let shards: Vec<Arc<SnapshotShard>> = (0..count)
@@ -150,27 +120,15 @@ impl ShardedSnapshot {
         shards: Vec<Arc<SnapshotShard>>,
         epoch: u64,
     ) -> Self {
-        let live_nodes = shards.iter().map(|s| s.live_nodes()).sum();
-        let live_edges = shards.iter().map(|s| s.out_edges()).sum();
-        let count = shards.len();
-        let mut scratch_base = Vec::with_capacity(count);
-        let mut base = 0u32;
-        for s in &shards {
-            scratch_base.push(base);
-            base += s.live_nodes() as u32;
-        }
         ShardedSnapshot {
             name: g.name().to_string(),
             epoch,
             graph_id: g.graph_id(),
             interner,
-            shard_count: count,
-            shard_shift: if count.is_power_of_two() { count.trailing_zeros() } else { u32::MAX },
-            scratch_base,
+            live_nodes: shards.iter().map(|s| s.live_nodes()).sum(),
+            live_edges: shards.iter().map(|s| s.out_edges()).sum(),
             shards,
             node_cap: g.node_capacity(),
-            live_nodes,
-            live_edges,
         }
     }
 
@@ -193,18 +151,7 @@ impl ShardedSnapshot {
 
     /// Number of shards the frozen view is partitioned into.
     pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
-
-    /// The shard owning node `n`.
-    #[inline]
-    pub fn shard_of(&self, n: NodeId) -> usize {
-        let idx = n.index();
-        if self.shard_shift != u32::MAX {
-            idx & (self.shard_count - 1)
-        } else {
-            idx % self.shard_count
-        }
+        self.shards.len()
     }
 
     /// Read access to one frozen shard.
@@ -215,7 +162,7 @@ impl ShardedSnapshot {
     /// True if shard `s` of this snapshot is the same allocation as
     /// shard `s` of `other` (structural sharing across epochs).
     pub fn shares_shard_with(&self, other: &ShardedSnapshot, s: usize) -> bool {
-        self.shard_count == other.shard_count && Arc::ptr_eq(&self.shards[s], &other.shards[s])
+        self.shard_count() == other.shard_count() && Arc::ptr_eq(&self.shards[s], &other.shards[s])
     }
 
     /// Number of live nodes at freeze time.
@@ -249,70 +196,16 @@ impl ShardedSnapshot {
         self.interner.resolve(id)
     }
 
+    /// The shard owning `n` and `n`'s slot within it.
     #[inline]
     fn shard_slot(&self, n: NodeId) -> (&SnapshotShard, usize) {
-        let idx = n.index();
-        if self.shard_shift != u32::MAX {
-            (&self.shards[idx & (self.shard_count - 1)], idx >> self.shard_shift)
-        } else {
-            (&self.shards[idx % self.shard_count], idx / self.shard_count)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // dense scratch remap
-    // ------------------------------------------------------------------
-
-    /// Size of the **dense scratch** index space: one slot per live
-    /// node, shard segments laid out consecutively. Traversal kernels
-    /// size their visited stamps and frontier buffers by this instead
-    /// of [`ShardedSnapshot::node_capacity`] — on a long-lived graph
-    /// the capacity spans every tombstone ever allocated, while the
-    /// dense space is exactly the live set, so per-query scratch stays
-    /// proportional to the data it can actually touch.
-    #[inline]
-    pub fn scratch_len(&self) -> usize {
-        self.live_nodes
-    }
-
-    /// The dense scratch index of a **live** node: its owning shard's
-    /// segment offset plus its dense rank within that shard (the
-    /// per-shard global→dense remap frozen at build time). The map is
-    /// a bijection live nodes → `0..scratch_len()`; it says nothing
-    /// about dead ids — callers must only pass nodes that were live at
-    /// freeze time (traversal only ever reaches live nodes).
-    #[inline]
-    pub fn dense_of(&self, n: NodeId) -> usize {
-        let idx = n.index();
-        let (s, local) = if self.shard_shift != u32::MAX {
-            (idx & (self.shard_count - 1), idx >> self.shard_shift)
-        } else {
-            (idx % self.shard_count, idx / self.shard_count)
-        };
-        let rank = self.shards[s].dense_local(local);
-        debug_assert_ne!(rank, u32::MAX, "dense_of called on a dead node {n:?}");
-        self.scratch_base[s] as usize + rank as usize
-    }
-
-    /// [`ShardedSnapshot::dense_of`] for possibly-dead ids: `None` for
-    /// tombstones, unallocated slots, and out-of-range ids.
-    #[inline]
-    pub fn dense_of_checked(&self, n: NodeId) -> Option<usize> {
-        if n.index() >= self.node_cap {
-            return None;
-        }
-        let (shard, local) = self.shard_slot(n);
-        let rank = shard.dense_local(local);
-        if rank == u32::MAX {
-            return None;
-        }
-        Some(self.scratch_base[shard.shard_index()] as usize + rank as usize)
+        let count = self.shards.len();
+        (&self.shards[n.index() % count], n.index() / count)
     }
 
     /// True if `id` was a live node at freeze time.
     pub fn is_live_node(&self, id: NodeId) -> bool {
-        let (shard, local) = self.shard_slot(id);
-        shard.label_local(local).is_some()
+        self.node_label_id(id).is_some()
     }
 
     /// The label of a (frozen-live) node.
@@ -326,219 +219,16 @@ impl ShardedSnapshot {
         shard.label_local(local)
     }
 
-    /// The first live node carrying `label` (lowest id), if any.
-    pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        let lid = self.interner.get(label)?;
-        // each shard's per-label list ascends, so its head is the shard
-        // minimum; the global minimum is the min over shard heads
-        self.shards.iter().filter_map(|s| s.by_label(lid).first().copied()).min()
-    }
-
-    /// All live nodes carrying `label`, ascending by id (merged across
-    /// shards).
-    pub fn nodes_by_label(&self, label: &str) -> Vec<NodeId> {
-        let Some(lid) = self.interner.get(label) else { return Vec::new() };
-        let mut out: Vec<NodeId> =
-            self.shards.iter().flat_map(|s| s.by_label(lid).iter().copied()).collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Iterates all frozen-live node ids, ascending.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_cap as u32).map(NodeId).filter(|&n| self.is_live_node(n))
     }
 
-    #[inline]
-    fn half_entries(&self, n: NodeId, out: bool) -> &[(LabelId, NodeId)] {
-        let (shard, local) = self.shard_slot(n);
-        shard.entries_local(local, out)
-    }
-
-    #[inline]
-    fn half_labeled(&self, n: NodeId, label: LabelId, out: bool) -> &[(LabelId, NodeId)] {
-        let all = self.half_entries(n, out);
-        let lo = all.partition_point(|&(l, _)| l < label);
-        let hi = lo + all[lo..].partition_point(|&(l, _)| l == label);
-        &all[lo..hi]
-    }
-
-    /// The out-edges of `n` as sorted `(label, dst)` entries.
+    /// The out-edges of `n` as `(label, dst)` entries, in the live
+    /// graph's adjacency order (empty for dead nodes).
     pub fn out_entries(&self, n: NodeId) -> &[(LabelId, NodeId)] {
-        self.half_entries(n, true)
-    }
-
-    /// The in-edges of `n` as sorted `(label, src)` entries.
-    pub fn in_entries(&self, n: NodeId) -> &[(LabelId, NodeId)] {
-        self.half_entries(n, false)
-    }
-
-    /// Out-neighbours of `n` via `label` edges (binary-searched run).
-    pub fn out_neighbors_by_id(
-        &self,
-        n: NodeId,
-        label: LabelId,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        self.half_labeled(n, label, true).iter().map(|&(_, m)| m)
-    }
-
-    /// In-neighbours of `n` via `label` edges (binary-searched run).
-    pub fn in_neighbors_by_id(
-        &self,
-        n: NodeId,
-        label: LabelId,
-    ) -> impl Iterator<Item = NodeId> + '_ {
-        self.half_labeled(n, label, false).iter().map(|&(_, m)| m)
-    }
-
-    /// Resolves an [`EdgeFilter`] against the frozen interner.
-    pub fn resolve_filter(&self, filter: &EdgeFilter) -> ResolvedFilter {
-        match filter {
-            EdgeFilter::All => ResolvedFilter::All,
-            EdgeFilter::Labels(ls) => {
-                ResolvedFilter::Ids(ls.iter().filter_map(|l| self.interner.get(l)).collect())
-            }
-        }
-    }
-
-    /// Visits each admitted neighbour of `n` (the snapshot counterpart
-    /// of the traversal kernel in [`crate::traverse`]). Neighbour ids
-    /// are global, so following them crosses shard boundaries through
-    /// the mirrored edge entries.
-    #[inline]
-    pub fn for_each_neighbor(
-        &self,
-        n: NodeId,
-        dir: Direction,
-        filter: &ResolvedFilter,
-        mut f: impl FnMut(NodeId),
-    ) {
-        let fwd = matches!(dir, Direction::Forward | Direction::Both);
-        let bwd = matches!(dir, Direction::Backward | Direction::Both);
-        match filter {
-            ResolvedFilter::All => {
-                if fwd {
-                    for &(_, m) in self.half_entries(n, true) {
-                        f(m);
-                    }
-                }
-                if bwd {
-                    for &(_, m) in self.half_entries(n, false) {
-                        f(m);
-                    }
-                }
-            }
-            ResolvedFilter::Ids(ids) if ids.len() == 1 => {
-                if fwd {
-                    for &(_, m) in self.half_labeled(n, ids[0], true) {
-                        f(m);
-                    }
-                }
-                if bwd {
-                    for &(_, m) in self.half_labeled(n, ids[0], false) {
-                        f(m);
-                    }
-                }
-            }
-            ResolvedFilter::Ids(ids) => {
-                if fwd {
-                    for &(lid, m) in self.half_entries(n, true) {
-                        if ids.contains(&lid) {
-                            f(m);
-                        }
-                    }
-                }
-                if bwd {
-                    for &(lid, m) in self.half_entries(n, false) {
-                        if ids.contains(&lid) {
-                            f(m);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Breadth-first order from `start` (inclusive) — deterministic:
-    /// neighbours are visited in sorted `(label, id)` order. Visited
-    /// stamps are dense-indexed ([`ShardedSnapshot::dense_of`]), so the
-    /// scratch is sized to the live set, not the node capacity.
-    pub fn bfs(&self, start: NodeId, dir: Direction, filter: &ResolvedFilter) -> Vec<NodeId> {
-        let mut order = Vec::new();
-        if !self.is_live_node(start) {
-            return order;
-        }
-        let mut visited = vec![false; self.scratch_len()];
-        visited[self.dense_of(start)] = true;
-        order.push(start);
-        let mut scan = 0;
-        while scan < order.len() {
-            let n = order[scan];
-            scan += 1;
-            self.for_each_neighbor(n, dir, filter, |m| {
-                let d = self.dense_of(m);
-                if !visited[d] {
-                    visited[d] = true;
-                    order.push(m);
-                }
-            });
-        }
-        order
-    }
-
-    /// Per-start closure runs: `runs[i]` holds the pairs `(starts[i],
-    /// m)` for every `m` with a non-empty admitted path `starts[i] →*
-    /// m`, in discovery order. One stamp vector serves all starts (the
-    /// per-chunk scratch-sharing the parallel executor relies on); it
-    /// is dense-indexed ([`ShardedSnapshot::dense_of`]), so its size is
-    /// the live node count, not the arena capacity.
-    pub fn closure_runs_from(
-        &self,
-        starts: &[NodeId],
-        filter: &ResolvedFilter,
-    ) -> Vec<Vec<(NodeId, NodeId)>> {
-        let mut runs = Vec::with_capacity(starts.len());
-        let mut stamp: Vec<u32> = vec![0; self.scratch_len()];
-        let mut epoch: u32 = 0;
-        let mut frontier: Vec<NodeId> = Vec::new();
-        for &start in starts {
-            let mut pairs = Vec::new();
-            if !self.is_live_node(start) {
-                runs.push(pairs);
-                continue;
-            }
-            epoch += 1;
-            frontier.clear();
-            frontier.push(start);
-            let mut scan = 0;
-            // `start` is deliberately not pre-stamped so cycles back to
-            // it are reported, matching `closure::transitive_pairs`
-            while scan < frontier.len() {
-                let n = frontier[scan];
-                scan += 1;
-                self.for_each_neighbor(n, Direction::Forward, filter, |m| {
-                    let d = self.dense_of(m);
-                    if stamp[d] != epoch {
-                        stamp[d] = epoch;
-                        pairs.push((start, m));
-                        frontier.push(m);
-                    }
-                });
-            }
-            runs.push(pairs);
-        }
-        runs
-    }
-
-    /// All pairs `(s, m)` with a non-empty admitted path `s →* m`, for
-    /// every start in `starts`, in `(starts order, discovery order)` —
-    /// the flattened form of [`ShardedSnapshot::closure_runs_from`].
-    pub fn closure_pairs_from(
-        &self,
-        starts: &[NodeId],
-        filter: &ResolvedFilter,
-    ) -> Vec<(NodeId, NodeId)> {
-        self.closure_runs_from(starts, filter).into_iter().flatten().collect()
+        let (shard, local) = self.shard_slot(n);
+        shard.out_local(local)
     }
 }
 
@@ -552,160 +242,60 @@ impl OntGraph {
     }
 }
 
-/// Epoch-swapped holder of the current [`ShardedSnapshot`].
+/// The current [`ShardedSnapshot`] of one graph: a single-writer slot.
 ///
-/// The read path is **mutex-free**: [`SnapshotStore::load`] pins
-/// (`fetch_add`), reads the epoch pointer, bumps the `Arc`'s strong
-/// count in place, and unpins — readers never block on a publisher and
-/// never observe a torn snapshot; they keep their epoch for as long as
-/// they hold the `Arc`. Publishers serialise among themselves on a
-/// writer-side mutex (writes are rare), build the new snapshot
-/// *outside* any reader-visible critical section, swap the pointer, and
-/// **retire** the replaced snapshot: the store's count on it is
-/// released only at a later moment when no reader is mid-pin (checked
-/// without blocking on each publish, and unconditionally on drop).
-/// Publish latency is therefore bounded — a publisher never waits on
-/// readers; under continuous load traffic retired epochs just free a
-/// beat later.
+/// Its owner publishes through `&mut self`, and
+/// [`SnapshotStore::load`] hands out the current snapshot's `Arc`. A
+/// publish replaces the store's `Arc` and leaves every loaded one
+/// alone, so a reader keeps the epoch it loaded for as long as it
+/// holds the `Arc`.
 ///
 /// `publish` is **incremental**: only shards whose version stamp
 /// changed since the previous epoch are rebuilt; clean shards are
 /// shared structurally (see [`PublishStats`]).
 #[derive(Debug)]
 pub struct SnapshotStore {
-    /// Owns one strong count of the current snapshot.
-    current: AtomicPtr<ShardedSnapshot>,
-    /// Readers mid-`load` (pinned); retired snapshots are freed only at
-    /// moments when this is observed 0.
-    pins: AtomicUsize,
-    epoch: AtomicU64,
-    /// Serialises publishers and holds the retired epochs (strong
-    /// counts whose release is deferred past any in-flight pin); the
-    /// read path never touches it.
-    writer: Mutex<Vec<*mut ShardedSnapshot>>,
+    current: Arc<ShardedSnapshot>,
 }
-
-// SAFETY: the raw pointers in `current` and the retired list each own
-// one strong count of an immutable (`Send + Sync`) snapshot; they are
-// only swapped/freed under the writer mutex, and only at moments when
-// no reader is inside the pin window.
-unsafe impl Send for SnapshotStore {}
-unsafe impl Sync for SnapshotStore {}
 
 impl SnapshotStore {
     /// A store whose epoch-0 snapshot freezes `g`'s current state.
     pub fn new(g: &OntGraph) -> Self {
-        let first: Arc<ShardedSnapshot> = Arc::new(g.snapshot());
-        SnapshotStore {
-            current: AtomicPtr::new(Arc::into_raw(first) as *mut ShardedSnapshot),
-            pins: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-            writer: Mutex::new(Vec::new()),
-        }
+        SnapshotStore { current: Arc::new(g.snapshot()) }
     }
 
-    /// The current snapshot — mutex-free (three atomic operations). The
-    /// returned `Arc` stays valid (and unchanged) for as long as the
-    /// caller holds it, regardless of later publishes.
+    /// The current snapshot. The returned `Arc` stays valid (and
+    /// unchanged) for as long as the caller holds it, regardless of
+    /// later publishes.
     pub fn load(&self) -> Arc<ShardedSnapshot> {
-        self.pins.fetch_add(1, Ordering::SeqCst);
-        let p = self.current.load(Ordering::SeqCst);
-        // SAFETY: `p` was the current snapshot at the load above; a
-        // publisher that swapped it out concurrently waits for our pin
-        // to clear before releasing its strong count, so `p` is alive
-        // here and the increment hands us our own count.
-        unsafe { Arc::increment_strong_count(p) };
-        self.pins.fetch_sub(1, Ordering::SeqCst);
-        // SAFETY: consumes the strong count acquired above.
-        unsafe { Arc::from_raw(p) }
+        Arc::clone(&self.current)
     }
 
     /// The epoch of the current snapshot.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.current.epoch()
     }
 
-    /// Freezes `g` and swaps it in as the new current snapshot,
-    /// returning it. See [`SnapshotStore::publish_stats`] for the
-    /// rebuild/reuse accounting.
-    pub fn publish(&self, g: &OntGraph) -> Arc<ShardedSnapshot> {
+    /// Freezes `g` and makes it the current snapshot, returning it. See
+    /// [`SnapshotStore::publish_stats`] for the rebuild/reuse
+    /// accounting.
+    pub fn publish(&mut self, g: &OntGraph) -> Arc<ShardedSnapshot> {
         self.publish_stats(g).0
     }
 
     /// Incremental publish: rebuilds exactly the shards whose version
     /// stamps differ from the previous epoch's (all of them when the
     /// graph identity or shard count changed), bumps the epoch, and
-    /// swaps the new snapshot in. The build happens before the swap, so
-    /// readers always observe a fully built snapshot; concurrent
-    /// publishers are serialised and the stored epoch sequence is
-    /// strictly increasing.
-    pub fn publish_stats(&self, g: &OntGraph) -> (Arc<ShardedSnapshot>, PublishStats) {
+    /// makes the new snapshot current.
+    pub fn publish_stats(&mut self, g: &OntGraph) -> (Arc<ShardedSnapshot>, PublishStats) {
         let _span = onion_obs::span!("publish");
-        let mut retired = self.writer.lock().expect("snapshot store writer lock");
-        // SAFETY: only publishers swap/free `current` and we hold the
-        // writer lock, so the pointer stays valid for this borrow.
-        let prev = unsafe { &*self.current.load(Ordering::SeqCst) };
-        let epoch = self.epoch.load(Ordering::SeqCst) + 1;
-        let (snap, stats) = ShardedSnapshot::of_incremental(g, prev, epoch);
-        let snap = Arc::new(snap);
-        let fresh = Arc::into_raw(Arc::clone(&snap)) as *mut ShardedSnapshot;
-        self.epoch.store(epoch, Ordering::SeqCst);
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        // a reader may still be inside its pin window holding `old`
-        // raw; defer releasing the store's count instead of blocking
-        retired.push(old);
+        let epoch = self.current.epoch() + 1;
+        let (snap, stats) = ShardedSnapshot::of_incremental(g, &self.current, epoch);
+        self.current = Arc::new(snap);
         onion_obs::count!("onion_publish_total");
         onion_obs::count!("onion_publish_shards_rebuilt_total", stats.rebuilt);
         onion_obs::count!("onion_publish_shards_reused_total", stats.reused);
-        onion_obs::gauge_set!("onion_publish_retired_depth", retired.len());
-        Self::reclaim(&self.pins, &mut retired);
-        drop(retired);
-        (snap, stats)
-    }
-
-    /// Frees retired epochs if a moment with zero pinned readers can be
-    /// observed within a short bounded retry (a pin window is three
-    /// atomic ops, so under any non-adversarial load a gap appears
-    /// almost immediately). Never blocks unboundedly: if readers stay
-    /// continuously pinned, the epochs remain retired for the next
-    /// publish (their unique memory is only their *rebuilt* shards —
-    /// clean shards are shared with the live snapshot) and are freed at
-    /// the latest when the store drops.
-    fn reclaim(pins: &AtomicUsize, retired: &mut Vec<*mut ShardedSnapshot>) {
-        if retired.is_empty() {
-            return;
-        }
-        for _ in 0..64 {
-            // at any instant with zero pinned readers, every
-            // earlier-loaded raw pointer has been secured with its own
-            // strong count, so the retired epochs can go
-            if pins.load(Ordering::SeqCst) == 0 {
-                for p in retired.drain(..) {
-                    // SAFETY: releases the store's own strong count;
-                    // the pins==0 observation above rules out a reader
-                    // that loaded `p` but has not incremented yet, and
-                    // `p` can never be loaded again (it is no longer
-                    // `current`).
-                    unsafe { drop(Arc::from_raw(p)) };
-                }
-                return;
-            }
-            onion_obs::count!("onion_publish_pin_waits_total");
-            std::hint::spin_loop();
-        }
-    }
-}
-
-impl Drop for SnapshotStore {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` means no reader or publisher is active;
-        // release the store's strong counts on the current snapshot and
-        // every retired epoch whose reclaim was deferred.
-        let p = *self.current.get_mut();
-        unsafe { drop(Arc::from_raw(p)) };
-        for p in self.writer.get_mut().expect("snapshot store writer lock").drain(..) {
-            unsafe { drop(Arc::from_raw(p)) };
-        }
+        (self.load(), stats)
     }
 }
 
@@ -720,7 +310,15 @@ mod tests {
             g.ensure_edge_by_labels(a, rel::SUBCLASS_OF, b).unwrap();
         }
         g.ensure_edge_by_labels("Price", rel::ATTRIBUTE_OF, "Car").unwrap();
+        // out-rows whose adjacency order is not sorted by (label, dst)
+        g.ensure_edge_by_labels("Car", "Uses", "Fuel").unwrap();
+        g.ensure_edge_by_labels("Car", "Uses", "Air").unwrap();
         g
+    }
+
+    /// The frozen-live node carrying `label`, if any.
+    fn find(s: &ShardedSnapshot, label: &str) -> Option<NodeId> {
+        s.node_ids().find(|&n| s.node_label(n) == Some(label))
     }
 
     #[test]
@@ -730,12 +328,13 @@ mod tests {
         assert_eq!(s.node_count(), g.node_count());
         assert_eq!(s.edge_count(), g.edge_count());
         assert_eq!(s.node_capacity(), g.node_capacity());
+        assert_eq!(s.node_ids().collect::<Vec<_>>(), g.node_ids().collect::<Vec<_>>());
         for n in g.node_ids() {
             assert_eq!(s.node_label(n), g.node_label(n));
             assert_eq!(s.node_label_id(n), g.node_label_id(n));
         }
-        assert_eq!(s.node_by_label("Car"), g.node_by_label("Car"));
-        assert_eq!(s.nodes_by_label("Car"), g.nodes_by_label("Car"));
+        assert_eq!(s.label_id("Car"), g.label_id("Car"));
+        assert_eq!(find(&s, "Car"), g.node_by_label("Car"));
     }
 
     #[test]
@@ -745,18 +344,10 @@ mod tests {
             g.set_shard_count(count);
             let s = g.snapshot();
             assert_eq!(s.shard_count(), count);
-            let sub = g.label_id(rel::SUBCLASS_OF).unwrap();
             for n in g.node_ids() {
-                let mut from_g: Vec<NodeId> = g.out_neighbors_by_id(n, sub).collect();
-                from_g.sort_unstable();
-                let from_s: Vec<NodeId> = s.out_neighbors_by_id(n, sub).collect();
-                assert_eq!(from_s, from_g, "shards={count}");
-                let mut in_g: Vec<NodeId> = g.in_neighbors_by_id(n, sub).collect();
-                in_g.sort_unstable();
-                let in_s: Vec<NodeId> = s.in_neighbors_by_id(n, sub).collect();
-                assert_eq!(in_s, in_g, "shards={count}");
-                assert_eq!(s.out_entries(n).len(), g.out_degree(n));
-                assert_eq!(s.in_entries(n).len(), g.in_degree(n));
+                let from_g: Vec<(LabelId, NodeId)> =
+                    g.out_edge_entries(n).map(|(_, lid, dst)| (lid, dst)).collect();
+                assert_eq!(s.out_entries(n), from_g.as_slice(), "shards={count}");
             }
         }
     }
@@ -766,28 +357,29 @@ mod tests {
         let mut g = hierarchy();
         g.set_shard_count(1);
         let mono = g.snapshot();
-        let root = g.node_by_label("Vehicle").unwrap();
-        let rf = mono.resolve_filter(&EdgeFilter::label(rel::SUBCLASS_OF));
-        let starts: Vec<NodeId> = mono.node_ids().collect();
-        let want_bfs = mono.bfs(root, Direction::Backward, &rf);
-        let want_pairs = mono.closure_pairs_from(&starts, &rf);
+        let read = |s: &ShardedSnapshot| -> Vec<_> {
+            s.node_ids().map(|n| (n, s.node_label_id(n), s.out_entries(n).to_vec())).collect()
+        };
+        let want = read(&mono);
         for count in [2usize, 7, 64] {
             g.set_shard_count(count);
             let s = g.snapshot();
-            assert_eq!(s.bfs(root, Direction::Backward, &rf), want_bfs, "shards={count}");
-            assert_eq!(s.closure_pairs_from(&starts, &rf), want_pairs, "shards={count}");
-            assert_eq!(s.node_ids().collect::<Vec<_>>(), mono.node_ids().collect::<Vec<_>>());
+            assert_eq!(read(&s), want, "shards={count}");
+            assert_eq!((s.node_count(), s.edge_count()), (mono.node_count(), mono.edge_count()));
         }
     }
 
     #[test]
     fn snapshot_excludes_tombstones() {
         let mut g = hierarchy();
+        let car = g.node_by_label("Car").unwrap();
         g.delete_node_by_label("Car").unwrap();
         let s = g.snapshot();
         assert_eq!(s.node_count(), g.node_count());
         assert_eq!(s.edge_count(), g.edge_count());
-        assert!(s.node_by_label("Car").is_none());
+        assert!(!s.is_live_node(car));
+        assert!(s.out_entries(car).is_empty());
+        assert!(find(&s, "Car").is_none());
         let dead = g.node_capacity(); // capacity spans tombstones too
         assert_eq!(s.node_capacity(), dead);
         assert_eq!(s.node_ids().count(), g.node_count());
@@ -800,53 +392,19 @@ mod tests {
         g.delete_node_by_label("Vehicle").unwrap();
         g.ensure_edge_by_labels("Bike", rel::SUBCLASS_OF, "Car").unwrap();
         // the frozen view still sees the original graph
-        assert!(s.node_by_label("Vehicle").is_some());
-        assert!(s.node_by_label("Bike").is_none());
-        let car = s.node_by_label("Car").unwrap();
+        let vehicle = find(&s, "Vehicle").expect("still frozen-live");
+        assert!(find(&s, "Bike").is_none());
+        let suv = find(&s, "SUV").unwrap();
+        let car = find(&s, "Car").unwrap();
         let sub = s.label_id(rel::SUBCLASS_OF).unwrap();
-        let parents: Vec<_> = s.out_neighbors_by_id(car, sub).collect();
-        assert_eq!(parents, vec![s.node_by_label("Vehicle").unwrap()]);
-    }
-
-    #[test]
-    fn bfs_on_snapshot_matches_graph_bfs_as_set() {
-        let g = hierarchy();
-        let s = g.snapshot();
-        let root = g.node_by_label("Vehicle").unwrap();
-        let rf = s.resolve_filter(&EdgeFilter::label(rel::SUBCLASS_OF));
-        let from_s = s.bfs(root, Direction::Backward, &rf);
-        let from_g = crate::traverse::bfs(
-            &g,
-            root,
-            Direction::Backward,
-            &EdgeFilter::label(rel::SUBCLASS_OF),
-        );
-        let mut a = from_s.clone();
-        let mut b = from_g.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(from_s.len(), 4, "Vehicle, Car, Truck, SUV");
-    }
-
-    #[test]
-    fn closure_pairs_match_transitive_pairs() {
-        let g = hierarchy();
-        let s = g.snapshot();
-        let filter = EdgeFilter::label(rel::SUBCLASS_OF);
-        let starts: Vec<NodeId> = s.node_ids().collect();
-        let mut from_s = s.closure_pairs_from(&starts, &s.resolve_filter(&filter));
-        from_s.sort_unstable();
-        let mut from_g: Vec<(NodeId, NodeId)> =
-            crate::closure::transitive_pairs(&g, &filter).into_iter().collect();
-        from_g.sort_unstable();
-        assert_eq!(from_s, from_g);
+        assert_eq!(s.out_entries(suv), &[(sub, car)]);
+        assert_eq!(s.out_entries(car)[0], (sub, vehicle));
     }
 
     #[test]
     fn store_epochs_advance_and_old_readers_keep_their_view() {
         let mut g = hierarchy();
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         assert_eq!(store.epoch(), 0);
         let before = store.load();
         g.ensure_edge_by_labels("Bike", rel::SUBCLASS_OF, "Vehicle").unwrap();
@@ -854,8 +412,9 @@ mod tests {
         assert_eq!(store.epoch(), 1);
         assert_eq!(after.epoch(), 1);
         assert_eq!(before.epoch(), 0);
-        assert!(before.node_by_label("Bike").is_none(), "old epoch untouched");
-        assert!(after.node_by_label("Bike").is_some());
+        assert!(find(&before, "Bike").is_none(), "old epoch untouched");
+        let bike = find(&after, "Bike").expect("new epoch sees the edit");
+        assert_eq!(after.out_entries(bike).len(), 1);
         assert_eq!(store.load().epoch(), 1);
     }
 
@@ -867,7 +426,7 @@ mod tests {
         for i in 0..8 {
             g.add_node(&format!("N{i}")).unwrap();
         }
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         let before = store.load();
         // a self-loop on node 0 touches only shard 0
         let n0 = g.node_by_label("N0").unwrap();
@@ -887,7 +446,7 @@ mod tests {
     #[test]
     fn publish_after_shard_count_change_or_clone_rebuilds_fully() {
         let mut g = hierarchy();
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         g.set_shard_count(2);
         let (_, stats) = store.publish_stats(&g);
         assert_eq!(stats.rebuilt, 2, "count change invalidates everything");
@@ -899,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_edges_are_mirrored_into_both_shards() {
+    fn cross_shard_edges_live_in_their_source_shard() {
         let mut g = OntGraph::new("t");
         g.set_shard_count(2);
         let a = g.add_node("A").unwrap(); // shard 0
@@ -907,40 +466,12 @@ mod tests {
         g.add_edge(a, "S", b).unwrap();
         let s = g.snapshot();
         let lid = s.label_id("S").unwrap();
-        // out-entry lives in A's shard, in-entry in B's shard
-        assert_eq!(s.shard_of(a), 0);
-        assert_eq!(s.shard_of(b), 1);
-        assert_eq!(s.out_neighbors_by_id(a, lid).collect::<Vec<_>>(), vec![b]);
-        assert_eq!(s.in_neighbors_by_id(b, lid).collect::<Vec<_>>(), vec![a]);
+        assert_eq!((a.index() % 2, b.index() % 2), (0, 1));
+        assert_eq!(s.out_entries(a), &[(lid, b)]);
+        assert!(s.out_entries(b).is_empty());
         assert_eq!(s.shard(0).out_edges(), 1);
         assert_eq!(s.shard(1).out_edges(), 0);
         assert_eq!(s.edge_count(), 1);
-    }
-
-    #[test]
-    fn dense_remap_is_a_bijection_over_live_nodes() {
-        let mut g = hierarchy();
-        g.ensure_edge_by_labels("Bike", rel::SUBCLASS_OF, "Vehicle").unwrap();
-        g.delete_node_by_label("Truck").unwrap(); // leave a tombstone
-        for count in [1usize, 2, 7, 64] {
-            g.set_shard_count(count);
-            let s = g.snapshot();
-            assert_eq!(s.scratch_len(), s.node_count(), "shards={count}");
-            let mut seen = vec![false; s.scratch_len()];
-            for n in s.node_ids() {
-                let d = s.dense_of(n);
-                assert_eq!(Some(d), s.dense_of_checked(n));
-                assert!(!seen[d], "dense index {d} assigned twice (shards={count})");
-                seen[d] = true;
-            }
-            assert!(seen.iter().all(|&b| b), "every dense slot covered (shards={count})");
-            // dead and out-of-range ids have no dense slot
-            let dead = g.node_capacity() as u32;
-            assert_eq!(s.dense_of_checked(NodeId(dead)), None);
-            let truck_slot =
-                (0..g.node_capacity() as u32).map(NodeId).find(|&n| !s.is_live_node(n)).unwrap();
-            assert_eq!(s.dense_of_checked(truck_slot), None);
-        }
     }
 
     #[test]
@@ -949,39 +480,5 @@ mod tests {
         assert_send_sync::<ShardedSnapshot>();
         assert_send_sync::<SnapshotShard>();
         assert_send_sync::<SnapshotStore>();
-    }
-
-    #[test]
-    fn concurrent_loads_survive_publish_churn() {
-        use std::sync::atomic::AtomicBool;
-        let mut g = hierarchy();
-        let store = Arc::new(SnapshotStore::new(&g));
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let store = Arc::clone(&store);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut last = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let snap = store.load();
-                        // epochs only move forward and the snapshot is coherent
-                        assert!(snap.epoch() >= last);
-                        assert_eq!(snap.node_ids().count(), snap.node_count());
-                        last = snap.epoch();
-                    }
-                })
-            })
-            .collect();
-        for i in 0..200 {
-            g.ensure_edge_by_labels(&format!("X{i}"), rel::SUBCLASS_OF, "Vehicle").unwrap();
-            store.publish(&g);
-        }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(store.epoch(), 200);
-        assert_eq!(store.load().node_count(), g.node_count());
     }
 }

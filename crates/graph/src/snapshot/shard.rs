@@ -1,50 +1,21 @@
-//! Per-shard CSR build: the unit of incremental publish.
+//! Per-shard build: the unit of incremental publish.
 //!
 //! A [`SnapshotShard`] freezes the slice of an
 //! [`OntGraph`](crate::OntGraph) its shard owns — nodes with
-//! `index() % shard_count == shard` — as two compressed-sparse-row
-//! halves (out- and in-adjacency) plus the shard-local label index.
-//! Neighbour entries carry **global** [`NodeId`]s, so an edge whose
-//! endpoints live in different shards is *mirrored*: its out-entry sits
-//! in the source's shard, its in-entry in the target's shard, and a
-//! traversal crosses the boundary by simply following the global id
-//! into the neighbouring shard's slice. Every per-node entry list is
-//! sorted by `(label, neighbour)` — exactly the invariant the
-//! monolithic snapshot maintained — which is what makes results
-//! byte-identical across shard counts.
+//! `index() % shard_count == shard` — as per-slot labels plus one
+//! compressed-sparse-row out-adjacency. Entries carry **global**
+//! [`NodeId`]s, so an edge is stored once, in its source's shard,
+//! whichever shard owns its target. Each node's row keeps the live
+//! graph's adjacency order, which is the order a checkpoint writes and
+//! recovery restores.
 //!
-//! Building one shard costs `O(owned nodes + their incident edges)` and
+//! Building one shard costs `O(owned slots + their out-edges)` and
 //! touches nothing outside the shard, so a publish that finds `k` dirty
 //! shards does `k/N` of a full freeze (see
 //! [`SnapshotStore::publish`](crate::SnapshotStore::publish)).
 
 use crate::graph::{NodeId, OntGraph};
-use crate::hash::FxHashMap;
 use crate::label::LabelId;
-
-/// One CSR half, locally indexed: `start[local]..start[local + 1]`
-/// spans the `(label, neighbour)` entries of the shard's `local`-th
-/// owned slot, sorted by label then neighbour id.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Csr {
-    start: Vec<u32>,
-    adj: Vec<(LabelId, NodeId)>,
-}
-
-impl Csr {
-    #[inline]
-    pub(crate) fn entries(&self, local: usize) -> &[(LabelId, NodeId)] {
-        match self.start.get(local..local + 2) {
-            Some(w) => &self.adj[w[0] as usize..w[1] as usize],
-            None => &[],
-        }
-    }
-
-    #[inline]
-    fn total(&self) -> usize {
-        self.adj.len()
-    }
-}
 
 /// Number of arena slots a shard owns under `cap` total slots.
 #[inline]
@@ -64,99 +35,39 @@ pub(crate) fn owned_slots(cap: usize, shard: usize, count: usize) -> usize {
 /// the live graph's and rebuilds only the dirty ones.
 #[derive(Debug)]
 pub struct SnapshotShard {
-    shard: usize,
     /// Per owned slot (local index): the node's label, `None` for
     /// tombstones and never-allocated tail slots.
     labels: Vec<Option<LabelId>>,
-    /// Per owned slot: the node's **dense rank** among the shard's live
-    /// nodes (ascending by local slot, so ranks follow id order within
-    /// the shard); `u32::MAX` for tombstones and unallocated tail
-    /// slots. This is the per-shard global→dense remap the traversal
-    /// kernels use to size visited stamps and frontier scratch to live
-    /// nodes instead of `node_capacity` (see
-    /// [`ShardedSnapshot::dense_of`](crate::ShardedSnapshot::dense_of)).
-    dense: Vec<u32>,
-    out: Csr,
-    inc: Csr,
-    /// Owned live nodes per label, ascending by global id.
-    by_label: FxHashMap<LabelId, Vec<NodeId>>,
+    /// `start[local]..start[local + 1]` spans the `local`-th owned
+    /// slot's `(label, dst)` entries in `out`.
+    start: Vec<u32>,
+    out: Vec<(LabelId, NodeId)>,
     live_nodes: usize,
     version: u64,
 }
 
 impl SnapshotShard {
-    /// Freezes shard `shard` of `count` from `g`, stamping it with the
-    /// graph's current version for that shard.
+    /// Freezes shard `shard` of `count` from `g` in one pass over its
+    /// owned slots, stamping it with the graph's current version for
+    /// that shard.
     pub(crate) fn build(g: &OntGraph, shard: usize, count: usize) -> Self {
-        let cap = g.node_capacity();
-        let owned = owned_slots(cap, shard, count);
-        let mut labels: Vec<Option<LabelId>> = vec![None; owned];
-        let mut dense: Vec<u32> = vec![u32::MAX; owned];
-        let mut by_label: FxHashMap<LabelId, Vec<NodeId>> = FxHashMap::default();
+        let owned = owned_slots(g.node_capacity(), shard, count);
+        let mut labels = Vec::with_capacity(owned);
+        let mut start = Vec::with_capacity(owned + 1);
+        let mut out = Vec::new();
         let mut live_nodes = 0usize;
+        start.push(0);
         for local in 0..owned {
             let n = NodeId((shard + local * count) as u32);
-            if let Some(lid) = g.node_label_id(n) {
-                labels[local] = Some(lid);
-                dense[local] = live_nodes as u32;
-                by_label.entry(lid).or_default().push(n);
+            let label = g.node_label_id(n);
+            if label.is_some() {
                 live_nodes += 1;
+                out.extend(g.out_edge_entries(n).map(|(_, lid, dst)| (lid, dst)));
             }
+            labels.push(label);
+            start.push(out.len() as u32);
         }
-        let out = Self::build_csr(g, shard, count, owned, true);
-        let inc = Self::build_csr(g, shard, count, owned, false);
-        SnapshotShard {
-            shard,
-            labels,
-            dense,
-            out,
-            inc,
-            by_label,
-            live_nodes,
-            version: g.shard_version(shard),
-        }
-    }
-
-    fn build_csr(g: &OntGraph, shard: usize, count: usize, owned: usize, out: bool) -> Csr {
-        let mut start = vec![0u32; owned + 1];
-        for local in 0..owned {
-            let n = NodeId((shard + local * count) as u32);
-            let degree = if !g.is_live_node(n) {
-                0
-            } else if out {
-                g.out_degree(n)
-            } else {
-                g.in_degree(n)
-            };
-            start[local + 1] = start[local] + degree as u32;
-        }
-        let mut adj = vec![(LabelId(0), NodeId(0)); start[owned] as usize];
-        for local in 0..owned {
-            let n = NodeId((shard + local * count) as u32);
-            let range = start[local] as usize..start[local + 1] as usize;
-            let slot = &mut adj[range];
-            if slot.is_empty() {
-                continue;
-            }
-            if out {
-                for (dst, (_, lid, other)) in slot.iter_mut().zip(g.out_edge_entries(n)) {
-                    *dst = (lid, other);
-                }
-            } else {
-                for (dst, (_, lid, other)) in slot.iter_mut().zip(g.in_edge_entries(n)) {
-                    *dst = (lid, other);
-                }
-            }
-            // the per-node (label, neighbour) sort is the invariant that
-            // makes traversal order shard-count independent
-            slot.sort_unstable();
-        }
-        Csr { start, adj }
-    }
-
-    /// The shard's index within its snapshot.
-    pub fn shard_index(&self) -> usize {
-        self.shard
+        SnapshotShard { labels, start, out, live_nodes, version: g.shard_version(shard) }
     }
 
     /// The graph shard-version this shard was frozen at.
@@ -172,7 +83,7 @@ impl SnapshotShard {
     /// Live edges whose **source** this shard owns (summing this over
     /// all shards counts every edge exactly once).
     pub fn out_edges(&self) -> usize {
-        self.out.total()
+        self.out.len()
     }
 
     #[inline]
@@ -180,25 +91,15 @@ impl SnapshotShard {
         self.labels.get(local).copied().flatten()
     }
 
-    /// The dense rank of the shard's `local`-th slot among its live
-    /// nodes, or `u32::MAX` for a tombstone / unallocated slot.
+    /// The out-edge row of the shard's `local`-th owned slot, in the
+    /// live graph's adjacency order (empty for dead and out-of-range
+    /// slots).
     #[inline]
-    pub(crate) fn dense_local(&self, local: usize) -> u32 {
-        self.dense.get(local).copied().unwrap_or(u32::MAX)
-    }
-
-    #[inline]
-    pub(crate) fn entries_local(&self, local: usize, out: bool) -> &[(LabelId, NodeId)] {
-        if out {
-            self.out.entries(local)
-        } else {
-            self.inc.entries(local)
+    pub(crate) fn out_local(&self, local: usize) -> &[(LabelId, NodeId)] {
+        match self.start.get(local..local + 2) {
+            Some(w) => &self.out[w[0] as usize..w[1] as usize],
+            None => &[],
         }
-    }
-
-    #[inline]
-    pub(crate) fn by_label(&self, lid: LabelId) -> &[NodeId] {
-        self.by_label.get(&lid).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 

@@ -246,7 +246,7 @@ fn encode_shard(snap: &ShardedSnapshot, s: usize) -> Vec<u8> {
         }
     }
     for local in 0..slots {
-        let row = shard.entries_local(local, true);
+        let row = shard.out_local(local);
         put_u32(&mut p, row.len() as u32);
         for &(lid, dst) in row {
             put_u32(&mut p, lid.index() as u32);
@@ -441,8 +441,9 @@ pub(crate) fn restore_graph(dir: &Path, m: &Manifest) -> WalResult<OntGraph> {
             }
         }
     }
-    // Out-edge rows; per-node row order preserves the original
-    // adjacency order, so traversal visit order survives recovery.
+    // Out-edge rows, each in the live graph's adjacency order, so a
+    // node's out-edge order survives recovery. In-edge order follows
+    // restore order (shards ascending, then slots, then rows).
     for (s, dump) in shards.iter().enumerate() {
         for (local, row) in dump.rows.iter().enumerate() {
             if row.is_empty() {
@@ -505,6 +506,8 @@ pub(crate) fn gc(dir: &Path, keep: &[Manifest]) -> WalResult<usize> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::super::testdir::TestDir;
     use super::*;
     use crate::snapshot::SnapshotStore;
@@ -557,7 +560,7 @@ mod tests {
     fn second_checkpoint_rewrites_only_dirty_shards() {
         let td = TestDir::new("ckpt-incremental");
         let mut g = sample_graph();
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         let snap = store.load();
         let (m1, s1) = write_checkpoint(&td.0, &snap, true, Lsn(4), None).unwrap();
         assert_eq!((s1.shards_written, s1.shards_reused), (4, 0));
@@ -601,5 +604,190 @@ mod tests {
         gc(&td.0, &[m1.clone()]).unwrap();
         assert!(!p2.exists());
         assert!(restore_graph(&td.0, &m1).is_ok());
+    }
+
+    // -----------------------------------------------------------------
+    // readers of bytes from disk return errors, never panic
+    // -----------------------------------------------------------------
+
+    /// A decoder run on `bytes`: true if it returned `Ok`.
+    type Decoder = Box<dyn Fn(&[u8]) -> bool>;
+
+    /// Every payload of a checkpoint of [`sample_graph`] (manifest,
+    /// strings, each shard), each with the decoder recovery runs on it.
+    fn valid_payloads() -> Vec<(Vec<u8>, Decoder)> {
+        let snap = crate::ShardedSnapshot::of(&sample_graph());
+        let count = snap.shard_count();
+        let manifest = Manifest {
+            seq: 3,
+            name: snap.name().to_string(),
+            unique_labels: true,
+            graph_id: snap.graph_id(),
+            epoch: snap.epoch(),
+            shard_count: count,
+            last_lsn: Lsn(7),
+            shard_versions: (0..count).map(|s| snap.shard(s).version()).collect(),
+        };
+        let mut out: Vec<(Vec<u8>, Decoder)> = vec![
+            (manifest.encode(), Box::new(|b| Manifest::decode(b, "mf").is_ok())),
+            (encode_strings(&snap), Box::new(|b| decode_strings(b, "strings").is_ok())),
+        ];
+        for s in 0..count {
+            let version = snap.shard(s).version();
+            out.push((
+                encode_shard(&snap, s),
+                Box::new(move |b| decode_shard(b, "shard", s, count, version).is_ok()),
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn every_truncation_of_a_checkpoint_file_is_rejected() {
+        for (payload, decode) in valid_payloads() {
+            assert!(decode(&payload), "the untouched payload decodes");
+            for cut in 0..payload.len() {
+                assert!(!decode(&payload[..cut]), "prefix of {cut}/{} bytes", payload.len());
+            }
+        }
+    }
+
+    #[test]
+    fn single_byte_flips_of_checkpoint_files_never_panic() {
+        for (payload, decode) in valid_payloads() {
+            for pos in 0..payload.len() {
+                for xor in 1..=255u8 {
+                    let mut bytes = payload.clone();
+                    bytes[pos] ^= xor;
+                    // a flip inside a label or a number can decode to
+                    // another valid file; a flip of the magic cannot
+                    let ok = decode(&bytes);
+                    assert!(!(ok && pos < 4), "flipped magic at {pos} decoded");
+                }
+            }
+        }
+    }
+
+    /// One forged shard file's content: per-slot label ids and per-slot
+    /// out-edge rows of `(label id, target slot)`, all unchecked.
+    type ForgedShard = (Vec<u32>, Vec<Vec<(u32, u32)>>);
+
+    /// Writes a CRC-valid checkpoint holding exactly `strings` and the
+    /// given shards (one row per slot), and returns its manifest.
+    fn forge(dir: &Path, strings: &[&str], shards: &[ForgedShard]) -> Manifest {
+        let m = Manifest {
+            seq: 1,
+            name: "forged".into(),
+            unique_labels: true,
+            graph_id: 1,
+            epoch: 0,
+            shard_count: shards.len(),
+            last_lsn: Lsn(0),
+            shard_versions: vec![1; shards.len()],
+        };
+        let mut p = Vec::new();
+        put_u32(&mut p, MAGIC_STRINGS);
+        put_u32(&mut p, strings.len() as u32);
+        for label in strings {
+            put_str(&mut p, label);
+        }
+        write_framed(&dir.join(m.strings_file()), &p).unwrap();
+        for (s, (labels, rows)) in shards.iter().enumerate() {
+            let mut p = Vec::new();
+            put_u32(&mut p, MAGIC_SHARD);
+            put_u32(&mut p, s as u32);
+            put_u32(&mut p, shards.len() as u32);
+            put_u64(&mut p, 1);
+            put_u32(&mut p, labels.len() as u32);
+            for &lid in labels {
+                put_u32(&mut p, lid);
+            }
+            for row in rows {
+                put_u32(&mut p, row.len() as u32);
+                for &(lid, dst) in row {
+                    put_u32(&mut p, lid);
+                    put_u32(&mut p, dst);
+                }
+            }
+            write_framed(&dir.join(m.shard_file(s)), &p).unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn forged_checkpoints_restore_or_fail_cleanly() {
+        let td = TestDir::new("ckpt-forged");
+        let restore = |strings: &[&str], shards: &[ForgedShard]| {
+            restore_graph(&td.0, &forge(&td.0, strings, shards))
+        };
+        // baseline: slot 0 = A, slot 1 = B, one edge A -S-> B
+        let g = restore(&["A", "S", "B"], &[(vec![0, 2], vec![vec![(1, 1)], vec![]])]).unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (2, 1));
+        // a node label id past the strings table
+        assert!(restore(&["A"], &[(vec![5], vec![vec![]])]).is_err());
+        // an edge label id past the strings table
+        assert!(restore(&["A"], &[(vec![0], vec![vec![(9, 0)]])]).is_err());
+        // a row on a dead slot
+        assert!(restore(&["A", "S"], &[(vec![0, DEAD_SLOT], vec![vec![], vec![(1, 0)]])]).is_err());
+        // an edge target past the slot space, and one on a dead slot
+        assert!(restore(&["A", "S"], &[(vec![0], vec![vec![(1, 9)]])]).is_err());
+        assert!(restore(&["A", "S"], &[(vec![0, DEAD_SLOT], vec![vec![(1, 1)], vec![]])]).is_err());
+        // duplicate labels, by id and by string
+        assert!(restore(&["A"], &[(vec![0, 0], vec![vec![], vec![]])]).is_err());
+        assert!(restore(&["A", "A"], &[(vec![0, 1], vec![vec![], vec![]])]).is_err());
+        // a zero shard count restores an empty graph
+        let g = restore(&["A"], &[]).unwrap();
+        assert_eq!(g.node_count(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        #[test]
+        fn arbitrary_bytes_are_not_a_checkpoint_file(
+            bytes in proptest::collection::vec(0u8..=255, 0..256),
+        ) {
+            for (payload, decode) in valid_payloads() {
+                prop_assert!(!decode(&bytes));
+                // right magic and header, garbage after: Ok or Err,
+                // never a panic
+                let mut framed = payload[..payload.len().min(24)].to_vec();
+                framed.extend_from_slice(&bytes);
+                decode(&framed);
+            }
+        }
+
+        /// Random CRC-valid checkpoints: label ids past the table, dead
+        /// slots with rows, targets past the slot space, duplicate and
+        /// empty labels, zero to three shards. Restore returns `Ok` or
+        /// `Err`; an `Ok` graph only carries labels from the table.
+        #[test]
+        fn restore_never_panics_on_forged_checkpoints(
+            table in proptest::collection::vec(0usize..4, 0..6),
+            shards in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u32..8, proptest::collection::vec((0u32..8, 0u32..16), 0..3)),
+                    0..5,
+                ),
+                0..4,
+            ),
+        ) {
+            let strings: Vec<&str> = table.iter().map(|&i| ["A", "B", "S", ""][i]).collect();
+            let shards: Vec<ForgedShard> = shards
+                .into_iter()
+                .map(|slots| {
+                    slots
+                        .into_iter()
+                        .map(|(lid, row)| (if lid == 7 { DEAD_SLOT } else { lid }, row))
+                        .unzip()
+                })
+                .collect();
+            let td = TestDir::new("ckpt-forged-prop");
+            if let Ok(g) = restore_graph(&td.0, &forge(&td.0, &strings, &shards)) {
+                for n in g.node_ids() {
+                    prop_assert!(strings.contains(&g.node_label(n).unwrap()));
+                }
+            }
+        }
     }
 }

@@ -323,7 +323,7 @@ mod tests {
         let mut g = OntGraph::new("src");
         g.set_shard_count(4);
         let mut dur = Durability::create(&td.0, "src", true).unwrap();
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
         let lsn = commit(&mut g, &mut dur, &[GraphOp::edge_add("B", "s", "C")]);
         let snap = store.publish(&g);

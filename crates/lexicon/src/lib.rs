@@ -21,6 +21,8 @@
 //! has no entry, and [`normalize`] handles the label conventions of real
 //! ontologies (CamelCase compounds such as `CargoCarrier`, plural forms).
 
+#![forbid(unsafe_code)]
+
 pub mod builtin;
 pub mod generator;
 pub mod lexicon;

@@ -51,6 +51,8 @@
 //! obs::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod macros;
 mod registry;
 mod snapshot;
@@ -114,6 +116,7 @@ mod tests {
     #[test]
     fn enabled_macros_record_into_the_global_registry() {
         let _g = SERIAL.lock().unwrap();
+        let _ring = trace::ring_test_lock();
         set_enabled(true);
         count!("onion_test_enabled_total");
         count!("onion_test_enabled_total", 4);

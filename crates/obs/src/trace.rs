@@ -48,6 +48,16 @@ fn ring() -> MutexGuard<'static, Ring> {
     RING.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Serialises the unit tests that fill, clear or read the global ring,
+/// so one test's burst or clear cannot evict another test's events
+/// between its push and its read. Poison is recovered as in [`ring`]:
+/// a failed test must not fail the others.
+#[cfg(test)]
+pub(crate) fn ring_test_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Appends one event to the global trace ring, evicting the oldest if
 /// full. Callers normally go through [`event!`](crate::event!) (which
 /// gates on [`enabled()`](crate::enabled)); this function records
@@ -131,6 +141,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_ordered() {
+        let _ring = ring_test_lock();
         clear_trace();
         let base = {
             push_event("bound_probe", Vec::new(), None);
@@ -150,6 +161,7 @@ mod tests {
 
     #[test]
     fn concurrent_writers_keep_the_ring_seq_ordered() {
+        let _ring = ring_test_lock();
         let ordered = || trace_events().windows(2).all(|w| w[0].seq < w[1].seq);
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
@@ -183,6 +195,7 @@ mod tests {
 
     #[test]
     fn traced_span_appends_event_with_duration() {
+        let _ring = ring_test_lock();
         let reg = Registry::new();
         let h = reg.histogram("traced_us", HistKind::LatencyUs);
         {

@@ -17,6 +17,8 @@
 //! `carrier` and `factory` source ontologies); the exact node/edge
 //! inventory is documented there and asserted by experiment E1.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod consistency;
 pub mod examples;

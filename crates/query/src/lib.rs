@@ -23,6 +23,8 @@
 //! 4. [`exec`] runs the per-source queries through [`wrapper`]s over
 //!    [`kb`] fact stores and merges results in articulation vocabulary.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod exec;
 pub mod kb;

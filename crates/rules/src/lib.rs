@@ -32,6 +32,8 @@
 //! `u32`s. The pre-refactor string-keyed engine is preserved verbatim in
 //! [`mod@reference`] as a differential baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod atoms;
 pub mod conflict;

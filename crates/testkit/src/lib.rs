@@ -15,6 +15,8 @@
 //!   comparison point in B1/B4/B7;
 //! * [`metrics`] — precision/recall against planted truth.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod fs;
 pub mod gen;
@@ -28,4 +30,4 @@ pub use gen::{generate_dag, generate_graph, generate_ontology, GraphSpec, Ontolo
 pub use infer::{deep_chain_ontology, seed_subclass_facts, seed_subclass_facts_strings};
 pub use metrics::{precision_recall, PrMetrics};
 pub use overlap::{overlap_pair, OverlapPair, OverlapSpec};
-pub use workload::{closure_sources, random_queries, update_stream, UpdateSpec};
+pub use workload::{random_queries, update_stream, UpdateSpec};

@@ -2,7 +2,6 @@
 
 use onion_articulate::Articulation;
 use onion_graph::ops::GraphOp;
-use onion_graph::{NodeId, OntGraph};
 use onion_lexicon::generator::pseudo_word;
 use onion_ontology::Ontology;
 use onion_query::{CmpOp, Query, Value};
@@ -107,30 +106,6 @@ pub fn random_queries(
     out
 }
 
-/// A deterministic multi-source set for parallel-closure workloads:
-/// `count` live node ids drawn uniformly (with replacement across the
-/// live set, deduplicated, order preserved) from `g`. Equal inputs give
-/// equal source sets, so batch results are comparable across runs and
-/// thread counts.
-pub fn closure_sources(g: &OntGraph, count: usize, seed: u64) -> Vec<NodeId> {
-    let live: Vec<NodeId> = g.node_ids().collect();
-    if live.is_empty() {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(count.min(live.len()));
-    let mut attempts = 0;
-    while out.len() < count.min(live.len()) && attempts < count * 8 {
-        attempts += 1;
-        let n = live[rng.gen_range(0..live.len())];
-        if seen.insert(n) {
-            out.push(n);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,18 +166,6 @@ mod tests {
                 assert!(label.starts_with("New"), "deletes only touch generated nodes");
             }
         }
-    }
-
-    #[test]
-    fn closure_sources_are_deterministic_live_and_distinct() {
-        let g = crate::gen::generate_graph(&crate::gen::GraphSpec::sized(3, 200, 800));
-        let a = closure_sources(&g, 64, 9);
-        let b = closure_sources(&g, 64, 9);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 64);
-        let distinct: std::collections::HashSet<_> = a.iter().collect();
-        assert_eq!(distinct.len(), a.len());
-        assert!(a.iter().all(|&n| g.is_live_node(n)));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   show), so examples and tests can drive "viewer workflows"
 //!   deterministically.
 
+#![forbid(unsafe_code)]
+
 pub mod ascii;
 pub mod dot_clusters;
 pub mod session;

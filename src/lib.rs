@@ -5,4 +5,6 @@
 //! crate. See `README.md` for the crate map and `ARCHITECTURE.md` for
 //! the per-crate design notes.
 
+#![forbid(unsafe_code)]
+
 pub use onion_core::*;

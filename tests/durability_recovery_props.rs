@@ -12,10 +12,13 @@
 //! * a checkpoint after `k` edits rewrites **exactly** the dirty shards
 //!   (the shards whose version stamp moved — at most `2k`) and reuses
 //!   the rest, mirroring the B11 incremental-publish accounting;
+//! * recovery keeps every node's out-edge order: the live graph,
+//!   WAL-only recovery and checkpoint recovery agree node by node;
 //! * a recovered source articulates byte-identically to the uncrashed
 //!   run.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
 
@@ -116,6 +119,20 @@ fn run_script(dir: &Path, acts: &[Act]) -> Run {
     Run { g, dur, ledger, checkpoints }
 }
 
+/// Each live node's out-edges as `(edge label, target label)` in
+/// adjacency order, keyed by node label.
+fn out_rows(g: &OntGraph) -> BTreeMap<String, Vec<(String, String)>> {
+    g.node_ids()
+        .map(|n| {
+            let row = g
+                .out_edges(n)
+                .map(|e| (e.label.to_string(), g.node_label(e.dst).unwrap().to_string()))
+                .collect();
+            (g.node_label(n).unwrap().to_string(), row)
+        })
+        .collect()
+}
+
 fn files_with_prefix(dir: &Path, prefix: &str) -> Vec<std::path::PathBuf> {
     let mut out: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
@@ -212,6 +229,43 @@ proptest! {
         let (g2, _dur2, stats) = Durability::open(td.path()).unwrap();
         prop_assert_eq!(checksum(&g2), want, "fallback recovery lost flushed state");
         prop_assert!(stats.manifest_seq.is_some(), "older manifest should be used");
+    }
+
+    /// Recovery keeps each node's out-edge order, whether it replays
+    /// the WAL alone or restores a checkpoint and replays the rest: the
+    /// live graph and both recoveries agree node by node, in adjacency
+    /// order. (In-edge order follows restore order and is not compared.)
+    #[test]
+    fn recovery_keeps_each_nodes_out_edge_order(
+        before in proptest::collection::vec(edit(), 0..30),
+        after in proptest::collection::vec(edit(), 0..30),
+    ) {
+        // n3's out-edges are not in (label, target) order
+        let mut script = vec![
+            Act::AddEdge(1, 0, 2),
+            Act::AddEdge(3, 2, 4),
+            Act::AddEdge(3, 0, 2),
+            Act::AddEdge(3, 2, 5),
+        ];
+        script.extend(before);
+        let split = script.len();
+        script.push(Act::Commit);
+        script.extend(after);
+        let wal_dir = TempDir::new("rec-order-wal");
+        let live = run_script(wal_dir.path(), &script).g;
+        script[split] = Act::Checkpoint;
+        let ckpt_dir = TempDir::new("rec-order-ckpt");
+        let run = run_script(ckpt_dir.path(), &script);
+        let want = out_rows(&live);
+        prop_assert_eq!(&out_rows(&run.g), &want);
+        drop(run);
+
+        let (from_wal, _dur, stats) = Durability::open(wal_dir.path()).unwrap();
+        prop_assert!(stats.manifest_seq.is_none());
+        prop_assert_eq!(&out_rows(&from_wal), &want, "WAL-only recovery");
+        let (from_ckpt, _dur, stats) = Durability::open(ckpt_dir.path()).unwrap();
+        prop_assert!(stats.manifest_seq.is_some());
+        prop_assert_eq!(&out_rows(&from_ckpt), &want, "checkpoint recovery");
     }
 
     /// Incremental checkpoint accounting, mirroring B11: after `k` edge

@@ -1,25 +1,21 @@
 //! Properties of the sharded snapshot layer:
 //!
-//! * a [`ShardedSnapshot`] at shard counts {1, 2, 7, 64} yields results
-//!   **identical** to the monolithic (1-shard) build — closure,
-//!   traversal (source-partitioned and frontier-split), and query
-//!   batches — at every tested thread count;
+//! * a [`ShardedSnapshot`] at shard counts {1, 2, 7, 64} reads
+//!   **identically** to the monolithic (1-shard) build — node ids,
+//!   labels and out-edge rows, in order — and facade query batches are
+//!   identical at every shard and thread count;
 //! * incremental publish rebuilds exactly the dirty shards: after `k`
 //!   edge edits the store rebuilds no more shards than the edits
 //!   dirtied (≤ 2k, typically far fewer), shares every clean shard's
-//!   allocation with the previous epoch, and a single same-shard edit
-//!   rebuilds exactly one;
-//! * [`SnapshotStore::load`] is safe under concurrent publish churn
-//!   (the read path is atomics-only — no mutex to contend on).
+//!   allocation with the previous epoch, reads like a fresh freeze, and
+//!   a single same-shard edit rebuilds exactly one.
 
 use proptest::prelude::*;
 
-use onion_core::exec::{par_closure_pairs, par_frontier_bfs, par_reachable, Executor};
-use onion_core::graph::rel;
 use onion_core::graph::snapshot::SnapshotStore;
-use onion_core::graph::traverse::{Direction, EdgeFilter};
+use onion_core::graph::LabelId;
 use onion_core::prelude::*;
-use onion_core::testkit::{closure_sources, generate_graph, GraphSpec};
+use onion_core::testkit::{generate_graph, GraphSpec};
 use onion_core::OnionSystem;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 64];
@@ -28,66 +24,46 @@ fn small_graph(seed: u64) -> OntGraph {
     generate_graph(&GraphSpec::sized(seed, 120, 500))
 }
 
+/// Everything a snapshot's readers see: each live node with its label
+/// and out-edge row, ascending by id, rows in stored order.
+type Shape = Vec<(NodeId, String, Vec<(LabelId, NodeId)>)>;
+
+fn shape(s: &ShardedSnapshot) -> Shape {
+    s.node_ids()
+        .map(|n| (n, s.node_label(n).unwrap().to_string(), s.out_entries(n).to_vec()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// Closure pairs and per-source reachability are byte-identical
-    /// across shard counts {1, 2, 7, 64} and thread counts {1, 4}.
+    /// Labels and out-edge rows are identical across shard counts
+    /// {1, 2, 7, 64}.
     #[test]
-    fn shard_count_never_changes_results(seed in 0u64..20, nsrc in 1usize..24) {
+    fn shard_count_never_changes_results(seed in 0u64..20) {
         let mut g = small_graph(seed);
-        let sources = closure_sources(&g, nsrc, seed ^ 0x5eed);
-        let filter = EdgeFilter::label(rel::SUBCLASS_OF);
         g.set_shard_count(1);
         let mono = g.snapshot();
-        let seq = Executor::sequential();
-        let want_reach = par_reachable(&seq, &mono, &sources, Direction::Forward, &filter);
-        let want_pairs = par_closure_pairs(&seq, &mono, &sources, &filter);
+        let want = shape(&mono);
         for &count in &SHARD_COUNTS[1..] {
             g.set_shard_count(count);
             let snap = g.snapshot();
             prop_assert_eq!(snap.shard_count(), count);
             prop_assert_eq!(snap.node_count(), mono.node_count());
             prop_assert_eq!(snap.edge_count(), mono.edge_count());
-            for threads in [1usize, 4] {
-                let exec = Executor::new(threads);
-                let reach = par_reachable(&exec, &snap, &sources, Direction::Forward, &filter);
-                prop_assert_eq!(&reach, &want_reach, "shards={} threads={}", count, threads);
-                let pairs = par_closure_pairs(&exec, &snap, &sources, &filter);
-                prop_assert_eq!(&pairs, &want_pairs, "shards={} threads={}", count, threads);
-            }
-        }
-    }
-
-    /// The frontier-splitting single-root BFS reproduces the
-    /// sequential snapshot BFS order exactly, at every shard and
-    /// thread count.
-    #[test]
-    fn frontier_bfs_is_byte_identical(seed in 0u64..20) {
-        let mut g = small_graph(seed);
-        let root = g.node_ids().next().unwrap();
-        for &count in &SHARD_COUNTS {
-            g.set_shard_count(count);
-            let snap = g.snapshot();
-            let rf = snap.resolve_filter(&EdgeFilter::All);
-            let want = snap.bfs(root, Direction::Forward, &rf);
-            for threads in [1usize, 2, 4] {
-                let exec = Executor::new(threads);
-                let got = par_frontier_bfs(&exec, &snap, root, Direction::Forward, &EdgeFilter::All);
-                prop_assert_eq!(&got, &want, "shards={} threads={}", count, threads);
-            }
+            prop_assert_eq!(&shape(&snap), &want, "shards={}", count);
         }
     }
 
     /// After k edge edits, publish rebuilds no more shards than the
     /// edits dirtied (each edge edit touches at most its two endpoint
     /// shards), reuses every clean shard's allocation, and the new
-    /// epoch answers like a fresh monolithic freeze.
+    /// epoch reads like a fresh freeze.
     #[test]
     fn publish_rebuilds_at_most_the_dirty_shards(seed in 0u64..20, edits in 1usize..12) {
         let mut g = small_graph(seed);
         g.set_shard_count(7);
-        let store = SnapshotStore::new(&g);
+        let mut store = SnapshotStore::new(&g);
         let before = store.load();
         let versions: Vec<u64> = (0..7).map(|s| g.shard_version(s)).collect();
         // k edge edits: delete an existing edge or add a fresh one
@@ -119,14 +95,10 @@ proptest! {
                 "shard {} sharing mismatch", s
             );
         }
-        // the incremental epoch answers exactly like a fresh freeze
+        // the incremental epoch reads exactly like a fresh freeze
         let fresh = g.snapshot();
-        let sources: Vec<NodeId> = fresh.node_ids().collect();
-        let rf = fresh.resolve_filter(&EdgeFilter::All);
-        prop_assert_eq!(
-            after.closure_pairs_from(&sources, &rf),
-            fresh.closure_pairs_from(&sources, &rf)
-        );
+        prop_assert_eq!(after.edge_count(), fresh.edge_count());
+        prop_assert_eq!(shape(&after), shape(&fresh));
     }
 }
 
@@ -136,7 +108,7 @@ proptest! {
 fn single_edge_mutation_rebuilds_exactly_one_shard() {
     let mut g = small_graph(11);
     g.set_shard_count(64);
-    let store = SnapshotStore::new(&g);
+    let mut store = SnapshotStore::new(&g);
     // two nodes in the same shard (same index mod 64)
     let nodes: Vec<NodeId> = g.node_ids().collect();
     let a = nodes[0];
@@ -185,45 +157,4 @@ fn query_batches_are_identical_across_shard_counts() {
             assert_eq!(got, want, "shards={shards} threads={threads}");
         }
     }
-}
-
-/// The lock-free store under real churn: publishing 100 epochs while
-/// pool workers continuously load must never tear a reader or lose an
-/// epoch.
-#[test]
-fn lock_free_load_survives_publish_storm() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let mut g = small_graph(5);
-    g.set_shard_count(7);
-    let store = Arc::new(SnapshotStore::new(&g));
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut last = 0u64;
-                let mut loads = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = store.load();
-                    assert!(snap.epoch() >= last, "epochs regress");
-                    // coherence: counts match a full scan of the frozen view
-                    assert_eq!(snap.node_ids().count(), snap.node_count());
-                    last = snap.epoch();
-                    loads += 1;
-                }
-                loads
-            })
-        })
-        .collect();
-    for i in 0..100 {
-        g.ensure_edge_by_labels(&format!("Storm{i}"), rel::SUBCLASS_OF, "C0").unwrap();
-        store.publish(&g);
-    }
-    stop.store(true, Ordering::Relaxed);
-    let total: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
-    assert!(total > 0, "readers actually loaded");
-    assert_eq!(store.epoch(), 100);
 }
