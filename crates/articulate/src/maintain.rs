@@ -15,6 +15,15 @@
 //!    that mention deleted terms; for relevant additions, optionally
 //!    re-propose candidates scoped to the touched labels.
 //!
+//! Re-proposal asks each matcher only for candidates that name a touched
+//! label ([`MatcherPipeline::propose_touching`]), so with the exact-label
+//! matcher a pass costs the triage, a normalisation of the |touched|
+//! labels the source still defines and one normalisation pass over each
+//! peer's labels — not a proposal over every label of both sources.
+//! Matchers without a scoped scan (synonym, similarity, structural) still
+//! run their full proposal and filter it
+//! ([`RuleMatcher::propose_touching`](crate::skat::RuleMatcher::propose_touching)).
+//!
 //! Experiment B1 measures this path against the global-merge baseline's
 //! full rebuild; experiment B8 sweeps the relevant fraction.
 
@@ -71,8 +80,12 @@ fn rule_mentions(rule: &ArticulationRule, ontology: &str, name: &str) -> bool {
 ///   drop rules mentioning it.
 /// * Relevant **additions** (new edges under bridged classes) are
 ///   handled by `rearticulate`: when a pipeline and expert are given,
-///   candidates mentioning the touched labels are proposed, reviewed and
-///   applied through `generator.apply_rule`.
+///   [`MatcherPipeline::propose_touching`] proposes, against every other
+///   source, the candidates that name a touched label of `source_name`;
+///   the expert reviews them in order and accepted rules are applied
+///   through `generator.apply_rule`. The candidates and their order, and
+///   so the expert's calls, equal those of running the whole pipeline
+///   and keeping the candidates that name a touched label.
 pub fn apply_delta(
     art: &mut Articulation,
     source_name: &str,
@@ -147,14 +160,9 @@ pub fn apply_delta(
             let others = sources_after.iter().copied().filter(|o| o.name() != source_name);
             if let Some(changed) = changed {
                 for other in others {
-                    let candidates = pipeline.propose(changed, other, &art.rules);
+                    let candidates =
+                        pipeline.propose_touching(changed, other, &art.rules, &touched_labels);
                     for cand in candidates {
-                        let touches = cand.rule.terms().iter().any(|t| {
-                            t.in_ontology(source_name) && touched_labels.contains(&t.name)
-                        });
-                        if !touches {
-                            continue;
-                        }
                         let accepted = match expert.review(&cand) {
                             Verdict::Accept => Some(cand.rule.clone()),
                             Verdict::Modify(rule) => Some(rule),

@@ -18,7 +18,13 @@
 //! # --- rules ---
 //! rule carrier.Cars => factory.Vehicle
 //! ```
+//!
+//! Names, labels and bridge endpoints are written and read back with the
+//! graph text format's [`quote`] and [`split_tokens`], so any label
+//! without a line break round-trips; a `rule` line's body is rule syntax
+//! and is parsed whole.
 
+use onion_graph::text::{quote, split_tokens};
 use onion_graph::GraphError;
 use onion_rules::{parser, Term};
 
@@ -41,14 +47,6 @@ fn parse_kind(s: &str) -> Option<BridgeKind> {
         "derived" => Some(BridgeKind::Derived),
         "functional" => Some(BridgeKind::Functional),
         _ => None,
-    }
-}
-
-fn quote(s: &str) -> String {
-    if !s.is_empty() && s.chars().all(|c| !c.is_whitespace() && c != '"' && c != '#') {
-        s.to_string()
-    } else {
-        format!("{s:?}")
     }
 }
 
@@ -89,38 +87,6 @@ fn parse_err(line: usize, msg: impl Into<String>) -> ArticulateError {
     ArticulateError::Graph(GraphError::Parse { line, msg: msg.into() })
 }
 
-fn split_quoted(line: &str) -> Vec<String> {
-    // reuse a simple tokenizer: whitespace-separated, double quotes group
-    let mut toks = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut t = String::new();
-            for ch in chars.by_ref() {
-                if ch == '"' {
-                    break;
-                }
-                t.push(ch);
-            }
-            toks.push(t);
-        } else {
-            let mut t = String::new();
-            while let Some(&ch) = chars.peek() {
-                if ch.is_whitespace() {
-                    break;
-                }
-                t.push(ch);
-                chars.next();
-            }
-            toks.push(t);
-        }
-    }
-    toks
-}
-
 fn parse_qualified(s: &str, line: usize) -> Result<Term> {
     match s.split_once('.') {
         Some((o, n)) if !o.is_empty() && !n.is_empty() => Ok(Term::qualified(o, n)),
@@ -141,8 +107,20 @@ pub fn from_text(input: &str) -> Result<Articulation> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let toks = split_quoted(line);
         let lineno = lineno + 1;
+        // a rule's body is rule syntax, not tokens: it is parsed whole
+        let (keyword, body) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        if keyword == "rule" {
+            let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
+            let body = body.trim_start();
+            if body.is_empty() {
+                return Err(parse_err(lineno, "rule expects a bare keyword and a rule"));
+            }
+            let rule = parser::parse_rule(body).map_err(|e| parse_err(lineno, e.to_string()))?;
+            art.rules.push(rule);
+            continue;
+        }
+        let toks = split_tokens(line, lineno)?;
         match toks.first().map(String::as_str) {
             Some("articulation") => {
                 if art.is_some() {
@@ -178,18 +156,6 @@ pub fn from_text(input: &str) -> Result<Articulation> {
                 let src = parse_qualified(&toks[2], lineno)?;
                 let dst = parse_qualified(&toks[4], lineno)?;
                 art.add_bridge(Bridge { src, label: toks[3].clone(), dst, kind });
-            }
-            Some("rule") => {
-                let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
-                // the body follows the bare keyword; a quoted `"rule"` has none
-                let text = line
-                    .strip_prefix("rule")
-                    .map(str::trim_start)
-                    .filter(|body| !body.is_empty())
-                    .ok_or_else(|| parse_err(lineno, "rule expects a bare keyword and a rule"))?;
-                let rule =
-                    parser::parse_rule(text).map_err(|e| parse_err(lineno, e.to_string()))?;
-                art.rules.push(rule);
             }
             Some(other) => return Err(parse_err(lineno, format!("unknown directive {other:?}"))),
             None => unreachable!("blank lines filtered"),

@@ -10,7 +10,7 @@
 //! proposals. The mix is an ablation axis of experiment B2
 //! (exact-only vs +synonym vs +similarity).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use onion_lexicon::normalize::normalize;
 use onion_lexicon::similarity::PreparedLabel;
@@ -28,6 +28,43 @@ pub trait RuleMatcher {
     /// Proposes rules between `o1` and `o2`, given already-confirmed
     /// rules (structural matchers grow from them).
     fn propose(&self, o1: &Ontology, o2: &Ontology, existing: &RuleSet) -> Vec<CandidateRule>;
+
+    /// The candidates of [`propose`](Self::propose) whose rule names a
+    /// `touched` label as an `o1` term (qualified with `o1`'s name), in
+    /// `propose`'s order — the scoped entry incremental maintenance
+    /// calls after an edit ([`crate::maintain::apply_delta`]).
+    ///
+    /// The default runs `propose` and keeps those candidates, so every
+    /// matcher answers it correctly. [`ExactLabelMatcher`] overrides it
+    /// to visit only the touched labels. [`SynonymMatcher`],
+    /// [`SimilarityMatcher`] and [`StructuralMatcher`] keep the default.
+    /// In particular [`SimilarityMatcher::max_pairs`] still counts the
+    /// full scan's pairs in sorted-label order, so the budget ends on the
+    /// same pair as in `propose` and the scoped list is exactly
+    /// `propose`'s list filtered; a scan over the touched labels alone
+    /// would visit fewer pairs and could propose a pair the full scan
+    /// cut off.
+    fn propose_touching(
+        &self,
+        o1: &Ontology,
+        o2: &Ontology,
+        existing: &RuleSet,
+        touched: &HashSet<String>,
+    ) -> Vec<CandidateRule> {
+        keep_touching(self.propose(o1, o2, existing), o1.name(), touched)
+    }
+}
+
+/// The candidates whose rule names a `touched` label of `ontology`.
+fn keep_touching(
+    mut candidates: Vec<CandidateRule>,
+    ontology: &str,
+    touched: &HashSet<String>,
+) -> Vec<CandidateRule> {
+    candidates.retain(|c| {
+        c.rule.terms().iter().any(|t| t.in_ontology(ontology) && touched.contains(&t.name))
+    });
+    candidates
 }
 
 /// Sorted labels of an ontology's nodes.
@@ -70,28 +107,67 @@ fn simple(o1: &Ontology, a: &str, o2: &Ontology, b: &str) -> ArticulationRule {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactLabelMatcher;
 
+impl ExactLabelMatcher {
+    fn candidate(&self, o1: &Ontology, l1: &str, o2: &Ontology, l2: &str) -> CandidateRule {
+        let conf = if l1 == l2 { 1.0 } else { 0.95 };
+        CandidateRule::new(
+            simple(o1, l1, o2, l2),
+            conf,
+            self.name(),
+            format!("label {l1:?} ~ {l2:?}"),
+        )
+    }
+
+    /// The candidates pairing each of `l1s` (labels of `o1`) with every
+    /// label of `o2` that normalises alike, ordered by `o1` label, then
+    /// `o2` label. Normalises each of `l1s` once and each of `o2`'s
+    /// labels once, in one pass; builds no index of `o2`.
+    fn scan(&self, o1: &Ontology, o2: &Ontology, mut l1s: Vec<&str>) -> Vec<CandidateRule> {
+        if l1s.is_empty() {
+            return Vec::new();
+        }
+        l1s.sort_unstable();
+        // normalised label → positions in `l1s`
+        let mut wanted: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, l1) in l1s.iter().enumerate() {
+            wanted.entry(normalize(l1)).or_default().push(i);
+        }
+        let mut hits: Vec<(usize, &str)> = Vec::new();
+        for n in o2.graph().nodes() {
+            if let Some(is) = wanted.get(&normalize(n.label)) {
+                hits.extend(is.iter().map(|&i| (i, n.label)));
+            }
+        }
+        hits.sort_unstable();
+        hits.into_iter().map(|(i, l2)| self.candidate(o1, l1s[i], o2, l2)).collect()
+    }
+}
+
 impl RuleMatcher for ExactLabelMatcher {
     fn name(&self) -> &'static str {
         "exact-label"
     }
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
-        let idx2 = normalized_index(o2);
-        let mut out = Vec::new();
-        for l1 in labels(o1) {
-            if let Some(matches) = idx2.get(&normalize(&l1)) {
-                for l2 in matches {
-                    let conf = if &l1 == l2 { 1.0 } else { 0.95 };
-                    out.push(CandidateRule::new(
-                        simple(o1, &l1, o2, l2),
-                        conf,
-                        self.name(),
-                        format!("label {l1:?} ~ {l2:?}"),
-                    ));
-                }
-            }
+        self.scan(o1, o2, o1.graph().nodes().map(|n| n.label).collect())
+    }
+
+    /// The same scan as [`propose`](RuleMatcher::propose), over only the
+    /// touched labels `o1` still defines: |touched| normalisations plus
+    /// one pass over `o2`'s labels.
+    fn propose_touching(
+        &self,
+        o1: &Ontology,
+        o2: &Ontology,
+        existing: &RuleSet,
+        touched: &HashSet<String>,
+    ) -> Vec<CandidateRule> {
+        if o1.name() == o2.name() {
+            // both sides qualify with one name, so the default also keeps
+            // matches of a touched peer label
+            return keep_touching(self.propose(o1, o2, existing), o1.name(), touched);
         }
-        out
+        self.scan(o1, o2, touched.iter().map(String::as_str).filter(|l| o1.defines(l)).collect())
     }
 }
 
@@ -120,7 +196,9 @@ impl RuleMatcher for SynonymMatcher {
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
         let idx2 = normalized_index(o2);
-        let l2_known: Vec<&String> = idx2.keys().filter(|w| self.lexicon.contains(w)).collect();
+        let mut l2_known: Vec<&String> = idx2.keys().filter(|w| self.lexicon.contains(w)).collect();
+        // hypernym candidates follow this order; a HashMap's differs per call
+        l2_known.sort_unstable();
         let mut out = Vec::new();
         for l1 in labels(o1) {
             let n1 = normalize(&l1);
@@ -322,10 +400,33 @@ impl MatcherPipeline {
     /// Runs every matcher, merges duplicates (max confidence wins) and
     /// drops candidates whose rule is already confirmed.
     pub fn propose(&self, o1: &Ontology, o2: &Ontology, existing: &RuleSet) -> Vec<CandidateRule> {
-        let mut all = Vec::new();
-        for m in &self.matchers {
-            all.extend(m.propose(o1, o2, existing));
-        }
+        self.merged(existing, |m| m.propose(o1, o2, existing))
+    }
+
+    /// [`propose`](Self::propose) restricted to candidates that name a
+    /// `touched` label as an `o1` term: every matcher's
+    /// [`RuleMatcher::propose_touching`], then the same merge and
+    /// confirmed-rule filter. Equal to `propose` filtered afterwards,
+    /// because both steps keep or drop a rule's proposals together and
+    /// the merge's sort is stable.
+    pub fn propose_touching(
+        &self,
+        o1: &Ontology,
+        o2: &Ontology,
+        existing: &RuleSet,
+        touched: &HashSet<String>,
+    ) -> Vec<CandidateRule> {
+        self.merged(existing, |m| m.propose_touching(o1, o2, existing, touched))
+    }
+
+    /// Concatenates `run` over the matchers, merges duplicates and drops
+    /// confirmed rules.
+    fn merged(
+        &self,
+        existing: &RuleSet,
+        run: impl Fn(&dyn RuleMatcher) -> Vec<CandidateRule>,
+    ) -> Vec<CandidateRule> {
+        let all = self.matchers.iter().flat_map(|m| run(m.as_ref())).collect();
         let merged = CandidateRule::merge(all);
         merged.into_iter().filter(|c| !existing.rules.contains(&c.rule)).collect()
     }

@@ -95,7 +95,10 @@ fn at(line: usize, e: GraphError) -> GraphError {
     GraphError::Parse { line, msg: e.to_string() }
 }
 
-fn quote(s: &str) -> String {
+/// `s` as one token of the format: bare when it is non-empty and holds
+/// no whitespace, `"`, `#` or `\`, otherwise double-quoted with `"` and
+/// `\` backslash-escaped. [`split_tokens`] reads it back unchanged.
+pub fn quote(s: &str) -> String {
     if !s.is_empty() && s.chars().all(|c| !c.is_whitespace() && c != '"' && c != '#' && c != '\\') {
         s.to_string()
     } else {
@@ -112,7 +115,11 @@ fn quote(s: &str) -> String {
     }
 }
 
-fn split_tokens(line: &str, lineno: usize) -> Result<Vec<String>> {
+/// Splits one line of the format into tokens: whitespace separates
+/// bare tokens, `#` outside quotes starts a comment, and a quoted token
+/// is unescaped (`\"` and `\\` are the only escapes). An unterminated
+/// quote or any other escape is a [`GraphError::Parse`] at `lineno`.
+pub fn split_tokens(line: &str, lineno: usize) -> Result<Vec<String>> {
     let mut toks = Vec::new();
     let mut chars = line.chars().peekable();
     while let Some(&c) = chars.peek() {

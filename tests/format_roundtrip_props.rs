@@ -1,15 +1,17 @@
 //! Property-based round-trips for the interchange formats (§2.1): text,
-//! XML, rule syntax, Horn syntax and query syntax all print-then-parse
-//! to the same value.
+//! XML, rule syntax, Horn syntax, query syntax and the persisted
+//! articulation format all print-then-parse to the same value.
 
 use proptest::prelude::*;
 
+use onion_core::articulate::persist;
 use onion_core::graph::{text, xml};
 use onion_core::prelude::*;
 use onion_core::rules::horn::HornProgram;
 use onion_core::rules::parser::parse_rule;
 
-/// Labels exercising quoting: plain words, spaces, quotes, XML entities.
+/// Labels exercising quoting: plain words, spaces, quotes, XML entities,
+/// backslashes and tabs.
 fn gnarly_label() -> impl Strategy<Value = String> {
     prop_oneof![
         "[a-zA-Z][a-zA-Z0-9_]{0,8}",
@@ -18,6 +20,8 @@ fn gnarly_label() -> impl Strategy<Value = String> {
         Just("amp&lt".to_string()),
         Just("tick'mark".to_string()),
         Just("<angled>".to_string()),
+        Just("back\\slash two".to_string()),
+        Just("tab\there".to_string()),
     ]
 }
 
@@ -110,6 +114,49 @@ proptest! {
         }
         let reparsed = Query::parse(&q.to_string()).unwrap();
         prop_assert_eq!(q, reparsed);
+    }
+
+    /// The persisted articulation format (`persist`) restores names,
+    /// nodes, edges and bridges whatever their labels hold.
+    #[test]
+    fn articulation_roundtrip(
+        name in gnarly_label(),
+        nodes in prop::collection::vec(gnarly_label(), 0..4),
+        edges in edge_list(),
+        bridges in prop::collection::vec(
+            (gnarly_label(), gnarly_label(), gnarly_label(), gnarly_label(), 0u8..4),
+            0..8,
+        ),
+        rule in (ontology_name(), "[A-Z][a-z]{1,6}"),
+    ) {
+        let mut art = Articulation::new(&name);
+        let g = art.ontology.graph_mut();
+        for n in &nodes {
+            g.ensure_node(n).unwrap();
+        }
+        for (a, l, b) in &edges {
+            if a != b {
+                let _ = g.ensure_edge_by_labels(a, l, b);
+            }
+        }
+        let kinds =
+            [BridgeKind::Rule, BridgeKind::Equivalence, BridgeKind::Derived, BridgeKind::Functional];
+        for (source, src, label, dst, kind) in &bridges {
+            art.add_bridge(Bridge {
+                src: Term::qualified(source, src),
+                label: label.clone(),
+                dst: Term::qualified(&name, dst),
+                kind: kinds[usize::from(*kind)],
+            });
+        }
+        art.rules.push(parse_rule(&format!("{}.{} => transport.{}", rule.0, rule.1, rule.1)).unwrap());
+
+        let back = persist::from_text(&persist::to_text(&art)).unwrap();
+        prop_assert_eq!(back.name(), art.name());
+        prop_assert!(back.ontology.graph().same_shape(art.ontology.graph()));
+        prop_assert_eq!(back.ontology.graph().node_count(), art.ontology.graph().node_count());
+        prop_assert_eq!(&back.bridges, &art.bridges);
+        prop_assert_eq!(&back.rules, &art.rules);
     }
 
     /// Importing the same graph through text and XML yields the same shape.
