@@ -572,7 +572,7 @@ impl ArticulationGenerator {
             if b.label == rel::SI_BRIDGE {
                 let s = atoms.intern_term(&b.src);
                 let d = atoms.intern_term(&b.dst);
-                if fb.add_fact(si, vec![s, d]) {
+                if fb.add_fact(si, &[s, d]) {
                     stats.seeded_facts += 1;
                 }
             }
@@ -605,7 +605,7 @@ impl ArticulationGenerator {
                             stats.skipped_dead_nodes += 1;
                             continue;
                         };
-                        if fb.add_fact(subclassof, vec![s, d]) {
+                        if fb.add_fact(subclassof, &[s, d]) {
                             stats.seeded_facts += 1;
                         }
                     }
@@ -616,7 +616,7 @@ impl ArticulationGenerator {
         onion_obs::count!("onion_generator_skipped_dead_nodes_total", stats.skipped_dead_nodes);
         // seed: rule lowering (synthesised classes appear as synth.*)
         for (a, b) in lower_rules_interned(atoms, &art.rules.rules) {
-            if fb.add_fact(si, vec![a, b]) {
+            if fb.add_fact(si, &[a, b]) {
                 stats.seeded_facts += 1;
             }
         }
@@ -661,19 +661,28 @@ impl ArticulationGenerator {
         derived.sort_by(|x, y| {
             (atoms.resolve(x.0), atoms.resolve(x.1)).cmp(&(atoms.resolve(y.0), atoms.resolve(y.1)))
         });
-        for (a, b) in derived {
-            let (ao, an) = atoms.parts(a);
-            let bn = atoms.name_of(b);
-            if art.ontology.defines(bn)
-                && art.add_bridge(Bridge::si(
+        let fresh: Vec<Bridge> = derived
+            .into_iter()
+            .filter(|&(_, b)| art.ontology.defines(atoms.name_of(b)))
+            .map(|(a, b)| {
+                let (ao, an) = atoms.parts(a);
+                Bridge::si(
                     Term::qualified(ao.expect("source-namespaced"), an),
-                    Term::qualified(art.name(), bn),
+                    Term::qualified(art.name(), atoms.name_of(b)),
                     BridgeKind::Derived,
-                ))
-            {
-                stats.derived_bridges += 1;
-            }
-        }
+                )
+            })
+            .collect();
+        // `add_bridge`'s dedup, against one set of (src, label, dst)
+        // triples so the pass stays linear in the bridge count
+        let keep: Vec<bool> = {
+            let mut seen: HashSet<(&Term, &str, &Term)> =
+                art.bridges.iter().map(|b| (&b.src, b.label.as_str(), &b.dst)).collect();
+            fresh.iter().map(|b| seen.insert((&b.src, b.label.as_str(), &b.dst))).collect()
+        };
+        let before = art.bridges.len();
+        art.bridges.extend(fresh.into_iter().zip(keep).filter_map(|(b, new)| new.then_some(b)));
+        stats.derived_bridges = art.bridges.len() - before;
         Ok(stats)
     }
 }

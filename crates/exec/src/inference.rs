@@ -21,9 +21,11 @@
 //!   every thread count**.
 //!
 //! * [`ParallelEngine`] — semi-naive saturation whose per-round delta
-//!   is split into `(clause, delta position, delta range)` work units
+//!   is split into `(clause, delta position, delta rows)` work units
 //!   evaluated concurrently via
-//!   [`CompiledProgram::eval_delta_range`]. Work units are a function
+//!   [`CompiledProgram::eval_delta_range`]. The delta is each
+//!   predicate's rows the previous round appended, so a unit is a
+//!   sub-range of one predicate's delta rows. Work units are a function
 //!   of the delta alone (never of the thread count), results merge in
 //!   unit order, and per-unit effort sums are partition-invariant, so
 //!   derived fact sets *and* [`InferenceStats`] — including the
@@ -38,10 +40,13 @@
 //!    deterministic id-remap — `LabelId` order is a property of the
 //!    graph, not of the partitioning); facts are inserted in sorted
 //!    pair order.
-//! 2. **Saturation**: each round's unit outputs are concatenated in
-//!    unit order — units are ordered by (clause index, delta
-//!    position, delta range start) — then deduplicated through
-//!    `FactBase::add_fact`, which fixes the next round's delta order.
+//! 2. **Saturation**: a unit emits only heads the store did not hold
+//!    when the round began. Each round's unit outputs are concatenated
+//!    in unit order — units are ordered by (clause index, delta
+//!    position, delta row range start) — then deduplicated through
+//!    `FactBase::add_fact`, which appends the next round's delta rows
+//!    in that order. `worker_merge_facts` counts the heads that reach
+//!    this merge.
 //!
 //! The round-level counters (`rounds[r].delta`, `rounds[r].derived`,
 //! `iterations`, `derived`) equal the sequential
@@ -54,8 +59,8 @@
 
 use onion_graph::hash::FxHashSet;
 use onion_graph::{rel, LabelId, OntGraph};
-use onion_rules::infer::{CompiledProgram, DeltaIndex, Fact, RoundStats};
-use onion_rules::{AtomId, AtomTable, FactBase, HornProgram, InferenceStats, RuleError};
+use onion_rules::infer::{CompiledProgram, FactRows};
+use onion_rules::{AtomId, AtomTable, FactBase, HornProgram, InferenceStats};
 
 use crate::Executor;
 
@@ -137,7 +142,7 @@ pub fn par_seed_subclass_facts(
     }
     for (s, d) in pairs {
         let (s, d) = (cursor.atom(s), cursor.atom(d));
-        if fb.add_fact(pred, vec![s, d]) {
+        if fb.add_fact(pred, &[s, d]) {
             out.seeded += 1;
         }
     }
@@ -156,12 +161,13 @@ pub struct ParallelEngine {
     pub max_iterations: usize,
 }
 
-/// Target number of range units per (clause, delta position) slot —
+/// Target number of row-range units per (clause, delta position) slot —
 /// enough to keep a pool busy without drowning small rounds in
-/// per-unit overhead. A function of the delta size only, NEVER of the
-/// thread count: the unit grid must be identical for every executor.
+/// per-unit overhead. A function of the slot predicate's delta rows
+/// only, NEVER of the thread count: the unit grid must be identical
+/// for every executor.
 const DELTA_UNITS: usize = 32;
-/// Smallest delta range worth dispatching as its own unit.
+/// Fewest delta rows worth dispatching as their own unit.
 const MIN_UNIT: usize = 64;
 
 impl ParallelEngine {
@@ -191,91 +197,49 @@ impl ParallelEngine {
         fb: &mut FactBase,
     ) -> onion_rules::Result<InferenceStats> {
         let compiled = CompiledProgram::compile(&self.program, atoms)?;
-        let mut stats = InferenceStats::default();
-        stats.derived = compiled.fire_ground(fb).len();
-        // Round one joins against everything, in the same canonical
-        // order as the sequential engine.
-        let mut delta: Vec<Fact> = fb.facts_in_pred_order();
-        let shapes = compiled.rule_shapes();
-        let mut merge_pushes = 0usize;
-
-        loop {
-            stats.iterations += 1;
-            if self.max_iterations != 0 && stats.iterations > self.max_iterations {
-                return Err(RuleError::BudgetExceeded { derived: stats.derived });
-            }
-            let round_delta = delta.len();
-            let dix = DeltaIndex::build(&delta);
-
-            // The unit grid: (clause, delta position, delta range),
-            // ordered by construction. Range width depends on the
-            // delta size alone.
-            let chunk = delta.len().div_ceil(DELTA_UNITS).max(MIN_UNIT);
-            let mut units: Vec<(usize, usize, usize, usize)> = Vec::new();
-            for &(ci, blen) in &shapes {
-                for d in 0..blen {
-                    let mut lo = 0;
-                    while lo < delta.len() {
-                        let hi = (lo + chunk).min(delta.len());
-                        units.push((ci, d, lo, hi));
+        let slots = compiled.delta_slots();
+        let (mut stats, merged) =
+            compiled.saturate(fb, self.max_derived, self.max_iterations, false, |fb| {
+                // The unit grid: (clause, delta position, delta rows),
+                // ordered by construction. Range width depends on the
+                // predicate's delta size alone.
+                let mut units = Vec::new();
+                for &(ci, d, pred) in &slots {
+                    let rows = fb.delta_rows(pred);
+                    let chunk = rows.len().div_ceil(DELTA_UNITS).max(MIN_UNIT);
+                    let mut lo = rows.start;
+                    while lo < rows.end {
+                        let hi = (lo + chunk).min(rows.end);
+                        units.push((ci, d, lo..hi));
                         lo = hi;
                     }
                 }
-            }
-
-            let fbr: &FactBase = fb;
-            let results: Vec<(Vec<Fact>, usize)> = exec.par_map(&units, |&(ci, d, lo, hi)| {
-                let mut out = Vec::new();
-                let mut effort = 0usize;
-                compiled.eval_delta_range(fbr, &dix, ci, d, lo, hi, &mut out, &mut effort);
-                (out, effort)
-            });
-            drop(dix);
-            // Work-unit imbalance: the hottest unit's effort relative
-            // to the mean, in percent (100 = perfectly balanced).
-            // Observational only — partition-invariant like the stats.
-            if onion_obs::enabled() && !results.is_empty() {
-                let max = results.iter().map(|&(_, e)| e).max().unwrap_or(0);
-                let avg = results.iter().map(|&(_, e)| e).sum::<usize>() / results.len();
-                if avg > 0 {
-                    onion_obs::observe_val!("onion_inference_unit_imbalance_pct", max * 100 / avg);
-                }
-            }
-
-            // Merge in unit order: effort sums are partition-invariant,
-            // and add_fact dedup fixes the next delta's order. Every
-            // fact pushed through this single barrier (duplicates
-            // included) counts toward the one-entry merge ledger.
-            let mut round_examined = 0usize;
-            let mut added: Vec<Fact> = Vec::new();
-            for (new_facts, effort) in results {
-                round_examined += effort;
-                for f in new_facts {
-                    merge_pushes += 1;
-                    if fb.add_fact(f.0, f.1.clone()) {
-                        stats.derived += 1;
-                        if self.max_derived != 0 && stats.derived > self.max_derived {
-                            return Err(RuleError::BudgetExceeded { derived: stats.derived });
-                        }
-                        added.push(f);
+                let (heads, efforts): (Vec<FactRows>, Vec<usize>) = exec
+                    .par_map(&units, |(ci, d, rows)| {
+                        let mut out = FactRows::default();
+                        let mut effort = 0usize;
+                        compiled.eval_delta_range(fb, *ci, *d, rows.clone(), &mut out, &mut effort);
+                        (out, effort)
+                    })
+                    .into_iter()
+                    .unzip();
+                let examined: usize = efforts.iter().sum();
+                // Work-unit imbalance: the hottest unit's effort
+                // relative to the mean, in percent (100 = perfectly
+                // balanced). Observational only — partition-invariant
+                // like the stats.
+                if onion_obs::enabled() && !efforts.is_empty() {
+                    let max = efforts.iter().copied().max().unwrap_or(0);
+                    let avg = examined / efforts.len();
+                    if let Some(pct) = (max * 100).checked_div(avg) {
+                        onion_obs::observe_val!("onion_inference_unit_imbalance_pct", pct);
                     }
                 }
-            }
-            stats.atoms_examined += round_examined;
-            stats.rounds.push(RoundStats {
-                delta: round_delta,
-                derived: added.len(),
-                examined: round_examined,
-            });
-            if added.is_empty() {
-                break;
-            }
-            delta = added;
-        }
-        // One worker, one barrier: the whole emitted stream funnelled
-        // through the serial merge above.
-        stats.worker_merge_facts = vec![merge_pushes];
-        onion_rules::infer::record_run_metrics(&stats);
+                (heads, examined)
+            })?;
+        // One worker, one barrier: every head that reached the serial
+        // merge.
+        stats.worker_merge_facts = vec![merged];
         Ok(stats)
     }
 }
@@ -306,6 +270,7 @@ fn mix_atom(h: &mut crate::Fnv, atoms: &AtomTable, a: AtomId) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onion_rules::{Fact, RuleError};
 
     fn chain(n: usize) -> (AtomTable, FactBase) {
         let mut atoms = AtomTable::new();

@@ -10,8 +10,8 @@
 //! * [`Strategy::Naive`] — re-evaluates every clause against the full
 //!   fact base each round (still indexed);
 //! * [`Strategy::FullClosure`] — the deliberately heavyweight stand-in
-//!   for a full first-order prover: no indexes, every body atom scans the
-//!   entire fact base every round.
+//!   for a full first-order prover: no indexes, every body atom scans
+//!   every row of its predicate every round.
 //!
 //! All strategies compute the same least fixpoint; they differ only in
 //! work done, which [`InferenceStats`] exposes (`atoms_examined` is the
@@ -23,33 +23,193 @@
 //! from a graph goes through [`AtomTable::graph_atoms`] without ever
 //! formatting or hashing a string per fact. The string-accepting methods
 //! here are the thin display/test view the parser boundary needs; the
-//! hot paths are the `*_fact`/`*_ids` variants. The pre-refactor
+//! hot paths are the `*_fact`/`*_ids` variants.
+//!
+//! Saturation allocates nothing per examined candidate, per skip-rule
+//! test, per unification or per emitted head the store already holds:
+//! joins iterate the store's rows and index lists in place, the
+//! semi-naive delta is a suffix of each predicate's rows (so "is this
+//! candidate in the delta" compares row numbers), bindings are undone
+//! from one trail per evaluation, and a head is built in a scratch
+//! buffer and probed against the store before it is copied out. Both
+//! engines share the round loop, [`CompiledProgram::saturate`]. The
+//! pre-refactor
 //! string-keyed engine survives as [`crate::reference`] for differential
 //! testing and the B12 baseline.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
+
+use onion_graph::hash::{FxHashMap, FxHasher};
 
 use crate::atoms::{AtomId, AtomTable};
 use crate::horn::{Atom, HornClause, HornProgram, TermArg};
 use crate::{Result, RuleError};
 
-/// A ground fact: interned predicate and argument atoms.
-///
-/// Public so `onion-exec` can shuttle per-round deltas between the
-/// engine and its worker pool without re-encoding.
+/// A ground fact: interned predicate and argument atoms — the owned
+/// view [`FactBase::facts_in_pred_order`] returns. The store itself
+/// keeps rows.
 pub type Fact = (AtomId, Vec<AtomId>);
 
-/// A deduplicated set of ground facts with per-argument indexes.
+/// A deduplicated set of ground facts, stored as rows per predicate.
 ///
 /// Facts are tuples of [`AtomId`]s resolved against a caller-owned
-/// [`AtomTable`]; the base itself stores no strings.
+/// [`AtomTable`]; the base itself stores no strings. Each predicate's
+/// facts are numbered rows in insertion order, packed back to back in
+/// one atom vector, so no fact owns an allocation. Rows of one
+/// predicate may differ in arity. Dedup and membership hash a borrowed
+/// `(pred, &[AtomId])` row and compare it with the stored rows, and the
+/// per-argument indexes list row numbers in ascending order.
+///
+/// The semi-naive engines read a *delta*: each predicate's rows that the
+/// previous round appended (every row in round one), which is a suffix
+/// of its rows ([`FactBase::delta_rows`]).
 #[derive(Debug, Default, Clone)]
 pub struct FactBase {
-    facts: HashSet<Fact>,
-    /// pred → list of argument tuples (insertion order)
-    by_pred: HashMap<AtomId, Vec<Vec<AtomId>>>,
-    /// (pred, position, symbol) → indexes into `by_pred[pred]`
-    index: HashMap<(AtomId, u8, AtomId), Vec<u32>>,
+    preds: FxHashMap<AtomId, Rows>,
+    len: usize,
+}
+
+/// A free slot in [`Rows::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// One predicate's rows.
+#[derive(Debug, Clone)]
+struct Rows {
+    /// Every row's atoms, back to back.
+    atoms: Vec<AtomId>,
+    /// Row `r` is `atoms[bounds[r]..bounds[r + 1]]`.
+    bounds: Vec<u32>,
+    /// Open-addressing dedup table of row numbers (linear probing, a
+    /// power-of-two length at most half full).
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a row hash's top bits pick its slot.
+    shift: u32,
+    /// (position, symbol) → ascending row numbers.
+    index: FxHashMap<(u8, AtomId), Vec<u32>>,
+    /// First row of the semi-naive delta.
+    delta_from: u32,
+}
+
+fn hash_row(args: &[AtomId]) -> u64 {
+    let mut h = FxHasher::default();
+    for a in args {
+        a.hash(&mut h);
+    }
+    h.finish()
+}
+
+impl Rows {
+    fn new() -> Rows {
+        Rows {
+            atoms: Vec::new(),
+            bounds: vec![0],
+            slots: vec![EMPTY; 8],
+            shift: 61,
+            index: FxHashMap::default(),
+            delta_from: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    fn row(&self, r: u32) -> &[AtomId] {
+        let r = r as usize;
+        &self.atoms[self.bounds[r] as usize..self.bounds[r + 1] as usize]
+    }
+
+    /// Every row, in insertion order.
+    fn iter(&self) -> impl Iterator<Item = &[AtomId]> + '_ {
+        self.bounds.windows(2).map(|w| &self.atoms[w[0] as usize..w[1] as usize])
+    }
+
+    /// The row equal to `args`, or the free slot where it would go.
+    fn find(&self, args: &[AtomId]) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (hash_row(args) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                EMPTY => return Err(i),
+                r if self.row(r) == args => return Ok(r),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn insert(&mut self, args: &[AtomId]) -> bool {
+        let Err(slot) = self.find(args) else { return false };
+        // row numbers and offsets are u32, and `EMPTY` is no row
+        assert!(self.len() < EMPTY as usize, "a predicate holds fewer than 2^32 - 1 rows");
+        let r = self.len() as u32;
+        self.slots[slot] = r;
+        self.atoms.extend_from_slice(args);
+        let end = u32::try_from(self.atoms.len()).expect("a predicate holds fewer than 2^32 atoms");
+        self.bounds.push(end);
+        for (pos, &sym) in args.iter().enumerate() {
+            self.index.entry((pos as u8, sym)).or_default().push(r);
+        }
+        if self.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        true
+    }
+
+    fn grow(&mut self) {
+        self.shift -= 1;
+        let mask = self.slots.len() * 2 - 1;
+        self.slots = vec![EMPTY; mask + 1];
+        for r in 0..self.len() as u32 {
+            let mut i = (hash_row(self.row(r)) >> self.shift) as usize;
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = r;
+        }
+    }
+
+    /// Rows from `from` on that may match `atom` under `env`: the
+    /// tightest index (the first bound argument's), or every row when
+    /// nothing is bound or `unindexed`.
+    fn candidates(
+        &self,
+        atom: &CAtom,
+        env: &[Option<AtomId>],
+        from: u32,
+        unindexed: bool,
+    ) -> Candidates<'_> {
+        let bound = atom.args.iter().enumerate().find_map(|(pos, a)| match *a {
+            CArg::Const(s) => Some((pos as u8, s)),
+            CArg::Slot(s) => env[s].map(|v| (pos as u8, v)),
+        });
+        match bound {
+            Some(key) if !unindexed => {
+                let list = self.index.get(&key).map_or(&[][..], Vec::as_slice);
+                let start = list.partition_point(|&r| r < from);
+                Candidates::Listed(list[start..].iter())
+            }
+            _ => Candidates::Span(from..self.len() as u32),
+        }
+    }
+}
+
+/// Row numbers a join visits, borrowed from the store.
+enum Candidates<'r> {
+    Span(Range<u32>),
+    Listed(std::slice::Iter<'r, u32>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Candidates::Span(rows) => rows.next(),
+            Candidates::Listed(rows) => rows.next().copied(),
+        }
+    }
 }
 
 impl FactBase {
@@ -63,7 +223,7 @@ impl FactBase {
     pub fn add(&mut self, atoms: &mut AtomTable, pred: &str, args: &[&str]) -> bool {
         let p = atoms.intern(pred);
         let a: Vec<AtomId> = args.iter().map(|s| atoms.intern(s)).collect();
-        self.add_fact(p, a)
+        self.add_fact(p, &a)
     }
 
     /// Adds a ground [`Atom`]; returns true if new. Panics if not ground.
@@ -78,25 +238,15 @@ impl FactBase {
                 TermArg::Var(_) => unreachable!("ground checked"),
             })
             .collect();
-        self.add_fact(p, args)
+        self.add_fact(p, &args)
     }
 
-    /// Adds a fact by pre-interned atoms — the zero-allocation seeding
-    /// path; returns true if new.
-    pub fn add_fact(&mut self, pred: AtomId, args: Vec<AtomId>) -> bool {
-        let fact = (pred, args);
-        if self.facts.contains(&fact) {
-            return false;
-        }
-        let (pred, args) = fact.clone();
-        let list = self.by_pred.entry(pred).or_default();
-        let pos = list.len() as u32;
-        for (i, &sym) in args.iter().enumerate() {
-            self.index.entry((pred, i as u8, sym)).or_default().push(pos);
-        }
-        list.push(args);
-        self.facts.insert(fact);
-        true
+    /// Adds a fact by pre-interned atoms, copying the row in only if it
+    /// is new; returns true if new.
+    pub fn add_fact(&mut self, pred: AtomId, args: &[AtomId]) -> bool {
+        let added = self.preds.entry(pred).or_insert_with(Rows::new).insert(args);
+        self.len += added as usize;
+        added
     }
 
     /// Membership test by strings (never interns).
@@ -109,35 +259,31 @@ impl FactBase {
                 None => return false,
             }
         }
-        self.facts.contains(&(p, ids))
+        self.contains_fact(p, &ids)
     }
 
-    /// Membership test by pre-interned atoms.
+    /// Membership test by pre-interned atoms: one hash of the borrowed
+    /// row, no allocation.
     pub fn contains_fact(&self, pred: AtomId, args: &[AtomId]) -> bool {
-        // allocation-free probe would need a borrowed key; fact tuples
-        // are short so the Vec clone here is cheaper than a custom key
-        self.facts.contains(&(pred, args.to_vec()))
+        self.preds.get(&pred).is_some_and(|rows| rows.find(args).is_ok())
     }
 
     /// Total number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.len
     }
 
     /// True if no facts.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.len == 0
     }
 
     /// All facts of a predicate, resolved to strings — display/test view.
     pub fn facts_of<'a>(&'a self, atoms: &'a AtomTable, pred: &str) -> Vec<Vec<&'a str>> {
-        let Some(p) = atoms.lookup(pred) else { return Vec::new() };
-        self.by_pred
-            .get(&p)
-            .map(|list| {
-                list.iter().map(|args| args.iter().map(|&a| atoms.resolve(a)).collect()).collect()
-            })
-            .unwrap_or_default()
+        let Some(rows) = atoms.lookup(pred).and_then(|p| self.preds.get(&p)) else {
+            return Vec::new();
+        };
+        rows.iter().map(|row| row.iter().map(|&a| atoms.resolve(a)).collect()).collect()
     }
 
     /// Binary-predicate query with optional argument constraints,
@@ -164,19 +310,16 @@ impl FactBase {
     /// All facts in the canonical deterministic order: predicates by
     /// ascending atom id, then per-predicate insertion order.
     ///
-    /// `by_pred` is a `HashMap` whose iteration order is seeded
-    /// per-process, so every path that needs a reproducible fact
-    /// sequence — semi-naive round-one delta seeding, the parallel
-    /// engine's work-unit grid in `onion-exec` — goes through this
+    /// The predicate map's iteration order is not part of any
+    /// contract, so every path that needs a reproducible fact sequence
+    /// (the identity suites, the fact-set checksum) goes through this
     /// instead of iterating the map directly.
     pub fn facts_in_pred_order(&self) -> Vec<Fact> {
-        let mut preds: Vec<AtomId> = self.by_pred.keys().copied().collect();
-        preds.sort_unstable_by_key(|p| p.index());
-        let mut out = Vec::with_capacity(self.facts.len());
-        for p in preds {
-            for args in &self.by_pred[&p] {
-                out.push((p, args.clone()));
-            }
+        let mut preds: Vec<(&AtomId, &Rows)> = self.preds.iter().collect();
+        preds.sort_unstable_by_key(|(p, _)| p.index());
+        let mut out = Vec::with_capacity(self.len);
+        for (&p, rows) in preds {
+            out.extend(rows.iter().map(|row| (p, row.to_vec())));
         }
         out
     }
@@ -189,16 +332,39 @@ impl FactBase {
         a: Option<AtomId>,
         b: Option<AtomId>,
     ) -> Vec<(AtomId, AtomId)> {
-        let list = match self.by_pred.get(&pred) {
-            Some(l) => l,
-            None => return Vec::new(),
-        };
-        list.iter()
+        let Some(rows) = self.preds.get(&pred) else { return Vec::new() };
+        rows.iter()
             .filter(|args| args.len() == 2)
             .filter(|args| a.map(|x| args[0] == x).unwrap_or(true))
             .filter(|args| b.map(|x| args[1] == x).unwrap_or(true))
             .map(|args| (args[0], args[1]))
             .collect()
+    }
+
+    /// The row numbers of `pred` in the semi-naive delta: the rows the
+    /// previous round appended, or every row before the first round
+    /// merges. Work units of a parallel round are sub-ranges of these.
+    pub fn delta_rows(&self, pred: AtomId) -> Range<usize> {
+        self.preds.get(&pred).map_or(0..0, |rows| rows.delta_from as usize..rows.len())
+    }
+
+    /// Rows in the delta, over every predicate.
+    fn delta_len(&self) -> usize {
+        self.preds.values().map(|rows| rows.len() - rows.delta_from as usize).sum()
+    }
+
+    /// Puts every row in the delta (semi-naive round one).
+    fn delta_all(&mut self) {
+        for rows in self.preds.values_mut() {
+            rows.delta_from = 0;
+        }
+    }
+
+    /// Empties the delta: the rows appended from now on form the next.
+    fn delta_restart(&mut self) {
+        for rows in self.preds.values_mut() {
+            rows.delta_from = rows.len() as u32;
+        }
     }
 }
 
@@ -229,9 +395,10 @@ pub struct InferenceStats {
     pub rounds: Vec<RoundStats>,
     /// Facts pushed through a merge barrier, one entry per merging
     /// worker. The sequential engines leave this empty; `onion-exec`'s
-    /// parallel engine records a single entry: every fact its work
-    /// units emit, duplicates included, funnelled through the one
-    /// per-round merge.
+    /// parallel engine records a single entry: every head its work
+    /// units emit that the store did not already hold when the round
+    /// began, funnelled through the one per-round merge. Heads emitted
+    /// twice within a round count twice.
     pub worker_merge_facts: Vec<usize>,
 }
 
@@ -322,93 +489,34 @@ impl InferenceEngine {
     /// the only interning an inference run performs.
     pub fn run(&self, atoms: &mut AtomTable, fb: &mut FactBase) -> Result<InferenceStats> {
         let compiled = CompiledProgram::compile(&self.program, atoms)?;
-        // Ground-fact clauses fire once up front.
-        let mut stats = InferenceStats::default();
-        let mut delta: Vec<Fact> = compiled.fire_ground(fb);
-        stats.derived = delta.len();
-        // Seed delta with everything for semi-naive round one, in the
-        // canonical pred-then-insertion order so the round-one delta
-        // sequence is reproducible across processes.
-        if self.strategy == Strategy::SemiNaive {
-            delta = fb.facts_in_pred_order();
-        }
-
-        loop {
-            stats.iterations += 1;
-            if self.max_iterations != 0 && stats.iterations > self.max_iterations {
-                return Err(RuleError::BudgetExceeded { derived: stats.derived });
-            }
-            let round_delta = match self.strategy {
-                Strategy::SemiNaive => delta.len(),
-                Strategy::Naive | Strategy::FullClosure => fb.len(),
-            };
-            let examined_before = stats.atoms_examined;
-            let mut new_facts: Vec<Fact> = Vec::new();
-            match self.strategy {
-                Strategy::SemiNaive => {
-                    let dix = DeltaIndex::build(&delta);
-                    for c in &compiled.clauses {
-                        if c.body.is_empty() {
-                            continue;
-                        }
+        let whole_base = self.strategy != Strategy::SemiNaive;
+        let unindexed = self.strategy == Strategy::FullClosure;
+        let mut scratch = Scratch::default();
+        let (stats, _merged) =
+            compiled.saturate(fb, self.max_derived, self.max_iterations, whole_base, |fb| {
+                let mut heads = FactRows::default();
+                let mut examined = 0;
+                for c in compiled.clauses.iter().filter(|c| !c.body.is_empty()) {
+                    scratch.reset(c.nvars);
+                    if whole_base {
+                        let plan = Plan { delta: None, delta_first: false, unindexed };
+                        join(fb, c, 0, plan, &mut scratch, &mut heads, &mut examined);
+                    } else {
                         for d in 0..c.body.len() {
-                            eval_clause(
-                                fb,
-                                c,
-                                Some(DeltaView { index: &dix, position: d }),
-                                false,
-                                &mut new_facts,
-                                &mut stats.atoms_examined,
-                            );
+                            let plan = Plan { delta: Some(d), delta_first: false, unindexed };
+                            join(fb, c, 0, plan, &mut scratch, &mut heads, &mut examined);
                         }
                     }
                 }
-                Strategy::Naive | Strategy::FullClosure => {
-                    let unindexed = self.strategy == Strategy::FullClosure;
-                    for c in &compiled.clauses {
-                        if c.body.is_empty() {
-                            continue;
-                        }
-                        eval_clause(
-                            fb,
-                            c,
-                            None,
-                            unindexed,
-                            &mut new_facts,
-                            &mut stats.atoms_examined,
-                        );
-                    }
-                }
-            }
-            let mut added: Vec<Fact> = Vec::new();
-            for f in new_facts {
-                if fb.add_fact(f.0, f.1.clone()) {
-                    stats.derived += 1;
-                    if self.max_derived != 0 && stats.derived > self.max_derived {
-                        return Err(RuleError::BudgetExceeded { derived: stats.derived });
-                    }
-                    added.push(f);
-                }
-            }
-            stats.rounds.push(RoundStats {
-                delta: round_delta,
-                derived: added.len(),
-                examined: stats.atoms_examined - examined_before,
-            });
-            if added.is_empty() {
-                break;
-            }
-            delta = added;
-        }
-        record_run_metrics(&stats);
+                (vec![heads], examined)
+            })?;
         Ok(stats)
     }
 }
 
 /// Reports one finished inference run to the observability registry
-/// (strictly observational — shared by the sequential engine here and
-/// the shard-parallel engine in `onion-exec`).
-pub fn record_run_metrics(stats: &InferenceStats) {
+/// (strictly observational).
+fn record_run_metrics(stats: &InferenceStats) {
     onion_obs::count!("onion_inference_runs_total");
     onion_obs::count!("onion_inference_rounds_total", stats.iterations);
     onion_obs::count!("onion_inference_derived_total", stats.derived);
@@ -425,7 +533,8 @@ pub fn record_run_metrics(stats: &InferenceStats) {
 /// [`InferenceEngine::run`] compiles on entry and keeps the result
 /// private; `onion-exec`'s parallel engine compiles once up front and
 /// then drives [`CompiledProgram::eval_delta_range`] work units across
-/// its pool — the compiled form is `Sync`, so workers share one copy.
+/// its pool from inside [`CompiledProgram::saturate`] — the compiled
+/// form is `Sync`, so workers share one copy.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     clauses: Vec<CClause>,
@@ -441,109 +550,121 @@ impl CompiledProgram {
         Ok(CompiledProgram { clauses })
     }
 
-    /// Fires every ground-fact (empty-body) clause into `fb`; returns
-    /// the facts that were new.
-    pub fn fire_ground(&self, fb: &mut FactBase) -> Vec<Fact> {
-        let mut fired = Vec::new();
-        for c in &self.clauses {
-            if c.body.is_empty() {
-                let args: Vec<AtomId> = c
-                    .head_args
-                    .iter()
-                    .map(|a| match a {
-                        CArg::Const(s) => *s,
-                        CArg::Slot(_) => unreachable!("safety: ground head"),
-                    })
-                    .collect();
-                if fb.add_fact(c.head_pred, args.clone()) {
-                    fired.push((c.head_pred, args));
+    /// The round loop both engines share. Fires every ground-fact
+    /// (empty-body) clause into `fb`, then runs rounds to fixpoint.
+    ///
+    /// `eval` evaluates one round against `fb`, whose delta
+    /// ([`FactBase::delta_rows`]) is the rows the previous round
+    /// appended (every row in round one), and returns the heads it
+    /// emitted plus the candidates it examined. The heads are merged in
+    /// order through the store's dedup, which fixes the next delta's
+    /// rows and their order. The round ledger's `delta` counts the
+    /// delta's rows, or every row when `whole_base` (naive rounds).
+    ///
+    /// Returns the run's stats and the number of heads merged. Records
+    /// one `inference` span and the run metrics.
+    pub fn saturate(
+        &self,
+        fb: &mut FactBase,
+        max_derived: usize,
+        max_iterations: usize,
+        whole_base: bool,
+        mut eval: impl FnMut(&FactBase) -> (Vec<FactRows>, usize),
+    ) -> Result<(InferenceStats, usize)> {
+        let _span = onion_obs::span!("inference");
+        let mut stats = InferenceStats::default();
+        for c in self.clauses.iter().filter(|c| c.body.is_empty()) {
+            let args: Vec<AtomId> = c
+                .head_args
+                .iter()
+                .map(|a| match a {
+                    CArg::Const(s) => *s,
+                    CArg::Slot(_) => unreachable!("safety: ground head"),
+                })
+                .collect();
+            stats.derived += fb.add_fact(c.head_pred, &args) as usize;
+        }
+        fb.delta_all();
+        let mut merged = 0;
+        loop {
+            stats.iterations += 1;
+            if max_iterations != 0 && stats.iterations > max_iterations {
+                return Err(RuleError::BudgetExceeded { derived: stats.derived });
+            }
+            let delta = if whole_base { fb.len() } else { fb.delta_len() };
+            let (heads, examined) = eval(fb);
+            fb.delta_restart();
+            let before = fb.len();
+            for (pred, args) in heads.iter().flat_map(FactRows::iter) {
+                merged += 1;
+                if fb.add_fact(pred, args) {
+                    stats.derived += 1;
+                    if max_derived != 0 && stats.derived > max_derived {
+                        return Err(RuleError::BudgetExceeded { derived: stats.derived });
+                    }
                 }
             }
+            let derived = fb.len() - before;
+            stats.atoms_examined += examined;
+            stats.rounds.push(RoundStats { delta, derived, examined });
+            if derived == 0 {
+                break;
+            }
         }
-        fired
+        record_run_metrics(&stats);
+        Ok((stats, merged))
     }
 
-    /// `(clause index, body length)` for every clause with a non-empty
-    /// body — the per-round work-unit grid a parallel driver partitions
-    /// into `(clause, delta position, delta range)` units.
-    pub fn rule_shapes(&self) -> Vec<(usize, usize)> {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.body.is_empty())
-            .map(|(i, c)| (i, c.body.len()))
-            .collect()
+    /// `(clause index, body position, predicate)` for every body atom
+    /// of every clause with a non-empty body — the slots a round's
+    /// delta can fill, in the order a parallel driver lays out its
+    /// `(clause, delta position, delta rows)` work units.
+    pub fn delta_slots(&self) -> Vec<(usize, usize, AtomId)> {
+        let mut slots = Vec::new();
+        for (ci, c) in self.clauses.iter().enumerate() {
+            slots.extend(c.body.iter().enumerate().map(|(d, atom)| (ci, d, atom.pred)));
+        }
+        slots
     }
 
     /// Evaluates one semi-naive work unit: clause `clause` with the
-    /// delta at body position `position`, restricted to delta facts
-    /// whose index falls in `lo..hi`.
+    /// delta at body position `position`, restricted to the delta rows
+    /// `rows` of that atom's predicate.
     ///
     /// The delta atom is evaluated *outermost* (delta-first), then the
     /// remaining body atoms join in clause order against the full
     /// store, with the standard semi-naive skip rule (atoms before
-    /// `position` must not match delta facts). Because every candidate
+    /// `position` must not match delta rows). Because every candidate
     /// examined and every head emitted belongs to exactly one delta
-    /// index, partitioning `0..delta.len()` into disjoint ranges
-    /// changes neither the union of emitted facts nor the summed
-    /// `effort` — the invariant the parallel engine's determinism
-    /// contract rests on.
-    #[allow(clippy::too_many_arguments)]
+    /// row, partitioning the delta rows into disjoint ranges changes
+    /// neither the union of emitted heads nor the summed `effort` — the
+    /// invariant the parallel engine's determinism contract rests on.
+    /// Heads the store already holds are not emitted.
     pub fn eval_delta_range(
         &self,
         fb: &FactBase,
-        dix: &DeltaIndex<'_>,
         clause: usize,
         position: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<Fact>,
+        rows: Range<usize>,
+        out: &mut FactRows,
         effort: &mut usize,
     ) {
         let c = &self.clauses[clause];
         let atom = &c.body[position];
-        let mut env: Vec<Option<AtomId>> = vec![None; c.nvars];
-        let idxs = dix.pred_indices(atom.pred);
-        // index lists are built in ascending order — binary-search the
-        // unit's window instead of scanning the whole predicate list
-        let start = idxs.partition_point(|&i| (i as usize) < lo);
-        let end = idxs.partition_point(|&i| (i as usize) < hi);
-        for &fi in &idxs[start..end] {
+        let Some(store) = fb.preds.get(&atom.pred) else { return };
+        let mut scratch = Scratch::default();
+        scratch.reset(c.nvars);
+        let plan = Plan { delta: Some(position), delta_first: true, unindexed: false };
+        for r in rows {
             *effort += 1;
-            let fact_args = &dix.facts[fi as usize].1;
-            if fact_args.len() != atom.args.len() {
+            let args = store.row(r as u32);
+            if args.len() != atom.args.len() {
                 continue;
             }
-            let mut trail: Vec<usize> = Vec::new();
-            let mut ok = true;
-            for (a, &v) in atom.args.iter().zip(fact_args.iter()) {
-                match a {
-                    CArg::Const(s) => {
-                        if *s != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    CArg::Slot(s) => match env[*s] {
-                        Some(bound) => {
-                            if bound != v {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            env[*s] = Some(v);
-                            trail.push(*s);
-                        }
-                    },
-                }
+            if scratch.unify(atom, args) {
+                join(fb, c, 0, plan, &mut scratch, out, effort);
             }
-            if ok {
-                join_skip(fb, c, 0, position, dix, &mut env, out, effort);
-            }
-            for s in trail {
-                env[s] = None;
-            }
+            scratch.undo(0);
         }
     }
 }
@@ -583,287 +704,140 @@ fn compile_clause(clause: &HornClause, atoms: &mut AtomTable) -> Result<CClause>
     Ok(CClause { head_pred, head_args, nvars: slots.len(), body })
 }
 
-/// Per-round index over the delta facts (same atom ids as the main
-/// store), giving the delta-constrained body position the same
-/// index-driven candidate generation as the full store. Public so the
-/// parallel engine in `onion-exec` can build it once per round and
-/// share it (read-only) across work units.
-pub struct DeltaIndex<'d> {
-    facts: &'d [Fact],
-    set: HashSet<&'d Fact>,
-    by_pred: HashMap<AtomId, Vec<u32>>,
-    by_arg: HashMap<(AtomId, u8, AtomId), Vec<u32>>,
+/// Facts packed back to back: the heads one evaluation emitted, in
+/// emission order, waiting for the round's merge.
+#[derive(Debug, Default, Clone)]
+pub struct FactRows {
+    preds: Vec<AtomId>,
+    /// Fact `i` is `atoms[ends[i - 1]..ends[i]]` (from 0 for the first).
+    ends: Vec<u32>,
+    atoms: Vec<AtomId>,
 }
 
-impl<'d> DeltaIndex<'d> {
-    /// Indexes `facts` by predicate and by every argument position.
-    pub fn build(facts: &'d [Fact]) -> Self {
-        let mut set: HashSet<&'d Fact> = HashSet::with_capacity(facts.len());
-        let mut by_pred: HashMap<AtomId, Vec<u32>> = HashMap::new();
-        let mut by_arg: HashMap<(AtomId, u8, AtomId), Vec<u32>> = HashMap::new();
-        for (i, fact) in facts.iter().enumerate() {
-            let (p, args) = fact;
-            set.insert(fact);
-            by_pred.entry(*p).or_default().push(i as u32);
-            for (pos, &sym) in args.iter().enumerate() {
-                by_arg.entry((*p, pos as u8, sym)).or_default().push(i as u32);
+impl FactRows {
+    fn push(&mut self, pred: AtomId, args: &[AtomId]) {
+        self.atoms.extend_from_slice(args);
+        self.preds.push(pred);
+        self.ends
+            .push(u32::try_from(self.atoms.len()).expect("a round emits fewer than 2^32 atoms"));
+    }
+
+    /// The facts in order, borrowed.
+    fn iter(&self) -> impl Iterator<Item = (AtomId, &[AtomId])> + '_ {
+        let mut start = 0;
+        self.preds.iter().zip(&self.ends).map(move |(&pred, &end)| {
+            let args = &self.atoms[start..end as usize];
+            start = end as usize;
+            (pred, args)
+        })
+    }
+}
+
+/// How one clause evaluation draws its candidates.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    /// Body position restricted to the delta rows (semi-naive); atoms
+    /// before it skip delta rows, so each derivation is found at its
+    /// first delta position only.
+    delta: Option<usize>,
+    /// The caller already bound the delta atom (delta-first order).
+    delta_first: bool,
+    /// Scan every row of the predicate, no indexes (the full-closure
+    /// baseline).
+    unindexed: bool,
+}
+
+/// One evaluation's reusable state: variable bindings, the trail that
+/// undoes them, and the head under construction.
+#[derive(Debug, Default)]
+struct Scratch {
+    env: Vec<Option<AtomId>>,
+    trail: Vec<usize>,
+    head: Vec<AtomId>,
+}
+
+impl Scratch {
+    fn reset(&mut self, nvars: usize) {
+        self.env.clear();
+        self.env.resize(nvars, None);
+        self.trail.clear();
+    }
+
+    /// Unifies `atom` with the row `args` (same arity), binding free
+    /// slots onto the trail; false on a clash.
+    fn unify(&mut self, atom: &CAtom, args: &[AtomId]) -> bool {
+        for (a, &v) in atom.args.iter().zip(args) {
+            match *a {
+                CArg::Const(s) if s != v => return false,
+                CArg::Const(_) => {}
+                CArg::Slot(s) => match self.env[s] {
+                    Some(bound) if bound != v => return false,
+                    Some(_) => {}
+                    None => {
+                        self.env[s] = Some(v);
+                        self.trail.push(s);
+                    }
+                },
             }
         }
-        DeltaIndex { facts, set, by_pred, by_arg }
+        true
     }
 
-    /// Number of indexed delta facts.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// True if the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-    }
-
-    /// Candidates for `atom` under `env`: tightest index available.
-    fn candidates(&self, atom: &CAtom, env: &[Option<AtomId>]) -> Vec<&'d Vec<AtomId>> {
-        let bound: Option<(u8, AtomId)> =
-            atom.args.iter().enumerate().find_map(|(pos, a)| match a {
-                CArg::Const(s) => Some((pos as u8, *s)),
-                CArg::Slot(s) => env[*s].map(|v| (pos as u8, v)),
-            });
-        let idxs = match bound {
-            Some((pos, sym)) => self.by_arg.get(&(atom.pred, pos, sym)),
-            None => self.by_pred.get(&atom.pred),
-        };
-        idxs.map(|v| v.iter().map(|&i| &self.facts[i as usize].1).collect()).unwrap_or_default()
-    }
-
-    /// Ascending delta indices of facts with predicate `pred`.
-    fn pred_indices(&self, pred: AtomId) -> &[u32] {
-        self.by_pred.get(&pred).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Is the fact a member of this round's delta?
-    fn contains(&self, fact: &Fact) -> bool {
-        self.set.contains(fact)
+    /// Unbinds every slot bound since the trail was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        for s in self.trail.drain(mark..) {
+            self.env[s] = None;
+        }
     }
 }
 
-/// The semi-naive restriction handed down the join: body atom
-/// `position` draws candidates from the delta only.
-struct DeltaView<'a, 'd> {
-    index: &'a DeltaIndex<'d>,
-    position: usize,
-}
-
-/// Evaluates one clause, appending head instantiations to `out`.
-///
-/// `delta`: when present, body atom `delta.position` is restricted to
-/// delta facts (semi-naive). `unindexed`: scan everything (full-closure
-/// baseline).
-fn eval_clause(
-    fb: &FactBase,
-    c: &CClause,
-    delta: Option<DeltaView<'_, '_>>,
-    unindexed: bool,
-    out: &mut Vec<Fact>,
-    effort: &mut usize,
-) {
-    let mut env: Vec<Option<AtomId>> = vec![None; c.nvars];
-    join(fb, c, 0, delta.as_ref(), unindexed, &mut env, out, effort);
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Joins body atoms `i..` of `c` in clause order against `fb` under
+/// `plan`, emitting every head instantiation the store does not hold.
 fn join(
     fb: &FactBase,
     c: &CClause,
     i: usize,
-    delta: Option<&DeltaView<'_, '_>>,
-    unindexed: bool,
-    env: &mut Vec<Option<AtomId>>,
-    out: &mut Vec<Fact>,
+    plan: Plan,
+    s: &mut Scratch,
+    out: &mut FactRows,
     effort: &mut usize,
 ) {
     if i == c.body.len() {
-        emit_head(c, env, out);
+        emit_head(fb, c, s, out);
+        return;
+    }
+    if plan.delta_first && plan.delta == Some(i) {
+        join(fb, c, i + 1, plan, s, out, effort);
         return;
     }
     let atom = &c.body[i];
-
-    // Enumerate candidate facts for this atom.
-    let candidates: Vec<&Vec<AtomId>> = match delta {
-        Some(dv) if dv.position == i => dv.index.candidates(atom, env),
-        _ => fb_candidates(fb, atom, env, unindexed),
-    };
-
-    for fact_args in candidates {
+    let Some(rows) = fb.preds.get(&atom.pred) else { return };
+    let from = if plan.delta == Some(i) { rows.delta_from } else { 0 };
+    let skip_delta = plan.delta.is_some_and(|d| i < d);
+    for r in rows.candidates(atom, &s.env, from, plan.unindexed) {
         *effort += 1;
-        if fact_args.len() != atom.args.len() {
+        let args = rows.row(r);
+        if args.len() != atom.args.len() || (skip_delta && r >= rows.delta_from) {
             continue;
         }
-        // semi-naive duplicate avoidance: atoms before the delta position
-        // must NOT match delta facts (they were covered when that
-        // position was the delta). We approximate the standard stratified
-        // scheme by skipping delta facts at positions < d.
-        if let Some(dv) = delta {
-            if i < dv.position {
-                let probe: Fact = (atom.pred, fact_args.clone());
-                if dv.index.contains(&probe) {
-                    continue;
-                }
-            }
+        let mark = s.trail.len();
+        if s.unify(atom, args) {
+            join(fb, c, i + 1, plan, s, out, effort);
         }
-        // unify
-        let mut trail: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (a, &v) in atom.args.iter().zip(fact_args.iter()) {
-            match a {
-                CArg::Const(s) => {
-                    if *s != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                CArg::Slot(s) => match env[*s] {
-                    Some(bound) => {
-                        if bound != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        env[*s] = Some(v);
-                        trail.push(*s);
-                    }
-                },
-            }
-        }
-        if ok {
-            join(fb, c, i + 1, delta, unindexed, env, out, effort);
-        }
-        for s in trail {
-            env[s] = None;
-        }
+        s.undo(mark);
     }
 }
 
-/// The delta-first companion of [`join`], used by
-/// [`CompiledProgram::eval_delta_range`]: body atom `skip` was already
-/// bound to a delta fact by the caller, the remaining atoms join in
-/// clause order against the full store. Atoms before `skip` apply the
-/// same semi-naive skip rule as [`join`], so the two evaluation orders
-/// derive the identical per-round fact set.
-#[allow(clippy::too_many_arguments)]
-fn join_skip(
-    fb: &FactBase,
-    c: &CClause,
-    i: usize,
-    skip: usize,
-    dix: &DeltaIndex<'_>,
-    env: &mut Vec<Option<AtomId>>,
-    out: &mut Vec<Fact>,
-    effort: &mut usize,
-) {
-    if i == c.body.len() {
-        emit_head(c, env, out);
-        return;
-    }
-    if i == skip {
-        join_skip(fb, c, i + 1, skip, dix, env, out, effort);
-        return;
-    }
-    let atom = &c.body[i];
-    for fact_args in fb_candidates(fb, atom, env, false) {
-        *effort += 1;
-        if fact_args.len() != atom.args.len() {
-            continue;
-        }
-        if i < skip {
-            let probe: Fact = (atom.pred, fact_args.clone());
-            if dix.contains(&probe) {
-                continue;
-            }
-        }
-        let mut trail: Vec<usize> = Vec::new();
-        let mut ok = true;
-        for (a, &v) in atom.args.iter().zip(fact_args.iter()) {
-            match a {
-                CArg::Const(s) => {
-                    if *s != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                CArg::Slot(s) => match env[*s] {
-                    Some(bound) => {
-                        if bound != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        env[*s] = Some(v);
-                        trail.push(*s);
-                    }
-                },
-            }
-        }
-        if ok {
-            join_skip(fb, c, i + 1, skip, dix, env, out, effort);
-        }
-        for s in trail {
-            env[s] = None;
-        }
-    }
-}
-
-/// Instantiates the clause head under `env` and appends it to `out`.
-fn emit_head(c: &CClause, env: &[Option<AtomId>], out: &mut Vec<Fact>) {
-    let args: Vec<AtomId> = c
-        .head_args
-        .iter()
-        .map(|a| match a {
-            CArg::Const(s) => *s,
-            CArg::Slot(s) => env[*s].expect("head slots bound (safety)"),
-        })
-        .collect();
-    out.push((c.head_pred, args));
-}
-
-/// Candidate facts for `atom` from the main store under `env`: the
-/// tightest available index, or a full scan for the full-closure
-/// baseline.
-fn fb_candidates<'f>(
-    fb: &'f FactBase,
-    atom: &CAtom,
-    env: &[Option<AtomId>],
-    unindexed: bool,
-) -> Vec<&'f Vec<AtomId>> {
-    if unindexed {
-        // full-closure: scan EVERYTHING, filter by predicate
-        return fb
-            .by_pred
-            .iter()
-            .flat_map(|(&p, list)| list.iter().map(move |a| (p, a)))
-            .filter(|(p, _)| *p == atom.pred)
-            .map(|(_, a)| a)
-            .collect();
-    }
-    // use the tightest available index
-    let bound: Option<(u8, AtomId)> = atom.args.iter().enumerate().find_map(|(pos, a)| match a {
-        CArg::Const(s) => Some((pos as u8, *s)),
-        CArg::Slot(s) => env[*s].map(|v| (pos as u8, v)),
-    });
-    match bound {
-        Some((pos, sym)) => {
-            let list = fb.by_pred.get(&atom.pred);
-            fb.index
-                .get(&(atom.pred, pos, sym))
-                .map(|idxs| {
-                    let list = list.expect("index implies pred list");
-                    idxs.iter().map(|&j| &list[j as usize]).collect()
-                })
-                .unwrap_or_default()
-        }
-        None => fb.by_pred.get(&atom.pred).map(|l| l.iter().collect()).unwrap_or_default(),
+/// Instantiates the clause head under the bindings and appends it to
+/// `out` unless the store already holds it.
+fn emit_head(fb: &FactBase, c: &CClause, s: &mut Scratch, out: &mut FactRows) {
+    s.head.clear();
+    s.head.extend(c.head_args.iter().map(|a| match *a {
+        CArg::Const(x) => x,
+        CArg::Slot(v) => s.env[v].expect("head slots bound (safety)"),
+    }));
+    if !fb.contains_fact(c.head_pred, &s.head) {
+        out.push(c.head_pred, &s.head);
     }
 }
 
@@ -911,7 +885,7 @@ mod tests {
         let p = atoms.intern("si");
         let a = atoms.intern("carrier.Car");
         let b = atoms.intern("factory.Vehicle");
-        assert!(fb.add_fact(p, vec![a, b]));
+        assert!(fb.add_fact(p, &[a, b]));
         assert!(fb.contains(&atoms, "si", &["carrier.Car", "factory.Vehicle"]));
         assert!(fb.contains_fact(p, &[a, b]));
         assert!(!fb.add(&mut atoms, "si", &["carrier.Car", "factory.Vehicle"]));

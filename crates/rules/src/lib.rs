@@ -49,8 +49,7 @@ pub use atoms::{AtomId, AtomTable};
 pub use convert::{ConversionRegistry, Converter};
 pub use horn::{Atom, HornClause, HornProgram, TermArg};
 pub use infer::{
-    CompiledProgram, DeltaIndex, Fact, FactBase, InferenceEngine, InferenceStats, RoundStats,
-    Strategy,
+    CompiledProgram, Fact, FactBase, InferenceEngine, InferenceStats, RoundStats, Strategy,
 };
 pub use parser::parse_rules;
 pub use properties::{RelationProperties, RelationRegistry};

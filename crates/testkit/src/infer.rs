@@ -61,7 +61,7 @@ pub fn seed_subclass_facts(onto: &Ontology, atoms: &mut AtomTable, fb: &mut Fact
             continue;
         }
         let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else { continue };
-        if fb.add_fact(pred, vec![s, d]) {
+        if fb.add_fact(pred, &[s, d]) {
             added += 1;
         }
     }

@@ -84,6 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(hist_count("onion_span_publish_us") > 0, "publish spans recorded");
     assert!(hist_count("onion_span_wal_flush_us") > 0, "WAL flush spans recorded");
     assert!(snap.counter("onion_inference_rounds_total").unwrap_or(0) > 0, "inference rounds");
+    assert!(hist_count("onion_span_inference_us") > 0, "saturation spans recorded");
     assert!(hist_count("onion_span_query_batch_us") > 0, "query-batch spans recorded");
 
     // recovery / torn-tail trace events land in the bounded ring

@@ -45,9 +45,14 @@ const CLAUSES: &[&str] = &[
     "si(X, Y) :- p(X, Y), q(X, Y).",
     "p(\"o1.t4\", \"o2.sub.t5\").",
     "touched(X) :- q(X, Y), si(Y, X).",
+    // mixed arities: `p` and `touched` gain a second arity, `w` is
+    // ternary, so rows of one predicate differ in length
+    "p(X) :- q(X, Y).",
+    "w(X, Y, Z) :- p(X, Y), p(Y, Z).",
+    "touched(X, Y) :- w(X, Y, Y).",
 ];
 
-const PREDS: &[&str] = &["p", "q", "r", "si", "touched"];
+const PREDS: &[&str] = &["p", "q", "r", "si", "touched", "w"];
 
 fn program_text() -> impl Strategy<Value = String> {
     // bitmask subset of the templates (1.. so programs are non-empty);
@@ -63,8 +68,9 @@ fn program_text() -> impl Strategy<Value = String> {
     })
 }
 
-/// Every predicate's fact set, resolved to strings and sorted.
-fn interned_facts(fb: &FactBase, atoms: &AtomTable) -> Vec<Vec<String>> {
+/// Every predicate's fact set, resolved to strings and sorted (rows
+/// kept apart, since one predicate's rows may differ in arity).
+fn interned_facts(fb: &FactBase, atoms: &AtomTable) -> Vec<Vec<Vec<String>>> {
     let mut out = Vec::new();
     for pred in PREDS {
         let mut rows: Vec<Vec<String>> = fb
@@ -73,12 +79,12 @@ fn interned_facts(fb: &FactBase, atoms: &AtomTable) -> Vec<Vec<String>> {
             .map(|args| args.into_iter().map(str::to_string).collect())
             .collect();
         rows.sort();
-        out.push(rows.into_iter().flatten().collect());
+        out.push(rows);
     }
     out
 }
 
-fn reference_facts(fb: &reference::FactBase) -> Vec<Vec<String>> {
+fn reference_facts(fb: &reference::FactBase) -> Vec<Vec<Vec<String>>> {
     let mut out = Vec::new();
     for pred in PREDS {
         let mut rows: Vec<Vec<String>> = fb
@@ -87,7 +93,7 @@ fn reference_facts(fb: &reference::FactBase) -> Vec<Vec<String>> {
             .map(|args| args.into_iter().map(str::to_string).collect())
             .collect();
         rows.sort();
-        out.push(rows.into_iter().flatten().collect());
+        out.push(rows);
     }
     out
 }

@@ -63,7 +63,7 @@ fn run_workload(edges: &[(u8, u8)]) -> (Vec<onion_core::rules::Fact>, InferenceS
             for (_, src, l, dst) in g0.edge_entries() {
                 if l == lid {
                     if let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) {
-                        seq_fb.add_fact(sub, vec![s, d]);
+                        seq_fb.add_fact(sub, &[s, d]);
                     }
                 }
             }

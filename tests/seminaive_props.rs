@@ -60,7 +60,7 @@ fn seq_seed(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> usize {
             continue;
         }
         let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else { continue };
-        if fb.add_fact(pred, vec![s, d]) {
+        if fb.add_fact(pred, &[s, d]) {
             added += 1;
         }
     }
