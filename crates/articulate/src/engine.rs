@@ -73,6 +73,12 @@ impl ArticulationEngine {
     /// Runs the loop between two sources, starting from `seed_rules`
     /// (expert rules supplied up front; may be empty). Returns the final
     /// articulation and a report.
+    ///
+    /// One proposal session serves every round: matchers that ignore the
+    /// confirmed rules (see
+    /// [`RuleMatcher::reads_confirmed_rules`](crate::RuleMatcher::reads_confirmed_rules))
+    /// run once, the others once per round. Each round's proposal and
+    /// merge record one `skat_propose` span.
     pub fn run(
         &self,
         o1: &Ontology,
@@ -82,10 +88,14 @@ impl ArticulationEngine {
     ) -> Result<(Articulation, EngineReport)> {
         let mut rules = seed_rules;
         let mut report = EngineReport::default();
+        let mut session = self.pipeline.session(o1, o2);
 
         for _ in 0..self.config.max_rounds {
             report.rounds += 1;
-            let candidates = self.pipeline.propose(o1, o2, &rules);
+            let candidates = {
+                let _span = onion_obs::span!("skat_propose");
+                session.propose(&rules)
+            };
             let mut new_this_round = 0usize;
             for cand in candidates {
                 report.proposed += 1;

@@ -8,8 +8,11 @@
 //! Each [`RuleMatcher`] proposes [`CandidateRule`]s between two source
 //! ontologies; the [`MatcherPipeline`] runs a configurable mix and merges
 //! proposals. The mix is an ablation axis of experiment B2
-//! (exact-only vs +synonym vs +similarity).
+//! (exact-only vs +synonym vs +similarity). Within one articulation run a
+//! proposal session computes each matcher that ignores the confirmed
+//! rules once and re-runs only the ones that read them.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use onion_lexicon::normalize::normalize;
@@ -18,7 +21,7 @@ use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
 use onion_rules::{ArticulationRule, RuleSet, Term};
 
-use crate::candidate::CandidateRule;
+use crate::candidate::{merge_unconfirmed, CandidateRule};
 
 /// A candidate-rule proposer.
 pub trait RuleMatcher {
@@ -28,6 +31,20 @@ pub trait RuleMatcher {
     /// Proposes rules between `o1` and `o2`, given already-confirmed
     /// rules (structural matchers grow from them).
     fn propose(&self, o1: &Ontology, o2: &Ontology, existing: &RuleSet) -> Vec<CandidateRule>;
+
+    /// Whether [`propose`](Self::propose) reads `existing`. One
+    /// [`ArticulationEngine::run`](crate::ArticulationEngine::run)
+    /// computes the list of a matcher that answers `false` once and shows
+    /// it again every round; it re-runs a matcher that answers `true`
+    /// every round.
+    ///
+    /// The default is `true`, so a matcher defined elsewhere keeps being
+    /// asked every round. [`ExactLabelMatcher`], [`SynonymMatcher`] and
+    /// [`SimilarityMatcher`] answer `false`: their lists depend only on
+    /// the two sources. [`StructuralMatcher`] keeps the default.
+    fn reads_confirmed_rules(&self) -> bool {
+        true
+    }
 
     /// The candidates of [`propose`](Self::propose) whose rule names a
     /// `touched` label as an `o1` term (qualified with `o1`'s name), in
@@ -148,6 +165,10 @@ impl RuleMatcher for ExactLabelMatcher {
         "exact-label"
     }
 
+    fn reads_confirmed_rules(&self) -> bool {
+        false
+    }
+
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
         self.scan(o1, o2, o1.graph().nodes().map(|n| n.label).collect())
     }
@@ -192,6 +213,10 @@ impl SynonymMatcher {
 impl RuleMatcher for SynonymMatcher {
     fn name(&self) -> &'static str {
         "synonym"
+    }
+
+    fn reads_confirmed_rules(&self) -> bool {
+        false
     }
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
@@ -267,6 +292,10 @@ impl Default for SimilarityMatcher {
 impl RuleMatcher for SimilarityMatcher {
     fn name(&self) -> &'static str {
         "similarity"
+    }
+
+    fn reads_confirmed_rules(&self) -> bool {
+        false
     }
 
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
@@ -398,9 +427,20 @@ impl MatcherPipeline {
     }
 
     /// Runs every matcher, merges duplicates (max confidence wins) and
-    /// drops candidates whose rule is already confirmed.
+    /// drops candidates whose rule is already confirmed: the one round of
+    /// a fresh proposal session, the kind
+    /// [`ArticulationEngine::run`](crate::ArticulationEngine::run) holds
+    /// for all its rounds. The merge is [`CandidateRule::merge`]'s, so
+    /// candidates come in descending confidence, ties by rule text, and
+    /// rules with equal text in the order the matchers proposed them.
     pub fn propose(&self, o1: &Ontology, o2: &Ontology, existing: &RuleSet) -> Vec<CandidateRule> {
-        self.merged(existing, |m| m.propose(o1, o2, existing))
+        self.session(o1, o2).propose(existing)
+    }
+
+    /// A proposal session between `o1` and `o2`: one per articulation
+    /// run, which calls [`ProposalSession::propose`] once per round.
+    pub(crate) fn session<'a>(&'a self, o1: &'a Ontology, o2: &'a Ontology) -> ProposalSession<'a> {
+        ProposalSession { pipeline: self, o1, o2, lists: vec![None; self.matchers.len()] }
     }
 
     /// [`propose`](Self::propose) restricted to candidates that name a
@@ -416,19 +456,49 @@ impl MatcherPipeline {
         existing: &RuleSet,
         touched: &HashSet<String>,
     ) -> Vec<CandidateRule> {
-        self.merged(existing, |m| m.propose_touching(o1, o2, existing, touched))
+        let all = self
+            .matchers
+            .iter()
+            .flat_map(|m| m.propose_touching(o1, o2, existing, touched))
+            .map(Cow::Owned)
+            .collect();
+        merge_unconfirmed(all, &existing.rules)
     }
+}
 
-    /// Concatenates `run` over the matchers, merges duplicates and drops
-    /// confirmed rules.
-    fn merged(
-        &self,
-        existing: &RuleSet,
-        run: impl Fn(&dyn RuleMatcher) -> Vec<CandidateRule>,
-    ) -> Vec<CandidateRule> {
-        let all = self.matchers.iter().flat_map(|m| run(m.as_ref())).collect();
-        let merged = CandidateRule::merge(all);
-        merged.into_iter().filter(|c| !existing.rules.contains(&c.rule)).collect()
+/// The proposals of one articulation run between two sources (§2.4's
+/// propose → confirm loop), round after round.
+///
+/// Each matcher that does not [read the confirmed
+/// rules](RuleMatcher::reads_confirmed_rules) runs on the session's first
+/// round and its list is kept; the others run every round against that
+/// round's rules. Every round merges the lists in pipeline order,
+/// exactly as [`MatcherPipeline::propose`] would from scratch, and clones
+/// only the kept candidates that survive the merge.
+pub(crate) struct ProposalSession<'a> {
+    pipeline: &'a MatcherPipeline,
+    o1: &'a Ontology,
+    o2: &'a Ontology,
+    /// Per matcher: its kept list, once computed.
+    lists: Vec<Option<Vec<CandidateRule>>>,
+}
+
+impl ProposalSession<'_> {
+    /// This round's candidates given the `existing` confirmed rules:
+    /// merged, sorted and without confirmed rules, as
+    /// [`MatcherPipeline::propose`] returns them.
+    pub(crate) fn propose(&mut self, existing: &RuleSet) -> Vec<CandidateRule> {
+        let (o1, o2) = (self.o1, self.o2);
+        let mut all = Vec::new();
+        for (m, kept) in self.pipeline.matchers.iter().zip(&mut self.lists) {
+            if m.reads_confirmed_rules() {
+                all.extend(m.propose(o1, o2, existing).into_iter().map(Cow::Owned));
+            } else {
+                let list = kept.get_or_insert_with(|| m.propose(o1, o2, existing));
+                all.extend(list.iter().map(Cow::Borrowed));
+            }
+        }
+        merge_unconfirmed(all, &existing.rules)
     }
 }
 

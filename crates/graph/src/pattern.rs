@@ -223,6 +223,11 @@ enum Tok {
     ArrowIn(String),  // <-label-
 }
 
+/// A character of a bare label (a label cannot start with `.`).
+fn ident_char(c: char) -> bool {
+    c.is_alphanumeric() || matches!(c, '_' | '*' | '?' | '.')
+}
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
@@ -240,10 +245,9 @@ impl<'a> Parser<'a> {
 
     fn tokenize(&mut self) -> Result<()> {
         let s = self.input;
-        let b = s.as_bytes();
+        // a byte offset that only ever lands on a char boundary
         let mut i = 0;
-        while i < b.len() {
-            let c = b[i] as char;
+        while let Some(c) = s[i..].chars().next() {
             match c {
                 ' ' | '\t' => i += 1,
                 ':' => {
@@ -264,15 +268,11 @@ impl<'a> Parser<'a> {
                 }
                 '"' => {
                     let start = i + 1;
-                    let mut j = start;
-                    while j < b.len() && b[j] as char != '"' {
-                        j += 1;
-                    }
-                    if j >= b.len() {
+                    let Some(len) = s[start..].find('"') else {
                         return Err(self.err("unterminated quoted label"));
-                    }
-                    self.toks.push(Tok::Ident(s[start..j].to_string()));
-                    i = j + 1;
+                    };
+                    self.toks.push(Tok::Ident(s[start..start + len].to_string()));
+                    i = start + len + 1;
                 }
                 '-' => {
                     // -label->
@@ -306,20 +306,13 @@ impl<'a> Parser<'a> {
                         return Err(self.err("dangling '<-'; expected '<-label-'"));
                     }
                 }
-                _ if c.is_alphanumeric() || c == '_' || c == '*' || c == '?' => {
-                    let start = i;
-                    let mut j = i;
-                    while j < b.len() {
-                        let ch = b[j] as char;
-                        if ch.is_alphanumeric() || ch == '_' || ch == '*' || ch == '?' || ch == '.'
-                        {
-                            j += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    self.toks.push(Tok::Ident(s[start..j].to_string()));
-                    i = j;
+                _ if ident_char(c) && c != '.' => {
+                    let end = s[i..]
+                        .char_indices()
+                        .find(|&(_, ch)| !ident_char(ch))
+                        .map_or(s.len(), |(k, _)| i + k);
+                    self.toks.push(Tok::Ident(s[i..end].to_string()));
+                    i = end;
                 }
                 other => return Err(self.err(format!("unexpected character {other:?}"))),
             }
@@ -561,5 +554,25 @@ mod tests {
     fn variables_listed_in_node_order() {
         let p = Pattern::parse("truck(O: owner, M: model)").unwrap();
         assert_eq!(p.variables(), vec!["O", "M"]);
+    }
+
+    #[test]
+    fn parse_non_ascii_labels_like_their_ascii_twins() {
+        for (text, ascii) in [
+            ("Über", "Uber"),
+            ("é", "e"),
+            ("aé", "ae"),
+            ("truck(é)", "truck(e)"),
+            ("x -é-> y", "x -e-> y"),
+            ("Straße:Fahrer", "Strasse:Fahrer"),
+        ] {
+            let got = format!("{:?}", Pattern::parse(text).unwrap());
+            let want = format!("{:?}", Pattern::parse(ascii).unwrap());
+            let got = got.replace('Ü', "U").replace('é', "e").replace('ß', "ss");
+            assert_eq!(got, want, "{text:?}");
+        }
+        for bad in ["a → b", "→", "a(é →)", "«a»"] {
+            assert!(Pattern::parse(bad).is_err(), "pattern {bad:?} should fail");
+        }
     }
 }

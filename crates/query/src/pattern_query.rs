@@ -190,4 +190,20 @@ mod tests {
     fn bad_pattern_is_parse_error() {
         assert!(matches!(compile_scoped("a -"), Err(QueryError::Parse(_))));
     }
+
+    #[test]
+    fn non_ascii_labels_compile_and_stray_symbols_are_parse_errors() {
+        let p = compile_scoped("carrier:Fahrzeug(Größe)").unwrap();
+        let labels: Vec<&NodeConstraint> = p.nodes.iter().map(|n| &n.constraint).collect();
+        assert_eq!(
+            labels,
+            [
+                &NodeConstraint::Label("carrier.Fahrzeug".into()),
+                &NodeConstraint::Label("carrier.Größe".into())
+            ]
+        );
+        let u = unified();
+        assert!(query_unified(&u, "carrier:Über").unwrap().is_empty());
+        assert!(matches!(query_unified(&u, "carrier:car → driver"), Err(QueryError::Parse(_))));
+    }
 }

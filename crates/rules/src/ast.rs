@@ -43,7 +43,7 @@ impl fmt::Display for Term {
 }
 
 /// A boolean combination of terms appearing on either side of `⇒`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RuleExpr {
     /// A single term.
     Term(Term),
@@ -125,7 +125,7 @@ impl fmt::Display for RuleExpr {
 }
 
 /// One articulation rule.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ArticulationRule {
     /// `e₁ ⇒ e₂ ⇒ … ⇒ eₙ` — semantic implication, possibly cascaded
     /// (n > 2 introduces intermediate articulation terms, §4.1).

@@ -1,6 +1,7 @@
 //! Observability tour: turn on `onion-obs` recording, drive the
-//! instrumented layers (publish, WAL, checkpoint, inference, query
-//! batches), and dump the metrics in both export formats.
+//! instrumented layers (publish, WAL, checkpoint, SKAT proposals,
+//! inference, query batches), and dump the metrics in both export
+//! formats.
 //!
 //! ```text
 //! cargo run --example observability
@@ -11,7 +12,8 @@
 //! [`OnionSystem::set_observability`], runs a small end-to-end session,
 //! and prints the Prometheus text export plus the JSON snapshot. It
 //! asserts that the headline series (publish spans, WAL flush spans,
-//! inference rounds, query-batch spans) all carry nonzero samples, and
+//! SKAT proposal spans, inference rounds, query-batch spans) all carry
+//! nonzero samples, and
 //! that the Prometheus rendering passes the format lint.
 
 use onion_core::obs;
@@ -85,6 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(hist_count("onion_span_wal_flush_us") > 0, "WAL flush spans recorded");
     assert!(snap.counter("onion_inference_rounds_total").unwrap_or(0) > 0, "inference rounds");
     assert!(hist_count("onion_span_inference_us") > 0, "saturation spans recorded");
+    assert!(hist_count("onion_span_skat_propose_us") > 0, "SKAT proposal spans recorded");
     assert!(hist_count("onion_span_query_batch_us") > 0, "query-batch spans recorded");
 
     // recovery / torn-tail trace events land in the bounded ring

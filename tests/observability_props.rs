@@ -8,17 +8,21 @@
 //!   relaxed `fetch_add` is monotone, and a sum of monotone reads is
 //!   monotone).
 //! * **Strict observationality** — enabling recording leaves the
-//!   inference engines and the articulation generator byte-identical:
-//!   same fact bases (atom ids included), same `InferenceStats`, same
-//!   full `Debug` rendering of the articulation, across the same
-//!   shard × thread matrix `seminaive_props` pins.
+//!   inference engines, the articulation generator and the articulation
+//!   engine byte-identical: same fact bases (atom ids included), same
+//!   `InferenceStats`, same full `Debug` rendering of the articulations,
+//!   same `EngineReport`, across the same shard × thread matrix
+//!   `seminaive_props` pins.
 //! * **Prometheus format** — the text export of a busy registry passes
 //!   the format lint (TYPE lines, cumulative buckets, `+Inf` ==
 //!   `_count`).
 
 use proptest::prelude::*;
 
-use onion_core::articulate::{ArticulationGenerator, GeneratorConfig};
+use onion_core::articulate::{
+    AcceptAll, ArticulationEngine, ArticulationGenerator, EngineReport, GeneratorConfig,
+    MatcherPipeline,
+};
 use onion_core::exec::{par_seed_subclass_facts, ParallelEngine};
 use onion_core::obs;
 use onion_core::obs::{HistKind, Registry};
@@ -47,10 +51,15 @@ fn build_graph(edges: &[(u8, u8)], shards: usize) -> OntGraph {
     g
 }
 
-/// One full run of the parallel matrix plus the sequential engine and
-/// the generator, all on a **local** deterministic workload; returns
-/// every artifact a mode flip could possibly disturb.
-fn run_workload(edges: &[(u8, u8)]) -> (Vec<onion_core::rules::Fact>, InferenceStats, String) {
+/// Everything a mode flip could disturb: fact base, stats, the
+/// generator's articulation `{:?}`, and the engine's report and
+/// articulation `{:?}`.
+type Artifacts = (Vec<onion_core::rules::Fact>, InferenceStats, String, EngineReport, String);
+
+/// One full run of the parallel matrix plus the sequential engine, the
+/// generator and the articulation engine (standard pipeline on Fig. 2,
+/// accept-all), all on a **local** deterministic workload.
+fn run_workload(edges: &[(u8, u8)]) -> Artifacts {
     let program = HornProgram::standard(&RelationRegistry::onion_default());
 
     let mut seq_atoms = AtomTable::new();
@@ -99,9 +108,19 @@ fn run_workload(edges: &[(u8, u8)]) -> (Vec<onion_core::rules::Fact>, InferenceS
     let rules = parse_rules("carrier.Cars => transport.Vehicle\n").unwrap();
     let art = gen.generate(&rules, &[&carrier(), &factory()]).unwrap();
 
+    let engine = ArticulationEngine::new(MatcherPipeline::standard(transport_lexicon()));
+    let (engine_art, report) =
+        engine.run(&carrier(), &factory(), &mut AcceptAll, RuleSet::new()).unwrap();
+
     let (facts, stats) = family.unwrap();
     assert_eq!(stats.derived, seq_stats.derived);
-    (facts, stats, mask_graph_id(&format!("{art:?}")))
+    (
+        facts,
+        stats,
+        mask_graph_id(&format!("{art:?}")),
+        report,
+        mask_graph_id(&format!("{engine_art:?}")),
+    )
 }
 
 /// Masks the process-global `graph_id` counter (fresh per generated
@@ -201,6 +220,8 @@ proptest! {
         prop_assert_eq!(off.0, on.0, "fact bases differ across recording modes");
         prop_assert_eq!(off.1, on.1, "InferenceStats differ across recording modes");
         prop_assert_eq!(off.2, on.2, "articulation Debug differs across recording modes");
+        prop_assert_eq!(off.3, on.3, "EngineReport differs across recording modes");
+        prop_assert_eq!(off.4, on.4, "engine articulation Debug differs across recording modes");
     }
 }
 
