@@ -35,7 +35,7 @@ use onion_graph::hash::FxHashSet;
 use onion_graph::{rel, LabelId};
 use onion_ontology::Ontology;
 use onion_rules::horn::{lower_rules_interned, HornProgram};
-use onion_rules::infer::{FactBase, InferenceEngine, InferenceStats};
+use onion_rules::infer::{seed_subclass_facts, FactBase, InferenceEngine, InferenceStats};
 use onion_rules::properties::RelationRegistry;
 use onion_rules::{ArticulationRule, AtomTable, ConversionRegistry, RuleExpr, RuleSet, Term};
 
@@ -66,13 +66,12 @@ pub struct GeneratorConfig {
     /// `FactBase` from an already-seen graph is pure array lookups;
     /// when `None` the generator interns into a run-local table.
     pub atoms: Option<Arc<Mutex<AtomTable>>>,
-    /// Executor for shard-parallel inference expansion. When set,
-    /// graph-edge fact seeding partitions by snapshot shard and
-    /// saturation runs semi-naive on the pool
-    /// (`onion_exec::inference`); derived fact sets, bridge output,
-    /// and the round counters equal the sequential path's at every
-    /// shard and thread count. When `None` (default) expansion is
-    /// fully sequential.
+    /// Executor for parallel inference expansion. When set, saturation
+    /// runs the semi-naive work units on the pool
+    /// (`onion_exec::inference`); seeding is the same graph walk either
+    /// way. The articulation and [`GeneratorStats`] equal the
+    /// sequential run's at every shard and thread count. When `None`
+    /// (default) expansion is fully sequential.
     pub executor: Option<Arc<onion_exec::Executor>>,
 }
 
@@ -93,13 +92,11 @@ impl Default for GeneratorConfig {
 /// Observability counters for one generation run (populated by the
 /// inference-expansion pass; zero when `expand_with_inference` is off).
 ///
-/// On the parallel path the counters are merged deterministically:
-/// `skipped_dead_nodes` sums per-shard counts in ascending shard order
-/// per ontology, ontologies in `sources` order then the articulation
-/// ontology; `inference.rounds` comes from the single merged
-/// saturation loop (see `onion_exec::inference` for the merge-order
-/// contract). Equal configurations therefore reproduce equal stats —
-/// `expansion_reports_stats_and_reuses_shared_table` and the
+/// Seeding walks the ontologies in `sources` order, then the
+/// articulation ontology, summing their counts. Saturation stats are
+/// the same with or without an executor (see `onion_exec::inference`
+/// for the merge-order contract), so equal inputs reproduce equal
+/// stats — `expansion_reports_stats_and_reuses_shared_table` and the
 /// `seminaive_props` suite assert this by direct comparison.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GeneratorStats {
@@ -540,15 +537,15 @@ impl ArticulationGenerator {
     /// add the source→articulation ones as [`BridgeKind::Derived`]
     /// bridges.
     ///
-    /// The whole pass runs on interned atoms. Seeding a subclass fact
-    /// from a graph edge resolves both endpoints through the shared
-    /// table's per-graph label memo — after the first encounter of a
-    /// label this is a dense array lookup, and at no point is an
-    /// `"onto.Term"` string formatted or hashed. Filtering derived
-    /// implications compares namespace *indexes* instead of the old
-    /// per-candidate `format!("{s}.")` + prefix matching. Edges whose
-    /// endpoint node was deleted mid-churn are skipped and counted
-    /// rather than panicking.
+    /// The whole pass runs on interned atoms. Subclass edges seed
+    /// through [`seed_subclass_facts`], which resolves both endpoints
+    /// through the shared table's per-graph label memo — after the
+    /// first encounter of a label this is a dense array lookup, and at
+    /// no point is an `"onto.Term"` string formatted or hashed.
+    /// Filtering derived implications compares namespace *indexes*
+    /// instead of the old per-candidate `format!("{s}.")` + prefix
+    /// matching. Edges whose endpoint node was deleted mid-churn are
+    /// skipped and counted rather than panicking.
     fn expand(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<GeneratorStats> {
         let shared = self.config.atoms.clone();
         let mut guard;
@@ -566,7 +563,6 @@ impl ArticulationGenerator {
         let mut stats = GeneratorStats::default();
         let mut fb = FactBase::new();
         let si = atoms.intern("si");
-        let subclassof = atoms.intern("subclassof");
         // seed: existing SI bridges (terms interned from their parts)
         for b in &art.bridges {
             if b.label == rel::SI_BRIDGE {
@@ -577,40 +573,11 @@ impl ArticulationGenerator {
                 }
             }
         }
-        // seed: source subclass edges and articulation-internal subclass
-        // edges — edge-label compared by id, endpoints resolved through
-        // the per-graph label→atom memo. With an executor configured
-        // the scan partitions by snapshot shard instead (ontologies
-        // still in sources-then-articulation order, so the dead-node
-        // counter merges deterministically either way).
-        match &self.config.executor {
-            Some(exec) => {
-                for o in sources.iter().copied().chain([&art.ontology]) {
-                    let s = onion_exec::par_seed_subclass_facts(exec, o.graph(), atoms, &mut fb);
-                    stats.seeded_facts += s.seeded;
-                    stats.skipped_dead_nodes += s.skipped_dead_nodes;
-                }
-            }
-            None => {
-                for o in sources.iter().copied().chain([&art.ontology]) {
-                    let g = o.graph();
-                    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { continue };
-                    let mut cursor = atoms.graph_atoms(g);
-                    for (_, src, lid, dst) in g.edge_entries() {
-                        if lid != sub {
-                            continue;
-                        }
-                        let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst))
-                        else {
-                            stats.skipped_dead_nodes += 1;
-                            continue;
-                        };
-                        if fb.add_fact(subclassof, &[s, d]) {
-                            stats.seeded_facts += 1;
-                        }
-                    }
-                }
-            }
+        // seed: source subclass edges, then articulation-internal ones
+        for o in sources.iter().copied().chain([&art.ontology]) {
+            let seeded = seed_subclass_facts(o.graph(), atoms, &mut fb);
+            stats.seeded_facts += seeded.seeded;
+            stats.skipped_dead_nodes += seeded.skipped_dead_nodes;
         }
         // the dead-node skips are final after seeding — surface them
         onion_obs::count!("onion_generator_skipped_dead_nodes_total", stats.skipped_dead_nodes);

@@ -267,9 +267,10 @@ impl Baseline {
                  (onion_rules::reference), the interned series are the AtomId path (cold = \
                  empty table, warm = shared-table steady state); the *_deep10k rows saturate the \
                  10k-class deep-hierarchy tier (500 chains x 20 deep) with the naive loop, the \
-                 semi-naive engine, and the 4-thread shard-parallel engine; fact sets, \
+                 semi-naive engine, and the 4-thread work-unit engine; fact sets, \
                  checksums, and derivation counts are asserted identical across engines (and \
-                 across thread counts) before timing\",\n    \"classes\": {}, \
+                 the work-unit engine's stats equal the sequential engine's) before \
+                 timing\",\n    \"classes\": {}, \
                  \"seeded_facts\": {}, \"derived\": {},\n    \"deep_classes\": {}, \
                  \"deep_seeded\": {}, \"deep_derived\": {}, \"deep_rounds\": {}",
                 b12.classes,

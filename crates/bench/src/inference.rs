@@ -17,34 +17,36 @@
 //! * `b12_saturate_10k` — seeded build plus a semi-naive run of the
 //!   standard ONION program to fixpoint.
 //!
-//! The shard-parallel semi-naive PR adds the **10k-class
-//! deep-hierarchy tier** ([`deep_chain_ontology`]: 500 chains × 20
-//! deep — the saturation-adversarial shape, where transitive closure
-//! derives ~10× the seed count):
+//! A second tier is the **10k-class deep-hierarchy tier**
+//! ([`deep_chain_ontology`]: 500 chains × 20 deep — the
+//! saturation-adversarial shape, where transitive closure derives ~10×
+//! the seed count):
 //!
 //! * `b12_naive_deep10k` — the naive loop: every round re-joins the
 //!   entire growing fact base;
 //! * `b12_seminaive_cold_deep10k` / `b12_seminaive_warm_deep10k` —
 //!   the semi-naive production engine from a cold / warm atom table;
-//! * `b12_parallel_saturation_deep10k` — shard-parallel seeding plus
-//!   the `onion-exec` work-unit engine on 4 threads.
+//! * `b12_parallel_saturation_deep10k` — the generator's seeding walk
+//!   plus the `onion-exec` work-unit engine on 4 threads.
 //!
-//! The string and interned fact sets are asserted identical before any
-//! timing is recorded, the saturation derivation counts of all engines
-//! are asserted equal, and the deep tier additionally asserts
-//! fact-set checksums and thread-count-invariant `InferenceStats`
-//! (as B10 does for query batches) — the series measure the same work.
+//! Every interned row seeds through the one walk the articulation
+//! generator runs ([`seed_subclass_facts`]). The string and interned
+//! fact sets are asserted identical before any timing is recorded, the
+//! saturation derivation counts of all engines are asserted equal, and
+//! the deep tier additionally asserts fact-set checksums and that
+//! `ParallelEngine`'s fact base and whole `InferenceStats` equal the
+//! sequential semi-naive engine's at 1 and 4 threads (as B10 does for
+//! query batches) — the series measure the same work.
 
-use onion_core::exec::{fact_set_checksum, par_seed_subclass_facts, Executor, ParallelEngine};
+use onion_core::exec::{fact_set_checksum, Executor, ParallelEngine};
 use onion_core::ontology::Ontology;
 use onion_core::rules::atoms::AtomTable;
 use onion_core::rules::horn::HornProgram;
-use onion_core::rules::infer::{FactBase, Strategy};
+use onion_core::rules::infer::{seed_subclass_facts, FactBase, Strategy};
 use onion_core::rules::properties::RelationRegistry;
-use onion_core::rules::{reference, InferenceEngine, InferenceStats};
+use onion_core::rules::{reference, InferenceEngine};
 use onion_core::testkit::{
-    deep_chain_ontology, generate_ontology, seed_subclass_facts, seed_subclass_facts_strings,
-    OntologySpec,
+    deep_chain_ontology, generate_ontology, seed_subclass_facts_strings, OntologySpec,
 };
 
 use crate::{run_series, BenchResult};
@@ -96,7 +98,7 @@ pub fn run_b12() -> B12Report {
     // and both engines derive the same closure
     let mut atoms = AtomTable::new();
     let mut fb = FactBase::new();
-    let seeded_facts = seed_subclass_facts(&onto, &mut atoms, &mut fb);
+    let seeded_facts = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
     let mut sref = reference::FactBase::new();
     let seeded_ref = seed_subclass_facts_strings(&onto, &mut sref);
     assert_eq!(seeded_facts, seeded_ref, "seeding paths must load the same facts");
@@ -117,22 +119,22 @@ pub fn run_b12() -> B12Report {
     rows.push(run_series("b12_seed_interned_cold_10k", 5, || {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        seed_subclass_facts(&onto, &mut atoms, &mut fb) as u64
+        seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded as u64
     }));
     // interned, one shared warm table (the OnionSystem steady state)
     let mut warm = AtomTable::new();
     {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&onto, &mut warm, &mut fb);
+        seed_subclass_facts(onto.graph(), &mut warm, &mut fb);
     }
     rows.push(run_series("b12_seed_interned_warm_10k", 7, || {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&onto, &mut warm, &mut fb) as u64
+        seed_subclass_facts(onto.graph(), &mut warm, &mut fb).seeded as u64
     }));
     // seeded build + saturation to fixpoint on the warm table
     rows.push(run_series("b12_saturate_10k", 3, || {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&onto, &mut warm, &mut fb);
+        seed_subclass_facts(onto.graph(), &mut warm, &mut fb);
         let stats = InferenceEngine::new(program.clone()).run(&mut warm, &mut fb).unwrap();
         stats.derived as u64
     }));
@@ -145,19 +147,19 @@ pub fn run_b12() -> B12Report {
 
     // deep-tier identity gate, before any timing (as B10 does): naive,
     // semi-naive, and the parallel engine at two thread counts must all
-    // reach the same fixpoint — same derived count, same round count,
-    // same fact-set checksum — and the parallel InferenceStats must be
-    // byte-identical across thread counts.
+    // reach the same fixpoint — same derived count, same fact-set
+    // checksum — and the parallel fact base and InferenceStats must
+    // equal the sequential engine's at both thread counts.
     let mut deep_atoms = AtomTable::new();
     let mut deep_fb = FactBase::new();
-    let deep_seeded = seed_subclass_facts(&deep, &mut deep_atoms, &mut deep_fb);
+    let deep_seeded = seed_subclass_facts(deep.graph(), &mut deep_atoms, &mut deep_fb).seeded;
     let deep_stats =
         InferenceEngine::new(program.clone()).run(&mut deep_atoms, &mut deep_fb).unwrap();
     let deep_checksum = fact_set_checksum(&deep_atoms, &deep_fb);
     {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        assert_eq!(seed_subclass_facts(&deep, &mut atoms, &mut fb), deep_seeded);
+        assert_eq!(seed_subclass_facts(deep.graph(), &mut atoms, &mut fb).seeded, deep_seeded);
         let naive = InferenceEngine::new(program.clone())
             .with_strategy(Strategy::Naive)
             .run(&mut atoms, &mut fb)
@@ -165,23 +167,16 @@ pub fn run_b12() -> B12Report {
         assert_eq!(naive.derived, deep_stats.derived, "naive and semi-naive fixpoints differ");
         assert_eq!(fact_set_checksum(&atoms, &fb), deep_checksum);
     }
-    let mut par_baseline: Option<InferenceStats> = None;
+    let deep_facts = deep_fb.facts_in_pred_order();
     for threads in [1, PARALLEL_THREADS] {
         let exec = Executor::new(threads);
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let seed = par_seed_subclass_facts(&exec, deep.graph(), &mut atoms, &mut fb);
-        assert_eq!(seed.seeded, deep_seeded, "parallel seeding must load the same facts");
+        seed_subclass_facts(deep.graph(), &mut atoms, &mut fb);
         let stats = ParallelEngine::new(program.clone()).run(&exec, &mut atoms, &mut fb).unwrap();
-        assert_eq!(stats.derived, deep_stats.derived);
-        assert_eq!(stats.iterations, deep_stats.iterations);
+        assert_eq!(stats, deep_stats, "parallel stats must equal sequential (threads={threads})");
+        assert!(fb.facts_in_pred_order() == deep_facts, "parallel fact base (threads={threads})");
         assert_eq!(fact_set_checksum(&atoms, &fb), deep_checksum);
-        match &par_baseline {
-            None => par_baseline = Some(stats),
-            Some(base) => {
-                assert_eq!(&stats, base, "parallel stats must be thread-count-invariant")
-            }
-        }
     }
 
     // naive loop on a warm table — the comparison point the semi-naive
@@ -189,11 +184,11 @@ pub fn run_b12() -> B12Report {
     let mut deep_warm = AtomTable::new();
     {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&deep, &mut deep_warm, &mut fb);
+        seed_subclass_facts(deep.graph(), &mut deep_warm, &mut fb);
     }
     rows.push(run_series("b12_naive_deep10k", 3, || {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&deep, &mut deep_warm, &mut fb);
+        seed_subclass_facts(deep.graph(), &mut deep_warm, &mut fb);
         let stats = InferenceEngine::new(program.clone())
             .with_strategy(Strategy::Naive)
             .run(&mut deep_warm, &mut fb)
@@ -204,7 +199,7 @@ pub fn run_b12() -> B12Report {
     rows.push(run_series("b12_seminaive_cold_deep10k", 3, || {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        seed_subclass_facts(&deep, &mut atoms, &mut fb);
+        seed_subclass_facts(deep.graph(), &mut atoms, &mut fb);
         let stats = InferenceEngine::new(program.clone()).run(&mut atoms, &mut fb).unwrap();
         stats.derived as u64
     }));
@@ -212,15 +207,15 @@ pub fn run_b12() -> B12Report {
     // against
     rows.push(run_series("b12_seminaive_warm_deep10k", 3, || {
         let mut fb = FactBase::new();
-        seed_subclass_facts(&deep, &mut deep_warm, &mut fb);
+        seed_subclass_facts(deep.graph(), &mut deep_warm, &mut fb);
         let stats = InferenceEngine::new(program.clone()).run(&mut deep_warm, &mut fb).unwrap();
         stats.derived as u64
     }));
-    // shard-parallel seeding + work-unit saturation on 4 threads
+    // the generator's seeding walk + work-unit saturation on 4 threads
     let par_exec = Executor::new(PARALLEL_THREADS);
     rows.push(run_series("b12_parallel_saturation_deep10k", 3, || {
         let mut fb = FactBase::new();
-        par_seed_subclass_facts(&par_exec, deep.graph(), &mut deep_warm, &mut fb);
+        seed_subclass_facts(deep.graph(), &mut deep_warm, &mut fb);
         let stats =
             ParallelEngine::new(program.clone()).run(&par_exec, &mut deep_warm, &mut fb).unwrap();
         stats.derived as u64
@@ -253,14 +248,23 @@ mod tests {
         let program = HornProgram::standard(&RelationRegistry::onion_default());
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n = seed_subclass_facts(&onto, &mut atoms, &mut fb);
+        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
         assert!(n > 0);
         let stats = InferenceEngine::new(program.clone()).run(&mut atoms, &mut fb).unwrap();
         let mut sref = reference::FactBase::new();
         assert_eq!(seed_subclass_facts_strings(&onto, &mut sref), n);
-        let rstats = reference::InferenceEngine::new(program).run(&mut sref).unwrap();
+        let rstats = reference::InferenceEngine::new(program.clone()).run(&mut sref).unwrap();
         assert_eq!(stats.derived, rstats.derived);
         assert_eq!(stats.iterations, rstats.iterations);
-        assert_eq!(stats.atoms_examined, rstats.atoms_examined);
+        // the reference joins in body order, so only the engines
+        // sharing the work units agree on the whole ledger
+        for threads in [1, 2] {
+            let mut atoms = AtomTable::new();
+            let mut fb = FactBase::new();
+            seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
+            let exec = Executor::new(threads);
+            let par = ParallelEngine::new(program.clone()).run(&exec, &mut atoms, &mut fb).unwrap();
+            assert_eq!(par, stats, "threads={threads}");
+        }
     }
 }

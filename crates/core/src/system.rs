@@ -101,7 +101,7 @@ pub struct OnionSystem {
     /// per-graph label memos persist across articulation and
     /// maintenance cycles.
     atoms: Arc<Mutex<AtomTable>>,
-    /// Executor for shard-parallel inference expansion; `None` (the
+    /// Executor for parallel inference saturation; `None` (the
     /// default) keeps expansion sequential. Threaded into every
     /// generator the facade builds.
     inference_executor: Option<Arc<onion_exec::Executor>>,
@@ -545,15 +545,15 @@ impl OnionSystem {
         Arc::clone(&self.atoms)
     }
 
-    /// Runs inference expansion shard-parallel on `threads` threads
-    /// (`0` = one per available CPU): graph edges are seeded per
-    /// snapshot shard into the one fact base and the shared atom table,
-    /// and each saturation round's delta joins run as parallel work
-    /// units merged in a fixed order (see `onion_exec::inference`).
-    /// Only takes effect when the engine config turns
-    /// `expand_with_inference` on. Derived facts and bridges are
-    /// identical to the sequential path at every shard and thread
-    /// count — this is a throughput knob, not a semantics knob.
+    /// Runs inference expansion's saturation on `threads` threads
+    /// (`0` = one per available CPU): each round's semi-naive work
+    /// units are cut into delta-row ranges that run on the pool and
+    /// merge in a fixed order (see `onion_exec::inference`); seeding is
+    /// the same graph walk as without it. Only takes effect when the
+    /// engine config turns `expand_with_inference` on. The
+    /// articulation and the generator's stats are identical to the
+    /// sequential path's at every shard and thread count — this is a
+    /// throughput knob, not a semantics knob.
     pub fn set_parallel_inference(&mut self, threads: usize) {
         let exec = match threads {
             0 => onion_exec::Executor::with_default_parallelism(),

@@ -1,153 +1,40 @@
-//! Shard-parallel semi-naive Horn inference on the executor pool.
+//! Semi-naive Horn inference on the executor pool.
 //!
-//! This is the articulation generator's one parallel saturation path:
-//! with `GeneratorConfig::executor` set (the facade's
-//! `OnionSystem::set_parallel_inference`), `expand` seeds graph edges
-//! with [`par_seed_subclass_facts`] into its single fact base and the
-//! shared atom table, then saturates with [`ParallelEngine`]. Without
-//! an executor it runs the sequential `InferenceEngine`; both yield
-//! the same derived facts and bridges.
+//! With `GeneratorConfig::executor` set (the facade's
+//! `OnionSystem::set_parallel_inference`), the articulation generator
+//! seeds its fact base with the one graph walk,
+//! `onion_rules::infer::seed_subclass_facts`, then saturates with
+//! [`ParallelEngine`] instead of the sequential `InferenceEngine`.
 //!
-//! Two entry points, both with a hard determinism contract:
-//!
-//! * [`par_seed_subclass_facts`] — the parallel counterpart of the
-//!   generator's sequential graph-edge seeding. Seed edges are
-//!   partitioned by snapshot shard (worker `k` owns every edge whose
-//!   source node lives in shard `k`, i.e. `src.index() % shard_count ==
-//!   k`); each worker collects its shard's `(LabelId, LabelId)`
-//!   subclass pairs into a private scratch table; the merge then
-//!   re-maps labels to [`AtomId`]s canonically. The resulting fact
-//!   base and atom table are **byte-identical at every shard count and
-//!   every thread count**.
-//!
-//! * [`ParallelEngine`] — semi-naive saturation whose per-round delta
-//!   is split into `(clause, delta position, delta rows)` work units
-//!   evaluated concurrently via
-//!   [`CompiledProgram::eval_delta_range`]. The delta is each
-//!   predicate's rows the previous round appended, so a unit is a
-//!   sub-range of one predicate's delta rows. Work units are a function
-//!   of the delta alone (never of the thread count), results merge in
-//!   unit order, and per-unit effort sums are partition-invariant, so
-//!   derived fact sets *and* [`InferenceStats`] — including the
-//!   per-round counters — are byte-identical at every thread count.
+//! [`ParallelEngine`] joins nothing itself. It runs the sequential
+//! engine's semi-naive rounds — one `(clause, delta position, delta
+//! rows)` work unit per [`CompiledProgram::delta_slots`] entry,
+//! evaluated by [`CompiledProgram::eval_delta_range`] inside
+//! [`CompiledProgram::saturate`] — but cuts each slot's delta rows into
+//! sub-ranges and evaluates them concurrently via [`Executor::par_map`].
+//! The cut is a function of the slot predicate's delta size alone
+//! (never of the thread count), and results come back in unit order.
 //!
 //! ## Merge order (load-bearing, tested)
 //!
-//! 1. **Seeding**: per-shard results are combined in ascending shard
-//!    order; `skipped_dead_nodes` is the sum in that order. The union
-//!    of label pairs is sorted by `(LabelId, LabelId)`; endpoint
-//!    labels are interned in ascending [`LabelId`] order (the
-//!    deterministic id-remap — `LabelId` order is a property of the
-//!    graph, not of the partitioning); facts are inserted in sorted
-//!    pair order.
-//! 2. **Saturation**: a unit emits only heads the store did not hold
-//!    when the round began. Each round's unit outputs are concatenated
-//!    in unit order — units are ordered by (clause index, delta
-//!    position, delta row range start) — then deduplicated through
-//!    `FactBase::add_fact`, which appends the next round's delta rows
-//!    in that order. `worker_merge_facts` counts the heads that reach
-//!    this merge.
-//!
-//! The round-level counters (`rounds[r].delta`, `rounds[r].derived`,
-//! `iterations`, `derived`) equal the sequential
-//! [`Strategy::SemiNaive`](onion_rules::Strategy) engine's exactly;
-//! `atoms_examined` is the parallel engine's own effort measure
-//! (delta-first join order examines a different — typically smaller —
-//! candidate stream than the sequential body-order join), invariant
-//! across shard and thread counts but not comparable across engines.
-//! The `seminaive_props` differential suite pins all of this.
+//! A unit emits only heads the store did not hold when the round
+//! began. Each round's unit outputs are concatenated in unit order —
+//! (clause index, delta position, delta row range start) — then
+//! deduplicated through `FactBase::add_fact`, which appends the next
+//! round's delta rows in that order. A slot's heads are the
+//! concatenation of its rows' heads, so this is the order the
+//! sequential engine emits, and every counter is a sum over delta
+//! rows. Fact bases (`facts_in_pred_order()`, atom ids included) and
+//! the whole [`InferenceStats`] — `atoms_examined`, the round ledger
+//! and `worker_merge_facts` (the heads that reach the merge) — are
+//! therefore equal to the sequential semi-naive engine's at every
+//! thread count. The `seminaive_props` and `inference_props` suites pin
+//! this.
 
-use onion_graph::hash::FxHashSet;
-use onion_graph::{rel, LabelId, OntGraph};
 use onion_rules::infer::{CompiledProgram, FactRows};
 use onion_rules::{AtomId, AtomTable, FactBase, HornProgram, InferenceStats};
 
 use crate::Executor;
-
-/// Outcome of one parallel seeding pass over a graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardSeedStats {
-    /// Facts that were new to the fact base.
-    pub seeded: usize,
-    /// Edges dropped because an endpoint node was deleted (summed over
-    /// shards in ascending shard order).
-    pub skipped_dead_nodes: usize,
-    /// Shard partitions the scan used (`graph.shard_count()`).
-    pub shards: usize,
-}
-
-/// Seeds one interned `subclassof` fact per live subclass edge of `g`,
-/// scanning shard-parallel on `exec` (see module docs for the
-/// partition and merge-order contract). Returns what was seeded.
-///
-/// The fact *set* equals the sequential
-/// [`seed path`](onion_rules::AtomTable::graph_atoms) exactly; atom
-/// ids may differ from a sequential seeding (labels are interned in
-/// `LabelId` order here, edge order there), but are identical across
-/// every `(shard count, thread count)` combination.
-pub fn par_seed_subclass_facts(
-    exec: &Executor,
-    g: &OntGraph,
-    atoms: &mut AtomTable,
-    fb: &mut FactBase,
-) -> ShardSeedStats {
-    let shards = g.shard_count().max(1);
-    let mut out = ShardSeedStats { seeded: 0, skipped_dead_nodes: 0, shards };
-    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { return out };
-
-    // Fan out: worker k scans the edges owned by snapshot shard k into
-    // a private scratch table of label pairs.
-    let shard_ids: Vec<usize> = (0..shards).collect();
-    let per_shard: Vec<(Vec<(LabelId, LabelId)>, usize)> = exec.par_map(&shard_ids, |&k| {
-        let mut seen: FxHashSet<(LabelId, LabelId)> = FxHashSet::default();
-        let mut pairs: Vec<(LabelId, LabelId)> = Vec::new();
-        let mut skipped = 0usize;
-        for (_, src, lid, dst) in g.edge_entries() {
-            if lid != sub || src.index() % shards != k {
-                continue;
-            }
-            match (g.node_label_id(src), g.node_label_id(dst)) {
-                (Some(s), Some(d)) => {
-                    if seen.insert((s, d)) {
-                        pairs.push((s, d));
-                    }
-                }
-                _ => skipped += 1,
-            }
-        }
-        (pairs, skipped)
-    });
-
-    // Merge in ascending shard order (the documented contract).
-    let mut pairs: Vec<(LabelId, LabelId)> = Vec::new();
-    for (p, skipped) in per_shard {
-        out.skipped_dead_nodes += skipped;
-        pairs.extend(p);
-    }
-    pairs.sort_unstable();
-    pairs.dedup();
-
-    // Canonical id-remap: intern endpoint labels in ascending LabelId
-    // order, then insert facts in sorted pair order. Both orders are
-    // properties of the graph alone, so the AtomIds assigned and the
-    // fact base's insertion order are independent of how the scan was
-    // partitioned.
-    let pred = atoms.intern("subclassof");
-    let mut cursor = atoms.graph_atoms(g);
-    let mut labels: Vec<LabelId> = pairs.iter().flat_map(|&(s, d)| [s, d]).collect();
-    labels.sort_unstable();
-    labels.dedup();
-    for l in labels {
-        cursor.atom(l);
-    }
-    for (s, d) in pairs {
-        let (s, d) = (cursor.atom(s), cursor.atom(d));
-        if fb.add_fact(pred, &[s, d]) {
-            out.seeded += 1;
-        }
-    }
-    out
-}
 
 /// Semi-naive forward chaining with each round's delta evaluated in
 /// parallel work units on an [`Executor`] (see module docs for the
@@ -186,10 +73,8 @@ impl ParallelEngine {
 
     /// Runs the program to fixpoint on `fb`, adding derived facts.
     ///
-    /// `iterations`, `derived`, and the per-round `delta`/`derived`
-    /// counters equal the sequential semi-naive engine's; the whole
-    /// [`InferenceStats`] — `atoms_examined` included — is
-    /// byte-identical across thread counts.
+    /// The fact base and the whole [`InferenceStats`] equal the
+    /// sequential semi-naive engine's at every thread count.
     pub fn run(
         &self,
         exec: &Executor,
@@ -198,49 +83,44 @@ impl ParallelEngine {
     ) -> onion_rules::Result<InferenceStats> {
         let compiled = CompiledProgram::compile(&self.program, atoms)?;
         let slots = compiled.delta_slots();
-        let (mut stats, merged) =
-            compiled.saturate(fb, self.max_derived, self.max_iterations, false, |fb| {
-                // The unit grid: (clause, delta position, delta rows),
-                // ordered by construction. Range width depends on the
-                // predicate's delta size alone.
-                let mut units = Vec::new();
-                for &(ci, d, pred) in &slots {
-                    let rows = fb.delta_rows(pred);
-                    let chunk = rows.len().div_ceil(DELTA_UNITS).max(MIN_UNIT);
-                    let mut lo = rows.start;
-                    while lo < rows.end {
-                        let hi = (lo + chunk).min(rows.end);
-                        units.push((ci, d, lo..hi));
-                        lo = hi;
-                    }
+        compiled.saturate(fb, self.max_derived, self.max_iterations, false, |fb| {
+            // The unit grid: (clause, delta position, delta rows),
+            // ordered by construction. Range width depends on the
+            // predicate's delta size alone.
+            let mut units = Vec::new();
+            for &(ci, d, pred) in &slots {
+                let rows = fb.delta_rows(pred);
+                let chunk = rows.len().div_ceil(DELTA_UNITS).max(MIN_UNIT);
+                let mut lo = rows.start;
+                while lo < rows.end {
+                    let hi = (lo + chunk).min(rows.end);
+                    units.push((ci, d, lo..hi));
+                    lo = hi;
                 }
-                let (heads, efforts): (Vec<FactRows>, Vec<usize>) = exec
-                    .par_map(&units, |(ci, d, rows)| {
-                        let mut out = FactRows::default();
-                        let mut effort = 0usize;
-                        compiled.eval_delta_range(fb, *ci, *d, rows.clone(), &mut out, &mut effort);
-                        (out, effort)
-                    })
-                    .into_iter()
-                    .unzip();
-                let examined: usize = efforts.iter().sum();
-                // Work-unit imbalance: the hottest unit's effort
-                // relative to the mean, in percent (100 = perfectly
-                // balanced). Observational only — partition-invariant
-                // like the stats.
-                if onion_obs::enabled() && !efforts.is_empty() {
-                    let max = efforts.iter().copied().max().unwrap_or(0);
-                    let avg = examined / efforts.len();
-                    if let Some(pct) = (max * 100).checked_div(avg) {
-                        onion_obs::observe_val!("onion_inference_unit_imbalance_pct", pct);
-                    }
+            }
+            let (heads, efforts): (Vec<FactRows>, Vec<usize>) = exec
+                .par_map(&units, |(ci, d, rows)| {
+                    let mut out = FactRows::default();
+                    let mut effort = 0usize;
+                    compiled.eval_delta_range(fb, *ci, *d, rows.clone(), &mut out, &mut effort);
+                    (out, effort)
+                })
+                .into_iter()
+                .unzip();
+            let examined: usize = efforts.iter().sum();
+            // Work-unit imbalance: the hottest unit's effort
+            // relative to the mean, in percent (100 = perfectly
+            // balanced). Observational only — partition-invariant
+            // like the stats.
+            if onion_obs::enabled() && !efforts.is_empty() {
+                let max = efforts.iter().copied().max().unwrap_or(0);
+                let avg = examined / efforts.len();
+                if let Some(pct) = (max * 100).checked_div(avg) {
+                    onion_obs::observe_val!("onion_inference_unit_imbalance_pct", pct);
                 }
-                (heads, examined)
-            })?;
-        // One worker, one barrier: every head that reached the serial
-        // merge.
-        stats.worker_merge_facts = vec![merged];
-        Ok(stats)
+            }
+            (heads, examined)
+        })
     }
 }
 
@@ -270,7 +150,7 @@ fn mix_atom(h: &mut crate::Fnv, atoms: &AtomTable, a: AtomId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onion_rules::{Fact, RuleError};
+    use onion_rules::RuleError;
 
     fn chain(n: usize) -> (AtomTable, FactBase) {
         let mut atoms = AtomTable::new();
@@ -296,14 +176,8 @@ mod tests {
             let exec = Executor::new(threads);
             let (mut atoms, mut fb) = chain(n);
             let par = ParallelEngine::new(transitivity()).run(&exec, &mut atoms, &mut fb).unwrap();
-            assert_eq!(fb.len(), fb_seq.len(), "threads={threads}");
-            assert_eq!(par.derived, seq.derived);
-            assert_eq!(par.iterations, seq.iterations);
-            let seq_rounds: Vec<(usize, usize)> =
-                seq.rounds.iter().map(|r| (r.delta, r.derived)).collect();
-            let par_rounds: Vec<(usize, usize)> =
-                par.rounds.iter().map(|r| (r.delta, r.derived)).collect();
-            assert_eq!(par_rounds, seq_rounds, "threads={threads}");
+            assert_eq!(par, seq, "threads={threads}");
+            assert_eq!(fb.facts_in_pred_order(), fb_seq.facts_in_pred_order(), "threads={threads}");
             assert_eq!(
                 fact_set_checksum(&atoms, &fb),
                 fact_set_checksum(&atoms_seq, &fb_seq),
@@ -336,34 +210,5 @@ mod tests {
             .run(&Executor::new(2), &mut atoms, &mut fb)
             .unwrap_err();
         assert!(matches!(err, RuleError::BudgetExceeded { .. }));
-    }
-
-    #[test]
-    fn par_seed_identical_across_shard_counts() {
-        let mut edges = Vec::new();
-        for i in 0..30 {
-            edges.push((format!("c{i}"), format!("c{}", (i * 7) % 30)));
-        }
-        let mut baseline: Option<(usize, Vec<Fact>)> = None;
-        for shards in [1usize, 2, 7, 64] {
-            let mut g = OntGraph::new("s");
-            for (a, b) in &edges {
-                g.ensure_edge_by_labels(a, rel::SUBCLASS_OF, b).unwrap();
-            }
-            g.set_shard_count(shards);
-            let mut atoms = AtomTable::new();
-            let mut fb = FactBase::new();
-            let s = par_seed_subclass_facts(&Executor::new(2), &g, &mut atoms, &mut fb);
-            assert_eq!(s.shards, shards);
-            let facts = fb.facts_in_pred_order();
-            assert_eq!(s.seeded, facts.len());
-            match &baseline {
-                None => baseline = Some((s.seeded, facts)),
-                Some((seeded, base)) => {
-                    assert_eq!(s.seeded, *seeded, "shards={shards}");
-                    assert_eq!(&facts, base, "identical atom ids at shards={shards}");
-                }
-            }
-        }
     }
 }

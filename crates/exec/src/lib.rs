@@ -7,10 +7,10 @@
 //!   threads: a persistent scoped pool;
 //! * this crate owns the *batching*: an [`Executor`] that fans work —
 //!   generic closures ([`Executor::par_map`]), reformulated query
-//!   batches, shard-partitioned fact seeding
-//!   ([`par_seed_subclass_facts`]) and semi-naive rule evaluation
-//!   ([`ParallelEngine`]) — across the pool, with results **identical
-//!   to the sequential path** (same values, same order);
+//!   batches and the sequential engine's semi-naive work units
+//!   ([`ParallelEngine`], cut into delta-row ranges) — across the pool,
+//!   with results **identical to the sequential path** (same values,
+//!   same order);
 //! * [`ResultCache`] memoises query results per state epoch.
 //!
 //! Determinism is load-bearing, not cosmetic: every parallel routine
@@ -33,7 +33,7 @@ pub mod cache;
 pub mod inference;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use inference::{fact_set_checksum, par_seed_subclass_facts, ParallelEngine, ShardSeedStats};
+pub use inference::{fact_set_checksum, ParallelEngine};
 
 /// A handle for running batches in parallel over immutable data.
 ///

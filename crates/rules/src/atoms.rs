@@ -319,7 +319,7 @@ pub struct GraphAtoms<'t, 'g> {
 impl GraphAtoms<'_, '_> {
     /// The atom for a node-label id of the cursor's graph.
     #[inline]
-    pub fn atom(&mut self, label: LabelId) -> AtomId {
+    fn atom(&mut self, label: LabelId) -> AtomId {
         let i = label.index();
         if let Some(&slot) = self.memo.get(i) {
             if slot != 0 {

@@ -35,6 +35,11 @@ pub enum TermArg {
     Const(String),
 }
 
+/// Writes a variable bare and a constant in the textual syntax, quoted
+/// when it would otherwise misread (uppercase initial, whitespace,
+/// `(`, `)`, `,`, `.`, `:`, `%`, `#`). [`HornProgram::parse`] reads the
+/// output back — except for a constant holding `"`: the reader has no
+/// escape syntax, so such a constant has no text form.
 impl fmt::Display for TermArg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -185,17 +190,19 @@ impl HornProgram {
     }
 
     /// Parses a Datalog-like program (clauses end with `.`, `%` or `#`
-    /// start comments).
+    /// outside a quoted constant start comments).
     pub fn parse(input: &str) -> Result<Self> {
         let mut prog = HornProgram::new();
-        // strip comments line-wise, keep text joined so clauses can span lines
+        // strip comments line-wise, keep text joined so clauses can span
+        // lines; quote state carries across lines, as in `split_clauses`
         let mut text = String::new();
+        let mut in_quote = false;
         for line in input.lines() {
-            let line = match line.find(['%', '#']) {
-                Some(i) => &line[..i],
-                None => line,
-            };
-            text.push_str(line);
+            let comment = line.char_indices().find_map(|(i, c)| {
+                in_quote ^= c == '"';
+                (!in_quote && matches!(c, '%' | '#')).then_some(i)
+            });
+            text.push_str(&line[..comment.unwrap_or(line.len())]);
             text.push('\n');
         }
         for (i, clause_src) in split_clauses(&text).into_iter().enumerate() {
@@ -263,7 +270,13 @@ pub fn pred_name(relation: &str) -> String {
 }
 
 fn parse_clause(src: &str, clauseno: usize) -> Result<HornClause> {
-    let (head_src, body_src) = match src.find(":-") {
+    // the first `:-` outside a quoted constant splits head from body
+    let mut in_quote = false;
+    let neck = src.char_indices().find_map(|(i, c)| {
+        in_quote ^= c == '"';
+        (!in_quote && src[i..].starts_with(":-")).then_some(i)
+    });
+    let (head_src, body_src) = match neck {
         Some(i) => (&src[..i], Some(&src[i + 2..])),
         None => (src, None),
     };
@@ -576,6 +589,20 @@ subclass("carrier.Car", "carrier.Vehicle").
         let printed = prog.clauses[0].to_string();
         let again = HornProgram::parse(&printed).unwrap();
         assert_eq!(prog, again);
+        // comment and neck characters inside a quoted constant, in a
+        // head and in a body
+        for c in ["a#b", "a%b", "a:-b"] {
+            let fact = HornClause::new(Atom::consts2("p", c, "z"), vec![]);
+            let rule = HornClause::new(
+                Atom::new("q", vec![TermArg::Var("X".into())]),
+                vec![Atom::new("p", vec![TermArg::Var("X".into()), TermArg::Const(c.into())])],
+            );
+            for clause in [fact, rule] {
+                let printed = clause.to_string();
+                let again = HornProgram::parse(&format!("{printed} % trailing comment"));
+                assert_eq!(again.unwrap().clauses, vec![clause], "{printed}");
+            }
+        }
     }
 
     #[test]

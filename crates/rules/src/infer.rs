@@ -6,24 +6,30 @@
 //! provide three strategies whose contrast is experiment **B6**:
 //!
 //! * [`Strategy::SemiNaive`] — delta-driven evaluation with per-argument
-//!   fact indexes; the "lighter and faster" engine the paper envisages;
-//! * [`Strategy::Naive`] — re-evaluates every clause against the full
-//!   fact base each round (still indexed);
+//!   fact indexes; the "lighter and faster" engine the paper envisages.
+//!   A round runs one work unit per `(clause, delta position)` slot
+//!   ([`CompiledProgram::delta_slots`]) over that predicate's delta
+//!   rows, binding the delta atom first
+//!   ([`CompiledProgram::eval_delta_range`]);
+//! * [`Strategy::Naive`] — re-evaluates every clause in body order
+//!   against the full fact base each round (still indexed);
 //! * [`Strategy::FullClosure`] — the deliberately heavyweight stand-in
 //!   for a full first-order prover: no indexes, every body atom scans
 //!   every row of its predicate every round.
 //!
 //! All strategies compute the same least fixpoint; they differ only in
 //! work done, which [`InferenceStats`] exposes (`atoms_examined` is the
-//! effort proxy reported by bench B6).
+//! effort proxy reported by bench B6, where naive and full-closure are
+//! semi-naive's measured baselines).
 //!
 //! Symbols live in an external [`AtomTable`] rather than inside the fact
 //! base, so one table can back many fact bases (the articulation
 //! generator reuses the system's shared table across runs) and seeding
-//! from a graph goes through [`AtomTable::graph_atoms`] without ever
-//! formatting or hashing a string per fact. The string-accepting methods
-//! here are the thin display/test view the parser boundary needs; the
-//! hot paths are the `*_fact`/`*_ids` variants.
+//! from a graph ([`seed_subclass_facts`]) goes through
+//! [`AtomTable::graph_atoms`] without ever formatting or hashing a
+//! string per fact. The string-accepting methods here are the thin
+//! display/test view the parser boundary needs; the hot paths are the
+//! `*_fact`/`*_ids` variants.
 //!
 //! Saturation allocates nothing per examined candidate, per skip-rule
 //! test, per unification or per emitted head the store already holds:
@@ -31,17 +37,23 @@
 //! semi-naive delta is a suffix of each predicate's rows (so "is this
 //! candidate in the delta" compares row numbers), bindings are undone
 //! from one trail per evaluation, and a head is built in a scratch
-//! buffer and probed against the store before it is copied out. Both
-//! engines share the round loop, [`CompiledProgram::saturate`]. The
-//! pre-refactor
-//! string-keyed engine survives as [`crate::reference`] for differential
-//! testing and the B12 baseline.
+//! buffer and probed against the store before it is copied out.
+//!
+//! Semi-naive evaluation exists once. `onion-exec`'s parallel engine
+//! shares the round loop ([`CompiledProgram::saturate`]) and the work
+//! unit, and only cuts each slot's delta rows into sub-ranges run on
+//! its pool, so both engines return equal [`InferenceStats`] and fact
+//! bases. The pre-refactor string-keyed engine survives as
+//! [`crate::reference`] for differential testing and the B12 baseline;
+//! it joins semi-naive rounds in body order, so its `atoms_examined`
+//! differs from this engine's.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use onion_graph::hash::{FxHashMap, FxHasher};
+use onion_graph::{rel, OntGraph};
 
 use crate::atoms::{AtomId, AtomTable};
 use crate::horn::{Atom, HornClause, HornProgram, TermArg};
@@ -170,27 +182,19 @@ impl Rows {
         }
     }
 
-    /// Rows from `from` on that may match `atom` under `env`: the
-    /// tightest index (the first bound argument's), or every row when
-    /// nothing is bound or `unindexed`.
-    fn candidates(
-        &self,
-        atom: &CAtom,
-        env: &[Option<AtomId>],
-        from: u32,
-        unindexed: bool,
-    ) -> Candidates<'_> {
+    /// Rows that may match `atom` under `env`: the tightest index (the
+    /// first bound argument's), or every row when nothing is bound or
+    /// `unindexed`.
+    fn candidates(&self, atom: &CAtom, env: &[Option<AtomId>], unindexed: bool) -> Candidates<'_> {
         let bound = atom.args.iter().enumerate().find_map(|(pos, a)| match *a {
             CArg::Const(s) => Some((pos as u8, s)),
             CArg::Slot(s) => env[s].map(|v| (pos as u8, v)),
         });
         match bound {
             Some(key) if !unindexed => {
-                let list = self.index.get(&key).map_or(&[][..], Vec::as_slice);
-                let start = list.partition_point(|&r| r < from);
-                Candidates::Listed(list[start..].iter())
+                Candidates::Listed(self.index.get(&key).map_or(&[][..], Vec::as_slice).iter())
             }
-            _ => Candidates::Span(from..self.len() as u32),
+            _ => Candidates::Span(0..self.len() as u32),
         }
     }
 }
@@ -343,7 +347,8 @@ impl FactBase {
 
     /// The row numbers of `pred` in the semi-naive delta: the rows the
     /// previous round appended, or every row before the first round
-    /// merges. Work units of a parallel round are sub-ranges of these.
+    /// merges. A sequential work unit covers all of them, a parallel
+    /// one a sub-range.
     pub fn delta_rows(&self, pred: AtomId) -> Range<usize> {
         self.preds.get(&pred).map_or(0..0, |rows| rows.delta_from as usize..rows.len())
     }
@@ -368,6 +373,44 @@ impl FactBase {
     }
 }
 
+/// What [`seed_subclass_facts`] loaded from one graph.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeedStats {
+    /// Facts that were new to the fact base.
+    pub seeded: usize,
+    /// Edges dropped because an endpoint node is deleted.
+    pub skipped_dead_nodes: usize,
+}
+
+/// Seeds one interned `subclassof(src, dst)` fact per live `SubclassOf`
+/// edge of `g`, in edge order. Endpoints are the graph's node labels
+/// under its name as namespace, resolved through the table's per-graph
+/// label memo ([`AtomTable::graph_atoms`]), so no string is formatted
+/// or hashed per fact. An edge whose endpoint node is deleted (churn
+/// between edge enumeration and label resolution) seeds nothing and is
+/// counted instead of panicking.
+///
+/// This is the one graph-seeding walk: the articulation generator runs
+/// it on every ontology it expands, whether or not saturation then
+/// runs on an executor.
+pub fn seed_subclass_facts(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> SeedStats {
+    let mut out = SeedStats::default();
+    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { return out };
+    let pred = atoms.intern("subclassof");
+    let mut cursor = atoms.graph_atoms(g);
+    for (_, src, lid, dst) in g.edge_entries() {
+        if lid != sub {
+            continue;
+        }
+        let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else {
+            out.skipped_dead_nodes += 1;
+            continue;
+        };
+        out.seeded += fb.add_fact(pred, &[s, d]) as usize;
+    }
+    out
+}
+
 /// Evaluation strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -386,7 +429,10 @@ pub struct InferenceStats {
     pub iterations: usize,
     /// New facts derived.
     pub derived: usize,
-    /// Candidate facts examined during joins — the effort proxy.
+    /// Candidate facts examined during joins — the effort proxy. Equal
+    /// across engines, thread counts and shard counts for one strategy;
+    /// semi-naive runs count a delta row once when its unit binds it,
+    /// then every candidate the rest of the body visits.
     pub atoms_examined: usize,
     /// Per-round breakdown; `rounds.len() == iterations` (the final
     /// entry is the empty round that proves the fixpoint, unless the
@@ -394,11 +440,11 @@ pub struct InferenceStats {
     /// `derived` minus ground-clause fires.
     pub rounds: Vec<RoundStats>,
     /// Facts pushed through a merge barrier, one entry per merging
-    /// worker. The sequential engines leave this empty; `onion-exec`'s
-    /// parallel engine records a single entry: every head its work
-    /// units emit that the store did not already hold when the round
-    /// began, funnelled through the one per-round merge. Heads emitted
-    /// twice within a round count twice.
+    /// worker. Semi-naive runs of either engine record a single entry:
+    /// every head their work units emit that the store did not already
+    /// hold when the round began, funnelled through the one per-round
+    /// merge. Heads emitted twice within a round count twice. Naive and
+    /// full-closure runs leave this empty.
     pub worker_merge_facts: Vec<usize>,
 }
 
@@ -486,31 +532,36 @@ impl InferenceEngine {
 
     /// Runs the program to fixpoint on `fb`, adding derived facts.
     /// Clause predicates and constants are interned through `atoms` —
-    /// the only interning an inference run performs.
+    /// the only interning an inference run performs. A semi-naive round
+    /// evaluates one work unit per [`CompiledProgram::delta_slots`]
+    /// entry, in that order, over all its delta rows.
     pub fn run(&self, atoms: &mut AtomTable, fb: &mut FactBase) -> Result<InferenceStats> {
         let compiled = CompiledProgram::compile(&self.program, atoms)?;
-        let whole_base = self.strategy != Strategy::SemiNaive;
-        let unindexed = self.strategy == Strategy::FullClosure;
-        let mut scratch = Scratch::default();
-        let (stats, _merged) =
-            compiled.saturate(fb, self.max_derived, self.max_iterations, whole_base, |fb| {
+        let (max_derived, max_iterations) = (self.max_derived, self.max_iterations);
+        if self.strategy == Strategy::SemiNaive {
+            let slots = compiled.delta_slots();
+            return compiled.saturate(fb, max_derived, max_iterations, false, |fb| {
                 let mut heads = FactRows::default();
                 let mut examined = 0;
-                for c in compiled.clauses.iter().filter(|c| !c.body.is_empty()) {
-                    scratch.reset(c.nvars);
-                    if whole_base {
-                        let plan = Plan { delta: None, delta_first: false, unindexed };
-                        join(fb, c, 0, plan, &mut scratch, &mut heads, &mut examined);
-                    } else {
-                        for d in 0..c.body.len() {
-                            let plan = Plan { delta: Some(d), delta_first: false, unindexed };
-                            join(fb, c, 0, plan, &mut scratch, &mut heads, &mut examined);
-                        }
-                    }
+                for &(ci, d, pred) in &slots {
+                    let rows = fb.delta_rows(pred);
+                    compiled.eval_delta_range(fb, ci, d, rows, &mut heads, &mut examined);
                 }
                 (vec![heads], examined)
-            })?;
-        Ok(stats)
+            });
+        }
+        let unindexed = self.strategy == Strategy::FullClosure;
+        let mut scratch = Scratch::default();
+        compiled.saturate(fb, max_derived, max_iterations, true, |fb| {
+            let mut heads = FactRows::default();
+            let mut examined = 0;
+            for c in compiled.clauses.iter().filter(|c| !c.body.is_empty()) {
+                scratch.reset(c.nvars);
+                let plan = Plan { delta: None, unindexed };
+                join(fb, c, 0, plan, &mut scratch, &mut heads, &mut examined);
+            }
+            (vec![heads], examined)
+        })
     }
 }
 
@@ -532,9 +583,9 @@ fn record_run_metrics(stats: &InferenceStats) {
 ///
 /// [`InferenceEngine::run`] compiles on entry and keeps the result
 /// private; `onion-exec`'s parallel engine compiles once up front and
-/// then drives [`CompiledProgram::eval_delta_range`] work units across
-/// its pool from inside [`CompiledProgram::saturate`] — the compiled
-/// form is `Sync`, so workers share one copy.
+/// then drives the same [`CompiledProgram::eval_delta_range`] work
+/// units across its pool from inside [`CompiledProgram::saturate`] —
+/// the compiled form is `Sync`, so workers share one copy.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     clauses: Vec<CClause>,
@@ -560,9 +611,10 @@ impl CompiledProgram {
     /// order through the store's dedup, which fixes the next delta's
     /// rows and their order. The round ledger's `delta` counts the
     /// delta's rows, or every row when `whole_base` (naive rounds).
+    /// Delta-driven runs record the number of heads merged as their one
+    /// [`InferenceStats::worker_merge_facts`] entry.
     ///
-    /// Returns the run's stats and the number of heads merged. Records
-    /// one `inference` span and the run metrics.
+    /// Records one `inference` span and the run metrics.
     pub fn saturate(
         &self,
         fb: &mut FactBase,
@@ -570,7 +622,7 @@ impl CompiledProgram {
         max_iterations: usize,
         whole_base: bool,
         mut eval: impl FnMut(&FactBase) -> (Vec<FactRows>, usize),
-    ) -> Result<(InferenceStats, usize)> {
+    ) -> Result<InferenceStats> {
         let _span = onion_obs::span!("inference");
         let mut stats = InferenceStats::default();
         for c in self.clauses.iter().filter(|c| c.body.is_empty()) {
@@ -611,13 +663,16 @@ impl CompiledProgram {
                 break;
             }
         }
+        if !whole_base {
+            stats.worker_merge_facts = vec![merged];
+        }
         record_run_metrics(&stats);
-        Ok((stats, merged))
+        Ok(stats)
     }
 
     /// `(clause index, body position, predicate)` for every body atom
     /// of every clause with a non-empty body — the slots a round's
-    /// delta can fill, in the order a parallel driver lays out its
+    /// delta can fill, in the order both engines lay out their
     /// `(clause, delta position, delta rows)` work units.
     pub fn delta_slots(&self) -> Vec<(usize, usize, AtomId)> {
         let mut slots = Vec::new();
@@ -634,12 +689,13 @@ impl CompiledProgram {
     /// The delta atom is evaluated *outermost* (delta-first), then the
     /// remaining body atoms join in clause order against the full
     /// store, with the standard semi-naive skip rule (atoms before
-    /// `position` must not match delta rows). Because every candidate
-    /// examined and every head emitted belongs to exactly one delta
-    /// row, partitioning the delta rows into disjoint ranges changes
-    /// neither the union of emitted heads nor the summed `effort` — the
-    /// invariant the parallel engine's determinism contract rests on.
-    /// Heads the store already holds are not emitted.
+    /// `position` must not match delta rows). Every candidate examined
+    /// and every head emitted belongs to exactly one delta row, and the
+    /// rows run in order, so a range's heads are the concatenation of
+    /// its sub-ranges' heads and its `effort` their sum — the invariant
+    /// that makes the parallel engine's row-range units equal to the
+    /// sequential engine's whole-slot units. Heads the store already
+    /// holds are not emitted.
     pub fn eval_delta_range(
         &self,
         fb: &FactBase,
@@ -654,7 +710,7 @@ impl CompiledProgram {
         let Some(store) = fb.preds.get(&atom.pred) else { return };
         let mut scratch = Scratch::default();
         scratch.reset(c.nvars);
-        let plan = Plan { delta: Some(position), delta_first: true, unindexed: false };
+        let plan = Plan { delta: Some(position), unindexed: false };
         for r in rows {
             *effort += 1;
             let args = store.row(r as u32);
@@ -736,12 +792,10 @@ impl FactRows {
 /// How one clause evaluation draws its candidates.
 #[derive(Debug, Clone, Copy)]
 struct Plan {
-    /// Body position restricted to the delta rows (semi-naive); atoms
-    /// before it skip delta rows, so each derivation is found at its
-    /// first delta position only.
+    /// Body position the caller already bound to a delta row
+    /// (semi-naive); atoms before it skip delta rows, so each
+    /// derivation is found at its first delta position only.
     delta: Option<usize>,
-    /// The caller already bound the delta atom (delta-first order).
-    delta_first: bool,
     /// Scan every row of the predicate, no indexes (the full-closure
     /// baseline).
     unindexed: bool,
@@ -792,7 +846,8 @@ impl Scratch {
 }
 
 /// Joins body atoms `i..` of `c` in clause order against `fb` under
-/// `plan`, emitting every head instantiation the store does not hold.
+/// `plan`, passing over the delta atom the caller bound, and emits
+/// every head instantiation the store does not hold.
 fn join(
     fb: &FactBase,
     c: &CClause,
@@ -806,15 +861,14 @@ fn join(
         emit_head(fb, c, s, out);
         return;
     }
-    if plan.delta_first && plan.delta == Some(i) {
+    if plan.delta == Some(i) {
         join(fb, c, i + 1, plan, s, out, effort);
         return;
     }
     let atom = &c.body[i];
     let Some(rows) = fb.preds.get(&atom.pred) else { return };
-    let from = if plan.delta == Some(i) { rows.delta_from } else { 0 };
     let skip_delta = plan.delta.is_some_and(|d| i < d);
-    for r in rows.candidates(atom, &s.env, from, plan.unindexed) {
+    for r in rows.candidates(atom, &s.env, plan.unindexed) {
         *effort += 1;
         let args = rows.row(r);
         if args.len() != atom.args.len() || (skip_delta && r >= rows.delta_from) {
@@ -927,6 +981,49 @@ mod tests {
             s1.atoms_examined,
             s2.atoms_examined
         );
+    }
+
+    #[test]
+    fn self_loop_is_where_seminaive_examines_more_than_fullclosure() {
+        // p(a, a): nothing derivable, one round either way. Semi-naive
+        // binds the delta row at each of the two body positions and
+        // probes the other atom's index (2 × 2); full-closure's one
+        // body-order scan visits the row once per atom (2). On inputs
+        // without self-loops `inference_props` finds semi-naive never
+        // examines more on this program.
+        let mut counts = Vec::new();
+        for strat in [Strategy::SemiNaive, Strategy::FullClosure] {
+            let mut atoms = AtomTable::new();
+            let mut fb = FactBase::new();
+            fb.add(&mut atoms, "p", &["a", "a"]);
+            let stats = InferenceEngine::new(transitivity())
+                .with_strategy(strat)
+                .run(&mut atoms, &mut fb)
+                .unwrap();
+            assert_eq!((stats.iterations, stats.derived), (1, 0), "{strat:?}");
+            counts.push(stats.atoms_examined);
+        }
+        assert_eq!(counts, [4, 2]);
+    }
+
+    #[test]
+    fn seeding_walks_live_subclass_edges_in_edge_order() {
+        let mut g = OntGraph::new("o");
+        g.ensure_edge_by_labels("b", rel::SUBCLASS_OF, "a").unwrap();
+        g.ensure_edge_by_labels("c", "partof", "a").unwrap();
+        g.ensure_edge_by_labels("c", rel::SUBCLASS_OF, "b").unwrap();
+        g.ensure_edge_by_labels("d", rel::SUBCLASS_OF, "b").unwrap();
+        let mut atoms = AtomTable::new();
+        let mut fb = FactBase::new();
+        let first = seed_subclass_facts(&g, &mut atoms, &mut fb);
+        assert_eq!(first, SeedStats { seeded: 3, skipped_dead_nodes: 0 });
+        let seeded: Vec<(&str, &str)> = fb.query2(&atoms, "subclassof", None, None);
+        assert_eq!(seeded, [("o.b", "o.a"), ("o.c", "o.b"), ("o.d", "o.b")]);
+        // a second walk over the same graph adds nothing
+        assert_eq!(seed_subclass_facts(&g, &mut atoms, &mut fb).seeded, 0);
+        let mut plain = OntGraph::new("p");
+        plain.ensure_edge_by_labels("x", "partof", "y").unwrap();
+        assert_eq!(seed_subclass_facts(&plain, &mut atoms, &mut fb), SeedStats::default());
     }
 
     #[test]

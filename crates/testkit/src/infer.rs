@@ -1,24 +1,21 @@
-//! Fact-base seeding helpers for inference tests and bench B12.
+//! Fact-base helpers for inference tests and bench B12.
 //!
-//! Both functions seed `subclassof(src, dst)` facts — one per live
-//! `SubclassOf` edge of the ontology's graph, endpoints qualified by the
-//! ontology name — exactly the way the articulation generator's
-//! inference expansion does. The two paths exist to be *compared*:
-//!
-//! * [`seed_subclass_facts`] drives the interned engine through
-//!   [`AtomTable::graph_atoms`] — no string is formatted or hashed per
-//!   fact;
+//! * [`deep_chain_ontology`] builds the saturation-adversarial deep
+//!   hierarchy;
 //! * [`seed_subclass_facts_strings`] replays the pre-refactor string
-//!   path (`format!("{onto}.{label}")` per endpoint) into the frozen
-//!   [`mod@reference`] fact base.
+//!   seeding path (`format!("{onto}.{label}")` per endpoint) into the
+//!   frozen [`mod@reference`] fact base. Its interned counterpart is the
+//!   one walk the articulation generator runs,
+//!   [`onion_rules::infer::seed_subclass_facts`]; both load one
+//!   `subclassof(src, dst)` fact per live `SubclassOf` edge, endpoints
+//!   qualified by the ontology name.
 //!
-//! The `inference_props` suite asserts the two fact sets are identical;
-//! B12 records their build-time gap.
+//! `interned_and_string_seeding_agree` below asserts the two fact sets
+//! are identical; B12 records their build-time gap.
 
 use onion_graph::rel;
 use onion_ontology::{Ontology, OntologyBuilder};
-use onion_rules::infer::FactBase;
-use onion_rules::{reference, AtomTable};
+use onion_rules::reference;
 
 /// A deep-hierarchy ontology: `chains` disjoint `SubclassOf` chains,
 /// each `depth` classes deep, hanging off one shared root —
@@ -48,26 +45,6 @@ pub fn deep_chain_ontology(name: &str, chains: usize, depth: usize) -> Ontology 
     builder.build().expect("deep-chain ontology is consistent by construction")
 }
 
-/// Seeds `fb` with one interned `subclassof` fact per live subclass
-/// edge; returns how many facts were added.
-pub fn seed_subclass_facts(onto: &Ontology, atoms: &mut AtomTable, fb: &mut FactBase) -> usize {
-    let g = onto.graph();
-    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { return 0 };
-    let pred = atoms.intern("subclassof");
-    let mut cursor = atoms.graph_atoms(g);
-    let mut added = 0;
-    for (_, src, lid, dst) in g.edge_entries() {
-        if lid != sub {
-            continue;
-        }
-        let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else { continue };
-        if fb.add_fact(pred, &[s, d]) {
-            added += 1;
-        }
-    }
-    added
-}
-
 /// Seeds the string-keyed reference fact base the pre-refactor way;
 /// returns how many facts were added.
 pub fn seed_subclass_facts_strings(onto: &Ontology, fb: &mut reference::FactBase) -> usize {
@@ -92,13 +69,15 @@ pub fn seed_subclass_facts_strings(onto: &Ontology, fb: &mut reference::FactBase
 mod tests {
     use super::*;
     use crate::gen::{generate_ontology, OntologySpec};
+    use onion_rules::infer::{seed_subclass_facts, FactBase};
+    use onion_rules::AtomTable;
 
     #[test]
     fn deep_chain_seeds_one_edge_per_class() {
         let onto = deep_chain_ontology("deep", 3, 5);
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n = seed_subclass_facts(&onto, &mut atoms, &mut fb);
+        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
         assert_eq!(n, 3 * 5, "every non-root class contributes exactly one subclass edge");
     }
 
@@ -107,7 +86,7 @@ mod tests {
         let onto = generate_ontology(&OntologySpec::sized("seedcheck", 7, 80));
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n1 = seed_subclass_facts(&onto, &mut atoms, &mut fb);
+        let n1 = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
         let mut sref = reference::FactBase::new();
         let n2 = seed_subclass_facts_strings(&onto, &mut sref);
         assert_eq!(n1, n2);

@@ -27,7 +27,7 @@ pub mod workload;
 
 pub use baseline::GlobalMerge;
 pub use gen::{generate_dag, generate_graph, generate_ontology, GraphSpec, OntologySpec};
-pub use infer::{deep_chain_ontology, seed_subclass_facts, seed_subclass_facts_strings};
+pub use infer::{deep_chain_ontology, seed_subclass_facts_strings};
 pub use metrics::{precision_recall, PrMetrics};
 pub use overlap::{overlap_pair, OverlapPair, OverlapSpec};
 pub use workload::{random_queries, update_stream, UpdateSpec};

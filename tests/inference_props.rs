@@ -1,12 +1,16 @@
 //! Property-based equivalence of the inference strategies (§4.1 / B6)
 //! **and** of the engine generations: the interned-`AtomId` engine
-//! (`onion_rules::infer`) must be observationally identical — derived
-//! fact sets *and* work counters — to the frozen pre-refactor
+//! (`onion_rules::infer`) must match the frozen pre-refactor
 //! string-keyed engine (`onion_rules::reference`) on arbitrary Horn
-//! programs built through the textual `parser`/`horn` boundary, and
-//! the shard-parallel engine (`onion_exec::ParallelEngine`) must match
-//! both on fact sets and round counters at every thread count (the
-//! shard/thread matrix lives in `seminaive_props.rs`).
+//! programs built through the textual `parser`/`horn` boundary —
+//! derived fact sets and the round trajectory for every strategy, and
+//! the whole `InferenceStats` for naive and full-closure. Semi-naive
+//! rounds run delta-first work units, while the reference joins in
+//! body order, so their candidate counts differ. The parallel engine
+//! (`onion_exec::ParallelEngine`) runs the same work units as the
+//! sequential one and must equal it — fact base and whole
+//! `InferenceStats` — at every thread count (the shard/thread matrix
+//! lives in `seminaive_props.rs`).
 
 use proptest::prelude::*;
 
@@ -15,10 +19,11 @@ use onion_core::graph::closure::transitive_pairs;
 use onion_core::graph::traverse::EdgeFilter;
 use onion_core::prelude::*;
 use onion_core::rules::horn::HornProgram;
-use onion_core::rules::infer::{FactBase, InferenceEngine, Strategy as InferStrategy};
+use onion_core::rules::infer::{
+    seed_subclass_facts, FactBase, InferenceEngine, InferenceStats, Strategy as InferStrategy,
+};
 use onion_core::rules::reference;
 use onion_core::rules::AtomTable;
-use onion_core::testkit::seed_subclass_facts;
 
 fn edge_list() -> impl Strategy<Value = Vec<(u8, u8)>> {
     prop::collection::vec((0u8..10, 0u8..10), 0..30)
@@ -98,6 +103,20 @@ fn reference_facts(fb: &reference::FactBase) -> Vec<Vec<Vec<String>>> {
     out
 }
 
+/// `stats` without the counters that depend on join order
+/// (`atoms_examined`, each round's `examined`) or on the merge
+/// (`worker_merge_facts`): what a semi-naive run shares with the
+/// reference engine's.
+fn trajectory(stats: &InferenceStats) -> InferenceStats {
+    let mut t = stats.clone();
+    t.atoms_examined = 0;
+    t.worker_merge_facts.clear();
+    for r in &mut t.rounds {
+        r.examined = 0;
+    }
+    t
+}
+
 fn sorted_facts(atoms: &AtomTable, fb: &FactBase, pred: &str) -> Vec<(String, String)> {
     let mut v: Vec<(String, String)> = fb
         .query2(atoms, pred, None, None)
@@ -114,7 +133,9 @@ proptest! {
     /// THE differential property of the AtomId port: on random programs
     /// (through the parser text form) and random fact sets, the interned
     /// engine and the frozen string-keyed reference derive identical
-    /// fact sets with identical `InferenceStats`, for every strategy.
+    /// fact sets, for every strategy. Naive and full-closure also agree
+    /// on the whole `InferenceStats`; semi-naive on everything but the
+    /// join-order counters (see [`trajectory`]).
     #[test]
     fn interned_engine_matches_string_reference(
         text in program_text(),
@@ -142,7 +163,11 @@ proptest! {
             .run(&mut rfb)
             .unwrap();
 
-        prop_assert_eq!(stats, ref_stats, "work counters must match exactly ({:?})", strat);
+        if strat == InferStrategy::SemiNaive {
+            prop_assert_eq!(trajectory(&stats), trajectory(&ref_stats), "semi-naive trajectory");
+        } else {
+            prop_assert_eq!(stats, ref_stats, "work counters must match exactly ({:?})", strat);
+        }
         prop_assert_eq!(fb.len(), rfb.len());
         prop_assert_eq!(
             interned_facts(&fb, &atoms),
@@ -169,11 +194,11 @@ proptest! {
         let mut atoms = AtomTable::new();
         let mut fb1 = FactBase::new();
         let o = Ontology::from_graph(g.clone()).unwrap();
-        seed_subclass_facts(&o, &mut atoms, &mut fb1);
+        seed_subclass_facts(o.graph(), &mut atoms, &mut fb1);
         let warm = atoms.len();
 
         let mut fb2 = FactBase::new();
-        seed_subclass_facts(&o, &mut atoms, &mut fb2);
+        seed_subclass_facts(o.graph(), &mut atoms, &mut fb2);
         prop_assert_eq!(atoms.len(), warm, "re-seeding interns nothing new");
         prop_assert_eq!(fb1.len(), fb2.len());
         prop_assert_eq!(
@@ -188,7 +213,7 @@ proptest! {
         g.add_edge(f, rel::SUBCLASS_OF, root).unwrap();
         let o2 = Ontology::from_graph(g).unwrap();
         let mut fb3 = FactBase::new();
-        seed_subclass_facts(&o2, &mut atoms, &mut fb3);
+        seed_subclass_facts(o2.graph(), &mut atoms, &mut fb3);
         prop_assert_eq!(atoms.len(), warm + 1, "one new symbol for the fresh node");
         prop_assert!(fb3.contains(&atoms, "subclassof", &[&format!("churn.{fresh}"), "churn.n0"]));
     }
@@ -367,9 +392,10 @@ proptest! {
     }
 
     /// The parallel engine is a drop-in semi-naive: identical fact
-    /// sets, totals, and per-round delta/derived counters vs both the
-    /// sequential interned engine and the frozen string reference, and
-    /// byte-identical `InferenceStats` across thread counts.
+    /// sets, totals, and per-round delta/derived counters vs the frozen
+    /// string reference, and the sequential interned engine's fact base
+    /// (atom ids and order included) and whole `InferenceStats` at
+    /// every thread count.
     #[test]
     fn parallel_engine_matches_reference(text in program_text(), edges in edge_list()) {
         let program = HornProgram::parse(&text).unwrap();
@@ -382,7 +408,15 @@ proptest! {
         let ref_stats = reference::InferenceEngine::new(program.clone()).run(&mut rfb).unwrap();
         let expected = reference_facts(&rfb);
 
-        let mut baseline: Option<onion_core::rules::InferenceStats> = None;
+        let mut seq_atoms = AtomTable::new();
+        let mut seq_fb = FactBase::new();
+        for (a, b) in &edges {
+            let (sa, sb) = (sym(*a), sym(*b));
+            seq_fb.add(&mut seq_atoms, "p", &[&sa, &sb]);
+        }
+        let seq_stats =
+            InferenceEngine::new(program.clone()).run(&mut seq_atoms, &mut seq_fb).unwrap();
+
         for threads in [1usize, 2, 4] {
             let exec = Executor::new(threads);
             let mut atoms = AtomTable::new();
@@ -406,17 +440,20 @@ proptest! {
                 expected.clone(),
                 "parallel fact set matches reference (threads={})", threads
             );
-            match &baseline {
-                None => baseline = Some(stats),
-                Some(first) => prop_assert_eq!(
-                    &stats, first,
-                    "InferenceStats byte-identical across thread counts"
-                ),
-            }
+            prop_assert_eq!(&stats, &seq_stats, "sequential InferenceStats (threads={})", threads);
+            prop_assert_eq!(
+                fb.facts_in_pred_order(),
+                seq_fb.facts_in_pred_order(),
+                "sequential fact base (threads={})", threads
+            );
         }
     }
 
-    /// Semi-naive never examines more candidate atoms than full-closure.
+    /// Semi-naive never examines more candidate atoms than full-closure
+    /// on inputs without self-loops. A self-loop `p(a, a)` alone reads
+    /// semi-naive 4 > full-closure 2 (pinned by the `infer` unit test
+    /// `self_loop_is_where_seminaive_examines_more_than_fullclosure`),
+    /// so `a == b` edges are dropped, as `seminaive_props` does.
     #[test]
     fn seminaive_no_worse_than_fullclosure(edges in edge_list()) {
         let program = HornProgram::parse("p(X, Z) :- p(X, Y), p(Y, Z).").unwrap();
@@ -424,7 +461,7 @@ proptest! {
         for strat in [InferStrategy::SemiNaive, InferStrategy::FullClosure] {
             let mut atoms = AtomTable::new();
             let mut fb = FactBase::new();
-            for (a, b) in &edges {
+            for (a, b) in edges.iter().filter(|(a, b)| a != b) {
                 fb.add(&mut atoms, "p", &[&format!("n{a}"), &format!("n{b}")]);
             }
             let stats = InferenceEngine::new(program.clone())

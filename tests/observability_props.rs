@@ -23,13 +23,13 @@ use onion_core::articulate::{
     AcceptAll, ArticulationEngine, ArticulationGenerator, EngineReport, GeneratorConfig,
     MatcherPipeline,
 };
-use onion_core::exec::{par_seed_subclass_facts, ParallelEngine};
+use onion_core::exec::ParallelEngine;
 use onion_core::obs;
 use onion_core::obs::{HistKind, Registry};
 use onion_core::ontology::examples::{carrier, factory};
 use onion_core::prelude::*;
 use onion_core::rules::horn::HornProgram;
-use onion_core::rules::infer::{FactBase, InferenceEngine};
+use onion_core::rules::infer::{seed_subclass_facts, FactBase, InferenceEngine};
 use onion_core::rules::properties::RelationRegistry;
 use onion_core::rules::{parse_rules, AtomTable, InferenceStats};
 
@@ -64,20 +64,7 @@ fn run_workload(edges: &[(u8, u8)]) -> Artifacts {
 
     let mut seq_atoms = AtomTable::new();
     let mut seq_fb = FactBase::new();
-    let g0 = build_graph(edges, 1);
-    let sub = seq_atoms.intern("subclassof");
-    {
-        let mut cursor = seq_atoms.graph_atoms(&g0);
-        if let Some(lid) = g0.label_id(rel::SUBCLASS_OF) {
-            for (_, src, l, dst) in g0.edge_entries() {
-                if l == lid {
-                    if let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) {
-                        seq_fb.add_fact(sub, &[s, d]);
-                    }
-                }
-            }
-        }
-    }
+    seed_subclass_facts(&build_graph(edges, 1), &mut seq_atoms, &mut seq_fb);
     let seq_stats = InferenceEngine::new(program.clone()).run(&mut seq_atoms, &mut seq_fb).unwrap();
 
     // the parallel family must agree with itself in either mode; keep
@@ -90,7 +77,7 @@ fn run_workload(edges: &[(u8, u8)]) -> Artifacts {
             let exec = Executor::new(threads);
             let mut atoms = AtomTable::new();
             let mut fb = FactBase::new();
-            par_seed_subclass_facts(&exec, &g, &mut atoms, &mut fb);
+            seed_subclass_facts(&g, &mut atoms, &mut fb);
             let stats =
                 ParallelEngine::new(program.clone()).run(&exec, &mut atoms, &mut fb).unwrap();
             let snapshot = (fb.facts_in_pred_order(), stats);

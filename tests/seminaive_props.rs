@@ -1,28 +1,32 @@
-//! Differential fuzzing of shard-parallel semi-naive inference.
+//! Differential fuzzing of semi-naive inference across engines, shard
+//! counts and thread counts.
 //!
 //! The determinism contract under test (see `onion_exec::inference`):
-//! seeding partitions subclass edges by snapshot shard and merges by a
-//! canonical id-remap, saturation splits each round's delta into work
-//! units merged in unit order — so the seeded/derived fact bases
-//! (atom ids included) and the full [`InferenceStats`] must be
-//! **byte-identical across shard counts {1, 2, 7, 64} and thread
-//! counts {1, 2, 4}**, and must agree with the sequential engines on
-//! fact sets, conflict verdicts, totals, and per-round counters.
+//! seeding is the one graph walk (`seed_subclass_facts`), and
+//! `ParallelEngine` runs the sequential engine's semi-naive work units
+//! cut into delta-row ranges, merged in unit order. So the sequential
+//! engine and `ParallelEngine` form one family: the seed counts, the
+//! fact bases (`facts_in_pred_order()`, atom ids included) and the
+//! whole [`InferenceStats`] must be **byte-identical across shard counts
+//! {1, 2, 7, 64} and thread counts {1, 2, 4}**.
 //!
 //! Also here: the deep-hierarchy regression test pinning semi-naive's
 //! O(log depth) round count and per-round deltas through the
 //! [`RoundStats`] ledger (never wall-clock), and the generator-level
-//! determinism of `GeneratorStats` through the parallel expand path on
-//! generated overlap pairs spread over 1 to 64 snapshot shards.
+//! identity of `GeneratorStats` and the articulation with and without
+//! an executor, on generated overlap pairs spread over 1 to 64 snapshot
+//! shards.
 
 use proptest::prelude::*;
 
 use onion_core::articulate::{ArticulationGenerator, GeneratorConfig};
-use onion_core::exec::{par_seed_subclass_facts, ParallelEngine};
+use onion_core::exec::ParallelEngine;
 use onion_core::prelude::*;
 use onion_core::rules::conflict::Disjointness;
 use onion_core::rules::horn::HornProgram;
-use onion_core::rules::infer::{FactBase, InferenceEngine, RoundStats, Strategy as InferStrategy};
+use onion_core::rules::infer::{
+    seed_subclass_facts, FactBase, InferenceEngine, RoundStats, Strategy as InferStrategy,
+};
 use onion_core::rules::properties::RelationRegistry;
 use onion_core::rules::{AtomTable, InferenceStats};
 use onion_core::testkit::{deep_chain_ontology, overlap_pair, OverlapPair, OverlapSpec};
@@ -46,25 +50,6 @@ fn build_graph(edges: &[(u8, u8)], shards: usize) -> OntGraph {
     }
     g.set_shard_count(shards);
     g
-}
-
-/// Sequential seeding over a raw graph — the exact per-edge cursor walk
-/// the generator's sequential path uses.
-fn seq_seed(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> usize {
-    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { return 0 };
-    let pred = atoms.intern("subclassof");
-    let mut cursor = atoms.graph_atoms(g);
-    let mut added = 0;
-    for (_, src, lid, dst) in g.edge_entries() {
-        if lid != sub {
-            continue;
-        }
-        let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else { continue };
-        if fb.add_fact(pred, &[s, d]) {
-            added += 1;
-        }
-    }
-    added
 }
 
 /// Every `pred` fact resolved to strings, sorted — the
@@ -93,8 +78,20 @@ fn disjointness_verdicts(
     v
 }
 
-fn round_profile(stats: &InferenceStats) -> Vec<(usize, usize)> {
-    stats.rounds.iter().map(|r| (r.delta, r.derived)).collect()
+/// Masks the process-global `graph_id` counter (fresh per generated
+/// graph, run-independent noise) out of a Debug rendering.
+fn mask_graph_id(s: &str) -> String {
+    let mut out = String::new();
+    let mut rest = s;
+    while let Some(i) = rest.find("graph_id: ") {
+        let tail = &rest[i + "graph_id: ".len()..];
+        let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap_or(tail.len());
+        out.push_str(&rest[..i]);
+        out.push_str("graph_id: _");
+        rest = &tail[digits..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// One `left.X => right.Y` rule per planted equivalence of `pair`.
@@ -111,12 +108,12 @@ fn rules_from_truth(pair: &OverlapPair) -> RuleSet {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// THE matrix property: seed + saturate on every (shard count,
-    /// thread count) combination. Within the parallel family
-    /// everything is byte-identical — seeded facts with their atom
-    /// ids, the full `InferenceStats`, the final fact base order.
-    /// Against the sequential engine: identical resolved fact sets,
-    /// conflict verdicts, totals, and per-round counters.
+    /// THE matrix property: seed + saturate on every shard count with
+    /// the sequential engine and with `ParallelEngine` at every thread
+    /// count. The whole family is byte-identical — seed counts, the
+    /// final fact base with its atom ids and insertion order, the full
+    /// `InferenceStats` — and so are the resolved fact sets and
+    /// conflict verdicts read from it.
     #[test]
     fn shard_thread_matrix_is_deterministic(edges in edge_list()) {
         let program = HornProgram::standard(&RelationRegistry::onion_default());
@@ -124,68 +121,43 @@ proptest! {
         disjoint.declare("g.n1", "g.n2");
         disjoint.declare("g.n3", "g.n17");
 
-        // Sequential baseline.
-        let g0 = build_graph(&edges, 1);
-        let mut seq_atoms = AtomTable::new();
-        let mut seq_fb = FactBase::new();
-        let seq_seeded = seq_seed(&g0, &mut seq_atoms, &mut seq_fb);
-        let seq_stats = InferenceEngine::new(program.clone())
-            .run(&mut seq_atoms, &mut seq_fb)
-            .unwrap();
-        let seq_facts = (resolved(&seq_atoms, &seq_fb, "subclassof"),
-                         resolved(&seq_atoms, &seq_fb, "si"));
-        let seq_verdicts = disjointness_verdicts(&seq_atoms, &seq_fb, &disjoint);
-
-        // byte-identity baseline within the parallel family
-        let mut family: Option<(usize, Vec<onion_core::rules::Fact>, InferenceStats)> = None;
+        let mut family = None;
         for shards in SHARD_COUNTS {
             let g = build_graph(&edges, shards);
-            for threads in THREAD_COUNTS {
-                let exec = Executor::new(threads);
+            // `None` is the sequential engine
+            for threads in [None].into_iter().chain(THREAD_COUNTS.map(Some)) {
                 let mut atoms = AtomTable::new();
                 let mut fb = FactBase::new();
-                let seed = par_seed_subclass_facts(&exec, &g, &mut atoms, &mut fb);
-                prop_assert_eq!(seed.seeded, seq_seeded,
-                    "seed count (shards={}, threads={})", shards, threads);
-                let stats = ParallelEngine::new(program.clone())
-                    .run(&exec, &mut atoms, &mut fb)
-                    .unwrap();
-
-                // vs sequential: sets, verdicts, totals, rounds
-                prop_assert_eq!(stats.iterations, seq_stats.iterations);
-                prop_assert_eq!(stats.derived, seq_stats.derived);
-                prop_assert_eq!(round_profile(&stats), round_profile(&seq_stats),
-                    "per-round counters (shards={}, threads={})", shards, threads);
-                prop_assert_eq!(
+                let seeded = seed_subclass_facts(&g, &mut atoms, &mut fb);
+                let stats = match threads {
+                    None => InferenceEngine::new(program.clone()).run(&mut atoms, &mut fb),
+                    Some(t) => ParallelEngine::new(program.clone())
+                        .run(&Executor::new(t), &mut atoms, &mut fb),
+                }
+                .unwrap();
+                let snapshot = (
+                    seeded,
+                    fb.facts_in_pred_order(),
+                    stats,
                     (resolved(&atoms, &fb, "subclassof"), resolved(&atoms, &fb, "si")),
-                    seq_facts.clone(),
-                    "fact sets (shards={}, threads={})", shards, threads
-                );
-                prop_assert_eq!(
                     disjointness_verdicts(&atoms, &fb, &disjoint),
-                    seq_verdicts.clone(),
-                    "conflict verdicts (shards={}, threads={})", shards, threads
                 );
-
-                // within the family: byte identity, atom ids included
-                let snapshot = (seed.seeded, fb.facts_in_pred_order(), stats);
                 match &family {
                     None => family = Some(snapshot),
                     Some(first) => prop_assert_eq!(
                         &snapshot, first,
-                        "byte-identical at shards={}, threads={}", shards, threads
+                        "byte-identical at shards={}, threads={:?}", shards, threads
                     ),
                 }
             }
         }
     }
 
-    /// The generator's parallel expand path reproduces the sequential
-    /// path's articulation exactly — same bridges, same seed counts,
-    /// same round profile — and its `GeneratorStats` are identical at
-    /// every thread count (counters survive the parallel merge
-    /// deterministically). Inputs are planted overlap pairs bridged by
-    /// their ground truth, each source on its own drawn shard count.
+    /// The generator's executor path reproduces the sequential path
+    /// exactly: the whole `GeneratorStats` and the articulation's
+    /// `{:?}` (graph ids masked) are identical at two thread counts.
+    /// Inputs are planted overlap pairs bridged by their ground truth,
+    /// each source on its own drawn shard count.
     #[test]
     fn generator_parallel_expand_is_deterministic(
         seed in 0u64..1000,
@@ -193,7 +165,6 @@ proptest! {
         shard_ix in (0usize..4, 0usize..4),
         threads_ix in 0usize..3,
     ) {
-        let threads = THREAD_COUNTS[threads_ix];
         let spec = OverlapSpec { seed, concepts, overlap: 0.4, ..Default::default() };
         let mut pair = overlap_pair(&spec);
         pair.left.graph_mut().set_shard_count(SHARD_COUNTS[shard_ix.0]);
@@ -207,33 +178,19 @@ proptest! {
         });
         let (seq_art, seq_stats) = seq_gen.generate_with_stats(&rules, &sources).unwrap();
         prop_assert!(seq_stats.derived_bridges > 0, "the input exercises inference");
+        let seq_art = mask_graph_id(&format!("{seq_art:?}"));
 
-        let par_gen = ArticulationGenerator::with_config(GeneratorConfig {
-            expand_with_inference: true,
-            executor: Some(std::sync::Arc::new(Executor::new(threads))),
-            ..Default::default()
-        });
-        let (par_art, par_stats) = par_gen.generate_with_stats(&rules, &sources).unwrap();
-
-        prop_assert_eq!(par_art.bridges, seq_art.bridges, "threads={}", threads);
-        prop_assert_eq!(par_stats.seeded_facts, seq_stats.seeded_facts);
-        prop_assert_eq!(par_stats.skipped_dead_nodes, seq_stats.skipped_dead_nodes);
-        prop_assert_eq!(par_stats.derived_bridges, seq_stats.derived_bridges);
-        prop_assert_eq!(par_stats.inference.derived, seq_stats.inference.derived);
-        prop_assert_eq!(par_stats.inference.iterations, seq_stats.inference.iterations);
-        prop_assert_eq!(
-            round_profile(&par_stats.inference),
-            round_profile(&seq_stats.inference)
-        );
-
-        // and the parallel path agrees with itself at another thread count
-        let par_gen2 = ArticulationGenerator::with_config(GeneratorConfig {
-            expand_with_inference: true,
-            executor: Some(std::sync::Arc::new(Executor::new(THREAD_COUNTS[(threads_ix + 1) % 3]))),
-            ..Default::default()
-        });
-        let (_, par_stats2) = par_gen2.generate_with_stats(&rules, &sources).unwrap();
-        prop_assert_eq!(par_stats, par_stats2, "GeneratorStats byte-identical across threads");
+        for threads in [THREAD_COUNTS[threads_ix], THREAD_COUNTS[(threads_ix + 1) % 3]] {
+            let par_gen = ArticulationGenerator::with_config(GeneratorConfig {
+                expand_with_inference: true,
+                executor: Some(std::sync::Arc::new(Executor::new(threads))),
+                ..Default::default()
+            });
+            let (par_art, par_stats) = par_gen.generate_with_stats(&rules, &sources).unwrap();
+            prop_assert_eq!(&par_stats, &seq_stats, "threads={}", threads);
+            prop_assert_eq!(mask_graph_id(&format!("{par_art:?}")), seq_art.clone(),
+                "threads={}", threads);
+        }
     }
 }
 
@@ -253,7 +210,7 @@ fn deep_chain_saturation_rounds_are_logarithmic() {
     let run = |strategy: InferStrategy| -> (AtomTable, FactBase, InferenceStats) {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let seeded = onion_core::testkit::seed_subclass_facts(&onto, &mut atoms, &mut fb);
+        let seeded = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
         assert_eq!(seeded, chains * depth);
         let stats = InferenceEngine::new(program.clone())
             .with_strategy(strategy)
@@ -323,25 +280,16 @@ fn deep_chain_saturation_rounds_are_logarithmic() {
         semi.atoms_examined
     );
 
-    // The parallel engine walks the same trajectory, byte-identically
-    // at every thread count.
-    let mut first: Option<InferenceStats> = None;
+    // The parallel engine runs the same work units: its fact base and
+    // whole `InferenceStats` equal the sequential engine's at every
+    // thread count.
     for threads in THREAD_COUNTS {
         let exec = Executor::new(threads);
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        onion_core::testkit::seed_subclass_facts(&onto, &mut atoms, &mut fb);
+        seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
         let stats = ParallelEngine::new(program.clone()).run(&exec, &mut atoms, &mut fb).unwrap();
-        assert_eq!(fb.len(), semi_fb.len());
-        assert_eq!(stats.iterations, semi.iterations);
-        assert_eq!(stats.derived, semi.derived);
-        assert_eq!(
-            stats.rounds.iter().map(|r| (r.delta, r.derived)).collect::<Vec<_>>(),
-            semi.rounds.iter().map(|r| (r.delta, r.derived)).collect::<Vec<_>>()
-        );
-        match &first {
-            None => first = Some(stats),
-            Some(f) => assert_eq!(&stats, f, "threads={threads}"),
-        }
+        assert_eq!(stats, semi, "threads={threads}");
+        assert!(fb.facts_in_pred_order() == semi_fb.facts_in_pred_order(), "threads={threads}");
     }
 }
