@@ -237,21 +237,25 @@ impl Articulation {
 
     /// Distinct ontologies referenced by bridges (excluding the
     /// articulation itself), sorted.
+    ///
+    /// The query path calls this once per planned query, and an
+    /// articulation's bridges name only a handful of ontologies, so each
+    /// endpoint is compared with the names found so far rather than
+    /// hashed.
     pub fn source_names(&self) -> Vec<&str> {
         let me = self.name();
-        let mut set: HashSet<&str> = HashSet::new();
+        let mut names: Vec<&str> = Vec::new();
         for b in &self.bridges {
             for t in [&b.src, &b.dst] {
                 if let Some(o) = t.ontology.as_deref() {
-                    if o != me {
-                        set.insert(o);
+                    if o != me && !names.contains(&o) {
+                        names.push(o);
                     }
                 }
             }
         }
-        let mut v: Vec<&str> = set.into_iter().collect();
-        v.sort_unstable();
-        v
+        names.sort_unstable();
+        names
     }
 
     /// Summary counts: (articulation terms, bridges, rules).

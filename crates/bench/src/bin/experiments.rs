@@ -330,7 +330,10 @@ impl Baseline {
                  0.999), publish_storm edits + publishes then runs the batch twice per rep \
                  (re-execute, then hit) with per-rep checksum equality asserted — the \
                  stale-read kill-switch. The >=10x warm-vs-cold bar and all checksums are \
-                 asserted inside the run, not just recorded\",\n    \"queries\": \
+                 asserted inside the run, not just recorded. Each rep's batches are \
+                 checksummed over whole rows after its timed region, so the rows time the \
+                 batches alone; B15 baselines recorded while the timed regions also hashed \
+                 each row's id and attribute count are not comparable\",\n    \"queries\": \
                  {B15_QUERIES}, \"concepts\": {B15_CONCEPTS}, \"instances\": {B15_INSTANCES},\n    \
                  \"speedup_warm_vs_cold\": {:.1}, \"warm_hit_ratio\": {:.4}, \"checksum\": \
                  \"{:#018x}\"",

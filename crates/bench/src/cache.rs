@@ -15,19 +15,21 @@
 //!   source, publishes it (bumping the state epoch), then runs the
 //!   batch twice — the first run re-executes (the bump retired every
 //!   cached entry), the second hits. The per-repetition checksum
-//!   equality of those two runs is the stale-read kill-switch, checked
-//!   inside the timed loop.
+//!   equality of those two runs is the stale-read kill-switch.
 //!
-//! Result checksums (row/attr aware, order sensitive) and the cache
-//! hit ratio are asserted in all three workloads — a cache that serves
-//! a byte-different result fails the bench, not just the proptests.
+//! Result checksums (whole rows, order sensitive; [`batch_checksum`])
+//! are asserted for every batch of all three workloads, and the cache
+//! hit ratio for the warm one — a cache that serves a byte-different
+//! result fails the bench, not just the proptests. Each repetition's
+//! batches are checksummed after its timed region: the checksum reads
+//! every row, which costs more than the warm hits it checks.
 
 use std::sync::Arc;
 
 use onion_core::prelude::*;
 use onion_core::testkit::random_queries;
 
-use crate::{run_series, BenchResult};
+use crate::{batch_checksum, run_series_with, BenchResult};
 
 /// Queries per batch.
 pub const B15_QUERIES: usize = 64;
@@ -72,17 +74,10 @@ impl B15Fixture {
             .collect()
     }
 
-    /// Order-sensitive checksum of one batch's results.
+    /// Order-sensitive checksum of one batch's results, whole rows
+    /// included ([`batch_checksum`]).
     pub fn checksum(&self, results: &[Arc<ResultSet>]) -> u64 {
-        let mut h = onion_core::exec::Fnv::new();
-        for rs in results {
-            h.mix(rs.len() as u64);
-            for row in &rs.rows {
-                h.mix_bytes(row.id.as_bytes());
-                h.mix(row.attrs.len() as u64);
-            }
-        }
-        h.finish()
+        batch_checksum(results)
     }
 
     /// Cache counters (the fixture always has a cache).
@@ -142,39 +137,60 @@ pub fn run_b15_sized(
 ) -> B15Report {
     let mut fx = B15Fixture::sized(4096, concepts, queries, instances);
     let want = fx.checksum(&fx.batch());
+    // each rep leaves its batches here; they are checksummed before the
+    // next rep and after the last, outside the timed region
+    let mut done: Vec<Vec<Arc<ResultSet>>> = Vec::new();
 
     // cold: every rep starts at a fresh epoch, so every lookup misses
-    let cold = run_series("b15_cold_miss", reps, || {
-        fx.edit_and_publish();
-        let got = fx.checksum(&fx.batch());
-        assert_eq!(got, want, "cold batch checksum");
-        got
-    });
+    let cold = run_series_with(
+        "b15_cold_miss",
+        reps,
+        &mut done,
+        |d| check_batches(d, want, "cold batch checksum"),
+        |d| {
+            fx.edit_and_publish();
+            d.push(fx.batch());
+            want
+        },
+    );
+    check_batches(&mut done, want, "cold batch checksum");
 
     // warm: prime once, then every rep is all hits at a pinned epoch
     fx.batch();
     let before = fx.stats();
-    let warm = run_series("b15_warm_hit", reps, || {
-        let got = fx.checksum(&fx.batch());
-        assert_eq!(got, want, "warm batch checksum");
-        got
-    });
+    let warm = run_series_with(
+        "b15_warm_hit",
+        reps,
+        &mut done,
+        |d| check_batches(d, want, "warm batch checksum"),
+        |d| {
+            d.push(fx.batch());
+            want
+        },
+    );
+    check_batches(&mut done, want, "warm batch checksum");
     let after = fx.stats();
     let lookups = (after.hits + after.misses) - (before.hits + before.misses);
     let warm_hit_ratio =
         if lookups == 0 { 0.0 } else { (after.hits - before.hits) as f64 / lookups as f64 };
     assert!(warm_hit_ratio > 0.999, "warm workload must be all hits (got ratio {warm_hit_ratio})");
 
-    // publish storm: edit + publish, then miss-run and hit-run; the
-    // two runs of each rep must agree byte-for-byte
-    let storm = run_series("b15_publish_storm", reps, || {
-        fx.edit_and_publish();
-        let fresh = fx.batch();
-        let cached = fx.batch();
-        assert_eq!(fx.checksum(&fresh), want, "post-publish batch checksum");
-        assert_eq!(fx.checksum(&cached), want, "cached batch serves identical bytes");
-        want
-    });
+    // publish storm: edit + publish, then miss-run and hit-run; both
+    // runs of each rep must checksum to `want`, so the hit serves the
+    // bytes the miss computed
+    let storm = run_series_with(
+        "b15_publish_storm",
+        reps,
+        &mut done,
+        |d| check_batches(d, want, "post-publish and cached batch checksums"),
+        |d| {
+            fx.edit_and_publish();
+            d.push(fx.batch());
+            d.push(fx.batch());
+            want
+        },
+    );
+    check_batches(&mut done, want, "post-publish and cached batch checksums");
 
     let speedup = if warm.median_us > 0.0 { cold.median_us / warm.median_us } else { f64::NAN };
     if assert_speedup {
@@ -186,6 +202,15 @@ pub fn run_b15_sized(
         );
     }
     B15Report { rows: vec![cold, warm, storm], checksum: want, speedup, warm_hit_ratio }
+}
+
+/// Asserts that every batch in `done` checksums to `want`, and empties
+/// it. The checksum reads every row, which costs more than serving a
+/// warm batch, so B15 runs it outside its timed regions.
+fn check_batches(done: &mut Vec<Vec<Arc<ResultSet>>>, want: u64, what: &str) {
+    for batch in done.drain(..) {
+        assert_eq!(batch_checksum(&batch), want, "{what}");
+    }
 }
 
 #[cfg(test)]

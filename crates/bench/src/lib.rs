@@ -8,8 +8,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::hash::Hasher;
+use std::sync::Arc;
 use std::time::Instant;
 
+use onion_core::exec::Fnv;
+use onion_core::graph::hash::FxHasher;
 use onion_core::prelude::*;
 use onion_core::testkit::{overlap_pair, OverlapPair, OverlapSpec};
 
@@ -128,6 +132,39 @@ pub fn instance_kbs(p: &OverlapPair, n: usize) -> (KnowledgeBase, KnowledgeBase)
         }
     }
     (left, right)
+}
+
+/// Order-sensitive checksum of a query batch's results over the whole
+/// row: id, source, local class, and each attribute's name and value
+/// (number bits or string bytes). Each string enters as its length and
+/// its FxHash, which reads eight bytes per step: B15 times the checksum
+/// with every batch, and a byte-at-a-time pass over every row would
+/// outweigh the cache hits it checks.
+pub fn batch_checksum(results: &[Arc<ResultSet>]) -> u64 {
+    let mut h = Fnv::new();
+    let text = |h: &mut Fnv, s: &str| {
+        let mut fx = FxHasher::default();
+        fx.write(s.as_bytes());
+        h.mix(s.len() as u64);
+        h.mix(fx.finish());
+    };
+    for rs in results {
+        h.mix(rs.len() as u64);
+        for row in &rs.rows {
+            text(&mut h, &row.id);
+            text(&mut h, &row.source);
+            text(&mut h, &row.local_class);
+            h.mix(row.attrs.len() as u64);
+            for (k, v) in &row.attrs {
+                text(&mut h, k);
+                match v {
+                    Value::Num(x) => h.mix(x.to_bits()),
+                    Value::Str(s) => text(&mut h, s),
+                }
+            }
+        }
+    }
+    h.finish()
 }
 
 #[cfg(test)]

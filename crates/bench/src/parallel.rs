@@ -11,11 +11,11 @@
 //! the interesting numbers come from multi-core hardware, which is why
 //! `available_parallelism` is part of the emitted record.
 
-use onion_core::exec::{Executor, Fnv};
+use onion_core::exec::Executor;
 use onion_core::prelude::*;
 use onion_core::testkit::random_queries;
 
-use crate::run_series;
+use crate::{batch_checksum, run_series};
 
 /// One measured thread count.
 #[derive(Debug, Clone, Default)]
@@ -102,17 +102,10 @@ impl ParallelFixture {
         self.queries.len()
     }
 
-    /// Checksum of a query batch (row/attr aware, order sensitive).
+    /// Checksum of a query batch: whole rows, in order
+    /// ([`batch_checksum`]).
     pub fn query_checksum(&self, results: &[std::sync::Arc<ResultSet>]) -> u64 {
-        let mut h = Fnv::new();
-        for rs in results {
-            h.mix(rs.len() as u64);
-            for row in &rs.rows {
-                h.mix_bytes(row.id.as_bytes());
-                h.mix(row.attrs.len() as u64);
-            }
-        }
-        h.finish()
+        batch_checksum(results)
     }
 }
 

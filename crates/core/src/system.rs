@@ -1,6 +1,7 @@
 //! [`OnionSystem`]: the assembled architecture of the paper's Fig. 1.
 
 use std::collections::{BTreeMap, HashMap};
+use std::mem;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -14,7 +15,8 @@ use onion_graph::{GraphOp, OntGraph, PublishStats, ShardedSnapshot, SnapshotStor
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
 use onion_query::{
-    InMemoryWrapper, KnowledgeBase, Query, QueryPlan, ReformulationIndex, ResultSet, Value, Wrapper,
+    InMemoryWrapper, KnowledgeBase, Query, QueryPlan, ReformulationIndex, ResultRow, ResultSet,
+    Value, Wrapper,
 };
 use onion_rules::{parse_rules, AtomTable, ConversionRegistry, RuleSet};
 
@@ -62,15 +64,16 @@ pub type Result<T> = std::result::Result<T, SystemError>;
 /// partition by system identity without a key-schema change.
 const CACHE_SCOPE: &str = "onion-system";
 
-/// Byte estimate of a cached [`ResultSet`] (rows, strings, attribute
-/// maps) for the cache's memory accounting.
+/// Byte estimate of a cached [`ResultSet`] for the cache's memory
+/// accounting: the row structs, one `(name, value)` entry per projected
+/// attribute and the bytes of its string values. A row shares its id,
+/// class, source and attribute names with the knowledge bases and its
+/// sibling rows ([`ResultRow`]), so those strings are not counted.
 fn result_weight(rs: &ResultSet) -> usize {
-    let mut bytes = std::mem::size_of::<ResultSet>();
+    let mut bytes = mem::size_of::<ResultSet>() + rs.rows.len() * mem::size_of::<ResultRow>();
     for row in &rs.rows {
-        bytes += std::mem::size_of_val(row);
-        bytes += row.id.len() + row.source.len() + row.local_class.len();
-        for (k, v) in &row.attrs {
-            bytes += k.len() + std::mem::size_of_val(v);
+        bytes += row.attrs.len() * mem::size_of::<(Arc<str>, Value)>();
+        for v in row.attrs.values() {
             if let Value::Str(s) = v {
                 bytes += s.len();
             }
@@ -848,7 +851,7 @@ mod tests {
     use super::*;
     use onion_articulate::AcceptAll;
     use onion_ontology::examples::{carrier, factory, fig2_rules_text};
-    use onion_query::{CmpOp, Instance, Value};
+    use onion_query::{CmpOp, Instance, QueryError, Value};
 
     fn loaded() -> OnionSystem {
         let mut s = OnionSystem::with_transport_lexicon();
@@ -994,6 +997,73 @@ mod tests {
         assert_eq!(a.len(), 1);
     }
 
+    /// `Query::all("Vehicle(Price)")` names a class that does not exist
+    /// and `find Vehicle(Price)` selects `Price` from `Vehicle`. Both
+    /// used to print as `find Vehicle(Price)`, so they shared a dedup
+    /// slot and a cache key.
+    #[test]
+    fn run_batch_keeps_queries_that_printed_alike_apart() {
+        let mut s = loaded();
+        s.add_rules(fig2_rules_text()).unwrap();
+        s.articulate("carrier", "factory", &mut AcceptAll).unwrap();
+        let mut ckb = KnowledgeBase::new("carrier");
+        ckb.add(Instance::new("MyCar", "Cars").with("Price", Value::Num(2203.71)));
+        s.add_knowledge_base(ckb);
+        let odd = Query::all("Vehicle(Price)");
+        let valid = Query::all("Vehicle").select("Price");
+        assert_eq!(odd.to_string(), r#"find "Vehicle(Price)""#);
+        assert_eq!(valid.to_string(), "find Vehicle(Price)");
+        let unknown = |r: &Result<Arc<ResultSet>>| matches!(r, Err(SystemError::Query(QueryError::UnknownClass(c))) if c == "Vehicle(Price)");
+        let rows = |r: &Result<Arc<ResultSet>>| r.as_ref().map(|rs| rs.len()).ok();
+        let exec = onion_exec::Executor::new(2);
+        for batch in [[odd.clone(), valid.clone()], [valid.clone(), odd.clone()]] {
+            let out = s.run_batch(&exec, &batch);
+            let (o, v) = if batch[0] == odd { (&out[0], &out[1]) } else { (&out[1], &out[0]) };
+            assert!(unknown(o));
+            assert_eq!(rows(v), Some(1));
+        }
+        // across batches with a cache: each is answered as itself
+        s.set_query_cache(8);
+        for _ in 0..2 {
+            assert_eq!(rows(&s.run_batch(&exec, std::slice::from_ref(&valid))[0]), Some(1));
+            assert!(unknown(&s.run_batch(&exec, std::slice::from_ref(&odd))[0]));
+        }
+        assert_eq!(s.query_cache_stats().unwrap().hits, 1, "only the valid repeat hits");
+    }
+
+    /// The cache's byte estimate for two rows: the row structs, plus
+    /// one entry per projected attribute and its string bytes. Ids,
+    /// classes and names are shared, not counted.
+    #[test]
+    fn result_weight_counts_rows_and_attribute_entries() {
+        let mut s = loaded();
+        s.add_rules(fig2_rules_text()).unwrap();
+        s.articulate_from_rules("carrier", "factory").unwrap();
+        let mut ckb = KnowledgeBase::new("carrier");
+        ckb.add(
+            Instance::new("car0", "Cars")
+                .with("Price", Value::Num(2203.71))
+                .with("Owner", Value::Str("Ann".into())),
+        );
+        ckb.add(Instance::new("car1", "Cars").with("Price", Value::Num(4407.42)));
+        s.add_knowledge_base(ckb);
+        let bare = s.query("find Vehicle").unwrap();
+        let projected = s.query("find Vehicle(Price, Owner)").unwrap();
+        assert_eq!((bare.len(), projected.len()), (2, 2));
+        let (set, row, pair) = (
+            mem::size_of::<ResultSet>(),
+            mem::size_of::<ResultRow>(),
+            mem::size_of::<(Arc<str>, Value)>(),
+        );
+        assert_eq!(result_weight(&bare), set + 2 * row);
+        // car0 projects Owner ("Ann") and Price, car1 only Price
+        assert_eq!(result_weight(&projected), set + 2 * row + 3 * pair + "Ann".len());
+        if cfg!(target_pointer_width = "64") {
+            assert_eq!((set, row, pair), (24, 72, 40));
+            assert_eq!((result_weight(&bare), result_weight(&projected)), (168, 291));
+        }
+    }
+
     #[test]
     fn query_cache_hits_repeat_batches_and_epoch_bump_invalidates() {
         let mut s = loaded();
@@ -1074,7 +1144,7 @@ mod tests {
         for (i, (rs, owner)) in out.iter().zip(owners).enumerate() {
             let rs = rs.as_ref().unwrap();
             assert_eq!(rs.len(), 1, "{owner:?}");
-            assert_eq!(rs.rows[0].id, format!("car{i}"));
+            assert_eq!(&*rs.rows[0].id, format!("car{i}"));
             assert_eq!(rs.rows[0].attrs["Owner"], Value::Str(owner.to_string()));
         }
     }

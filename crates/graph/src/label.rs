@@ -76,6 +76,13 @@ impl Interner {
         &self.strings[id.index()]
     }
 
+    /// The id whose [`LabelId::index`] is `index`, if this interner has
+    /// handed it out: the checked way back from a raw index that a
+    /// caller stored in place of the id.
+    pub fn id_at(&self, index: usize) -> Option<LabelId> {
+        (index < self.strings.len()).then_some(LabelId(index as u32))
+    }
+
     /// Number of distinct labels interned.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -140,6 +147,15 @@ mod tests {
         assert_eq!(i.intern("x").index(), 0);
         assert_eq!(i.intern("y").index(), 1);
         assert_eq!(i.intern("x").index(), 0);
+    }
+
+    #[test]
+    fn id_at_checks_the_range() {
+        let mut i = Interner::new();
+        assert_eq!(i.id_at(0), None);
+        let y = i.intern("y");
+        assert_eq!(i.id_at(y.index()), Some(y));
+        assert_eq!(i.id_at(1), None);
     }
 
     #[test]

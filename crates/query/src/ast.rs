@@ -15,9 +15,15 @@
 //!   converted per source by the reformulator. String values are
 //!   double-quoted, with `\"` and `\\` as the only escapes; quoted
 //!   text may hold anything else, operators and ` and ` included.
+//! * a class, attribute or condition name may be double-quoted the same
+//!   way: `find "Cars (used)"("list price") where "list price" < 9`.
+//!   `Display` quotes a name unless it is plain: non-empty, without
+//!   whitespace and without any of `( ) , " < > = !`.
 //!
 //! [`Query`]'s `Display` writes this syntax, and [`Query::parse`] reads
-//! it back to an equal query (for identifier names and finite numbers).
+//! it back to an equal query (for any names and any numbers but NaN).
+//! Two different queries therefore never print alike, so the display
+//! form can key query deduplication and the result cache.
 
 use std::fmt::{self, Write as _};
 
@@ -52,17 +58,38 @@ impl fmt::Display for Value {
                     write!(f, "{n}")
                 }
             }
-            Value::Str(s) => {
-                f.write_char('"')?;
-                for c in s.chars() {
-                    if matches!(c, '"' | '\\') {
-                        f.write_char('\\')?;
-                    }
-                    f.write_char(c)?;
-                }
-                f.write_char('"')
-            }
+            Value::Str(s) => write_quoted(f, s),
         }
+    }
+}
+
+/// Writes `s` double-quoted, with a backslash before each `"` and `\`.
+fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        if matches!(c, '"' | '\\') {
+            f.write_char('\\')?;
+        }
+        f.write_char(c)?;
+    }
+    f.write_char('"')
+}
+
+/// Can `name` stand unquoted in a query? It must be non-empty and hold
+/// no whitespace and none of `( ) , " < > = !`.
+fn is_plain(name: &str) -> bool {
+    !name.is_empty()
+        && !name.chars().any(|c| {
+            c.is_whitespace() || matches!(c, '(' | ')' | ',' | '"' | '<' | '>' | '=' | '!')
+        })
+}
+
+/// Writes a class or attribute name: as it is if plain, else quoted.
+fn write_name(f: &mut fmt::Formatter<'_>, name: &str) -> fmt::Result {
+    if is_plain(name) {
+        f.write_str(name)
+    } else {
+        write_quoted(f, name)
     }
 }
 
@@ -143,7 +170,8 @@ impl Condition {
 
 impl fmt::Display for Condition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.attr, self.op, self.value)
+        write_name(f, &self.attr)?;
+        write!(f, " {} {}", self.op, self.value)
     }
 }
 
@@ -192,40 +220,39 @@ impl Query {
         let rest = s
             .strip_prefix("find ")
             .ok_or_else(|| QueryError::Parse("query must start with 'find'".into()))?;
-        let (head, where_part) = match rest.find(" where ") {
-            Some(i) => (&rest[..i], Some(&rest[i + 7..])),
+        let (head, where_part) = match find_unquoted(rest, " where ") {
+            Some(i) => (&rest[..i], Some(&rest[i + " where ".len()..])),
             None => (rest, None),
         };
         let head = head.trim();
-        let (class, select) = match head.find('(') {
+        let (class, select) = match find_unquoted(head, "(") {
             Some(i) => {
-                let class = head[..i].trim();
                 let args = head[i..]
                     .strip_prefix('(')
                     .and_then(|a| a.strip_suffix(')'))
                     .ok_or_else(|| QueryError::Parse("unbalanced parentheses".into()))?;
-                let select: Vec<String> = args
-                    .split(',')
-                    .map(|a| a.trim().to_string())
+                let select = split_unquoted(args, ",")
+                    .into_iter()
+                    .map(str::trim)
                     .filter(|a| !a.is_empty())
-                    .collect();
-                (class.to_string(), select)
+                    .map(parse_name)
+                    .collect::<Result<Vec<String>>>()?;
+                (head[..i].trim(), select)
             }
-            None => (head.to_string(), Vec::new()),
+            None => (head, Vec::new()),
         };
-        if class.is_empty() || class.contains(char::is_whitespace) {
+        let class = if class.starts_with('"') {
+            unquote(class)?
+        } else if class.is_empty() || class.contains(char::is_whitespace) {
             return Err(QueryError::Parse(format!("bad class name {class:?}")));
-        }
+        } else {
+            class.to_string()
+        };
         let mut q = Query { class, select, conditions: Vec::new() };
         if let Some(w) = where_part {
-            let mut start = 0;
-            for i in unquoted_offsets(w) {
-                if i >= start && w[i..].starts_with(" and ") {
-                    q.conditions.push(parse_condition(w[start..i].trim())?);
-                    start = i + " and ".len();
-                }
+            for c in split_unquoted(w, " and ") {
+                q.conditions.push(parse_condition(c.trim())?);
             }
-            q.conditions.push(parse_condition(w[start..].trim())?);
         }
         Ok(q)
     }
@@ -233,9 +260,17 @@ impl Query {
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "find {}", self.class)?;
+        f.write_str("find ")?;
+        write_name(f, &self.class)?;
         if !self.select.is_empty() {
-            write!(f, "({})", self.select.join(", "))?;
+            f.write_char('(')?;
+            for (i, attr) in self.select.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(", ")?;
+                }
+                write_name(f, attr)?;
+            }
+            f.write_char(')')?;
         }
         for (i, c) in self.conditions.iter().enumerate() {
             write!(f, " {} {c}", if i == 0 { "where" } else { "and" })?;
@@ -265,6 +300,34 @@ fn unquoted_offsets(s: &str) -> impl Iterator<Item = usize> + '_ {
             Some(i)
         }
     })
+}
+
+/// Byte offset of the first occurrence of `pat` outside quoted text.
+fn find_unquoted(s: &str, pat: &str) -> Option<usize> {
+    unquoted_offsets(s).find(|&i| s[i..].starts_with(pat))
+}
+
+/// `s` cut at every occurrence of `sep` outside quoted text. Each cut
+/// lies outside quotes and `sep` holds none, so the scan restarts
+/// after it in the same state.
+fn split_unquoted<'s>(mut s: &'s str, sep: &str) -> Vec<&'s str> {
+    let mut parts = Vec::new();
+    while let Some(i) = find_unquoted(s, sep) {
+        parts.push(&s[..i]);
+        s = &s[i + sep.len()..];
+    }
+    parts.push(s);
+    parts
+}
+
+/// A select or condition name: double-quoted text unescaped, anything
+/// else as it stands.
+fn parse_name(token: &str) -> Result<String> {
+    if token.starts_with('"') {
+        unquote(token)
+    } else {
+        Ok(token.to_string())
+    }
 }
 
 /// The operator the leftmost unquoted operator character starts; at
@@ -317,7 +380,7 @@ fn parse_condition(s: &str) -> Result<Condition> {
     } else {
         Value::Str(val.to_string())
     };
-    Ok(Condition::new(attr, op, value))
+    Ok(Condition { attr: parse_name(attr)?, op, value })
 }
 
 #[cfg(test)]
@@ -416,6 +479,30 @@ mod tests {
     fn builder_api() {
         let q = Query::all("Vehicle").select("Price").filter("Price", CmpOp::Lt, Value::Num(5.0));
         assert_eq!(q.to_string(), "find Vehicle(Price) where Price < 5");
+    }
+
+    #[test]
+    fn names_that_are_not_plain_are_quoted() {
+        // these two used to print alike
+        assert_eq!(Query::all("Vehicle(Price)").to_string(), r#"find "Vehicle(Price)""#);
+        assert_eq!(Query::all("Vehicle").select("Price").to_string(), "find Vehicle(Price)");
+        let q = Query::all("Cars (used)").select("list price").select("a,b").select("").filter(
+            "x<y",
+            CmpOp::Lt,
+            Value::Num(9.0),
+        );
+        let text = r#"find "Cars (used)"("list price", "a,b", "") where "x<y" < 9"#;
+        assert_eq!(q.to_string(), text);
+        assert_eq!(Query::parse(text), Ok(q));
+        let q = Query::all(r#"say "hi" \ bye"#).filter("where and", CmpOp::Ne, Value::Num(1.0));
+        assert_eq!(q.to_string(), r#"find "say \"hi\" \\ bye" where "where and" != 1"#);
+        assert_eq!(Query::parse(&q.to_string()), Ok(q));
+        // plain names, non-ASCII ones included, print as they are
+        let q = Query::all("Über").select("Prix_€").filter("a.b", CmpOp::Eq, Value::Num(1.0));
+        assert_eq!(q.to_string(), "find Über(Prix_€) where a.b = 1");
+        for bad in [r#"find "V"x"#, r#"find V("a"b)"#, r#"find V where "a"b < 1"#, r#"find "V"#] {
+            assert!(Query::parse(bad).is_err(), "{bad:?} should fail");
+        }
     }
 
     fn owner_is(value: &str) -> Vec<Condition> {
@@ -528,5 +615,29 @@ mod tests {
             let text = q.to_string();
             prop_assert_eq!(Query::parse(&text), Ok(q.clone()), "text: {}", text);
         }
+
+        /// `Query::parse` never panics on token soup made of the
+        /// syntax's pieces and the characters a plain name may not
+        /// hold, and whatever it accepts prints back to itself.
+        #[test]
+        fn parse_never_panics_on_token_soup(
+            find in 0..3usize,
+            ix in prop::collection::vec(0..SOUP.len(), 0..24),
+        ) {
+            let soup: String = ix.into_iter().map(|i| SOUP[i]).collect();
+            let text = if find > 0 { format!("find {soup}") } else { soup };
+            if let Ok(q) = Query::parse(&text) {
+                let shown = q.to_string();
+                prop_assert_eq!(Query::parse(&shown), Ok(q.clone()), "{:?} -> {:?}", text, shown);
+            }
+        }
     }
+
+    /// Pieces of query text: keywords, every operator and delimiter,
+    /// quotes, escapes, whitespace, numbers and non-ASCII names.
+    const SOUP: [&str; 28] = [
+        "find ", " where ", " and ", "where", "and", "(", ")", ",", "\"", "\\", "<", "<=", "=",
+        "!=", ">=", ">", "!", " ", "\n", "\t", "Vehicle", "Price", "Ünï", "日本", "1", "2.5", "-",
+        "e9",
+    ];
 }

@@ -11,10 +11,13 @@
 //! A [`ReformulationIndex`] stores the implication edges **reversed**
 //! (term → the terms that directly imply it). Finding the local terms
 //! that imply a target is then one backward BFS from the target, which
-//! visits only the terms that imply it, followed by one pass over the
-//! source's nodes that keeps each node whose key the search reached.
-//! Once the index is built, each (source, target term) pair costs that
-//! BFS plus one hash probe per source node. The index owns its keys, so
+//! visits only the terms that imply it; of the keys it reached, those
+//! in the source's namespace whose term labels a live node of the
+//! source are the answer. Once the index is built, each (source, target
+//! term) pair costs that BFS plus one label probe per implying term in
+//! the source's namespace, however many nodes the source has. The
+//! search's tables hash `TermKey` ids with FxHash; their keys are
+//! never external strings. The index owns its keys, so
 //! a caller that holds the state still (the facade, per state epoch)
 //! builds it once and plans through
 //! [`plan_indexed`](crate::plan::plan_indexed); [`Reformulator::new`]
@@ -25,10 +28,11 @@
 //! only the plan and the [`ConversionRegistry`].
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use onion_articulate::Articulation;
-use onion_graph::{rel, LabelId, OntGraph};
+use onion_graph::hash::{FxHashMap, FxHashSet};
+use onion_graph::{rel, Interner, LabelId, OntGraph};
 use onion_ontology::Ontology;
 use onion_rules::ConversionRegistry;
 
@@ -98,15 +102,31 @@ impl SourceReformulation {
         local_attr: &str,
         value: &Value,
     ) -> Result<Value> {
-        match (value, self.conversions.iter().find(|c| c.local_attr == local_attr)) {
-            (Value::Num(n), Some(conv)) => {
-                let converted = conversions
-                    .apply(&conv.to_articulation, *n)
-                    .map_err(|e| QueryError::Conversion(e.to_string()))?;
-                Ok(Value::Num(converted))
-            }
-            (v, _) => Ok(v.clone()),
+        convert_to_articulation(conversions, self.conversion_of(local_attr), value)
+    }
+
+    /// This source's conversion for `local_attr`, if its values need one.
+    pub(crate) fn conversion_of(&self, local_attr: &str) -> Option<&AttrConversion> {
+        self.conversions.iter().find(|c| c.local_attr == local_attr)
+    }
+}
+
+/// Converts a fetched value into articulation space: a number goes
+/// through `conv`'s function when there is a conversion; anything else
+/// passes through unchanged.
+pub(crate) fn convert_to_articulation(
+    conversions: &ConversionRegistry,
+    conv: Option<&AttrConversion>,
+    value: &Value,
+) -> Result<Value> {
+    match (value, conv) {
+        (Value::Num(n), Some(conv)) => {
+            let converted = conversions
+                .apply(&conv.to_articulation, *n)
+                .map_err(|e| QueryError::Conversion(e.to_string()))?;
+            Ok(Value::Num(converted))
         }
+        (v, _) => Ok(v.clone()),
     }
 }
 
@@ -131,12 +151,19 @@ pub struct ReformulationIndex {
     /// `[articulation, sources…]` (`None` for namespaces that only
     /// occur in bridge text).
     canonical: Vec<Option<usize>>,
-    /// Per namespace: bridge-only terms → overflow ids (≥ the canonical
-    /// interner's length, so they never collide with real label ids).
-    overflow: Vec<HashMap<String, u32>>,
+    /// Per namespace: the bridge-only terms, interned apart. A term's
+    /// key label is its id here plus the canonical interner's length
+    /// ([`overflow_base`]), so it never collides with a real label id.
+    overflow: Vec<Interner>,
     /// term → the terms that directly imply it (implication edges
     /// reversed).
-    implied_by: HashMap<TermKey, Vec<TermKey>>,
+    implied_by: FxHashMap<TermKey, Vec<TermKey>>,
+}
+
+/// Where a namespace's overflow ids start: the length of its canonical
+/// graph's interner (0 without one).
+fn overflow_base(canonical: Option<&OntGraph>) -> u32 {
+    canonical.map_or(0, |g| g.interner().len() as u32)
 }
 
 /// The graph at `pos` in `[articulation, sources…]`.
@@ -160,7 +187,7 @@ impl ReformulationIndex {
             names: HashMap::new(),
             canonical: Vec::new(),
             overflow: Vec::new(),
-            implied_by: HashMap::new(),
+            implied_by: FxHashMap::default(),
         };
         ix.add_namespace(articulation.name(), Some(0));
         for (i, o) in sources.iter().enumerate() {
@@ -227,7 +254,7 @@ impl ReformulationIndex {
         let i = self.canonical.len() as u16;
         self.names.insert(name.to_string(), i);
         self.canonical.push(pos);
-        self.overflow.push(HashMap::new());
+        self.overflow.push(Interner::new());
         i
     }
 
@@ -243,10 +270,7 @@ impl ReformulationIndex {
         if let Some(lid) = canon.and_then(|g| g.label_id(term)) {
             return key_of_label(idx, lid);
         }
-        let base = canon.map(|g| g.interner().len() as u32).unwrap_or(0);
-        let ov = &mut self.overflow[idx as usize];
-        let next = base + ov.len() as u32;
-        let label = *ov.entry(term.to_string()).or_insert(next);
+        let label = overflow_base(canon) + self.overflow[idx as usize].intern(term).index() as u32;
         TermKey { onto: idx, label }
     }
 
@@ -262,8 +286,9 @@ impl ReformulationIndex {
 
     /// Every term with a directed implication path to `target`, `target`
     /// included: one BFS over the reversed edges.
-    fn implying_keys(&self, target: TermKey) -> HashSet<TermKey> {
-        let mut seen = HashSet::from([target]);
+    fn implying_keys(&self, target: TermKey) -> FxHashSet<TermKey> {
+        let mut seen = FxHashSet::default();
+        seen.insert(target);
         let mut q = VecDeque::from([target]);
         while let Some(cur) = q.pop_front() {
             for &prev in self.implied_by.get(&cur).into_iter().flatten() {
@@ -319,36 +344,43 @@ impl<'a> Reformulator<'a> {
 
     /// Query-time (read-only) key lookup.
     fn lookup_term(&self, idx: u16, term: &str) -> Option<TermKey> {
-        if let Some(lid) = self.canonical_graph(idx).and_then(|g| g.label_id(term)) {
+        let canon = self.canonical_graph(idx);
+        if let Some(lid) = canon.and_then(|g| g.label_id(term)) {
             return Some(key_of_label(idx, lid));
         }
-        self.index.overflow[idx as usize].get(term).map(|&label| TermKey { onto: idx, label })
+        let lid = self.index.overflow[idx as usize].get(term)?;
+        Some(TermKey { onto: idx, label: overflow_base(canon) + lid.index() as u32 })
     }
 
-    /// Key of a node's label: the fast path reuses the graph's own
-    /// label id when the graph is its namespace's canonical graph.
-    fn node_key(&self, idx: u16, g: &OntGraph, lid: LabelId) -> Option<TermKey> {
-        match self.canonical_graph(idx) {
-            Some(canon) if std::ptr::eq(canon, g) => Some(key_of_label(idx, lid)),
-            _ => self.lookup_term(idx, g.resolve(lid)),
-        }
+    /// The term `key` stands for: a label of its namespace's canonical
+    /// graph, or a bridge-only term above that graph's ids.
+    fn term_of(&self, key: TermKey) -> Option<&str> {
+        let canon = self.canonical_graph(key.onto);
+        let (interner, index) = match key.label.checked_sub(overflow_base(canon)) {
+            None => (canon?.interner(), key.label),
+            Some(i) => (&self.index.overflow[key.onto as usize], i),
+        };
+        interner.id_at(index as usize).map(|lid| interner.resolve(lid))
     }
 
     /// Source labels whose term implies `target` — the shared kernel of
     /// [`Reformulator::local_classes`] and [`Reformulator::local_attr`]:
-    /// one backward search, then one pass over the source's nodes with a
-    /// hash probe per node, sorted by label.
+    /// one backward search, then the reached keys of the source's
+    /// namespace whose term labels a live node of `source`, sorted. One
+    /// path serves the namespace's canonical graph and a same-named
+    /// sibling alike: keys are resolved to terms and the terms probed
+    /// in `source`'s own graph.
     fn implying_labels(&self, source: &Ontology, target: TermKey) -> Vec<String> {
         let Some(&idx) = self.index.names.get(source.name()) else { return Vec::new() };
-        let implying = self.index.implying_keys(target);
         let g = source.graph();
-        let mut out: Vec<String> = g
-            .node_ids()
-            .filter_map(|n| {
-                let lid = g.node_label_id(n)?;
-                let key = self.node_key(idx, g, lid)?;
-                implying.contains(&key).then(|| g.resolve(lid).to_string())
-            })
+        let mut out: Vec<String> = self
+            .index
+            .implying_keys(target)
+            .into_iter()
+            .filter(|key| key.onto == idx)
+            .filter_map(|key| self.term_of(key))
+            .filter(|term| g.contains_label(term))
+            .map(str::to_string)
             .collect();
         out.sort();
         out
@@ -412,6 +444,15 @@ impl<'a> Reformulator<'a> {
 
     /// Reformulates `query` for every source; sources without a mapped
     /// class are omitted (they cannot contribute answers).
+    ///
+    /// Each selected or conditioned attribute maps to the local
+    /// attribute that implies it, or else to a same-named attribute the
+    /// source defines ([`Reformulator::local_attr`]). A condition on an
+    /// attribute that maps to neither is still pushed down, under its
+    /// raw articulation name and value, unconverted: the wrapper keeps
+    /// the instances that carry an attribute of that name and satisfy
+    /// the comparison (for `!=`, also those without one). Such an
+    /// attribute is never projected, so its rows carry no value for it.
     pub fn reformulate(&self, query: &Query) -> Result<Vec<SourceReformulation>> {
         if !self.articulation.ontology.defines(&query.class) {
             return Err(QueryError::UnknownClass(query.class.clone()));
@@ -442,9 +483,10 @@ impl<'a> Reformulator<'a> {
             let mut conditions = Vec::new();
             for c in &query.conditions {
                 let Some(local) = attr_map.get(&c.attr) else {
-                    // source lacks the attribute: condition can never hold
-                    // (except !=); emit an impossible condition on the raw
-                    // name so the wrapper filters everything out.
+                    // no local attribute maps to it: push the condition
+                    // down under the raw name, value unconverted. It holds
+                    // on instances carrying an attribute of that name that
+                    // satisfies it (and, for !=, on those without one).
                     conditions.push(Condition::new(&c.attr, c.op, c.value.clone()));
                     continue;
                 };

@@ -2,20 +2,26 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::Value;
 
-/// One answer row.
+/// One answer row. It shares its strings instead of owning them: `id`
+/// and `local_class` are the answering knowledge base's own `Arc`s
+/// (see [`Instance`](crate::kb::Instance)), the rows of one source
+/// query share one `source`, and the rows of one query share each
+/// attribute name. Building a row bumps three reference counts and
+/// allocates only the map of its projected attributes, when it has any.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultRow {
     /// Instance id (as known by its source).
-    pub id: String,
+    pub id: Arc<str>,
     /// Which source answered.
-    pub source: String,
+    pub source: Arc<str>,
     /// Local class the instance belongs to.
-    pub local_class: String,
+    pub local_class: Arc<str>,
     /// Projected attributes, in articulation vocabulary and metric space.
-    pub attrs: BTreeMap<String, Value>,
+    pub attrs: BTreeMap<Arc<str>, Value>,
 }
 
 /// A merged result set.
@@ -36,9 +42,12 @@ impl ResultSet {
         self.rows.is_empty()
     }
 
-    /// Sorts rows by (source, id) for deterministic output.
+    /// Sorts rows by (source, id) for deterministic output. The sort is
+    /// stable, so rows that tie keep their order; rows that arrive in
+    /// runs already sorted (each source's, from a wrapper that fetches
+    /// in id order) are only walked.
     pub fn normalise(&mut self) {
-        self.rows.sort_by(|a, b| (&a.source, &a.id).cmp(&(&b.source, &b.id)));
+        self.rows.sort_by(|a, b| (&*a.source, &*a.id).cmp(&(&*b.source, &*b.id)));
     }
 
     /// Renders an aligned text table with the given attribute columns.
@@ -47,9 +56,11 @@ impl ResultSet {
         header.extend(columns.iter().cloned());
         let mut rows: Vec<Vec<String>> = vec![header];
         for r in &self.rows {
-            let mut row = vec![r.id.clone(), r.source.clone()];
+            let mut row = vec![r.id.to_string(), r.source.to_string()];
             for c in columns {
-                row.push(r.attrs.get(c).map(|v| v.to_string()).unwrap_or_else(|| "-".into()));
+                row.push(
+                    r.attrs.get(c.as_str()).map(|v| v.to_string()).unwrap_or_else(|| "-".into()),
+                );
             }
             rows.push(row);
         }
@@ -79,8 +90,8 @@ impl fmt::Display for ResultSet {
         let mut columns: Vec<String> = Vec::new();
         for r in &self.rows {
             for k in r.attrs.keys() {
-                if !columns.contains(k) {
-                    columns.push(k.clone());
+                if !columns.iter().any(|c| **c == **k) {
+                    columns.push(k.to_string());
                 }
             }
         }
@@ -93,8 +104,7 @@ mod tests {
     use super::*;
 
     fn row(id: &str, source: &str, price: f64) -> ResultRow {
-        let mut attrs = BTreeMap::new();
-        attrs.insert("Price".to_string(), Value::Num(price));
+        let attrs = BTreeMap::from([("Price".into(), Value::Num(price))]);
         ResultRow { id: id.into(), source: source.into(), local_class: "Cars".into(), attrs }
     }
 
@@ -108,8 +118,7 @@ mod tests {
             ],
         };
         rs.normalise();
-        let order: Vec<(&str, &str)> =
-            rs.rows.iter().map(|r| (r.source.as_str(), r.id.as_str())).collect();
+        let order: Vec<(&str, &str)> = rs.rows.iter().map(|r| (&*r.source, &*r.id)).collect();
         assert_eq!(order, vec![("carrier", "a"), ("factory", "a"), ("factory", "b")]);
     }
 

@@ -13,11 +13,13 @@ pub trait Wrapper {
     fn source(&self) -> &str;
 
     /// Hands `visit` every instance of any of `classes` that satisfies
-    /// `conditions` (all in the source's local vocabulary), in the
-    /// source's order. The instance is lent for the call only, so an
-    /// in-memory source copies nothing; a remote one can build each
-    /// instance and visit it. An `Err` from `visit` stops the fetch
-    /// and is returned.
+    /// `conditions` (all in the source's local vocabulary), in an order
+    /// of the wrapper's choosing: a wrapper promises none, and
+    /// [`execute_plan`](crate::exec::execute_plan) sorts the rows it
+    /// builds. Fetching in id order saves that sort all but one walk.
+    /// The instance is lent for the call only, so an in-memory source
+    /// copies nothing; a remote one can build each instance and visit
+    /// it. An `Err` from `visit` stops the fetch and is returned.
     fn fetch(
         &self,
         classes: &[String],
@@ -30,6 +32,10 @@ pub trait Wrapper {
 /// and benches can observe plan behaviour (e.g. that pruned sources are
 /// never consulted). The counter is atomic so wrappers stay `Sync` and
 /// `onion-exec` can fan query batches over them from several threads.
+///
+/// A fetch lends the KB's instances in (id, insertion) order
+/// ([`KnowledgeBase::query`]), so the rows of one source reach
+/// [`ResultSet::normalise`](crate::ResultSet::normalise) already sorted.
 #[derive(Debug)]
 pub struct InMemoryWrapper {
     kb: KnowledgeBase,
@@ -87,7 +93,7 @@ mod tests {
             &["Cars".to_string()],
             &[Condition::new("Price", CmpOp::Lt, Value::Num(5000.0))],
             &mut |i| {
-                got.push(i.id.clone());
+                got.push(i.id.to_string());
                 Ok(())
             },
         )

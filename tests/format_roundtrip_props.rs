@@ -25,6 +25,21 @@ fn gnarly_label() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Query class and attribute names: plain words, and names built from
+/// non-ASCII letters, spaces, parentheses, commas, quotes, backslashes,
+/// operators and the keywords `where` and `and` (the empty name too).
+fn query_name() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 21] = [
+        "Vehicle", "Über", "日本", " ", "(", ")", ",", "\"", "\\", "<", "<=", "=", "!=", ">", ">=",
+        "!", " where ", " and ", "where", "and", "find ",
+    ];
+    prop_oneof![
+        "[A-Z][a-z]{1,8}",
+        prop::collection::vec(0..PIECES.len(), 0..5)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect::<String>()),
+    ]
+}
+
 fn edge_list() -> impl Strategy<Value = Vec<(String, String, String)>> {
     prop::collection::vec((gnarly_label(), "[a-z]{1,6}", gnarly_label()), 0..20)
 }
@@ -106,10 +121,12 @@ proptest! {
         prop_assert_eq!(prog, reparsed);
     }
 
+    /// Queries print and parse back whatever their class, select and
+    /// condition names hold (see `query_name`).
     #[test]
     fn query_roundtrip(
-        class in "[A-Z][a-z]{1,8}",
-        attrs in prop::collection::vec("[A-Z][a-z]{1,6}", 0..3),
+        class in query_name(),
+        attrs in prop::collection::vec(query_name(), 0..3),
         bound in 0.0f64..100000.0,
     ) {
         let mut q = Query::all(&class);

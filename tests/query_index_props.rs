@@ -18,11 +18,13 @@
 //! * **Index builds are counted.** With observability on, a batch of
 //!   distinct misses builds one index, a second batch at the same
 //!   epoch builds none, and a publish makes the next batch build one.
-//! * **The partition is invisible.** `KnowledgeBase::query` equals a
-//!   copy of the full scan it replaced (kept below as the oracle), in
-//!   insertion order, for random class lists with duplicates and
-//!   unknown names and random conditions; `InMemoryWrapper::fetch`
-//!   lends exactly those instances in that order.
+//! * **The partition is invisible, and fetches come in id order.**
+//!   `KnowledgeBase::query` equals a copy of the full scan it replaced
+//!   (kept below as the oracle), stably sorted by id: by id, and
+//!   instances that share an id in insertion order. It holds for random
+//!   class lists with duplicates and unknown names, random conditions
+//!   and duplicate ids; `InMemoryWrapper::fetch` lends exactly those
+//!   instances in that order.
 //! * **A visitor error stops the fetch** and is what `execute_plan`
 //!   returns.
 //!
@@ -339,8 +341,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// The partitioned `query` equals the full scan it replaced, in
-    /// insertion order, and `fetch` lends exactly those instances.
+    /// The partitioned `query` equals the full scan it replaced, stably
+    /// sorted by id, and `fetch` lends exactly those instances. Ids
+    /// repeat (`i % 17`), so ties must keep insertion order.
     #[test]
     fn partitioned_query_equals_the_full_scan(
         picks in prop::collection::vec((0usize..8, 0usize..4, 0usize..3), 0..120),
@@ -370,7 +373,9 @@ proptest! {
             })
             .collect();
 
-        let want = positions(kb.instances(), full_scan(&kb, &classes, &conditions));
+        let mut scan = full_scan(&kb, &classes, &conditions);
+        scan.sort_by(|a, b| a.id.cmp(&b.id));
+        let want = positions(kb.instances(), scan);
         let got = positions(kb.instances(), kb.query(&classes, &conditions));
         prop_assert_eq!(&got, &want, "classes={:?} conditions={:?}", classes, conditions);
 
@@ -406,7 +411,7 @@ fn full_scan<'k>(
     let wanted: HashSet<&str> = classes.iter().map(String::as_str).collect();
     kb.instances()
         .iter()
-        .filter(|i| wanted.contains(i.class.as_str()))
+        .filter(|i| wanted.contains(&*i.class))
         .filter(|i| conditions.iter().all(|c| i.satisfies(c)))
         .collect()
 }
