@@ -13,6 +13,8 @@
 //! common-subclass lookups) rides on the graph's label-indexed
 //! adjacency layer rather than doing any matching of its own.
 
+use std::sync::Arc;
+
 use onion_articulate::ArticulationGenerator;
 use onion_ontology::Ontology;
 use onion_rules::RuleSet;
@@ -29,7 +31,8 @@ pub fn intersect(
     generator: &ArticulationGenerator,
 ) -> Result<Ontology> {
     let articulation = generator.generate(rules, &[o1, o2])?;
-    Ok(articulation.ontology)
+    // a fresh articulation holds its ontology alone: no copy
+    Ok(Arc::try_unwrap(articulation.ontology).unwrap_or_else(|shared| (*shared).clone()))
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@
 //! the whole point of the design (§5.3): only the articulation is
 //! physically stored; the unified ontology is computed on demand.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use onion_graph::{rel, OntGraph};
 use onion_ontology::Ontology;
@@ -42,8 +43,9 @@ pub enum BridgeKind {
 pub struct Bridge {
     /// Source endpoint (implying side).
     pub src: Term,
-    /// Edge label.
-    pub label: String,
+    /// Edge label, a shared string like the endpoints' parts, so a
+    /// clone of the bridge copies no bytes.
+    pub label: Arc<str>,
     /// Target endpoint (implied side).
     pub dst: Term,
     /// Provenance.
@@ -53,18 +55,18 @@ pub struct Bridge {
 impl Bridge {
     /// Creates an implication bridge.
     pub fn si(src: Term, dst: Term, kind: BridgeKind) -> Self {
-        Bridge { src, label: rel::SI_BRIDGE.to_string(), dst, kind }
+        Bridge { src, label: rel::SI_BRIDGE.into(), dst, kind }
     }
 
     /// Creates a functional bridge labeled by the conversion function.
     pub fn functional(src: Term, function: &str, dst: Term) -> Self {
-        Bridge { src, label: function.to_string(), dst, kind: BridgeKind::Functional }
+        Bridge { src, label: function.into(), dst, kind: BridgeKind::Functional }
     }
 
     /// True if either endpoint is the qualified term `onto.name`.
     pub fn touches(&self, ontology: &str, name: &str) -> bool {
-        (self.src.in_ontology(ontology) && self.src.name == name)
-            || (self.dst.in_ontology(ontology) && self.dst.name == name)
+        (self.src.in_ontology(ontology) && *self.src.name == *name)
+            || (self.dst.in_ontology(ontology) && *self.dst.name == *name)
     }
 }
 
@@ -74,38 +76,48 @@ impl fmt::Display for Bridge {
     }
 }
 
-type BridgeKey = (String, String, String);
+/// A bridge's identity: its `(src, label, dst)` triple, sharing the
+/// bridge's own strings.
+type BridgeKey = (Term, Arc<str>, Term);
 
 fn bridge_key(b: &Bridge) -> BridgeKey {
-    (b.src.to_string(), b.label.clone(), b.dst.to_string())
+    (b.src.clone(), Arc::clone(&b.label), b.dst.clone())
 }
 
 /// The articulation of two (or more) source ontologies.
 #[derive(Debug, Clone)]
 pub struct Articulation {
-    /// The articulation ontology (e.g. `transport` in Fig. 2).
-    pub ontology: Ontology,
+    /// The articulation ontology (e.g. `transport` in Fig. 2), shared
+    /// copy-on-write: a clone of the articulation shares it, and a
+    /// writer makes it unique with [`Arc::make_mut`] first, so a clone
+    /// that maintenance only reads never copies the graph.
+    pub ontology: Arc<Ontology>,
     /// The semantic bridges to the source ontologies.
     pub bridges: Vec<Bridge>,
     /// The confirmed rules the articulation was generated from.
     pub rules: RuleSet,
-    /// Which rules (by display form) support each bridge — the
-    /// provenance that lets incremental maintenance retract exactly the
-    /// bridges a dropped rule generated (§5.3). Bridges added without
-    /// support (manual, derived) are never auto-retracted. Ordered maps
-    /// so the derived `Debug` rendering is deterministic — the recovery
-    /// suite asserts byte-identical `{:?}` output across runs.
-    support: BTreeMap<BridgeKey, BTreeSet<String>>,
+    /// Which rules support each bridge, as one ordered set of
+    /// `((src, label, dst), rule key)` pairs — the provenance that lets
+    /// incremental maintenance retract exactly the bridges a dropped rule
+    /// generated (§5.3). A bridge is keyed by its own shared terms and
+    /// label, a rule by its display form, which
+    /// [`ArticulationGenerator::apply_rule`](crate::ArticulationGenerator::apply_rule)
+    /// makes once per rule and shares among the rule's bridges. Bridges
+    /// added without support (manual, derived) are never
+    /// auto-retracted. Ordered so the derived `Debug` rendering is
+    /// deterministic — the recovery suite asserts byte-identical `{:?}`
+    /// output across runs.
+    support: BTreeSet<(BridgeKey, Arc<str>)>,
 }
 
 impl Articulation {
     /// An empty articulation named `name`.
     pub fn new(name: &str) -> Self {
         Articulation {
-            ontology: Ontology::new(name),
+            ontology: Arc::new(Ontology::new(name)),
             bridges: Vec::new(),
             rules: RuleSet::new(),
-            support: BTreeMap::new(),
+            support: BTreeSet::new(),
         }
     }
 
@@ -132,28 +144,38 @@ impl Articulation {
     /// Adds a bridge recording that `rule_key` (a rule's display form)
     /// generated it. Support accumulates even when the bridge already
     /// exists, so a bridge generated by two rules survives dropping one.
-    pub fn add_bridge_supported(&mut self, bridge: Bridge, rule_key: &str) -> bool {
+    pub fn add_bridge_supported(&mut self, bridge: Bridge, rule_key: impl Into<Arc<str>>) -> bool {
         let key = bridge_key(&bridge);
         let added = self.add_bridge(bridge);
-        self.support.entry(key).or_default().insert(rule_key.to_string());
+        self.support.insert((key, rule_key.into()));
         added
     }
 
     /// Retracts a rule's support; bridges left with no support are
     /// removed. Returns the number of bridges removed.
     pub fn drop_rule_support(&mut self, rule_key: &str) -> usize {
-        let mut dead: HashSet<BridgeKey> = HashSet::new();
-        for (key, rules) in self.support.iter_mut() {
-            if rules.remove(rule_key) && rules.is_empty() {
-                dead.insert(key.clone());
+        // a bridge's supporters are adjacent in the set; it dies when
+        // `rule_key` was its only one
+        let mut dead: Vec<&BridgeKey> = Vec::new();
+        let mut entries = self.support.iter().peekable();
+        while let Some((key, rule)) = entries.next() {
+            let mut alone = true;
+            while entries.next_if(|(k, _)| k == key).is_some() {
+                alone = false;
+            }
+            if alone && **rule == *rule_key {
+                dead.push(key);
             }
         }
-        if dead.is_empty() {
-            return 0;
-        }
         let before = self.bridges.len();
-        self.bridges.retain(|b| !dead.contains(&bridge_key(b)));
-        self.support.retain(|k, _| !dead.contains(k));
+        if !dead.is_empty() {
+            // `dead` is sorted: it was collected in set order
+            self.bridges.retain(|b| {
+                let probe = (&b.src, &*b.label, &b.dst);
+                dead.binary_search_by(|(s, l, d)| (s, &**l, d).cmp(&probe)).is_err()
+            });
+        }
+        self.support.retain(|(_, rule)| **rule != *rule_key);
         before - self.bridges.len()
     }
 
@@ -165,16 +187,18 @@ impl Articulation {
     /// Removes all bridges touching `onto.name`; returns how many.
     pub fn remove_bridges_touching(&mut self, ontology: &str, name: &str) -> usize {
         let before = self.bridges.len();
-        let mut dead: HashSet<BridgeKey> = HashSet::new();
+        let mut dead: Vec<BridgeKey> = Vec::new();
         self.bridges.retain(|b| {
-            if b.touches(ontology, name) {
-                dead.insert(bridge_key(b));
-                false
-            } else {
-                true
+            let touches = b.touches(ontology, name);
+            if touches {
+                dead.push(bridge_key(b));
             }
+            !touches
         });
-        self.support.retain(|k, _| !dead.contains(k));
+        if !dead.is_empty() {
+            dead.sort_unstable();
+            self.support.retain(|(key, _)| dead.binary_search(key).is_err());
+        }
         before - self.bridges.len()
     }
 
@@ -187,7 +211,7 @@ impl Articulation {
             .iter()
             .flat_map(|b| [&b.src, &b.dst])
             .filter(|t| t.in_ontology(ontology))
-            .map(|t| t.name.as_str())
+            .map(|t| &*t.name)
             .collect();
         v.sort_unstable();
         v.dedup();
@@ -283,7 +307,7 @@ impl Articulation {
         // a directed implication graph over qualified labels
         let mut g = OntGraph::new("si-paths");
         for b in &self.bridges {
-            if b.label == rel::SI_BRIDGE {
+            if &*b.label == rel::SI_BRIDGE {
                 g.ensure_edge_by_labels(&b.src.to_string(), "si", &b.dst.to_string())?;
             }
         }
@@ -336,7 +360,7 @@ mod tests {
 
     fn sample() -> Articulation {
         let mut a = Articulation::new("transport");
-        a.ontology.graph_mut().ensure_node("Vehicle").unwrap();
+        Arc::make_mut(&mut a.ontology).graph_mut().ensure_node("Vehicle").unwrap();
         a.add_bridge(Bridge::si(
             term("carrier", "Cars"),
             term("transport", "Vehicle"),
@@ -449,7 +473,7 @@ mod tests {
         let carrier = OntologyBuilder::new("carrier").class_under("SUV", "Cars").build().unwrap();
         let factory = OntologyBuilder::new("factory").class("Vehicle").build().unwrap();
         let mut a = Articulation::new("transport");
-        a.ontology.graph_mut().ensure_node("Vehicle").unwrap();
+        Arc::make_mut(&mut a.ontology).graph_mut().ensure_node("Vehicle").unwrap();
         a.add_bridge(Bridge::si(
             term("carrier", "Cars"),
             term("transport", "Vehicle"),

@@ -126,7 +126,7 @@ enum Anchor {
     /// A term in a source ontology.
     Source(Term),
     /// A node (by label) in the articulation ontology.
-    Art(String),
+    Art(Arc<str>),
 }
 
 impl ArticulationGenerator {
@@ -184,7 +184,8 @@ impl ArticulationGenerator {
         sources: &[&Ontology],
         art: &mut Articulation,
     ) -> Result<()> {
-        let rule_key = rule.to_string();
+        // one shared display key for every bridge this rule supports
+        let rule_key: Arc<str> = rule.to_string().into();
         match rule {
             ArticulationRule::Implication { chain } => {
                 let mut anchors = Vec::with_capacity(chain.len());
@@ -220,11 +221,11 @@ impl ArticulationGenerator {
     ) -> Result<Anchor> {
         match term.ontology.as_deref() {
             None => {
-                art.ontology.graph_mut().ensure_node(&term.name)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&term.name)?;
                 Ok(Anchor::Art(term.name.clone()))
             }
             Some(o) if o == art.name() => {
-                art.ontology.graph_mut().ensure_node(&term.name)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&term.name)?;
                 Ok(Anchor::Art(term.name.clone()))
             }
             Some(o) => match self.find_source(sources, o) {
@@ -246,13 +247,13 @@ impl ArticulationGenerator {
         expr: &RuleExpr,
         sources: &[&Ontology],
         art: &mut Articulation,
-        rule_key: &str,
+        rule_key: &Arc<str>,
     ) -> Result<Anchor> {
         match expr {
             RuleExpr::Term(t) => self.resolve_term(t, sources, art),
             RuleExpr::And(members) => {
                 let label = expr.default_label();
-                art.ontology.graph_mut().ensure_node(&label)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&label)?;
                 let mut member_anchors = Vec::with_capacity(members.len());
                 for m in members {
                     member_anchors.push(self.resolve_expr(m, sources, art, rule_key)?);
@@ -263,12 +264,12 @@ impl ArticulationGenerator {
                         Anchor::Source(t) => {
                             art.add_bridge_supported(
                                 Bridge::si(self.art_term(art, &label), t.clone(), BridgeKind::Rule),
-                                rule_key,
+                                Arc::clone(rule_key),
                             );
                         }
                         Anchor::Art(m) => {
                             let m = m.clone();
-                            art.ontology.graph_mut().ensure_edge_by_labels(
+                            Arc::make_mut(&mut art.ontology).graph_mut().ensure_edge_by_labels(
                                 &label,
                                 rel::SUBCLASS_OF,
                                 &m,
@@ -279,22 +280,22 @@ impl ArticulationGenerator {
                 // common subclasses of all conjuncts slot under the new
                 // class (the paper's Truck example)
                 self.bridge_common_subclasses(&label, &member_anchors, sources, art, rule_key)?;
-                Ok(Anchor::Art(label))
+                Ok(Anchor::Art(label.into()))
             }
             RuleExpr::Or(members) => {
                 let label = expr.default_label();
-                art.ontology.graph_mut().ensure_node(&label)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&label)?;
                 for m in members {
                     let a = self.resolve_expr(m, sources, art, rule_key)?;
                     match a {
                         Anchor::Source(t) => {
                             art.add_bridge_supported(
                                 Bridge::si(t, self.art_term(art, &label), BridgeKind::Rule),
-                                rule_key,
+                                Arc::clone(rule_key),
                             );
                         }
                         Anchor::Art(m) => {
-                            art.ontology.graph_mut().ensure_edge_by_labels(
+                            Arc::make_mut(&mut art.ontology).graph_mut().ensure_edge_by_labels(
                                 &m,
                                 rel::SUBCLASS_OF,
                                 &label,
@@ -302,7 +303,7 @@ impl ArticulationGenerator {
                         }
                     }
                 }
-                Ok(Anchor::Art(label))
+                Ok(Anchor::Art(label.into()))
             }
         }
     }
@@ -315,7 +316,7 @@ impl ArticulationGenerator {
         members: &[Anchor],
         sources: &[&Ontology],
         art: &mut Articulation,
-        rule_key: &str,
+        rule_key: &Arc<str>,
     ) -> Result<()> {
         let mut terms: Vec<&Term> = Vec::new();
         for m in members {
@@ -350,7 +351,7 @@ impl ArticulationGenerator {
                     self.art_term(art, label),
                     BridgeKind::Rule,
                 ),
-                rule_key,
+                Arc::clone(rule_key),
             );
         }
         Ok(())
@@ -362,45 +363,49 @@ impl ArticulationGenerator {
         l: &Anchor,
         r: &Anchor,
         art: &mut Articulation,
-        rule_key: &str,
+        rule_key: &Arc<str>,
     ) -> Result<()> {
         match (l, r) {
             (Anchor::Source(a), Anchor::Source(b)) => {
                 // the paper's simple-bridge translation: art node named
                 // after the RHS, equivalent to the RHS source term
                 let label = b.name.clone();
-                art.ontology.graph_mut().ensure_node(&label)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&label)?;
                 let art_t = self.art_term(art, &label);
                 art.add_bridge_supported(
                     Bridge::si(a.clone(), art_t.clone(), BridgeKind::Rule),
-                    rule_key,
+                    Arc::clone(rule_key),
                 );
                 art.add_bridge_supported(
                     Bridge::si(b.clone(), art_t.clone(), BridgeKind::Rule),
-                    rule_key,
+                    Arc::clone(rule_key),
                 );
                 art.add_bridge_supported(
                     Bridge::si(art_t, b.clone(), BridgeKind::Equivalence),
-                    rule_key,
+                    Arc::clone(rule_key),
                 );
             }
             (Anchor::Source(a), Anchor::Art(x)) => {
                 art.add_bridge_supported(
                     Bridge::si(a.clone(), self.art_term(art, x), BridgeKind::Rule),
-                    rule_key,
+                    Arc::clone(rule_key),
                 );
             }
             (Anchor::Art(x), Anchor::Source(b)) => {
                 art.add_bridge_supported(
                     Bridge::si(self.art_term(art, x), b.clone(), BridgeKind::Rule),
-                    rule_key,
+                    Arc::clone(rule_key),
                 );
             }
             (Anchor::Art(x), Anchor::Art(y)) => {
                 // intra-articulation structure: Owner => Person becomes a
                 // SubclassOf edge in the articulation graph
                 let (x, y) = (x.clone(), y.clone());
-                art.ontology.graph_mut().ensure_edge_by_labels(&x, rel::SUBCLASS_OF, &y)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_edge_by_labels(
+                    &x,
+                    rel::SUBCLASS_OF,
+                    &y,
+                )?;
             }
         }
         Ok(())
@@ -413,7 +418,7 @@ impl ArticulationGenerator {
         to: &Term,
         sources: &[&Ontology],
         art: &mut Articulation,
-        rule_key: &str,
+        rule_key: &Arc<str>,
     ) -> Result<()> {
         let from_anchor = self.resolve_term(from, sources, art)?;
         let to_anchor = self.resolve_term(to, sources, art)?;
@@ -421,7 +426,7 @@ impl ArticulationGenerator {
         let (to_art_label, to_source) = match to_anchor {
             Anchor::Art(l) => (l, None),
             Anchor::Source(t) => {
-                art.ontology.graph_mut().ensure_node(&t.name)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&t.name)?;
                 (t.name.clone(), Some(t))
             }
         };
@@ -432,18 +437,24 @@ impl ArticulationGenerator {
         };
         art.add_bridge_supported(
             Bridge::functional(from_term.clone(), function, art_t.clone()),
-            rule_key,
+            Arc::clone(rule_key),
         );
         if let Some(inv) = self.config.conversions.get(function).and_then(|c| c.inverse_name()) {
-            art.add_bridge_supported(Bridge::functional(art_t.clone(), inv, from_term), rule_key);
+            art.add_bridge_supported(
+                Bridge::functional(art_t.clone(), inv, from_term),
+                Arc::clone(rule_key),
+            );
         }
         if let Some(src_t) = to_source {
             // keep the source metric term equivalent to the articulation one
             art.add_bridge_supported(
                 Bridge::si(src_t.clone(), art_t.clone(), BridgeKind::Rule),
-                rule_key,
+                Arc::clone(rule_key),
             );
-            art.add_bridge_supported(Bridge::si(art_t, src_t, BridgeKind::Equivalence), rule_key);
+            art.add_bridge_supported(
+                Bridge::si(art_t, src_t, BridgeKind::Equivalence),
+                Arc::clone(rule_key),
+            );
         }
         Ok(())
     }
@@ -461,10 +472,10 @@ impl ArticulationGenerator {
     /// so it anchors nothing, exactly as the string path behaved.
     fn inherit_structure(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<()> {
         // art label -> anchored (source index, term label-id) pairs
-        let mut anchors: Vec<(String, u16, LabelId)> = Vec::new();
+        let mut anchors: Vec<(Arc<str>, u16, LabelId)> = Vec::new();
         let art_name = art.name().to_string();
         for b in &art.bridges {
-            if b.label != rel::SI_BRIDGE {
+            if &*b.label != rel::SI_BRIDGE {
                 continue;
             }
             let (art_end, src_end) = if b.src.in_ontology(&art_name) {
@@ -510,7 +521,7 @@ impl ArticulationGenerator {
                 .collect();
             *slot = Some(set);
         }
-        let mut new_edges: Vec<(String, String)> = Vec::new();
+        let mut new_edges: Vec<(Arc<str>, Arc<str>)> = Vec::new();
         for (xl, xo, xt) in &anchors {
             let Some(closure) = closures[*xo as usize].as_ref() else { continue };
             for (yl, yo, yt) in &anchors {
@@ -527,7 +538,11 @@ impl ArticulationGenerator {
         for (x, y) in new_edges {
             // never create a subclass cycle in the articulation graph
             if !art.ontology.is_subclass(&y, &x) && x != y {
-                art.ontology.graph_mut().ensure_edge_by_labels(&x, rel::SUBCLASS_OF, &y)?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_edge_by_labels(
+                    &x,
+                    rel::SUBCLASS_OF,
+                    &y,
+                )?;
             }
         }
         Ok(())
@@ -565,7 +580,7 @@ impl ArticulationGenerator {
         let si = atoms.intern("si");
         // seed: existing SI bridges (terms interned from their parts)
         for b in &art.bridges {
-            if b.label == rel::SI_BRIDGE {
+            if &*b.label == rel::SI_BRIDGE {
                 let s = atoms.intern_term(&b.src);
                 let d = atoms.intern_term(&b.dst);
                 if fb.add_fact(si, &[s, d]) {
@@ -574,7 +589,7 @@ impl ArticulationGenerator {
             }
         }
         // seed: source subclass edges, then articulation-internal ones
-        for o in sources.iter().copied().chain([&art.ontology]) {
+        for o in sources.iter().copied().chain([&*art.ontology]) {
             let seeded = seed_subclass_facts(o.graph(), atoms, &mut fb);
             stats.seeded_facts += seeded.seeded;
             stats.skipped_dead_nodes += seeded.skipped_dead_nodes;
@@ -644,8 +659,8 @@ impl ArticulationGenerator {
         // triples so the pass stays linear in the bridge count
         let keep: Vec<bool> = {
             let mut seen: HashSet<(&Term, &str, &Term)> =
-                art.bridges.iter().map(|b| (&b.src, b.label.as_str(), &b.dst)).collect();
-            fresh.iter().map(|b| seen.insert((&b.src, b.label.as_str(), &b.dst))).collect()
+                art.bridges.iter().map(|b| (&b.src, &*b.label, &b.dst)).collect();
+            fresh.iter().map(|b| seen.insert((&b.src, &*b.label, &b.dst))).collect()
         };
         let before = art.bridges.len();
         art.bridges.extend(fresh.into_iter().zip(keep).filter_map(|(b, new)| new.then_some(b)));

@@ -70,7 +70,7 @@ pub fn triage<'o>(
 }
 
 fn rule_mentions(rule: &ArticulationRule, ontology: &str, name: &str) -> bool {
-    rule.terms().iter().any(|t| t.in_ontology(ontology) && t.name == name)
+    rule.terms().iter().any(|t| t.in_ontology(ontology) && *t.name == *name)
 }
 
 /// Applies a source delta to the articulation.

@@ -24,6 +24,8 @@
 //! without a line break round-trips; a `rule` line's body is rule syntax
 //! and is parsed whole.
 
+use std::sync::Arc;
+
 use onion_graph::text::{quote, split_tokens};
 use onion_graph::GraphError;
 use onion_rules::{parser, Term};
@@ -136,14 +138,16 @@ pub fn from_text(input: &str) -> Result<Articulation> {
                 if toks.len() != 2 {
                     return Err(parse_err(lineno, "node expects one label"));
                 }
-                art.ontology.graph_mut().ensure_node(&toks[1])?;
+                Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(&toks[1])?;
             }
             Some("edge") => {
                 let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
                 if toks.len() != 4 {
                     return Err(parse_err(lineno, "edge expects SRC LABEL DST"));
                 }
-                art.ontology.graph_mut().ensure_edge_by_labels(&toks[1], &toks[2], &toks[3])?;
+                Arc::make_mut(&mut art.ontology)
+                    .graph_mut()
+                    .ensure_edge_by_labels(&toks[1], &toks[2], &toks[3])?;
             }
             Some("bridge") => {
                 let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
@@ -155,7 +159,7 @@ pub fn from_text(input: &str) -> Result<Articulation> {
                 })?;
                 let src = parse_qualified(&toks[2], lineno)?;
                 let dst = parse_qualified(&toks[4], lineno)?;
-                art.add_bridge(Bridge { src, label: toks[3].clone(), dst, kind });
+                art.add_bridge(Bridge { src, label: toks[3].as_str().into(), dst, kind });
             }
             Some(other) => return Err(parse_err(lineno, format!("unknown directive {other:?}"))),
             None => unreachable!("blank lines filtered"),
@@ -212,7 +216,7 @@ mod tests {
     #[test]
     fn quoted_labels_roundtrip() {
         let mut art = Articulation::new("my art");
-        art.ontology.graph_mut().ensure_node("Cargo Carrier").unwrap();
+        Arc::make_mut(&mut art.ontology).graph_mut().ensure_node("Cargo Carrier").unwrap();
         art.add_bridge(Bridge::si(
             Term::qualified("left side", "A Term"),
             Term::qualified("my art", "Cargo Carrier"),

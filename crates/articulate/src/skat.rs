@@ -79,7 +79,7 @@ fn keep_touching(
     touched: &HashSet<String>,
 ) -> Vec<CandidateRule> {
     candidates.retain(|c| {
-        c.rule.terms().iter().any(|t| t.in_ontology(ontology) && touched.contains(&t.name))
+        c.rule.terms().iter().any(|t| t.in_ontology(ontology) && touched.contains(&*t.name))
     });
     candidates
 }

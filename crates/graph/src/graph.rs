@@ -329,9 +329,11 @@ impl OntGraph {
     }
 
     /// The modification stamp of shard `s` (monotone per graph
-    /// identity; bumped by every primitive touching a node the shard
-    /// owns). [`crate::SnapshotStore::publish`] rebuilds exactly the
-    /// shards whose stamp differs from the previous snapshot's.
+    /// identity; bumped by adding or deleting a node the shard owns and
+    /// by adding or deleting an edge whose source it owns — a shard
+    /// holds its nodes' labels and out-rows, nothing of their in-edges).
+    /// [`crate::SnapshotStore::publish`] rebuilds exactly the shards
+    /// whose stamp differs from the previous snapshot's.
     pub fn shard_version(&self, s: usize) -> u64 {
         self.shard_versions.get(s).copied().unwrap_or(0)
     }
@@ -615,8 +617,9 @@ impl OntGraph {
         self.edge_index.insert(src, lid, dst, id);
         self.live_edges += 1;
         debug_assert_eq!(self.edge_index.len(), self.live_edges);
+        // snapshot shards hold labels and out-rows, so only the source's
+        // shard changes
         self.touch_shard(src);
-        self.touch_shard(dst);
         self.record(|g| {
             GraphOp::edge_add(
                 g.node_label(src).expect("live src"),
@@ -664,7 +667,6 @@ impl OntGraph {
         d.inc_by_label.remove(label, id);
         self.live_edges -= 1;
         self.touch_shard(src);
-        self.touch_shard(dst);
         let (s, l, d) = (
             self.node_label(src).unwrap_or("?").to_string(),
             self.interner.resolve(label).to_string(),
@@ -1461,14 +1463,16 @@ mod tests {
         assert_eq!(g.shard_version(2), before[2]);
         assert_eq!(g.shard_version(3), before[3]);
         let mid: Vec<u64> = (0..4).map(|s| g.shard_version(s)).collect();
-        g.add_edge(a, "S", b).unwrap(); // touches shards 0 and 1
+        g.add_edge(a, "S", b).unwrap(); // touches only the source's shard 0
         assert_ne!(g.shard_version(0), mid[0]);
-        assert_ne!(g.shard_version(1), mid[1]);
+        assert_eq!(g.shard_version(1), mid[1], "the target's shard holds no in-rows");
         assert_eq!(g.shard_version(2), mid[2]);
-        // deleting B cascades the edge delete (shards 0, 1) and the node
-        let e_mid = g.shard_version(0);
+        // deleting B cascades the edge delete (A's shard 0) and the node
+        // (shard 1)
+        let (e0, e1) = (g.shard_version(0), g.shard_version(1));
         g.delete_node(b).unwrap();
-        assert_ne!(g.shard_version(0), e_mid);
+        assert_ne!(g.shard_version(0), e0);
+        assert_ne!(g.shard_version(1), e1);
         assert_eq!(g.shard_version(3), mid[3], "shard 3 never touched");
     }
 

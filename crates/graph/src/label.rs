@@ -8,6 +8,7 @@
 //! boundaries.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::hash::FxHashMap;
 
@@ -34,14 +35,16 @@ impl fmt::Debug for LabelId {
 
 /// An append-only string interner.
 ///
-/// Strings are stored once; lookups go through a `HashMap` keyed by the
-/// stored boxed string. The interner never removes entries: label churn in
-/// ontologies is low and tombstoned graph elements may still reference
-/// their labels for journal replay.
+/// Each label is stored once, as one `Arc<str>` shared by the id vector
+/// and the lookup map, so cloning an interner (a graph clone, or a
+/// snapshot publish after a new label) copies two tables of pointers
+/// and shares every label's bytes. The interner never removes entries:
+/// label churn in ontologies is low and tombstoned graph elements may
+/// still reference their labels for journal replay.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    strings: Vec<Box<str>>,
-    ids: FxHashMap<Box<str>, LabelId>,
+    strings: Vec<Arc<str>>,
+    ids: FxHashMap<Arc<str>, LabelId>,
 }
 
 impl Interner {
@@ -56,9 +59,9 @@ impl Interner {
             return id;
         }
         let id = LabelId(self.strings.len() as u32);
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.ids.insert(boxed, id);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.ids.insert(shared, id);
         id
     }
 

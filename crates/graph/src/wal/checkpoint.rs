@@ -565,7 +565,7 @@ mod tests {
         let (m1, s1) = write_checkpoint(&td.0, &snap, true, Lsn(4), None).unwrap();
         assert_eq!((s1.shards_written, s1.shards_reused), (4, 0));
 
-        // One edit dirties at most two shards (src + dst).
+        // One edge edit dirties its source's shard only.
         let car = g.node_by_label("Car").unwrap();
         let e = g.add_edge(car, "dirty", car).unwrap();
         g.delete_edge(e).unwrap();

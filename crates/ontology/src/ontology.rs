@@ -106,7 +106,7 @@ impl Ontology {
     /// qualified with this ontology's name (or unqualified) and present.
     pub fn resolve(&self, term: &Term) -> Option<NodeId> {
         match &term.ontology {
-            Some(o) if o != self.name() => None,
+            Some(o) if **o != *self.name() => None,
             _ => self.graph.node_by_label(&term.name),
         }
     }

@@ -195,7 +195,7 @@ impl ReformulationIndex {
         }
         let graph = |pos| graph_at(articulation, sources, pos);
         for b in &articulation.bridges {
-            if b.label == rel::SI_BRIDGE {
+            if &*b.label == rel::SI_BRIDGE {
                 let s = ix.intern_term(graph, b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
                 let d = ix.intern_term(graph, b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
                 ix.implied_by.entry(d).or_default().push(s);
@@ -424,7 +424,7 @@ impl<'a> Reformulator<'a> {
             for b in &self.articulation.bridges {
                 if b.kind == onion_articulate::BridgeKind::Functional
                     && b.src.in_ontology(source.name())
-                    && b.src.name == metric_label
+                    && *b.src.name == *metric_label
                 {
                     let to_local = self
                         .conversions
@@ -433,7 +433,7 @@ impl<'a> Reformulator<'a> {
                         .map(str::to_string);
                     return Some(AttrConversion {
                         local_attr: local_attr.to_string(),
-                        to_articulation: b.label.clone(),
+                        to_articulation: b.label.to_string(),
                         to_local,
                     });
                 }

@@ -1,6 +1,7 @@
 //! Abstract syntax of articulation rules (paper §4.1).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A qualified ontology term, e.g. `carrier.Car`.
 ///
@@ -8,23 +9,29 @@ use std::fmt;
 /// an implicit context (the paper's ONION viewer resolves names by click
 /// and drag; the textual syntax prefixes terms "as a consequence of a
 /// linear syntax").
+///
+/// Both parts are shared strings: cloning a term, and with it a rule,
+/// a bridge or a whole articulation, bumps reference counts instead of
+/// copying bytes. An `Arc<str>` prints, compares, orders and hashes as
+/// its `str`, so `Display`, `Debug`, `Ord` and `Hash` read as they
+/// would on owned strings.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Term {
     /// The ontology the term belongs to, if qualified.
-    pub ontology: Option<String>,
+    pub ontology: Option<Arc<str>>,
     /// The term (node label) inside that ontology.
-    pub name: String,
+    pub name: Arc<str>,
 }
 
 impl Term {
     /// A qualified term `ontology.name`.
     pub fn qualified(ontology: &str, name: &str) -> Self {
-        Term { ontology: Some(ontology.to_string()), name: name.to_string() }
+        Term { ontology: Some(ontology.into()), name: name.into() }
     }
 
     /// An unqualified term.
     pub fn unqualified(name: &str) -> Self {
-        Term { ontology: None, name: name.to_string() }
+        Term { ontology: None, name: name.into() }
     }
 
     /// True if the term is qualified with `ontology`.
@@ -88,7 +95,7 @@ impl RuleExpr {
     /// conjunctions of simple terms, `CarsTrucks` for disjunctions).
     pub fn default_label(&self) -> String {
         match self {
-            RuleExpr::Term(t) => t.name.clone(),
+            RuleExpr::Term(t) => t.name.to_string(),
             RuleExpr::And(xs) | RuleExpr::Or(xs) => {
                 xs.iter().map(|x| x.default_label()).collect::<Vec<_>>().join("")
             }
@@ -286,7 +293,7 @@ mod tests {
             RuleExpr::term(Term::qualified("factory", "CargoCarrier")),
             RuleExpr::term(Term::qualified("factory", "Vehicle")),
         ]);
-        let names: Vec<&str> = e.terms().iter().map(|t| t.name.as_str()).collect();
+        let names: Vec<&str> = e.terms().iter().map(|t| &*t.name).collect();
         assert_eq!(names, vec!["CargoCarrier", "Vehicle"]);
         assert!(!e.is_simple());
     }

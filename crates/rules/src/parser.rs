@@ -372,7 +372,7 @@ mod tests {
     #[test]
     fn quoted_terms() {
         let r = parse_rule("carrier.\"Cargo Carrier\" => factory.Goods").unwrap();
-        assert_eq!(r.terms()[0].name, "Cargo Carrier");
+        assert_eq!(&*r.terms()[0].name, "Cargo Carrier");
     }
 
     #[test]

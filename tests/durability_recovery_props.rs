@@ -9,9 +9,10 @@
 //! * tearing the newest checkpoint manifest falls back to the previous
 //!   checkpoint and still replays forward to the full final state
 //!   (segment retirement keeps the older manifest's WAL suffix);
-//! * a checkpoint after `k` edits rewrites **exactly** the dirty shards
-//!   (the shards whose version stamp moved — at most `2k`) and reuses
-//!   the rest, mirroring the B11 incremental-publish accounting;
+//! * a checkpoint after `k` edge edits rewrites **exactly** the dirty
+//!   shards (the shards whose version stamp moved: the edited edges'
+//!   source shards, at most `k`) and reuses the rest, mirroring the B11
+//!   incremental-publish accounting;
 //! * recovery keeps every node's out-edge order: the live graph,
 //!   WAL-only recovery and checkpoint recovery agree node by node;
 //! * a recovered source articulates byte-identically to the uncrashed
@@ -270,7 +271,8 @@ proptest! {
 
     /// Incremental checkpoint accounting, mirroring B11: after `k` edge
     /// edits, the next checkpoint rewrites exactly the shards whose
-    /// version stamp moved (≤ 2k) and reuses every other shard's file.
+    /// version stamp moved — the edited edges' source shards — and
+    /// reuses every other shard's file.
     #[test]
     fn checkpoint_rewrites_exactly_the_dirty_shards(
         seed in 0u64..1000,
@@ -296,9 +298,15 @@ proptest! {
         for &(a, b) in &edits {
             g.ensure_edge_by_labels(&node(a), "probe.rel", &node(b)).unwrap();
         }
-        let after: Vec<u64> = (0..SHARDS).map(|s| g.shard_version(s)).collect();
-        let dirty = before.iter().zip(&after).filter(|(x, y)| x != y).count();
-        prop_assert!(dirty >= 1 && dirty <= 2 * edits.len());
+        let moved: Vec<usize> = (0..SHARDS).filter(|&s| g.shard_version(s) != before[s]).collect();
+        let mut sources: Vec<usize> = edits
+            .iter()
+            .map(|&(a, _)| g.shard_of(g.node_by_label(&node(a)).expect("base node")))
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        prop_assert_eq!(&moved, &sources, "an edge edit dirties its source's shard only");
+        let dirty = moved.len();
 
         commit(&mut g, &mut dur, &mut ledger);
         let inc = dur.checkpoint(&ShardedSnapshot::of(&g), dur.last_lsn()).unwrap();

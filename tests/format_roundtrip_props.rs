@@ -2,6 +2,8 @@
 //! XML, rule syntax, Horn syntax, query syntax and the persisted
 //! articulation format all print-then-parse to the same value.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use onion_core::articulate::persist;
@@ -154,7 +156,7 @@ proptest! {
         rule in (ontology_name(), "[A-Z][a-z]{1,6}"),
     ) {
         let mut art = Articulation::new(&name);
-        let g = art.ontology.graph_mut();
+        let g = Arc::make_mut(&mut art.ontology).graph_mut();
         for n in &nodes {
             g.ensure_node(n).unwrap();
         }
@@ -168,7 +170,7 @@ proptest! {
         for (source, src, label, dst, kind) in &bridges {
             art.add_bridge(Bridge {
                 src: Term::qualified(source, src),
-                label: label.clone(),
+                label: label.as_str().into(),
                 dst: Term::qualified(&name, dst),
                 kind: kinds[usize::from(*kind)],
             });

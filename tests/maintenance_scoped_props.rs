@@ -51,7 +51,7 @@ mod full_then_filter {
     use onion_core::prelude::*;
 
     fn rule_mentions(rule: &ArticulationRule, ontology: &str, name: &str) -> bool {
-        rule.terms().iter().any(|t| t.in_ontology(ontology) && t.name == name)
+        rule.terms().iter().any(|t| t.in_ontology(ontology) && *t.name == *name)
     }
 
     pub fn apply_delta(
@@ -116,7 +116,7 @@ mod full_then_filter {
                         let candidates = pipeline.propose(changed, other, &art.rules);
                         for cand in candidates {
                             let touches = cand.rule.terms().iter().any(|t| {
-                                t.in_ontology(source_name) && touched_labels.contains(&t.name)
+                                t.in_ontology(source_name) && touched_labels.contains(&*t.name)
                             });
                             if !touches {
                                 continue;
@@ -187,7 +187,7 @@ fn keyed(cands: &[CandidateRule]) -> Vec<(String, u64, String, String)> {
 fn touching(cands: Vec<CandidateRule>, o1: &str, touched: &HashSet<String>) -> Vec<CandidateRule> {
     cands
         .into_iter()
-        .filter(|c| c.rule.terms().iter().any(|t| t.in_ontology(o1) && touched.contains(&t.name)))
+        .filter(|c| c.rule.terms().iter().any(|t| t.in_ontology(o1) && touched.contains(&*t.name)))
         .collect()
 }
 

@@ -25,6 +25,7 @@
 //! too.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -59,12 +60,12 @@ impl<'a> Oracle<'a> {
         conversions: &'a ConversionRegistry,
     ) -> Self {
         let mut implies: HashMap<QTerm, Vec<QTerm>> = HashMap::new();
-        for b in art.bridges.iter().filter(|b| b.label == rel::SI_BRIDGE) {
+        for b in art.bridges.iter().filter(|b| &*b.label == rel::SI_BRIDGE) {
             let src = qt(b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
             let dst = qt(b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
             implies.entry(src).or_default().push(dst);
         }
-        let graphs = std::iter::once((&art.ontology, &[rel::SUBCLASS_OF][..]))
+        let graphs = std::iter::once((&*art.ontology, &[rel::SUBCLASS_OF][..]))
             .chain(sources.iter().map(|o| (*o, &[rel::SUBCLASS_OF, rel::INSTANCE_OF][..])));
         for (onto, labels) in graphs {
             let g = onto.graph();
@@ -269,8 +270,9 @@ fn build_case(seed: u64, concepts: usize, keep_percent: usize, shapes: u8) -> Ca
         let labels = art.ontology.graph().node_labels_sorted();
         let (a, b) = (labels[pick.below(labels.len())], labels[pick.below(labels.len())]);
         let (a, b) = (a.to_string(), b.to_string());
-        art.ontology.subclass(&a, &b).unwrap();
-        art.ontology.subclass(&b, &a).unwrap();
+        let ontology = Arc::make_mut(&mut art.ontology);
+        ontology.subclass(&a, &b).unwrap();
+        ontology.subclass(&b, &a).unwrap();
     }
     if shapes & GHOSTS != 0 {
         // paths through graph-less namespaces (an unknown one and the
@@ -348,8 +350,8 @@ fn build_case(seed: u64, concepts: usize, keep_percent: usize, shapes: u8) -> Ca
 
     let mut probes: HashSet<String> = art_labels.into_iter().collect();
     for b in &art.bridges {
-        probes.insert(b.src.name.clone());
-        probes.insert(b.dst.name.clone());
+        probes.insert(b.src.name.to_string());
+        probes.insert(b.dst.name.to_string());
     }
     for s in &sources {
         probes.insert(pick.label(s).to_string());
