@@ -182,7 +182,7 @@ impl Expert for OracleExpert {
             }
         };
         if let Some(p) = self.noise_period {
-            if self.reviewed.is_multiple_of(p) {
+            if self.reviewed % p == 0 {
                 return match base {
                     Verdict::Accept => Verdict::Reject,
                     Verdict::Reject => Verdict::Accept,

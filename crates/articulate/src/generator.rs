@@ -624,7 +624,7 @@ impl ArticulationGenerator {
         };
         let matches = |atoms: &AtomTable, id: onion_rules::AtomId, key: &(u32, Option<String>)| {
             atoms.namespace_of(id) == Some(key.0)
-                && key.1.as_deref().is_none_or(|p| atoms.name_of(id).starts_with(p))
+                && key.1.as_deref().map_or(true, |p| atoms.name_of(id).starts_with(p))
         };
         let Some(art_key) = ns_key(atoms, art.name()) else {
             return Ok(stats); // articulation namespace seeded nothing

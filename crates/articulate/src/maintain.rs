@@ -18,10 +18,13 @@
 //! Re-proposal asks each matcher only for candidates that name a touched
 //! label ([`MatcherPipeline::propose_touching`]), so with the exact-label
 //! matcher a pass costs the triage, a normalisation of the |touched|
-//! labels the source still defines and one normalisation pass over each
-//! peer's labels — not a proposal over every label of both sources.
-//! Matchers without a scoped scan (synonym, similarity, structural) still
-//! run their full proposal and filter it
+//! labels the source still defines and one probe each of the peer's
+//! normalised-label index ([`Ontology::label_index`]) — not a proposal
+//! over every label of both sources. A peer builds that index once and
+//! keeps it while it is unchanged; the edited source's own index is
+//! dropped by the edit and never rebuilt here. Matchers without a scoped
+//! scan (synonym, similarity, structural) still run their full proposal
+//! and filter it
 //! ([`RuleMatcher::propose_touching`](crate::skat::RuleMatcher::propose_touching)).
 //!
 //! Experiment B1 measures this path against the global-merge baseline's
@@ -29,6 +32,7 @@
 
 use std::collections::HashSet;
 
+use onion_graph::hash::FxHashSet;
 use onion_graph::ops::GraphOp;
 use onion_ontology::Ontology;
 use onion_rules::{ArticulationRule, RuleSet};
@@ -59,13 +63,25 @@ pub struct MaintenanceReport {
 /// An op is relevant iff any label it touches is a bridged term of
 /// `source_name` — the §5.3 criterion: "If a change to a source
 /// ontology … occurs in the difference of O1 with other ontologies, no
-/// change needs to occur in any of the articulation ontologies."
+/// change needs to occur in any of the articulation ontologies." The
+/// probe set is hashed straight from the bridge endpoints, without
+/// sorting them as [`Articulation::bridged_terms`] does.
 pub fn triage<'o>(
     art: &Articulation,
     source_name: &str,
     ops: &'o [GraphOp],
 ) -> (Vec<&'o GraphOp>, Vec<&'o GraphOp>) {
-    let bridged: HashSet<&str> = art.bridged_terms(source_name).into_iter().collect();
+    // sized for one endpoint per bridge, so building it never rehashes
+    // in the common case of a bridge from the source to another ontology
+    let mut bridged: FxHashSet<&str> =
+        FxHashSet::with_capacity_and_hasher(art.bridges.len(), Default::default());
+    bridged.extend(
+        art.bridges
+            .iter()
+            .flat_map(|b| [&b.src, &b.dst])
+            .filter(|t| t.in_ontology(source_name))
+            .map(|t| &*t.name),
+    );
     ops.iter().partition(|op| op.touched_labels().iter().any(|l| bridged.contains(l)))
 }
 

@@ -53,7 +53,8 @@ pub trait RuleMatcher {
     ///
     /// The default runs `propose` and keeps those candidates, so every
     /// matcher answers it correctly. [`ExactLabelMatcher`] overrides it
-    /// to visit only the touched labels. [`SynonymMatcher`],
+    /// to normalise only the touched labels and probe `o2`'s
+    /// [`label_index`](Ontology::label_index). [`SynonymMatcher`],
     /// [`SimilarityMatcher`] and [`StructuralMatcher`] keep the default.
     /// In particular [`SimilarityMatcher::max_pairs`] still counts the
     /// full scan's pairs in sorted-label order, so the budget ends on the
@@ -104,16 +105,6 @@ fn prepared<'m>(memo: &'m mut HashMap<String, PreparedLabel>, label: &str) -> &'
     &memo[label]
 }
 
-/// normalised label → original labels (an ontology may normalise two
-/// labels identically, e.g. `Cars` and `Car`).
-fn normalized_index(o: &Ontology) -> HashMap<String, Vec<String>> {
-    let mut m: HashMap<String, Vec<String>> = HashMap::new();
-    for l in labels(o) {
-        m.entry(normalize(&l)).or_default().push(l);
-    }
-    m
-}
-
 fn simple(o1: &Ontology, a: &str, o2: &Ontology, b: &str) -> ArticulationRule {
     ArticulationRule::term_implies(Term::qualified(o1.name(), a), Term::qualified(o2.name(), b))
 }
@@ -137,26 +128,22 @@ impl ExactLabelMatcher {
 
     /// The candidates pairing each of `l1s` (labels of `o1`) with every
     /// label of `o2` that normalises alike, ordered by `o1` label, then
-    /// `o2` label. Normalises each of `l1s` once and each of `o2`'s
-    /// labels once, in one pass; builds no index of `o2`.
+    /// `o2` label. Normalises each of `l1s` once and probes `o2`'s
+    /// [`label_index`](Ontology::label_index), whose groups are in label
+    /// order; builds no index of `o1`.
     fn scan(&self, o1: &Ontology, o2: &Ontology, mut l1s: Vec<&str>) -> Vec<CandidateRule> {
         if l1s.is_empty() {
             return Vec::new();
         }
         l1s.sort_unstable();
-        // normalised label → positions in `l1s`
-        let mut wanted: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, l1) in l1s.iter().enumerate() {
-            wanted.entry(normalize(l1)).or_default().push(i);
-        }
-        let mut hits: Vec<(usize, &str)> = Vec::new();
-        for n in o2.graph().nodes() {
-            if let Some(is) = wanted.get(&normalize(n.label)) {
-                hits.extend(is.iter().map(|&i| (i, n.label)));
+        let index = o2.label_index();
+        let mut out = Vec::new();
+        for l1 in l1s {
+            for l2 in index.labels(&normalize(l1)) {
+                out.push(self.candidate(o1, l1, o2, l2));
             }
         }
-        hits.sort_unstable();
-        hits.into_iter().map(|(i, l2)| self.candidate(o1, l1s[i], o2, l2)).collect()
+        out
     }
 }
 
@@ -174,8 +161,10 @@ impl RuleMatcher for ExactLabelMatcher {
     }
 
     /// The same scan as [`propose`](RuleMatcher::propose), over only the
-    /// touched labels `o1` still defines: |touched| normalisations plus
-    /// one pass over `o2`'s labels.
+    /// touched labels `o1` still defines: |touched| normalisations and as
+    /// many probes of `o2`'s [`label_index`](Ontology::label_index), which
+    /// is built once and reused while `o2` is unchanged. `o1`'s own index
+    /// is never built, so the edited source pays nothing for it.
     fn propose_touching(
         &self,
         o1: &Ontology,
@@ -219,11 +208,13 @@ impl RuleMatcher for SynonymMatcher {
         false
     }
 
+    /// Reads `o2`'s [`label_index`](Ontology::label_index) and
+    /// normalises each of `o1`'s labels once.
     fn propose(&self, o1: &Ontology, o2: &Ontology, _existing: &RuleSet) -> Vec<CandidateRule> {
-        let idx2 = normalized_index(o2);
-        let mut l2_known: Vec<&String> = idx2.keys().filter(|w| self.lexicon.contains(w)).collect();
-        // hypernym candidates follow this order; a HashMap's differs per call
-        l2_known.sort_unstable();
+        let idx2 = o2.label_index();
+        // in normalised-form order, which hypernym candidates follow
+        let l2_known: Vec<(&str, &[Box<str>])> =
+            idx2.groups().filter(|(w, _)| self.lexicon.contains(w)).collect();
         let mut out = Vec::new();
         for l1 in labels(o1) {
             let n1 = normalize(&l1);
@@ -232,22 +223,20 @@ impl RuleMatcher for SynonymMatcher {
             }
             // synonym expansion through the lexicon index (cheap)
             for syn in self.lexicon.synonyms_of(&n1) {
-                if let Some(matches) = idx2.get(syn) {
-                    for l2 in matches {
-                        out.push(CandidateRule::new(
-                            simple(o1, &l1, o2, l2),
-                            0.9,
-                            self.name(),
-                            format!("{l1:?} synonym of {l2:?}"),
-                        ));
-                    }
+                for l2 in idx2.labels(syn) {
+                    out.push(CandidateRule::new(
+                        simple(o1, &l1, o2, l2),
+                        0.9,
+                        self.name(),
+                        format!("{l1:?} synonym of {l2:?}"),
+                    ));
                 }
             }
             if self.hypernyms {
                 // directional: l1 ⇒ l2 when l2 is a hypernym of l1
-                for n2 in &l2_known {
+                for &(n2, group) in &l2_known {
                     if self.lexicon.is_hypernym_of(n2, &n1) {
-                        for l2 in &idx2[n2.as_str()] {
+                        for l2 in group {
                             out.push(CandidateRule::new(
                                 simple(o1, &l1, o2, l2),
                                 0.8,

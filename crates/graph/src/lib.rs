@@ -28,6 +28,9 @@
 //!   matching (synonym node labels, relaxed edge labels);
 //! * traversals, reachability, strongly connected components and per-label
 //!   transitive [`closure`];
+//! * label [`normalize`]ation (compound splitting, case folding, plural
+//!   stemming): the form under which the lexical matchers and an
+//!   ontology's normalised-label index compare labels;
 //! * **durability** ([`wal`]): an LSN-stamped, CRC-framed write-ahead
 //!   log of `GraphOp` records with group flush and segment rotation,
 //!   fuzzy shard-incremental checkpoints of the published snapshot, and
@@ -57,6 +60,7 @@ pub mod graph;
 pub mod hash;
 pub mod label;
 pub mod matcher;
+pub mod normalize;
 pub mod ops;
 pub mod path;
 pub mod pattern;

@@ -6,6 +6,10 @@
 //! whitespace), case folding, and a light plural stemmer sufficient for
 //! noun-phrase ontology terms (the paper's node labels are noun phrases,
 //! §3).
+//!
+//! The module sits in the data layer so that an ontology can index its
+//! own labels by normalised form; `onion_lexicon::normalize` re-exports
+//! it.
 
 /// Splits a label into lowercase word tokens.
 ///

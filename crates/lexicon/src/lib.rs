@@ -20,15 +20,19 @@
 //! Jaro-Winkler, n-gram Dice) SKAT-style matchers use when the lexicon
 //! has no entry, and [`normalize`] handles the label conventions of real
 //! ontologies (CamelCase compounds such as `CargoCarrier`, plural forms).
+//! `normalize` lives in the data layer (`onion_graph::normalize`), so an
+//! ontology can index its labels by normalised form without depending on
+//! this crate; it is re-exported here under its old path.
 
 #![forbid(unsafe_code)]
 
 pub mod builtin;
 pub mod generator;
 pub mod lexicon;
-pub mod normalize;
 pub mod similarity;
 pub mod synset;
+
+pub use onion_graph::normalize;
 
 pub use lexicon::{Lexicon, SynonymEquiv};
 pub use synset::{Synset, SynsetId};

@@ -23,10 +23,12 @@ pub mod builder;
 pub mod consistency;
 pub mod examples;
 pub mod import;
+pub mod label_index;
 pub mod ontology;
 
 pub use builder::OntologyBuilder;
 pub use consistency::{check, ConsistencyIssue};
+pub use label_index::LabelIndex;
 pub use ontology::Ontology;
 
 /// Result alias re-exported from the graph layer (ontology operations

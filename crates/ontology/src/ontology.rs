@@ -1,9 +1,13 @@
 //! The [`Ontology`] type: a named consistent graph plus relation
 //! properties.
 
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+
 use onion_graph::{rel, GraphError, NodeId, OntGraph};
 use onion_rules::{RelationRegistry, RuleSet, Term};
 
+use crate::label_index::LabelIndex;
 use crate::Result;
 
 /// A source ontology: name, concept graph, relationship properties and
@@ -11,11 +15,29 @@ use crate::Result;
 ///
 /// The graph is always in consistent (unique-label) mode; the paper
 /// addresses nodes by their term labels throughout (§3 end) and so do we.
-#[derive(Debug, Clone)]
+///
+/// An ontology also caches its [`label_index`](Self::label_index), built
+/// on first use. Clones share it. Every method that can change the graph
+/// ([`graph_mut`](Self::graph_mut), [`subclass`](Self::subclass),
+/// [`attribute`](Self::attribute), [`instance`](Self::instance),
+/// [`relate`](Self::relate)) drops it, so the next use rebuilds it from
+/// the edited graph. It is a cache, not state: `{:?}` leaves it out.
+#[derive(Clone)]
 pub struct Ontology {
     graph: OntGraph,
     relations: RelationRegistry,
     local_rules: RuleSet,
+    label_index: OnceLock<Arc<LabelIndex>>,
+}
+
+impl fmt::Debug for Ontology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ontology")
+            .field("graph", &self.graph)
+            .field("relations", &self.relations)
+            .field("local_rules", &self.local_rules)
+            .finish()
+    }
 }
 
 impl Ontology {
@@ -26,6 +48,7 @@ impl Ontology {
             graph: OntGraph::new(name),
             relations: RelationRegistry::onion_default(),
             local_rules: RuleSet::new(),
+            label_index: OnceLock::new(),
         }
     }
 
@@ -44,6 +67,7 @@ impl Ontology {
             graph,
             relations: RelationRegistry::onion_default(),
             local_rules: RuleSet::new(),
+            label_index: OnceLock::new(),
         })
     }
 
@@ -57,8 +81,10 @@ impl Ontology {
         &self.graph
     }
 
-    /// Mutable access to the concept graph.
+    /// Mutable access to the concept graph. Drops the
+    /// [`label_index`](Self::label_index).
     pub fn graph_mut(&mut self) -> &mut OntGraph {
+        self.label_index.take();
         &mut self.graph
     }
 
@@ -116,28 +142,37 @@ impl Ontology {
         self.graph.contains_label(label)
     }
 
+    /// The labels of the live nodes grouped by normalised form — the
+    /// index the exact-label and synonym matchers probe for a peer
+    /// ontology. Built on the first call after construction or after an
+    /// edit (one normalisation per label), then shared by this value and
+    /// its clones until the graph changes.
+    pub fn label_index(&self) -> &Arc<LabelIndex> {
+        self.label_index.get_or_init(|| Arc::new(LabelIndex::build(&self.graph)))
+    }
+
     // ------------------------------------------------------------------
     // Convenience constructors for the canonical relationships
     // ------------------------------------------------------------------
 
     /// Adds `sub SubclassOf sup` (creating nodes as needed).
     pub fn subclass(&mut self, sub: &str, sup: &str) -> Result<()> {
-        self.graph.ensure_edge_by_labels(sub, rel::SUBCLASS_OF, sup).map(|_| ())
+        self.graph_mut().ensure_edge_by_labels(sub, rel::SUBCLASS_OF, sup).map(|_| ())
     }
 
     /// Adds `attr AttributeOf class`.
     pub fn attribute(&mut self, attr: &str, class: &str) -> Result<()> {
-        self.graph.ensure_edge_by_labels(attr, rel::ATTRIBUTE_OF, class).map(|_| ())
+        self.graph_mut().ensure_edge_by_labels(attr, rel::ATTRIBUTE_OF, class).map(|_| ())
     }
 
     /// Adds `instance InstanceOf class`.
     pub fn instance(&mut self, instance: &str, class: &str) -> Result<()> {
-        self.graph.ensure_edge_by_labels(instance, rel::INSTANCE_OF, class).map(|_| ())
+        self.graph_mut().ensure_edge_by_labels(instance, rel::INSTANCE_OF, class).map(|_| ())
     }
 
     /// Adds an arbitrary verb edge.
     pub fn relate(&mut self, src: &str, verb: &str, dst: &str) -> Result<()> {
-        self.graph.ensure_edge_by_labels(src, verb, dst).map(|_| ())
+        self.graph_mut().ensure_edge_by_labels(src, verb, dst).map(|_| ())
     }
 
     // ------------------------------------------------------------------

@@ -15,13 +15,24 @@
 //! * `ExactLabelMatcher::propose`, which runs the same scan as its scoped
 //!   entry, equals a copy, kept below, of the version that indexed the
 //!   peer's labels and probed the index with the source's sorted labels;
+//! * `SynonymMatcher::propose`, which reads the peer's normalised-label
+//!   index, equals a copy, kept below, of the version that built a map of
+//!   the peer's normalised labels on every call;
 //! * `apply_delta` equals a copy, kept below, of the version that ran the
 //!   whole pipeline and filtered afterwards: the same
 //!   `MaintenanceReport`, the same expert calls in the same order and the
 //!   same `{:?}` rendering of the maintained articulation (its
 //!   `graph_id` masked), over generated
 //!   pairs × `update_stream` scripts and scripts that add labels a peer
-//!   defines.
+//!   defines;
+//! * a peer `Ontology` kept alive across calls never answers from a
+//!   stale `label_index`: after each edit through one of its `&mut` paths
+//!   (node add and delete through `graph_mut`, `subclass`, `attribute`,
+//!   `instance`, `relate`), the exact and synonym matchers answer as they
+//!   do on a copy rebuilt from the peer's graph (which holds no index) and
+//!   as the kept copies of the old scans do. Building the index leaves
+//!   the peer's `{:?}` unchanged, a clone taken after the build shares the
+//!   index, and editing the clone leaves the original's index alone.
 //!
 //! Peers carry normalised variants of the changed source's labels
 //! (`Trucks`/`truck`, `CargoCarrier`/`cargo_carriers`), inserted out of
@@ -29,6 +40,7 @@
 //! deleted labels and the empty set.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -167,6 +179,45 @@ fn exact_by_index(o1: &Ontology, o2: &Ontology) -> Vec<CandidateRule> {
     out
 }
 
+/// `SynonymMatcher::propose` (hypernyms on) as it stood before it read the
+/// peer's label index: a map of `o2`'s normalised labels built per call.
+fn synonym_by_index(o1: &Ontology, o2: &Ontology, lexicon: &Lexicon) -> Vec<CandidateRule> {
+    let mut idx2: HashMap<String, Vec<String>> = HashMap::new();
+    for l in labels(o2) {
+        idx2.entry(normalize(&l)).or_default().push(l);
+    }
+    let mut l2_known: Vec<&String> = idx2.keys().filter(|w| lexicon.contains(w)).collect();
+    l2_known.sort_unstable();
+    let rule = |l1: &str, l2: &str| {
+        ArticulationRule::term_implies(
+            Term::qualified(o1.name(), l1),
+            Term::qualified(o2.name(), l2),
+        )
+    };
+    let mut out = Vec::new();
+    for l1 in labels(o1) {
+        let n1 = normalize(&l1);
+        if !lexicon.contains(&n1) {
+            continue;
+        }
+        for syn in lexicon.synonyms_of(&n1) {
+            for l2 in idx2.get(syn).into_iter().flatten() {
+                let evidence = format!("{l1:?} synonym of {l2:?}");
+                out.push(CandidateRule::new(rule(&l1, l2), 0.9, "synonym", evidence));
+            }
+        }
+        for n2 in &l2_known {
+            if lexicon.is_hypernym_of(n2, &n1) {
+                for l2 in &idx2[n2.as_str()] {
+                    let evidence = format!("{l2:?} hypernym of {l1:?}");
+                    out.push(CandidateRule::new(rule(&l1, l2), 0.8, "synonym", evidence));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// What the comparisons look at: rule, confidence bits, provenance and
 /// evidence, in order.
 fn keyed(cands: &[CandidateRule]) -> Vec<(String, u64, String, String)> {
@@ -228,6 +279,17 @@ fn check_matchers(
             o2.name(),
             keyed(&exact),
             keyed(&by_index)
+        ));
+    }
+    let synonym = SynonymMatcher::new(lexicon.clone()).propose(o1, o2, existing);
+    let want = synonym_by_index(o1, o2, lexicon);
+    if keyed(&synonym) != keyed(&want) {
+        return Err(format!(
+            "synonym propose on {} × {}:\n got  {:?}\n want {:?}",
+            o1.name(),
+            o2.name(),
+            keyed(&synonym),
+            keyed(&want)
         ));
     }
     let pairs = o1.term_count() * o2.term_count();
@@ -462,6 +524,158 @@ fn peer_label_script(g: &Generated, art: &Articulation) -> Vec<GraphOp> {
     ops
 }
 
+type Keyed = Vec<(String, u64, String, String)>;
+
+/// What the matchers that read `peer`'s label index answer for `source` ×
+/// `peer`: the exact matcher's `propose`, its `propose_touching` for each
+/// touched set, and the synonym matcher's `propose`.
+fn peer_answers(
+    source: &Ontology,
+    peer: &Ontology,
+    lexicon: &Lexicon,
+    touched_sets: &[HashSet<String>],
+) -> Vec<Keyed> {
+    let none = RuleSet::new();
+    let mut out = vec![keyed(&ExactLabelMatcher.propose(source, peer, &none))];
+    for touched in touched_sets {
+        out.push(keyed(&ExactLabelMatcher.propose_touching(source, peer, &none, touched)));
+    }
+    out.push(keyed(&SynonymMatcher::new(lexicon.clone()).propose(source, peer, &none)));
+    out
+}
+
+/// [`peer_answers`] from the kept copies of the old scans, which index
+/// nothing between calls.
+fn oracle_answers(
+    source: &Ontology,
+    peer: &Ontology,
+    lexicon: &Lexicon,
+    touched_sets: &[HashSet<String>],
+) -> Vec<Keyed> {
+    let exact = exact_by_index(source, peer);
+    let mut out = vec![keyed(&exact)];
+    for touched in touched_sets {
+        out.push(keyed(&touching(exact.clone(), source.name(), touched)));
+    }
+    out.push(keyed(&synonym_by_index(source, peer, lexicon)));
+    out
+}
+
+/// Checks that `peer` answers as a copy rebuilt from its graph, which
+/// holds no index, and as the old scans; returns the answers.
+fn check_peer(
+    source: &Ontology,
+    peer: &Ontology,
+    lexicon: &Lexicon,
+    touched_sets: &[HashSet<String>],
+) -> Result<Vec<Keyed>, String> {
+    let got = peer_answers(source, peer, lexicon, touched_sets);
+    let unindexed = Ontology::from_graph(peer.graph().clone()).unwrap();
+    if got != peer_answers(source, &unindexed, lexicon, touched_sets) {
+        return Err("the kept peer and a copy rebuilt from its graph answer differently".into());
+    }
+    let want = oracle_answers(source, peer, lexicon, touched_sets);
+    if got != want {
+        return Err(format!("the kept peer answers\n {got:?}\n the old scans\n {want:?}"));
+    }
+    Ok(got)
+}
+
+/// An edit of the kept peer through one of `Ontology`'s `&mut` paths.
+type PeerEdit = (String, Box<dyn Fn(&mut Ontology)>);
+
+/// Edits of `peer` through every `&mut` path, each adding or deleting a
+/// label that normalises like one of `fresh` (labels of the source that
+/// `peer` and its variants lack): a lowercase variant, then a plural one
+/// (two labels of one normalised form, the later one sorting first), an
+/// upper-case attribute, an exact instance, a plural `relate` target, a
+/// delete of one of the two alike labels and, given `shared`, a delete of
+/// a label both sources define.
+fn peer_edits(fresh: &[String], shared: Option<String>) -> Vec<PeerEdit> {
+    let (a, b, c, d) = (&fresh[0], &fresh[1], &fresh[2], &fresh[3]);
+    let lower = a.to_lowercase();
+    let mut edits: Vec<PeerEdit> = vec![
+        (format!("graph_mut node add {lower}"), {
+            let l = lower.clone();
+            Box::new(move |o: &mut Ontology| {
+                o.graph_mut().ensure_node(&l).unwrap();
+            })
+        }),
+        (format!("subclass {a}s"), {
+            let l = format!("{a}s");
+            Box::new(move |o: &mut Ontology| o.subclass(&l, "Root").unwrap())
+        }),
+        (format!("attribute {}", b.to_uppercase()), {
+            let l = b.to_uppercase();
+            Box::new(move |o: &mut Ontology| o.attribute(&l, "Root").unwrap())
+        }),
+        (format!("instance {c}"), {
+            let l = c.clone();
+            Box::new(move |o: &mut Ontology| o.instance(&l, "Root").unwrap())
+        }),
+        (format!("relate Root to {d}s"), {
+            let l = format!("{d}s");
+            Box::new(move |o: &mut Ontology| o.relate("Root", "RelatedTo", &l).unwrap())
+        }),
+        (format!("graph_mut node delete {lower}"), {
+            Box::new(move |o: &mut Ontology| o.graph_mut().delete_node_by_label(&lower).unwrap())
+        }),
+    ];
+    if let Some(l) = shared {
+        edits.push((
+            format!("graph_mut node delete {l}"),
+            Box::new(move |o: &mut Ontology| o.graph_mut().delete_node_by_label(&l).unwrap()),
+        ));
+    }
+    edits
+}
+
+/// Runs `edits` on one kept `peer`, checking the answers before and after
+/// each edit, the index's sharing with a clone and its absence from
+/// `{:?}`. Returns how many synonym candidates the peer met.
+fn check_kept_peer(
+    source: &Ontology,
+    mut peer: Ontology,
+    lexicon: &Lexicon,
+    touched_sets: &[HashSet<String>],
+    edits: &[PeerEdit],
+) -> Result<usize, String> {
+    let mut synonyms = 0;
+    for (what, edit) in edits {
+        // a fresh or just-edited peer has no index yet: building it is
+        // invisible to `{:?}`
+        let debug = format!("{peer:?}");
+        let before = check_peer(source, &peer, lexicon, touched_sets)?;
+        if format!("{peer:?}") != debug {
+            return Err(format!("before {what}: building the index changed the Debug text"));
+        }
+        synonyms += before.last().map_or(0, Vec::len);
+        let built = Arc::clone(peer.label_index());
+        let mut clone = peer.clone();
+        if !Arc::ptr_eq(clone.label_index(), &built) {
+            return Err(format!("before {what}: a clone does not share the built index"));
+        }
+        edit(&mut clone);
+        if !Arc::ptr_eq(peer.label_index(), &built) {
+            return Err(format!("{what} on a clone replaced the original's index"));
+        }
+        if peer_answers(source, &peer, lexicon, touched_sets) != before {
+            return Err(format!("{what} on a clone changed the original's answers"));
+        }
+        check_peer(source, &clone, lexicon, touched_sets)
+            .map_err(|e| format!("clone, {what}: {e}"))?;
+
+        edit(&mut peer);
+        let after =
+            check_peer(source, &peer, lexicon, touched_sets).map_err(|e| format!("{what}: {e}"))?;
+        // so an index kept stale by the edit would have answered wrongly
+        if after == before {
+            return Err(format!("{what} did not change the answers"));
+        }
+    }
+    Ok(synonyms)
+}
+
 #[test]
 fn hand_built_variants_equal_the_filtered_proposal() {
     let a = OntologyBuilder::new("a")
@@ -573,8 +787,57 @@ fn hand_built_maintenance_equals_full_then_filter() {
     assert!(added > 0 && normalised > 0, "{added} rules added, {normalised} at 0.95");
 }
 
+#[test]
+fn hand_built_kept_peer_never_answers_from_a_stale_index() {
+    let source = OntologyBuilder::new("a")
+        .class_under("Vehicle", "Root")
+        .class_under("Truck", "Vehicle")
+        .class_under("Car", "Vehicle")
+        .class_under("Van", "Vehicle")
+        .class_under("Lorry", "Vehicle")
+        .class_under("Automobile", "Vehicle")
+        .build()
+        .unwrap();
+    let peer = OntologyBuilder::new("b")
+        .class_under("Vehicle", "Root")
+        .class_under("car", "Root")
+        .build()
+        .unwrap();
+    // the peer gains `truck`, then `Trucks`
+    let fresh = ["Truck", "Van", "Lorry", "Automobile"].map(String::from);
+    let edits = peer_edits(&fresh, Some("Vehicle".into()));
+    let touched_sets =
+        vec![HashSet::new(), set(&fresh), set(&labels(&source)), set(&["trucks".to_string()])];
+    let synonyms =
+        check_kept_peer(&source, peer, &transport_lexicon(), &touched_sets, &edits).unwrap();
+    assert!(synonyms > 0, "the transport lexicon met no peer label");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn kept_peer_never_answers_from_a_stale_index(
+        seed in 0u64..10_000,
+        concepts in 20usize..60,
+        overlap in 10u32..60,
+    ) {
+        let g = generated(seed, concepts, f64::from(overlap) / 100.0);
+        let defined = |l: &String| g.right.defines(l) || variants(l).iter().any(|v| g.right.defines(v));
+        let fresh: Vec<String> =
+            labels(&g.left).into_iter().filter(|l| l != "Root" && !defined(l)).collect();
+        prop_assert!(fresh.len() >= 4, "seed {seed}: {fresh:?}");
+        let shared = labels(&g.left).into_iter().find(|l| l != "Root" && g.right.defines(l));
+        let edits = peer_edits(&fresh, shared);
+        let touched_sets = vec![
+            HashSet::new(),
+            set(&fresh[..4]),
+            set(labels(&g.left).iter().step_by(3)),
+            set(&labels(&g.left)),
+        ];
+        let res = check_kept_peer(&g.left, g.right.clone(), &g.lexicon, &touched_sets, &edits);
+        prop_assert!(res.is_ok(), "seed {seed}: {}", res.unwrap_err());
+    }
 
     #[test]
     fn scoped_matchers_equal_the_filtered_proposal(
