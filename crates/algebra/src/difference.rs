@@ -22,11 +22,19 @@
 //! more conservative option of retaining all vehicles". A term of `O1`
 //! is therefore *determined* exactly when a **directed** semantic-
 //! implication path leads from it into `O2`.
+//!
+//! **Which edges imply.** The paths run over the articulation's
+//! [`ImplicationIndex`], the edges query reformulation follows too:
+//! `SIBridge` bridges, articulation `SubclassOf` edges and the sources'
+//! `SubclassOf`/`InstanceOf` edges. Conversion bridges are not
+//! implications: `carrier.DutchGuilders -[DGToEuroFn]-> transport.Euro`
+//! converts prices between currencies, so a path through it determines
+//! nothing, and on Fig. 2 `DutchGuilders` and `PoundSterling` stay in
+//! their differences.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashSet;
 
-use onion_articulate::Articulation;
-use onion_graph::hash::{FxHashMap, FxHashSet};
+use onion_articulate::{Articulation, ImplicationIndex};
 use onion_graph::rel;
 use onion_graph::traverse::{reachable_from_all, Direction, EdgeFilter};
 use onion_graph::{NodeId, OntGraph};
@@ -55,122 +63,6 @@ impl DifferenceReport {
     }
 }
 
-/// Interned qualified-term key: `(namespace index, label id)` — the
-/// same `(onto-idx, label-id)` scheme as `onion_query::reformulate`.
-/// The implication walk used to be keyed by `format!("onto.Term")`
-/// strings, paying an allocation plus a string hash per edge; keys are
-/// now built once and every BFS step is id hashing only. Terms that
-/// appear only in bridge text (never as a node of their namespace's
-/// graph) get overflow ids above the interner range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TermKey {
-    onto: u16,
-    label: u32,
-}
-
-/// Namespace registry backing [`TermKey`]s for one difference run.
-struct TermSpace<'a> {
-    names: Vec<String>,
-    graphs: Vec<Option<&'a OntGraph>>,
-    overflow: Vec<HashMap<String, u32>>,
-}
-
-impl<'a> TermSpace<'a> {
-    fn new() -> Self {
-        TermSpace { names: Vec::new(), graphs: Vec::new(), overflow: Vec::new() }
-    }
-
-    /// Registers a namespace; the first registration of a name wins and
-    /// provides the canonical graph. Unqualified terms use `""`.
-    fn namespace(&mut self, name: &str, graph: Option<&'a OntGraph>) -> u16 {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return i as u16;
-        }
-        self.names.push(name.to_string());
-        self.graphs.push(graph);
-        self.overflow.push(HashMap::new());
-        (self.names.len() - 1) as u16
-    }
-
-    /// Build-time interning of a possibly graph-less term.
-    fn intern(&mut self, onto: &str, term: &str) -> TermKey {
-        let idx = self.namespace(onto, None);
-        self.intern_in(idx, term)
-    }
-
-    fn intern_in(&mut self, idx: u16, term: &str) -> TermKey {
-        if let Some(g) = self.graphs[idx as usize] {
-            if let Some(lid) = g.label_id(term) {
-                return TermKey { onto: idx, label: lid.index() as u32 };
-            }
-        }
-        let base = self.graphs[idx as usize].map(|g| g.interner().len() as u32).unwrap_or(0);
-        let ov = &mut self.overflow[idx as usize];
-        let next = base + ov.len() as u32;
-        let label = *ov.entry(term.to_string()).or_insert(next);
-        TermKey { onto: idx, label }
-    }
-}
-
-/// Terms of `of` with a **directed** implication path (through bridges
-/// and articulation-internal `SubclassOf` edges) into `other`.
-fn determined_terms(art: &Articulation, of: &Ontology, other: &Ontology) -> HashSet<String> {
-    let art_g = art.ontology.graph();
-    let mut space = TermSpace::new();
-    let art_idx = space.namespace(art.name(), Some(art_g));
-    let of_idx = space.namespace(of.name(), Some(of.graph()));
-    let other_idx = space.namespace(other.name(), Some(other.graph()));
-    // directed adjacency over interned term keys
-    let mut adj: FxHashMap<TermKey, Vec<TermKey>> = FxHashMap::default();
-    for b in &art.bridges {
-        let s = space.intern(b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
-        let d = space.intern(b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
-        adj.entry(s).or_default().push(d);
-    }
-    // articulation-internal subclass edges imply, on label ids directly
-    if let Some(sub) = art_g.label_id(rel::SUBCLASS_OF) {
-        for (_, src, lid, dst) in art_g.edge_entries() {
-            if lid == sub {
-                let s = TermKey {
-                    onto: art_idx,
-                    label: art_g.node_label_id(src).expect("live").index() as u32,
-                };
-                let d = TermKey {
-                    onto: art_idx,
-                    label: art_g.node_label_id(dst).expect("live").index() as u32,
-                };
-                adj.entry(s).or_default().push(d);
-            }
-        }
-    }
-    let mut determined = HashSet::new();
-    let mut seen: FxHashSet<TermKey> = FxHashSet::default();
-    let mut q: VecDeque<TermKey> = VecDeque::new();
-    for start in art.bridged_terms(of.name()) {
-        let start_key = space.intern_in(of_idx, start);
-        seen.clear();
-        q.clear();
-        if adj.contains_key(&start_key) {
-            seen.insert(start_key);
-            q.push_back(start_key);
-        }
-        'bfs: while let Some(cur) = q.pop_front() {
-            if let Some(nexts) = adj.get(&cur) {
-                for &n in nexts {
-                    if n.onto == other_idx {
-                        determined.insert(start.to_string());
-                        break 'bfs;
-                    }
-                    if adj.contains_key(&n) && seen.insert(n) {
-                        q.push_back(n);
-                    }
-                }
-            }
-        }
-    }
-    determined
-}
-
 /// Computes `o1 − o2` under `articulation`.
 pub fn difference(
     o1: &Ontology,
@@ -178,7 +70,19 @@ pub fn difference(
     articulation: &Articulation,
 ) -> Result<(OntGraph, DifferenceReport)> {
     let g = o1.graph();
-    let determined = determined_terms(articulation, o1, o2);
+    // bridged terms of o1 with an implication path into o2, sorted
+    let sources = [o1, o2];
+    let determined: Vec<String> = ImplicationIndex::new(articulation, &sources)
+        .determined_in(
+            articulation,
+            &sources,
+            o1.name(),
+            o2.name(),
+            articulation.bridged_terms(o1.name()),
+        )
+        .into_iter()
+        .map(str::to_string)
+        .collect();
     let det_nodes: Vec<NodeId> = determined.iter().filter_map(|l| g.node_by_label(l)).collect();
 
     // condition 2: anything with a directed semantic path *to* a
@@ -250,8 +154,6 @@ pub fn difference(
             )?;
         }
     }
-    let mut determined: Vec<String> = determined.into_iter().collect();
-    determined.sort();
     reaches.sort();
     orphaned.sort();
     Ok((out, DifferenceReport { determined, reaches_determined: reaches, orphaned }))
@@ -260,8 +162,11 @@ pub fn difference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onion_articulate::ArticulationGenerator;
-    use onion_ontology::OntologyBuilder;
+    use std::sync::Arc;
+
+    use onion_articulate::{ArticulationGenerator, Bridge, BridgeKind};
+    use onion_ontology::{examples, OntologyBuilder};
+    use onion_rules::Term;
 
     /// The §5.3 worked example: carrier has Car; factory has Vehicle;
     /// the only rule is carrier.Car => factory.Vehicle.
@@ -391,5 +296,62 @@ mod tests {
         // MyCar InstanceOf Car: semantically a vehicle, not independent
         assert!(!d.contains_label("MyCar"));
         assert!(report.reaches_determined.contains(&"MyCar".to_string()));
+    }
+
+    /// Fig. 2 with the paper's rules, as the generator builds it.
+    fn fig2() -> (Ontology, Ontology, Articulation) {
+        let (c, f) = (examples::carrier(), examples::factory());
+        let art =
+            ArticulationGenerator::new().generate(&examples::fig2_rules(), &[&c, &f]).unwrap();
+        (c, f, art)
+    }
+
+    #[test]
+    fn conversion_bridges_determine_nothing_carrier_side() {
+        // DutchGuilders -[DGToEuroFn]-> Euro -[EuroToPSFn]-> PoundSterling
+        // converts prices; it does not put guilders into factory
+        let (c, f, art) = fig2();
+        let (d, report) = difference(&c, &f, &art).unwrap();
+        assert!(d.contains_label("DutchGuilders"));
+        assert_eq!(report.determined, vec!["Cars", "Transportation", "Trucks"]);
+    }
+
+    #[test]
+    fn conversion_bridges_determine_nothing_factory_side() {
+        let (c, f, art) = fig2();
+        let (d, report) = difference(&f, &c, &art).unwrap();
+        assert!(d.contains_label("PoundSterling"));
+        assert_eq!(report.determined, vec!["GoodsVehicle", "Truck"]);
+    }
+
+    #[test]
+    fn source_subclass_edges_determine() {
+        // o1.X ⇒ art.W ⇒ o1.W (the equivalence leg of o2.Z ⇒ o1.W),
+        // o1.W SubclassOf o1.Y, and o1.Y ⇒ art.V ⇒ o2.V: X and W reach
+        // o2 only through o1's own subclass edge
+        let o1 = OntologyBuilder::new("o1").class("X").class_under("W", "Y").build().unwrap();
+        let o2 = OntologyBuilder::new("o2").class("Z").class("V").build().unwrap();
+        let mut art = Articulation::new("art");
+        for label in ["W", "V"] {
+            Arc::make_mut(&mut art.ontology).graph_mut().ensure_node(label).unwrap();
+        }
+        let t = Term::qualified;
+        for (src, dst, kind) in [
+            (t("o1", "X"), t("art", "W"), BridgeKind::Rule),
+            (t("o2", "Z"), t("art", "W"), BridgeKind::Rule),
+            (t("o1", "W"), t("art", "W"), BridgeKind::Rule),
+            (t("art", "W"), t("o1", "W"), BridgeKind::Equivalence),
+            (t("o1", "Y"), t("art", "V"), BridgeKind::Rule),
+            (t("o2", "V"), t("art", "V"), BridgeKind::Rule),
+            (t("art", "V"), t("o2", "V"), BridgeKind::Equivalence),
+        ] {
+            art.add_bridge(Bridge::si(src, dst, kind));
+        }
+        let (d, report) = difference(&o1, &o2, &art).unwrap();
+        assert_eq!(report.determined, vec!["W", "X", "Y"]);
+        assert!(!d.contains_label("X"));
+        // o2 − o1: Z ⇒ art.W ⇒ o1.W; V's bridges stay in o2 and art
+        let (_, back) = difference(&o2, &o1, &art).unwrap();
+        assert_eq!(back.determined, vec!["Z"]);
     }
 }

@@ -17,7 +17,7 @@ use onion_graph::{rel, OntGraph};
 use onion_ontology::Ontology;
 use onion_rules::{RuleSet, Term};
 
-use crate::{ArticulateError, Result};
+use crate::{ArticulateError, ImplicationIndex, Result};
 
 /// How a bridge came to exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,12 +288,13 @@ impl Articulation {
     }
 
     /// Explains *why* two qualified terms are semantically connected:
-    /// enumerates directed implication paths from `from` to `to` through
-    /// the bridges, articulation-internal `SubclassOf` edges, and the
+    /// the directed implication paths from `from` to `to` through the
+    /// bridges, articulation-internal `SubclassOf` edges, and the
     /// sources' own `SubclassOf`/`InstanceOf` edges. Paths are qualified
-    /// label sequences; at most `max_paths` of length ≤ `max_len`.
+    /// label sequences, shortest first; at most `max_paths` of length
+    /// ≤ `max_len` (see [`ImplicationIndex::simple_paths`]).
     ///
-    /// This is the viewer diagnostic behind "the expert can provide
+    /// The diagnostic behind "the expert can provide
     /// immediate feedback on potentially ambiguous constructs" (§1): an
     /// unexpected connection is shown with its derivation chain.
     pub fn explain_connection(
@@ -303,49 +304,9 @@ impl Articulation {
         to: &Term,
         max_len: usize,
         max_paths: usize,
-    ) -> Result<Vec<Vec<String>>> {
-        // a directed implication graph over qualified labels
-        let mut g = OntGraph::new("si-paths");
-        for b in &self.bridges {
-            if &*b.label == rel::SI_BRIDGE {
-                g.ensure_edge_by_labels(&b.src.to_string(), "si", &b.dst.to_string())?;
-            }
-        }
-        let art_g = self.ontology.graph();
-        for e in art_g.edges() {
-            if e.label == rel::SUBCLASS_OF {
-                let s = format!("{}.{}", self.name(), art_g.node_label(e.src).expect("live"));
-                let d = format!("{}.{}", self.name(), art_g.node_label(e.dst).expect("live"));
-                g.ensure_edge_by_labels(&s, "si", &d)?;
-            }
-        }
-        for o in sources {
-            let sg = o.graph();
-            for e in sg.edges() {
-                if e.label == rel::SUBCLASS_OF || e.label == rel::INSTANCE_OF {
-                    let s = format!("{}.{}", o.name(), sg.node_label(e.src).expect("live"));
-                    let d = format!("{}.{}", o.name(), sg.node_label(e.dst).expect("live"));
-                    g.ensure_edge_by_labels(&s, "si", &d)?;
-                }
-            }
-        }
-        let (Some(a), Some(b)) =
-            (g.node_by_label(&from.to_string()), g.node_by_label(&to.to_string()))
-        else {
-            return Ok(Vec::new());
-        };
-        let paths = onion_graph::path::all_simple_paths(
-            &g,
-            a,
-            b,
-            &onion_graph::traverse::EdgeFilter::All,
-            max_len,
-            max_paths,
-        );
-        Ok(paths
-            .into_iter()
-            .map(|p| p.into_iter().map(|n| g.node_label(n).expect("live").to_string()).collect())
-            .collect())
+    ) -> Vec<Vec<String>> {
+        ImplicationIndex::new(self, sources)
+            .simple_paths(self, sources, from, to, max_len, max_paths)
     }
 }
 
@@ -485,35 +446,30 @@ mod tests {
             BridgeKind::Equivalence,
         ));
         // SUV -> Cars (source subclass) -> transport.Vehicle -> factory.Vehicle
-        let paths = a
-            .explain_connection(
-                &[&carrier, &factory],
-                &term("carrier", "SUV"),
-                &term("factory", "Vehicle"),
-                10,
-                10,
-            )
-            .unwrap();
+        let paths = a.explain_connection(
+            &[&carrier, &factory],
+            &term("carrier", "SUV"),
+            &term("factory", "Vehicle"),
+            10,
+            10,
+        );
         assert_eq!(paths.len(), 1);
         assert_eq!(
             paths[0],
             vec!["carrier.SUV", "carrier.Cars", "transport.Vehicle", "factory.Vehicle"]
         );
         // no reverse derivation
-        let none = a
-            .explain_connection(
-                &[&carrier, &factory],
-                &term("factory", "Vehicle"),
-                &term("carrier", "SUV"),
-                10,
-                10,
-            )
-            .unwrap();
+        let none = a.explain_connection(
+            &[&carrier, &factory],
+            &term("factory", "Vehicle"),
+            &term("carrier", "SUV"),
+            10,
+            10,
+        );
         assert!(none.is_empty());
         // unknown endpoints yield empty, not error
-        let none = a
-            .explain_connection(&[&carrier, &factory], &term("x", "Y"), &term("z", "W"), 5, 5)
-            .unwrap();
+        let none =
+            a.explain_connection(&[&carrier, &factory], &term("x", "Y"), &term("z", "W"), 5, 5);
         assert!(none.is_empty());
     }
 }

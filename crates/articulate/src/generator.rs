@@ -459,12 +459,12 @@ impl ArticulationGenerator {
         Ok(())
     }
 
-    /// §4.2 structure inheritance: articulation nodes anchored (by any
-    /// bridge) to source terms inherit the `SubclassOf` relationships of
-    /// those terms.
+    /// §4.2 structure inheritance: articulation nodes anchored (by an
+    /// `SIBridge` bridge) to source terms inherit the `SubclassOf`
+    /// relationships of those terms.
     ///
-    /// Anchored terms are keyed `(source index, label id)` — the same
-    /// `(onto-idx, label-id)` scheme as `onion_query::reformulate` — so
+    /// Anchored terms are keyed `(source index, label id)`, as
+    /// [`ImplicationIndex`](crate::ImplicationIndex) keys its terms, so
     /// the quadratic anchor×anchor membership loop hashes two `u32`s
     /// per probe instead of building and hashing `"onto.Term"` strings
     /// (ROADMAP "Remaining string seams"). A bridge term absent from

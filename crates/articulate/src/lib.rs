@@ -28,6 +28,7 @@ pub mod candidate;
 pub mod engine;
 pub mod expert;
 pub mod generator;
+pub mod implication;
 pub mod maintain;
 pub mod persist;
 pub mod skat;
@@ -37,6 +38,7 @@ pub use candidate::CandidateRule;
 pub use engine::{ArticulationEngine, EngineConfig, EngineReport};
 pub use expert::{AcceptAll, Expert, OracleExpert, ScriptedExpert, ThresholdExpert, Verdict};
 pub use generator::{ArticulationGenerator, GeneratorConfig, GeneratorStats};
+pub use implication::ImplicationIndex;
 pub use skat::{
     ExactLabelMatcher, MatcherPipeline, RuleMatcher, SimilarityMatcher, StructuralMatcher,
     SynonymMatcher,

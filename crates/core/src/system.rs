@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use onion_articulate::{
     Articulation, ArticulationEngine, ArticulationGenerator, EngineConfig, EngineReport, Expert,
-    GeneratorConfig, MatcherPipeline,
+    GeneratorConfig, ImplicationIndex, MatcherPipeline,
 };
 use onion_exec::{CacheKey, CacheStats, ResultCache};
 use onion_graph::wal::{CheckpointStats, Durability, Lsn, RecoveryStats, WalError};
@@ -15,8 +15,7 @@ use onion_graph::{GraphOp, OntGraph, PublishStats, ShardedSnapshot, SnapshotStor
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
 use onion_query::{
-    InMemoryWrapper, KnowledgeBase, Query, QueryPlan, ReformulationIndex, ResultRow, ResultSet,
-    Value, Wrapper,
+    InMemoryWrapper, KnowledgeBase, Query, QueryPlan, ResultRow, ResultSet, Value, Wrapper,
 };
 use onion_rules::{parse_rules, AtomTable, ConversionRegistry, RuleSet};
 
@@ -119,12 +118,12 @@ pub struct OnionSystem {
     /// bump makes all cached results unaddressable — stale reads are
     /// structurally impossible, no explicit invalidation path exists.
     /// It is the only notion of "query-visible state changed": the
-    /// reformulation index below lives exactly as long as one epoch.
+    /// implication index below lives exactly as long as one epoch.
     state_epoch: u64,
-    /// The reformulation index of the current epoch: emptied by every
+    /// The implication index of the current epoch: emptied by every
     /// bump, built at the first query miss after it, and shared by
     /// every later miss (and every batch worker) in the epoch.
-    query_index: OnceLock<ReformulationIndex>,
+    query_index: OnceLock<ImplicationIndex>,
     /// Optional hot-result cache ([`OnionSystem::set_query_cache`]).
     /// `None` (the default) keeps the serving path allocation-free.
     query_cache: Option<ResultCache<ResultSet>>,
@@ -174,7 +173,7 @@ impl OnionSystem {
 
     /// Records that query-visible state changed: bumps the state epoch,
     /// which retires every cached query result at once, and drops the
-    /// epoch's reformulation index.
+    /// epoch's implication index.
     fn touch(&mut self) {
         self.state_epoch += 1;
         self.query_index.take();
@@ -306,22 +305,6 @@ impl OnionSystem {
         self.stores.get(name).map(SnapshotStore::load)
     }
 
-    /// The monotonic publish epoch of a source's snapshot store —
-    /// strictly increasing with every [`OnionSystem::publish_source`],
-    /// so any artifact derived from a snapshot can be validated with
-    /// one integer compare (`None` until the first publish). The same
-    /// value is on the snapshot itself via
-    /// [`ShardedSnapshot::epoch`](onion_graph::ShardedSnapshot::epoch).
-    ///
-    /// Store epochs are publish-only: an edit through
-    /// [`OnionSystem::source_mut`] does not move them until it is
-    /// published, and queries read the live graphs. Whether a query's
-    /// answer may have changed is told by [`OnionSystem::query_epoch`]
-    /// alone.
-    pub fn source_epoch(&self, name: &str) -> Option<u64> {
-        self.stores.get(name).map(SnapshotStore::epoch)
-    }
-
     // ------------------------------------------------------------------
     // query cache
     // ------------------------------------------------------------------
@@ -334,10 +317,10 @@ impl OnionSystem {
     /// from the first reading are still servable.
     ///
     /// It is the facade's only notion of "query-visible state
-    /// changed": the result cache keys on it, and the reformulation
-    /// index is built once per epoch, at its first query miss. The
-    /// per-source store epochs ([`OnionSystem::source_epoch`]) count
-    /// publishes only.
+    /// changed": the result cache keys on it, and the implication
+    /// index is built once per epoch, at its first query miss. A
+    /// source's snapshot epoch (`source_snapshot(name)?.epoch()`)
+    /// counts its publishes only.
     pub fn query_epoch(&self) -> u64 {
         self.state_epoch
     }
@@ -677,7 +660,7 @@ impl OnionSystem {
     }
 
     /// Executes a pre-built query. Planning reuses the epoch's
-    /// reformulation index (built here if this is the epoch's first
+    /// implication index (built here if this is the epoch's first
     /// miss); the result equals [`onion_query::execute`] over the same
     /// articulation, sources and knowledge bases.
     pub fn run_query(&self, query: &Query) -> Result<ResultSet> {
@@ -688,7 +671,7 @@ impl OnionSystem {
             .map_err(SystemError::Query)
     }
 
-    /// Plans `query` through the current epoch's reformulation index,
+    /// Plans `query` through the current epoch's implication index,
     /// building it first if the epoch has none yet. Concurrent callers
     /// (a batch's workers) wait for one build and share it; every build
     /// counts in `onion_query_index_builds_total`.
@@ -700,7 +683,7 @@ impl OnionSystem {
     ) -> Result<QueryPlan> {
         let index = self.query_index.get_or_init(|| {
             onion_obs::count!("onion_query_index_builds_total");
-            ReformulationIndex::new(art, sources)
+            ImplicationIndex::new(art, sources)
         });
         onion_query::plan_indexed(query, index, art, sources, &self.conversions)
             .map_err(SystemError::Query)

@@ -98,9 +98,7 @@ pub fn materialize_closure(g: &mut OntGraph, label: &str) -> Result<usize> {
 
 /// The closure *reduction*: removes `label` edges implied by transitivity
 /// through other `label` edges (the inverse of
-/// [`materialize_closure`]; the viewer uses the reduced form since "all
-/// transitive semantic implications are not displayed … unless requested"
-/// §4.2). Returns the number of edges removed.
+/// [`materialize_closure`]). Returns the number of edges removed.
 pub fn transitive_reduce(g: &mut OntGraph, label: &str) -> Result<usize> {
     let Some(lid) = g.label_id(label) else { return Ok(0) };
     // Collect candidate edges first.

@@ -62,10 +62,8 @@ pub mod label;
 pub mod matcher;
 pub mod normalize;
 pub mod ops;
-pub mod path;
 pub mod pattern;
 pub mod snapshot;
-pub mod stats;
 pub mod text;
 pub mod traverse;
 pub mod wal;

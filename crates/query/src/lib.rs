@@ -39,7 +39,7 @@ pub use exec::execute;
 pub use kb::{Instance, KnowledgeBase};
 pub use pattern_query::query_unified;
 pub use plan::{plan, plan_indexed, QueryPlan, SourceQuery};
-pub use reformulate::{ReformulationIndex, Reformulator};
+pub use reformulate::Reformulator;
 pub use result::{ResultRow, ResultSet};
 pub use wrapper::{InMemoryWrapper, Wrapper};
 

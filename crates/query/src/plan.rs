@@ -6,12 +6,12 @@
 //! vocabularies the bridges cannot reach are pruned (their wrapper is
 //! never called — asserted by the executor tests).
 
-use onion_articulate::Articulation;
+use onion_articulate::{Articulation, ImplicationIndex};
 use onion_ontology::Ontology;
 use onion_rules::ConversionRegistry;
 
 use crate::ast::Query;
-use crate::reformulate::{ReformulationIndex, Reformulator, SourceReformulation};
+use crate::reformulate::{Reformulator, SourceReformulation};
 use crate::Result;
 
 /// One source's part of the plan.
@@ -59,14 +59,14 @@ impl QueryPlan {
 }
 
 /// Plans `query` over the articulation and sources, building a fresh
-/// [`ReformulationIndex`] for the call (see [`plan_indexed`]).
+/// [`ImplicationIndex`] for the call (see [`plan_indexed`]).
 pub fn plan(
     query: &Query,
     articulation: &Articulation,
     sources: &[&Ontology],
     conversions: &ConversionRegistry,
 ) -> Result<QueryPlan> {
-    let index = ReformulationIndex::new(articulation, sources);
+    let index = ImplicationIndex::new(articulation, sources);
     plan_indexed(query, &index, articulation, sources, conversions)
 }
 
@@ -77,7 +77,7 @@ pub fn plan(
 /// are identical to [`plan()`]'s.
 pub fn plan_indexed(
     query: &Query,
-    index: &ReformulationIndex,
+    index: &ImplicationIndex,
     articulation: &Articulation,
     sources: &[&Ontology],
     conversions: &ConversionRegistry,

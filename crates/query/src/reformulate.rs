@@ -3,66 +3,35 @@
 //! A query names an articulation class (`transport.Vehicle`); each
 //! source knows it by different local classes (`carrier.Cars`,
 //! `factory.PassengerCar`, …). The reformulator follows the **directed**
-//! implication structure — bridges plus articulation-internal
-//! `SubclassOf` edges — to find, per source, every local class whose
+//! implication edges to find, per source, every local class whose
 //! instances are semantically instances of the queried class, plus the
 //! attribute renamings and metric conversions the bridges record.
 //!
-//! A [`ReformulationIndex`] stores the implication edges **reversed**
-//! (term → the terms that directly imply it). Finding the local terms
-//! that imply a target is then one backward BFS from the target, which
-//! visits only the terms that imply it; of the keys it reached, those
-//! in the source's namespace whose term labels a live node of the
-//! source are the answer. Once the index is built, each (source, target
-//! term) pair costs that BFS plus one label probe per implying term in
-//! the source's namespace, however many nodes the source has. The
-//! search's tables hash `TermKey` ids with FxHash; their keys are
-//! never external strings. The index owns its keys, so
-//! a caller that holds the state still (the facade, per state epoch)
-//! builds it once and plans through
+//! The edges come from an [`ImplicationIndex`], the one place that
+//! decides what implies what (`SIBridge` bridges, articulation
+//! `SubclassOf`, source `SubclassOf`/`InstanceOf`). Finding the local
+//! terms that imply a target is one backward search there
+//! ([`ImplicationIndex::implying_labels`]), which visits only the terms
+//! that imply it, then one label probe per implying term in the source's
+//! namespace, however many nodes the source has. The index owns its
+//! keys, so a caller that holds the state still (the facade, per state
+//! epoch) builds it once and plans through
 //! [`plan_indexed`](crate::plan::plan_indexed); [`Reformulator::new`]
-//! builds a fresh one. `tests/reformulation_props.rs`
-//! checks the results against a forward BFS from every source node.
-//! Reformulation fixes each source's conversions, so converting fetched
-//! values back ([`SourceReformulation::to_articulation_space`]) needs
-//! only the plan and the [`ConversionRegistry`].
+//! builds a fresh one. `tests/reformulation_props.rs` checks the results
+//! against a forward BFS from every source node. Reformulation fixes
+//! each source's conversions, so converting fetched values back
+//! ([`SourceReformulation::to_articulation_space`]) needs only the plan
+//! and the [`ConversionRegistry`].
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-use onion_articulate::Articulation;
-use onion_graph::hash::{FxHashMap, FxHashSet};
-use onion_graph::{rel, Interner, LabelId, OntGraph};
+use onion_articulate::{Articulation, ImplicationIndex};
 use onion_ontology::Ontology;
 use onion_rules::ConversionRegistry;
 
 use crate::ast::{Condition, Query, Value};
 use crate::{QueryError, Result};
-
-/// Interned qualified-term key: `(ontology index, label id)`.
-///
-/// The implication structure used to be keyed by `format!("onto.Term")`
-/// strings, paying an allocation plus a string hash per node per seed
-/// on the reformulation hot path (ROADMAP "String seams remain at
-/// crate boundaries"). Ontology names are now deduplicated into a
-/// `u16` index and terms ride on each ontology's own interner ids;
-/// terms that appear only in bridge text (never as a node of their
-/// graph) get overflow ids above the interner range. Keys are built
-/// once at [`ReformulationIndex::new`] and every query-time lookup is
-/// id hashing only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TermKey {
-    onto: u16,
-    label: u32,
-}
-
-/// Index of the articulation's namespace (always registered first).
-const ART: u16 = 0;
-
-#[inline]
-fn key_of_label(onto: u16, lid: LabelId) -> TermKey {
-    TermKey { onto, label: lid.index() as u32 }
-}
 
 /// A numeric conversion between a source metric space and the
 /// articulation's.
@@ -130,269 +99,49 @@ pub(crate) fn convert_to_articulation(
     }
 }
 
-/// The build-time half of reformulation: namespace ids, overflow ids
-/// for bridge-only terms, and the implication edges reversed (term →
-/// the terms that directly imply it).
-///
-/// The index owns everything it keys on and borrows nothing, so it can
-/// outlive one query: the facade builds one per state epoch and shares
-/// it across a batch's workers. It records each namespace's canonical
-/// graph by its position in `[articulation, sources…]`, and its keys
-/// are that graph's label ids, so it is only valid together with the
-/// articulation and sources it was built from, unchanged and in the
-/// same order. [`plan_indexed`](crate::plan::plan_indexed) checks the
-/// names in debug builds; any edit to a source or the articulation
-/// calls for a new index.
-#[derive(Debug, Clone)]
-pub struct ReformulationIndex {
-    /// Ontology name → namespace index (articulation first).
-    names: HashMap<String, u16>,
-    /// Per namespace: the position of its canonical graph in
-    /// `[articulation, sources…]` (`None` for namespaces that only
-    /// occur in bridge text).
-    canonical: Vec<Option<usize>>,
-    /// Per namespace: the bridge-only terms, interned apart. A term's
-    /// key label is its id here plus the canonical interner's length
-    /// ([`overflow_base`]), so it never collides with a real label id.
-    overflow: Vec<Interner>,
-    /// term → the terms that directly imply it (implication edges
-    /// reversed).
-    implied_by: FxHashMap<TermKey, Vec<TermKey>>,
-}
-
-/// Where a namespace's overflow ids start: the length of its canonical
-/// graph's interner (0 without one).
-fn overflow_base(canonical: Option<&OntGraph>) -> u32 {
-    canonical.map_or(0, |g| g.interner().len() as u32)
-}
-
-/// The graph at `pos` in `[articulation, sources…]`.
-fn graph_at<'g>(
-    articulation: &'g Articulation,
-    sources: &[&'g Ontology],
-    pos: usize,
-) -> &'g OntGraph {
-    match pos {
-        0 => articulation.ontology.graph(),
-        p => sources[p - 1].graph(),
-    }
-}
-
-impl ReformulationIndex {
-    /// Indexes the implication structure of `articulation` over
-    /// `sources`: its bridges, its own `SubclassOf` edges and the
-    /// sources' `SubclassOf`/`InstanceOf` edges.
-    pub fn new(articulation: &Articulation, sources: &[&Ontology]) -> Self {
-        let mut ix = ReformulationIndex {
-            names: HashMap::new(),
-            canonical: Vec::new(),
-            overflow: Vec::new(),
-            implied_by: FxHashMap::default(),
-        };
-        ix.add_namespace(articulation.name(), Some(0));
-        for (i, o) in sources.iter().enumerate() {
-            ix.add_namespace(o.name(), Some(i + 1));
-        }
-        let graph = |pos| graph_at(articulation, sources, pos);
-        for b in &articulation.bridges {
-            if &*b.label == rel::SI_BRIDGE {
-                let s = ix.intern_term(graph, b.src.ontology.as_deref().unwrap_or(""), &b.src.name);
-                let d = ix.intern_term(graph, b.dst.ontology.as_deref().unwrap_or(""), &b.dst.name);
-                ix.implied_by.entry(d).or_default().push(s);
-            }
-        }
-        // articulation-internal subclass edges imply, on ids directly
-        // (the articulation graph is its namespace's canonical graph)
-        let art_g = articulation.ontology.graph();
-        if let Some(sub) = art_g.label_id(rel::SUBCLASS_OF) {
-            for (_, src, lid, dst) in art_g.edge_entries() {
-                if lid == sub {
-                    let s = key_of_label(ART, art_g.node_label_id(src).expect("live"));
-                    let d = key_of_label(ART, art_g.node_label_id(dst).expect("live"));
-                    ix.implied_by.entry(d).or_default().push(s);
-                }
-            }
-        }
-        // source-local subclass edges also imply (an SUV is a Cars)
-        for (i, o) in sources.iter().enumerate() {
-            let g = o.graph();
-            let sub = g.label_id(rel::SUBCLASS_OF);
-            let inst = g.label_id(rel::INSTANCE_OF);
-            if sub.is_none() && inst.is_none() {
-                continue;
-            }
-            let idx = ix.names[o.name()];
-            let canonical = ix.canonical[idx as usize] == Some(i + 1);
-            for (_, src, lid, dst) in g.edge_entries() {
-                if Some(lid) == sub || Some(lid) == inst {
-                    let (s, d) = if canonical {
-                        (
-                            key_of_label(idx, g.node_label_id(src).expect("live")),
-                            key_of_label(idx, g.node_label_id(dst).expect("live")),
-                        )
-                    } else {
-                        // a sibling graph shares this namespace's name:
-                        // translate through strings into the canonical space
-                        (
-                            ix.intern_term(graph, o.name(), g.node_label(src).expect("live")),
-                            ix.intern_term(graph, o.name(), g.node_label(dst).expect("live")),
-                        )
-                    };
-                    ix.implied_by.entry(d).or_default().push(s);
-                }
-            }
-        }
-        ix
-    }
-
-    /// Registers a namespace; the first registration of a name wins and
-    /// provides the canonical graph.
-    fn add_namespace(&mut self, name: &str, pos: Option<usize>) -> u16 {
-        if let Some(&i) = self.names.get(name) {
-            return i;
-        }
-        let i = self.canonical.len() as u16;
-        self.names.insert(name.to_string(), i);
-        self.canonical.push(pos);
-        self.overflow.push(Interner::new());
-        i
-    }
-
-    /// Build-time interning of a possibly graph-less term.
-    fn intern_term<'g>(
-        &mut self,
-        graph: impl Fn(usize) -> &'g OntGraph,
-        onto: &str,
-        term: &str,
-    ) -> TermKey {
-        let idx = self.add_namespace(onto, None);
-        let canon = self.canonical[idx as usize].map(graph);
-        if let Some(lid) = canon.and_then(|g| g.label_id(term)) {
-            return key_of_label(idx, lid);
-        }
-        let label = overflow_base(canon) + self.overflow[idx as usize].intern(term).index() as u32;
-        TermKey { onto: idx, label }
-    }
-
-    /// Does every namespace with a canonical graph name the ontology
-    /// at that position? (The debug check of `Reformulator::with_index`.)
-    fn built_from(&self, articulation: &Articulation, sources: &[&Ontology]) -> bool {
-        self.names.iter().all(|(name, &i)| match self.canonical[i as usize] {
-            Some(0) => articulation.name() == name,
-            Some(p) => sources.get(p - 1).is_some_and(|o| o.name() == name),
-            None => true,
-        })
-    }
-
-    /// Every term with a directed implication path to `target`, `target`
-    /// included: one BFS over the reversed edges.
-    fn implying_keys(&self, target: TermKey) -> FxHashSet<TermKey> {
-        let mut seen = FxHashSet::default();
-        seen.insert(target);
-        let mut q = VecDeque::from([target]);
-        while let Some(cur) = q.pop_front() {
-            for &prev in self.implied_by.get(&cur).into_iter().flatten() {
-                if seen.insert(prev) {
-                    q.push_back(prev);
-                }
-            }
-        }
-        seen
-    }
-}
-
 /// Reformulates articulation-vocabulary queries for each source.
 pub struct Reformulator<'a> {
     articulation: &'a Articulation,
     sources: Vec<&'a Ontology>,
     conversions: &'a ConversionRegistry,
-    index: Cow<'a, ReformulationIndex>,
+    index: Cow<'a, ImplicationIndex>,
 }
 
 impl<'a> Reformulator<'a> {
     /// Builds a reformulator over an articulation and its sources,
-    /// with a fresh [`ReformulationIndex`].
+    /// with a fresh [`ImplicationIndex`].
     pub fn new(
         articulation: &'a Articulation,
         sources: Vec<&'a Ontology>,
         conversions: &'a ConversionRegistry,
     ) -> Self {
-        let index = ReformulationIndex::new(articulation, &sources);
+        let index = ImplicationIndex::new(articulation, &sources);
         Reformulator { articulation, sources, conversions, index: Cow::Owned(index) }
     }
 
     /// A reformulator that reuses `index`, which must have been built
     /// from this articulation and these sources, in this order (see
-    /// [`ReformulationIndex`]).
+    /// [`ImplicationIndex`]).
     pub(crate) fn with_index(
-        index: &'a ReformulationIndex,
+        index: &'a ImplicationIndex,
         articulation: &'a Articulation,
         sources: Vec<&'a Ontology>,
         conversions: &'a ConversionRegistry,
     ) -> Self {
-        debug_assert!(
-            index.built_from(articulation, &sources),
-            "reformulation index built from another articulation or source list"
-        );
         Reformulator { articulation, sources, conversions, index: Cow::Borrowed(index) }
     }
 
-    /// The canonical graph of namespace `idx`, if it has one.
-    fn canonical_graph(&self, idx: u16) -> Option<&'a OntGraph> {
-        self.index.canonical[idx as usize].map(|p| graph_at(self.articulation, &self.sources, p))
-    }
-
-    /// Query-time (read-only) key lookup.
-    fn lookup_term(&self, idx: u16, term: &str) -> Option<TermKey> {
-        let canon = self.canonical_graph(idx);
-        if let Some(lid) = canon.and_then(|g| g.label_id(term)) {
-            return Some(key_of_label(idx, lid));
-        }
-        let lid = self.index.overflow[idx as usize].get(term)?;
-        Some(TermKey { onto: idx, label: overflow_base(canon) + lid.index() as u32 })
-    }
-
-    /// The term `key` stands for: a label of its namespace's canonical
-    /// graph, or a bridge-only term above that graph's ids.
-    fn term_of(&self, key: TermKey) -> Option<&str> {
-        let canon = self.canonical_graph(key.onto);
-        let (interner, index) = match key.label.checked_sub(overflow_base(canon)) {
-            None => (canon?.interner(), key.label),
-            Some(i) => (&self.index.overflow[key.onto as usize], i),
-        };
-        interner.id_at(index as usize).map(|lid| interner.resolve(lid))
-    }
-
-    /// Source labels whose term implies `target` — the shared kernel of
-    /// [`Reformulator::local_classes`] and [`Reformulator::local_attr`]:
-    /// one backward search, then the reached keys of the source's
-    /// namespace whose term labels a live node of `source`, sorted. One
-    /// path serves the namespace's canonical graph and a same-named
-    /// sibling alike: keys are resolved to terms and the terms probed
-    /// in `source`'s own graph.
-    fn implying_labels(&self, source: &Ontology, target: TermKey) -> Vec<String> {
-        let Some(&idx) = self.index.names.get(source.name()) else { return Vec::new() };
-        let g = source.graph();
-        let mut out: Vec<String> = self
-            .index
-            .implying_keys(target)
-            .into_iter()
-            .filter(|key| key.onto == idx)
-            .filter_map(|key| self.term_of(key))
-            .filter(|term| g.contains_label(term))
-            .map(str::to_string)
-            .collect();
-        out.sort();
-        out
+    /// Source labels whose term implies the articulation term `term`,
+    /// sorted: the shared kernel of [`Reformulator::local_classes`] and
+    /// [`Reformulator::local_attr`].
+    fn implying_labels(&self, source: &Ontology, term: &str) -> Vec<String> {
+        self.index.implying_labels(self.articulation, &self.sources, source, term)
     }
 
     /// Local classes of `source` whose instances belong to the
     /// articulation class `class`.
     pub fn local_classes(&self, source: &Ontology, class: &str) -> Vec<String> {
-        match self.lookup_term(ART, class) {
-            Some(target) => self.implying_labels(source, target),
-            None => Vec::new(),
-        }
+        self.implying_labels(source, class)
     }
 
     /// The local attribute of `source` corresponding to the articulation
@@ -400,10 +149,8 @@ impl<'a> Reformulator<'a> {
     /// label-identical to) `transport.attr`.
     pub fn local_attr(&self, source: &Ontology, attr: &str) -> Option<String> {
         // prefer an explicit bridge
-        if let Some(target) = self.lookup_term(ART, attr) {
-            if let Some(b) = self.implying_labels(source, target).into_iter().next() {
-                return Some(b);
-            }
+        if let Some(b) = self.implying_labels(source, attr).into_iter().next() {
+            return Some(b);
         }
         // fall back to identical labels (the common case: both call it Price)
         if source.defines(attr) {

@@ -292,10 +292,20 @@ fn check_matchers(
             keyed(&want)
         ));
     }
-    let pairs = o1.term_count() * o2.term_count();
-    let binding = SimilarityMatcher { threshold: 0.7, max_pairs: pairs / 3 };
-    let unlimited = SimilarityMatcher { max_pairs: usize::MAX, ..binding };
-    if binding.propose(o1, o2, existing).len() < unlimited.propose(o1, o2, existing).len() {
+    // a budget that ends just short of the pair yielding the unlimited
+    // scan's last candidate (pairs run in sorted-label order, o1 major);
+    // at 0.6 every generated pair has candidates to cut
+    let unlimited = SimilarityMatcher { threshold: 0.6, max_pairs: usize::MAX };
+    let all = unlimited.propose(o1, o2, existing);
+    let (l1s, l2s) = (labels(o1), labels(o2));
+    let position = |c: &CandidateRule| {
+        let terms = c.rule.terms();
+        let row = l1s.iter().position(|l| *l == *terms[0].name).expect("o1 label");
+        let col = l2s.iter().position(|l| *l == *terms[1].name).expect("o2 label");
+        row * l2s.len() + col
+    };
+    let binding = SimilarityMatcher { max_pairs: all.last().map_or(0, position), ..unlimited };
+    if binding.propose(o1, o2, existing).len() < all.len() {
         reach.budget_binds += 1;
     }
     let matchers: Vec<(&str, Box<dyn RuleMatcher>)> = vec![

@@ -1,9 +1,9 @@
 //! Properties of the per-state query structures: the facade's
-//! reformulation index, the class-partitioned knowledge base and the
+//! implication index, the class-partitioned knowledge base and the
 //! lending wrapper.
 //!
 //! * **No stale index.** [`OnionSystem`] builds one
-//!   [`ReformulationIndex`](onion_core::query::ReformulationIndex) per
+//!   [`ImplicationIndex`](onion_core::articulate::ImplicationIndex) per
 //!   state epoch and drops it at every bump. After each kind of
 //!   query-visible mutation (`add_source` replacing a source,
 //!   `source_mut` edits that add and delete `SubclassOf` edges and
