@@ -179,11 +179,6 @@ impl Articulation {
         before - self.bridges.len()
     }
 
-    /// Bridges touching a qualified source term.
-    pub fn bridges_touching(&self, ontology: &str, name: &str) -> Vec<&Bridge> {
-        self.bridges.iter().filter(|b| b.touches(ontology, name)).collect()
-    }
-
     /// Removes all bridges touching `onto.name`; returns how many.
     pub fn remove_bridges_touching(&mut self, ontology: &str, name: &str) -> usize {
         let before = self.bridges.len();

@@ -54,9 +54,6 @@ pub struct GeneratorConfig {
     /// bridges (transitive semantic implication; §2.4 "The inference
     /// engine … derive\[s\] more rules if possible").
     pub expand_with_inference: bool,
-    /// Inherit `SubclassOf` structure into the articulation ontology from
-    /// the source portions its terms are anchored to (§4.2).
-    pub inherit_structure: bool,
     /// Error on rules referencing terms absent from their source
     /// ontology (on: the SKAT pipeline only proposes existing terms).
     pub strict_terms: bool,
@@ -81,7 +78,6 @@ impl Default for GeneratorConfig {
             art_name: "transport".into(),
             conversions: ConversionRegistry::standard(),
             expand_with_inference: false,
-            inherit_structure: true,
             strict_terms: true,
             atoms: None,
             executor: None,
@@ -162,9 +158,7 @@ impl ArticulationGenerator {
             self.apply_rule(rule, sources, &mut art)?;
             art.rules.push(rule.clone());
         }
-        if self.config.inherit_structure {
-            self.inherit_structure(&mut art, sources)?;
-        }
+        self.inherit_structure(&mut art, sources)?;
         let stats = if self.config.expand_with_inference {
             self.expand(&mut art, sources)?
         } else {

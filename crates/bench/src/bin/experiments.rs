@@ -83,16 +83,6 @@ const INDEX_LAYER_REFERENCE_US: &[(&str, f64, f64)] = &[
     ("find_edge_all_triples", 4748.8, 3652.3),
 ];
 
-/// Before/after medians (µs) for the `find_edge` point-probe, both
-/// measured on the same dev machine when the open-addressed inline-key
-/// table (`onion_graph::edge_index`) replaced the `HashMap`-backed edge
-/// index: "pre" = `FxHashMap<(NodeId, LabelId, NodeId), EdgeId>` probe,
-/// "post" = one flat-array probe with the key inline (ROADMAP
-/// "Point-probe latency"). Same-machine pair — like
-/// `index_layer_reference`, not comparable against the live
-/// machine-local `results`.
-const POINT_PROBE_REFERENCE_US: (f64, f64) = (4013.5, 3224.4);
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let metrics = args.iter().any(|a| a == "--metrics");
@@ -305,7 +295,7 @@ impl Baseline {
             &format!(
                 "\"note\": \"onion-obs recording overhead: each workload timed with recording \
                  disabled (the production default — one relaxed atomic load per instrumented \
-                 site) and enabled (striped relaxed fetch_add); publish = {B14_PUBLISH_ROUNDS} \
+                 site) and enabled (relaxed fetch_add on one cell per metric); publish = {B14_PUBLISH_ROUNDS} \
                  one-dirty-shard publish rounds on the B11 fixture, infer = semi-naive \
                  saturation of a {B14_CHAIN}-node transitivity chain (derivation count asserted \
                  identical in both modes), count_burst = {B14_BURST} bare count!+observe_us! \
@@ -341,16 +331,6 @@ impl Baseline {
             ),
             &b15.rows,
         );
-        body.push_str(&format!(
-            "  \"point_probe_reference\": {{\n    \"note\": \"pre/post find_edge_all_triples \
-             medians for the open-addressed inline-key edge index, both measured on the same \
-             dev machine when it landed; same-machine speedup — do not compare against the \
-             machine-local 'results' above\",\n    \"pre_us\": {:.1}, \"post_us\": {:.1}, \
-             \"speedup\": {:.2}\n  }},\n",
-            POINT_PROBE_REFERENCE_US.0,
-            POINT_PROBE_REFERENCE_US.1,
-            POINT_PROBE_REFERENCE_US.0 / POINT_PROBE_REFERENCE_US.1
-        ));
         body.push_str(
             "  \"index_layer_reference\": {\n    \"note\": \"pre/post medians for the \
              label-indexed adjacency layer, both measured on the same dev machine when it \

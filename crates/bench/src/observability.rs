@@ -2,7 +2,7 @@
 //!
 //! The `onion-obs` cost contract says an instrumented hot path pays
 //! one relaxed atomic load per site while recording is disabled and a
-//! striped relaxed `fetch_add` while it is enabled. B14 measures both
+//! relaxed `fetch_add` on the metric's one cell while it is enabled. B14 measures both
 //! steady states on three workloads that hit the instrumented layers:
 //!
 //! * **publish** — 50 one-dirty-shard publish rounds on the B11

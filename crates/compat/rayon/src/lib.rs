@@ -6,15 +6,16 @@
 //!
 //! * [`ThreadPool`] / [`ThreadPoolBuilder`] — a persistent pool with an
 //!   explicit thread count;
-//! * [`ThreadPool::scope`] / [`scope`] — structured ("scoped")
+//! * [`ThreadPool::scope`] / [`Scope::spawn`] — structured ("scoped")
 //!   parallelism: spawned closures may borrow data owned by the caller's
 //!   stack frame, and `scope` does not return until every spawned job
 //!   has finished;
-//! * [`ThreadPool::join`] / [`join`] — two-way fork-join;
-//! * [`ThreadPool::par_chunk_map`] / [`par_chunk_map`] — the
-//!   `par_chunks().map().collect()` shape as a single helper (the real
-//!   `ParallelIterator` machinery is far outside stand-in scope);
-//! * [`ThreadPool::install`] and [`current_num_threads`].
+//! * [`ThreadPool::par_chunk_map`] — the `par_chunks().map().collect()`
+//!   shape as a single helper (the real `ParallelIterator` machinery is
+//!   far outside stand-in scope).
+//!
+//! Nothing else of rayon is here: no global pool, no `install`, no
+//! `join`, no free functions. Every call goes through an explicit pool.
 //!
 //! # What is simplified
 //!
@@ -22,24 +23,22 @@
 //! This stand-in uses one shared injector queue (a mutex-protected
 //! `VecDeque`) with cooperative *helping*: any thread that blocks
 //! waiting for a scope to finish pops queued jobs and runs them inline.
-//! That preserves the two properties the callers rely on — nested
-//! `scope`/`join` never deadlocks even on a one-worker pool, and an
+//! That preserves the two properties the callers rely on — a nested
+//! `scope` never deadlocks even on a one-worker pool, and an
 //! idle waiter contributes CPU instead of sleeping — but not rayon's
 //! contention behaviour at high core counts. Job granularity in this
 //! workspace is chunky (hundreds of microseconds and up), so the single
 //! queue is not the bottleneck.
 //!
-//! Two deliberate semantic deviations, both documented at the item:
+//! One deliberate semantic deviation, documented at the item:
 //! closure bounds drop `Send` requirements rayon only needs because it
 //! migrates the *outer* closure into the pool (we run it on the calling
-//! thread), and [`ThreadPool::install`] runs its closure on the calling
-//! thread rather than a worker. Call sites written against real rayon
-//! compile unchanged; swapping this crate for crates-io rayon is a
-//! manifest edit (plus replacing `par_chunk_map` calls with
-//! `par_chunks().map().collect()`).
+//! thread). Call sites written against real rayon compile unchanged;
+//! swapping this crate for crates-io rayon is a manifest edit (plus
+//! replacing `par_chunk_map` calls with `par_chunks().map().collect()`).
 //!
 //! A pool of `n` threads spawns `n - 1` OS workers; the thread calling
-//! `scope`/`join` is the n-th participant (it helps until the scope
+//! `scope` is the n-th participant (it helps until the scope
 //! drains). `num_threads(1)` therefore spawns no OS threads at all and
 //! runs every job inline on the caller — the deterministic sequential
 //! baseline the benches compare against.
@@ -49,7 +48,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A queued unit of work. Jobs are `'static` from the queue's point of
@@ -160,7 +159,7 @@ impl<'scope> Scope<'scope> {
                 child.shared.cv.notify_all();
             }
         });
-        // SAFETY: `scope`/`scope_in` block in `wait_scope` until
+        // SAFETY: `ThreadPool::scope` blocks in `wait_scope` until
         // `pending` reaches zero before returning (even when the scope
         // body panics), so everything `body` borrows — constrained to
         // outlive `'scope` by the bound above — is still alive whenever
@@ -219,8 +218,8 @@ fn default_parallelism() -> usize {
 /// A persistent pool of worker threads.
 ///
 /// A pool of `n` threads spawns `n - 1` OS workers; the caller of
-/// [`ThreadPool::scope`] / [`ThreadPool::join`] is the n-th worker for
-/// the duration of the call.
+/// [`ThreadPool::scope`] is the n-th worker for the duration of the
+/// call.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -245,32 +244,11 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("onion-pool-{i}"))
-                    .spawn(move || {
-                        // free-function scope()/join() inside a job run
-                        // on this worker's own pool
-                        let _ctx = PoolContext::enter(Arc::clone(&shared), threads);
-                        worker_loop(&shared);
-                    })
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
         ThreadPool { shared, workers, threads }
-    }
-
-    /// The pool's thread count (workers plus the participating caller).
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `op`, making this pool the target of free-function
-    /// [`scope`]/[`join`]/[`par_chunk_map`] calls made inside it.
-    ///
-    /// Unlike real rayon, `op` executes on the *calling* thread (the
-    /// stand-in has no cross-pool migration); observable behaviour of
-    /// the nested parallel calls is the same.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        let _ctx = PoolContext::enter(Arc::clone(&self.shared), self.threads);
-        op()
     }
 
     /// Structured parallelism: `op` may spawn borrowed jobs through the
@@ -281,18 +259,21 @@ impl ThreadPool {
     /// Unlike real rayon, `op` runs on the calling thread, so it does
     /// not need `Send`.
     pub fn scope<'scope, R>(&self, op: impl FnOnce(&Scope<'scope>) -> R) -> R {
-        scope_in(&self.shared, op)
-    }
-
-    /// Runs `a` and `b`, potentially in parallel, returning both
-    /// results. `a` runs on the calling thread; `b` is spawned.
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send,
-        RB: Send,
-    {
-        join_in(&self.shared, a, b)
+        let scope = Scope {
+            shared: Arc::clone(&self.shared),
+            state: Arc::new(ScopeState::new()),
+            _marker: PhantomData,
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
+        // Always drain before returning — including when `op` panicked —
+        // because spawned jobs may borrow the caller's stack.
+        wait_scope(&scope.shared, &scope.state);
+        let job_panic = scope.state.panic.lock().expect("panic slot").take();
+        match (result, job_panic) {
+            (Err(payload), _) => resume_unwind(payload),
+            (Ok(_), Some(payload)) => resume_unwind(payload),
+            (Ok(r), None) => r,
+        }
     }
 
     /// Applies `f` to consecutive chunks of `items` (each of length
@@ -309,7 +290,19 @@ impl ThreadPool {
         T: Sync,
         R: Send,
     {
-        par_chunk_map_in(&self.shared, items, chunk_size, f)
+        let chunk_size = chunk_size.max(1);
+        let n = items.len().div_ceil(chunk_size);
+        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
+        out.resize_with(n, || None);
+        self.scope(|s| {
+            // chunks_mut(1) hands each job a disjoint one-slot window of
+            // the output, so no synchronisation is needed on the results
+            for (slot, chunk) in out.chunks_mut(1).zip(items.chunks(chunk_size)) {
+                let f = &f;
+                s.spawn(move |_| slot[0] = Some(f(chunk)));
+            }
+        });
+        out.into_iter().map(|r| r.expect("chunk completed")).collect()
     }
 }
 
@@ -345,142 +338,6 @@ fn worker_loop(shared: &Shared) {
             None => return,
         }
     }
-}
-
-fn scope_in<'scope, R>(shared: &Arc<Shared>, op: impl FnOnce(&Scope<'scope>) -> R) -> R {
-    let scope = Scope {
-        shared: Arc::clone(shared),
-        state: Arc::new(ScopeState::new()),
-        _marker: PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    // Always drain before returning — including when `op` panicked —
-    // because spawned jobs may borrow the caller's stack.
-    wait_scope(&scope.shared, &scope.state);
-    let job_panic = scope.state.panic.lock().expect("panic slot").take();
-    match (result, job_panic) {
-        (Err(payload), _) => resume_unwind(payload),
-        (Ok(_), Some(payload)) => resume_unwind(payload),
-        (Ok(r), None) => r,
-    }
-}
-
-fn join_in<A, B, RA, RB>(shared: &Arc<Shared>, a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    let mut rb: Option<RB> = None;
-    let ra = {
-        let rb_slot = &mut rb;
-        scope_in(shared, |s| {
-            s.spawn(move |_| *rb_slot = Some(b()));
-            a()
-        })
-    };
-    (ra, rb.expect("join: spawned half completed"))
-}
-
-fn par_chunk_map_in<T, R>(
-    shared: &Arc<Shared>,
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    let chunk_size = chunk_size.max(1);
-    let n = items.len().div_ceil(chunk_size);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    scope_in(shared, |s| {
-        // chunks_mut(1) hands each job a disjoint one-slot window of the
-        // output, so no synchronisation is needed on the results
-        for (slot, chunk) in out.chunks_mut(1).zip(items.chunks(chunk_size)) {
-            let f = &f;
-            s.spawn(move |_| slot[0] = Some(f(chunk)));
-        }
-    });
-    out.into_iter().map(|r| r.expect("chunk completed")).collect()
-}
-
-// ----------------------------------------------------------------------
-// Global pool and the thread-local "current pool" install stack
-// ----------------------------------------------------------------------
-
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-
-fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(|| ThreadPool::with_threads(default_parallelism()))
-}
-
-thread_local! {
-    static CURRENT: std::cell::RefCell<Vec<(Arc<Shared>, usize)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// RAII entry in the install stack.
-struct PoolContext;
-
-impl PoolContext {
-    fn enter(shared: Arc<Shared>, threads: usize) -> Self {
-        CURRENT.with(|c| c.borrow_mut().push((shared, threads)));
-        PoolContext
-    }
-}
-
-impl Drop for PoolContext {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
-    }
-}
-
-fn with_current<R>(f: impl FnOnce(&Arc<Shared>, usize) -> R) -> R {
-    let top = CURRENT.with(|c| c.borrow().last().cloned());
-    match top {
-        Some((shared, threads)) => f(&shared, threads),
-        None => {
-            let g = global();
-            f(&g.shared, g.threads)
-        }
-    }
-}
-
-/// The thread count of the current pool: the innermost
-/// [`ThreadPool::install`] target, the worker's own pool inside a job,
-/// or the global pool.
-pub fn current_num_threads() -> usize {
-    with_current(|_, threads| threads)
-}
-
-/// [`ThreadPool::scope`] on the current (installed or global) pool.
-pub fn scope<'scope, R>(op: impl FnOnce(&Scope<'scope>) -> R) -> R {
-    with_current(|shared, _| scope_in(shared, op))
-}
-
-/// [`ThreadPool::join`] on the current (installed or global) pool.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    with_current(|shared, _| join_in(shared, a, b))
-}
-
-/// [`ThreadPool::par_chunk_map`] on the current (installed or global)
-/// pool.
-pub fn par_chunk_map<T, R>(items: &[T], chunk_size: usize, f: impl Fn(&[T]) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    with_current(|shared, _| par_chunk_map_in(shared, items, chunk_size, f))
 }
 
 #[cfg(test)]
@@ -529,14 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let p = pool(3);
-        let (a, b) = p.join(|| 2 + 2, || "ok".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
     fn par_chunk_map_preserves_chunk_order() {
         for threads in [1, 4] {
             let p = pool(threads);
@@ -570,17 +419,7 @@ mod tests {
         assert!(caught.is_err(), "panic must propagate out of scope");
         assert_eq!(done.load(Ordering::Relaxed), 1, "sibling job still ran");
         // pool is still usable afterwards
-        let (a, b) = p.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn install_routes_free_functions_to_the_pool() {
-        let p = pool(2);
-        let n = p.install(current_num_threads);
-        assert_eq!(n, 2);
-        let sums = p.install(|| par_chunk_map(&[1u32, 2, 3, 4], 2, |c| c.iter().sum::<u32>()));
-        assert_eq!(sums, vec![3, 7]);
+        assert_eq!(p.par_chunk_map(&[1u32, 2, 3], 2, |c| c.len()), vec![2, 1]);
     }
 
     #[test]

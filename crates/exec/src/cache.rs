@@ -10,22 +10,23 @@
 //! the key, so a 64-bit hash collision can never alias two different
 //! queries to the same entry.
 //!
-//! Internally the cache is **striped**: the key hash picks one of up to
-//! 16 independently locked stripes, so concurrent readers on a batch
-//! executor rarely contend on the same mutex. Each stripe bounds its
-//! entry count and evicts with the **CLOCK** (second-chance) sweep — a
-//! ref bit per slot, set on hit, cleared as the hand passes; the first
-//! un-referenced slot is replaced. CLOCK gives LRU-like retention with
-//! O(1) amortised eviction and no per-access list surgery.
+//! The cache is one CLOCK ring behind one `Mutex`: the slots, the key
+//! → slot map, the hand and the counters all live under that lock.
+//! The batch scheduler probes the cache before a batch's parallel
+//! section and fills it after, both on the calling thread, so the lock
+//! is never contended there. The ring holds at most the requested
+//! number of entries and evicts only when it holds that many, with the
+//! **CLOCK** (second-chance) sweep — a ref bit per slot, set on hit,
+//! cleared as the hand passes; the first un-referenced slot is
+//! replaced. CLOCK gives LRU-like retention with O(1) amortised
+//! eviction and no per-access list surgery.
 //!
-//! Hit/miss/insert/evict counts are kept in relaxed atomics (cheap
-//! enough to leave always-on) and mirrored to `onion-obs` counters
-//! (`onion_query_cache_*`) when recording is enabled, which puts them
-//! in the Prometheus and JSON exports for free.
+//! Hit/miss/insert/evict counts are plain integers under the lock
+//! (cheap enough to leave always-on) and mirrored to `onion-obs`
+//! counters (`onion_query_cache_*`) when recording is enabled, which
+//! puts them in the Prometheus and JSON exports for free.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cache key: scope (graph / system id) + epoch + canonical query text.
@@ -87,93 +88,80 @@ struct Slot<V> {
     referenced: bool,
 }
 
-struct Stripe<V> {
-    /// CLOCK ring; bounded at the stripe's share of the capacity.
+/// Everything the cache's one lock guards.
+struct Ring<V> {
+    /// CLOCK ring; never longer than the cache's capacity.
     slots: Vec<Slot<V>>,
     /// Key → slot index within `slots`.
     index: HashMap<CacheKey, usize>,
     /// The CLOCK hand: next slot the eviction sweep examines.
     hand: usize,
+    hits: u64,
+    misses: u64,
+    insertions: u64,
+    evictions: u64,
+    /// Sum of the live slots' byte estimates.
+    bytes: usize,
 }
 
-impl<V> Stripe<V> {
-    fn new() -> Self {
-        Stripe { slots: Vec::new(), index: HashMap::new(), hand: 0 }
-    }
-}
-
-/// Sharded, bounded, epoch-keyed result cache. See the module docs.
+/// Bounded, epoch-keyed result cache. See the module docs.
 pub struct ResultCache<V> {
-    stripes: Vec<Mutex<Stripe<V>>>,
-    /// Entry bound per stripe (total capacity / stripe count).
-    per_stripe: usize,
+    ring: Mutex<Ring<V>>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    entries: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl<V> std::fmt::Debug for ResultCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
         f.debug_struct("ResultCache")
             .field("capacity", &self.capacity)
-            .field("stripes", &self.stripes.len())
-            .field("stats", &s)
+            .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl<V> ResultCache<V> {
-    /// A cache bounded at `capacity` entries (min 1), striped across up
-    /// to 16 locks.
+    /// A cache bounded at `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        // no more stripes than capacity, so every stripe holds >= 1
-        let stripes = capacity.min(16).next_power_of_two().min(16);
-        let per_stripe = capacity.div_ceil(stripes);
         ResultCache {
-            stripes: (0..stripes).map(|_| Mutex::new(Stripe::new())).collect(),
-            per_stripe,
-            capacity: per_stripe * stripes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            ring: Mutex::new(Ring {
+                slots: Vec::new(),
+                index: HashMap::new(),
+                hand: 0,
+                hits: 0,
+                misses: 0,
+                insertions: 0,
+                evictions: 0,
+                bytes: 0,
+            }),
+            capacity,
         }
     }
 
-    /// The entry bound (rounded up to a multiple of the stripe count).
+    /// The entry bound, as requested (min 1).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    fn stripe_of(&self, key: &CacheKey) -> &Mutex<Stripe<V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) & (self.stripes.len() - 1)]
+    fn ring(&self) -> std::sync::MutexGuard<'_, Ring<V>> {
+        self.ring.lock().expect("cache lock poisoned")
     }
 
     /// Looks `key` up, marking the entry recently-used on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
-        let mut stripe = self.stripe_of(key).lock().expect("cache stripe poisoned");
-        match stripe.index.get(key).copied() {
+        let mut ring = self.ring();
+        match ring.index.get(key).copied() {
             Some(i) => {
-                stripe.slots[i].referenced = true;
-                let v = Arc::clone(&stripe.slots[i].value);
-                drop(stripe);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                ring.slots[i].referenced = true;
+                ring.hits += 1;
+                let v = Arc::clone(&ring.slots[i].value);
+                drop(ring);
                 onion_obs::count!("onion_query_cache_hits_total");
                 Some(v)
             }
             None => {
-                drop(stripe);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                ring.misses += 1;
+                drop(ring);
                 onion_obs::count!("onion_query_cache_misses_total");
                 None
             }
@@ -181,64 +169,58 @@ impl<V> ResultCache<V> {
     }
 
     /// Stores `value` under `key`, evicting (CLOCK second-chance) if
-    /// the stripe is at its bound. `bytes` is the caller's size
+    /// the cache is at its bound. `bytes` is the caller's size
     /// estimate, tracked in [`CacheStats::bytes`] and the
     /// `onion_query_cache_bytes` gauge.
     pub fn insert(&self, key: CacheKey, value: Arc<V>, bytes: usize) {
+        let mut ring = self.ring();
         let mut evicted = false;
-        {
-            let mut stripe = self.stripe_of(&key).lock().expect("cache stripe poisoned");
-            if let Some(&i) = stripe.index.get(&key) {
-                // overwrite in place (same key, e.g. re-computed value)
-                let old = std::mem::replace(
-                    &mut stripe.slots[i],
-                    Slot { key, value, bytes, referenced: true },
-                );
-                self.bytes.fetch_sub(old.bytes as u64, Ordering::Relaxed);
-                self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            } else if stripe.slots.len() < self.per_stripe {
-                let i = stripe.slots.len();
-                stripe.slots.push(Slot { key: key.clone(), value, bytes, referenced: true });
-                stripe.index.insert(key, i);
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            } else {
-                // CLOCK sweep: clear ref bits until an unreferenced
-                // victim turns up (bounded: after one full lap every
-                // bit is clear)
-                loop {
-                    let h = stripe.hand;
-                    stripe.hand = (h + 1) % stripe.slots.len();
-                    if stripe.slots[h].referenced {
-                        stripe.slots[h].referenced = false;
-                    } else {
-                        let old = std::mem::replace(
-                            &mut stripe.slots[h],
-                            Slot { key: key.clone(), value, bytes, referenced: true },
-                        );
-                        stripe.index.remove(&old.key);
-                        stripe.index.insert(key, h);
-                        self.bytes.fetch_sub(old.bytes as u64, Ordering::Relaxed);
-                        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                        evicted = true;
-                        break;
-                    }
+        if let Some(&i) = ring.index.get(&key) {
+            // overwrite in place (same key, e.g. re-computed value)
+            let old =
+                std::mem::replace(&mut ring.slots[i], Slot { key, value, bytes, referenced: true });
+            ring.bytes = ring.bytes - old.bytes + bytes;
+        } else if ring.slots.len() < self.capacity {
+            let i = ring.slots.len();
+            ring.slots.push(Slot { key: key.clone(), value, bytes, referenced: true });
+            ring.index.insert(key, i);
+            ring.bytes += bytes;
+        } else {
+            // CLOCK sweep: clear ref bits until an unreferenced victim
+            // turns up (bounded: after one full lap every bit is clear)
+            loop {
+                let h = ring.hand;
+                ring.hand = (h + 1) % ring.slots.len();
+                if ring.slots[h].referenced {
+                    ring.slots[h].referenced = false;
+                } else {
+                    let old = std::mem::replace(
+                        &mut ring.slots[h],
+                        Slot { key: key.clone(), value, bytes, referenced: true },
+                    );
+                    ring.index.remove(&old.key);
+                    ring.index.insert(key, h);
+                    ring.bytes = ring.bytes - old.bytes + bytes;
+                    ring.evictions += 1;
+                    evicted = true;
+                    break;
                 }
             }
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        ring.insertions += 1;
+        let (entries, held) = (ring.slots.len(), ring.bytes);
+        drop(ring);
         onion_obs::count!("onion_query_cache_insertions_total");
         if evicted {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
             onion_obs::count!("onion_query_cache_evictions_total");
         }
-        onion_obs::gauge_set!("onion_query_cache_entries", self.entries.load(Ordering::Relaxed));
-        onion_obs::gauge_set!("onion_query_cache_bytes", self.bytes.load(Ordering::Relaxed));
+        onion_obs::gauge_set!("onion_query_cache_entries", entries);
+        onion_obs::gauge_set!("onion_query_cache_bytes", held);
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.entries.load(Ordering::Relaxed) as usize
+        self.ring().slots.len()
     }
 
     /// Whether the cache holds nothing.
@@ -246,16 +228,16 @@ impl<V> ResultCache<V> {
         self.len() == 0
     }
 
-    /// Current counters, coherent enough for monitoring (each field is
-    /// an independent relaxed load).
+    /// Current counters, read together under the cache's lock.
     pub fn stats(&self) -> CacheStats {
+        let ring = self.ring();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed) as usize,
-            bytes: self.bytes.load(Ordering::Relaxed) as usize,
+            hits: ring.hits,
+            misses: ring.misses,
+            insertions: ring.insertions,
+            evictions: ring.evictions,
+            entries: ring.slots.len(),
+            bytes: ring.bytes,
             capacity: self.capacity,
         }
     }
@@ -263,15 +245,11 @@ impl<V> ResultCache<V> {
     /// Drops every entry (counters other than `entries`/`bytes` keep
     /// accumulating).
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut s = stripe.lock().expect("cache stripe poisoned");
-            let freed: usize = s.slots.iter().map(|slot| slot.bytes).sum();
-            self.entries.fetch_sub(s.slots.len() as u64, Ordering::Relaxed);
-            self.bytes.fetch_sub(freed as u64, Ordering::Relaxed);
-            s.slots.clear();
-            s.index.clear();
-            s.hand = 0;
-        }
+        let mut ring = self.ring();
+        ring.slots.clear();
+        ring.index.clear();
+        ring.hand = 0;
+        ring.bytes = 0;
     }
 }
 
@@ -309,17 +287,46 @@ mod tests {
     }
 
     #[test]
+    fn capacity_is_exact_and_evicts_only_when_full() {
+        for n in [1usize, 5, 32, 33] {
+            let cache: ResultCache<u64> = ResultCache::new(n);
+            assert_eq!(cache.capacity(), n);
+            assert_eq!(cache.stats().capacity, n);
+            for i in 0..(3 * n) {
+                cache.insert(key(1, &format!("q{i}")), Arc::new(i as u64), 1);
+                let s = cache.stats();
+                let inserted = i + 1;
+                assert!(s.entries <= n, "capacity {n}: {} entries after {inserted}", s.entries);
+                if inserted <= n {
+                    assert_eq!(s.evictions, 0, "capacity {n}: evicted with {inserted} held");
+                    assert_eq!(s.entries, inserted, "capacity {n}");
+                } else {
+                    assert_eq!(s.entries, n, "capacity {n}: a full cache stays full");
+                    assert_eq!(s.evictions as usize, inserted - n, "capacity {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn clock_keeps_recently_hit_entries() {
-        // capacity 1..16 rounds stripes to 1 only at capacity 1; use a
-        // single-stripe cache so the sweep is deterministic
-        let cache: ResultCache<u64> = ResultCache::new(1);
-        cache.insert(key(1, "hot"), Arc::new(1), 1);
-        assert!(cache.get(&key(1, "hot")).is_some());
-        cache.insert(key(1, "cold"), Arc::new(2), 1);
-        // the single slot was replaced (capacity 1): hot is gone
-        assert!(cache.get(&key(1, "hot")).is_none());
-        assert!(cache.get(&key(1, "cold")).is_some());
-        assert_eq!(cache.stats().evictions, 1);
+        let cache: ResultCache<u64> = ResultCache::new(3);
+        for (i, q) in ["k0", "k1", "k2"].into_iter().enumerate() {
+            cache.insert(key(1, q), Arc::new(i as u64), 1);
+        }
+        // every slot was inserted referenced: the hand clears all three
+        // bits in one lap and evicts the slot it started at
+        cache.insert(key(1, "k3"), Arc::new(3), 1);
+        assert!(cache.get(&key(1, "k0")).is_none());
+        // a hit gives k1 a second chance over the younger, unhit k2
+        assert!(cache.get(&key(1, "k1")).is_some());
+        cache.insert(key(1, "k4"), Arc::new(4), 1);
+        assert!(cache.get(&key(1, "k1")).is_some(), "the recently hit entry survives");
+        assert!(cache.get(&key(1, "k2")).is_none(), "the unreferenced entry is the victim");
+        assert!(cache.get(&key(1, "k3")).is_some());
+        assert!(cache.get(&key(1, "k4")).is_some());
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]

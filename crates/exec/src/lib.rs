@@ -80,7 +80,7 @@ impl Executor {
         self.threads
     }
 
-    /// Access to the underlying pool (for `scope`/`join` composition).
+    /// Access to the underlying pool (for `scope` composition).
     pub fn pool(&self) -> &rayon::ThreadPool {
         &self.pool
     }
@@ -100,17 +100,6 @@ impl Executor {
         let chunks =
             self.pool.par_chunk_map(items, chunk, |c| c.iter().map(&f).collect::<Vec<R>>());
         chunks.into_iter().flatten().collect()
-    }
-
-    /// Applies `f` to consecutive chunks of `items` (the partition unit
-    /// for routines that carry per-chunk scratch), returning per-chunk
-    /// results in chunk order. Chunk size is chosen by the executor.
-    pub fn par_chunks<T, R>(&self, items: &[T], f: impl Fn(&[T]) -> R + Sync) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        self.pool.par_chunk_map(items, self.chunk_size(items.len()), f)
     }
 
     /// A few chunks per thread: balances uneven per-item cost without
@@ -170,15 +159,6 @@ mod tests {
             let exec = Executor::new(threads);
             assert_eq!(exec.par_map(&items, |x| x * 3), expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn par_chunks_covers_all_items_in_order() {
-        let items: Vec<u32> = (0..50).collect();
-        let exec = Executor::new(3);
-        let per_chunk = exec.par_chunks(&items, |c| c.to_vec());
-        let flat: Vec<u32> = per_chunk.into_iter().flatten().collect();
-        assert_eq!(flat, items);
     }
 
     #[test]

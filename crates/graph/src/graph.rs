@@ -10,20 +10,23 @@
 //! # The label-indexed adjacency layer
 //!
 //! Traversal and maintenance are the hot paths of the whole system
-//! (§5.3, §6), so the graph maintains three indexes with the following
-//! invariants, upheld by the four transformation primitives:
+//! (§5.3, §6), so each live node keeps two views of its live edges,
+//! with the following invariants, upheld by the four transformation
+//! primitives:
 //!
-//! * **edge index** — `(src, LabelId, dst) → EdgeId` for every *live*
-//!   edge; [`OntGraph::find_edge`]/[`OntGraph::ensure_edge`] are a
-//!   single hash probe;
-//! * **per-`(node, label)` adjacency** — each live node keeps its live
-//!   out-/in-edges bucketed by `LabelId`; label-filtered traversal
+//! * **incident lists** — the node's live out-/in-edges as
+//!   `(EdgeId, LabelId, neighbour)` in insertion order. They answer
+//!   [`OntGraph::find_edge`] (a scan of the source's out-list, so
+//!   `O(out-degree)`; ontology out-degrees are small), and through it
+//!   `add_edge`'s duplicate check and [`OntGraph::ensure_edge`];
+//! * **per-`(node, label)` buckets** — the same edges bucketed by
+//!   `LabelId`; label-filtered traversal
 //!   ([`OntGraph::out_neighbors_by_id`] and friends) touches only the
 //!   matching bucket and never resolves a string;
-//! * **pruned incident lists** — `ED`/`ND` remove dead [`EdgeId`]s from
-//!   the incident lists and drop empty label buckets (and empty
-//!   `by_label` entries), so iteration and degree cost is proportional
-//!   to the *live* neighbourhood, not historical churn.
+//! * **pruning** — `ED`/`ND` remove dead [`EdgeId`]s from both views
+//!   and drop empty label buckets (and empty `by_label` entries), so
+//!   lookup, iteration and degree cost is proportional to the *live*
+//!   neighbourhood, not historical churn.
 //!
 //! String-typed APIs remain available and are thin wrappers that resolve
 //! the label once at the boundary, then run on the id layer.
@@ -32,7 +35,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::edge_index::EdgeIndex;
 use crate::error::GraphError;
 use crate::hash::FxHashMap;
 use crate::label::{Interner, LabelId};
@@ -227,10 +229,6 @@ pub struct OntGraph {
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
     by_label: FxHashMap<LabelId, Vec<NodeId>>,
-    /// `(src, label, dst) → id` for every live edge (`E` is a set, so
-    /// the mapping is injective). Open-addressed with inline keys so a
-    /// point probe touches one cache line (see [`crate::edge_index`]).
-    edge_index: EdgeIndex,
     unique_labels: bool,
     live_nodes: usize,
     live_edges: usize,
@@ -260,7 +258,6 @@ impl Clone for OntGraph {
             nodes: self.nodes.clone(),
             edges: self.edges.clone(),
             by_label: self.by_label.clone(),
-            edge_index: self.edge_index.clone(),
             unique_labels: self.unique_labels,
             live_nodes: self.live_nodes,
             live_edges: self.live_edges,
@@ -292,7 +289,6 @@ impl OntGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
             by_label: FxHashMap::default(),
-            edge_index: EdgeIndex::default(),
             unique_labels,
             live_nodes: 0,
             live_edges: 0,
@@ -601,7 +597,7 @@ impl OntGraph {
             return Err(GraphError::NodeNotFound(format!("{dst:?}")));
         }
         let lid = self.interner.intern(label);
-        if self.edge_index.contains(src, lid, dst) {
+        if self.find_edge_by_ids(src, lid, dst).is_some() {
             return Err(GraphError::DuplicateEdge(format!(
                 "({}, {label}, {})",
                 self.node_label(src).unwrap_or("?"),
@@ -614,9 +610,7 @@ impl OntGraph {
         self.nodes[src.index()].out_by_label.push(lid, id, dst);
         self.nodes[dst.index()].inc.push((id, lid, src));
         self.nodes[dst.index()].inc_by_label.push(lid, id, src);
-        self.edge_index.insert(src, lid, dst, id);
         self.live_edges += 1;
-        debug_assert_eq!(self.edge_index.len(), self.live_edges);
         // snapshot shards hold labels and out-rows, so only the source's
         // shard changes
         self.touch_shard(src);
@@ -633,7 +627,7 @@ impl OntGraph {
     /// Adds the edge if absent, returning the existing id otherwise.
     pub fn ensure_edge(&mut self, src: NodeId, label: &str, dst: NodeId) -> Result<EdgeId> {
         if let Some(lid) = self.interner.get(label) {
-            if let Some(id) = self.edge_index.get(src, lid, dst) {
+            if let Some(id) = self.find_edge_by_ids(src, lid, dst) {
                 return Ok(id);
             }
         }
@@ -656,7 +650,6 @@ impl OntGraph {
         }
         let EdgeData { src, label, dst, .. } = self.edges[id.index()];
         self.edges[id.index()].alive = false;
-        self.edge_index.remove(src, label, dst);
         // prune the incident lists and label buckets so historical churn
         // never degrades degree queries or iteration
         let s = &mut self.nodes[src.index()];
@@ -729,17 +722,21 @@ impl OntGraph {
     }
 
     /// Looks up a live edge by endpoints and label — one interner lookup
-    /// plus one [`OntGraph::find_edge_by_ids`] probe.
+    /// plus one [`OntGraph::find_edge_by_ids`] scan.
     pub fn find_edge(&self, src: NodeId, label: &str, dst: NodeId) -> Option<EdgeId> {
         let lid = self.interner.get(label)?;
         self.find_edge_by_ids(src, lid, dst)
     }
 
-    /// Looks up a live edge by endpoint ids and interned label: a single
-    /// `O(1)` hash probe, no string comparison.
+    /// Looks up a live edge by endpoint ids and interned label: a scan
+    /// of `src`'s live out-list, `O(out-degree)`, no string comparison.
+    /// `E` is a set, so at most one entry matches.
     #[inline]
     pub fn find_edge_by_ids(&self, src: NodeId, label: LabelId, dst: NodeId) -> Option<EdgeId> {
-        self.edge_index.get(src, label, dst)
+        self.incident_entries(src, true)
+            .iter()
+            .find(|&&(_, l, d)| l == label && d == dst)
+            .map(|&(e, _, _)| e)
     }
 
     /// Label-addressed [`OntGraph::find_edge`].

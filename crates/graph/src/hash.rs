@@ -1,12 +1,14 @@
 //! A fast, non-cryptographic hasher for the graph's internal indexes.
 //!
 //! The standard library's SipHash is DoS-resistant but costs tens of
-//! nanoseconds per probe — measurable on the edge index and label maps,
-//! which the traversal layer probes millions of times per closure run.
-//! Keys here are small fixed-width ids (`NodeId`, `LabelId`) or interned
-//! label strings, none attacker-controlled at a trust boundary, so the
-//! FxHash construction (the rustc hasher: rotate, xor, multiply) is the
-//! right trade. Vendored because the workspace builds offline.
+//! nanoseconds per probe — measurable on the label maps and the
+//! closure and reachability sets, which the traversal layer probes
+//! millions of times per closure run (other crates use it for their
+//! fact, atom and key tables). Keys here are small fixed-width ids
+//! (`NodeId`, `LabelId`) or interned label strings, none
+//! attacker-controlled at a trust boundary, so the FxHash construction
+//! (the rustc hasher: rotate, xor, multiply) is the right trade.
+//! Vendored because the workspace builds offline.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

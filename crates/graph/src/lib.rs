@@ -17,7 +17,8 @@
 //! This crate provides:
 //!
 //! * [`OntGraph`] — the graph itself, with interned labels, tombstone
-//!   deletion, and per-label node/edge indexes;
+//!   deletion, a label → nodes index and per-node out-/in-edge lists
+//!   (whole and bucketed by edge label);
 //! * the four **graph transformation primitives** of the paper (§3):
 //!   node addition `NA`, node deletion `ND`, edge addition `EA`, edge
 //!   deletion `ED`, both as direct methods and as a replayable
@@ -54,7 +55,6 @@
 
 pub mod closure;
 pub mod dot;
-mod edge_index;
 pub mod error;
 pub mod graph;
 pub mod hash;

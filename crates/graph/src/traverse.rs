@@ -156,35 +156,6 @@ pub fn bfs(g: &OntGraph, start: NodeId, dir: Direction, filter: &EdgeFilter) -> 
     order
 }
 
-/// Depth-first preorder from `start` (inclusive), deterministic by
-/// insertion order of edges.
-pub fn dfs(g: &OntGraph, start: NodeId, dir: Direction, filter: &EdgeFilter) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    if !g.is_live_node(start) {
-        return order;
-    }
-    let rf = filter.resolve(g);
-    let mut visited = vec![false; g.node_capacity()];
-    let mut stack = vec![start];
-    let mut ns: Vec<NodeId> = Vec::new();
-    while let Some(n) = stack.pop() {
-        if visited[n.index()] {
-            continue;
-        }
-        visited[n.index()] = true;
-        order.push(n);
-        // push in reverse so the first edge is visited first
-        ns.clear();
-        for_each_neighbor(g, n, dir, &rf, |m| ns.push(m));
-        for &m in ns.iter().rev() {
-            if !visited[m.index()] {
-                stack.push(m);
-            }
-        }
-    }
-    order
-}
-
 /// The set of nodes reachable from `start` (inclusive).
 pub fn reachable(
     g: &OntGraph,
@@ -249,48 +220,6 @@ pub fn has_path(g: &OntGraph, a: NodeId, b: NodeId, filter: &EdgeFilter) -> bool
         }
     }
     false
-}
-
-/// Shortest directed path from `a` to `b` as a node sequence (inclusive),
-/// or `None` when unreachable.
-pub fn shortest_path(
-    g: &OntGraph,
-    a: NodeId,
-    b: NodeId,
-    filter: &EdgeFilter,
-) -> Option<Vec<NodeId>> {
-    if !g.is_live_node(a) || !g.is_live_node(b) {
-        return None;
-    }
-    if a == b {
-        return Some(vec![a]);
-    }
-    let rf = filter.resolve(g);
-    let mut prev: Vec<Option<NodeId>> = vec![None; g.node_capacity()];
-    let mut q = VecDeque::new();
-    q.push_back(a);
-    prev[a.index()] = Some(a);
-    while let Some(n) = q.pop_front() {
-        let mut reached = false;
-        for_each_neighbor(g, n, Direction::Forward, &rf, |m| {
-            if prev[m.index()].is_none() {
-                prev[m.index()] = Some(n);
-                reached |= m == b;
-                q.push_back(m);
-            }
-        });
-        if reached {
-            let mut path = vec![b];
-            let mut cur = b;
-            while cur != a {
-                cur = prev[cur.index()].expect("on discovered path");
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-    }
-    None
 }
 
 /// Topological order of the subgraph induced by `filter`ed edges.
@@ -492,49 +421,18 @@ mod tests {
     }
 
     #[test]
-    fn dfs_preorder() {
-        let mut g = OntGraph::new("t");
-        let a = g.add_node("A").unwrap();
-        let b = g.add_node("B").unwrap();
-        let c = g.add_node("C").unwrap();
-        let d = g.add_node("D").unwrap();
-        g.add_edge(a, "e", b).unwrap();
-        g.add_edge(b, "e", d).unwrap();
-        g.add_edge(a, "e", c).unwrap();
-        let order = dfs(&g, a, Direction::Forward, &EdgeFilter::All);
-        assert_eq!(order, vec![a, b, d, c], "first edge explored deeply first");
-    }
-
-    #[test]
     fn dead_start_yields_empty() {
         let (mut g, ids) = chain();
         g.delete_node(ids[0]).unwrap();
         assert!(bfs(&g, ids[0], Direction::Forward, &EdgeFilter::All).is_empty());
-        assert!(dfs(&g, ids[0], Direction::Forward, &EdgeFilter::All).is_empty());
     }
 
     #[test]
-    fn has_path_and_shortest_path() {
+    fn has_path_follows_edge_direction() {
         let (g, ids) = chain();
         assert!(has_path(&g, ids[0], ids[3], &EdgeFilter::All));
         assert!(!has_path(&g, ids[3], ids[0], &EdgeFilter::All));
-        let p = shortest_path(&g, ids[0], ids[3], &EdgeFilter::All).unwrap();
-        assert_eq!(p, ids);
-        assert!(shortest_path(&g, ids[3], ids[0], &EdgeFilter::All).is_none());
-        assert_eq!(shortest_path(&g, ids[1], ids[1], &EdgeFilter::All).unwrap(), vec![ids[1]]);
-    }
-
-    #[test]
-    fn shortest_path_prefers_fewer_hops() {
-        let mut g = OntGraph::new("t");
-        let a = g.add_node("A").unwrap();
-        let b = g.add_node("B").unwrap();
-        let c = g.add_node("C").unwrap();
-        g.add_edge(a, "e", b).unwrap();
-        g.add_edge(b, "e", c).unwrap();
-        g.add_edge(a, "short", c).unwrap();
-        let p = shortest_path(&g, a, c, &EdgeFilter::All).unwrap();
-        assert_eq!(p.len(), 2);
+        assert!(has_path(&g, ids[1], ids[1], &EdgeFilter::All));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The metrics/tracing layer behind "why was this publish slow": a
 //! lock-cheap **metrics registry** (named counters, gauges, and
-//! fixed-bucket latency histograms, all backed by striped relaxed
-//! atomics), a **tracing span** API whose guards record wall-time into
+//! fixed-bucket latency histograms, each backed by relaxed atomics),
+//! a **tracing span** API whose guards record wall-time into
 //! histograms and can append structured events to a bounded in-memory
 //! trace ring (read it with [`trace_events`], capacity
 //! [`TRACE_RING_CAP`]), and a [`MetricsSnapshot`] reader that renders to both
@@ -20,19 +20,26 @@
 //! atomic load — before touching anything else, so an instrumented hot
 //! path pays one load and a predictable branch when the registry is
 //! off (pinned by `disabled_macros_record_nothing_and_stay_cheap`).
-//! When enabled, counters and histograms record with one relaxed
-//! `fetch_add` on a thread-striped cache-line-padded cell — no lock,
-//! no contention between recorders on different stripes. The registry
-//! mutex is taken only when a call site first resolves its handle
-//! (cached in a per-site `OnceLock`) and when a snapshot is read.
+//! When enabled, a counter records with one relaxed `fetch_add` on its
+//! one cell, and a histogram with two (its bucket and its sum) — no
+//! lock. Recording sites fire on the thread driving a run, round,
+//! publish, checkpoint or batch (per shard, WAL record or cache probe
+//! at the finest); the one site reached from pool workers, the
+//! implication-index build counter, fires once per state epoch. So
+//! one cell per metric is not a coherence hotspot. The registry mutex
+//! is taken only when a call site first resolves its handle (cached in
+//! a per-site `OnceLock`) and when a snapshot is read.
 //!
 //! ## Consistency contract
 //!
 //! [`Registry::snapshot`] is *consistent enough*, not atomic: counters
 //! are **monotone** (a snapshot taken during concurrent recording
-//! never observes a counter lower than an earlier snapshot — each
-//! stripe is monotone under relaxed `fetch_add`, and a sum of
-//! per-stripe monotone reads is monotone), gauges are point-in-time,
+//! never observes a counter lower than an earlier snapshot — a counter
+//! is one atomic that only `fetch_add` modifies, so its modification
+//! order only grows, and read-read coherence makes a read that happens
+//! after an earlier read return a value no earlier in that order;
+//! snapshots happen one after another because each holds the registry
+//! mutex), gauges are point-in-time,
 //! and a histogram's `sum` may lag its bucket counts by in-flight
 //! observations. The rendered Prometheus `_count` is derived from the
 //! bucket counts, so `le="+Inf"` always equals `_count` exactly.

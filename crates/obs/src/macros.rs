@@ -6,7 +6,7 @@
 //! call sites never format a field, never resolve a handle, and never
 //! touch the registry mutex. Handles are resolved once per call site
 //! and cached in a `static OnceLock`, so the enabled steady state is a
-//! relaxed load plus a striped `fetch_add`.
+//! relaxed load plus a relaxed `fetch_add` on the metric's cell.
 //!
 //! Metric names must be string literals — span names are baked into
 //! histogram names at compile time (`span!("publish")` records into

@@ -1,37 +1,12 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms backed by striped relaxed atomics (see the crate docs
-//! for the cost and consistency contracts).
+//! histograms, each backed by relaxed atomics (see the crate docs for
+//! the cost and consistency contracts).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
-
-/// Stripe count for counters and histograms. Eight cache-line-padded
-/// cells spread concurrent recorders far enough apart that a hot
-/// counter never becomes a coherence hotspot, while a snapshot still
-/// only sums eight cells.
-const STRIPES: usize = 8;
-
-/// One cache line's worth of counter cell: padding keeps neighbouring
-/// stripes out of each other's coherence traffic.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PadCell(AtomicU64);
-
-/// Round-robin assignment of threads to stripes.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's stripe slot, fixed at first use.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-#[inline]
-fn stripe() -> usize {
-    STRIPE.with(|s| *s)
-}
 
 /// Histogram bucket upper bounds (inclusive, microseconds) for
 /// latency-shaped distributions: sub-microsecond to half a second on
@@ -64,21 +39,16 @@ impl HistKind {
     }
 }
 
-#[derive(Debug, Default)]
-struct CounterCore {
-    stripes: [PadCell; STRIPES],
-}
-
-/// A monotone counter handle. Cloning shares the underlying cells;
-/// recording is one relaxed `fetch_add` on the caller's stripe.
+/// A monotone counter handle. Cloning shares the underlying cell;
+/// recording is one relaxed `fetch_add`.
 #[derive(Debug, Clone)]
-pub struct Counter(Arc<CounterCore>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` (relaxed, on this thread's stripe).
+    /// Adds `n` (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.stripes[stripe()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increments by one.
@@ -87,14 +57,13 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over stripes; monotone across reads).
+    /// The current total (monotone across reads).
     pub fn value(&self) -> u64 {
-        self.0.stripes.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A point-in-time gauge handle (single atomic; gauges are set, not
-/// accumulated, so striping would buy nothing).
+/// A point-in-time gauge handle (one atomic, set or adjusted).
 #[derive(Debug, Clone)]
 pub struct Gauge(Arc<AtomicI64>);
 
@@ -117,39 +86,28 @@ impl Gauge {
     }
 }
 
-/// One stripe of histogram state: per-bucket counts plus a running
-/// sum. Aligned so stripes never share a cache line through the
-/// struct itself (bucket vectors are separate allocations).
-#[repr(align(64))]
 #[derive(Debug)]
-struct HistStripe {
+struct HistCore {
+    bounds: &'static [u64],
     /// `bounds.len() + 1` cells; the last is the `+Inf` overflow.
     buckets: Vec<AtomicU64>,
     sum: AtomicU64,
 }
 
-#[derive(Debug)]
-struct HistCore {
-    bounds: &'static [u64],
-    stripes: Vec<HistStripe>,
-}
-
 /// A fixed-bucket histogram handle. Recording is two relaxed
-/// `fetch_add`s (bucket + sum) on the caller's stripe, after a short
-/// linear scan of the bounds (≤ 16 entries, branch-predictable).
+/// `fetch_add`s (bucket + sum) after a short linear scan of the bounds
+/// (≤ 16 entries, branch-predictable).
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistCore>);
 
 impl Histogram {
     fn new(kind: HistKind) -> Self {
         let bounds = kind.bounds();
-        let stripes = (0..STRIPES)
-            .map(|_| HistStripe {
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum: AtomicU64::new(0),
-            })
-            .collect();
-        Histogram(Arc::new(HistCore { bounds, stripes }))
+        Histogram(Arc::new(HistCore {
+            bounds,
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
+        }))
     }
 
     /// Records one observation of `v`.
@@ -157,9 +115,8 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         let core = &*self.0;
         let b = core.bounds.iter().position(|&ub| v <= ub).unwrap_or(core.bounds.len());
-        let s = &core.stripes[stripe()];
-        s.buckets[b].fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
+        core.buckets[b].fetch_add(1, Ordering::Relaxed);
+        core.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// The preset bucket upper bounds (without the `+Inf` overflow).
@@ -169,14 +126,8 @@ impl Histogram {
 
     fn read(&self, name: &str) -> HistogramSnapshot {
         let core = &*self.0;
-        let mut buckets = vec![0u64; core.bounds.len() + 1];
-        let mut sum = 0u64;
-        for s in &core.stripes {
-            for (acc, cell) in buckets.iter_mut().zip(&s.buckets) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
-            sum += s.sum.load(Ordering::Relaxed);
-        }
+        let buckets: Vec<u64> = core.buckets.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let sum = core.sum.load(Ordering::Relaxed);
         // Derive count from the buckets so the rendered `+Inf`
         // cumulative count always equals `_count` exactly, even while
         // recorders are mid-flight.

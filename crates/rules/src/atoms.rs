@@ -132,11 +132,6 @@ impl AtomTable {
         self.ns_ids.get(name).copied()
     }
 
-    /// Resolves a namespace index to its name.
-    pub fn namespace_name(&self, ns: u32) -> Option<&str> {
-        self.ns.get(ns as usize).map(AsRef::as_ref)
-    }
-
     fn name_intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.name_ids.get(s) {
             return id;

@@ -3,17 +3,145 @@
 //! executable witness that the string wrappers are thin — they resolve
 //! the label once and run the same id path), and the closure operators
 //! must respect reachability on random DAGs from `onion-testkit`.
+//!
+//! Edge lookup has its own oracle: a brute-force search of
+//! `edge_entries()` for the `(src, label, dst)` triple. `find_edge`,
+//! `find_edge_by_ids`, `ensure_edge` and `add_edge`'s duplicate check
+//! must agree with it on present and absent triples, after delete /
+//! re-add churn, and on graphs with one hub holding a few hundred
+//! out-edges under one label (the longest out-list a lookup scans).
 
 use proptest::prelude::*;
 
 use onion_core::graph::closure::{materialize_closure, transitive_pairs, transitive_reduce};
 use onion_core::graph::rel;
 use onion_core::graph::traverse::EdgeFilter;
+use onion_core::graph::{GraphError, LabelId};
 use onion_core::prelude::*;
 use onion_core::testkit::{generate_dag, generate_graph, GraphSpec};
 
 fn subclass_filter() -> EdgeFilter {
     EdgeFilter::label(rel::SUBCLASS_OF)
+}
+
+/// The hub's one out-edge label.
+const HUB_LABEL: &str = "hubOf";
+
+/// The oracle: the live edge carrying `(s, l, d)`, found by scanning
+/// every live edge. `E` is a set, so at most one may match.
+fn brute_find(
+    g: &OntGraph,
+    s: NodeId,
+    l: LabelId,
+    d: NodeId,
+) -> Result<Option<EdgeId>, TestCaseError> {
+    let hits: Vec<EdgeId> = g
+        .edge_entries()
+        .filter(|&(_, es, el, ed)| (es, el, ed) == (s, l, d))
+        .map(|(e, ..)| e)
+        .collect();
+    prop_assert!(hits.len() <= 1, "E is a set, yet {} live edges carry one triple", hits.len());
+    Ok(hits.first().copied())
+}
+
+/// Checks every edge lookup on one triple against [`brute_find`]:
+/// `find_edge`, `find_edge_by_ids`, `add_edge`'s duplicate rejection
+/// and `ensure_edge`. An absent triple between live nodes is added
+/// through `ensure_edge` and again through `add_edge`, each time
+/// checked as a present one and deleted, so the graph's edge set ends
+/// as it began.
+fn check_triple(g: &mut OntGraph, s: NodeId, label: &str, d: NodeId) -> TestCaseResult {
+    let want = match g.label_id(label) {
+        Some(l) => brute_find(g, s, l, d)?,
+        None => None,
+    };
+    prop_assert_eq!(g.find_edge(s, label, d), want);
+    if let Some(l) = g.label_id(label) {
+        prop_assert_eq!(g.find_edge_by_ids(s, l, d), want);
+    }
+    let before = g.edge_count();
+    match want {
+        Some(e) => {
+            let dup = g.add_edge(s, label, d);
+            prop_assert!(matches!(dup, Err(GraphError::DuplicateEdge(_))), "{dup:?}");
+            prop_assert_eq!(g.ensure_edge(s, label, d), Ok(e));
+            prop_assert_eq!(g.edge_count(), before);
+        }
+        None if g.is_live_node(s) && g.is_live_node(d) => {
+            for via_ensure in [true, false] {
+                let added =
+                    if via_ensure { g.ensure_edge(s, label, d) } else { g.add_edge(s, label, d) };
+                let Ok(e) = added else {
+                    return Err(TestCaseError::fail(format!("adding an absent triple: {added:?}")));
+                };
+                prop_assert_eq!(g.edge_count(), before + 1);
+                prop_assert_eq!(g.find_edge(s, label, d), Some(e));
+                check_triple(g, s, label, d)?;
+                g.delete_edge(e).unwrap();
+                prop_assert_eq!(g.find_edge(s, label, d), None);
+                prop_assert_eq!(g.edge_count(), before);
+            }
+        }
+        None => {
+            // a dead endpoint: nothing to find, nothing can be added
+            prop_assert!(g.ensure_edge(s, label, d).is_err());
+            prop_assert!(g.add_edge(s, label, d).is_err());
+            prop_assert_eq!(g.edge_count(), before);
+        }
+    }
+    Ok(())
+}
+
+/// A generated mixed-label graph plus a hub node with `hub_edges`
+/// out-edges under [`HUB_LABEL`]: to every generated node, then to
+/// fresh leaves.
+fn graph_with_hub(seed: u64, hub_edges: usize) -> OntGraph {
+    let mut g = generate_graph(&GraphSpec::sized(seed, 60, 240));
+    let hub = g.add_node("Hub").unwrap();
+    let targets: Vec<NodeId> = g.node_ids().filter(|&n| n != hub).collect();
+    for i in 0..hub_edges {
+        let dst = match targets.get(i) {
+            Some(&n) => n,
+            None => g.add_node(&format!("Leaf{i}")).unwrap(),
+        };
+        g.add_edge(hub, HUB_LABEL, dst).unwrap();
+    }
+    g
+}
+
+/// Probes every live triple, every fourth one reversed and under the
+/// next label, the hub against every node, and `random` triples drawn
+/// over the live nodes, the `dead` ones and every label (plus one the
+/// graph never interned).
+fn check_all_lookups(
+    g: &mut OntGraph,
+    dead: &[NodeId],
+    random: &[(usize, usize, usize)],
+) -> TestCaseResult {
+    let mut labels: Vec<String> = g.edge_labels().into_iter().map(str::to_string).collect();
+    labels.push("NeverInterned".to_string());
+    let mut probes: Vec<(NodeId, String, NodeId)> = Vec::new();
+    for (i, e) in g.edges().enumerate() {
+        probes.push((e.src, e.label.to_string(), e.dst));
+        if i % 4 == 0 {
+            let at = labels.iter().position(|l| l == e.label).expect("label in use");
+            probes.push((e.src, labels[(at + 1) % labels.len()].clone(), e.dst));
+            probes.push((e.dst, e.label.to_string(), e.src));
+        }
+    }
+    let all: Vec<NodeId> = g.node_ids().chain(dead.iter().copied()).collect();
+    if let Some(hub) = g.node_by_label("Hub") {
+        probes.extend(all.iter().map(|&n| (hub, HUB_LABEL.to_string(), n)));
+    }
+    for &(a, l, b) in random {
+        probes.push((all[a % all.len()], labels[l % labels.len()].clone(), all[b % all.len()]));
+    }
+    let triples_before = g.edge_triples_sorted();
+    for (s, label, d) in probes {
+        check_triple(g, s, &label, d)?;
+    }
+    prop_assert_eq!(g.edge_triples_sorted(), triples_before);
+    Ok(())
 }
 
 proptest! {
@@ -119,8 +247,8 @@ proptest! {
         prop_assert_eq!(refs, entries);
     }
 
-    /// Deleting and re-adding edges keeps every index consistent
-    /// (incident lists, label buckets, the edge index and degrees).
+    /// Deleting and re-adding edges keeps both adjacency views
+    /// consistent (incident lists, label buckets, lookups and degrees).
     #[test]
     fn churn_keeps_indexes_consistent(seed in 0u64..32, kills in 1usize..20) {
         let mut g = generate_graph(&GraphSpec::sized(seed, 40, 200));
@@ -140,10 +268,69 @@ proptest! {
         }
         for n in g.node_ids() {
             prop_assert_eq!(g.out_edge_entries(n).count(), g.out_degree(n));
-            // every listed out-edge is probeable through the edge index
+            // every listed out-edge is found by its own triple
             for (e, lid, dst) in g.out_edge_entries(n) {
                 prop_assert_eq!(g.find_edge_by_ids(n, lid, dst), Some(e));
             }
         }
+    }
+}
+
+proptest! {
+    // each case probes a few thousand triples, each against a scan of
+    // every live edge
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    /// Invariant 2 of the data layer as a property of `find_edge`: it
+    /// finds exactly the live triples, as does every lookup built on
+    /// it, on generated graphs with one hub of a few hundred out-edges.
+    #[test]
+    fn edge_lookup_matches_a_brute_force_search(
+        seed in 0u64..64,
+        hub_edges in 150usize..400,
+        random in prop::collection::vec((0usize..1000, 0usize..16, 0usize..1000), 200..201),
+    ) {
+        let mut g = graph_with_hub(seed, hub_edges);
+        check_all_lookups(&mut g, &[], &random)?;
+    }
+
+    /// The same after churn: edges deleted (hub edges among them) and
+    /// re-added, and nodes deleted (hub leaves among them) with their
+    /// incident edges, so lookups also meet re-added triples, dead
+    /// endpoints and tombstoned edge slots.
+    #[test]
+    fn edge_lookup_matches_a_brute_force_search_after_churn(
+        seed in 0u64..64,
+        hub_edges in 150usize..400,
+        stride in 2usize..7,
+        node_kills in prop::collection::vec(0usize..1000, 0..12),
+        random in prop::collection::vec((0usize..1000, 0usize..16, 0usize..1000), 200..201),
+    ) {
+        let mut g = graph_with_hub(seed, hub_edges);
+        let victims: Vec<(NodeId, String, NodeId)> = g
+            .edges()
+            .step_by(stride)
+            .map(|e| (e.src, e.label.to_string(), e.dst))
+            .collect();
+        for (s, l, d) in &victims {
+            let id = g.find_edge(*s, l, *d).expect("listed edge");
+            g.delete_edge(id).unwrap();
+        }
+        check_all_lookups(&mut g, &[], &random)?;
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        let mut dead: Vec<NodeId> = Vec::new();
+        for k in &node_kills {
+            let n = ids[k % ids.len()];
+            if g.is_live_node(n) && g.node_label(n) != Some("Hub") {
+                g.delete_node(n).unwrap();
+                dead.push(n);
+            }
+        }
+        // re-add every victim whose endpoints survived, in reverse order
+        for (s, l, d) in victims.iter().rev() {
+            if g.is_live_node(*s) && g.is_live_node(*d) {
+                g.add_edge(*s, l, *d).unwrap();
+            }
+        }
+        check_all_lookups(&mut g, &dead, &random)?;
     }
 }

@@ -3,10 +3,10 @@
 //! Three contracts:
 //!
 //! * **Snapshot monotonicity** — a [`MetricsSnapshot`] taken while
-//!   writers hammer the striped counters never observes a counter or
-//!   histogram count below a previously observed value (per-stripe
-//!   relaxed `fetch_add` is monotone, and a sum of monotone reads is
-//!   monotone).
+//!   writers hammer the counters never observes a counter or histogram
+//!   count below a previously observed value (each cell only grows
+//!   under relaxed `fetch_add`, and a later read of one atomic never
+//!   returns a value earlier in its modification order).
 //! * **Strict observationality** — enabling recording leaves the
 //!   inference engines, the articulation generator and the articulation
 //!   engine byte-identical: same fact bases (atom ids included), same
@@ -182,7 +182,7 @@ proptest! {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         prop_assert!(reader.join().unwrap() > 0);
 
-        // final totals are exact — nothing was lost across stripes
+        // final totals are exact — no concurrent add was lost
         let snap = reg.snapshot();
         let expected: u64 = (0..writers as u64).map(|w| per_writer * (1 + (w & 1))).sum();
         prop_assert_eq!(snap.counter("obs_props_total"), Some(expected));

@@ -123,9 +123,10 @@ proptest! {
     }
 }
 
-/// A capacity-4 cache fed 24 distinct queries per round: entries stay
-/// bounded by the effective capacity, the CLOCK sweep evicts, and the
-/// served results still match the uncached system exactly.
+/// A capacity-4 cache fed 24 distinct queries per round: the facade
+/// reports the requested capacity, entries stay bounded by it (a full
+/// cache stays full), the CLOCK sweep evicts, and the served results
+/// still match the uncached system exactly.
 #[test]
 fn eviction_churn_stays_bounded_and_correct() {
     let pair = std_pair(77, 60);
@@ -154,6 +155,8 @@ fn eviction_churn_stays_bounded_and_correct() {
     }
 
     let stats = cached.query_cache_stats().unwrap();
+    assert_eq!(stats.capacity, 4, "set_query_cache(4) holds at most 4 entries");
+    assert_eq!(stats.entries, 4, "24 distinct queries fill the cache");
     assert!(
         stats.entries <= stats.capacity,
         "cache must stay bounded: {} entries > {} capacity",
