@@ -31,13 +31,15 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use onion_graph::hash::FxHashSet;
-use onion_graph::{rel, LabelId};
+use onion_graph::hash::{FxHashMap, FxHashSet};
+use onion_graph::{rel, LabelId, NodeId};
 use onion_ontology::Ontology;
 use onion_rules::horn::{lower_rules_interned, HornProgram};
 use onion_rules::infer::{seed_subclass_facts, FactBase, InferenceEngine, InferenceStats};
 use onion_rules::properties::RelationRegistry;
-use onion_rules::{ArticulationRule, AtomTable, ConversionRegistry, RuleExpr, RuleSet, Term};
+use onion_rules::{
+    ArticulationRule, AtomId, AtomTable, ConversionRegistry, RuleExpr, RuleSet, Term,
+};
 
 use crate::articulation::{Articulation, Bridge, BridgeKind};
 use crate::{ArticulateError, Result};
@@ -89,22 +91,28 @@ impl Default for GeneratorConfig {
 /// inference-expansion pass; zero when `expand_with_inference` is off).
 ///
 /// Seeding walks the ontologies in `sources` order, then the
-/// articulation ontology, summing their counts. Saturation stats are
-/// the same with or without an executor (see `onion_exec::inference`
-/// for the merge-order contract), so equal inputs reproduce equal
-/// stats — `expansion_reports_stats_and_reuses_shared_table` and the
-/// `seminaive_props` suite assert this by direct comparison.
+/// articulation ontology, summing their counts, then adds the goal
+/// facts. `inference` counts the goal-directed program
+/// ([`HornProgram::implication_goal`]): its rounds grow with the
+/// longest implication path that reaches an articulation term, and it
+/// derives only the `si` steps and `implies` pairs on such paths.
+/// Saturation stats are the same with or without an executor (see
+/// `onion_exec::inference` for the merge-order contract), so equal
+/// inputs reproduce equal stats — `expansion_reports_stats_and_reuses_shared_table`
+/// and the `seminaive_props` and `expansion_goal_props` suites assert
+/// this by direct comparison.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GeneratorStats {
-    /// Ground facts seeded into the `FactBase` (bridges, subclass
-    /// edges, lowered rules).
+    /// Ground facts seeded into the `FactBase` (SI bridges, subclass
+    /// edges, lowered rules, and one `art(b)` goal per live
+    /// articulation node).
     pub seeded_facts: usize,
     /// Edge endpoints skipped because their node was deleted between
     /// edge enumeration and label resolution (concurrent churn on a
     /// source graph); the edge contributes no fact instead of
     /// panicking.
     pub skipped_dead_nodes: usize,
-    /// Counters of the saturation run.
+    /// Counters of the goal-directed saturation run.
     pub inference: InferenceStats,
     /// Derived source→articulation bridges added to the articulation.
     pub derived_bridges: usize,
@@ -542,19 +550,29 @@ impl ArticulationGenerator {
         Ok(())
     }
 
-    /// Inference expansion: derive transitive semantic implications and
-    /// add the source→articulation ones as [`BridgeKind::Derived`]
-    /// bridges.
+    /// Inference expansion: derive the source→articulation implications
+    /// and add them as [`BridgeKind::Derived`] bridges.
     ///
-    /// The whole pass runs on interned atoms. Subclass edges seed
-    /// through [`seed_subclass_facts`], which resolves both endpoints
-    /// through the shared table's per-graph label memo — after the
-    /// first encounter of a label this is a dense array lookup, and at
-    /// no point is an `"onto.Term"` string formatted or hashed.
-    /// Filtering derived implications compares namespace *indexes*
-    /// instead of the old per-candidate `format!("{s}.")` + prefix
-    /// matching. Edges whose endpoint node was deleted mid-churn are
-    /// skipped and counted rather than panicking.
+    /// Expansion asks the engine one question with a bound target —
+    /// which source terms imply which articulation terms — so it runs
+    /// the goal-directed [`HornProgram::implication_goal`] rather than
+    /// closing `subclassof` and `si` whole. The fact base is seeded
+    /// with the SI bridges, every ontology's subclass edges (through
+    /// [`seed_subclass_facts`], which resolves endpoints through the
+    /// shared table's per-graph label memo: after a label's first
+    /// encounter a dense array lookup, no `"onto.Term"` string built or
+    /// hashed), the lowered rules, and one `art(b)` goal fact per live
+    /// articulation node. Saturation then derives `implies(a, b)` only
+    /// along paths that end at a goal. Edges whose endpoint node was
+    /// deleted mid-churn are skipped and counted rather than panicking.
+    ///
+    /// Every `implies(a, b)` whose `a` lies in a source namespace
+    /// becomes a bridge from `a`'s canonical parts to the node `b` was
+    /// seeded from, named by that node's label: a dotted articulation
+    /// name (`transport.v2`) keys its atoms as `transport` + `v2.Label`,
+    /// and the label, not that canonical name, is what the articulation
+    /// defines. Bridges come out sorted on the atoms' text, each new
+    /// `(src, dst)` pair once.
     fn expand(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<GeneratorStats> {
         let shared = self.config.atoms.clone();
         let mut guard;
@@ -596,40 +614,48 @@ impl ArticulationGenerator {
                 stats.seeded_facts += 1;
             }
         }
-        let program = HornProgram::standard(&RelationRegistry::onion_default());
+        // seed: the goals, one art(b) per live articulation node, each
+        // remembering the node it names
+        let goal = atoms.intern("art");
+        let art_graph = art.ontology.graph();
+        let mut goals: FxHashMap<AtomId, NodeId> = FxHashMap::default();
+        {
+            let mut cursor = atoms.graph_atoms(art_graph);
+            for n in art_graph.node_ids() {
+                let Some(b) = cursor.node_atom(n) else { continue };
+                goals.insert(b, n);
+                stats.seeded_facts += fb.add_fact(goal, &[b]) as usize;
+            }
+        }
+        let program = HornProgram::implication_goal(&RelationRegistry::onion_default());
         stats.inference = match &self.config.executor {
             Some(exec) => onion_exec::ParallelEngine::new(program).run(exec, atoms, &mut fb)?,
             None => InferenceEngine::new(program).run(atoms, &mut fb)?,
         };
 
-        // keep source-term → articulation-term implications. An
-        // ontology name keys under the atom table's canonical split
-        // ("acme.v2" → namespace "acme" + name prefix "v2."), so each
-        // name becomes (namespace index, optional name prefix) — the
-        // prefix-matching semantics of the string engine, but for the
-        // common dot-free case a pure index compare
-        let ns_key = |atoms: &AtomTable, name: &str| -> Option<(u32, Option<String>)> {
-            match name.split_once('.') {
+        // keep implications from a source term. An ontology name keys
+        // under the atom table's canonical split ("acme.v2" → namespace
+        // "acme" + name prefix "v2."), so each name becomes (namespace
+        // index, optional name prefix): for the common dot-free name a
+        // pure index compare
+        let source_keys: Vec<(u32, Option<String>)> = sources
+            .iter()
+            .filter_map(|o| match o.name().split_once('.') {
                 Some((head, tail)) => {
                     atoms.namespace_lookup(head).map(|ns| (ns, Some(format!("{tail}."))))
                 }
-                None => atoms.namespace_lookup(name).map(|ns| (ns, None)),
-            }
-        };
-        let matches = |atoms: &AtomTable, id: onion_rules::AtomId, key: &(u32, Option<String>)| {
-            atoms.namespace_of(id) == Some(key.0)
-                && key.1.as_deref().map_or(true, |p| atoms.name_of(id).starts_with(p))
-        };
-        let Some(art_key) = ns_key(atoms, art.name()) else {
-            return Ok(stats); // articulation namespace seeded nothing
-        };
-        let source_keys: Vec<(u32, Option<String>)> =
-            sources.iter().filter_map(|o| ns_key(atoms, o.name())).collect();
-        let mut derived: Vec<(onion_rules::AtomId, onion_rules::AtomId)> = fb
-            .query2_ids(si, None, None)
+                None => atoms.namespace_lookup(o.name()).map(|ns| (ns, None)),
+            })
+            .collect();
+        let implies = atoms.intern("implies");
+        let mut derived: Vec<(AtomId, AtomId)> = fb
+            .query2_ids(implies, None, None)
             .into_iter()
-            .filter(|(a, b)| {
-                matches(atoms, *b, &art_key) && source_keys.iter().any(|k| matches(atoms, *a, k))
+            .filter(|&(a, _)| {
+                source_keys.iter().any(|(ns, prefix)| {
+                    atoms.namespace_of(a) == Some(*ns)
+                        && prefix.as_deref().map_or(true, |p| atoms.name_of(a).starts_with(p))
+                })
             })
             .collect();
         // sort on resolved text so bridge order matches the string-keyed
@@ -637,28 +663,56 @@ impl ArticulationGenerator {
         derived.sort_by(|x, y| {
             (atoms.resolve(x.0), atoms.resolve(x.1)).cmp(&(atoms.resolve(y.0), atoms.resolve(y.1)))
         });
+        // one shared string per ontology name, per term name and for the
+        // label: a term is built once per atom and cloned per bridge
+        let label: Arc<str> = rel::SI_BRIDGE.into();
+        let art_name: Arc<str> = art.name().into();
+        let mut ns_names: Vec<(u32, Arc<str>)> = Vec::new();
+        let mut terms: FxHashMap<AtomId, Term> = FxHashMap::default();
+        let mut term = |id: AtomId| -> Term {
+            terms
+                .entry(id)
+                .or_insert_with(|| match goals.get(&id) {
+                    Some(&n) => Term {
+                        ontology: Some(Arc::clone(&art_name)),
+                        name: art_graph.node_label(n).expect("live goal node").into(),
+                    },
+                    None => {
+                        let ns = atoms.namespace_of(id).expect("source-namespaced");
+                        let ontology = match ns_names.iter().find(|(k, _)| *k == ns) {
+                            Some((_, o)) => Arc::clone(o),
+                            None => {
+                                let o: Arc<str> = atoms.parts(id).0.expect("qualified").into();
+                                ns_names.push((ns, Arc::clone(&o)));
+                                o
+                            }
+                        };
+                        Term { ontology: Some(ontology), name: atoms.name_of(id).into() }
+                    }
+                })
+                .clone()
+        };
+        // `add_bridge`'s dedup: the derived pairs are distinct facts, so
+        // only the bridges already present can repeat one
+        let existing: FxHashSet<(&Term, &Term)> = art
+            .bridges
+            .iter()
+            .filter(|b| &*b.label == rel::SI_BRIDGE)
+            .map(|b| (&b.src, &b.dst))
+            .collect();
         let fresh: Vec<Bridge> = derived
             .into_iter()
-            .filter(|&(_, b)| art.ontology.defines(atoms.name_of(b)))
-            .map(|(a, b)| {
-                let (ao, an) = atoms.parts(a);
-                Bridge::si(
-                    Term::qualified(ao.expect("source-namespaced"), an),
-                    Term::qualified(art.name(), atoms.name_of(b)),
-                    BridgeKind::Derived,
-                )
+            .map(|(a, b)| (term(a), term(b)))
+            .filter(|(src, dst)| !existing.contains(&(src, dst)))
+            .map(|(src, dst)| Bridge {
+                src,
+                label: Arc::clone(&label),
+                dst,
+                kind: BridgeKind::Derived,
             })
             .collect();
-        // `add_bridge`'s dedup, against one set of (src, label, dst)
-        // triples so the pass stays linear in the bridge count
-        let keep: Vec<bool> = {
-            let mut seen: HashSet<(&Term, &str, &Term)> =
-                art.bridges.iter().map(|b| (&b.src, &*b.label, &b.dst)).collect();
-            fresh.iter().map(|b| seen.insert((&b.src, &*b.label, &b.dst))).collect()
-        };
-        let before = art.bridges.len();
-        art.bridges.extend(fresh.into_iter().zip(keep).filter_map(|(b, new)| new.then_some(b)));
-        stats.derived_bridges = art.bridges.len() - before;
+        stats.derived_bridges = fresh.len();
+        art.bridges.extend(fresh);
         Ok(stats)
     }
 }
@@ -902,6 +956,49 @@ mod tests {
             art.bridges.iter().map(|b| b.to_string()).collect::<Vec<_>>()
         );
         assert!(stats.derived_bridges > 0);
+    }
+
+    #[test]
+    fn expansion_keeps_derived_bridges_under_a_dotted_articulation_name() {
+        // `transport.v2` keys its atoms as `transport` + `v2.Vehicle`;
+        // the derived bridge must name the articulation's own label
+        let c = carrier();
+        let f = factory();
+        let rules = parse_rules("carrier.Cars => Vehicle\n").unwrap();
+        let bridges = |art_name: &str| -> Vec<String> {
+            let cfg = GeneratorConfig {
+                art_name: art_name.into(),
+                expand_with_inference: true,
+                ..Default::default()
+            };
+            let art = ArticulationGenerator::with_config(cfg).generate(&rules, &[&c, &f]).unwrap();
+            art.bridges.iter().map(|b| format!("{b} {:?}", b.kind)).collect()
+        };
+        let plain = bridges("transport");
+        assert!(plain.contains(&"carrier.SUV -[SIBridge]-> transport.Vehicle Derived".into()));
+        let renamed: Vec<String> =
+            plain.iter().map(|b| b.replace("transport.", "transport.v2.")).collect();
+        assert_eq!(bridges("transport.v2"), renamed);
+    }
+
+    #[test]
+    fn expansion_derives_nothing_toward_a_deleted_articulation_node() {
+        let c = carrier();
+        let f = factory();
+        let g = ArticulationGenerator::with_config(GeneratorConfig {
+            expand_with_inference: true,
+            ..Default::default()
+        });
+        let rules =
+            parse_rules("carrier.Cars => transport.Vehicle\ncarrier.Cars => transport.Auto\n")
+                .unwrap();
+        let mut art = ArticulationGenerator::new().generate(&rules, &[&c, &f]).unwrap();
+        Arc::make_mut(&mut art.ontology).graph_mut().delete_node_by_label("Vehicle").unwrap();
+        let before = art.bridges.len();
+        let stats = g.expand(&mut art, &[&c, &f]).unwrap();
+        let derived: Vec<String> = art.bridges[before..].iter().map(|b| b.to_string()).collect();
+        assert_eq!(derived, ["carrier.SUV -[SIBridge]-> transport.Auto"]);
+        assert_eq!(stats.derived_bridges, 1);
     }
 
     #[test]

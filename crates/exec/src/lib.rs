@@ -80,11 +80,6 @@ impl Executor {
         self.threads
     }
 
-    /// Access to the underlying pool (for `scope` composition).
-    pub fn pool(&self) -> &rayon::ThreadPool {
-        &self.pool
-    }
-
     /// Applies `f` to every item in parallel, returning results in
     /// input order. Items are grouped into contiguous chunks (several
     /// per thread, so uneven items still balance) and each chunk runs

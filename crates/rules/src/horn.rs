@@ -261,6 +261,50 @@ impl HornProgram {
         }
         prog
     }
+
+    /// The goal-directed program the articulation generator runs: one
+    /// question with a bound target, "which terms imply which
+    /// articulation terms", evaluated the magic-set way (Bancilhon,
+    /// Maier, Sagiv and Ullman, PODS 1986). Every relation the registry
+    /// marks `implies_semantic` contributes one implication step
+    /// (`si(X, Y) :- subclassof(X, Y)`), and
+    ///
+    /// ```text
+    /// implies(X, B) :- si(X, B), art(B).
+    /// implies(X, B) :- si(X, Y), implies(Y, B).
+    /// ```
+    ///
+    /// chains steps backwards from the `art(b)` goal facts the caller
+    /// seeds. Neither `si` nor the semantic relations are closed, so
+    /// only paths that end at a goal are derived, and a run takes as
+    /// many rounds as the longest such path has steps. For a registry
+    /// whose semantic relations declare no symmetry or inverse (the
+    /// ONION default), `implies(a, b)` holds exactly when `art(b)` does
+    /// and `si(a, b)` is in the [`HornProgram::standard`] closure of
+    /// the same facts.
+    pub fn implication_goal(registry: &RelationRegistry) -> HornProgram {
+        let mut prog = HornProgram::new();
+        for (name, props) in registry.iter() {
+            if props.implies_semantic {
+                prog.push(HornClause::new(
+                    Atom::vars2("si", "X", "Y"),
+                    vec![Atom::vars2(&pred_name(name), "X", "Y")],
+                ))
+                .expect("safe");
+            }
+        }
+        prog.push(HornClause::new(
+            Atom::vars2("implies", "X", "B"),
+            vec![Atom::vars2("si", "X", "B"), Atom::new("art", vec![TermArg::Var("B".into())])],
+        ))
+        .expect("safe");
+        prog.push(HornClause::new(
+            Atom::vars2("implies", "X", "B"),
+            vec![Atom::vars2("si", "X", "Y"), Atom::vars2("implies", "Y", "B")],
+        ))
+        .expect("safe");
+        prog
+    }
 }
 
 /// Canonical predicate name for a relation label (`SubclassOf` →
@@ -387,8 +431,10 @@ fn parse_atom(src: &str, clauseno: usize) -> Result<Atom> {
 /// * functional rules contribute no `si` facts (value conversion, not
 ///   class implication).
 ///
-/// Returns ground facts; combine with [`HornProgram::standard`] (which
-/// adds `si` transitivity) for inference.
+/// Returns ground facts. [`HornProgram::standard`] closes `si` over
+/// them whole; the articulation generator runs them under
+/// [`HornProgram::implication_goal`], which chains `si` steps only
+/// toward the articulation terms it asks about.
 pub fn lower_rules(rules: &[ArticulationRule]) -> Vec<Atom> {
     let mut facts = Vec::new();
     let mut emit = |a: String, b: String| {
@@ -616,6 +662,72 @@ subclass("carrier.Car", "carrier.Vehicle").
             .clauses
             .iter()
             .any(|c| c.head.pred == "si" && c.body.len() == 1 && c.body[0].pred == "subclassof"));
+    }
+
+    #[test]
+    fn implication_goal_keeps_the_closure_pairs_that_reach_a_goal() {
+        use crate::atoms::AtomTable;
+        use crate::infer::{FactBase, InferenceEngine};
+        let reg = RelationRegistry::onion_default();
+        let goal = HornProgram::implication_goal(&reg);
+        let text: Vec<String> = goal.clauses.iter().map(|c| c.to_string()).collect();
+        assert_eq!(
+            text,
+            [
+                "si(X, Y) :- instanceof(X, Y).",
+                "si(X, Y) :- subclassof(X, Y).",
+                "implies(X, B) :- si(X, B), art(B).",
+                "implies(X, B) :- si(X, Y), implies(Y, B).",
+            ]
+        );
+        // a chain into one goal, a cycle through the other, a pair that
+        // reaches no goal, and instance steps
+        let seed = |atoms: &mut AtomTable, fb: &mut FactBase| {
+            for (p, a, b) in [
+                ("subclassof", "s.a", "s.b"),
+                ("subclassof", "s.b", "s.c"),
+                ("si", "s.c", "t.x"),
+                ("si", "t.x", "s.c"),
+                ("si", "r.d", "s.a"),
+                ("instanceof", "r.i", "r.d"),
+                ("subclassof", "s.e", "s.f"),
+                ("si", "s.f", "r.g"),
+                ("si", "r.g", "t.y"),
+                ("si", "t.y", "t.y"),
+            ] {
+                fb.add(atoms, p, &[a, b]);
+            }
+        };
+        let goals = ["t.x", "t.y"];
+        let mut atoms = AtomTable::new();
+        let mut full = FactBase::new();
+        seed(&mut atoms, &mut full);
+        InferenceEngine::new(HornProgram::standard(&reg)).run(&mut atoms, &mut full).unwrap();
+        let mut want: Vec<(String, String)> = full
+            .query2(&atoms, "si", None, None)
+            .into_iter()
+            .filter(|(_, b)| goals.contains(b))
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .collect();
+        want.sort_unstable();
+        let mut fb = FactBase::new();
+        seed(&mut atoms, &mut fb);
+        for g in goals {
+            fb.add(&mut atoms, "art", &[g]);
+        }
+        InferenceEngine::new(goal).run(&mut atoms, &mut fb).unwrap();
+        let mut got: Vec<(String, String)> = fb
+            .query2(&atoms, "implies", None, None)
+            .into_iter()
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        for pair in [("s.a", "t.x"), ("r.i", "t.x"), ("s.e", "t.y"), ("t.y", "t.y")] {
+            assert!(got.contains(&(pair.0.to_string(), pair.1.to_string())), "{pair:?}");
+        }
+        assert!(!fb.contains(&atoms, "subclassof", &["s.a", "s.c"]), "subclassof is not closed");
+        assert!(!fb.contains(&atoms, "si", &["s.a", "s.c"]), "si is not closed");
     }
 
     #[test]

@@ -87,9 +87,9 @@ proptest! {
     }
 }
 
-/// Snapshot isolation under real concurrency: pool workers re-read one
-/// epoch while the main thread deletes nodes and publishes new epochs.
-/// Every read must agree with the epoch's pre-computed checksum.
+/// Snapshot isolation under real concurrency: reader threads re-read
+/// one epoch while the main thread deletes nodes and publishes new
+/// epochs. Every read must agree with the epoch's pre-computed checksum.
 #[test]
 fn concurrent_readers_see_only_their_epoch() {
     let mut g = small_graph(7);
@@ -97,16 +97,15 @@ fn concurrent_readers_see_only_their_epoch() {
     let snap0: Arc<_> = store.load();
     let expected0 = graph_checksum(&g);
     assert_eq!(snapshot_checksum(&snap0), expected0);
-    let exec = Executor::new(4);
 
-    // re-read the epoch-0 snapshot on the pool while this thread
-    // mutates the live graph and publishes; each worker holds the
-    // epoch-0 Arc the whole time
+    // re-read the epoch-0 snapshot on four scoped threads while this
+    // thread mutates the live graph and publishes; each reader holds
+    // the epoch-0 Arc the whole time
     let mut results: Vec<Vec<u64>> = vec![Vec::new(); 4];
-    exec.pool().scope(|s| {
+    std::thread::scope(|s| {
         for slot in results.iter_mut() {
             let snap = Arc::clone(&snap0);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..20 {
                     slot.push(snapshot_checksum(&snap));
                 }
