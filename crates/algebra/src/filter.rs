@@ -96,7 +96,7 @@ mod tests {
     fn filter_with_relaxed_edges_keeps_actual_labels() {
         let c = carrier();
         let p = Pattern::parse("Price -SubclassOf-> Cars").unwrap(); // wrong label
-        let cfg = MatchConfig { relax_edge_labels: true, ..Default::default() };
+        let cfg = MatchConfig { relax_edge_labels: true };
         let out = filter(&c, &p, &cfg).unwrap();
         assert!(out.has_edge("Price", "AttributeOf", "Cars"), "real label preserved");
     }

@@ -35,7 +35,7 @@ use onion_graph::hash::{FxHashMap, FxHashSet};
 use onion_graph::{rel, LabelId, NodeId};
 use onion_ontology::Ontology;
 use onion_rules::horn::{lower_rules_interned, HornProgram};
-use onion_rules::infer::{seed_subclass_facts, FactBase, InferenceEngine, InferenceStats};
+use onion_rules::infer::{seed_relation_facts, FactBase, InferenceEngine, InferenceStats};
 use onion_rules::properties::RelationRegistry;
 use onion_rules::{
     ArticulationRule, AtomId, AtomTable, ConversionRegistry, RuleExpr, RuleSet, Term,
@@ -557,8 +557,9 @@ impl ArticulationGenerator {
     /// which source terms imply which articulation terms — so it runs
     /// the goal-directed [`HornProgram::implication_goal`] rather than
     /// closing `subclassof` and `si` whole. The fact base is seeded
-    /// with the SI bridges, every ontology's subclass edges (through
-    /// [`seed_subclass_facts`], which resolves endpoints through the
+    /// with the SI bridges, the sources' subclass and instance edges and
+    /// the articulation's subclass edges (through
+    /// [`seed_relation_facts`], which resolves endpoints through the
     /// shared table's per-graph label memo: after a label's first
     /// encounter a dense array lookup, no `"onto.Term"` string built or
     /// hashed), the lowered rules, and one `art(b)` goal fact per live
@@ -600,9 +601,15 @@ impl ArticulationGenerator {
                 }
             }
         }
-        // seed: source subclass edges, then articulation-internal ones
-        for o in sources.iter().copied().chain([&*art.ontology]) {
-            let seeded = seed_subclass_facts(o.graph(), atoms, &mut fb);
+        // seed: each source's subclass and instance edges, then the
+        // articulation-internal subclass edges (the implication edges
+        // `ImplicationIndex` reads)
+        let relations = sources
+            .iter()
+            .flat_map(|&o| [(o, rel::SUBCLASS_OF), (o, rel::INSTANCE_OF)])
+            .chain([(&*art.ontology, rel::SUBCLASS_OF)]);
+        for (o, relation) in relations {
+            let seeded = seed_relation_facts(o.graph(), relation, atoms, &mut fb);
             stats.seeded_facts += seeded.seeded;
             stats.skipped_dead_nodes += seeded.skipped_dead_nodes;
         }
@@ -903,6 +910,25 @@ mod tests {
     }
 
     #[test]
+    fn expansion_derives_bridges_for_instances() {
+        // carrier.MyCar InstanceOf carrier.Cars, and an instance edge
+        // implies (`si(X, Y) :- instanceof(X, Y)`), so MyCar =>
+        // transport.Vehicle must be derived too
+        let c = carrier();
+        let f = factory();
+        let cfg = GeneratorConfig { expand_with_inference: true, ..Default::default() };
+        let rules = parse_rules("carrier.Cars => transport.Vehicle\n").unwrap();
+        let art = ArticulationGenerator::with_config(cfg).generate(&rules, &[&c, &f]).unwrap();
+        assert!(
+            art.bridges.iter().any(|b| b.kind == BridgeKind::Derived
+                && b.src == Term::qualified("carrier", "MyCar")
+                && b.dst == Term::qualified("transport", "Vehicle")),
+            "bridges: {:?}",
+            art.bridges.iter().map(|b| b.to_string()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
     fn expansion_reports_stats_and_reuses_shared_table() {
         let c = carrier();
         let f = factory();
@@ -997,8 +1023,14 @@ mod tests {
         let before = art.bridges.len();
         let stats = g.expand(&mut art, &[&c, &f]).unwrap();
         let derived: Vec<String> = art.bridges[before..].iter().map(|b| b.to_string()).collect();
-        assert_eq!(derived, ["carrier.SUV -[SIBridge]-> transport.Auto"]);
-        assert_eq!(stats.derived_bridges, 1);
+        assert_eq!(
+            derived,
+            [
+                "carrier.MyCar -[SIBridge]-> transport.Auto",
+                "carrier.SUV -[SIBridge]-> transport.Auto"
+            ]
+        );
+        assert_eq!(stats.derived_bridges, 2);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! accounting asserted) and the B12–B15 series — and writes it to `PATH`
 //! (default `BENCH_onion.json`); this is the smoke step CI runs on
 //! every push. An optional `--compare BASE` reads a previously
-//! committed baseline and applies the two-tier regression gate to every
+//! committed baseline, prints every named row's machine-normalised
+//! ratio labelled "within noise" when it lies inside the baseline row's
+//! recorded spread, and applies the two-tier regression gate to every
 //! named row: >2× prints a `::warning::`, >3× prints an `::error::` and
 //! **fails the run** (exit 1). The thresholds carry a variance margin:
 //! the recorded per-series spreads (slowest/fastest repetition) sit well
@@ -440,7 +442,7 @@ fn push_section(body: &mut String, key: &str, fields: &str, rows: &[BenchResult]
 }
 
 /// The one row writer: one JSON object per line, the line format
-/// [`parse_medians`] reads back.
+/// [`parse_rows`] reads back.
 fn push_rows(body: &mut String, indent: &str, rows: &[BenchResult]) {
     for (i, r) in rows.iter().enumerate() {
         body.push_str(&format!(
@@ -458,22 +460,25 @@ fn push_rows(body: &mut String, indent: &str, rows: &[BenchResult]) {
     }
 }
 
-/// Extracts every `"name": …, "median_us": …` series from one of our
-/// baseline files (writer keeps each entry on one line, so a line scan
-/// is a complete parser for this format — the workspace has no serde).
-fn parse_medians(text: &str) -> Vec<(String, f64)> {
+/// Extracts every `"name": …, "median_us": …, … "spread": …` row from
+/// one of our baseline files as `(name, median, spread)` (writer keeps
+/// each entry on one line, so a line scan is a complete parser for this
+/// format — the workspace has no serde). A row without a `spread` reads
+/// as spread 1.
+fn parse_rows(text: &str) -> Vec<(String, f64, f64)> {
+    let number = |line: &str, key: &str| -> Option<f64> {
+        let rest = &line[line.find(key)? + key.len()..];
+        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
+        digits.parse().ok()
+    };
     let mut out = Vec::new();
     for line in text.lines() {
         let Some(name_at) = line.find("\"name\": \"") else { continue };
         let rest = &line[name_at + 9..];
         let Some(name_end) = rest.find('"') else { continue };
-        let name = &rest[..name_end];
-        let Some(med_at) = line.find("\"median_us\": ") else { continue };
-        let med_rest = &line[med_at + 13..];
-        let med_str: String =
-            med_rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.').collect();
-        if let Ok(v) = med_str.parse::<f64>() {
-            out.push((name.to_string(), v));
+        if let Some(median) = number(line, "\"median_us\": ") {
+            let spread = number(line, "\"spread\": ").unwrap_or(1.0);
+            out.push((rest[..name_end].to_string(), median, spread));
         }
     }
     out
@@ -516,7 +521,18 @@ struct SeriesVerdict {
     new_us: f64,
     /// `(new / base) / machine_factor`.
     normalised: f64,
+    /// The baseline row's recorded spread (slowest/fastest repetition).
+    base_spread: f64,
     level: Level,
+}
+
+impl SeriesVerdict {
+    /// True when the normalised ratio lies inside the baseline row's
+    /// spread, `[1 / spread, spread]`: a move its own repetitions
+    /// already showed.
+    fn within_noise(&self) -> bool {
+        (1.0 / self.base_spread..=self.base_spread).contains(&self.normalised)
+    }
 }
 
 /// The `--compare` outcome over the series both baselines name.
@@ -528,25 +544,27 @@ struct Verdict {
 }
 
 /// Judges fresh medians against baseline medians on machine-normalised
-/// ratios (see [`FAIL_RATIO`]). `None` when fewer than 3 series are
+/// ratios (see [`FAIL_RATIO`]); rows are `(name, median, spread)` as
+/// [`parse_rows`] reads them. `None` when fewer than 3 series are
 /// common to both — too few for a meaningful machine factor.
-fn verdict(base: &[(String, f64)], fresh: &[(String, f64)]) -> Option<Verdict> {
-    let common: Vec<(&String, f64, f64)> = fresh
+fn verdict(base: &[(String, f64, f64)], fresh: &[(String, f64, f64)]) -> Option<Verdict> {
+    let common: Vec<(&String, f64, f64, f64)> = fresh
         .iter()
-        .filter_map(|(name, new_us)| {
-            let (_, base_us) = base.iter().find(|(n, _)| n == name)?;
-            (*base_us > 0.0 && *new_us > 0.0).then_some((name, *base_us, *new_us))
+        .filter_map(|(name, new_us, _)| {
+            let (_, base_us, spread) = base.iter().find(|(n, ..)| n == name)?;
+            (*base_us > 0.0 && *new_us > 0.0).then_some((name, *base_us, *new_us, *spread))
         })
         .collect();
     if common.len() < 3 {
         return None;
     }
-    let mut ratios: Vec<f64> = common.iter().map(|(_, base_us, new_us)| new_us / base_us).collect();
+    let mut ratios: Vec<f64> =
+        common.iter().map(|(_, base_us, new_us, _)| new_us / base_us).collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let machine_factor = ratios[ratios.len() / 2];
     let series = common
         .into_iter()
-        .map(|(name, base_us, new_us)| {
+        .map(|(name, base_us, new_us, base_spread)| {
             let normalised = new_us / base_us / machine_factor;
             let level = if normalised > FAIL_RATIO {
                 Level::Fail
@@ -555,23 +573,24 @@ fn verdict(base: &[(String, f64)], fresh: &[(String, f64)]) -> Option<Verdict> {
             } else {
                 Level::Pass
             };
-            SeriesVerdict { name: name.clone(), base_us, new_us, normalised, level }
+            SeriesVerdict { name: name.clone(), base_us, new_us, normalised, base_spread, level }
         })
         .collect();
     Some(Verdict { machine_factor, series })
 }
 
 /// Compares a freshly written baseline against a committed one (see
-/// [`verdict`]): `::warning::` past 2×, `::error::` plus a non-zero
-/// exit past 3×. GitHub Actions surfaces both and the exit code fails
-/// the CI step.
+/// [`verdict`]): prints every common row's normalised ratio, labelled
+/// within or outside the noise its baseline spread records, then
+/// `::warning::` past 2×, `::error::` plus a non-zero exit past 3×.
+/// GitHub Actions surfaces both and the exit code fails the CI step.
 fn compare_baselines(base_path: &str, new_path: &str) {
     let Ok(base_text) = std::fs::read_to_string(base_path) else {
         println!("compare: no baseline at {base_path}, skipping");
         return;
     };
     let new_text = std::fs::read_to_string(new_path).expect("just wrote it");
-    let Some(v) = verdict(&parse_medians(&base_text), &parse_medians(&new_text)) else {
+    let Some(v) = verdict(&parse_rows(&base_text), &parse_rows(&new_text)) else {
         println!("compare: fewer than 3 common series vs {base_path}, skipping");
         return;
     };
@@ -596,6 +615,11 @@ fn compare_baselines(base_path: &str, new_path: &str) {
     for s in &v.series {
         let (name, norm) = (&s.name, s.normalised);
         let (base, new) = (fmt_us(s.base_us), fmt_us(s.new_us));
+        println!(
+            "compare: {name} {base} -> {new}: {norm:.2}x normalised, {} (baseline spread {:.2}x)",
+            if s.within_noise() { "within noise" } else { "outside noise" },
+            s.base_spread
+        );
         match s.level {
             Level::Fail => println!(
                 "::error::bench regression: {name} {base} -> {new} ({norm:.1}x normalised, limit \
@@ -895,7 +919,7 @@ fn b3_patterns() {
                 Matcher::with_equiv(g, SynonymEquiv::new(&lexicon)).count(&p).unwrap() as u64
             });
             let relaxed = run_series("b3_relaxed_edges", 5, || {
-                let cfg = MatchConfig { relax_edge_labels: true, ..Default::default() };
+                let cfg = MatchConfig { relax_edge_labels: true };
                 Matcher::new(g).with_config(cfg).count(&p).unwrap() as u64
             });
             println!(
@@ -1163,14 +1187,15 @@ mod tests {
             name: name.into(),
             median_us,
             min_us: median_us,
-            max_us: median_us,
+            max_us: median_us * 1.25,
             reps: 5,
             checksum: 1,
         }
     }
 
-    fn medians(rows: &[(&str, f64)]) -> Vec<(String, f64)> {
-        rows.iter().map(|(n, m)| (n.to_string(), *m)).collect()
+    /// Rows as [`parse_rows`] returns them, each with spread 1.5.
+    fn medians(rows: &[(&str, f64)]) -> Vec<(String, f64, f64)> {
+        rows.iter().map(|(n, m)| (n.to_string(), *m, 1.5)).collect()
     }
 
     #[test]
@@ -1201,11 +1226,12 @@ mod tests {
         assert_eq!(want.len(), 9);
         // the unnamed B10/B11 curve rows are not series the gate reads;
         // medians round to the writer's one decimal
-        let got = parse_medians(&baseline.to_json());
+        let got = parse_rows(&baseline.to_json());
         assert_eq!(got.len(), want.len());
-        for ((gn, gm), (wn, wm)) in got.iter().zip(&want) {
+        for ((gn, gm, gs), (wn, wm)) in got.iter().zip(&want) {
             assert_eq!(gn, wn);
             assert!((gm - wm).abs() < 0.051, "{gn}: {gm} vs {wm}");
+            assert_eq!(*gs, 1.25, "{gn}: spread");
         }
     }
 
@@ -1235,5 +1261,18 @@ mod tests {
         let base = medians(&[("a", 100.0), ("b", 200.0), ("gone", 5.0)]);
         let fresh = medians(&[("a", 900.0), ("b", 200.0), ("new", 5.0)]);
         assert!(verdict(&base, &fresh).is_none());
+    }
+
+    #[test]
+    fn a_ratio_inside_the_baseline_spread_is_within_noise() {
+        let base = medians(&[("a", 100.0), ("b", 100.0), ("c", 100.0), ("d", 100.0)]);
+        let fresh = medians(&[("a", 100.0), ("b", 140.0), ("c", 160.0), ("d", 60.0)]);
+        let v = verdict(&base, &fresh).expect("4 common series");
+        assert!((v.machine_factor - 1.4).abs() < 1e-9);
+        // normalised: a 0.71, b 1.0, c 1.14, d 0.43 against spread 1.5
+        let noise: Vec<(&str, bool)> =
+            v.series.iter().map(|s| (s.name.as_str(), s.within_noise())).collect();
+        assert_eq!(noise, [("a", true), ("b", true), ("c", true), ("d", false)]);
+        assert!(v.series.iter().all(|s| s.level == Level::Pass), "the gate is unchanged");
     }
 }

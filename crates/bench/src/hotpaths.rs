@@ -1,7 +1,7 @@
 //! Graph hot-path microbenchmarks on the testkit 10k-node / 50k-edge
-//! tier — the closure+traversal counterpart of B4/B6, introduced with
-//! the label-indexed adjacency layer (PR 2) so every future PR has a
-//! machine-readable perf trajectory to compare against.
+//! tier — the closure+traversal counterpart of B4/B6, so every change to
+//! the graph's adjacency layer (each node's incident lists, filtered on
+//! label ids) has a machine-readable perf trajectory to compare against.
 //!
 //! The set runs in `experiments --json` and lands in the `results`
 //! block of `BENCH_onion.json`.
@@ -47,8 +47,9 @@ impl Fixture {
         transitive_pairs(&self.g, &EdgeFilter::label(rel::SUBCLASS_OF)).len() as u64
     }
 
-    /// Per-label neighbour iteration over every node (the out_neighbors
-    /// hot loop of closure::follow and the reformulator).
+    /// Per-label neighbour iteration over every node: one label-filtered
+    /// pass over each out-list (the out_neighbors hot loop of
+    /// closure::follow and the reformulator).
     pub fn out_neighbors_subclass_sweep(&self) -> u64 {
         self.all_nodes
             .iter()
@@ -56,24 +57,27 @@ impl Fixture {
             .sum()
     }
 
-    /// Whole-hierarchy descendants from the root (closure::follow).
+    /// Whole-hierarchy descendants from the root (closure::follow, a
+    /// label-filtered pass over each reached node's in-list).
     pub fn descendants_root(&self) -> u64 {
         descendants(&self.g, self.root, rel::SUBCLASS_OF).len() as u64
     }
 
     /// Label-filtered BFS against the edge direction (viewer/difference
-    /// shape).
+    /// shape): one-label filter over the in-lists.
     pub fn bfs_backward_subclass(&self) -> u64 {
         bfs(&self.g, self.root, Direction::Backward, &EdgeFilter::label(rel::SUBCLASS_OF)).len()
             as u64
     }
 
-    /// Multi-label filtered reachability over the dense verb edges.
+    /// Multi-label filtered reachability over the dense verb edges: the
+    /// same filtered pass with several admitted labels.
     pub fn reachable_verbs(&self) -> u64 {
         reachable(&self.g, self.root, Direction::Forward, &self.verb_filter).len() as u64
     }
 
-    /// B4-style point lookups: one find_edge probe per live triple.
+    /// B4-style point lookups: one find_edge probe per live triple, each
+    /// a scan of the source's out-list.
     pub fn find_edge_all_triples(&self) -> u64 {
         self.triples.iter().filter(|(s, l, d)| self.g.find_edge(*s, l, *d).is_some()).count() as u64
     }

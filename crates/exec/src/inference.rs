@@ -3,7 +3,7 @@
 //! With `GeneratorConfig::executor` set (the facade's
 //! `OnionSystem::set_parallel_inference`), the articulation generator
 //! seeds its fact base with the one graph walk,
-//! `onion_rules::infer::seed_subclass_facts`, then saturates with
+//! `onion_rules::infer::seed_relation_facts`, then saturates with
 //! [`ParallelEngine`] instead of the sequential `InferenceEngine`.
 //!
 //! [`ParallelEngine`] joins nothing itself. It runs the sequential

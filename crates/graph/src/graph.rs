@@ -7,26 +7,24 @@
 //! addressing nodes by their label in *consistent* ontologies, where every
 //! term is depicted by exactly one node (§1, §3 end).
 //!
-//! # The label-indexed adjacency layer
+//! # The adjacency layer
 //!
 //! Traversal and maintenance are the hot paths of the whole system
-//! (§5.3, §6), so each live node keeps two views of its live edges,
-//! with the following invariants, upheld by the four transformation
-//! primitives:
+//! (§5.3, §6), so each live node keeps one view of its live edges: its
+//! **incident lists**, the live out-/in-edges as `(EdgeId, LabelId,
+//! neighbour)` in insertion order, upheld by the four transformation
+//! primitives. They answer
 //!
-//! * **incident lists** — the node's live out-/in-edges as
-//!   `(EdgeId, LabelId, neighbour)` in insertion order. They answer
-//!   [`OntGraph::find_edge`] (a scan of the source's out-list, so
+//! * [`OntGraph::find_edge`] (a scan of the source's out-list, so
 //!   `O(out-degree)`; ontology out-degrees are small), and through it
 //!   `add_edge`'s duplicate check and [`OntGraph::ensure_edge`];
-//! * **per-`(node, label)` buckets** — the same edges bucketed by
-//!   `LabelId`; label-filtered traversal
-//!   ([`OntGraph::out_neighbors_by_id`] and friends) touches only the
-//!   matching bucket and never resolves a string;
-//! * **pruning** — `ED`/`ND` remove dead [`EdgeId`]s from both views
-//!   and drop empty label buckets (and empty `by_label` entries), so
-//!   lookup, iteration and degree cost is proportional to the *live*
-//!   neighbourhood, not historical churn.
+//! * label-filtered traversal ([`OntGraph::out_neighbors_by_id`] and
+//!   friends), a pass over the list comparing label ids that never
+//!   resolves a string.
+//!
+//! `ED`/`ND` remove dead [`EdgeId`]s from the lists (and drop empty
+//! `by_label` entries), so lookup, iteration and degree cost is
+//! proportional to the *live* neighbourhood, not historical churn.
 //!
 //! String-typed APIs remain available and are thin wrappers that resolve
 //! the label once at the boundary, then run on the id layer.
@@ -110,54 +108,7 @@ struct NodeData {
     out: Vec<(EdgeId, LabelId, NodeId)>,
     /// Live in-edges as `(id, label, src)`.
     inc: Vec<(EdgeId, LabelId, NodeId)>,
-    /// Live out-edges bucketed by edge label; no empty buckets.
-    out_by_label: LabelBuckets,
-    /// Live in-edges bucketed by edge label; no empty buckets.
-    inc_by_label: LabelBuckets,
     alive: bool,
-}
-
-/// Per-node `label → live incident (edge, neighbour)` buckets.
-///
-/// A node touches few distinct edge labels (single digits in every
-/// workload the paper describes), so a linear-scan vector beats a hash
-/// map on both lookup latency and memory; buckets keep edge-insertion
-/// order, store the neighbour inline for sequential iteration, and are
-/// dropped as soon as they empty.
-#[derive(Debug, Clone, Default)]
-struct LabelBuckets(Vec<(LabelId, Vec<(EdgeId, NodeId)>)>);
-
-impl LabelBuckets {
-    #[inline]
-    fn get(&self, label: LabelId) -> &[(EdgeId, NodeId)] {
-        self.0.iter().find(|(l, _)| *l == label).map(|(_, v)| v.as_slice()).unwrap_or(&[])
-    }
-
-    fn push(&mut self, label: LabelId, e: EdgeId, neighbor: NodeId) {
-        match self.0.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, v)) => v.push((e, neighbor)),
-            None => self.0.push((label, vec![(e, neighbor)])),
-        }
-    }
-
-    fn remove(&mut self, label: LabelId, e: EdgeId) {
-        if let Some(i) = self.0.iter().position(|(l, _)| *l == label) {
-            self.0[i].1.retain(|&(x, _)| x != e);
-            if self.0[i].1.is_empty() {
-                self.0.swap_remove(i);
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    #[cfg(test)]
-    fn total(&self) -> usize {
-        self.0.iter().map(|(_, v)| v.len()).sum()
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -493,14 +444,7 @@ impl OntGraph {
             }
         }
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            label: lid,
-            out: Vec::new(),
-            inc: Vec::new(),
-            out_by_label: LabelBuckets::default(),
-            inc_by_label: LabelBuckets::default(),
-            alive: true,
-        });
+        self.nodes.push(NodeData { label: lid, out: Vec::new(), inc: Vec::new(), alive: true });
         self.by_label.entry(lid).or_default().push(id);
         self.live_nodes += 1;
         self.touch_shard(id);
@@ -554,8 +498,6 @@ impl OntGraph {
         // allocations too
         node.out = Vec::new();
         node.inc = Vec::new();
-        node.out_by_label = LabelBuckets::default();
-        node.inc_by_label = LabelBuckets::default();
         if let Some(v) = self.by_label.get_mut(&lid) {
             v.retain(|&n| n != id);
             if v.is_empty() {
@@ -607,9 +549,7 @@ impl OntGraph {
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(EdgeData { src, label: lid, dst, alive: true });
         self.nodes[src.index()].out.push((id, lid, dst));
-        self.nodes[src.index()].out_by_label.push(lid, id, dst);
         self.nodes[dst.index()].inc.push((id, lid, src));
-        self.nodes[dst.index()].inc_by_label.push(lid, id, src);
         self.live_edges += 1;
         // snapshot shards hold labels and out-rows, so only the source's
         // shard changes
@@ -650,14 +590,10 @@ impl OntGraph {
         }
         let EdgeData { src, label, dst, .. } = self.edges[id.index()];
         self.edges[id.index()].alive = false;
-        // prune the incident lists and label buckets so historical churn
-        // never degrades degree queries or iteration
-        let s = &mut self.nodes[src.index()];
-        s.out.retain(|&(e, _, _)| e != id);
-        s.out_by_label.remove(label, id);
-        let d = &mut self.nodes[dst.index()];
-        d.inc.retain(|&(e, _, _)| e != id);
-        d.inc_by_label.remove(label, id);
+        // prune the incident lists so historical churn never degrades
+        // degree queries or iteration
+        self.nodes[src.index()].out.retain(|&(e, _, _)| e != id);
+        self.nodes[dst.index()].inc.retain(|&(e, _, _)| e != id);
         self.live_edges -= 1;
         self.touch_shard(src);
         let (s, l, d) = (
@@ -757,11 +693,6 @@ impl OntGraph {
         Some(EdgeRef { id, src: e.src, label: self.interner.resolve(e.label), dst: e.dst })
     }
 
-    /// The interned label id of a live edge.
-    pub fn edge_label_id(&self, id: EdgeId) -> Option<LabelId> {
-        self.edges.get(id.index()).filter(|e| e.alive).map(|e| e.label)
-    }
-
     // ------------------------------------------------------------------
     // Id-based adjacency layer
     //
@@ -772,67 +703,40 @@ impl OntGraph {
     // ND), so no liveness filtering is needed here either.
     // ------------------------------------------------------------------
 
-    /// Live out-edges of `n` carrying the interned label `label`.
-    #[inline]
-    pub fn out_edges_labeled(
-        &self,
-        n: NodeId,
-        label: LabelId,
-    ) -> impl Iterator<Item = EdgeId> + '_ {
-        self.label_bucket(n, label, true).iter().map(|&(e, _)| e)
-    }
-
-    /// Live in-edges of `n` carrying the interned label `label`.
-    #[inline]
-    pub fn in_edges_labeled(&self, n: NodeId, label: LabelId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.label_bucket(n, label, false).iter().map(|&(e, _)| e)
-    }
-
-    fn label_bucket(&self, n: NodeId, label: LabelId, out: bool) -> &[(EdgeId, NodeId)] {
-        self.nodes
-            .get(n.index())
-            .filter(|d| d.alive)
-            .map(|d| if out { d.out_by_label.get(label) } else { d.inc_by_label.get(label) })
-            .unwrap_or(&[])
-    }
-
-    /// Out-neighbors of `n` via edges with the interned label `label`.
+    /// Out-neighbors of `n` via edges with the interned label `label`,
+    /// in edge-insertion order: a pass over `n`'s out-list.
     #[inline]
     pub fn out_neighbors_by_id(
         &self,
         n: NodeId,
         label: LabelId,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        self.label_bucket(n, label, true).iter().map(|&(_, dst)| dst)
+        self.labeled_neighbors(n, Some(label), true)
     }
 
-    /// In-neighbors of `n` via edges with the interned label `label`.
+    /// In-neighbors of `n` via edges with the interned label `label`,
+    /// in edge-insertion order: a pass over `n`'s in-list.
     #[inline]
     pub fn in_neighbors_by_id(
         &self,
         n: NodeId,
         label: LabelId,
     ) -> impl Iterator<Item = NodeId> + '_ {
-        self.label_bucket(n, label, false).iter().map(|&(_, src)| src)
+        self.labeled_neighbors(n, Some(label), false)
     }
 
-    /// Out-degree of `n` counting only `label` edges. `O(1)`.
-    #[inline]
-    pub fn out_degree_labeled(&self, n: NodeId, label: LabelId) -> usize {
-        self.label_bucket(n, label, true).len()
-    }
-
-    /// In-degree of `n` counting only `label` edges. `O(1)`.
-    #[inline]
-    pub fn in_degree_labeled(&self, n: NodeId, label: LabelId) -> usize {
-        self.label_bucket(n, label, false).len()
-    }
-
-    /// Total degree of `n` counting only `label` edges (self-loops count
-    /// twice, once per direction). `O(1)`.
-    #[inline]
-    pub fn degree_labeled(&self, n: NodeId, label: LabelId) -> usize {
-        self.out_degree_labeled(n, label) + self.in_degree_labeled(n, label)
+    /// The neighbours across `n`'s incident list whose edge label is
+    /// `label`; `None` (a label never interned) matches nothing.
+    fn labeled_neighbors(
+        &self,
+        n: NodeId,
+        label: Option<LabelId>,
+        out: bool,
+    ) -> impl Iterator<Item = NodeId> + '_ {
+        self.incident_entries(n, out)
+            .iter()
+            .filter(move |&&(_, l, _)| Some(l) == label)
+            .map(|&(_, _, m)| m)
     }
 
     /// The `(src, label-id, dst)` triple of a live edge.
@@ -924,28 +828,19 @@ impl OntGraph {
     /// Out-neighbors of `n` reachable via edges labeled `label`.
     ///
     /// Thin wrapper over [`OntGraph::out_neighbors_by_id`]: the label is
-    /// resolved once, then the per-`(node, label)` index is walked with
-    /// zero per-edge string work.
+    /// resolved once, then the out-list is filtered on label ids.
     pub fn out_neighbors<'g>(
         &'g self,
         n: NodeId,
         label: &str,
     ) -> impl Iterator<Item = NodeId> + 'g {
-        let bucket = match self.interner.get(label) {
-            Some(lid) => self.label_bucket(n, lid, true),
-            None => &[],
-        };
-        bucket.iter().map(|&(_, dst)| dst)
+        self.labeled_neighbors(n, self.interner.get(label), true)
     }
 
     /// In-neighbors of `n` via edges labeled `label` (wrapper over
     /// [`OntGraph::in_neighbors_by_id`]).
     pub fn in_neighbors<'g>(&'g self, n: NodeId, label: &str) -> impl Iterator<Item = NodeId> + 'g {
-        let bucket = match self.interner.get(label) {
-            Some(lid) => self.label_bucket(n, lid, false),
-            None => &[],
-        };
-        bucket.iter().map(|&(_, src)| src)
+        self.labeled_neighbors(n, self.interner.get(label), false)
     }
 
     /// Out-degree. `O(1)`: incident lists hold exactly the live edges.
@@ -1386,23 +1281,8 @@ mod tests {
         g.add_edge(a, "S", b).unwrap();
         assert_eq!(g.nodes[a.index()].out.len(), 1, "out list pruned on delete");
         assert_eq!(g.nodes[b.index()].inc.len(), 1, "inc list pruned on delete");
-        assert_eq!(g.nodes[a.index()].out_by_label.total(), 1);
         assert_eq!(g.out_degree(a), 1);
         assert_eq!(g.in_degree(b), 1);
-    }
-
-    #[test]
-    fn delete_prunes_empty_label_buckets() {
-        let mut g = OntGraph::new("t");
-        let a = g.add_node("A").unwrap();
-        let b = g.add_node("B").unwrap();
-        let e = g.add_edge(a, "S", b).unwrap();
-        let lid = g.label_id("S").unwrap();
-        assert_eq!(g.out_degree_labeled(a, lid), 1);
-        g.delete_edge(e).unwrap();
-        assert!(g.nodes[a.index()].out_by_label.is_empty(), "empty bucket dropped");
-        assert!(g.nodes[b.index()].inc_by_label.is_empty());
-        assert_eq!(g.out_degree_labeled(a, lid), 0);
     }
 
     #[test]
@@ -1428,8 +1308,9 @@ mod tests {
         let by_str: Vec<NodeId> = g.out_neighbors(a, "SubclassOf").collect();
         assert_eq!(by_id, by_str);
         assert_eq!(g.find_edge_by_ids(a, s, b), g.find_edge(a, "SubclassOf", b));
-        assert_eq!(g.out_degree_labeled(a, s), 1);
-        assert_eq!(g.degree_labeled(b, s), 2, "B has one S in-edge and one S out-edge");
+        assert_eq!(g.out_neighbors_by_id(a, s).count(), 1);
+        let b_s = g.out_neighbors_by_id(b, s).count() + g.in_neighbors_by_id(b, s).count();
+        assert_eq!(b_s, 2, "B has one S in-edge and one S out-edge");
         let entries: Vec<_> = g.out_edge_entries(a).collect();
         assert_eq!(entries.len(), g.out_degree(a));
         assert!(entries.iter().all(|&(e, lid, dst)| g.edge_entry(e) == Some((a, lid, dst))));
@@ -1441,9 +1322,8 @@ mod tests {
         let a = g.add_node("A").unwrap();
         g.add_edge(a, "loop", a).unwrap();
         let lid = g.label_id("loop").unwrap();
-        assert_eq!(g.out_degree_labeled(a, lid), 1);
-        assert_eq!(g.in_degree_labeled(a, lid), 1);
-        assert_eq!(g.degree_labeled(a, lid), 2);
+        assert_eq!(g.out_neighbors_by_id(a, lid).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(g.in_neighbors_by_id(a, lid).collect::<Vec<_>>(), vec![a]);
         g.delete_node(a).unwrap();
         assert_eq!(g.edge_count(), 0);
     }

@@ -17,8 +17,9 @@
 //! This crate provides:
 //!
 //! * [`OntGraph`] — the graph itself, with interned labels, tombstone
-//!   deletion, a label → nodes index and per-node out-/in-edge lists
-//!   (whole and bucketed by edge label);
+//!   deletion, a label → nodes index and one adjacency view, per-node
+//!   out-/in-edge lists that label-restricted traversal filters on
+//!   label ids;
 //! * the four **graph transformation primitives** of the paper (§3):
 //!   node addition `NA`, node deletion `ND`, edge addition `EA`, edge
 //!   deletion `ED`, both as direct methods and as a replayable

@@ -12,14 +12,14 @@
 //! The matcher performs candidate-ordered backtracking: pattern nodes are
 //! visited most-constrained-first along pattern connectivity, candidates
 //! for connected nodes are generated from already-matched neighbours, and
-//! all edges into the matched prefix are verified on assignment.
+//! all edges into the matched prefix are verified on assignment. A
+//! labelled seed node reads the graph's exact label index; under a fuzzy
+//! equivalence it also scans every node through
+//! [`LabelEquiv::node_equiv`].
 
-use std::cell::OnceCell;
 use std::collections::HashMap;
 
 use crate::graph::{NodeId, OntGraph};
-use crate::hash::FxHashMap;
-use crate::label::LabelId;
 use crate::pattern::{EdgeConstraint, NodeConstraint, Pattern};
 use crate::Result;
 
@@ -40,38 +40,12 @@ pub trait LabelEquiv {
     }
 
     /// True iff both equivalences are plain string equality. Identity
-    /// equivalences let the matcher run on the graph's label-indexed
-    /// adjacency (single-probe edge checks, per-label candidate
-    /// generation) with zero per-edge string comparisons. Implementations
+    /// equivalences let the matcher compare interned label ids (edge
+    /// checks and candidate generation never resolve a string, and a
+    /// labelled seed reads only the exact label index). Implementations
     /// that relax matching in any way must leave this `false`.
     fn is_identity(&self) -> bool {
         false
-    }
-
-    /// The normalisation key of a *graph* label for index-accelerated
-    /// seeding, or `None` when this equivalence cannot be keyed.
-    ///
-    /// Contract (with [`LabelEquiv::seed_keys`]): for every pattern
-    /// label `p` and graph label `g` with `node_equiv(p, g)`,
-    /// `seed_key(g)` must be a member of `seed_keys(p)`. The matcher
-    /// then seeds a labeled pattern node from the buckets of an index
-    /// keyed by `seed_key` instead of scanning every node; candidates
-    /// are still verified with `node_equiv`, so an over-approximate key
-    /// set costs time but never correctness — an under-approximate one
-    /// silently drops matches. Implementations must return `Some` from
-    /// both methods or `None` from both.
-    fn seed_key(&self, graph_label: &str) -> Option<String> {
-        let _ = graph_label;
-        None
-    }
-
-    /// Every seed key under which a graph label equivalent to
-    /// `pattern_label` may be indexed (see [`LabelEquiv::seed_key`]).
-    /// The default derives the singleton set from `seed_key`;
-    /// equivalences with enumerable non-trivial classes (synonym sets)
-    /// override this to add the classmates' keys.
-    fn seed_keys(&self, pattern_label: &str) -> Option<Vec<String>> {
-        self.seed_key(pattern_label).map(|k| vec![k])
     }
 }
 
@@ -89,8 +63,8 @@ impl LabelEquiv for ExactEquiv {
     }
 }
 
-/// ASCII-case-insensitive label equivalence; a cheap fuzzy mode used by
-/// the SKAT matcher pipeline before consulting the lexicon.
+/// ASCII-case-insensitive equivalence on node and edge labels; the
+/// schema pattern queries compare edge labels through it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CaseInsensitiveEquiv;
 
@@ -102,22 +76,13 @@ impl LabelEquiv for CaseInsensitiveEquiv {
     fn edge_equiv(&self, p: &str, g: &str) -> bool {
         p.eq_ignore_ascii_case(g)
     }
-
-    fn seed_key(&self, graph_label: &str) -> Option<String> {
-        Some(graph_label.to_ascii_lowercase())
-    }
 }
 
 /// Matcher configuration. The default is the paper's strict semantics:
-/// unlimited matches, non-injective mapping, exact edge labels.
+/// exact edge labels. The node mapping `f` is a total mapping, not
+/// necessarily injective, and every match is returned.
 #[derive(Debug, Clone, Default)]
 pub struct MatchConfig {
-    /// Stop after this many matches (0 = unlimited).
-    pub max_matches: usize,
-    /// Require the node mapping to be injective (distinct pattern nodes
-    /// map to distinct graph nodes). The paper's `f` is a total mapping,
-    /// not necessarily injective, so the default is `false`.
-    pub injective: bool,
     /// Treat every pattern edge constraint as [`EdgeConstraint::Any`]
     /// (the paper's second relaxation: "the second condition that requires
     /// edges to have the same label may not be strictly enforced").
@@ -146,11 +111,6 @@ pub struct Matcher<'g, E: LabelEquiv = ExactEquiv> {
     graph: &'g OntGraph,
     equiv: E,
     config: MatchConfig,
-    /// Lazily built normalised-label seed index (`seed_key(label)` →
-    /// live nodes), shared across every seed of one matcher. `None`
-    /// inside the cell means the equivalence is not keyable and seeding
-    /// falls back to the full scan.
-    seed_index: OnceCell<Option<FxHashMap<String, Vec<NodeId>>>>,
 }
 
 impl<'g> Matcher<'g, ExactEquiv> {
@@ -163,7 +123,7 @@ impl<'g> Matcher<'g, ExactEquiv> {
 impl<'g, E: LabelEquiv> Matcher<'g, E> {
     /// Matcher with a custom equivalence (e.g. lexicon synonyms).
     pub fn with_equiv(graph: &'g OntGraph, equiv: E) -> Self {
-        Matcher { graph, equiv, config: MatchConfig::default(), seed_index: OnceCell::new() }
+        Matcher { graph, equiv, config: MatchConfig::default() }
     }
 
     /// Replaces the configuration.
@@ -172,29 +132,14 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
         self
     }
 
-    /// Finds all matches (subject to `max_matches`).
+    /// Finds all matches.
     pub fn find_all(&self, pattern: &Pattern) -> Result<Vec<Match>> {
-        pattern.validate()?;
-        let mut out = Vec::new();
-        self.search(pattern, &mut out)?;
-        Ok(out)
+        self.search(pattern, usize::MAX)
     }
 
     /// Finds the first match, if any.
     pub fn find_first(&self, pattern: &Pattern) -> Result<Option<Match>> {
-        pattern.validate()?;
-        let saved = self.config.max_matches;
-        let mut cfg = self.config.clone();
-        cfg.max_matches = 1;
-        let m = Matcher {
-            graph: self.graph,
-            equiv: EquivRef(&self.equiv),
-            config: cfg,
-            seed_index: OnceCell::new(),
-        }
-        .find_all_inner(pattern)?;
-        let _ = saved;
-        Ok(m.into_iter().next())
+        Ok(self.search(pattern, 1)?.into_iter().next())
     }
 
     /// True if the pattern matches anywhere in the graph.
@@ -202,15 +147,9 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
         Ok(self.find_first(pattern)?.is_some())
     }
 
-    /// Number of matches (respecting `max_matches` if non-zero).
+    /// Number of matches.
     pub fn count(&self, pattern: &Pattern) -> Result<usize> {
         Ok(self.find_all(pattern)?.len())
-    }
-
-    fn find_all_inner(&self, pattern: &Pattern) -> Result<Vec<Match>> {
-        let mut out = Vec::new();
-        self.search(pattern, &mut out)?;
-        Ok(out)
     }
 
     fn node_ok(&self, pc: &NodeConstraint, g: NodeId) -> bool {
@@ -259,7 +198,9 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
         }
     }
 
-    fn search(&self, pattern: &Pattern, out: &mut Vec<Match>) -> Result<()> {
+    /// Validates the pattern and returns its first `limit` matches.
+    fn search(&self, pattern: &Pattern, limit: usize) -> Result<Vec<Match>> {
+        pattern.validate()?;
         let n = pattern.node_count();
         // Order: most-constrained-first seed, then breadth-first along
         // pattern connectivity so later nodes can be generated from
@@ -272,8 +213,9 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
             adj[e.dst].push((ei, e.src, false));
         }
         let mut assignment: Vec<Option<NodeId>> = vec![None; n];
-        self.extend_match(pattern, &order, &adj, 0, &mut assignment, out);
-        Ok(())
+        let mut out = Vec::new();
+        self.extend_match(pattern, &order, &adj, 0, &mut assignment, limit, &mut out);
+        Ok(out)
     }
 
     fn emit(&self, pattern: &Pattern, assignment: &[Option<NodeId>], out: &mut Vec<Match>) {
@@ -295,28 +237,25 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
         adj: &[Vec<(usize, usize, bool)>],
         depth: usize,
         assignment: &mut Vec<Option<NodeId>>,
+        limit: usize,
         out: &mut Vec<Match>,
     ) -> bool {
-        if self.config.max_matches != 0 && out.len() >= self.config.max_matches {
-            return true; // signal: stop
-        }
         if depth == order.len() {
             self.emit(pattern, assignment, out);
-            return self.config.max_matches != 0 && out.len() >= self.config.max_matches;
+            return out.len() >= limit; // signal: stop
         }
         let pi = order[depth];
         let candidates = self.candidates_for(pattern, adj, pi, assignment);
         for g in candidates {
-            if self.config.injective && assignment.iter().flatten().any(|&a| a == g) {
-                continue;
-            }
             if !self.node_ok(&pattern.nodes[pi].constraint, g) {
                 continue;
             }
-            // verify all pattern edges between pi and assigned nodes
+            // verify all pattern edges between pi and assigned nodes,
+            // and pi's self-loops, whose other end is g itself
             let mut ok = true;
             for &(ei, other, outgoing) in &adj[pi] {
-                if let Some(og) = assignment[other] {
+                let other_g = if other == pi { Some(g) } else { assignment[other] };
+                if let Some(og) = other_g {
                     let pc = &pattern.edges[ei].constraint;
                     let present = if outgoing {
                         self.has_compatible_edge(g, pc, og)
@@ -333,7 +272,7 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
                 continue;
             }
             assignment[pi] = Some(g);
-            let stop = self.extend_match(pattern, order, adj, depth + 1, assignment, out);
+            let stop = self.extend_match(pattern, order, adj, depth + 1, assignment, limit, out);
             assignment[pi] = None;
             if stop {
                 return true;
@@ -364,75 +303,30 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
                 return v;
             }
         }
-        // Seed node: identity equivalences read the exact per-label
-        // index; keyed equivalences (case folding, synonym sets) read
-        // the normalised seed index; only arbitrary `LabelEquiv` impls
-        // pay the full node scan.
+        // Seed node: the exact label index, plus, for a fuzzy
+        // equivalence, a scan testing every other label through
+        // node_equiv.
         match &pattern.nodes[pi].constraint {
             NodeConstraint::Label(l) => {
-                if self.equiv.is_identity() {
-                    let mut v = self.graph.nodes_by_label(l).to_vec();
-                    v.sort_unstable();
-                    return v;
-                }
-                if let Some(keys) = self.equiv.seed_keys(l) {
-                    if let Some(index) = self.seed_index() {
-                        let mut v: Vec<NodeId> = Vec::new();
-                        for k in &keys {
-                            if let Some(bucket) = index.get(k.as_str()) {
-                                v.extend_from_slice(bucket);
-                            }
-                        }
-                        // candidates are re-verified by node_ok, so an
-                        // over-approximate bucket union is harmless
-                        v.sort_unstable();
-                        v.dedup();
-                        return v;
-                    }
-                }
-                // arbitrary equivalence: exact bucket plus a full scan
-                // testing every other label through node_equiv
                 let mut v: Vec<NodeId> = self.graph.nodes_by_label(l).to_vec();
-                for node in self.graph.nodes() {
-                    if node.label != l && self.equiv.node_equiv(l, node.label) {
-                        v.push(node.id);
+                if !self.equiv.is_identity() {
+                    for node in self.graph.nodes() {
+                        if node.label != l && self.equiv.node_equiv(l, node.label) {
+                            v.push(node.id);
+                        }
                     }
                 }
                 v.sort_unstable();
-                v.dedup();
                 v
             }
             NodeConstraint::Any => self.graph.node_ids().collect(),
         }
     }
 
-    /// The lazily built seed index for keyed equivalences: one
-    /// `seed_key` evaluation per *distinct* node label, one bucket per
-    /// key. `None` when the equivalence is not keyable.
-    fn seed_index(&self) -> Option<&FxHashMap<String, Vec<NodeId>>> {
-        self.seed_index
-            .get_or_init(|| {
-                let mut map: FxHashMap<String, Vec<NodeId>> = FxHashMap::default();
-                let mut key_of: FxHashMap<LabelId, Option<String>> = FxHashMap::default();
-                for n in self.graph.node_ids() {
-                    let lid = self.graph.node_label_id(n).expect("live node");
-                    let key = key_of
-                        .entry(lid)
-                        .or_insert_with(|| self.equiv.seed_key(self.graph.resolve(lid)));
-                    match key {
-                        Some(k) => map.entry(k.clone()).or_default().push(n),
-                        None => return None,
-                    }
-                }
-                Some(map)
-            })
-            .as_ref()
-    }
-
     /// Candidates adjacent to the matched node `og` under an edge
     /// constraint: `from_in_edges` selects og's in-edge sources,
-    /// otherwise its out-edge targets. Identity equivalences run on the
-    /// per-label index; fuzzy ones fall back to string checks.
+    /// otherwise its out-edge targets. Identity equivalences filter the
+    /// incident list on label ids; fuzzy ones compare label strings.
     fn edge_candidates(&self, og: NodeId, pc: &EdgeConstraint, from_in_edges: bool) -> Vec<NodeId> {
         let g = self.graph;
         let unlabeled = |from_in: bool| -> Vec<NodeId> {
@@ -471,28 +365,6 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
                 }
             }
         }
-    }
-}
-
-/// Borrowed-equivalence adapter so `find_first` can clone config without
-/// requiring `E: Clone`.
-struct EquivRef<'a, E: LabelEquiv>(&'a E);
-
-impl<E: LabelEquiv> LabelEquiv for EquivRef<'_, E> {
-    fn node_equiv(&self, p: &str, g: &str) -> bool {
-        self.0.node_equiv(p, g)
-    }
-    fn edge_equiv(&self, p: &str, g: &str) -> bool {
-        self.0.edge_equiv(p, g)
-    }
-    fn is_identity(&self) -> bool {
-        self.0.is_identity()
-    }
-    fn seed_key(&self, g: &str) -> Option<String> {
-        self.0.seed_key(g)
-    }
-    fn seed_keys(&self, p: &str) -> Option<Vec<String>> {
-        self.0.seed_keys(p)
     }
 }
 
@@ -641,28 +513,17 @@ mod tests {
     }
 
     #[test]
-    fn max_matches_limits_results() {
-        let g = sample();
-        let mut p = Pattern::new();
-        p.any_node();
-        let cfg = MatchConfig { max_matches: 3, ..Default::default() };
-        let ms = Matcher::new(&g).with_config(cfg).find_all(&p).unwrap();
-        assert_eq!(ms.len(), 3);
-    }
-
-    #[test]
-    fn injective_mode_prevents_node_reuse() {
+    fn self_loop_pattern_edges_are_checked() {
         let mut g = OntGraph::new("t");
         let a = g.add_node("A").unwrap();
-        g.add_edge(a, "loop", a).unwrap();
+        let b = g.add_node("B").unwrap();
+        g.add_edge(a, "loop", b).unwrap();
         let mut p = Pattern::new();
-        let x = p.any_node();
-        let y = p.any_node();
-        p.edge(x, "loop", y);
-        // homomorphism: x=y=A matches the self loop
-        assert!(Matcher::new(&g).matches(&p).unwrap());
-        let cfg = MatchConfig { injective: true, ..Default::default() };
-        assert!(!Matcher::new(&g).with_config(cfg).matches(&p).unwrap());
+        let x = p.node("A");
+        p.edge(x, "loop", x);
+        assert!(!Matcher::new(&g).matches(&p).unwrap(), "A has no loop onto itself");
+        g.add_edge(a, "loop", a).unwrap();
+        assert_eq!(Matcher::new(&g).count(&p).unwrap(), 1);
     }
 
     #[test]
@@ -670,7 +531,7 @@ mod tests {
         let g = sample();
         let p = Pattern::parse("Price -SubclassOf-> Car").unwrap(); // wrong label
         assert!(!Matcher::new(&g).matches(&p).unwrap());
-        let cfg = MatchConfig { relax_edge_labels: true, ..Default::default() };
+        let cfg = MatchConfig { relax_edge_labels: true };
         assert!(Matcher::new(&g).with_config(cfg).matches(&p).unwrap());
     }
 
@@ -701,45 +562,6 @@ mod tests {
         let ms = Matcher::with_equiv(&g, Syn).find_all(&p).unwrap();
         assert_eq!(ms.len(), 1);
         assert_eq!(g.node_label(ms[0].nodes[0]), Some("Car"));
-    }
-
-    /// Keyed synonym equivalence: enumerable classes expose seed keys,
-    /// so seeding goes through the normalised index instead of a scan.
-    struct KeyedSyn;
-    impl LabelEquiv for KeyedSyn {
-        fn node_equiv(&self, p: &str, g: &str) -> bool {
-            let norm = |s: &str| {
-                if s.eq_ignore_ascii_case("automobile") {
-                    "car".to_string()
-                } else {
-                    s.to_ascii_lowercase()
-                }
-            };
-            norm(p) == norm(g)
-        }
-        fn seed_key(&self, g: &str) -> Option<String> {
-            if g.eq_ignore_ascii_case("automobile") {
-                Some("car".into())
-            } else {
-                Some(g.to_ascii_lowercase())
-            }
-        }
-    }
-
-    #[test]
-    fn keyed_equiv_seeds_through_the_index() {
-        let g = sample();
-        let mut p = Pattern::new();
-        let a = p.node("Automobile");
-        let v = p.node("Vehicle");
-        p.edge(a, rel::SUBCLASS_OF, v);
-        let ms = Matcher::with_equiv(&g, KeyedSyn).find_all(&p).unwrap();
-        assert_eq!(ms.len(), 1);
-        assert_eq!(g.node_label(ms[0].nodes[0]), Some("Car"));
-        // a key with no bucket yields no candidates (and no scan)
-        let mut p2 = Pattern::new();
-        p2.node("Spaceship");
-        assert!(!Matcher::with_equiv(&g, KeyedSyn).matches(&p2).unwrap());
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! (§4.2 "the transitive closure of the edges"), and the Difference
 //! operator's path condition (§5.3: a node survives only if "there exists
 //! no path from n to any n′ in N2").
+//!
+//! Every traversal resolves its [`EdgeFilter`] once and then walks the
+//! graph's incident lists, comparing label ids, never strings.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -72,9 +75,9 @@ impl ResolvedFilter {
     }
 }
 
-/// Visits each admitted neighbour of `n` (push style: the per-label
-/// adjacency index is walked directly, so a `Labels` filter does no
-/// per-edge work at all — not even an id comparison).
+/// Visits each admitted neighbour of `n` (push style: one pass over
+/// each followed incident list, with an id comparison per edge under a
+/// `Labels` filter).
 #[inline]
 fn for_each_neighbor(
     g: &OntGraph,
@@ -83,51 +86,17 @@ fn for_each_neighbor(
     filter: &ResolvedFilter,
     mut f: impl FnMut(NodeId),
 ) {
-    let fwd = matches!(dir, Direction::Forward | Direction::Both);
-    let bwd = matches!(dir, Direction::Backward | Direction::Both);
-    match filter {
-        ResolvedFilter::All => {
-            if fwd {
-                for (_, _, dst) in g.out_edge_entries(n) {
-                    f(dst);
-                }
-            }
-            if bwd {
-                for (_, _, src) in g.in_edge_entries(n) {
-                    f(src);
-                }
+    if matches!(dir, Direction::Forward | Direction::Both) {
+        for (_, lid, dst) in g.out_edge_entries(n) {
+            if filter.admits(lid) {
+                f(dst);
             }
         }
-        // single label: jump straight to the one bucket
-        ResolvedFilter::Ids(ids) if ids.len() == 1 => {
-            let lid = ids[0];
-            if fwd {
-                for m in g.out_neighbors_by_id(n, lid) {
-                    f(m);
-                }
-            }
-            if bwd {
-                for m in g.in_neighbors_by_id(n, lid) {
-                    f(m);
-                }
-            }
-        }
-        // several labels: one pass over the incident list beats probing
-        // a bucket per label
-        ResolvedFilter::Ids(ids) => {
-            if fwd {
-                for (_, lid, dst) in g.out_edge_entries(n) {
-                    if ids.contains(&lid) {
-                        f(dst);
-                    }
-                }
-            }
-            if bwd {
-                for (_, lid, src) in g.in_edge_entries(n) {
-                    if ids.contains(&lid) {
-                        f(src);
-                    }
-                }
+    }
+    if matches!(dir, Direction::Backward | Direction::Both) {
+        for (_, lid, src) in g.in_edge_entries(n) {
+            if filter.admits(lid) {
+                f(src);
             }
         }
     }

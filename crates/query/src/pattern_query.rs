@@ -112,7 +112,7 @@ pub fn compile_scoped(text: &str) -> Result<Pattern> {
 /// Runs a schema pattern over the unified graph.
 pub fn run(unified: &OntGraph, pattern: &Pattern) -> Result<Vec<Match>> {
     Matcher::with_equiv(unified, SchemaEquiv)
-        .with_config(MatchConfig { relax_edge_labels: true, ..Default::default() })
+        .with_config(MatchConfig { relax_edge_labels: true })
         .find_all(pattern)
         .map_err(|e| QueryError::Parse(e.to_string()))
 }

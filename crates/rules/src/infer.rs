@@ -25,7 +25,7 @@
 //! Symbols live in an external [`AtomTable`] rather than inside the fact
 //! base, so one table can back many fact bases (the articulation
 //! generator reuses the system's shared table across runs) and seeding
-//! from a graph ([`seed_subclass_facts`]) goes through
+//! from a graph ([`seed_relation_facts`]) goes through
 //! [`AtomTable::graph_atoms`] without ever formatting or hashing a
 //! string per fact. The string-accepting methods here are the thin
 //! display/test view the parser boundary needs; the hot paths are the
@@ -56,7 +56,7 @@ use onion_graph::hash::{FxHashMap, FxHasher};
 use onion_graph::{rel, OntGraph};
 
 use crate::atoms::{AtomId, AtomTable};
-use crate::horn::{Atom, HornClause, HornProgram, TermArg};
+use crate::horn::{pred_name, Atom, HornClause, HornProgram, TermArg};
 use crate::{Result, RuleError};
 
 /// A ground fact: interned predicate and argument atoms — the owned
@@ -373,7 +373,7 @@ impl FactBase {
     }
 }
 
-/// What [`seed_subclass_facts`] loaded from one graph.
+/// What [`seed_relation_facts`] loaded from one graph.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeedStats {
     /// Facts that were new to the fact base.
@@ -383,7 +383,14 @@ pub struct SeedStats {
 }
 
 /// Seeds one interned `subclassof(src, dst)` fact per live `SubclassOf`
-/// edge of `g`, in edge order. Endpoints are the graph's node labels
+/// edge of `g`, in edge order ([`seed_relation_facts`] for `SubclassOf`).
+pub fn seed_subclass_facts(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> SeedStats {
+    seed_relation_facts(g, rel::SUBCLASS_OF, atoms, fb)
+}
+
+/// Seeds one interned fact per live edge of `g` labelled `relation`, in
+/// edge order, under the relation's predicate ([`pred_name`]:
+/// `InstanceOf` → `instanceof`). Endpoints are the graph's node labels
 /// under its name as namespace, resolved through the table's per-graph
 /// label memo ([`AtomTable::graph_atoms`]), so no string is formatted
 /// or hashed per fact. An edge whose endpoint node is deleted (churn
@@ -393,13 +400,18 @@ pub struct SeedStats {
 /// This is the one graph-seeding walk: the articulation generator runs
 /// it on every ontology it expands, whether or not saturation then
 /// runs on an executor.
-pub fn seed_subclass_facts(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> SeedStats {
+pub fn seed_relation_facts(
+    g: &OntGraph,
+    relation: &str,
+    atoms: &mut AtomTable,
+    fb: &mut FactBase,
+) -> SeedStats {
     let mut out = SeedStats::default();
-    let Some(sub) = g.label_id(rel::SUBCLASS_OF) else { return out };
-    let pred = atoms.intern("subclassof");
+    let Some(want) = g.label_id(relation) else { return out };
+    let pred = atoms.intern(&pred_name(relation));
     let mut cursor = atoms.graph_atoms(g);
     for (_, src, lid, dst) in g.edge_entries() {
-        if lid != sub {
+        if lid != want {
             continue;
         }
         let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else {

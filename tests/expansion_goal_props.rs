@@ -36,7 +36,7 @@ use proptest::prelude::*;
 use onion_core::prelude::*;
 use onion_core::rules::horn::{lower_rules_interned, HornProgram};
 use onion_core::rules::infer::RoundStats;
-use onion_core::rules::infer::{seed_subclass_facts, FactBase, InferenceEngine, InferenceStats};
+use onion_core::rules::infer::{seed_relation_facts, FactBase, InferenceEngine, InferenceStats};
 use onion_core::testkit::{deep_chain_ontology, overlap_pair, OverlapPair, OverlapSpec};
 use onion_core::OnionSystem;
 
@@ -59,7 +59,8 @@ fn mask_graph_id(s: &str) -> String {
 }
 
 /// A copy of the expansion before goal direction: seed the SI bridges,
-/// every ontology's subclass edges and the lowered rules, close them
+/// the sources' subclass and instance edges, the articulation's
+/// subclass edges and the lowered rules, close them
 /// under the standard program, keep each `si(a, b)` with `b` an
 /// articulation term and `a` a source term, sort on text and add the
 /// pairs no bridge already holds. Returns the number of bridges added.
@@ -75,8 +76,12 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
             fb.add_fact(si, &[s, d]);
         }
     }
-    for o in sources.iter().copied().chain([&*art.ontology]) {
-        seed_subclass_facts(o.graph(), atoms, &mut fb);
+    let relations = sources
+        .iter()
+        .flat_map(|&o| [(o, rel::SUBCLASS_OF), (o, rel::INSTANCE_OF)])
+        .chain([(&*art.ontology, rel::SUBCLASS_OF)]);
+    for (o, relation) in relations {
+        seed_relation_facts(o.graph(), relation, atoms, &mut fb);
     }
     for (a, b) in lower_rules_interned(atoms, &art.rules.rules) {
         fb.add_fact(si, &[a, b]);

@@ -1,12 +1,18 @@
 //! Property-based tests on the graph substrate: transformation
-//! primitives, closure, pattern matching.
+//! primitives, closure, pattern matching. Fuzzy matching (case folding,
+//! a generated synonym lexicon, the schema queries' equivalence) is
+//! checked against a brute-force enumeration of node mappings.
 
 use proptest::prelude::*;
 
 use onion_core::graph::closure::{materialize_closure, transitive_pairs, transitive_reduce};
 use onion_core::graph::ops::{apply_all, GraphOp};
+use onion_core::graph::pattern::{EdgeConstraint, NodeConstraint};
 use onion_core::graph::traverse::{has_path, EdgeFilter};
+use onion_core::graph::CaseInsensitiveEquiv;
+use onion_core::lexicon::SynonymEquiv;
 use onion_core::prelude::*;
+use onion_core::query::pattern_query::SchemaEquiv;
 
 /// A small label alphabet keeps collision (and thus interesting merges)
 /// likely.
@@ -26,6 +32,92 @@ fn graph_from(edges: &[(String, String)]) -> OntGraph {
         }
     }
     g
+}
+
+/// Local names with case, plural and synonym variants, so every fuzzy
+/// equivalence relates labels that differ.
+const FUZZY_NAMES: [&str; 10] =
+    ["Car", "cars", "CAR", "Automobile", "auto", "Truck", "trucks", "Lorry", "Vehicle", "vehicles"];
+
+/// Edge labels with case variants.
+const FUZZY_EDGES: [&str; 4] = ["S", "s", "Rel", "REL"];
+
+/// Label `i`: a local name under no prefix or one of two ontology
+/// prefixes (`SchemaEquiv` compares qualified labels part by part).
+fn fuzzy_label(i: usize) -> String {
+    let prefix = ["", "carrier.", "factory."][i / FUZZY_NAMES.len() % 3];
+    format!("{prefix}{}", FUZZY_NAMES[i % FUZZY_NAMES.len()])
+}
+
+/// Every node mapping of `p` into `g` that a brute-force enumeration
+/// accepts, sorted: each labelled pattern node's image carries an
+/// `equiv`-equivalent label, and every pattern edge has a graph edge
+/// between the images whose label its constraint admits (any label
+/// under `relax`).
+fn brute_matches<E: LabelEquiv>(
+    g: &OntGraph,
+    p: &Pattern,
+    equiv: &E,
+    relax: bool,
+) -> Vec<Vec<NodeId>> {
+    let nodes: Vec<NodeId> = g.node_ids().collect();
+    let edges: Vec<(NodeId, &str, NodeId)> = g.edges().map(|e| (e.src, e.label, e.dst)).collect();
+    let mut out = Vec::new();
+    if nodes.is_empty() {
+        return out;
+    }
+    // an odometer over nodes^k
+    let mut at = vec![0usize; p.node_count()];
+    loop {
+        let f: Vec<NodeId> = at.iter().map(|&i| nodes[i]).collect();
+        let nodes_ok = p.nodes.iter().zip(&f).all(|(pn, &n)| match &pn.constraint {
+            NodeConstraint::Any => true,
+            NodeConstraint::Label(l) => equiv.node_equiv(l, g.node_label(n).expect("live")),
+        });
+        let edges_ok = p.edges.iter().all(|pe| {
+            edges.iter().any(|&(s, l, d)| {
+                (s, d) == (f[pe.src], f[pe.dst])
+                    && (relax
+                        || match &pe.constraint {
+                            EdgeConstraint::Any => true,
+                            EdgeConstraint::Label(pl) => equiv.edge_equiv(pl, l),
+                        })
+            })
+        });
+        if nodes_ok && edges_ok {
+            out.push(f);
+        }
+        let mut digit = 0;
+        loop {
+            if digit == at.len() {
+                out.sort();
+                return out;
+            }
+            at[digit] += 1;
+            if at[digit] < nodes.len() {
+                break;
+            }
+            at[digit] = 0;
+            digit += 1;
+        }
+    }
+}
+
+/// `find_all` returns exactly the brute-force matches, once each, and
+/// `matches` (the one-match search) agrees on whether there is any.
+fn check_fuzzy<E: LabelEquiv + Clone>(
+    g: &OntGraph,
+    p: &Pattern,
+    equiv: E,
+    relax: bool,
+) -> TestCaseResult {
+    let want = brute_matches(g, p, &equiv, relax);
+    let m = Matcher::with_equiv(g, equiv).with_config(MatchConfig { relax_edge_labels: relax });
+    let mut got: Vec<Vec<NodeId>> = m.find_all(p).unwrap().into_iter().map(|x| x.nodes).collect();
+    got.sort();
+    prop_assert_eq!(&got, &want);
+    prop_assert_eq!(m.matches(p).unwrap(), !want.is_empty());
+    Ok(())
 }
 
 proptest! {
@@ -152,5 +244,51 @@ proptest! {
         op.inverse().unwrap().apply(&mut g).unwrap();
         // fresh nodes remain but edges are restored
         prop_assert_eq!(g.edge_triples_sorted(), snapshot);
+    }
+}
+
+proptest! {
+    // each case enumerates up to 30^3 node mappings per equivalence
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    /// Under `CaseInsensitiveEquiv`, a `SynonymEquiv` over a generated
+    /// lexicon and `SchemaEquiv`, with exact and relaxed edge labels,
+    /// patterns whose first node is labelled (so the search seeds from
+    /// the exact label index plus a scan of every node) return exactly
+    /// the brute-force matches.
+    #[test]
+    fn fuzzy_matches_equal_a_brute_force_enumeration(
+        edges in prop::collection::vec((0usize..30, 0usize..4, 0usize..30), 0..24),
+        synsets in prop::collection::vec(prop::collection::vec(0usize..10, 1..4), 0..4),
+        pattern_nodes in prop::collection::vec((0usize..30, 0u8..3), 1..4),
+        pattern_edges in prop::collection::vec((0usize..3, 0usize..3, 0usize..5), 0..3),
+    ) {
+        let mut g = OntGraph::new("fuzzy");
+        for &(a, l, b) in &edges {
+            g.ensure_edge_by_labels(&fuzzy_label(a), FUZZY_EDGES[l], &fuzzy_label(b)).unwrap();
+        }
+        let mut lexicon = Lexicon::new();
+        for words in &synsets {
+            lexicon.add_synset(words.iter().map(|&w| FUZZY_NAMES[w]), None);
+        }
+        let mut p = Pattern::new();
+        for (i, &(label, kind)) in pattern_nodes.iter().enumerate() {
+            if i == 0 || kind > 0 {
+                p.node(&fuzzy_label(label));
+            } else {
+                p.any_node();
+            }
+        }
+        let k = p.node_count();
+        for &(s, d, l) in &pattern_edges {
+            match FUZZY_EDGES.get(l) {
+                Some(label) => p.edge(s % k, label, d % k),
+                None => p.any_edge(s % k, d % k),
+            };
+        }
+        for relax in [false, true] {
+            check_fuzzy(&g, &p, CaseInsensitiveEquiv, relax)?;
+            check_fuzzy(&g, &p, SynonymEquiv::new(&lexicon), relax)?;
+            check_fuzzy(&g, &p, SchemaEquiv, relax)?;
+        }
     }
 }

@@ -1,8 +1,9 @@
-//! Property tests for the label-indexed adjacency layer: the id-typed
-//! and string-typed APIs must agree on arbitrary graphs (this is the
-//! executable witness that the string wrappers are thin — they resolve
-//! the label once and run the same id path), and the closure operators
-//! must respect reachability on random DAGs from `onion-testkit`.
+//! Property tests for the adjacency layer, the one view each node keeps
+//! of its live edges (its incident lists): the id-typed and string-typed
+//! APIs must agree on arbitrary graphs (this is the executable witness
+//! that the string wrappers are thin — they resolve the label once and
+//! run the same id path), and the closure operators must respect
+//! reachability on random DAGs from `onion-testkit`.
 //!
 //! Edge lookup has its own oracle: a brute-force search of
 //! `edge_entries()` for the `(src, label, dst)` triple. `find_edge`,
@@ -10,12 +11,19 @@
 //! must agree with it on present and absent triples, after delete /
 //! re-add churn, and on graphs with one hub holding a few hundred
 //! out-edges under one label (the longest out-list a lookup scans).
+//!
+//! So does label-filtered adjacency: the neighbour iterators must equal
+//! a filter of `edge_entries()` in order, and `reachable_from_all` and
+//! `has_path` a search over that filtered edge list, after edge and
+//! node churn.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use onion_core::graph::closure::{materialize_closure, transitive_pairs, transitive_reduce};
 use onion_core::graph::rel;
-use onion_core::graph::traverse::EdgeFilter;
+use onion_core::graph::traverse::{has_path, reachable_from_all, Direction, EdgeFilter};
 use onion_core::graph::{GraphError, LabelId};
 use onion_core::prelude::*;
 use onion_core::testkit::{generate_dag, generate_graph, GraphSpec};
@@ -144,6 +152,73 @@ fn check_all_lookups(
     Ok(())
 }
 
+/// A generated mixed-label graph after churn: every `stride`-th edge
+/// deleted, the nodes `node_kills` picks deleted with their incident
+/// edges, then the surviving deleted edges re-added in reverse order,
+/// so incident lists no longer follow generation order. Returns the
+/// graph and its deleted nodes.
+fn churned_graph(seed: u64, stride: usize, node_kills: &[usize]) -> (OntGraph, Vec<NodeId>) {
+    let mut g = generate_graph(&GraphSpec::sized(seed, 60, 300));
+    let victims: Vec<(NodeId, String, NodeId)> =
+        g.edges().step_by(stride).map(|e| (e.src, e.label.to_string(), e.dst)).collect();
+    for (s, l, d) in &victims {
+        let id = g.find_edge(*s, l, *d).expect("listed edge");
+        g.delete_edge(id).unwrap();
+    }
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    let mut dead = Vec::new();
+    for k in node_kills {
+        let n = ids[k % ids.len()];
+        if g.is_live_node(n) {
+            g.delete_node(n).unwrap();
+            dead.push(n);
+        }
+    }
+    for (s, l, d) in victims.iter().rev() {
+        if g.is_live_node(*s) && g.is_live_node(*d) {
+            g.add_edge(*s, l, *d).unwrap();
+        }
+    }
+    (g, dead)
+}
+
+/// The oracle adjacency: `n`'s neighbours across live `label` edges
+/// (its out-neighbours when `out`, else its in-neighbours), by a filter
+/// of `edge_entries()` in edge-id order, which is insertion order.
+fn brute_neighbors(g: &OntGraph, n: NodeId, label: LabelId, out: bool) -> Vec<NodeId> {
+    g.edge_entries()
+        .filter(|&(_, s, l, d)| l == label && n == if out { s } else { d })
+        .map(|(_, s, _, d)| if out { d } else { s })
+        .collect()
+}
+
+/// The oracle traversal: every node a search from the live `starts`
+/// reaches over the live edges whose label `admits`, each followed
+/// forwards or backwards, read from `edge_entries()`.
+fn brute_reach(
+    g: &OntGraph,
+    starts: &[NodeId],
+    forward: bool,
+    admits: &dyn Fn(LabelId) -> bool,
+) -> BTreeSet<NodeId> {
+    let steps: Vec<(NodeId, NodeId)> = g
+        .edge_entries()
+        .filter(|&(_, _, l, _)| admits(l))
+        .map(|(_, s, _, d)| if forward { (s, d) } else { (d, s) })
+        .collect();
+    let mut seen: BTreeSet<NodeId> =
+        starts.iter().copied().filter(|&s| g.is_live_node(s)).collect();
+    let mut frontier: Vec<NodeId> = seen.iter().copied().collect();
+    while let Some(n) = frontier.pop() {
+        for &(a, b) in &steps {
+            if a == n && seen.insert(b) {
+                frontier.push(b);
+            }
+        }
+    }
+    seen
+}
+
 proptest! {
     /// `transitive_reduce` alone never changes reachability: it deletes
     /// only edges implied by paths that remain.
@@ -182,7 +257,7 @@ proptest! {
         prop_assert!(g.same_shape(&reduced));
     }
 
-    /// Id-based and string-based neighbour/degree/find APIs agree on
+    /// Id-based and string-based neighbour/find APIs agree on
     /// random mixed-label graphs — and the id path never consults the
     /// interner, so agreement proves the wrappers do exactly one
     /// resolution at the boundary.
@@ -210,25 +285,12 @@ proptest! {
                 };
                 prop_assert_eq!(&in_str, &in_id);
                 if let Some(l) = lid {
-                    prop_assert_eq!(by_id.len(), g.out_degree_labeled(n, l));
-                    prop_assert_eq!(in_id.len(), g.in_degree_labeled(n, l));
-                    prop_assert_eq!(
-                        g.degree_labeled(n, l),
-                        g.out_degree_labeled(n, l) + g.in_degree_labeled(n, l)
-                    );
                     for &m in &by_id {
                         prop_assert_eq!(g.find_edge(n, label, m), g.find_edge_by_ids(n, l, m));
                         prop_assert!(g.find_edge_by_ids(n, l, m).is_some());
                     }
                 }
             }
-            // the whole incident list partitions into the label buckets
-            let out_total: usize = labels
-                .iter()
-                .filter_map(|l| g.label_id(l))
-                .map(|l| g.out_degree_labeled(n, l))
-                .sum();
-            prop_assert_eq!(out_total, g.out_degree(n));
             prop_assert_eq!(g.out_edge_entries(n).count(), g.out_degree(n));
             prop_assert_eq!(g.in_edge_entries(n).count(), g.in_degree(n));
         }
@@ -247,8 +309,8 @@ proptest! {
         prop_assert_eq!(refs, entries);
     }
 
-    /// Deleting and re-adding edges keeps both adjacency views
-    /// consistent (incident lists, label buckets, lookups and degrees).
+    /// Deleting and re-adding edges keeps the incident lists consistent
+    /// with lookups and degrees.
     #[test]
     fn churn_keeps_indexes_consistent(seed in 0u64..32, kills in 1usize..20) {
         let mut g = generate_graph(&GraphSpec::sized(seed, 40, 200));
@@ -332,5 +394,79 @@ proptest! {
             }
         }
         check_all_lookups(&mut g, &dead, &random)?;
+    }
+}
+
+proptest! {
+    // each case filters every live edge per (node, label) pair
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    /// Label-filtered adjacency is a filter of the live edges: for every
+    /// node (deleted ones included) and every label (edge labels, a node
+    /// label no edge carries, and for the string wrappers one label never
+    /// interned), the id- and string-typed neighbour iterators return
+    /// exactly the brute-force filter of `edge_entries()`, in order; the
+    /// per-label counts partition each incident list. `reachable_from_all`
+    /// (forwards and backwards) and `has_path`, under a one-label filter,
+    /// a two-label filter and `All`, equal a search over that filter.
+    #[test]
+    fn label_filtered_adjacency_matches_a_brute_force_filter(
+        seed in 0u64..64,
+        stride in 2usize..7,
+        node_kills in prop::collection::vec(0usize..1000, 0..10),
+        starts in prop::collection::vec(0usize..1000, 1..4),
+        pick in 0usize..16,
+    ) {
+        let (g, dead) = churned_graph(seed, stride, &node_kills);
+        let mut names: Vec<String> = g.edge_labels().into_iter().map(str::to_string).collect();
+        let node_label = g.node_labels_sorted()[0].to_string();
+        let ids: Vec<LabelId> = names
+            .iter()
+            .chain([&node_label])
+            .map(|l| g.label_id(l).expect("interned"))
+            .collect();
+        let all: Vec<NodeId> = g.node_ids().chain(dead.iter().copied()).collect();
+        for &n in &all {
+            let (mut out_total, mut in_total) = (0, 0);
+            for &l in &ids {
+                let (out, inc) = (brute_neighbors(&g, n, l, true), brute_neighbors(&g, n, l, false));
+                prop_assert_eq!(&g.out_neighbors_by_id(n, l).collect::<Vec<_>>(), &out);
+                prop_assert_eq!(&g.in_neighbors_by_id(n, l).collect::<Vec<_>>(), &inc);
+                prop_assert_eq!(&g.out_neighbors(n, g.resolve(l)).collect::<Vec<_>>(), &out);
+                prop_assert_eq!(&g.in_neighbors(n, g.resolve(l)).collect::<Vec<_>>(), &inc);
+                out_total += out.len();
+                in_total += inc.len();
+            }
+            prop_assert_eq!(out_total, g.out_degree(n));
+            prop_assert_eq!(in_total, g.in_degree(n));
+            prop_assert_eq!(g.out_neighbors(n, "NeverInterned").count(), 0);
+            prop_assert_eq!(g.in_neighbors(n, "NeverInterned").count(), 0);
+        }
+
+        names.push("NeverInterned".to_string());
+        let one = vec![names[pick % names.len()].clone()];
+        let two = vec![names[pick % names.len()].clone(), names[(pick + 1) % names.len()].clone()];
+        let starts: Vec<NodeId> = starts.iter().map(|&i| all[i % all.len()]).collect();
+        for labels in [Some(one), Some(two), None] {
+            let filter = match &labels {
+                Some(ls) => EdgeFilter::Labels(ls.clone()),
+                None => EdgeFilter::All,
+            };
+            let admits = |l: LabelId| labels.as_ref().map_or(true, |ls| ls.iter().any(|x| x == g.resolve(l)));
+            for (dir, forward) in [(Direction::Forward, true), (Direction::Backward, false)] {
+                let got: BTreeSet<NodeId> =
+                    reachable_from_all(&g, &starts, dir, &filter).into_iter().collect();
+                prop_assert_eq!(got, brute_reach(&g, &starts, forward, &admits));
+            }
+            for &a in &starts {
+                let reach = brute_reach(&g, &[a], true, &admits);
+                for &b in &all {
+                    prop_assert_eq!(
+                        has_path(&g, a, b, &filter),
+                        reach.contains(&b),
+                        "has_path({:?}, {:?}) under {:?}", a, b, filter
+                    );
+                }
+            }
+        }
     }
 }
