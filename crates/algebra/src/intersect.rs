@@ -9,9 +9,9 @@
 //! scalable articulation concepts."
 //!
 //! Intersection delegates wholesale to the articulation generator, so
-//! its traversal cost (structure inheritance's per-label closure,
-//! common-subclass lookups) rides on the graph's label-indexed
-//! adjacency layer rather than doing any matching of its own.
+//! its traversal cost (structure inheritance's one walk per anchored
+//! source node, common-subclass lookups) rides on the graph's
+//! label-filtered adjacency rather than doing any matching of its own.
 
 use std::sync::Arc;
 

@@ -32,7 +32,8 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use onion_graph::hash::{FxHashMap, FxHashSet};
-use onion_graph::{rel, LabelId, NodeId};
+use onion_graph::traverse::{bfs, Direction, EdgeFilter};
+use onion_graph::{rel, NodeId};
 use onion_ontology::Ontology;
 use onion_rules::horn::{lower_rules_interned, HornProgram};
 use onion_rules::infer::{seed_relation_facts, FactBase, InferenceEngine, InferenceStats};
@@ -465,16 +466,15 @@ impl ArticulationGenerator {
     /// `SIBridge` bridge) to source terms inherit the `SubclassOf`
     /// relationships of those terms.
     ///
-    /// Anchored terms are keyed `(source index, label id)`, as
-    /// [`ImplicationIndex`](crate::ImplicationIndex) keys its terms, so
-    /// the quadratic anchor×anchor membership loop hashes two `u32`s
-    /// per probe instead of building and hashing `"onto.Term"` strings
-    /// (ROADMAP "Remaining string seams"). A bridge term absent from
-    /// its source graph cannot appear in that graph's subclass closure,
-    /// so it anchors nothing, exactly as the string path behaved.
+    /// Each distinct anchored source node is walked once, up its
+    /// `SubclassOf` edges; every other anchored node the walk reaches
+    /// gives each articulation node anchored at the start a subclass
+    /// edge to each one anchored there. The start itself never counts,
+    /// so the walk may enter it first. A term with no live node in its
+    /// source graph anchors nothing.
     fn inherit_structure(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<()> {
-        // art label -> anchored (source index, term label-id) pairs
-        let mut anchors: Vec<(Arc<str>, u16, LabelId)> = Vec::new();
+        // (source index, anchored node) -> the art labels anchored there
+        let mut anchors: FxHashMap<(usize, NodeId), Vec<Arc<str>>> = FxHashMap::default();
         let art_name = art.name().to_string();
         for b in &art.bridges {
             if &*b.label != rel::SI_BRIDGE {
@@ -491,47 +491,17 @@ impl ArticulationGenerator {
                 continue;
             };
             let Some(idx) = sources.iter().position(|s| s.name() == o) else { continue };
-            // a term with no node in its source graph has no label id and
-            // no subclass relationships to inherit
-            if let Some(lid) = sources[idx].graph().label_id(&src_end.name) {
-                anchors.push((art_end.name.clone(), idx as u16, lid));
+            if let Some(n) = sources[idx].graph().node_by_label(&src_end.name) {
+                anchors.entry((idx, n)).or_default().push(art_end.name.clone());
             }
         }
-        // Precompute each referenced source's subclass closure once (as
-        // label-id pairs); anchors are then checked by set membership
-        // instead of per-pair BFS (this loop is quadratic in anchors and
-        // dominated the B5 union numbers before).
-        let mut closures: Vec<Option<FxHashSet<(u32, u32)>>> = vec![None; sources.len()];
-        for &(_, idx, _) in &anchors {
-            let slot = &mut closures[idx as usize];
-            if slot.is_some() {
-                continue;
-            }
-            let g = sources[idx as usize].graph();
-            let pairs = onion_graph::closure::transitive_pairs(
-                g,
-                &onion_graph::traverse::EdgeFilter::label(rel::SUBCLASS_OF),
-            );
-            let set: FxHashSet<(u32, u32)> = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    (
-                        g.node_label_id(a).expect("live").index() as u32,
-                        g.node_label_id(b).expect("live").index() as u32,
-                    )
-                })
-                .collect();
-            *slot = Some(set);
-        }
+        let subclass = EdgeFilter::label(rel::SUBCLASS_OF);
         let mut new_edges: Vec<(Arc<str>, Arc<str>)> = Vec::new();
-        for (xl, xo, xt) in &anchors {
-            let Some(closure) = closures[*xo as usize].as_ref() else { continue };
-            for (yl, yo, yt) in &anchors {
-                if xl == yl || xo != yo || xt == yt {
-                    continue;
-                }
-                if closure.contains(&(xt.index() as u32, yt.index() as u32)) {
-                    new_edges.push((xl.clone(), yl.clone()));
+        for (&(idx, n), xs) in &anchors {
+            for m in bfs(sources[idx].graph(), n, Direction::Forward, &subclass) {
+                let Some(ys) = anchors.get(&(idx, m)).filter(|_| m != n) else { continue };
+                for x in xs {
+                    new_edges.extend(ys.iter().filter(|y| *y != x).map(|y| (x.clone(), y.clone())));
                 }
             }
         }
@@ -567,13 +537,14 @@ impl ArticulationGenerator {
     /// along paths that end at a goal. Edges whose endpoint node was
     /// deleted mid-churn are skipped and counted rather than panicking.
     ///
-    /// Every `implies(a, b)` whose `a` lies in a source namespace
-    /// becomes a bridge from `a`'s canonical parts to the node `b` was
-    /// seeded from, named by that node's label: a dotted articulation
-    /// name (`transport.v2`) keys its atoms as `transport` + `v2.Label`,
-    /// and the label, not that canonical name, is what the articulation
-    /// defines. Bridges come out sorted on the atoms' text, each new
-    /// `(src, dst)` pair once.
+    /// Every `implies(a, b)` whose `a` names a source term becomes a
+    /// bridge from that term to the node `b` was seeded from. Both ends
+    /// are named as their ontology names them, not by the atoms'
+    /// canonical split: a dotted name (`carrier.v2`, `transport.v2`)
+    /// keys its atoms as `carrier` + `v2.Car`, but the source is
+    /// `carrier.v2` and its term `Car`, and the articulation end is the
+    /// seeded node's label. Bridges come out sorted on the atoms' text,
+    /// each new `(src, dst)` pair once.
     fn expand(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<GeneratorStats> {
         let shared = self.config.atoms.clone();
         let mut guard;
@@ -640,26 +611,55 @@ impl ArticulationGenerator {
             None => InferenceEngine::new(program).run(atoms, &mut fb)?,
         };
 
-        // keep implications from a source term. An ontology name keys
-        // under the atom table's canonical split ("acme.v2" → namespace
-        // "acme" + name prefix "v2."), so each name becomes (namespace
-        // index, optional name prefix): for the common dot-free name a
-        // pure index compare
-        let source_keys: Vec<(u32, Option<String>)> = sources
+        // keep implications from a source term. A source name keys under
+        // the atom table's canonical split ("acme.v2" → namespace "acme"
+        // + name prefix "v2."), so each source becomes (namespace index,
+        // name prefix): for the common dot-free name a pure index compare
+        let source_keys: Vec<(usize, u32, Option<String>)> = sources
             .iter()
-            .filter_map(|o| match o.name().split_once('.') {
-                Some((head, tail)) => {
-                    atoms.namespace_lookup(head).map(|ns| (ns, Some(format!("{tail}."))))
-                }
-                None => atoms.namespace_lookup(o.name()).map(|ns| (ns, None)),
+            .enumerate()
+            .filter_map(|(i, o)| {
+                let (head, prefix) = match o.name().split_once('.') {
+                    Some((head, tail)) => (head, Some(format!("{tail}."))),
+                    None => (o.name(), None),
+                };
+                Some((i, atoms.namespace_lookup(head)?, prefix))
             })
             .collect();
         let implies = atoms.intern("implies");
+        let atoms: &AtomTable = atoms;
+        // the source (index into `sources`) and label of the term a source
+        // atom names: the label is the name after the source's prefix.
+        // Where two source names share a namespace ("acme", "acme.v2"),
+        // both can match; the one that defines the label wins
+        let shared_ns = source_keys
+            .iter()
+            .enumerate()
+            .any(|(k, a)| source_keys[..k].iter().any(|b| b.1 == a.1));
+        let source_term = |id: AtomId| -> Option<(usize, &str)> {
+            let ns = atoms.namespace_of(id)?;
+            let name = atoms.name_of(id);
+            let mut first = None;
+            for &(i, key, ref prefix) in &source_keys {
+                if key != ns {
+                    continue;
+                }
+                let Some(label) = prefix.as_deref().map_or(Some(name), |p| name.strip_prefix(p))
+                else {
+                    continue;
+                };
+                if !shared_ns || sources[i].defines(label) {
+                    return Some((i, label));
+                }
+                first = first.or(Some((i, label)));
+            }
+            first
+        };
         let mut derived: Vec<(AtomId, AtomId)> = fb
             .query2_ids(implies, None, None)
             .into_iter()
             .filter(|&(a, _)| {
-                source_keys.iter().any(|(ns, prefix)| {
+                source_keys.iter().any(|(_, ns, prefix)| {
                     atoms.namespace_of(a) == Some(*ns)
                         && prefix.as_deref().map_or(true, |p| atoms.name_of(a).starts_with(p))
                 })
@@ -674,7 +674,7 @@ impl ArticulationGenerator {
         // label: a term is built once per atom and cloned per bridge
         let label: Arc<str> = rel::SI_BRIDGE.into();
         let art_name: Arc<str> = art.name().into();
-        let mut ns_names: Vec<(u32, Arc<str>)> = Vec::new();
+        let source_names: Vec<Arc<str>> = sources.iter().map(|o| o.name().into()).collect();
         let mut terms: FxHashMap<AtomId, Term> = FxHashMap::default();
         let mut term = |id: AtomId| -> Term {
             terms
@@ -685,16 +685,8 @@ impl ArticulationGenerator {
                         name: art_graph.node_label(n).expect("live goal node").into(),
                     },
                     None => {
-                        let ns = atoms.namespace_of(id).expect("source-namespaced");
-                        let ontology = match ns_names.iter().find(|(k, _)| *k == ns) {
-                            Some((_, o)) => Arc::clone(o),
-                            None => {
-                                let o: Arc<str> = atoms.parts(id).0.expect("qualified").into();
-                                ns_names.push((ns, Arc::clone(&o)));
-                                o
-                            }
-                        };
-                        Term { ontology: Some(ontology), name: atoms.name_of(id).into() }
+                        let (i, name) = source_term(id).expect("kept atoms name a source term");
+                        Term { ontology: Some(Arc::clone(&source_names[i])), name: name.into() }
                     }
                 })
                 .clone()
@@ -957,8 +949,8 @@ mod tests {
     #[test]
     fn expansion_derives_bridges_for_dotted_source_names() {
         // a source named "acme.v2" keys under the canonical namespace
-        // split ("acme" + "v2." prefix); the derived-bridge filter must
-        // still match it, like the string engine's prefix matching did
+        // split ("acme" + "v2." prefix); the derived bridge still names
+        // the source and its term as the source does
         let mut g = onion_graph::OntGraph::new("acme.v2");
         g.ensure_edge_by_labels("Car", rel::SUBCLASS_OF, "Cars").unwrap();
         let src = Ontology::from_graph(g).unwrap();
@@ -975,13 +967,12 @@ mod tests {
         assert!(stats.inference.derived > 0, "Car => Vehicle is derivable");
         assert!(
             art.bridges.iter().any(|b| b.kind == BridgeKind::Derived
-                && b.src == Term::qualified("acme", "v2.Car")
+                && b.src == Term::qualified("acme.v2", "Car")
                 && b.dst == Term::qualified("transport", "Vehicle")),
-            "derived bridge for the dotted source survives (canonical term parts, \
-             exactly as the string engine's split emitted); bridges: {:?}",
+            "derived bridge for the dotted source names its term; bridges: {:?}",
             art.bridges.iter().map(|b| b.to_string()).collect::<Vec<_>>()
         );
-        assert!(stats.derived_bridges > 0);
+        assert_eq!(stats.derived_bridges, 1, "the rule's own bridge gets no derived twin");
     }
 
     #[test]

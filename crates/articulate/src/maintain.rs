@@ -217,8 +217,10 @@ mod tests {
     use super::*;
     use crate::expert::AcceptAll;
     use crate::skat::ExactLabelMatcher;
+    use crate::{BridgeKind, GeneratorConfig};
     use onion_ontology::examples::{carrier, factory};
-    use onion_rules::parse_rules;
+    use onion_ontology::OntologyBuilder;
+    use onion_rules::{parse_rules, ArticulationRule, Term};
 
     fn articulated() -> (Ontology, Ontology, Articulation, ArticulationGenerator) {
         let c = carrier();
@@ -272,6 +274,49 @@ mod tests {
         assert!(art.bridges.len() < bridges_before);
         assert!(art.rules.len() < rules_before);
         // the repaired articulation still materialises
+        assert!(art.unified(&[&c, &f]).is_ok());
+    }
+
+    #[test]
+    fn deleting_a_term_of_a_dotted_source_retracts_its_derived_bridge() {
+        // "carrier.v2" keys its atoms as carrier + v2.Car; the derived
+        // bridge must still name the source's own term, or the deletion
+        // finds nothing to retract and the articulation dangles
+        let mut c = OntologyBuilder::new("carrier.v2")
+            .class_under("Cars", "Transportation")
+            .class_under("Car", "Cars")
+            .build()
+            .unwrap();
+        let f = factory();
+        let mut rules = RuleSet::new();
+        rules.push(ArticulationRule::term_implies(
+            Term::qualified("carrier.v2", "Cars"),
+            Term::qualified("factory", "Vehicle"),
+        ));
+        let generator = ArticulationGenerator::with_config(GeneratorConfig {
+            expand_with_inference: true,
+            ..Default::default()
+        });
+        let mut art = generator.generate(&rules, &[&c, &f]).unwrap();
+        let derived_from_c = |art: &Articulation| -> Vec<Term> {
+            art.bridges
+                .iter()
+                .filter(|b| {
+                    b.kind == BridgeKind::Derived && b.src.to_string().starts_with("carrier")
+                })
+                .map(|b| b.src.clone())
+                .collect()
+        };
+        assert_eq!(derived_from_c(&art), [Term::qualified("carrier.v2", "Car")]);
+        assert!(art.unified(&[&c, &f]).is_ok());
+
+        c.graph_mut().enable_journal();
+        c.graph_mut().delete_node_by_label("Car").unwrap();
+        let ops = c.graph_mut().take_journal();
+        let report =
+            apply_delta(&mut art, "carrier.v2", &ops, &[&c, &f], &generator, None).unwrap();
+        assert_eq!(report.bridges_removed, 1);
+        assert!(derived_from_c(&art).is_empty());
         assert!(art.unified(&[&c, &f]).is_ok());
     }
 

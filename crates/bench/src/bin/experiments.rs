@@ -77,7 +77,6 @@ fn fmt_us(us: f64) -> String {
 /// deliberately NOT compared against these — a ratio across different
 /// machines would conflate hardware with the code change.
 const INDEX_LAYER_REFERENCE_US: &[(&str, f64, f64)] = &[
-    ("transitive_pairs_subclass", 12650.3, 2039.6),
     ("out_neighbors_subclass_sweep", 550.2, 311.4),
     ("descendants_root", 1430.6, 480.5),
     ("bfs_backward_subclass", 1332.0, 401.4),

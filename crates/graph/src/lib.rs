@@ -28,8 +28,9 @@
 //!   notation (`carrier:car:driver`, `truck(O: owner, model)`) and a
 //!   backtracking subgraph [`matcher`] supporting exact and *fuzzy*
 //!   matching (synonym node labels, relaxed edge labels);
-//! * traversals, reachability, strongly connected components and per-label
-//!   transitive [`closure`];
+//! * [`traverse`]: one breadth-first reachability walk behind every
+//!   reachability question (transitive `SubclassOf` included),
+//!   topological order and strongly connected components;
 //! * label [`normalize`]ation (compound splitting, case folding, plural
 //!   stemming): the form under which the lexical matchers and an
 //!   ontology's normalised-label index compare labels;
@@ -54,7 +55,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod closure;
 pub mod dot;
 pub mod error;
 pub mod graph;

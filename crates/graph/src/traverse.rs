@@ -6,8 +6,13 @@
 //! operator's path condition (§5.3: a node survives only if "there exists
 //! no path from n to any n′ in N2").
 //!
-//! Every traversal resolves its [`EdgeFilter`] once and then walks the
-//! graph's incident lists, comparing label ids, never strings.
+//! Every reachability question runs one breadth-first loop: [`bfs`],
+//! [`reachable`], [`reachable_from_all`] and [`has_path`] all call it.
+//! It resolves its [`EdgeFilter`] once and then walks the graph's
+//! incident lists, comparing label ids, never strings. "What does `n`
+//! reach by a path of one or more edges" (the superclasses of a class,
+//! say) is a walk from `n`'s direct neighbours: `n` is then reached
+//! only through a cycle.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -55,7 +60,7 @@ impl EdgeFilter {
 }
 
 /// An [`EdgeFilter`] with its labels interned for one graph — the form
-/// every traversal in this module (and `closure`) actually runs on.
+/// every traversal in this module actually runs on.
 #[derive(Debug, Clone)]
 pub enum ResolvedFilter {
     /// Follow every edge.
@@ -102,27 +107,51 @@ fn for_each_neighbor(
     }
 }
 
-/// Breadth-first order from `start` (inclusive).
-pub fn bfs(g: &OntGraph, start: NodeId, dir: Direction, filter: &EdgeFilter) -> Vec<NodeId> {
-    let mut order = Vec::new();
-    if !g.is_live_node(start) {
-        return order;
-    }
+/// The one reachability loop: breadth-first from the live nodes of
+/// `starts` (each entered once, in order), then along `filter`-admitted
+/// edges in `dir`. Returns the nodes in the order they were entered,
+/// the starts first; that list is also the walk's queue. The walk ends
+/// early right after entering a node `stop` accepts.
+fn walk(
+    g: &OntGraph,
+    starts: &[NodeId],
+    dir: Direction,
+    filter: &EdgeFilter,
+    stop: impl Fn(NodeId) -> bool,
+) -> Vec<NodeId> {
     let rf = filter.resolve(g);
     let mut visited = vec![false; g.node_capacity()];
-    let mut q = VecDeque::new();
-    visited[start.index()] = true;
-    q.push_back(start);
-    while let Some(n) = q.pop_front() {
-        order.push(n);
+    let mut order = Vec::new();
+    for &s in starts {
+        if g.is_live_node(s) && !visited[s.index()] {
+            visited[s.index()] = true;
+            order.push(s);
+            if stop(s) {
+                return order;
+            }
+        }
+    }
+    let mut next = 0;
+    while let Some(&n) = order.get(next) {
+        next += 1;
+        let mut stopped = false;
         for_each_neighbor(g, n, dir, &rf, |m| {
-            if !visited[m.index()] {
+            if !stopped && !visited[m.index()] {
                 visited[m.index()] = true;
-                q.push_back(m);
+                order.push(m);
+                stopped = stop(m);
             }
         });
+        if stopped {
+            break;
+        }
     }
     order
+}
+
+/// Breadth-first order from `start` (inclusive).
+pub fn bfs(g: &OntGraph, start: NodeId, dir: Direction, filter: &EdgeFilter) -> Vec<NodeId> {
+    walk(g, &[start], dir, filter, |_| false)
 }
 
 /// The set of nodes reachable from `start` (inclusive).
@@ -132,7 +161,7 @@ pub fn reachable(
     dir: Direction,
     filter: &EdgeFilter,
 ) -> FxHashSet<NodeId> {
-    bfs(g, start, dir, filter).into_iter().collect()
+    reachable_from_all(g, &[start], dir, filter)
 }
 
 /// The set of nodes reachable from any node in `starts` (inclusive).
@@ -142,53 +171,16 @@ pub fn reachable_from_all(
     dir: Direction,
     filter: &EdgeFilter,
 ) -> FxHashSet<NodeId> {
-    let rf = filter.resolve(g);
-    let mut visited = vec![false; g.node_capacity()];
-    let mut order: Vec<NodeId> = Vec::new();
-    let mut q: VecDeque<NodeId> = VecDeque::new();
-    for &s in starts {
-        if g.is_live_node(s) && !visited[s.index()] {
-            visited[s.index()] = true;
-            order.push(s);
-            q.push_back(s);
-        }
-    }
-    while let Some(n) = q.pop_front() {
-        for_each_neighbor(g, n, dir, &rf, |m| {
-            if !visited[m.index()] {
-                visited[m.index()] = true;
-                order.push(m);
-                q.push_back(m);
-            }
-        });
-    }
-    order.into_iter().collect()
+    walk(g, starts, dir, filter, |_| false).into_iter().collect()
 }
 
-/// True if a (directed, filtered) path from `a` to `b` exists.
+/// True if a (directed, filtered) path from `a` to `b` exists. The walk
+/// stops at `b`, so `b` is the last node it entered exactly when found.
 pub fn has_path(g: &OntGraph, a: NodeId, b: NodeId, filter: &EdgeFilter) -> bool {
     if a == b {
         return g.is_live_node(a);
     }
-    let rf = filter.resolve(g);
-    let mut visited = vec![false; g.node_capacity()];
-    let mut q = VecDeque::new();
-    visited[a.index()] = true;
-    q.push_back(a);
-    while let Some(n) = q.pop_front() {
-        let mut found = false;
-        for_each_neighbor(g, n, Direction::Forward, &rf, |m| {
-            found |= m == b;
-            if !visited[m.index()] {
-                visited[m.index()] = true;
-                q.push_back(m);
-            }
-        });
-        if found {
-            return true;
-        }
-    }
-    false
+    walk(g, &[a], Direction::Forward, filter, |n| n == b).last() == Some(&b)
 }
 
 /// Topological order of the subgraph induced by `filter`ed edges.
@@ -402,6 +394,70 @@ mod tests {
         assert!(has_path(&g, ids[0], ids[3], &EdgeFilter::All));
         assert!(!has_path(&g, ids[3], ids[0], &EdgeFilter::All));
         assert!(has_path(&g, ids[1], ids[1], &EdgeFilter::All));
+    }
+
+    /// SUV -S-> Car -S-> Vehicle, Truck -S-> Vehicle.
+    fn hierarchy() -> OntGraph {
+        let mut g = OntGraph::new("t");
+        for (a, b) in [("SUV", "Car"), ("Car", "Vehicle"), ("Truck", "Vehicle")] {
+            g.ensure_edge_by_labels(a, "S", b).unwrap();
+        }
+        g
+    }
+
+    /// What `n` reaches by a path of one or more edges: a walk from its
+    /// direct neighbours.
+    fn beyond(g: &OntGraph, n: NodeId, dir: Direction) -> FxHashSet<NodeId> {
+        let mut next = Vec::new();
+        for_each_neighbor(g, n, dir, &ResolvedFilter::All, |m| next.push(m));
+        reachable_from_all(g, &next, dir, &EdgeFilter::All)
+    }
+
+    #[test]
+    fn ancestors_and_descendants() {
+        let g = hierarchy();
+        let id = |l: &str| g.node_by_label(l).unwrap();
+        let up = |l: &str| beyond(&g, id(l), Direction::Forward);
+        assert_eq!(up("SUV"), [id("Car"), id("Vehicle")].into_iter().collect());
+        assert_eq!(up("Car"), [id("Vehicle")].into_iter().collect());
+        let down = beyond(&g, id("Vehicle"), Direction::Backward);
+        assert_eq!(down, [id("Car"), id("SUV"), id("Truck")].into_iter().collect());
+    }
+
+    #[test]
+    fn transitive_pairs_of_chain() {
+        // every path pair of the hierarchy, each start walked once
+        let g = hierarchy();
+        let lbl = |n: NodeId| g.node_label(n).unwrap().to_string();
+        let pairs: HashSet<(String, String)> = g
+            .node_ids()
+            .flat_map(|n| beyond(&g, n, Direction::Forward).into_iter().map(move |m| (n, m)))
+            .map(|(a, b)| (lbl(a), lbl(b)))
+            .collect();
+        assert!(pairs.contains(&("SUV".into(), "Vehicle".into())));
+        assert!(pairs.contains(&("SUV".into(), "Car".into())));
+        assert!(pairs.contains(&("Car".into(), "Vehicle".into())));
+        assert!(!pairs.contains(&("Vehicle".into(), "SUV".into())));
+        assert_eq!(pairs.len(), 4);
+    }
+
+    #[test]
+    fn ancestors_of_root_is_empty() {
+        let g = hierarchy();
+        let vehicle = g.node_by_label("Vehicle").unwrap();
+        assert!(beyond(&g, vehicle, Direction::Forward).is_empty());
+    }
+
+    #[test]
+    fn a_walk_from_the_neighbours_reaches_the_start_only_through_a_cycle() {
+        let mut g = OntGraph::new("t");
+        g.ensure_edge_by_labels("A", "S", "B").unwrap();
+        g.ensure_edge_by_labels("B", "S", "A").unwrap();
+        g.ensure_edge_by_labels("B", "S", "C").unwrap();
+        let id = |l: &str| g.node_by_label(l).unwrap();
+        assert_eq!(beyond(&g, id("A"), Direction::Forward).len(), 3, "A, B and C");
+        assert!(beyond(&g, id("C"), Direction::Forward).is_empty());
+        assert!(!beyond(&g, id("C"), Direction::Backward).contains(&id("C")));
     }
 
     #[test]

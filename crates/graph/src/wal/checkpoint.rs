@@ -164,7 +164,9 @@ pub struct CheckpointStats {
 // framed file io
 // ---------------------------------------------------------------------
 
-fn write_framed(path: &Path, payload: &[u8]) -> WalResult<u64> {
+/// Writes `payload` as one whole-file frame, `[u32 len][u32 crc32]
+/// [payload]`, and fsyncs it. Returns the bytes written.
+pub(super) fn write_framed(path: &Path, payload: &[u8]) -> WalResult<u64> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     put_u32(&mut out, payload.len() as u32);
     put_u32(&mut out, crc32(payload));
@@ -175,7 +177,8 @@ fn write_framed(path: &Path, payload: &[u8]) -> WalResult<u64> {
     Ok(out.len() as u64)
 }
 
-fn read_framed(path: &Path) -> WalResult<Vec<u8>> {
+/// Reads a [`write_framed`] file back, checking its length and CRC.
+pub(super) fn read_framed(path: &Path) -> WalResult<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     let what = path.display().to_string();

@@ -27,7 +27,9 @@
 
 use std::path::{Path, PathBuf};
 
-use super::checkpoint::{gc, load_manifests, restore_graph, write_checkpoint};
+use super::checkpoint::{
+    gc, load_manifests, read_framed, restore_graph, write_checkpoint, write_framed,
+};
 use super::log::LogManager;
 use super::record::{put_str, put_u32, Reader, WalRecord};
 use super::{CheckpointStats, Lsn, Manifest, WalError, WalResult};
@@ -69,34 +71,19 @@ fn write_meta(dir: &Path, name: &str, unique_labels: bool) -> WalResult<()> {
     put_u32(&mut p, MAGIC_META);
     put_str(&mut p, name);
     p.push(unique_labels as u8);
-    let mut framed = Vec::with_capacity(p.len() + 8);
-    put_u32(&mut framed, p.len() as u32);
-    put_u32(&mut framed, super::crc32(&p));
-    framed.extend_from_slice(&p);
-    let path = dir.join(META_FILE);
-    std::fs::write(&path, &framed)?;
-    std::fs::File::open(&path)?.sync_all()?;
-    Ok(())
+    write_framed(&dir.join(META_FILE), &p).map(|_| ())
 }
 
 fn read_meta(dir: &Path) -> WalResult<(String, bool)> {
     let path = dir.join(META_FILE);
     let what = path.display().to_string();
-    let bytes = std::fs::read(&path)
-        .map_err(|_| WalError::Missing(format!("{what} (not a durable directory?)")))?;
-    let corrupt =
-        |detail: &str| WalError::Corrupt { file: what.clone(), detail: detail.to_string() };
-    if bytes.len() < 8 {
-        return Err(corrupt("meta file too short"));
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if bytes.len() != 8 + len || super::crc32(&bytes[8..]) != crc {
-        return Err(corrupt("meta frame invalid"));
-    }
-    let mut r = Reader::new(&bytes[8..], &what);
+    let payload = read_framed(&path).map_err(|e| match e {
+        WalError::Io(_) => WalError::Missing(format!("{what} (not a durable directory?)")),
+        e => e,
+    })?;
+    let mut r = Reader::new(&payload, &what);
     if r.u32()? != MAGIC_META {
-        return Err(corrupt("bad meta magic"));
+        return Err(WalError::Corrupt { file: what, detail: "bad meta magic".into() });
     }
     let name = r.str()?;
     let unique = r.u8()? != 0;
@@ -358,6 +345,42 @@ mod tests {
         assert_eq!(stats.replayed_batches, 1);
         assert!(rg.node_by_label("Ghost").is_none());
         assert_eq!(shape(&rg), shape(&g));
+    }
+
+    /// `meta.bin` is read before anything else on open: every
+    /// truncation and every single-byte flip of it is an `Err`, never a
+    /// panic and never a recovery under another name.
+    #[test]
+    fn every_truncation_and_byte_flip_of_meta_is_rejected() {
+        let td = TestDir::new("dur-meta");
+        drop(Durability::create(&td.0, "src", true).unwrap());
+        let path = td.0.join(META_FILE);
+        let meta = std::fs::read(&path).unwrap();
+        // the frame is `[u32 len][u32 crc32][payload]`, byte for byte
+        let mut payload = Vec::new();
+        put_u32(&mut payload, MAGIC_META);
+        put_str(&mut payload, "src");
+        payload.push(1);
+        let mut want = Vec::new();
+        put_u32(&mut want, payload.len() as u32);
+        put_u32(&mut want, crate::wal::crc32(&payload));
+        want.extend_from_slice(&payload);
+        assert_eq!(meta, want);
+        assert_eq!(read_meta(&td.0).unwrap(), ("src".to_string(), true));
+        for cut in 0..meta.len() {
+            std::fs::write(&path, &meta[..cut]).unwrap();
+            assert!(Durability::open(&td.0).is_err(), "prefix of {cut}/{} bytes", meta.len());
+        }
+        for pos in 0..meta.len() {
+            for xor in 1..=255u8 {
+                let mut bytes = meta.clone();
+                bytes[pos] ^= xor;
+                std::fs::write(&path, &bytes).unwrap();
+                assert!(Durability::open(&td.0).is_err(), "byte {pos} ^ {xor:#04x}");
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(Durability::open(&td.0), Err(WalError::Missing(_))));
     }
 
     #[test]

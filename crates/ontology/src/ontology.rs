@@ -4,6 +4,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use onion_graph::traverse::{reachable_from_all, Direction, EdgeFilter};
 use onion_graph::{rel, GraphError, NodeId, OntGraph};
 use onion_rules::{RelationRegistry, RuleSet, Term};
 
@@ -181,26 +182,30 @@ impl Ontology {
 
     /// All (transitive) superclasses of `label`.
     pub fn superclasses(&self, label: &str) -> Vec<String> {
-        let Some(n) = self.graph.node_by_label(label) else {
-            return Vec::new();
-        };
-        let mut v: Vec<String> = onion_graph::closure::ancestors(&self.graph, n, rel::SUBCLASS_OF)
-            .into_iter()
-            .map(|m| self.graph.node_label(m).expect("live").to_string())
-            .collect();
-        v.sort();
-        v
+        self.subclass_walk(label, Direction::Forward)
     }
 
     /// All (transitive) subclasses of `label`.
     pub fn subclasses(&self, label: &str) -> Vec<String> {
-        let Some(n) = self.graph.node_by_label(label) else {
+        self.subclass_walk(label, Direction::Backward)
+    }
+
+    /// The sorted labels `SubclassOf` paths of one or more edges reach
+    /// from `label` in `dir`: a walk from its direct neighbours, so
+    /// `label` lists itself only through a cycle.
+    fn subclass_walk(&self, label: &str, dir: Direction) -> Vec<String> {
+        let g = &self.graph;
+        let Some(n) = g.node_by_label(label) else {
             return Vec::new();
         };
+        let next: Vec<NodeId> = match dir {
+            Direction::Forward => g.out_neighbors(n, rel::SUBCLASS_OF).collect(),
+            _ => g.in_neighbors(n, rel::SUBCLASS_OF).collect(),
+        };
         let mut v: Vec<String> =
-            onion_graph::closure::descendants(&self.graph, n, rel::SUBCLASS_OF)
+            reachable_from_all(g, &next, dir, &EdgeFilter::label(rel::SUBCLASS_OF))
                 .into_iter()
-                .map(|m| self.graph.node_label(m).expect("live").to_string())
+                .map(|m| g.node_label(m).expect("live").to_string())
                 .collect();
         v.sort();
         v
@@ -215,12 +220,7 @@ impl Ontology {
         if a == b {
             return false;
         }
-        onion_graph::traverse::has_path(
-            &self.graph,
-            a,
-            b,
-            &onion_graph::traverse::EdgeFilter::label(rel::SUBCLASS_OF),
-        )
+        onion_graph::traverse::has_path(&self.graph, a, b, &EdgeFilter::label(rel::SUBCLASS_OF))
     }
 
     /// The attributes attached to `class` (directly).

@@ -18,8 +18,8 @@
 //!   of the set (transitivity).
 
 use onion_graph::hash::FxHashSet;
-use onion_graph::traverse::{tarjan_scc, EdgeFilter};
-use onion_graph::OntGraph;
+use onion_graph::traverse::{reachable_from_all, tarjan_scc, Direction, EdgeFilter};
+use onion_graph::{NodeId, OntGraph};
 
 use crate::ast::{ArticulationRule, RuleSet};
 use crate::atoms::{AtomId, AtomTable};
@@ -57,8 +57,8 @@ pub enum Finding {
 /// Pairs are keyed by interned [`AtomId`]s over a private [`AtomTable`]:
 /// `declare` interns, `contains` only looks up — a membership probe
 /// allocates nothing and hashes two `u32`s instead of building owned
-/// `String` keys per call (the transitive-closure violation sweep in
-/// [`analyze`] probes once per derived implication pair).
+/// `String` keys per call (the violation sweep in [`analyze`] probes
+/// once per derived implication pair).
 #[derive(Debug, Default)]
 pub struct Disjointness {
     atoms: AtomTable,
@@ -146,19 +146,21 @@ pub fn analyze(
         findings.push(Finding::EquivalenceCycle { terms });
     }
 
-    // 2. disjointness violations against the transitive implication closure
+    // 2. disjointness violations against the transitive implication
+    // closure: one walk per term from its direct successors, so a term
+    // implies itself only through a cycle
     if !disjoint.is_empty() {
-        let pairs = onion_graph::closure::transitive_pairs(&g, &EdgeFilter::All);
-        let mut violations: Vec<(String, String)> = pairs
-            .into_iter()
-            .map(|(a, b)| {
-                (
-                    g.node_label(a).expect("live").to_string(),
-                    g.node_label(b).expect("live").to_string(),
-                )
-            })
-            .filter(|(a, b)| disjoint.contains(a, b))
-            .collect();
+        let mut violations: Vec<(String, String)> = Vec::new();
+        for a in g.node_ids() {
+            let next: Vec<NodeId> = g.out_edge_entries(a).map(|(_, _, b)| b).collect();
+            let from = g.node_label(a).expect("live");
+            for b in reachable_from_all(&g, &next, Direction::Forward, &EdgeFilter::All) {
+                let to = g.node_label(b).expect("live");
+                if disjoint.contains(from, to) {
+                    violations.push((from.to_string(), to.to_string()));
+                }
+            }
+        }
         violations.sort();
         violations.dedup();
         for (from, to) in violations {

@@ -18,7 +18,8 @@
 
 use std::collections::HashMap;
 
-use onion_graph::{rel, OntGraph};
+use onion_graph::traverse::{reachable_from_all, Direction, EdgeFilter};
+use onion_graph::{rel, NodeId, OntGraph};
 use onion_lexicon::normalize::normalize;
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
@@ -114,10 +115,13 @@ impl GlobalMerge {
         let Some(n) = self.graph.node_by_label(global) else {
             return Vec::new();
         };
-        let mut v: Vec<String> = onion_graph::closure::ancestors(&self.graph, n, rel::SUBCLASS_OF)
-            .into_iter()
-            .map(|m| self.graph.node_label(m).expect("live").to_string())
-            .collect();
+        let up: Vec<NodeId> = self.graph.out_neighbors(n, rel::SUBCLASS_OF).collect();
+        let subclass = EdgeFilter::label(rel::SUBCLASS_OF);
+        let mut v: Vec<String> =
+            reachable_from_all(&self.graph, &up, Direction::Forward, &subclass)
+                .into_iter()
+                .map(|m| self.graph.node_label(m).expect("live").to_string())
+                .collect();
         v.push(global.to_string());
         v.sort();
         v

@@ -151,8 +151,8 @@ pub fn generate_graph(spec: &GraphSpec) -> OntGraph {
 
 /// A random `SubclassOf` DAG: the attachment tree of
 /// [`generate_graph`] plus `extra` redundant subclass edges, each from a
-/// node to a strictly earlier one — acyclic by construction, with the
-/// transitive redundancy `transitive_reduce` exists to remove.
+/// node to a strictly earlier one — acyclic by construction, with
+/// transitively redundant edges.
 pub fn generate_dag(seed: u64, nodes: usize, extra: usize) -> OntGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = OntGraph::new("dag");
@@ -240,8 +240,14 @@ mod tests {
     fn graph_tier_tree_is_connected_under_subclass() {
         let g = generate_graph(&GraphSpec::sized(9, 300, 300));
         let root = g.node_by_label("C0").unwrap();
-        let desc = onion_graph::closure::descendants(&g, root, onion_graph::rel::SUBCLASS_OF);
-        assert_eq!(desc.len(), 299, "every non-root node reaches the root");
+        let filter = onion_graph::traverse::EdgeFilter::label(onion_graph::rel::SUBCLASS_OF);
+        let tree = onion_graph::traverse::reachable(
+            &g,
+            root,
+            onion_graph::traverse::Direction::Backward,
+            &filter,
+        );
+        assert_eq!(tree.len(), 300, "every non-root node reaches the root");
     }
 
     #[test]

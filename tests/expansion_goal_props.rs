@@ -64,6 +64,10 @@ fn mask_graph_id(s: &str) -> String {
 /// under the standard program, keep each `si(a, b)` with `b` an
 /// articulation term and `a` a source term, sort on text and add the
 /// pairs no bridge already holds. Returns the number of bridges added.
+///
+/// One edit to the copy: a source term is named by the matched source
+/// (`left.v2` and `Car`, not the atom's canonical `left` and `v2.Car`),
+/// as the generator now names it.
 fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
     let mut table = AtomTable::new();
     let atoms = &mut table;
@@ -102,14 +106,24 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
             && key.1.as_deref().map_or(true, |p| atoms.name_of(id).starts_with(p))
     };
     let Some(art_key) = ns_key(atoms, art.name()) else { return 0 };
-    let source_keys: Vec<(u32, Option<String>)> =
-        sources.iter().filter_map(|o| ns_key(atoms, o.name())).collect();
+    let source_keys: Vec<(&Ontology, (u32, Option<String>))> =
+        sources.iter().filter_map(|&o| Some((o, ns_key(atoms, o.name())?))).collect();
+    // the term a source atom names: the matched source's own name and
+    // the label after its prefix, a source that defines the label first
+    let source_term = |atoms: &AtomTable, id: AtomId| -> Option<Term> {
+        let name = atoms.name_of(id);
+        let hits: Vec<(&Ontology, &str)> = source_keys
+            .iter()
+            .filter(|(_, k)| matches(atoms, id, k))
+            .map(|(o, k)| (*o, &name[k.1.as_ref().map_or(0, String::len)..]))
+            .collect();
+        let (o, label) = hits.iter().find(|(o, l)| o.defines(l)).or(hits.first())?;
+        Some(Term::qualified(o.name(), label))
+    };
     let mut derived: Vec<(AtomId, AtomId)> = fb
         .query2_ids(si, None, None)
         .into_iter()
-        .filter(|(a, b)| {
-            matches(atoms, *b, &art_key) && source_keys.iter().any(|k| matches(atoms, *a, k))
-        })
+        .filter(|(a, b)| matches(atoms, *b, &art_key) && source_term(atoms, *a).is_some())
         .collect();
     derived.sort_by(|x, y| {
         (atoms.resolve(x.0), atoms.resolve(x.1)).cmp(&(atoms.resolve(y.0), atoms.resolve(y.1)))
@@ -118,9 +132,8 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
         .into_iter()
         .filter(|&(_, b)| art.ontology.defines(atoms.name_of(b)))
         .map(|(a, b)| {
-            let (ao, an) = atoms.parts(a);
             Bridge::si(
-                Term::qualified(ao.expect("source-namespaced"), an),
+                source_term(atoms, a).expect("kept atoms name a source term"),
                 Term::qualified(art.name(), atoms.name_of(b)),
                 BridgeKind::Derived,
             )

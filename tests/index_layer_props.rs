@@ -2,8 +2,7 @@
 //! of its live edges (its incident lists): the id-typed and string-typed
 //! APIs must agree on arbitrary graphs (this is the executable witness
 //! that the string wrappers are thin — they resolve the label once and
-//! run the same id path), and the closure operators must respect
-//! reachability on random DAGs from `onion-testkit`.
+//! run the same id path).
 //!
 //! Edge lookup has its own oracle: a brute-force search of
 //! `edge_entries()` for the `(src, label, dst)` triple. `find_edge`,
@@ -21,16 +20,10 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use onion_core::graph::closure::{materialize_closure, transitive_pairs, transitive_reduce};
-use onion_core::graph::rel;
 use onion_core::graph::traverse::{has_path, reachable_from_all, Direction, EdgeFilter};
 use onion_core::graph::{GraphError, LabelId};
 use onion_core::prelude::*;
-use onion_core::testkit::{generate_dag, generate_graph, GraphSpec};
-
-fn subclass_filter() -> EdgeFilter {
-    EdgeFilter::label(rel::SUBCLASS_OF)
-}
+use onion_core::testkit::{generate_graph, GraphSpec};
 
 /// The hub's one out-edge label.
 const HUB_LABEL: &str = "hubOf";
@@ -220,43 +213,6 @@ fn brute_reach(
 }
 
 proptest! {
-    /// `transitive_reduce` alone never changes reachability: it deletes
-    /// only edges implied by paths that remain.
-    #[test]
-    fn reduce_preserves_reachability(seed in 0u64..48, extra in 0usize..120) {
-        let g0 = generate_dag(seed, 60, extra);
-        let before = transitive_pairs(&g0, &subclass_filter());
-        let mut g = g0.clone();
-        transitive_reduce(&mut g, rel::SUBCLASS_OF).unwrap();
-        let after = transitive_pairs(&g, &subclass_filter());
-        prop_assert_eq!(before, after);
-    }
-
-    /// `materialize_closure ∘ transitive_reduce` is a fixpoint on DAGs:
-    /// applying the pair a second time changes nothing.
-    #[test]
-    fn materialize_after_reduce_is_fixpoint(seed in 0u64..48, extra in 0usize..120) {
-        let mut g = generate_dag(seed, 50, extra);
-        transitive_reduce(&mut g, rel::SUBCLASS_OF).unwrap();
-        materialize_closure(&mut g, rel::SUBCLASS_OF).unwrap();
-        let once = g.clone();
-        transitive_reduce(&mut g, rel::SUBCLASS_OF).unwrap();
-        materialize_closure(&mut g, rel::SUBCLASS_OF).unwrap();
-        prop_assert!(g.same_shape(&once), "second application changed the graph");
-    }
-
-    /// On a reduced DAG, re-materialising and re-reducing returns the
-    /// same edge set: reduction is canonical for DAGs.
-    #[test]
-    fn reduce_is_canonical_on_dags(seed in 0u64..48, extra in 0usize..120) {
-        let mut g = generate_dag(seed, 50, extra);
-        transitive_reduce(&mut g, rel::SUBCLASS_OF).unwrap();
-        let reduced = g.clone();
-        materialize_closure(&mut g, rel::SUBCLASS_OF).unwrap();
-        transitive_reduce(&mut g, rel::SUBCLASS_OF).unwrap();
-        prop_assert!(g.same_shape(&reduced));
-    }
-
     /// Id-based and string-based neighbour/find APIs agree on
     /// random mixed-label graphs — and the id path never consults the
     /// interner, so agreement proves the wrappers do exactly one

@@ -12,11 +12,11 @@
 //! `InferenceStats` — at every thread count (the shard/thread matrix
 //! lives in `seminaive_props.rs`).
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 
 use onion_core::exec::ParallelEngine;
-use onion_core::graph::closure::transitive_pairs;
-use onion_core::graph::traverse::EdgeFilter;
 use onion_core::prelude::*;
 use onion_core::rules::horn::HornProgram;
 use onion_core::rules::infer::{
@@ -24,6 +24,24 @@ use onion_core::rules::infer::{
 };
 use onion_core::rules::reference;
 use onion_core::rules::AtomTable;
+
+/// Graph-side oracle: every pair joined by a path of one or more
+/// edges, closed by Warshall's triple loop over the edge relation.
+fn brute_closure(g: &OntGraph) -> HashSet<(NodeId, NodeId)> {
+    let nodes: Vec<NodeId> = g.node_ids().collect();
+    let mut pairs: HashSet<(NodeId, NodeId)> =
+        g.edge_entries().map(|(_, s, _, d)| (s, d)).collect();
+    for &k in &nodes {
+        for &i in &nodes {
+            for &j in &nodes {
+                if pairs.contains(&(i, k)) && pairs.contains(&(k, j)) {
+                    pairs.insert((i, j));
+                }
+            }
+        }
+    }
+    pairs
+}
 
 fn edge_list() -> impl Strategy<Value = Vec<(u8, u8)>> {
     prop::collection::vec((0u8..10, 0u8..10), 0..30)
@@ -249,17 +267,13 @@ proptest! {
                 let _ = g.ensure_edge_by_labels(&format!("n{a}"), "S", &format!("n{b}"));
             }
         }
-        let mut graph_pairs: Vec<(String, String)> =
-            transitive_pairs(&g, &EdgeFilter::label("S"))
-                .into_iter()
-                .filter(|(a, b)| a != b)
-                .map(|(a, b)| {
-                    (
-                        g.node_label(a).unwrap().to_string(),
-                        g.node_label(b).unwrap().to_string(),
-                    )
-                })
-                .collect();
+        let mut graph_pairs: Vec<(String, String)> = brute_closure(&g)
+            .into_iter()
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| {
+                (g.node_label(a).unwrap().to_string(), g.node_label(b).unwrap().to_string())
+            })
+            .collect();
         graph_pairs.sort();
         graph_pairs.dedup();
 
