@@ -121,7 +121,11 @@ impl Expert for ScriptedExpert {
 /// Truth pairs are interned into a private [`AtomTable`] at
 /// construction; each review then probes by looked-up [`AtomId`]s —
 /// no `"onto.Term"` string is built per candidate (the B2 oracle loop
-/// reviews every proposed pair every round).
+/// reviews every proposed pair every round). A truth string is text,
+/// split at its first `.` like [`AtomTable::intern`], and a candidate's
+/// terms key under their ontology's own name, so the oracle knows the
+/// terms of dot-free ontology names (the only ones text spells without
+/// ambiguity, and the only ones the workload generator plants).
 #[derive(Debug, Clone)]
 pub struct OracleExpert {
     atoms: AtomTable,

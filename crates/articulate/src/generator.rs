@@ -538,13 +538,12 @@ impl ArticulationGenerator {
     /// deleted mid-churn are skipped and counted rather than panicking.
     ///
     /// Every `implies(a, b)` whose `a` names a source term becomes a
-    /// bridge from that term to the node `b` was seeded from. Both ends
-    /// are named as their ontology names them, not by the atoms'
-    /// canonical split: a dotted name (`carrier.v2`, `transport.v2`)
-    /// keys its atoms as `carrier` + `v2.Car`, but the source is
-    /// `carrier.v2` and its term `Car`, and the articulation end is the
-    /// seeded node's label. Bridges come out sorted on the atoms' text,
-    /// each new `(src, dst)` pair once.
+    /// bridge from that term to the node `b` was seeded from. A source's
+    /// atoms key under its own name, dotted or not (`carrier.v2` +
+    /// `Car`), so `a`'s namespace names the source and its name the
+    /// term; the articulation end is the seeded node's label. Bridges
+    /// come out sorted on the atoms' text, each new `(src, dst)` pair
+    /// once.
     fn expand(&self, art: &mut Articulation, sources: &[&Ontology]) -> Result<GeneratorStats> {
         let shared = self.config.atoms.clone();
         let mut guard;
@@ -611,59 +610,21 @@ impl ArticulationGenerator {
             None => InferenceEngine::new(program).run(atoms, &mut fb)?,
         };
 
-        // keep implications from a source term. A source name keys under
-        // the atom table's canonical split ("acme.v2" → namespace "acme"
-        // + name prefix "v2."), so each source becomes (namespace index,
-        // name prefix): for the common dot-free name a pure index compare
-        let source_keys: Vec<(usize, u32, Option<String>)> = sources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| {
-                let (head, prefix) = match o.name().split_once('.') {
-                    Some((head, tail)) => (head, Some(format!("{tail}."))),
-                    None => (o.name(), None),
-                };
-                Some((i, atoms.namespace_lookup(head)?, prefix))
-            })
-            .collect();
+        // keep implications from a source term: a source's atoms key
+        // under its own name, so a kept atom's namespace names its source
+        // (index into `sources`) and its name is the term's label
+        let source_ns: Vec<Option<u32>> =
+            sources.iter().map(|o| atoms.namespace_lookup(o.name())).collect();
         let implies = atoms.intern("implies");
         let atoms: &AtomTable = atoms;
-        // the source (index into `sources`) and label of the term a source
-        // atom names: the label is the name after the source's prefix.
-        // Where two source names share a namespace ("acme", "acme.v2"),
-        // both can match; the one that defines the label wins
-        let shared_ns = source_keys
-            .iter()
-            .enumerate()
-            .any(|(k, a)| source_keys[..k].iter().any(|b| b.1 == a.1));
-        let source_term = |id: AtomId| -> Option<(usize, &str)> {
+        let source_of = |id: AtomId| -> Option<usize> {
             let ns = atoms.namespace_of(id)?;
-            let name = atoms.name_of(id);
-            let mut first = None;
-            for &(i, key, ref prefix) in &source_keys {
-                if key != ns {
-                    continue;
-                }
-                let Some(label) = prefix.as_deref().map_or(Some(name), |p| name.strip_prefix(p))
-                else {
-                    continue;
-                };
-                if !shared_ns || sources[i].defines(label) {
-                    return Some((i, label));
-                }
-                first = first.or(Some((i, label)));
-            }
-            first
+            source_ns.iter().position(|&s| s == Some(ns))
         };
         let mut derived: Vec<(AtomId, AtomId)> = fb
             .query2_ids(implies, None, None)
             .into_iter()
-            .filter(|&(a, _)| {
-                source_keys.iter().any(|(_, ns, prefix)| {
-                    atoms.namespace_of(a) == Some(*ns)
-                        && prefix.as_deref().map_or(true, |p| atoms.name_of(a).starts_with(p))
-                })
-            })
+            .filter(|&(a, _)| source_of(a).is_some())
             .collect();
         // sort on resolved text so bridge order matches the string-keyed
         // engine's historical output exactly
@@ -685,8 +646,11 @@ impl ArticulationGenerator {
                         name: art_graph.node_label(n).expect("live goal node").into(),
                     },
                     None => {
-                        let (i, name) = source_term(id).expect("kept atoms name a source term");
-                        Term { ontology: Some(Arc::clone(&source_names[i])), name: name.into() }
+                        let i = source_of(id).expect("kept atoms name a source term");
+                        Term {
+                            ontology: Some(Arc::clone(&source_names[i])),
+                            name: atoms.name_of(id).into(),
+                        }
                     }
                 })
                 .clone()
@@ -953,7 +917,7 @@ mod tests {
         // the source and its term as the source does
         let mut g = onion_graph::OntGraph::new("acme.v2");
         g.ensure_edge_by_labels("Car", rel::SUBCLASS_OF, "Cars").unwrap();
-        let src = Ontology::from_graph(g).unwrap();
+        let src = Ontology::from_graph(g);
         let f = factory();
         let cfg = GeneratorConfig { expand_with_inference: true, ..Default::default() };
         let mut rules = RuleSet::new();

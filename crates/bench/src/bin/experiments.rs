@@ -748,7 +748,7 @@ impl UpdateFixture {
         let ops = update_stream(&p.left, &art, spec);
         let mut g = p.left.graph().clone();
         onion_core::graph::ops::apply_all(&mut g, &ops).unwrap();
-        let evolved = Ontology::from_graph(g).unwrap();
+        let evolved = Ontology::from_graph(g);
         UpdateFixture { p, art, ops, evolved, generator: ArticulationGenerator::new() }
     }
 

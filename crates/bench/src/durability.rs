@@ -64,7 +64,7 @@ fn op_stream(n: usize) -> Vec<GraphOp> {
 /// WAL-append series: one committed 1 000-op batch per repetition.
 fn append_row(reps: usize) -> BenchResult {
     let td = TempDir::new("b13-append");
-    let mut dur = Durability::create(td.path(), "b13", true).expect("fresh dir");
+    let mut dur = Durability::create(td.path(), "b13").expect("fresh dir");
     let ops = op_stream(B13_BATCH_OPS);
     run_series("b13_wal_append_1k_ops", reps, || {
         dur.log_batch(&ops);
@@ -88,7 +88,7 @@ fn checkpoint_rows(dirty_counts: &[usize], reps: usize) -> Vec<BenchResult> {
         }
     }
     assert_eq!(probe.len(), B13_SHARDS, "tier fills 64 shards");
-    let mut dur = Durability::create(td.path(), g.name(), true).expect("fresh dir");
+    let mut dur = Durability::create(td.path(), g.name()).expect("fresh dir");
     let full = dur.checkpoint(&ShardedSnapshot::of(&g), dur.last_lsn()).expect("first checkpoint");
     assert_eq!((full.shards_written, full.shards_reused), (B13_SHARDS, 0));
     dirty_counts
@@ -124,7 +124,7 @@ fn checkpoint_rows(dirty_counts: &[usize], reps: usize) -> Vec<BenchResult> {
 fn recover_row(name: &'static str, n: usize, reps: usize) -> BenchResult {
     let td = TempDir::new("b13-recover");
     let logged = {
-        let mut dur = Durability::create(td.path(), "b13", true).expect("fresh dir");
+        let mut dur = Durability::create(td.path(), "b13").expect("fresh dir");
         let mut g = OntGraph::new("b13");
         g.enable_journal();
         for op in op_stream(n) {

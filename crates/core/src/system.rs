@@ -392,9 +392,9 @@ impl OnionSystem {
     /// it, and [`OnionSystem::checkpoint_source`] bounds both the
     /// journal and the WAL itself.
     ///
-    /// Durable sources must be consistent ontologies (unique labels) —
-    /// ops are journaled and replayed label-addressed (§3), so recovery
-    /// is identity-preserving at the label level (node ids may compact).
+    /// Ops are journaled and replayed label-addressed (§3; a label names
+    /// at most one node), so recovery is identity-preserving at the
+    /// label level (node ids may compact).
     pub fn open_durable(&mut self, name: &str, dir: impl AsRef<Path>) -> Result<DurableOpen> {
         let dir = dir.as_ref();
         if Durability::has_state(dir) {
@@ -406,23 +406,13 @@ impl OnionSystem {
                 ))));
             }
             g.enable_journal();
-            let ontology = onion_ontology::Ontology::from_graph(g).map_err(|e| {
-                SystemError::Durability(WalError::Unsupported(format!(
-                    "recovered graph is not a valid ontology: {e}"
-                )))
-            })?;
-            self.add_source(ontology);
+            self.add_source(onion_ontology::Ontology::from_graph(g));
             self.durables.insert(name.to_string(), DurableSource { dur, publish_lsn: Lsn::ZERO });
             self.publish_source(name)?;
             Ok(DurableOpen { recovered: true, recovery: Some(recovery), checkpoint: None })
         } else {
             let ontology = self.get_source(name)?;
             let g = ontology.graph();
-            if !g.unique_labels() {
-                return Err(SystemError::Durability(WalError::Unsupported(
-                    "durable sources require consistent (unique-label) mode".into(),
-                )));
-            }
             // Bootstrap batch: the source's full content as ops, so the
             // WAL alone can rebuild it if the first manifest tears.
             let mut ops: Vec<GraphOp> =
@@ -440,7 +430,7 @@ impl OnionSystem {
             for chunk in triples.chunks(4096) {
                 ops.push(GraphOp::EdgeAdd { edges: chunk.to_vec() });
             }
-            let mut dur = Durability::create(dir, name, true).map_err(SystemError::Durability)?;
+            let mut dur = Durability::create(dir, name).map_err(SystemError::Durability)?;
             dur.log_batch(&ops);
             let lsn = dur.flush().map_err(SystemError::Durability)?;
             let graph = self.sources.get_mut(name).expect("checked above").graph_mut();
@@ -1226,7 +1216,7 @@ mod tests {
         assert_eq!(s.source("carrier").unwrap().graph().shard_count(), 2);
         let mut late = onion_ontology::examples::carrier().into_graph();
         late.set_name("late");
-        s.add_source(Ontology::from_graph(late).unwrap());
+        s.add_source(Ontology::from_graph(late));
         assert_eq!(s.source("late").unwrap().graph().shard_count(), 2);
     }
 

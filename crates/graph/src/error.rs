@@ -9,8 +9,8 @@ pub enum GraphError {
     NodeNotFound(String),
     /// An edge id referenced an entry that does not exist or was deleted.
     EdgeNotFound(String),
-    /// A node with this label already exists and the graph enforces
-    /// label uniqueness (consistent-ontology mode, paper §1).
+    /// A live node already carries this label (a label names at most
+    /// one node in a consistent ontology, paper §1).
     DuplicateLabel(String),
     /// An identical `(source, label, target)` edge already exists.
     DuplicateEdge(String),

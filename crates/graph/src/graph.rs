@@ -3,9 +3,10 @@
 //! Nodes and edges are stored in append-only arenas with tombstone
 //! deletion, so [`NodeId`]s and [`EdgeId`]s remain stable across deletions
 //! (the articulation maintains long-lived references into source
-//! ontologies). A per-label index supports the paper's convention of
-//! addressing nodes by their label in *consistent* ontologies, where every
-//! term is depicted by exactly one node (§1, §3 end).
+//! ontologies). Ontologies are *consistent* (§1): every term is depicted
+//! by exactly one node, so a label names at most one live node and the
+//! label index maps a label id to that node — the paper's convention of
+//! addressing nodes by their label (§3 end).
 //!
 //! # The adjacency layer
 //!
@@ -22,8 +23,8 @@
 //!   friends), a pass over the list comparing label ids that never
 //!   resolves a string.
 //!
-//! `ED`/`ND` remove dead [`EdgeId`]s from the lists (and drop empty
-//! `by_label` entries), so lookup, iteration and degree cost is
+//! `ED`/`ND` remove dead [`EdgeId`]s from the lists (and `ND` drops the
+//! node's `by_label` entry), so lookup, iteration and degree cost is
 //! proportional to the *live* neighbourhood, not historical churn.
 //!
 //! String-typed APIs remain available and are thin wrappers that resolve
@@ -162,16 +163,9 @@ pub struct EdgeRef<'g> {
 /// assert_eq!(g.edge_count(), 0);
 /// ```
 ///
-/// Two label regimes are supported:
-///
-/// * **consistent** (`unique_labels = true`, the paper's default for
-///   ontologies, §1): a term may label at most one node, so nodes are
-///   addressable by label;
-/// * **free** (`unique_labels = false`): duplicate node labels are
-///   allowed; useful for instance-level graphs where several individuals
-///   share a display label.
-///
-/// Edges are *set*-semantics: at most one edge per `(src, label, dst)`
+/// The graph is **consistent** (§1): a label names at most one live
+/// node, so nodes are addressable by label (§3 end). Edges are
+/// *set*-semantics: at most one edge per `(src, label, dst)`
 /// triple, matching the paper's definition of `E` as a set.
 #[derive(Debug)]
 pub struct OntGraph {
@@ -179,8 +173,7 @@ pub struct OntGraph {
     interner: Interner,
     nodes: Vec<NodeData>,
     edges: Vec<EdgeData>,
-    by_label: FxHashMap<LabelId, Vec<NodeId>>,
-    unique_labels: bool,
+    by_label: FxHashMap<LabelId, NodeId>,
     live_nodes: usize,
     live_edges: usize,
     journal: Option<Vec<GraphOp>>,
@@ -209,7 +202,6 @@ impl Clone for OntGraph {
             nodes: self.nodes.clone(),
             edges: self.edges.clone(),
             by_label: self.by_label.clone(),
-            unique_labels: self.unique_labels,
             live_nodes: self.live_nodes,
             live_edges: self.live_edges,
             journal: self.journal.clone(),
@@ -222,25 +214,14 @@ impl Clone for OntGraph {
 }
 
 impl OntGraph {
-    /// Creates an empty *consistent* graph (unique node labels), the mode
-    /// used for ontologies throughout the paper.
+    /// Creates an empty graph.
     pub fn new(name: impl Into<String>) -> Self {
-        Self::with_mode(name, true)
-    }
-
-    /// Creates an empty graph allowing duplicate node labels.
-    pub fn new_multi(name: impl Into<String>) -> Self {
-        Self::with_mode(name, false)
-    }
-
-    fn with_mode(name: impl Into<String>, unique_labels: bool) -> Self {
         OntGraph {
             name: name.into(),
             interner: Interner::new(),
             nodes: Vec::new(),
             edges: Vec::new(),
             by_label: FxHashMap::default(),
-            unique_labels,
             live_nodes: 0,
             live_edges: 0,
             journal: None,
@@ -318,11 +299,6 @@ impl OntGraph {
     /// Renames the graph.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
-    }
-
-    /// Whether node labels are enforced unique (consistent-ontology mode).
-    pub fn unique_labels(&self) -> bool {
-        self.unique_labels
     }
 
     /// Number of live nodes.
@@ -427,8 +403,8 @@ impl OntGraph {
 
     /// `NA` — node addition (§3). Adds a node labeled `label`.
     ///
-    /// Errors with [`GraphError::DuplicateLabel`] in consistent mode if a
-    /// live node already carries the label, and with
+    /// Errors with [`GraphError::DuplicateLabel`] if a live node already
+    /// carries the label, and with
     /// [`GraphError::EmptyLabel`] if the label is empty (`λ` must map to a
     /// non-null string).
     pub fn add_node(&mut self, label: &str) -> Result<NodeId> {
@@ -436,16 +412,12 @@ impl OntGraph {
             return Err(GraphError::EmptyLabel);
         }
         let lid = self.interner.intern(label);
-        if self.unique_labels {
-            if let Some(v) = self.by_label.get(&lid) {
-                if !v.is_empty() {
-                    return Err(GraphError::DuplicateLabel(label.to_string()));
-                }
-            }
+        if self.by_label.contains_key(&lid) {
+            return Err(GraphError::DuplicateLabel(label.to_string()));
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeData { label: lid, out: Vec::new(), inc: Vec::new(), alive: true });
-        self.by_label.entry(lid).or_default().push(id);
+        self.by_label.insert(lid, id);
         self.live_nodes += 1;
         self.touch_shard(id);
         self.record(|_| GraphOp::node_add(label));
@@ -453,9 +425,6 @@ impl OntGraph {
     }
 
     /// Returns the node labeled `label`, creating it if absent.
-    ///
-    /// In multi-label mode this returns the *first* live node with the
-    /// label, creating one only when none exists.
     pub fn ensure_node(&mut self, label: &str) -> Result<NodeId> {
         if let Some(id) = self.node_by_label(label) {
             return Ok(id);
@@ -471,12 +440,7 @@ impl OntGraph {
         // Capture the node's neighbourhood *before* the cascade empties
         // it, so the journaled ND op is lossless (its inverse restores
         // the node and every incident edge from the op alone).
-        let captured = if self.journal.is_some() {
-            let label = self.interner.resolve(self.nodes[id.index()].label).to_string();
-            Some(GraphOp::capture_node_delete_at(self, id, &label))
-        } else {
-            None
-        };
+        let captured = self.journal.is_some().then(|| GraphOp::capture_node_delete(self, id));
         // Collect incident edges first (both directions), then kill them.
         // Incident lists hold only live edges; a self-loop appears in
         // both, so dedup through the liveness check in the loop.
@@ -498,12 +462,7 @@ impl OntGraph {
         // allocations too
         node.out = Vec::new();
         node.inc = Vec::new();
-        if let Some(v) = self.by_label.get_mut(&lid) {
-            v.retain(|&n| n != id);
-            if v.is_empty() {
-                self.by_label.remove(&lid);
-            }
-        }
+        self.by_label.remove(&lid);
         self.live_nodes -= 1;
         self.touch_shard(id);
         if let Some(op) = captured {
@@ -512,8 +471,7 @@ impl OntGraph {
         Ok(())
     }
 
-    /// Deletes the node addressed by `label` (consistent-ontology
-    /// convenience, §3 end).
+    /// Deletes the node addressed by `label` (§3 end).
     pub fn delete_node_by_label(&mut self, label: &str) -> Result<()> {
         let id =
             self.node_by_label(label).ok_or_else(|| GraphError::NodeNotFound(label.to_string()))?;
@@ -637,24 +595,15 @@ impl OntGraph {
         self.nodes.get(id.index()).filter(|n| n.alive).map(|n| n.label)
     }
 
-    /// The first live node carrying `label`, if any.
+    /// The live node carrying `label`, if any.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
         let lid = self.interner.get(label)?;
-        self.by_label.get(&lid).and_then(|v| v.first().copied())
+        self.by_label.get(&lid).copied()
     }
 
-    /// All live nodes carrying `label` (singleton in consistent mode).
-    pub fn nodes_by_label(&self, label: &str) -> &[NodeId] {
-        self.interner
-            .get(label)
-            .and_then(|lid| self.by_label.get(&lid))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// True if some live node carries `label`.
+    /// True if a live node carries `label`.
     pub fn contains_label(&self, label: &str) -> bool {
-        !self.nodes_by_label(label).is_empty()
+        self.node_by_label(label).is_some()
     }
 
     /// Looks up a live edge by endpoints and label — one interner lookup
@@ -892,7 +841,7 @@ impl OntGraph {
     ///
     /// Returns the new graph and the old-to-new node-id mapping.
     pub fn compacted(&self) -> (OntGraph, HashMap<NodeId, NodeId>) {
-        let mut g = OntGraph::with_mode(self.name.clone(), self.unique_labels);
+        let mut g = OntGraph::new(self.name.clone());
         let mut map = HashMap::with_capacity(self.live_nodes);
         for n in self.nodes() {
             let id = g.add_node(n.label).expect("labels unique in source graph");
@@ -934,9 +883,6 @@ impl OntGraph {
 
     /// Structural equality on the `(label, edge-label, label)` level,
     /// ignoring ids, tombstones, names and insertion order.
-    ///
-    /// Only meaningful for consistent graphs (unique labels), which is how
-    /// the paper compares ontologies.
     pub fn same_shape(&self, other: &OntGraph) -> bool {
         if self.node_count() != other.node_count() || self.edge_count() != other.edge_count() {
             return false;
@@ -1016,15 +962,6 @@ mod tests {
         let mut g = OntGraph::new("t");
         g.add_node("Car").unwrap();
         assert!(matches!(g.add_node("Car"), Err(GraphError::DuplicateLabel(_))));
-    }
-
-    #[test]
-    fn duplicate_label_allowed_in_multi_mode() {
-        let mut g = OntGraph::new_multi("t");
-        let a = g.add_node("Car").unwrap();
-        let b = g.add_node("Car").unwrap();
-        assert_ne!(a, b);
-        assert_eq!(g.nodes_by_label("Car").len(), 2);
     }
 
     #[test]

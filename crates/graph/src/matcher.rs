@@ -308,7 +308,7 @@ impl<'g, E: LabelEquiv> Matcher<'g, E> {
         // node_equiv.
         match &pattern.nodes[pi].constraint {
             NodeConstraint::Label(l) => {
-                let mut v: Vec<NodeId> = self.graph.nodes_by_label(l).to_vec();
+                let mut v: Vec<NodeId> = self.graph.node_by_label(l).into_iter().collect();
                 if !self.equiv.is_identity() {
                     for node in self.graph.nodes() {
                         if node.label != l && self.equiv.node_equiv(l, node.label) {
@@ -377,7 +377,7 @@ fn plan_order(pattern: &Pattern, graph: &OntGraph) -> Vec<usize> {
         .nodes
         .iter()
         .map(|pn| match &pn.constraint {
-            NodeConstraint::Label(l) => graph.nodes_by_label(l).len().max(1),
+            NodeConstraint::Label(_) => 1,
             NodeConstraint::Any => graph.node_count().max(1),
         })
         .collect();

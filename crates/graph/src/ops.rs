@@ -30,7 +30,7 @@ pub enum GraphOp {
     /// every incident edge from the op alone. Blind construction via
     /// [`GraphOp::node_delete`] leaves the capture empty (the inverse
     /// then restores a bare node); the journal always records the
-    /// captured form (see [`GraphOp::capture_node_delete`]).
+    /// captured form.
     NodeDelete {
         /// Label of the node to delete.
         label: String,
@@ -149,19 +149,11 @@ impl GraphOp {
         }
     }
 
-    /// Builds the **captured** `NodeDelete` op for `label`'s node: the
+    /// Builds the **captured** `NodeDelete` op for the live node `n`: the
     /// full op `delete_node` journals, carrying the node's current
     /// neighbourhood so replay is lossless and `inverse` restores it.
-    pub fn capture_node_delete(g: &OntGraph, label: &str) -> Result<GraphOp> {
-        let n =
-            g.node_by_label(label).ok_or_else(|| GraphError::NodeNotFound(label.to_string()))?;
-        Ok(Self::capture_node_delete_at(g, n, label))
-    }
-
-    /// Id-addressed [`GraphOp::capture_node_delete`], for callers that
-    /// already resolved the node (in multi-label mode the label alone is
-    /// ambiguous).
-    pub(crate) fn capture_node_delete_at(g: &OntGraph, n: crate::NodeId, label: &str) -> GraphOp {
+    pub(crate) fn capture_node_delete(g: &OntGraph, n: crate::NodeId) -> GraphOp {
+        let label = g.node_label(n).expect("live").to_string();
         let out_edges = g
             .out_edges(n)
             .map(|e| (e.label.to_string(), g.node_label(e.dst).expect("live").to_string()))
@@ -170,7 +162,7 @@ impl GraphOp {
             .in_edges(n)
             .map(|e| (g.node_label(e.src).expect("live").to_string(), e.label.to_string()))
             .collect();
-        GraphOp::NodeDelete { label: label.to_string(), out_edges, in_edges }
+        GraphOp::NodeDelete { label, out_edges, in_edges }
     }
 
     /// Labels this op touches (used by the maintenance engine to decide
@@ -271,7 +263,8 @@ mod tests {
         let mut g = OntGraph::new("t");
         g.ensure_edge_by_labels("Car", "SubclassOf", "Vehicle").unwrap();
         g.ensure_edge_by_labels("Price", "AttributeOf", "Car").unwrap();
-        let del = GraphOp::capture_node_delete(&g, "Car").unwrap();
+        let car = g.node_by_label("Car").unwrap();
+        let del = GraphOp::capture_node_delete(&g, car);
         del.apply(&mut g).unwrap();
         assert_eq!(g.edge_count(), 0);
         del.inverse().unwrap().apply(&mut g).unwrap();

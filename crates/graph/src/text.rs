@@ -44,7 +44,7 @@ pub fn to_text(g: &OntGraph) -> String {
     out
 }
 
-/// Parses the text format into a consistent-mode graph.
+/// Parses the text format into a graph.
 pub fn from_text(input: &str) -> Result<OntGraph> {
     let mut g = OntGraph::new("unnamed");
     let mut named = false;

@@ -15,9 +15,9 @@
 //! On-disk layout (all files CRC-framed like WAL records —
 //! `[u32 len][u32 crc][payload]`):
 //!
-//! * `ckpt-{seq:020}.mf` — the manifest: `{seq, graph name,
-//!   unique_labels, graph_id, epoch, shard_count, last_lsn, per-shard
-//!   version stamps}`. Written to a temp file, synced, then renamed —
+//! * `ckpt-{seq:020}.mf` — the manifest: `{magic, format version, seq,
+//!   graph name, consistent-label byte (always 1), graph_id, epoch,
+//!   shard_count, last_lsn, per-shard version stamps}`. Written to a temp file, synced, then renamed —
 //!   the rename is the checkpoint's commit point; a torn manifest is
 //!   skipped at recovery, falling back to the previous one.
 //! * `strings-{seq:020}.bin` — the snapshot interner (label table).
@@ -34,7 +34,7 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use super::record::{put_str, put_u32, put_u64, Reader};
+use super::record::{put_str, put_u32, put_u64, Reader, CONSISTENT_LABELS};
 use super::{crc32, Lsn, WalError, WalResult};
 use crate::snapshot::{shard::owned_slots, ShardedSnapshot};
 use crate::{LabelId, OntGraph};
@@ -54,8 +54,6 @@ pub struct Manifest {
     pub seq: u64,
     /// Graph name.
     pub name: String,
-    /// Consistent-ontology mode flag (must be true for durable graphs).
-    pub unique_labels: bool,
     /// Identity of the graph the shard stamps belong to. Process-local:
     /// a recovered graph gets a fresh id, so the first checkpoint after
     /// recovery is a full one by construction.
@@ -89,7 +87,7 @@ impl Manifest {
         put_u32(&mut p, FORMAT_VERSION);
         put_u64(&mut p, self.seq);
         put_str(&mut p, &self.name);
-        p.push(self.unique_labels as u8);
+        p.push(CONSISTENT_LABELS);
         put_u64(&mut p, self.graph_id);
         put_u64(&mut p, self.epoch);
         put_u32(&mut p, self.shard_count as u32);
@@ -113,7 +111,7 @@ impl Manifest {
         }
         let seq = r.u64()?;
         let name = r.str()?;
-        let unique_labels = r.u8()? != 0;
+        r.consistent_labels()?;
         let graph_id = r.u64()?;
         let epoch = r.u64()?;
         let shard_count = r.u32()? as usize;
@@ -127,16 +125,7 @@ impl Manifest {
             shard_versions.push(r.u64()?);
         }
         r.expect_end()?;
-        Ok(Manifest {
-            seq,
-            name,
-            unique_labels,
-            graph_id,
-            epoch,
-            shard_count,
-            last_lsn,
-            shard_versions,
-        })
+        Ok(Manifest { seq, name, graph_id, epoch, shard_count, last_lsn, shard_versions })
     }
 }
 
@@ -309,7 +298,6 @@ fn decode_shard(
 pub(crate) fn write_checkpoint(
     dir: &Path,
     snap: &ShardedSnapshot,
-    unique_labels: bool,
     last_lsn: Lsn,
     prev: Option<&Manifest>,
 ) -> WalResult<(Manifest, CheckpointStats)> {
@@ -317,7 +305,6 @@ pub(crate) fn write_checkpoint(
     let manifest = Manifest {
         seq,
         name: snap.name().to_string(),
-        unique_labels,
         graph_id: snap.graph_id(),
         epoch: snap.epoch(),
         shard_count: snap.shard_count(),
@@ -403,11 +390,6 @@ pub(crate) fn load_manifests(dir: &Path) -> WalResult<Vec<Manifest>> {
 /// [`WalError::Corrupt`] if any referenced file is missing or invalid —
 /// the caller then falls back to an older manifest.
 pub(crate) fn restore_graph(dir: &Path, m: &Manifest) -> WalResult<OntGraph> {
-    if !m.unique_labels {
-        return Err(WalError::Unsupported(
-            "durable graphs require consistent (unique-label) mode".into(),
-        ));
-    }
     let strings_path = dir.join(m.strings_file());
     let strings =
         decode_strings(&read_framed(&strings_path)?, &strings_path.display().to_string())?;
@@ -550,7 +532,7 @@ mod tests {
         let td = TestDir::new("ckpt-roundtrip");
         let g = sample_graph();
         let snap = crate::ShardedSnapshot::of(&g);
-        let (m, stats) = write_checkpoint(&td.0, &snap, true, Lsn(9), None).unwrap();
+        let (m, stats) = write_checkpoint(&td.0, &snap, Lsn(9), None).unwrap();
         assert_eq!(stats.shards_written, 4, "first checkpoint is full");
         assert_eq!(m.last_lsn, Lsn(9));
         let restored = restore_graph(&td.0, &m).unwrap();
@@ -565,7 +547,7 @@ mod tests {
         let mut g = sample_graph();
         let mut store = SnapshotStore::new(&g);
         let snap = store.load();
-        let (m1, s1) = write_checkpoint(&td.0, &snap, true, Lsn(4), None).unwrap();
+        let (m1, s1) = write_checkpoint(&td.0, &snap, Lsn(4), None).unwrap();
         assert_eq!((s1.shards_written, s1.shards_reused), (4, 0));
 
         // One edge edit dirties its source's shard only.
@@ -573,7 +555,7 @@ mod tests {
         let e = g.add_edge(car, "dirty", car).unwrap();
         g.delete_edge(e).unwrap();
         let snap2 = store.publish(&g);
-        let (m2, s2) = write_checkpoint(&td.0, &snap2, true, Lsn(6), Some(&m1)).unwrap();
+        let (m2, s2) = write_checkpoint(&td.0, &snap2, Lsn(6), Some(&m1)).unwrap();
         assert_eq!(s2.shards_written, 1, "single same-shard edit rewrites exactly one shard");
         assert_eq!(s2.shards_reused, 3);
         let restored = restore_graph(&td.0, &m2).unwrap();
@@ -588,8 +570,8 @@ mod tests {
         let td = TestDir::new("ckpt-torn");
         let g = sample_graph();
         let store = SnapshotStore::new(&g);
-        let (m1, _) = write_checkpoint(&td.0, &store.load(), true, Lsn(4), None).unwrap();
-        let (m2, _) = write_checkpoint(&td.0, &store.load(), true, Lsn(8), Some(&m1)).unwrap();
+        let (m1, _) = write_checkpoint(&td.0, &store.load(), Lsn(4), None).unwrap();
+        let (m2, _) = write_checkpoint(&td.0, &store.load(), Lsn(8), Some(&m1)).unwrap();
         // Tear the newest manifest mid-file.
         let p2 = td.0.join(Manifest::manifest_file(m2.seq));
         let len = std::fs::metadata(&p2).unwrap().len();
@@ -609,6 +591,51 @@ mod tests {
         assert!(restore_graph(&td.0, &m1).is_ok());
     }
 
+    /// A manifest's bytes, field by field, as the format writes them:
+    /// magic, format version, seq, name, the consistent-label byte `1`,
+    /// graph_id, epoch, shard count, last LSN, per-shard stamps. The
+    /// byte set to anything but `1` in a CRC-valid file is corrupt, and
+    /// recovery skips that manifest.
+    #[test]
+    fn manifest_bytes_are_pinned_and_only_label_byte_1_decodes() {
+        let m = Manifest {
+            seq: 3,
+            name: "carrier".into(),
+            graph_id: 0x0102_0304_0506_0708,
+            epoch: 5,
+            shard_count: 2,
+            last_lsn: Lsn(42),
+            shard_versions: vec![7, 9],
+        };
+        let mut want = b"FMNO".to_vec(); // 0x4F4E_4D46, little-endian
+        want.extend_from_slice(&1u32.to_le_bytes());
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.extend_from_slice(&7u32.to_le_bytes());
+        want.extend_from_slice(b"carrier");
+        let label_byte = want.len();
+        want.push(1);
+        want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
+        want.extend_from_slice(&5u64.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&42u64.to_le_bytes());
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&9u64.to_le_bytes());
+        assert_eq!(m.encode(), want);
+        assert_eq!(Manifest::decode(&want, "mf").unwrap(), m);
+
+        let td = TestDir::new("ckpt-label-byte");
+        let path = td.0.join(Manifest::manifest_file(m.seq));
+        for byte in [0u8, 2, 255] {
+            let mut bytes = want.clone();
+            bytes[label_byte] = byte;
+            write_framed(&path, &bytes).unwrap();
+            let decoded = read_framed(&path).and_then(|p| Manifest::decode(&p, "mf"));
+            assert!(matches!(decoded, Err(WalError::Corrupt { .. })), "byte {byte}: {decoded:?}");
+            assert!(load_manifests(&td.0).unwrap().is_empty(), "byte {byte}: manifest skipped");
+        }
+    }
+
     // -----------------------------------------------------------------
     // readers of bytes from disk return errors, never panic
     // -----------------------------------------------------------------
@@ -624,7 +651,6 @@ mod tests {
         let manifest = Manifest {
             seq: 3,
             name: snap.name().to_string(),
-            unique_labels: true,
             graph_id: snap.graph_id(),
             epoch: snap.epoch(),
             shard_count: count,
@@ -681,7 +707,6 @@ mod tests {
         let m = Manifest {
             seq: 1,
             name: "forged".into(),
-            unique_labels: true,
             graph_id: 1,
             epoch: 0,
             shard_count: shards.len(),

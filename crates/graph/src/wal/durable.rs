@@ -3,9 +3,9 @@
 //!
 //! A durable directory contains:
 //!
-//! * `meta.bin` — graph name + mode, written once at
-//!   [`Durability::create`] (before any other file, so a recovering
-//!   process always knows what it is recovering);
+//! * `meta.bin` — graph name + the consistent-label byte (always `1`),
+//!   written once at [`Durability::create`] (before any other file, so
+//!   a recovering process always knows what it is recovering);
 //! * `wal-*.seg` — the log segments ([`LogManager`]);
 //! * `ckpt-*.mf`, `strings-*.bin`, `shard-*.bin` — checkpoints
 //!   ([`super::checkpoint`]).
@@ -31,7 +31,7 @@ use super::checkpoint::{
     gc, load_manifests, read_framed, restore_graph, write_checkpoint, write_framed,
 };
 use super::log::LogManager;
-use super::record::{put_str, put_u32, Reader, WalRecord};
+use super::record::{put_str, put_u32, Reader, WalRecord, CONSISTENT_LABELS};
 use super::{CheckpointStats, Lsn, Manifest, WalError, WalResult};
 use crate::snapshot::ShardedSnapshot;
 use crate::{ops, GraphOp, OntGraph};
@@ -63,18 +63,17 @@ pub struct Durability {
     /// Retained manifests, newest first (≤ [`KEEP_MANIFESTS`]).
     manifests: Vec<Manifest>,
     name: String,
-    unique_labels: bool,
 }
 
-fn write_meta(dir: &Path, name: &str, unique_labels: bool) -> WalResult<()> {
+fn write_meta(dir: &Path, name: &str) -> WalResult<()> {
     let mut p = Vec::new();
     put_u32(&mut p, MAGIC_META);
     put_str(&mut p, name);
-    p.push(unique_labels as u8);
+    p.push(CONSISTENT_LABELS);
     write_framed(&dir.join(META_FILE), &p).map(|_| ())
 }
 
-fn read_meta(dir: &Path) -> WalResult<(String, bool)> {
+fn read_meta(dir: &Path) -> WalResult<String> {
     let path = dir.join(META_FILE);
     let what = path.display().to_string();
     let payload = read_framed(&path).map_err(|e| match e {
@@ -86,9 +85,9 @@ fn read_meta(dir: &Path) -> WalResult<(String, bool)> {
         return Err(WalError::Corrupt { file: what, detail: "bad meta magic".into() });
     }
     let name = r.str()?;
-    let unique = r.u8()? != 0;
+    r.consistent_labels()?;
     r.expect_end()?;
-    Ok((name, unique))
+    Ok(name)
 }
 
 impl Durability {
@@ -98,12 +97,7 @@ impl Durability {
     }
 
     /// Initialises a fresh durable directory for a graph named `name`.
-    pub fn create(dir: impl AsRef<Path>, name: &str, unique_labels: bool) -> WalResult<Durability> {
-        if !unique_labels {
-            return Err(WalError::Unsupported(
-                "durable graphs require consistent (unique-label) mode".into(),
-            ));
-        }
+    pub fn create(dir: impl AsRef<Path>, name: &str) -> WalResult<Durability> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         if Self::has_state(&dir) {
@@ -112,15 +106,15 @@ impl Durability {
                 dir.display()
             )));
         }
-        write_meta(&dir, name, unique_labels)?;
+        write_meta(&dir, name)?;
         let log = LogManager::open(&dir)?;
-        Ok(Durability { dir, log, manifests: Vec::new(), name: name.to_string(), unique_labels })
+        Ok(Durability { dir, log, manifests: Vec::new(), name: name.to_string() })
     }
 
     /// Recovers the graph from `dir` and reopens the log for appends.
     pub fn open(dir: impl AsRef<Path>) -> WalResult<(OntGraph, Durability, RecoveryStats)> {
         let dir = dir.as_ref().to_path_buf();
-        let (name, unique_labels) = read_meta(&dir)?;
+        let name = read_meta(&dir)?;
         let log = LogManager::open(&dir)?;
         let mut manifests = load_manifests(&dir)?;
         // Newest manifest whose files all validate wins; the rest of
@@ -173,7 +167,7 @@ impl Durability {
             replayed_batches = stats.replayed_batches,
             replayed_ops = stats.replayed_ops,
         );
-        Ok((g, Durability { dir, log, manifests, name, unique_labels }, stats))
+        Ok((g, Durability { dir, log, manifests, name }, stats))
     }
 
     /// Appends `ops` as one atomic batch (`Begin … Commit`), returning
@@ -206,13 +200,8 @@ impl Durability {
         snap: &ShardedSnapshot,
         last_lsn: Lsn,
     ) -> WalResult<CheckpointStats> {
-        let (manifest, mut stats) = write_checkpoint(
-            &self.dir,
-            snap,
-            self.unique_labels,
-            last_lsn,
-            self.manifests.first(),
-        )?;
+        let (manifest, mut stats) =
+            write_checkpoint(&self.dir, snap, last_lsn, self.manifests.first())?;
         self.log.append(&WalRecord::Checkpoint { manifest_seq: manifest.seq, last_lsn });
         self.log.flush()?;
         self.manifests.insert(0, manifest);
@@ -293,7 +282,7 @@ mod tests {
     fn wal_only_recovery_reproduces_graph() {
         let td = TestDir::new("dur-walonly");
         let mut g = OntGraph::new("src");
-        let mut dur = Durability::create(&td.0, "src", true).unwrap();
+        let mut dur = Durability::create(&td.0, "src").unwrap();
         commit(&mut g, &mut dur, &[GraphOp::edge_add("Car", "SubclassOf", "Vehicle")]);
         commit(&mut g, &mut dur, &[GraphOp::node_delete("Car")]);
         drop(dur);
@@ -309,7 +298,7 @@ mod tests {
         let td = TestDir::new("dur-ckpt");
         let mut g = OntGraph::new("src");
         g.set_shard_count(4);
-        let mut dur = Durability::create(&td.0, "src", true).unwrap();
+        let mut dur = Durability::create(&td.0, "src").unwrap();
         let mut store = SnapshotStore::new(&g);
         commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
         let lsn = commit(&mut g, &mut dur, &[GraphOp::edge_add("B", "s", "C")]);
@@ -332,7 +321,7 @@ mod tests {
     fn uncommitted_tail_batch_is_not_replayed() {
         let td = TestDir::new("dur-uncommitted");
         let mut g = OntGraph::new("src");
-        let mut dur = Durability::create(&td.0, "src", true).unwrap();
+        let mut dur = Durability::create(&td.0, "src").unwrap();
         commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
         // Flushed Begin+Op with no Commit — the crash window between
         // batch start and commit.
@@ -353,7 +342,7 @@ mod tests {
     #[test]
     fn every_truncation_and_byte_flip_of_meta_is_rejected() {
         let td = TestDir::new("dur-meta");
-        drop(Durability::create(&td.0, "src", true).unwrap());
+        drop(Durability::create(&td.0, "src").unwrap());
         let path = td.0.join(META_FILE);
         let meta = std::fs::read(&path).unwrap();
         // the frame is `[u32 len][u32 crc32][payload]`, byte for byte
@@ -366,7 +355,7 @@ mod tests {
         put_u32(&mut want, crate::wal::crc32(&payload));
         want.extend_from_slice(&payload);
         assert_eq!(meta, want);
-        assert_eq!(read_meta(&td.0).unwrap(), ("src".to_string(), true));
+        assert_eq!(read_meta(&td.0).unwrap(), "src");
         for cut in 0..meta.len() {
             std::fs::write(&path, &meta[..cut]).unwrap();
             assert!(Durability::open(&td.0).is_err(), "prefix of {cut}/{} bytes", meta.len());
@@ -383,11 +372,39 @@ mod tests {
         assert!(matches!(Durability::open(&td.0), Err(WalError::Missing(_))));
     }
 
+    /// `meta.bin` re-framed (valid CRC) with its consistent-label byte
+    /// set to anything but `1` does not open.
+    #[test]
+    fn meta_with_a_label_byte_other_than_1_is_rejected() {
+        let td = TestDir::new("dur-meta-byte");
+        let mut g = OntGraph::new("src");
+        let mut dur = Durability::create(&td.0, "src").unwrap();
+        commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
+        drop(dur);
+        let path = td.0.join(META_FILE);
+        let payload = read_framed(&path).unwrap();
+        let label_byte = payload.len() - 1;
+        assert_eq!(payload[label_byte], 1);
+        for byte in [0u8, 2, 255] {
+            let mut bytes = payload.clone();
+            bytes[label_byte] = byte;
+            write_framed(&path, &bytes).unwrap();
+            assert!(
+                matches!(read_meta(&td.0), Err(WalError::Corrupt { .. })),
+                "byte {byte} reads as corrupt"
+            );
+            assert!(Durability::open(&td.0).is_err(), "byte {byte} does not open");
+        }
+        write_framed(&path, &payload).unwrap();
+        let (rg, _dur, _) = Durability::open(&td.0).unwrap();
+        assert_eq!(shape(&rg), shape(&g));
+    }
+
     #[test]
     fn second_open_after_recovery_is_stable() {
         let td = TestDir::new("dur-reopen");
         let mut g = OntGraph::new("src");
-        let mut dur = Durability::create(&td.0, "src", true).unwrap();
+        let mut dur = Durability::create(&td.0, "src").unwrap();
         commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
         drop(dur);
         let (rg1, dur1, _) = Durability::open(&td.0).unwrap();

@@ -25,10 +25,10 @@
 //!   previous checkpoint).
 //!
 //! Ops are journaled and replayed **label-addressed** (the paper's §3
-//! convention for consistent ontologies), so recovery reproduces the
-//! graph up to node-id renaming — every label-level observation (nodes,
-//! edge triples, traversals, articulation) is byte-identical. Durable
-//! mode therefore requires a consistent (`unique_labels`) graph.
+//! convention for consistent ontologies: a label names at most one live
+//! node), so recovery reproduces the graph up to node-id renaming —
+//! every label-level observation (nodes, edge triples, traversals,
+//! articulation) is byte-identical.
 
 mod checkpoint;
 mod crc;
@@ -75,7 +75,8 @@ pub enum WalError {
     },
     /// The durable directory is missing a required file.
     Missing(String),
-    /// The graph cannot be made durable (e.g. multi-label mode).
+    /// The durable operation does not apply here (e.g. creating over a
+    /// directory that already holds durable state).
     Unsupported(String),
     /// Replaying a committed op against the restored graph failed —
     /// the log and checkpoint disagree.

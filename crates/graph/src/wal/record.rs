@@ -61,6 +61,11 @@ pub enum WalRecord {
 // primitive writers / reader
 // ---------------------------------------------------------------------
 
+/// The consistent-label byte `meta.bin` and every manifest carry after
+/// the graph name. A label names at most one live node in every graph,
+/// so the byte is always `1`; any other value reads as corrupt.
+pub(crate) const CONSISTENT_LABELS: u8 = 1;
+
 pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -114,6 +119,14 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn u64(&mut self) -> WalResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// Reads the [`CONSISTENT_LABELS`] byte.
+    pub(crate) fn consistent_labels(&mut self) -> WalResult<()> {
+        match self.u8()? {
+            CONSISTENT_LABELS => Ok(()),
+            b => Err(self.corrupt(format!("consistent-label byte {b}, want {CONSISTENT_LABELS}"))),
+        }
     }
 
     pub(crate) fn str(&mut self) -> WalResult<String> {

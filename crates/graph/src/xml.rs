@@ -242,7 +242,7 @@ fn unescape_entities(s: &str, line: usize) -> Result<String> {
     Ok(out)
 }
 
-/// Parses the XML ontology format into a consistent-mode graph.
+/// Parses the XML ontology format into a graph.
 pub fn from_xml(input: &str) -> Result<OntGraph> {
     let mut scanner = XmlScanner::new(input);
     let mut g = OntGraph::new("unnamed");

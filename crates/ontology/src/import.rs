@@ -27,12 +27,12 @@ use crate::Result;
 
 /// Imports the adjacency-list text format (see `onion_graph::text`).
 pub fn from_text(input: &str) -> Result<Ontology> {
-    Ontology::from_graph(text::from_text(input)?)
+    Ok(Ontology::from_graph(text::from_text(input)?))
 }
 
 /// Imports the XML format (see `onion_graph::xml`).
 pub fn from_xml(input: &str) -> Result<Ontology> {
-    Ontology::from_graph(xml::from_xml(input)?)
+    Ok(Ontology::from_graph(xml::from_xml(input)?))
 }
 
 /// Options for IDL import.

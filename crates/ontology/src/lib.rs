@@ -9,8 +9,8 @@
 //! sharing and reuse of knowledge by specifying the terms and the
 //! relationships among them" (§1), requiring consistency — "a term in an
 //! ontology does not refer to different concepts within one knowledge
-//! base" — which this crate enforces via the graph's unique-label mode
-//! plus the [`consistency`] checks (acyclic `SubclassOf`, sane
+//! base" — which the graph upholds (a label names at most one node) and
+//! the [`consistency`] checks extend (acyclic `SubclassOf`, sane
 //! `InstanceOf` usage).
 //!
 //! [`examples`] reconstructs the paper's Fig. 2 running example (the

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use onion_graph::traverse::{reachable_from_all, Direction, EdgeFilter};
-use onion_graph::{rel, GraphError, NodeId, OntGraph};
+use onion_graph::{rel, NodeId, OntGraph};
 use onion_rules::{RelationRegistry, RuleSet, Term};
 
 use crate::label_index::LabelIndex;
@@ -14,8 +14,9 @@ use crate::Result;
 /// A source ontology: name, concept graph, relationship properties and
 /// local structuring rules.
 ///
-/// The graph is always in consistent (unique-label) mode; the paper
-/// addresses nodes by their term labels throughout (§3 end) and so do we.
+/// The graph is consistent — a label names at most one node — so the
+/// paper addresses nodes by their term labels throughout (§3 end) and
+/// so do we.
 ///
 /// An ontology also caches its [`label_index`](Self::label_index), built
 /// on first use. Clones share it. Every method that can change the graph
@@ -53,23 +54,14 @@ impl Ontology {
         }
     }
 
-    /// Wraps an existing consistent graph.
-    ///
-    /// Returns an error if the graph allows duplicate labels — ontologies
-    /// must be consistent (§1).
-    pub fn from_graph(graph: OntGraph) -> Result<Self> {
-        if !graph.unique_labels() {
-            return Err(GraphError::DuplicateLabel(format!(
-                "graph {:?} allows duplicate labels; ontologies must be consistent",
-                graph.name()
-            )));
-        }
-        Ok(Ontology {
+    /// Wraps an existing graph.
+    pub fn from_graph(graph: OntGraph) -> Self {
+        Ontology {
             graph,
             relations: RelationRegistry::onion_default(),
             local_rules: RuleSet::new(),
             label_index: OnceLock::new(),
-        })
+        }
     }
 
     /// The ontology's name (used as the qualification prefix).
@@ -301,14 +293,6 @@ mod tests {
         assert!(o.resolve(&Term::unqualified("Cars")).is_some());
         assert!(o.resolve(&Term::qualified("factory", "Cars")).is_none());
         assert!(o.resolve(&Term::qualified("carrier", "Ghost")).is_none());
-    }
-
-    #[test]
-    fn from_graph_requires_consistency() {
-        let g = OntGraph::new_multi("messy");
-        assert!(Ontology::from_graph(g).is_err());
-        let g = OntGraph::new("clean");
-        assert!(Ontology::from_graph(g).is_ok());
     }
 
     #[test]

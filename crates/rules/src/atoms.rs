@@ -15,11 +15,15 @@
 //!
 //! * **One symbol space.** Predicates, constants and graph terms share
 //!   one id space, exactly like the string engine shared one interner.
-//! * **String round-trip.** `intern("carrier.Car")` splits on the first
-//!   `.` into `(namespace, name)`, so a string-interned symbol and the
-//!   same term interned from a graph node resolve to the *same*
-//!   [`AtomId`]. The split is bijective (rejoining with `.` restores the
-//!   original string), so string equality and atom equality coincide.
+//! * **Exact keys.** A rule term or a graph node keys under its
+//!   ontology's own name: `intern_parts(Some("acme.v2"), "Car")` is
+//!   `("acme.v2", "Car")`, and so is node `Car` of graph `acme.v2`.
+//!   Text splits at its first `.`: `intern("carrier.Car")` is
+//!   `("carrier", "Car")`. The two agree for every dot-free ontology
+//!   name — the only names text spells without ambiguity — so there a
+//!   string-interned symbol and the same term interned from a graph node
+//!   resolve to the *same* [`AtomId`]. No program path mixes
+//!   text-interned terms with graph or rule-term atoms.
 //! * **Lazy display text.** Qualified symbols materialise their
 //!   `"onto.Term"` form on first [`AtomTable::resolve`] (behind a
 //!   `OnceLock`, so the view API stays `&self`); a table that is only
@@ -161,34 +165,11 @@ impl AtomTable {
     }
 
     /// Interns a symbol from namespace/name parts — the path rule terms
-    /// take (for dot-free namespaces, no `"ns.name"` string is ever
-    /// built).
-    ///
-    /// Parts are **canonicalised** so every spelling of the same text
-    /// lands on the same atom: the canonical namespace is everything
-    /// before the *first* `.` of the full `ns.name` text. A dotted
-    /// ontology name (`("acme.v2", "Car")`) therefore keys as
-    /// `("acme", "v2.Car")` — exactly where `intern("acme.v2.Car")`
-    /// lands — preserving the string engine's whole-string equality.
+    /// take, so no `"ns.name"` string is ever built. `Some(ns)` keys
+    /// `(ns, name)` as given; `None` reads `name` as text (see
+    /// [`AtomTable::intern`]).
     pub fn intern_parts(&mut self, ns: Option<&str>, name: &str) -> AtomId {
-        match ns {
-            None => match name.split_once('.') {
-                Some((head, tail)) => self.intern_raw(Some(head), tail),
-                None => self.intern_raw(None, name),
-            },
-            Some(o) => match o.split_once('.') {
-                None => self.intern_raw(Some(o), name),
-                Some((head, tail)) => {
-                    // rare path: dotted ontology name — re-join so the
-                    // canonical split matches the string form
-                    let joined = format!("{tail}.{name}");
-                    self.intern_raw(Some(head), &joined)
-                }
-            },
-        }
-    }
-
-    fn intern_raw(&mut self, ns: Option<&str>, name: &str) -> AtomId {
+        let (ns, name) = key_parts(ns, name);
         let ns = match ns {
             Some(o) => self.namespace(o),
             None => NO_NS,
@@ -207,25 +188,10 @@ impl AtomTable {
         self.lookup_parts(None, s)
     }
 
-    /// Looks up by parts without interning (same canonicalisation as
+    /// Looks up by parts without interning (keyed like
     /// [`AtomTable::intern_parts`]).
     pub fn lookup_parts(&self, ns: Option<&str>, name: &str) -> Option<AtomId> {
-        match ns {
-            None => match name.split_once('.') {
-                Some((head, tail)) => self.lookup_raw(Some(head), tail),
-                None => self.lookup_raw(None, name),
-            },
-            Some(o) => match o.split_once('.') {
-                None => self.lookup_raw(Some(o), name),
-                Some((head, tail)) => {
-                    let joined = format!("{tail}.{name}");
-                    self.lookup_raw(Some(head), &joined)
-                }
-            },
-        }
-    }
-
-    fn lookup_raw(&self, ns: Option<&str>, name: &str) -> Option<AtomId> {
+        let (ns, name) = key_parts(ns, name);
         let ns = match ns {
             Some(o) => self.ns_ids.get(o).copied()?,
             None => NO_NS,
@@ -280,19 +246,25 @@ impl AtomTable {
     /// regenerated graph) starts clean — and seeding the same graph
     /// again hits a dense array per fact: no hashing at all.
     pub fn graph_atoms<'t, 'g>(&'t mut self, g: &'g OntGraph) -> GraphAtoms<'t, 'g> {
-        // canonical namespace split for dotted graph names (see
-        // `intern_parts`): "acme.v2" → namespace "acme", every label
-        // prefixed "v2."
-        let (ns, dotted_prefix) = match g.name().split_once('.') {
-            Some((head, tail)) => (self.namespace(head), Some(format!("{tail}."))),
-            None => (self.namespace(g.name()), None),
-        };
+        let ns = self.namespace(g.name());
         let graph_id = g.graph_id();
         let memo = match self.graph_memos.remove(&ns) {
             Some((id, memo)) if id == graph_id => memo,
             _ => Vec::new(), // no memo, or a stale graph identity
         };
-        GraphAtoms { table: self, graph: g, ns, graph_id, dotted_prefix, memo }
+        GraphAtoms { table: self, graph: g, ns, graph_id, memo }
+    }
+}
+
+/// The `(namespace, name)` key of [`AtomTable::intern_parts`]' arguments:
+/// given parts as they are, text split at its first `.`.
+fn key_parts<'a>(ns: Option<&'a str>, name: &'a str) -> (Option<&'a str>, &'a str) {
+    match ns {
+        Some(_) => (ns, name),
+        None => match name.split_once('.') {
+            Some((head, tail)) => (Some(head), tail),
+            None => (None, name),
+        },
     }
 }
 
@@ -304,9 +276,6 @@ pub struct GraphAtoms<'t, 'g> {
     graph: &'g OntGraph,
     ns: u32,
     graph_id: u64,
-    /// `"tail."` of a dotted graph name, prefixed to every label so the
-    /// canonical `(ns, name)` split matches the string path.
-    dotted_prefix: Option<String>,
     /// `LabelId.index() → AtomId.0 + 1`; 0 = unmapped.
     memo: Vec<u32>,
 }
@@ -333,14 +302,7 @@ impl GraphAtoms<'_, '_> {
 
     #[cold]
     fn intern_slow(&mut self, label: LabelId) -> AtomId {
-        let text = self.graph.interner().resolve(label);
-        let name = match &self.dotted_prefix {
-            Some(prefix) => {
-                let joined = format!("{prefix}{text}");
-                self.table.name_intern(&joined)
-            }
-            None => self.table.name_intern(text),
-        };
+        let name = self.table.name_intern(self.graph.interner().resolve(label));
         let id = self.table.intern_key(self.ns, name);
         let i = label.index();
         if self.memo.len() <= i {
@@ -448,18 +410,15 @@ mod tests {
     #[test]
     fn dotted_namespace_names_canonicalise() {
         let mut t = AtomTable::new();
-        // parts path with a dotted ontology name lands on the same atom
-        // as the string path (whole-string equality, like the old
-        // string-keyed engine)
+        // parts, a rule term and a graph node key a dotted ontology name
+        // as given
         let by_parts = t.intern_parts(Some("acme.v2"), "Car");
-        let by_string = t.intern("acme.v2.Car");
         let by_term = t.intern_term(&Term::qualified("acme.v2", "Car"));
-        assert_eq!(by_parts, by_string);
         assert_eq!(by_parts, by_term);
+        assert_eq!(t.parts(by_parts), (Some("acme.v2"), "Car"));
         assert_eq!(t.resolve(by_parts), "acme.v2.Car");
         assert_eq!(t.lookup_parts(Some("acme.v2"), "Car"), Some(by_parts));
         assert_eq!(t.lookup_term(&Term::qualified("acme.v2", "Car")), Some(by_parts));
-        // the graph path under a dotted graph name agrees too
         let mut g = OntGraph::new("acme.v2");
         let car = g.ensure_node("Car").unwrap();
         let from_graph = {
@@ -467,7 +426,12 @@ mod tests {
             c.node_atom(car).unwrap()
         };
         assert_eq!(from_graph, by_parts);
-        // unqualified parts with an embedded dot canonicalise as well
+        // text splits at its first dot, so it names another atom
+        let by_string = t.intern("acme.v2.Car");
+        assert_ne!(by_string, by_parts);
+        assert_eq!(t.parts(by_string), (Some("acme"), "v2.Car"));
+        assert_eq!(t.lookup("acme.v2.Car"), Some(by_string));
+        // unqualified parts with an embedded dot read as text
         assert_eq!(t.intern_parts(None, "a.b"), t.intern("a.b"));
     }
 

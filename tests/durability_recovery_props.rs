@@ -87,7 +87,7 @@ fn commit(g: &mut OntGraph, dur: &mut Durability, ledger: &mut Vec<u64>) {
 }
 
 fn run_script(dir: &Path, acts: &[Act]) -> Run {
-    let mut dur = Durability::create(dir, "g", true).unwrap();
+    let mut dur = Durability::create(dir, "g").unwrap();
     let mut g = OntGraph::new("g");
     g.enable_journal();
     let mut ledger = vec![checksum(&g)];
@@ -280,7 +280,7 @@ proptest! {
     ) {
         const SHARDS: usize = 8;
         let td = TempDir::new("rec-dirty");
-        let mut dur = Durability::create(td.path(), "g", true).unwrap();
+        let mut dur = Durability::create(td.path(), "g").unwrap();
         let mut g = OntGraph::new("g");
         g.set_shard_count(SHARDS);
         g.enable_journal();

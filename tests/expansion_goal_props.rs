@@ -65,9 +65,8 @@ fn mask_graph_id(s: &str) -> String {
 /// articulation term and `a` a source term, sort on text and add the
 /// pairs no bridge already holds. Returns the number of bridges added.
 ///
-/// One edit to the copy: a source term is named by the matched source
-/// (`left.v2` and `Car`, not the atom's canonical `left` and `v2.Car`),
-/// as the generator now names it.
+/// One edit to the copy: a source term is named by the source its atom's
+/// namespace names (`left.v2` and `Car`), as the generator now names it.
 fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
     let mut table = AtomTable::new();
     let atoms = &mut table;
@@ -93,32 +92,15 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
     let program = HornProgram::standard(&RelationRegistry::onion_default());
     InferenceEngine::new(program).run(atoms, &mut fb).unwrap();
 
-    let ns_key = |atoms: &AtomTable, name: &str| -> Option<(u32, Option<String>)> {
-        match name.split_once('.') {
-            Some((head, tail)) => {
-                atoms.namespace_lookup(head).map(|ns| (ns, Some(format!("{tail}."))))
-            }
-            None => atoms.namespace_lookup(name).map(|ns| (ns, None)),
-        }
-    };
-    let matches = |atoms: &AtomTable, id: AtomId, key: &(u32, Option<String>)| {
-        atoms.namespace_of(id) == Some(key.0)
-            && key.1.as_deref().map_or(true, |p| atoms.name_of(id).starts_with(p))
-    };
-    let Some(art_key) = ns_key(atoms, art.name()) else { return 0 };
-    let source_keys: Vec<(&Ontology, (u32, Option<String>))> =
-        sources.iter().filter_map(|&o| Some((o, ns_key(atoms, o.name())?))).collect();
+    let matches = |atoms: &AtomTable, id: AtomId, key: &u32| atoms.namespace_of(id) == Some(*key);
+    let Some(art_key) = atoms.namespace_lookup(art.name()) else { return 0 };
+    let source_keys: Vec<(&Ontology, u32)> =
+        sources.iter().filter_map(|&o| Some((o, atoms.namespace_lookup(o.name())?))).collect();
     // the term a source atom names: the matched source's own name and
-    // the label after its prefix, a source that defines the label first
+    // the atom's name
     let source_term = |atoms: &AtomTable, id: AtomId| -> Option<Term> {
-        let name = atoms.name_of(id);
-        let hits: Vec<(&Ontology, &str)> = source_keys
-            .iter()
-            .filter(|(_, k)| matches(atoms, id, k))
-            .map(|(o, k)| (*o, &name[k.1.as_ref().map_or(0, String::len)..]))
-            .collect();
-        let (o, label) = hits.iter().find(|(o, l)| o.defines(l)).or(hits.first())?;
-        Some(Term::qualified(o.name(), label))
+        let (o, _) = source_keys.iter().find(|(_, k)| matches(atoms, id, k))?;
+        Some(Term::qualified(o.name(), atoms.name_of(id)))
     };
     let mut derived: Vec<(AtomId, AtomId)> = fb
         .query2_ids(si, None, None)

@@ -24,7 +24,7 @@ fn independent_updates_cost_nothing() {
     // actually apply the delta to the source
     let mut g = c.graph().clone();
     onion_core::graph::ops::apply_all(&mut g, &ops).unwrap();
-    c = Ontology::from_graph(g).unwrap();
+    c = Ontology::from_graph(g);
 
     let before = art.bridges.clone();
     let report = apply_delta(&mut art, "carrier", &ops, &[&c, &f], &generator, None).unwrap();
@@ -109,7 +109,7 @@ fn repeated_deltas_remain_consistent() {
         let ops = update_stream(&c, &art, &spec);
         let mut g = c.graph().clone();
         onion_core::graph::ops::apply_all(&mut g, &ops).unwrap();
-        c = Ontology::from_graph(g).unwrap();
+        c = Ontology::from_graph(g);
         apply_delta(&mut art, "carrier", &ops, &[&c, &f], &generator, None).unwrap();
         assert!(
             art.unified(&[&c, &f]).is_ok(),

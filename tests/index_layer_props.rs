@@ -15,6 +15,10 @@
 //! a filter of `edge_entries()` in order, and `reachable_from_all` and
 //! `has_path` a search over that filtered edge list, after edge and
 //! node churn.
+//!
+//! And the label index: a label names at most one live node, so
+//! `node_by_label` must return the one node a scan of `nodes()` finds
+//! with that label, after scripts that delete labels and add them back.
 
 use std::collections::BTreeSet;
 
@@ -423,6 +427,89 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The label alphabet of the churn scripts: small, so labels collide and
+/// come back after deletion, with one non-ASCII and one spaced label.
+const CHURN_LABELS: [&str; 6] = ["A", "B", "C", "a", "Ünï", "A B"];
+
+/// Checks `node_by_label` and `contains_label` on every churn label and
+/// one never used against a scan of `nodes()`: at most one live node
+/// carries a label, and the index returns exactly that node.
+fn check_label_index(g: &OntGraph) -> TestCaseResult {
+    for label in CHURN_LABELS.iter().copied().chain(["NeverUsed"]) {
+        let hits: Vec<NodeId> = g.nodes().filter(|n| n.label == label).map(|n| n.id).collect();
+        prop_assert!(hits.len() <= 1, "{} live nodes carry {:?}", hits.len(), label);
+        prop_assert_eq!(g.node_by_label(label), hits.first().copied(), "{:?}", label);
+        prop_assert_eq!(g.contains_label(label), !hits.is_empty(), "{:?}", label);
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The label index against a scan, under node churn. Random scripts
+    /// of `add_node`, `ensure_node`, `delete_node_by_label` and
+    /// `ensure_edge_by_labels` run over [`CHURN_LABELS`] on a journaled
+    /// graph, and after every step `node_by_label(l)` is the one live
+    /// node a scan of `nodes()` finds with label `l` (or `None`), and
+    /// `contains_label(l)` agrees. `add_node` on a live label returns
+    /// `DuplicateLabel` and leaves `node_count`, `edge_count` and the
+    /// journal unchanged; a label deleted and then added again resolves
+    /// to its new node, never to a deleted one.
+    #[test]
+    fn label_index_matches_a_scan_under_node_churn(
+        script in prop::collection::vec((0usize..4, 0usize..6, 0usize..6), 1..80),
+    ) {
+        let mut g = OntGraph::new("churn");
+        g.enable_journal();
+        let mut deleted: Vec<NodeId> = Vec::new();
+        for (op, a, b) in script {
+            let (label, other) = (CHURN_LABELS[a], CHURN_LABELS[b]);
+            let live = g.nodes().find(|n| n.label == label).map(|n| n.id);
+            match op {
+                0 => {
+                    let counts = (g.node_count(), g.edge_count());
+                    let journal = g.journal().to_vec();
+                    match (g.add_node(label), live) {
+                        (Ok(n), None) => {
+                            prop_assert!(!deleted.contains(&n), "a deleted id came back");
+                            prop_assert_eq!(g.node_by_label(label), Some(n));
+                        }
+                        (Err(GraphError::DuplicateLabel(l)), Some(_)) => {
+                            prop_assert_eq!(l, label);
+                            prop_assert_eq!((g.node_count(), g.edge_count()), counts);
+                            prop_assert_eq!(g.journal(), &journal[..]);
+                        }
+                        (got, live) => {
+                            return Err(TestCaseError::fail(format!(
+                                "add_node({label:?}) with live node {live:?}: {got:?}"
+                            )));
+                        }
+                    }
+                }
+                1 => {
+                    let n = g.ensure_node(label).unwrap();
+                    match live {
+                        Some(m) => prop_assert_eq!(n, m),
+                        None => prop_assert!(!deleted.contains(&n), "a deleted id came back"),
+                    }
+                    prop_assert_eq!(g.node_by_label(label), Some(n));
+                }
+                2 => {
+                    prop_assert_eq!(g.delete_node_by_label(label).is_ok(), live.is_some());
+                    deleted.extend(live);
+                    prop_assert_eq!(g.node_by_label(label), None);
+                }
+                _ => {
+                    g.ensure_edge_by_labels(label, "S", other).unwrap();
+                    let (s, d) = (g.node_by_label(label).unwrap(), g.node_by_label(other).unwrap());
+                    prop_assert!(!deleted.contains(&s) && !deleted.contains(&d));
+                    prop_assert!(g.find_edge(s, "S", d).is_some());
+                }
+            }
+            check_label_index(&g)?;
         }
     }
 }

@@ -211,7 +211,7 @@ proptest! {
         }
         let mut atoms = AtomTable::new();
         let mut fb1 = FactBase::new();
-        let o = Ontology::from_graph(g.clone()).unwrap();
+        let o = Ontology::from_graph(g.clone());
         seed_subclass_facts(o.graph(), &mut atoms, &mut fb1);
         let warm = atoms.len();
 
@@ -229,7 +229,7 @@ proptest! {
         let root = g.ensure_node("n0").unwrap();
         let f = g.ensure_node(&fresh).unwrap();
         g.add_edge(f, rel::SUBCLASS_OF, root).unwrap();
-        let o2 = Ontology::from_graph(g).unwrap();
+        let o2 = Ontology::from_graph(g);
         let mut fb3 = FactBase::new();
         seed_subclass_facts(o2.graph(), &mut atoms, &mut fb3);
         prop_assert_eq!(atoms.len(), warm + 1, "one new symbol for the fresh node");

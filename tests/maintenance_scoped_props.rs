@@ -580,7 +580,7 @@ fn check_peer(
     touched_sets: &[HashSet<String>],
 ) -> Result<Vec<Keyed>, String> {
     let got = peer_answers(source, peer, lexicon, touched_sets);
-    let unindexed = Ontology::from_graph(peer.graph().clone()).unwrap();
+    let unindexed = Ontology::from_graph(peer.graph().clone());
     if got != peer_answers(source, &unindexed, lexicon, touched_sets) {
         return Err("the kept peer and a copy rebuilt from its graph answer differently".into());
     }
@@ -722,7 +722,7 @@ fn hand_built_variants_equal_the_filtered_proposal() {
     let same_name = {
         let mut g = b.graph().clone();
         g.set_name("a");
-        Ontology::from_graph(g).unwrap()
+        Ontology::from_graph(g)
     };
     let existing =
         onion_core::rules::parse_rules("a.Car => b.Car\na.Car => b.Automobile\n").unwrap();
@@ -902,7 +902,7 @@ proptest! {
         let third = {
             let mut graph = g.right.graph().clone();
             graph.set_name("third");
-            Ontology::from_graph(graph).unwrap()
+            Ontology::from_graph(graph)
         };
         let rules = truth_rules(g.truth.iter().step_by(2));
         let art =

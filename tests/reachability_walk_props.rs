@@ -302,7 +302,7 @@ proptest! {
         for _ in 0..deletes {
             let _ = g.delete_node_by_label(&label(mix.below(nodes)));
         }
-        let o = Ontology::from_graph(g).unwrap();
+        let o = Ontology::from_graph(g);
         let closure = brute_closure(o.graph(), rel::SUBCLASS_OF);
         for l in (0..nodes).map(label).chain(["Ghost".to_string()]) {
             let up: Vec<String> =
