@@ -106,8 +106,9 @@ pub struct Articulation {
     /// added without support (manual, derived) are never
     /// auto-retracted. Ordered so the derived `Debug` rendering is
     /// deterministic — the recovery suite asserts byte-identical `{:?}`
-    /// output across runs.
-    support: BTreeSet<(BridgeKey, Arc<str>)>,
+    /// output across runs. [`crate::persist`] writes and reads it pair
+    /// by pair.
+    pub(crate) support: BTreeSet<(BridgeKey, Arc<str>)>,
 }
 
 impl Articulation {

@@ -35,14 +35,14 @@ use onion_graph::hash::{FxHashMap, FxHashSet};
 use onion_graph::traverse::{bfs, Direction, EdgeFilter};
 use onion_graph::{rel, NodeId};
 use onion_ontology::Ontology;
-use onion_rules::horn::{lower_rules_interned, HornProgram};
+use onion_rules::horn::HornProgram;
 use onion_rules::infer::{seed_relation_facts, FactBase, InferenceEngine, InferenceStats};
-use onion_rules::properties::RelationRegistry;
 use onion_rules::{
     ArticulationRule, AtomId, AtomTable, ConversionRegistry, RuleExpr, RuleSet, Term,
 };
 
 use crate::articulation::{Articulation, Bridge, BridgeKind};
+use crate::implication::{implying_bridges, implying_relations};
 use crate::{ArticulateError, Result};
 
 /// Generator configuration.
@@ -91,12 +91,13 @@ impl Default for GeneratorConfig {
 /// Observability counters for one generation run (populated by the
 /// inference-expansion pass; zero when `expand_with_inference` is off).
 ///
-/// Seeding walks the ontologies in `sources` order, then the
-/// articulation ontology, summing their counts, then adds the goal
-/// facts. `inference` counts the goal-directed program
+/// Seeding loads one `si` fact per edge of the implication edge set
+/// (the `implication` module: the `SIBridge` bridges, then the
+/// articulation's and the sources' implying graph edges), then the
+/// goal facts. `inference` counts the goal-directed program
 /// ([`HornProgram::implication_goal`]): its rounds grow with the
 /// longest implication path that reaches an articulation term, and it
-/// derives only the `si` steps and `implies` pairs on such paths.
+/// derives only the `implies` pairs on such paths.
 /// Saturation stats are the same with or without an executor (see
 /// `onion_exec::inference` for the merge-order contract), so equal
 /// inputs reproduce equal stats — `expansion_reports_stats_and_reuses_shared_table`
@@ -104,15 +105,10 @@ impl Default for GeneratorConfig {
 /// this by direct comparison.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GeneratorStats {
-    /// Ground facts seeded into the `FactBase` (SI bridges, subclass
-    /// edges, lowered rules, and one `art(b)` goal per live
+    /// Ground facts seeded into the `FactBase` (one `si` fact per
+    /// distinct implication edge, and one `art(b)` goal per live
     /// articulation node).
     pub seeded_facts: usize,
-    /// Edge endpoints skipped because their node was deleted between
-    /// edge enumeration and label resolution (concurrent churn on a
-    /// source graph); the edge contributes no fact instead of
-    /// panicking.
-    pub skipped_dead_nodes: usize,
     /// Counters of the goal-directed saturation run.
     pub inference: InferenceStats,
     /// Derived source→articulation bridges added to the articulation.
@@ -526,16 +522,17 @@ impl ArticulationGenerator {
     /// Expansion asks the engine one question with a bound target —
     /// which source terms imply which articulation terms — so it runs
     /// the goal-directed [`HornProgram::implication_goal`] rather than
-    /// closing `subclassof` and `si` whole. The fact base is seeded
-    /// with the SI bridges, the sources' subclass and instance edges and
-    /// the articulation's subclass edges (through
+    /// closing `si` whole. The fact base is seeded with one `si` fact
+    /// per edge of the implication edge set that
+    /// [`ImplicationIndex`](crate::ImplicationIndex) indexes: each
+    /// `SIBridge` bridge (its ends interned from their parts), and the
+    /// articulation's and the sources' implying graph edges through
     /// [`seed_relation_facts`], which resolves endpoints through the
-    /// shared table's per-graph label memo: after a label's first
+    /// shared table's per-graph label memo (after a label's first
     /// encounter a dense array lookup, no `"onto.Term"` string built or
-    /// hashed), the lowered rules, and one `art(b)` goal fact per live
-    /// articulation node. Saturation then derives `implies(a, b)` only
-    /// along paths that end at a goal. Edges whose endpoint node was
-    /// deleted mid-churn are skipped and counted rather than panicking.
+    /// hashed). One `art(b)` goal fact per live articulation node
+    /// follows. Saturation then derives `implies(a, b)` only along paths
+    /// that end at a goal.
     ///
     /// Every `implies(a, b)` whose `a` names a source term becomes a
     /// bridge from that term to the node `b` was seeded from. A source's
@@ -560,36 +557,15 @@ impl ArticulationGenerator {
         };
         let mut stats = GeneratorStats::default();
         let mut fb = FactBase::new();
+        // seed: one si fact per implication edge
         let si = atoms.intern("si");
-        // seed: existing SI bridges (terms interned from their parts)
-        for b in &art.bridges {
-            if &*b.label == rel::SI_BRIDGE {
-                let s = atoms.intern_term(&b.src);
-                let d = atoms.intern_term(&b.dst);
-                if fb.add_fact(si, &[s, d]) {
-                    stats.seeded_facts += 1;
-                }
-            }
+        for b in implying_bridges(art) {
+            let s = atoms.intern_term(&b.src);
+            let d = atoms.intern_term(&b.dst);
+            stats.seeded_facts += fb.add_fact(si, &[s, d]) as usize;
         }
-        // seed: each source's subclass and instance edges, then the
-        // articulation-internal subclass edges (the implication edges
-        // `ImplicationIndex` reads)
-        let relations = sources
-            .iter()
-            .flat_map(|&o| [(o, rel::SUBCLASS_OF), (o, rel::INSTANCE_OF)])
-            .chain([(&*art.ontology, rel::SUBCLASS_OF)]);
-        for (o, relation) in relations {
-            let seeded = seed_relation_facts(o.graph(), relation, atoms, &mut fb);
-            stats.seeded_facts += seeded.seeded;
-            stats.skipped_dead_nodes += seeded.skipped_dead_nodes;
-        }
-        // the dead-node skips are final after seeding — surface them
-        onion_obs::count!("onion_generator_skipped_dead_nodes_total", stats.skipped_dead_nodes);
-        // seed: rule lowering (synthesised classes appear as synth.*)
-        for (a, b) in lower_rules_interned(atoms, &art.rules.rules) {
-            if fb.add_fact(si, &[a, b]) {
-                stats.seeded_facts += 1;
-            }
+        for (g, relations) in implying_relations(art, sources) {
+            stats.seeded_facts += seed_relation_facts(g, relations, "si", atoms, &mut fb);
         }
         // seed: the goals, one art(b) per live articulation node, each
         // remembering the node it names
@@ -604,7 +580,7 @@ impl ArticulationGenerator {
                 stats.seeded_facts += fb.add_fact(goal, &[b]) as usize;
             }
         }
-        let program = HornProgram::implication_goal(&RelationRegistry::onion_default());
+        let program = HornProgram::implication_goal();
         stats.inference = match &self.config.executor {
             Some(exec) => onion_exec::ParallelEngine::new(program).run(exec, atoms, &mut fb)?,
             None => InferenceEngine::new(program).run(atoms, &mut fb)?,
@@ -867,9 +843,9 @@ mod tests {
 
     #[test]
     fn expansion_derives_bridges_for_instances() {
-        // carrier.MyCar InstanceOf carrier.Cars, and an instance edge
-        // implies (`si(X, Y) :- instanceof(X, Y)`), so MyCar =>
-        // transport.Vehicle must be derived too
+        // carrier.MyCar InstanceOf carrier.Cars, and a source instance
+        // edge is an implication edge, so MyCar => transport.Vehicle
+        // must be derived too
         let c = carrier();
         let f = factory();
         let cfg = GeneratorConfig { expand_with_inference: true, ..Default::default() };
@@ -900,7 +876,6 @@ mod tests {
         assert!(s1.seeded_facts > 0, "bridges and subclass edges seed facts");
         assert!(s1.inference.derived > 0, "transitive implications derived");
         assert!(s1.derived_bridges > 0, "SUV and friends bridge to transport.Vehicle");
-        assert_eq!(s1.skipped_dead_nodes, 0, "no churn in this run");
         let interned = table.lock().unwrap().len();
         assert!(interned > 0, "shared table observed the run");
         // a second identical run reuses every symbol and memo

@@ -1,18 +1,21 @@
-//! The articulation's implication edges, indexed once for every reader.
+//! The articulation's implication edges, defined once and indexed for
+//! every reader.
 //!
 //! The paper gives a bridge one meaning: a directed semantic implication
-//! (§4.1, "a directed subset relationship"). Query reformulation (§2.3),
-//! the Difference operator (§5.3) and
-//! [`Articulation::explain_connection`] all follow those edges, and all
-//! three read them from an [`ImplicationIndex`]. Its edge set is:
+//! (§4.1, "a directed subset relationship"). The generator's inference
+//! expansion (§2.4), query reformulation (§2.3), the Difference operator
+//! (§5.3) and [`Articulation::explain_connection`] all follow those
+//! edges. The edge set is defined here once (`implying_bridges` and
+//! `implying_relations`):
 //!
 //! * every `SIBridge` bridge. Conversion bridges (`DGToEuroFn`) map one
-//!   value space onto another and imply nothing, as in
-//!   `onion_rules::horn::lower_rules`, where functional rules contribute
-//!   no `si` facts;
+//!   value space onto another and imply nothing;
 //! * the articulation ontology's own `SubclassOf` edges;
 //! * each source's `SubclassOf` and `InstanceOf` edges (an SUV is a
 //!   Cars, MyCar is a Cars).
+//!
+//! The generator seeds one `si` fact per edge of this set; the other
+//! three readers ask an [`ImplicationIndex`] built from it.
 //!
 //! Terms are keyed by `(namespace, label id)`: ontology names are
 //! numbered (the articulation first, then the sources in order), and a
@@ -27,7 +30,30 @@ use onion_graph::{rel, Interner, LabelId, OntGraph};
 use onion_ontology::Ontology;
 use onion_rules::Term;
 
-use crate::Articulation;
+use crate::{Articulation, Bridge};
+
+/// The relations whose edges imply inside the articulation ontology.
+const ARTICULATION_RELATIONS: &[&str] = &[rel::SUBCLASS_OF];
+
+/// The relations whose edges imply inside a source ontology.
+const SOURCE_RELATIONS: &[&str] = &[rel::SUBCLASS_OF, rel::INSTANCE_OF];
+
+/// The bridges of the implication edge set: the `SIBridge` ones, in
+/// bridge order.
+pub(crate) fn implying_bridges(articulation: &Articulation) -> impl Iterator<Item = &Bridge> {
+    articulation.bridges.iter().filter(|b| &*b.label == rel::SI_BRIDGE)
+}
+
+/// The graph edges of the implication edge set: the graph of each
+/// ontology of `[articulation, sources…]`, in that order, with the
+/// relations whose edges imply in it.
+pub(crate) fn implying_relations<'a>(
+    articulation: &'a Articulation,
+    sources: &'a [&'a Ontology],
+) -> impl Iterator<Item = (&'a OntGraph, &'static [&'static str])> {
+    std::iter::once((articulation.ontology.graph(), ARTICULATION_RELATIONS))
+        .chain(sources.iter().map(|o| (o.graph(), SOURCE_RELATIONS)))
+}
 
 /// An interned qualified term: `(namespace index, label id)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,9 +124,8 @@ impl<'g> Graphs<'g> {
 }
 
 impl ImplicationIndex {
-    /// Indexes the implication edges of `articulation` over `sources`:
-    /// its `SIBridge` bridges, its own `SubclassOf` edges and the
-    /// sources' `SubclassOf`/`InstanceOf` edges.
+    /// Indexes the implication edges of `articulation` over `sources`
+    /// (`implying_bridges` and `implying_relations`).
     pub fn new(articulation: &Articulation, sources: &[&Ontology]) -> Self {
         let graphs = Graphs { articulation, sources };
         let mut ix = ImplicationIndex {
@@ -113,37 +138,23 @@ impl ImplicationIndex {
         for (i, o) in sources.iter().enumerate() {
             ix.add_namespace(o.name(), Some(i + 1));
         }
-        for b in &articulation.bridges {
-            if &*b.label == rel::SI_BRIDGE {
-                let s = ix.intern_term(graphs, &b.src);
-                let d = ix.intern_term(graphs, &b.dst);
-                ix.implied_by.entry(d).or_default().push(s);
-            }
+        for b in implying_bridges(articulation) {
+            let s = ix.intern_term(graphs, &b.src);
+            let d = ix.intern_term(graphs, &b.dst);
+            ix.implied_by.entry(d).or_default().push(s);
         }
-        // articulation-internal subclass edges imply, on ids directly
-        // (the articulation graph is its namespace's canonical graph)
-        let art_g = articulation.ontology.graph();
-        if let Some(sub) = art_g.label_id(rel::SUBCLASS_OF) {
-            for (_, src, lid, dst) in art_g.edge_entries() {
-                if lid == sub {
-                    let s = key_of_label(ART, art_g.node_label_id(src).expect("live"));
-                    let d = key_of_label(ART, art_g.node_label_id(dst).expect("live"));
-                    ix.implied_by.entry(d).or_default().push(s);
-                }
-            }
-        }
-        // source-local subclass and instance edges also imply
-        for (i, o) in sources.iter().enumerate() {
-            let g = o.graph();
-            let sub = g.label_id(rel::SUBCLASS_OF);
-            let inst = g.label_id(rel::INSTANCE_OF);
-            if sub.is_none() && inst.is_none() {
+        // `pos` is the graph's position in `[articulation, sources…]`
+        for (pos, (g, relations)) in implying_relations(articulation, sources).enumerate() {
+            let wanted: Vec<LabelId> = relations.iter().filter_map(|r| g.label_id(r)).collect();
+            if wanted.is_empty() {
                 continue;
             }
-            let idx = ix.namespace(o.name()).expect("registered above");
-            let canonical = ix.canonical[idx as usize] == Some(i + 1);
+            let idx = ix.namespace(g.name()).expect("registered above");
+            // keys ride on the graph's own ids when it is its namespace's
+            // canonical graph (the articulation always is)
+            let canonical = ix.canonical[idx as usize] == Some(pos);
             for (_, src, lid, dst) in g.edge_entries() {
-                if Some(lid) == sub || Some(lid) == inst {
+                if wanted.contains(&lid) {
                     let (s, d) = if canonical {
                         (
                             key_of_label(idx, g.node_label_id(src).expect("live")),

@@ -17,12 +17,18 @@
 //! bridge functional carrier.DutchGuilders DGToEuroFn transport.Euro
 //! # --- rules ---
 //! rule carrier.Cars => factory.Vehicle
+//! # --- rule support ---
+//! support "carrier.Cars => factory.Vehicle" carrier.Cars SIBridge transport.Vehicle
 //! ```
 //!
-//! Names, labels and bridge endpoints are written and read back with the
-//! graph text format's [`quote`] and [`split_tokens`], so any label
-//! without a line break round-trips; a `rule` line's body is rule syntax
-//! and is parsed whole.
+//! A `support` line records that a rule (by its display form) generated
+//! a bridge, so incremental maintenance retracts the same bridges after
+//! a reload as before it (§5.3).
+//!
+//! Names, labels, bridge endpoints and rule keys are written and read
+//! back with the graph text format's [`quote`] and [`split_tokens`], so
+//! any label without a line break round-trips; a `rule` line's body is
+//! rule syntax and is parsed whole.
 
 use std::sync::Arc;
 
@@ -82,6 +88,16 @@ pub fn to_text(art: &Articulation) -> String {
     for r in art.rules.iter() {
         out.push_str(&format!("rule {r}\n"));
     }
+    out.push_str("# --- rule support ---\n");
+    for ((src, label, dst), rule) in &art.support {
+        out.push_str(&format!(
+            "support {} {} {} {}\n",
+            quote(rule),
+            quote(&src.to_string()),
+            quote(label),
+            quote(&dst.to_string()),
+        ));
+    }
     out
 }
 
@@ -98,10 +114,10 @@ fn parse_qualified(s: &str, line: usize) -> Result<Term> {
 
 /// Parses the text format back into an articulation.
 ///
-/// Restored bridges carry their persisted kinds; rule-support provenance
-/// is reconstructed conservatively by re-associating every persisted
-/// rule with the bridges it would generate on replay (callers that need
-/// exact provenance should regenerate from rules instead).
+/// Restored bridges carry their persisted kinds, and each `support` line
+/// restores one rule-support pair as written. A file without `support`
+/// lines loads with empty support, so dropping a rule then retracts no
+/// bridge.
 pub fn from_text(input: &str) -> Result<Articulation> {
     let mut art: Option<Articulation> = None;
     for (lineno, raw) in input.lines().enumerate() {
@@ -161,6 +177,15 @@ pub fn from_text(input: &str) -> Result<Articulation> {
                 let dst = parse_qualified(&toks[4], lineno)?;
                 art.add_bridge(Bridge { src, label: toks[3].as_str().into(), dst, kind });
             }
+            Some("support") => {
+                let art = art.as_mut().ok_or_else(|| parse_err(lineno, "missing header"))?;
+                if toks.len() != 5 {
+                    return Err(parse_err(lineno, "support expects RULE SRC LABEL DST"));
+                }
+                let src = parse_qualified(&toks[2], lineno)?;
+                let dst = parse_qualified(&toks[4], lineno)?;
+                art.support.insert(((src, toks[3].as_str().into(), dst), toks[1].as_str().into()));
+            }
             Some(other) => return Err(parse_err(lineno, format!("unknown directive {other:?}"))),
             None => unreachable!("blank lines filtered"),
         }
@@ -189,6 +214,42 @@ mod tests {
         assert!(back.ontology.graph().same_shape(art.ontology.graph()));
         assert_eq!(back.bridges, art.bridges);
         assert_eq!(back.rules, art.rules);
+    }
+
+    /// The rule keys of `art`'s rules plus one no rule has.
+    fn rule_keys(art: &Articulation) -> Vec<String> {
+        art.rules.iter().map(|r| r.to_string()).chain(["x.A => y.B".to_string()]).collect()
+    }
+
+    #[test]
+    fn reload_keeps_rule_support() {
+        let art = fig2_art();
+        let back = from_text(&to_text(&art)).unwrap();
+        let mut retracted = 0;
+        for key in rule_keys(&art) {
+            let (mut a, mut b) = (art.clone(), back.clone());
+            let n = a.drop_rule_support(&key);
+            assert_eq!(b.drop_rule_support(&key), n, "{key}");
+            assert_eq!(b.bridges, a.bridges, "{key}");
+            retracted += n;
+        }
+        assert!(retracted > 0, "some rule supports a bridge of its own");
+    }
+
+    #[test]
+    fn a_file_without_support_lines_loads_with_empty_support() {
+        let art = fig2_art();
+        let old: String = to_text(&art)
+            .lines()
+            .filter(|l| !l.starts_with("support ") && !l.ends_with("rule support ---"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let mut back = from_text(&old).unwrap();
+        assert_eq!(back.bridges, art.bridges);
+        for key in rule_keys(&art) {
+            assert_eq!(back.drop_rule_support(&key), 0, "{key}");
+        }
+        assert_eq!(back.bridges, art.bridges);
     }
 
     #[test]
@@ -238,6 +299,11 @@ mod tests {
             "articulation a\nbridge rule unqualified S b.Y\n",
             "articulation a\nrule not a rule\n",
             "articulation a\nwhatever\n",
+            "support r x.A SIBridge b.Y\n", // before header
+            "articulation a\nsupport r x.A SIBridge\n", // wrong arity
+            "articulation a\nsupport r x.A S b.Y extra\n", // wrong arity
+            "articulation a\nsupport r unqualified S b.Y\n", // bad endpoint
+            "articulation a\nsupport \"r x.A S b.Y\n", // open quote
         ] {
             assert!(from_text(bad).is_err(), "{bad:?} should fail");
         }

@@ -98,7 +98,7 @@ pub fn run_b12() -> B12Report {
     // and both engines derive the same closure
     let mut atoms = AtomTable::new();
     let mut fb = FactBase::new();
-    let seeded_facts = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
+    let seeded_facts = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
     let mut sref = reference::FactBase::new();
     let seeded_ref = seed_subclass_facts_strings(&onto, &mut sref);
     assert_eq!(seeded_facts, seeded_ref, "seeding paths must load the same facts");
@@ -119,7 +119,7 @@ pub fn run_b12() -> B12Report {
     rows.push(run_series("b12_seed_interned_cold_10k", 5, || {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded as u64
+        seed_subclass_facts(onto.graph(), &mut atoms, &mut fb) as u64
     }));
     // interned, one shared warm table (the OnionSystem steady state)
     let mut warm = AtomTable::new();
@@ -129,7 +129,7 @@ pub fn run_b12() -> B12Report {
     }
     rows.push(run_series("b12_seed_interned_warm_10k", 7, || {
         let mut fb = FactBase::new();
-        seed_subclass_facts(onto.graph(), &mut warm, &mut fb).seeded as u64
+        seed_subclass_facts(onto.graph(), &mut warm, &mut fb) as u64
     }));
     // seeded build + saturation to fixpoint on the warm table
     rows.push(run_series("b12_saturate_10k", 3, || {
@@ -152,14 +152,14 @@ pub fn run_b12() -> B12Report {
     // equal the sequential engine's at both thread counts.
     let mut deep_atoms = AtomTable::new();
     let mut deep_fb = FactBase::new();
-    let deep_seeded = seed_subclass_facts(deep.graph(), &mut deep_atoms, &mut deep_fb).seeded;
+    let deep_seeded = seed_subclass_facts(deep.graph(), &mut deep_atoms, &mut deep_fb);
     let deep_stats =
         InferenceEngine::new(program.clone()).run(&mut deep_atoms, &mut deep_fb).unwrap();
     let deep_checksum = fact_set_checksum(&deep_atoms, &deep_fb);
     {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        assert_eq!(seed_subclass_facts(deep.graph(), &mut atoms, &mut fb).seeded, deep_seeded);
+        assert_eq!(seed_subclass_facts(deep.graph(), &mut atoms, &mut fb), deep_seeded);
         let naive = InferenceEngine::new(program.clone())
             .with_strategy(Strategy::Naive)
             .run(&mut atoms, &mut fb)
@@ -248,7 +248,7 @@ mod tests {
         let program = HornProgram::standard(&RelationRegistry::onion_default());
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
+        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
         assert!(n > 0);
         let stats = InferenceEngine::new(program.clone()).run(&mut atoms, &mut fb).unwrap();
         let mut sref = reference::FactBase::new();

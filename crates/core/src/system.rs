@@ -895,7 +895,7 @@ mod tests {
             let rounds: Vec<(usize, usize)> =
                 g.inference.rounds.iter().map(|r| (r.delta, r.derived)).collect();
             let session = EngineReport { generator: Default::default(), ..r.clone() };
-            let counters = (g.seeded_facts, g.skipped_dead_nodes, g.derived_bridges);
+            let counters = (g.seeded_facts, g.derived_bridges);
             (session, counters, g.inference.derived, g.inference.iterations, rounds)
         };
         let (seq_report, seq_bridges) = articulated(None);

@@ -21,8 +21,6 @@
 
 use std::fmt;
 
-use crate::ast::{ArticulationRule, RuleExpr};
-use crate::atoms::{AtomId, AtomTable};
 use crate::properties::RelationRegistry;
 use crate::{Result, RuleError};
 
@@ -265,34 +263,22 @@ impl HornProgram {
     /// The goal-directed program the articulation generator runs: one
     /// question with a bound target, "which terms imply which
     /// articulation terms", evaluated the magic-set way (Bancilhon,
-    /// Maier, Sagiv and Ullman, PODS 1986). Every relation the registry
-    /// marks `implies_semantic` contributes one implication step
-    /// (`si(X, Y) :- subclassof(X, Y)`), and
+    /// Maier, Sagiv and Ullman, PODS 1986). The caller seeds one
+    /// `si(a, b)` fact per implication edge and one `art(b)` goal fact
+    /// per articulation term it asks about, and
     ///
     /// ```text
     /// implies(X, B) :- si(X, B), art(B).
     /// implies(X, B) :- si(X, Y), implies(Y, B).
     /// ```
     ///
-    /// chains steps backwards from the `art(b)` goal facts the caller
-    /// seeds. Neither `si` nor the semantic relations are closed, so
+    /// chains `si` steps backwards from the goals. `si` is not closed, so
     /// only paths that end at a goal are derived, and a run takes as
-    /// many rounds as the longest such path has steps. For a registry
-    /// whose semantic relations declare no symmetry or inverse (the
-    /// ONION default), `implies(a, b)` holds exactly when `art(b)` does
-    /// and `si(a, b)` is in the [`HornProgram::standard`] closure of
-    /// the same facts.
-    pub fn implication_goal(registry: &RelationRegistry) -> HornProgram {
+    /// many rounds as the longest such path has steps. `implies(a, b)`
+    /// holds exactly when `art(b)` does and `si(a, b)` is in the
+    /// [`HornProgram::standard`] closure of the same `si` facts.
+    pub fn implication_goal() -> HornProgram {
         let mut prog = HornProgram::new();
-        for (name, props) in registry.iter() {
-            if props.implies_semantic {
-                prog.push(HornClause::new(
-                    Atom::vars2("si", "X", "Y"),
-                    vec![Atom::vars2(&pred_name(name), "X", "Y")],
-                ))
-                .expect("safe");
-            }
-        }
         prog.push(HornClause::new(
             Atom::vars2("implies", "X", "B"),
             vec![Atom::vars2("si", "X", "B"), Atom::new("art", vec![TermArg::Var("B".into())])],
@@ -417,153 +403,9 @@ fn parse_atom(src: &str, clauseno: usize) -> Result<Atom> {
     Ok(Atom::new(pred, args))
 }
 
-/// Lowers articulation rules to Horn facts/clauses over the `si`
-/// predicate ("semantically implies"):
-///
-/// * simple implication `a.X ⇒ b.Y` → fact `si("a.X", "b.Y")`;
-/// * cascaded chains emit a fact per adjacent pair;
-/// * conjunction `(p ∧ q) ⇒ r` → `si(synth, r)` facts plus
-///   `si(synth, p)`, `si(synth, q)` (the synthesised intersection class
-///   is a specialisation of each conjunct, §4.1);
-/// * disjunction `p ⇒ (q ∨ r)` → `si(q, synth)`, `si(r, synth)`,
-///   `si(p, synth)` (the synthesised union class generalises each
-///   disjunct, §4.1);
-/// * functional rules contribute no `si` facts (value conversion, not
-///   class implication).
-///
-/// Returns ground facts. [`HornProgram::standard`] closes `si` over
-/// them whole; the articulation generator runs them under
-/// [`HornProgram::implication_goal`], which chains `si` steps only
-/// toward the articulation terms it asks about.
-pub fn lower_rules(rules: &[ArticulationRule]) -> Vec<Atom> {
-    let mut facts = Vec::new();
-    let mut emit = |a: String, b: String| {
-        let f = Atom::consts2("si", &a, &b);
-        if !facts.contains(&f) {
-            facts.push(f);
-        }
-    };
-    for rule in rules {
-        if let ArticulationRule::Implication { chain } = rule {
-            for pair in chain.windows(2) {
-                lower_pair(&pair[0], &pair[1], &mut emit);
-            }
-        }
-    }
-    facts
-}
-
-/// Interned variant of [`lower_rules`]: emits the same `si` fact pairs
-/// as [`AtomId`]s through `atoms` — rule terms are interned from their
-/// parts, so no `"onto.Term"` string is joined per fact. The pairs
-/// resolve to exactly the constants [`lower_rules`] would print (the
-/// `inference_props` suite pins the two paths against each other).
-pub fn lower_rules_interned(
-    atoms: &mut AtomTable,
-    rules: &[ArticulationRule],
-) -> Vec<(AtomId, AtomId)> {
-    let mut facts: Vec<(AtomId, AtomId)> = Vec::new();
-    let mut emit = |a: AtomId, b: AtomId| {
-        if !facts.contains(&(a, b)) {
-            facts.push((a, b));
-        }
-    };
-    for rule in rules {
-        if let ArticulationRule::Implication { chain } = rule {
-            for pair in chain.windows(2) {
-                lower_pair_interned(atoms, &pair[0], &pair[1], &mut emit);
-            }
-        }
-    }
-    facts
-}
-
-fn expr_atom(atoms: &mut AtomTable, e: &RuleExpr) -> AtomId {
-    match e {
-        RuleExpr::Term(t) => atoms.intern_term(t),
-        _ => atoms.intern_parts(Some("synth"), &e.default_label()),
-    }
-}
-
-fn lower_pair_interned(
-    atoms: &mut AtomTable,
-    lhs: &RuleExpr,
-    rhs: &RuleExpr,
-    emit: &mut impl FnMut(AtomId, AtomId),
-) {
-    let l = expr_atom(atoms, lhs);
-    let r = expr_atom(atoms, rhs);
-    emit(l, r);
-    if let RuleExpr::And(xs) = lhs {
-        // the synthesised intersection class specialises each conjunct
-        for x in xs {
-            let xa = expr_atom(atoms, x);
-            emit(l, xa);
-        }
-    }
-    if let RuleExpr::Or(xs) = rhs {
-        // each disjunct specialises the synthesised union class
-        for x in xs {
-            let xa = expr_atom(atoms, x);
-            emit(xa, r);
-        }
-    }
-    // nested structure on the off sides
-    if let RuleExpr::Or(xs) = lhs {
-        for x in xs {
-            let xa = expr_atom(atoms, x);
-            emit(xa, l);
-        }
-    }
-    if let RuleExpr::And(xs) = rhs {
-        for x in xs {
-            let xa = expr_atom(atoms, x);
-            emit(r, xa);
-        }
-    }
-}
-
-fn expr_key(e: &RuleExpr) -> String {
-    match e {
-        RuleExpr::Term(t) => t.to_string(),
-        _ => format!("synth.{}", e.default_label()),
-    }
-}
-
-fn lower_pair(lhs: &RuleExpr, rhs: &RuleExpr, emit: &mut impl FnMut(String, String)) {
-    let l = expr_key(lhs);
-    let r = expr_key(rhs);
-    emit(l.clone(), r.clone());
-    if let RuleExpr::And(xs) = lhs {
-        // the synthesised intersection class specialises each conjunct
-        for x in xs {
-            emit(l.clone(), expr_key(x));
-        }
-    }
-    if let RuleExpr::Or(xs) = rhs {
-        // each disjunct specialises the synthesised union class
-        for x in xs {
-            emit(expr_key(x), r.clone());
-        }
-    }
-    // nested structure on the off sides
-    if let RuleExpr::Or(xs) = lhs {
-        for x in xs {
-            emit(expr_key(x), l.clone());
-        }
-    }
-    if let RuleExpr::And(xs) = rhs {
-        for x in xs {
-            emit(r.clone(), expr_key(x));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Term;
-    use crate::parser::parse_rule;
 
     #[test]
     fn atom_display_and_ground() {
@@ -668,41 +510,36 @@ subclass("carrier.Car", "carrier.Vehicle").
     fn implication_goal_keeps_the_closure_pairs_that_reach_a_goal() {
         use crate::atoms::AtomTable;
         use crate::infer::{FactBase, InferenceEngine};
-        let reg = RelationRegistry::onion_default();
-        let goal = HornProgram::implication_goal(&reg);
+        let goal = HornProgram::implication_goal();
         let text: Vec<String> = goal.clauses.iter().map(|c| c.to_string()).collect();
         assert_eq!(
             text,
-            [
-                "si(X, Y) :- instanceof(X, Y).",
-                "si(X, Y) :- subclassof(X, Y).",
-                "implies(X, B) :- si(X, B), art(B).",
-                "implies(X, B) :- si(X, Y), implies(Y, B).",
-            ]
+            ["implies(X, B) :- si(X, B), art(B).", "implies(X, B) :- si(X, Y), implies(Y, B)."]
         );
-        // a chain into one goal, a cycle through the other, a pair that
-        // reaches no goal, and instance steps
+        // a chain into one goal, a cycle through the other and a pair
+        // that reaches no goal
         let seed = |atoms: &mut AtomTable, fb: &mut FactBase| {
-            for (p, a, b) in [
-                ("subclassof", "s.a", "s.b"),
-                ("subclassof", "s.b", "s.c"),
-                ("si", "s.c", "t.x"),
-                ("si", "t.x", "s.c"),
-                ("si", "r.d", "s.a"),
-                ("instanceof", "r.i", "r.d"),
-                ("subclassof", "s.e", "s.f"),
-                ("si", "s.f", "r.g"),
-                ("si", "r.g", "t.y"),
-                ("si", "t.y", "t.y"),
+            for (a, b) in [
+                ("s.a", "s.b"),
+                ("s.b", "s.c"),
+                ("s.c", "t.x"),
+                ("t.x", "s.c"),
+                ("r.d", "s.a"),
+                ("r.i", "r.d"),
+                ("s.e", "s.f"),
+                ("s.f", "r.g"),
+                ("r.g", "t.y"),
+                ("t.y", "t.y"),
             ] {
-                fb.add(atoms, p, &[a, b]);
+                fb.add(atoms, "si", &[a, b]);
             }
         };
         let goals = ["t.x", "t.y"];
         let mut atoms = AtomTable::new();
         let mut full = FactBase::new();
         seed(&mut atoms, &mut full);
-        InferenceEngine::new(HornProgram::standard(&reg)).run(&mut atoms, &mut full).unwrap();
+        let standard = HornProgram::standard(&RelationRegistry::onion_default());
+        InferenceEngine::new(standard).run(&mut atoms, &mut full).unwrap();
         let mut want: Vec<(String, String)> = full
             .query2(&atoms, "si", None, None)
             .into_iter()
@@ -726,84 +563,6 @@ subclass("carrier.Car", "carrier.Vehicle").
         for pair in [("s.a", "t.x"), ("r.i", "t.x"), ("s.e", "t.y"), ("t.y", "t.y")] {
             assert!(got.contains(&(pair.0.to_string(), pair.1.to_string())), "{pair:?}");
         }
-        assert!(!fb.contains(&atoms, "subclassof", &["s.a", "s.c"]), "subclassof is not closed");
         assert!(!fb.contains(&atoms, "si", &["s.a", "s.c"]), "si is not closed");
-    }
-
-    #[test]
-    fn lower_simple_and_cascade() {
-        let r1 = parse_rule("carrier.Car => factory.Vehicle").unwrap();
-        let facts = lower_rules(&[r1]);
-        assert_eq!(facts, vec![Atom::consts2("si", "carrier.Car", "factory.Vehicle")]);
-
-        let r2 = parse_rule("carrier.Car => transport.PassengerCar => factory.Vehicle").unwrap();
-        let facts = lower_rules(&[r2]);
-        assert_eq!(facts.len(), 2);
-        assert!(facts.contains(&Atom::consts2("si", "carrier.Car", "transport.PassengerCar")));
-        assert!(facts.contains(&Atom::consts2("si", "transport.PassengerCar", "factory.Vehicle")));
-    }
-
-    #[test]
-    fn lower_conjunction_links_synth_to_conjuncts() {
-        let r = parse_rule("(factory.CargoCarrier & factory.Vehicle) => carrier.Trucks").unwrap();
-        let facts = lower_rules(&[r]);
-        let synth = "synth.CargoCarrierVehicle";
-        assert!(facts.contains(&Atom::consts2("si", synth, "carrier.Trucks")));
-        assert!(facts.contains(&Atom::consts2("si", synth, "factory.CargoCarrier")));
-        assert!(facts.contains(&Atom::consts2("si", synth, "factory.Vehicle")));
-        assert_eq!(facts.len(), 3);
-    }
-
-    #[test]
-    fn lower_disjunction_links_disjuncts_to_synth() {
-        let r = parse_rule("factory.Vehicle => (carrier.Cars | carrier.Trucks)").unwrap();
-        let facts = lower_rules(&[r]);
-        let synth = "synth.CarsTrucks";
-        assert!(facts.contains(&Atom::consts2("si", "factory.Vehicle", synth)));
-        assert!(facts.contains(&Atom::consts2("si", "carrier.Cars", synth)));
-        assert!(facts.contains(&Atom::consts2("si", "carrier.Trucks", synth)));
-        assert_eq!(facts.len(), 3);
-    }
-
-    #[test]
-    fn lower_functional_contributes_nothing() {
-        let r = parse_rule("F(): a.X => b.Y").unwrap();
-        assert!(lower_rules(&[r]).is_empty());
-    }
-
-    #[test]
-    fn lower_interned_matches_string_lowering() {
-        let rules: Vec<ArticulationRule> = [
-            "carrier.Car => factory.Vehicle",
-            "carrier.Car => transport.PassengerCar => factory.Vehicle",
-            "(factory.CargoCarrier & factory.Vehicle) => carrier.Trucks",
-            "factory.Vehicle => (carrier.Cars | carrier.Trucks)",
-            "F(): a.X => b.Y",
-        ]
-        .iter()
-        .map(|s| parse_rule(s).unwrap())
-        .collect();
-        let expected: Vec<(String, String)> = lower_rules(&rules)
-            .iter()
-            .map(|a| (a.args[0].clone(), a.args[1].clone()))
-            .map(|(a, b)| match (a, b) {
-                (TermArg::Const(a), TermArg::Const(b)) => (a, b),
-                _ => unreachable!("lowered facts are ground"),
-            })
-            .collect();
-        let mut atoms = AtomTable::new();
-        let got: Vec<(String, String)> = lower_rules_interned(&mut atoms, &rules)
-            .into_iter()
-            .map(|(a, b)| (atoms.resolve(a).to_string(), atoms.resolve(b).to_string()))
-            .collect();
-        assert_eq!(got, expected, "same pairs in the same order");
-    }
-
-    #[test]
-    fn lower_dedups_across_rules() {
-        let r = parse_rule("a.X => b.Y").unwrap();
-        let facts = lower_rules(&[r.clone(), r]);
-        assert_eq!(facts.len(), 1);
-        let _ = Term::unqualified("x"); // keep Term import used
     }
 }

@@ -53,7 +53,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use onion_graph::hash::{FxHashMap, FxHasher};
-use onion_graph::{rel, OntGraph};
+use onion_graph::{rel, LabelId, OntGraph};
 
 use crate::atoms::{AtomId, AtomTable};
 use crate::horn::{pred_name, Atom, HornClause, HornProgram, TermArg};
@@ -373,54 +373,47 @@ impl FactBase {
     }
 }
 
-/// What [`seed_relation_facts`] loaded from one graph.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SeedStats {
-    /// Facts that were new to the fact base.
-    pub seeded: usize,
-    /// Edges dropped because an endpoint node is deleted.
-    pub skipped_dead_nodes: usize,
-}
-
 /// Seeds one interned `subclassof(src, dst)` fact per live `SubclassOf`
 /// edge of `g`, in edge order ([`seed_relation_facts`] for `SubclassOf`).
-pub fn seed_subclass_facts(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> SeedStats {
-    seed_relation_facts(g, rel::SUBCLASS_OF, atoms, fb)
+/// Returns the number of facts new to the fact base.
+pub fn seed_subclass_facts(g: &OntGraph, atoms: &mut AtomTable, fb: &mut FactBase) -> usize {
+    seed_relation_facts(g, &[rel::SUBCLASS_OF], &pred_name(rel::SUBCLASS_OF), atoms, fb)
 }
 
-/// Seeds one interned fact per live edge of `g` labelled `relation`, in
-/// edge order, under the relation's predicate ([`pred_name`]:
-/// `InstanceOf` → `instanceof`). Endpoints are the graph's node labels
+/// Seeds one interned `pred(src, dst)` fact per live edge of `g` whose
+/// label is one of `relations`, in edge order, and returns the number
+/// of facts new to the fact base. Endpoints are the graph's node labels
 /// under its name as namespace, resolved through the table's per-graph
 /// label memo ([`AtomTable::graph_atoms`]), so no string is formatted
-/// or hashed per fact. An edge whose endpoint node is deleted (churn
-/// between edge enumeration and label resolution) seeds nothing and is
-/// counted instead of panicking.
+/// or hashed per fact. A live edge's endpoints are live: deleting a
+/// node deletes its incident edges first.
 ///
-/// This is the one graph-seeding walk: the articulation generator runs
-/// it on every ontology it expands, whether or not saturation then
-/// runs on an executor.
+/// This is the one graph-seeding walk: [`seed_subclass_facts`] runs it
+/// under `subclassof`, and the articulation generator's inference
+/// expansion runs it under `si` on every ontology of the implication
+/// edge set, whether or not saturation then runs on an executor.
 pub fn seed_relation_facts(
     g: &OntGraph,
-    relation: &str,
+    relations: &[&str],
+    pred: &str,
     atoms: &mut AtomTable,
     fb: &mut FactBase,
-) -> SeedStats {
-    let mut out = SeedStats::default();
-    let Some(want) = g.label_id(relation) else { return out };
-    let pred = atoms.intern(&pred_name(relation));
-    let mut cursor = atoms.graph_atoms(g);
-    for (_, src, lid, dst) in g.edge_entries() {
-        if lid != want {
-            continue;
-        }
-        let (Some(s), Some(d)) = (cursor.node_atom(src), cursor.node_atom(dst)) else {
-            out.skipped_dead_nodes += 1;
-            continue;
-        };
-        out.seeded += fb.add_fact(pred, &[s, d]) as usize;
+) -> usize {
+    let wanted: Vec<LabelId> = relations.iter().filter_map(|r| g.label_id(r)).collect();
+    if wanted.is_empty() {
+        return 0;
     }
-    out
+    let pred = atoms.intern(pred);
+    let mut cursor = atoms.graph_atoms(g);
+    let mut seeded = 0;
+    for (_, src, lid, dst) in g.edge_entries() {
+        if wanted.contains(&lid) {
+            let s = cursor.node_atom(src).expect("live");
+            let d = cursor.node_atom(dst).expect("live");
+            seeded += fb.add_fact(pred, &[s, d]) as usize;
+        }
+    }
+    seeded
 }
 
 /// Evaluation strategy (see module docs).
@@ -1027,15 +1020,19 @@ mod tests {
         g.ensure_edge_by_labels("d", rel::SUBCLASS_OF, "b").unwrap();
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let first = seed_subclass_facts(&g, &mut atoms, &mut fb);
-        assert_eq!(first, SeedStats { seeded: 3, skipped_dead_nodes: 0 });
+        assert_eq!(seed_subclass_facts(&g, &mut atoms, &mut fb), 3);
         let seeded: Vec<(&str, &str)> = fb.query2(&atoms, "subclassof", None, None);
         assert_eq!(seeded, [("o.b", "o.a"), ("o.c", "o.b"), ("o.d", "o.b")]);
         // a second walk over the same graph adds nothing
-        assert_eq!(seed_subclass_facts(&g, &mut atoms, &mut fb).seeded, 0);
+        assert_eq!(seed_subclass_facts(&g, &mut atoms, &mut fb), 0);
         let mut plain = OntGraph::new("p");
         plain.ensure_edge_by_labels("x", "partof", "y").unwrap();
-        assert_eq!(seed_subclass_facts(&plain, &mut atoms, &mut fb), SeedStats::default());
+        assert_eq!(seed_subclass_facts(&plain, &mut atoms, &mut fb), 0);
+        // two relations under one predicate: one walk, still edge order
+        let both = [rel::SUBCLASS_OF, "partof"];
+        assert_eq!(seed_relation_facts(&g, &both, "si", &mut atoms, &mut fb), 4);
+        let seeded: Vec<(&str, &str)> = fb.query2(&atoms, "si", None, None);
+        assert_eq!(seeded, [("o.b", "o.a"), ("o.c", "o.a"), ("o.c", "o.b"), ("o.d", "o.b")]);
     }
 
     #[test]

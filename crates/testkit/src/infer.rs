@@ -77,7 +77,7 @@ mod tests {
         let onto = deep_chain_ontology("deep", 3, 5);
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
+        let n = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
         assert_eq!(n, 3 * 5, "every non-root class contributes exactly one subclass edge");
     }
 
@@ -86,7 +86,7 @@ mod tests {
         let onto = generate_ontology(&OntologySpec::sized("seedcheck", 7, 80));
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let n1 = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
+        let n1 = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
         let mut sref = reference::FactBase::new();
         let n2 = seed_subclass_facts_strings(&onto, &mut sref);
         assert_eq!(n1, n2);

@@ -15,8 +15,17 @@ use onion_core::articulate::persist;
 use onion_core::ontology::import::{self, IdlOptions};
 
 /// The words that start a line or an element in one of the formats.
-const KEYWORDS: [&str; 8] =
-    ["ontology", "node", "edge", "bridge", "rule", "articulation", "interface", "attribute"];
+const KEYWORDS: [&str; 9] = [
+    "ontology",
+    "node",
+    "edge",
+    "bridge",
+    "rule",
+    "support",
+    "articulation",
+    "interface",
+    "attribute",
+];
 
 /// Punctuation, whitespace, entities and characters none of the formats
 /// expects.

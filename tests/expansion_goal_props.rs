@@ -1,13 +1,19 @@
 //! The generator's goal-directed inference expansion against a copy of
 //! the full-closure expansion it replaced.
 //!
-//! `ArticulationGenerator` expands by seeding one `art(b)` goal fact per
-//! live articulation node and running `HornProgram::implication_goal`,
+//! `ArticulationGenerator` expands by seeding one `si` fact per edge of
+//! the one implication edge set (`SIBridge` bridges, articulation
+//! `SubclassOf`, source `SubclassOf`/`InstanceOf`: what
+//! `ImplicationIndex` indexes) and one `art(b)` goal fact per live
+//! articulation node, and running `HornProgram::implication_goal`,
 //! which derives `implies(a, b)` only along implication paths that end
-//! at a goal. The pass it replaced closed `subclassof` and `si` whole
-//! under `HornProgram::standard` and filtered the source→articulation
-//! pairs out of the closure; `full_closure_expand` below is a copy of
-//! it. Each check generates the articulation without expansion, runs
+//! at a goal. The pass it replaced seeded the graph edges under their
+//! own relations plus the confirmed rules lowered to `si` facts, closed
+//! `subclassof` and `si` whole under `HornProgram::standard` and
+//! filtered the source→articulation pairs out of the closure;
+//! `full_closure_expand` below is a copy of it, with a private copy of
+//! the lowering. The bridges already carry every implication a lowered
+//! rule adds, so the two agree. Each check generates the articulation without expansion, runs
 //! the copy on it, and asserts that the generator's own expansion adds
 //! the same bridges in the same order and leaves the same articulation
 //! `{:?}` (graph ids masked): sequentially, on a warm shared atom table,
@@ -34,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use proptest::prelude::*;
 
 use onion_core::prelude::*;
-use onion_core::rules::horn::{lower_rules_interned, HornProgram};
+use onion_core::rules::horn::{pred_name, HornProgram};
 use onion_core::rules::infer::RoundStats;
 use onion_core::rules::infer::{seed_relation_facts, FactBase, InferenceEngine, InferenceStats};
 use onion_core::testkit::{deep_chain_ontology, overlap_pair, OverlapPair, OverlapSpec};
@@ -84,9 +90,9 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
         .flat_map(|&o| [(o, rel::SUBCLASS_OF), (o, rel::INSTANCE_OF)])
         .chain([(&*art.ontology, rel::SUBCLASS_OF)]);
     for (o, relation) in relations {
-        seed_relation_facts(o.graph(), relation, atoms, &mut fb);
+        seed_relation_facts(o.graph(), &[relation], &pred_name(relation), atoms, &mut fb);
     }
-    for (a, b) in lower_rules_interned(atoms, &art.rules.rules) {
+    for (a, b) in lower_rules(atoms, &art.rules.rules) {
         fb.add_fact(si, &[a, b]);
     }
     let program = HornProgram::standard(&RelationRegistry::onion_default());
@@ -129,6 +135,60 @@ fn full_closure_expand(art: &mut Articulation, sources: &[&Ontology]) -> usize {
     let before = art.bridges.len();
     art.bridges.extend(fresh.into_iter().zip(keep).filter_map(|(b, new)| new.then_some(b)));
     art.bridges.len() - before
+}
+
+/// A copy of the rule lowering the full-closure expansion seeded: one
+/// `si` fact per adjacent pair of each implication chain, a conjunction
+/// or disjunction standing for a `synth.<label>` atom that specialises
+/// each conjunct and generalises each disjunct; functional rules lower
+/// to nothing. Facts come out once each, in first-emission order.
+fn lower_rules(atoms: &mut AtomTable, rules: &[ArticulationRule]) -> Vec<(AtomId, AtomId)> {
+    fn expr_atom(atoms: &mut AtomTable, e: &RuleExpr) -> AtomId {
+        match e {
+            RuleExpr::Term(t) => atoms.intern_term(t),
+            _ => atoms.intern_parts(Some("synth"), &e.default_label()),
+        }
+    }
+    let mut facts: Vec<(AtomId, AtomId)> = Vec::new();
+    let mut emit = |a: AtomId, b: AtomId| {
+        if !facts.contains(&(a, b)) {
+            facts.push((a, b));
+        }
+    };
+    for rule in rules {
+        let ArticulationRule::Implication { chain } = rule else { continue };
+        for pair in chain.windows(2) {
+            let (lhs, rhs) = (&pair[0], &pair[1]);
+            let l = expr_atom(atoms, lhs);
+            let r = expr_atom(atoms, rhs);
+            emit(l, r);
+            if let RuleExpr::And(xs) = lhs {
+                for x in xs {
+                    let xa = expr_atom(atoms, x);
+                    emit(l, xa);
+                }
+            }
+            if let RuleExpr::Or(xs) = rhs {
+                for x in xs {
+                    let xa = expr_atom(atoms, x);
+                    emit(xa, r);
+                }
+            }
+            if let RuleExpr::Or(xs) = lhs {
+                for x in xs {
+                    let xa = expr_atom(atoms, x);
+                    emit(xa, l);
+                }
+            }
+            if let RuleExpr::And(xs) = rhs {
+                for x in xs {
+                    let xa = expr_atom(atoms, x);
+                    emit(r, xa);
+                }
+            }
+        }
+    }
+    facts
 }
 
 /// One pool per thread count for the whole test binary.
@@ -554,29 +614,27 @@ fn goal_expansion_stats_on_a_fixed_pair() {
     let (stats, _) = check(&rules, &[&p.left, &p.right]).unwrap();
     // (delta, derived, examined) per round: one implication step each
     let rounds = [
-        (288, 213, 488),
-        (213, 98, 534),
-        (98, 95, 342),
-        (95, 73, 263),
-        (73, 37, 170),
-        (37, 18, 67),
-        (18, 8, 29),
-        (8, 5, 17),
+        (263, 88, 677),
+        (88, 142, 268),
+        (142, 80, 387),
+        (80, 38, 158),
+        (38, 21, 68),
+        (21, 10, 37),
+        (10, 5, 19),
         (5, 2, 8),
         (2, 0, 2),
     ];
     let want = GeneratorStats {
-        seeded_facts: 288,
-        skipped_dead_nodes: 0,
+        seeded_facts: 263,
         inference: InferenceStats {
-            iterations: 10,
-            derived: 549,
-            atoms_examined: 1920,
+            iterations: 9,
+            derived: 386,
+            atoms_examined: 1624,
             rounds: rounds
                 .iter()
                 .map(|&(delta, derived, examined)| RoundStats { delta, derived, examined })
                 .collect(),
-            worker_merge_facts: vec![577],
+            worker_merge_facts: vec![414],
         },
         derived_bridges: 250,
     };

@@ -143,7 +143,9 @@ proptest! {
     }
 
     /// The persisted articulation format (`persist`) restores names,
-    /// nodes, edges and bridges whatever their labels hold.
+    /// nodes, edges, bridges and rule support whatever their labels
+    /// hold: dropping any rule's support (or a key no rule has) retracts
+    /// the same bridges from the original and from the reloaded copy.
     #[test]
     fn articulation_roundtrip(
         name in gnarly_label(),
@@ -154,6 +156,7 @@ proptest! {
             0..8,
         ),
         rule in (ontology_name(), "[A-Z][a-z]{1,6}"),
+        support in prop::collection::vec((0usize..8, 0u8..2, gnarly_label()), 0..12),
     ) {
         let mut art = Articulation::new(&name);
         let g = Arc::make_mut(&mut art.ontology).graph_mut();
@@ -176,6 +179,17 @@ proptest! {
             });
         }
         art.rules.push(parse_rule(&format!("{}.{} => transport.{}", rule.0, rule.1, rule.1)).unwrap());
+        // each pick supports one bridge by the rule's key or a gnarly one
+        let rule_key = art.rules.rules[0].to_string();
+        let mut keys = vec![rule_key.clone(), "absent => key".to_string()];
+        if !art.bridges.is_empty() {
+            for (i, by_rule, gnarly) in &support {
+                let key = if *by_rule == 0 { rule_key.clone() } else { gnarly.clone() };
+                let b = art.bridges[i % art.bridges.len()].clone();
+                art.add_bridge_supported(b, key.as_str());
+                keys.push(key);
+            }
+        }
 
         let back = persist::from_text(&persist::to_text(&art)).unwrap();
         prop_assert_eq!(back.name(), art.name());
@@ -183,6 +197,11 @@ proptest! {
         prop_assert_eq!(back.ontology.graph().node_count(), art.ontology.graph().node_count());
         prop_assert_eq!(&back.bridges, &art.bridges);
         prop_assert_eq!(&back.rules, &art.rules);
+        for key in &keys {
+            let (mut a, mut b) = (art.clone(), back.clone());
+            prop_assert_eq!(b.drop_rule_support(key), a.drop_rule_support(key), "{}", key);
+            prop_assert_eq!(&b.bridges, &a.bridges, "{}", key);
+        }
     }
 
     /// Importing the same graph through text and XML yields the same shape.

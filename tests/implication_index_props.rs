@@ -26,6 +26,12 @@
 //!   include a term paired with itself, terms on no implication edge,
 //!   bridge-only terms and unknown ones, on generated pairs with and
 //!   without planted bridges and on Fig. 2.
+//! * The generator's inference expansion seeds its `si` facts from the
+//!   same edge set. After `generate` with expansion, the source labels
+//!   bridged (`SIBridge`) to each live articulation node are exactly
+//!   that node's `ImplicationIndex::implying_labels` in each source,
+//!   asked of an index over the articulation generated without
+//!   expansion: reformulation and expansion read one edge set.
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 
@@ -517,6 +523,51 @@ fn check_paths(
     Ok((connected, bound))
 }
 
+/// Generates `rules` over `sources` with and without inference
+/// expansion and checks, for every live articulation node `b` and each
+/// source `s`, that the labels `t` with an `SIBridge` bridge
+/// `s.t → art.b` in the expanded articulation equal `b`'s implying
+/// labels in `s` by an index over the unexpanded one. Returns the
+/// number of `(source, node)` pairs with a non-empty answer.
+fn check_expansion_agrees(rules: &RuleSet, sources: &[&Ontology]) -> Result<usize, String> {
+    let generate = |expand_with_inference| {
+        ArticulationGenerator::with_config(GeneratorConfig {
+            expand_with_inference,
+            ..Default::default()
+        })
+        .generate(rules, sources)
+        .unwrap()
+    };
+    let (plain, expanded) = (generate(false), generate(true));
+    let index = ImplicationIndex::new(&plain, sources);
+    let mut answered = 0;
+    for b in plain.ontology.graph().nodes() {
+        let target = Term::qualified(plain.name(), b.label);
+        for &s in sources {
+            let mut bridged: Vec<String> = expanded
+                .bridges
+                .iter()
+                .filter(|x| &*x.label == rel::SI_BRIDGE)
+                .filter(|x| x.src.in_ontology(s.name()) && x.dst == target)
+                .map(|x| x.src.name.to_string())
+                .collect();
+            bridged.sort_unstable();
+            bridged.dedup();
+            let implying = index.implying_labels(&plain, sources, s, b.label);
+            if bridged != implying {
+                return Err(format!(
+                    "{}.{}, source {}:\n bridged  {bridged:?}\n implying {implying:?}",
+                    plain.name(),
+                    b.label,
+                    s.name()
+                ));
+            }
+            answered += usize::from(!implying.is_empty());
+        }
+    }
+    Ok(answered)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -568,6 +619,25 @@ proptest! {
             prop_assert!(max_len == 0 || connected > 0, "seed {seed}: no pair connected");
         }
     }
+
+    #[test]
+    fn expansion_bridges_equal_the_implying_labels(
+        seed in 0u64..10_000,
+        concepts in 20usize..60,
+        overlap in 10u32..60,
+    ) {
+        let (p, art) = articulated(seed, concepts, f64::from(overlap) / 100.0);
+        let res = check_expansion_agrees(&art.rules, &[&p.left, &p.right]);
+        prop_assert!(res.is_ok(), "seed {seed}: {}", res.unwrap_err());
+        prop_assert!(res.unwrap() > 0, "seed {seed}: no node is implied");
+    }
+}
+
+#[test]
+fn fig2_expansion_bridges_equal_the_implying_labels() {
+    let (c, f) = (carrier(), factory());
+    let answered = check_expansion_agrees(&fig2_rules(), &[&c, &f]).unwrap();
+    assert!(answered > 4, "only {answered} (source, node) pairs implied");
 }
 
 #[test]

@@ -210,7 +210,7 @@ fn deep_chain_saturation_rounds_are_logarithmic() {
     let run = |strategy: InferStrategy| -> (AtomTable, FactBase, InferenceStats) {
         let mut atoms = AtomTable::new();
         let mut fb = FactBase::new();
-        let seeded = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb).seeded;
+        let seeded = seed_subclass_facts(onto.graph(), &mut atoms, &mut fb);
         assert_eq!(seeded, chains * depth);
         let stats = InferenceEngine::new(program.clone())
             .with_strategy(strategy)
