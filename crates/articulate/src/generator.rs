@@ -67,7 +67,7 @@ pub struct GeneratorConfig {
     /// when `None` the generator interns into a run-local table.
     pub atoms: Option<Arc<Mutex<AtomTable>>>,
     /// Executor for parallel inference expansion. When set, saturation
-    /// runs the semi-naive work units on the pool
+    /// runs the semi-naive work units on the executor
     /// (`onion_exec::inference`); seeding is the same graph walk either
     /// way. The articulation and [`GeneratorStats`] equal the
     /// sequential run's at every shard and thread count. When `None`

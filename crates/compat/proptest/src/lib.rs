@@ -21,6 +21,8 @@
 //! Set `PROPTEST_CASES` to override the case count globally (useful to
 //! crank coverage locally or trim CI time).
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

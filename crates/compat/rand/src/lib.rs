@@ -15,6 +15,8 @@
 //! delete `crates/compat/rand` and point `workspace.dependencies.rand`
 //! at crates-io; every call site already matches the real 0.8 API.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 
 /// The output side of a random generator: a stream of `u64`s.

@@ -186,12 +186,16 @@ impl OnionSystem {
     }
 
     /// Replaces the engine configuration (articulation namespace,
-    /// rounds, inference expansion …).
+    /// rounds, inference expansion …). Its `generator.conversions` is
+    /// not read: the generator wires inverse bridges from the system's
+    /// registry ([`set_conversions`](Self::set_conversions)), the one
+    /// queries convert with.
     pub fn set_engine_config(&mut self, config: EngineConfig) {
         self.engine_config = config;
     }
 
-    /// Replaces the conversion registry.
+    /// Replaces the conversion registry that queries convert with and
+    /// articulation wires inverse bridges from.
     pub fn set_conversions(&mut self, conversions: ConversionRegistry) {
         self.conversions = conversions;
         self.touch();
@@ -523,7 +527,7 @@ impl OnionSystem {
 
     /// Runs inference expansion's saturation on `threads` threads
     /// (`0` = one per available CPU): each round's semi-naive work
-    /// units are cut into delta-row ranges that run on the pool and
+    /// units are cut into delta-row ranges that run on the executor and
     /// merge in a fixed order (see `onion_exec::inference`); seeding is
     /// the same graph walk as without it. Only takes effect when the
     /// engine config turns `expand_with_inference` on. The
@@ -538,11 +542,12 @@ impl OnionSystem {
         self.inference_executor = Some(Arc::new(exec));
     }
 
-    /// The configured generator settings with the system's shared atom
-    /// table (and parallel-inference executor, when enabled) threaded
-    /// in.
+    /// The configured generator settings with the system's conversion
+    /// registry, shared atom table (and parallel-inference executor,
+    /// when enabled) threaded in.
     fn generator_config(&self) -> GeneratorConfig {
         let mut config = self.engine_config.generator.clone();
+        config.conversions = self.conversions.clone();
         config.atoms = Some(Arc::clone(&self.atoms));
         if config.executor.is_none() {
             config.executor = self.inference_executor.clone();
@@ -1297,6 +1302,41 @@ mod tests {
         drop(s);
         let mut s2 = loaded();
         assert!(matches!(s2.open_durable("factory", td.path()), Err(SystemError::Durability(_))));
+    }
+
+    #[test]
+    fn articulation_and_queries_share_the_systems_conversion_registry() {
+        let us = onion_ontology::OntologyBuilder::new("us")
+            .class_under("Truck", "Fleet")
+            .attr("Price", "Truck")
+            .relate("Price", "expressedIn", "Dollars")
+            .build()
+            .unwrap();
+        let mut s = loaded();
+        s.add_source(us);
+        let mut conversions = ConversionRegistry::standard();
+        conversions.register_pair("USDToEuroFn", "EuroToUSDFn", 1.25);
+        s.set_conversions(conversions);
+        s.add_rules(
+            "us.Truck => transport.Truck\n\
+             us.Price => transport.Price\n\
+             USDToEuroFn(): us.Dollars => transport.Euro\n",
+        )
+        .unwrap();
+        let art = s.articulate_from_rules("us", "carrier").unwrap();
+        let inverse = art.bridges.iter().find(|b| b.label.as_ref() == "EuroToUSDFn");
+        let inverse = inverse.expect("the inverse bridge is wired from the system's registry");
+        assert_eq!(
+            (inverse.src.to_string(), inverse.dst.to_string()),
+            ("transport.Euro".into(), "us.Dollars".into())
+        );
+
+        let mut kb = KnowledgeBase::new("us");
+        kb.add(Instance::new("t1", "Truck").with("Price", Value::Num(2000.0))); // 1600 EUR
+        kb.add(Instance::new("t2", "Truck").with("Price", Value::Num(3000.0))); // 2400 EUR
+        s.add_knowledge_base(kb);
+        let rs = s.query("find Truck(Price) where Price < 2000").unwrap();
+        assert_eq!(rs.rows.iter().map(|r| r.id.as_ref()).collect::<Vec<_>>(), ["t1"]);
     }
 
     #[test]

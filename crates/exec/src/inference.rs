@@ -1,4 +1,4 @@
-//! Semi-naive Horn inference on the executor pool.
+//! Semi-naive Horn inference on the executor.
 //!
 //! With `GeneratorConfig::executor` set (the facade's
 //! `OnionSystem::set_parallel_inference`), the articulation generator
@@ -49,7 +49,7 @@ pub struct ParallelEngine {
 }
 
 /// Target number of row-range units per (clause, delta position) slot —
-/// enough to keep a pool busy without drowning small rounds in
+/// enough to keep every thread busy without drowning small rounds in
 /// per-unit overhead. A function of the slot predicate's delta rows
 /// only, NEVER of the thread count: the unit grid must be identical
 /// for every executor.

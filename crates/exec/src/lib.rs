@@ -4,13 +4,14 @@
 //! inference. The division of labour:
 //!
 //! * the vendored `rayon` stand-in (`crates/compat/rayon`) owns the
-//!   threads: a persistent scoped pool;
+//!   threads: each parallel call runs on scoped threads that end with
+//!   the call;
 //! * this crate owns the *batching*: an [`Executor`] that fans work —
 //!   generic closures ([`Executor::par_map`]), reformulated query
 //!   batches and the sequential engine's semi-naive work units
-//!   ([`ParallelEngine`], cut into delta-row ranges) — across the pool,
-//!   with results **identical to the sequential path** (same values,
-//!   same order);
+//!   ([`ParallelEngine`], cut into delta-row ranges) — across those
+//!   threads, with results **identical to the sequential path** (same
+//!   values, same order);
 //! * [`ResultCache`] memoises query results per state epoch.
 //!
 //! Determinism is load-bearing, not cosmetic: every parallel routine
@@ -37,11 +38,12 @@ pub use inference::{fact_set_checksum, ParallelEngine};
 
 /// A handle for running batches in parallel over immutable data.
 ///
-/// Wraps a dedicated thread pool with an explicit thread count.
-/// `Executor::new(1)` spawns no OS threads and runs everything inline
-/// on the caller — the sequential baseline every parallel result is
-/// compared against. The calling thread always participates, so
-/// `new(n)` uses `n` CPUs during a batch.
+/// Holds an explicit thread count and no threads: a call with more
+/// than one chunk runs on the caller plus up to `n − 1` scoped threads
+/// that end with the call, so `new(n)` uses at most `n` CPUs during a
+/// batch. A call with one chunk, and every call on `Executor::new(1)`,
+/// runs inline on the caller — the sequential baseline every parallel
+/// result is compared against.
 #[derive(Debug)]
 pub struct Executor {
     pool: rayon::ThreadPool,
@@ -55,7 +57,8 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// An executor with exactly `threads` threads (min 1).
+    /// An executor with exactly `threads` threads (min 1). Nothing is
+    /// spawned until a call has more than one chunk.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let pool = rayon::ThreadPoolBuilder::new()
@@ -82,8 +85,9 @@ impl Executor {
 
     /// Applies `f` to every item in parallel, returning results in
     /// input order. Items are grouped into contiguous chunks (several
-    /// per thread, so uneven items still balance) and each chunk runs
-    /// as one pool job.
+    /// per thread, so uneven items still balance) and each thread takes
+    /// the next chunk until none is left. A panic in `f` re-raises on
+    /// the caller once every thread has stopped.
     pub fn par_map<T, R>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
     where
         T: Sync,
@@ -98,7 +102,7 @@ impl Executor {
     }
 
     /// A few chunks per thread: balances uneven per-item cost without
-    /// drowning the queue in tiny jobs.
+    /// cutting the batch into tiny chunks.
     fn chunk_size(&self, len: usize) -> usize {
         len.div_ceil(self.threads * 4).max(1)
     }
@@ -167,5 +171,38 @@ mod tests {
         let exec = Executor::new(4);
         let out: Vec<u32> = exec.par_map(&[] as &[u32], |x| *x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn one_thread_and_one_chunk_batches_run_on_the_caller() {
+        let caller = std::thread::current().id();
+        let items: Vec<u32> = (0..50).collect();
+        let ids = Executor::sequential().par_map(&items, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        // one item makes one chunk, which a 2-thread executor runs inline
+        assert_eq!(Executor::new(2).par_map(&[7u32], |_| std::thread::current().id()), [caller]);
+    }
+
+    #[test]
+    fn a_panicking_item_re_raises_its_payload_and_the_executor_still_works() {
+        let exec = Executor::new(2);
+        let caller = std::thread::current().id();
+        for on_caller in [false, true] {
+            // two items make two chunks; the barrier holds each chunk
+            // until the other has started, so each runs on its own thread
+            let barrier = std::sync::Barrier::new(2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.par_map(&[0u32, 1], |_| {
+                    barrier.wait();
+                    if (std::thread::current().id() == caller) == on_caller {
+                        std::panic::panic_any(on_caller);
+                    }
+                })
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<bool>(), Some(&on_caller), "the chunk's own payload");
+            let items: Vec<u32> = (0..40).collect();
+            assert_eq!(exec.par_map(&items, |x| x + 1), (1..41).collect::<Vec<u32>>());
+        }
     }
 }

@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::graph::OntGraph;
+use crate::rel;
 
 /// Rendering options for DOT output.
 #[derive(Debug, Clone)]
@@ -23,16 +24,19 @@ impl Default for DotOptions {
     }
 }
 
-fn escape(s: &str) -> String {
+/// Escapes `s` for a double-quoted DOT string.
+pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn abbreviate(label: &str) -> &str {
+/// The short form Fig. 2 draws for a well-known relationship label
+/// (`S`, `A`, `I`, and `SI` for bridges); any other label as is.
+pub fn abbreviate(label: &str) -> &str {
     match label {
-        "SubclassOf" => "S",
-        "AttributeOf" => "A",
-        "InstanceOf" => "I",
-        "SemanticImplication" => "SI",
+        rel::SUBCLASS_OF => "S",
+        rel::ATTRIBUTE_OF => "A",
+        rel::INSTANCE_OF => "I",
+        rel::SI_BRIDGE => "SI",
         other => other,
     }
 }
@@ -67,7 +71,6 @@ pub fn to_dot(g: &OntGraph, opts: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rel;
 
     #[test]
     fn dot_contains_nodes_and_edges() {
@@ -79,6 +82,15 @@ mod tests {
         assert!(dot.contains("label=\"Vehicle\""));
         assert!(dot.contains("label=\"S\""), "SubclassOf abbreviated to S as in Fig. 2");
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn bridges_render_as_si() {
+        let mut g = OntGraph::new("unified");
+        g.ensure_edge_by_labels("carrier.Car", rel::SI_BRIDGE, "transport.Car").unwrap();
+        let dot = to_dot(&g, &DotOptions::default());
+        assert!(dot.contains("label=\"SI\""), "SIBridge abbreviated to SI as in Fig. 2");
+        assert!(!dot.contains("SIBridge"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! one cell, and a histogram with two (its bucket and its sum) — no
 //! lock. Recording sites fire on the thread driving a run, round,
 //! publish, checkpoint or batch (per shard, WAL record or cache probe
-//! at the finest); the one site reached from pool workers, the
+//! at the finest); the one site the executor's threads reach, the
 //! implication-index build counter, fires once per state epoch. So
 //! one cell per metric is not a coherence hotspot. The registry mutex
 //! is taken only when a call site first resolves its handle (cached in

@@ -5,21 +5,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use onion_graph::dot::{abbreviate, escape};
 use onion_graph::OntGraph;
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn abbrev(label: &str) -> &str {
-    match label {
-        "SubclassOf" => "S",
-        "AttributeOf" => "A",
-        "InstanceOf" => "I",
-        "SemanticImplication" | "SIBridge" => "SI",
-        other => other,
-    }
-}
 
 /// Renders a unified graph (qualified `onto.Term` labels) as a DOT
 /// digraph with one cluster per ontology namespace. Edges within a
@@ -57,7 +44,7 @@ pub fn unified_to_dot(unified: &OntGraph) -> String {
             "  n{} -> n{} [label=\"{}\", style={}];",
             e.src.index(),
             e.dst.index(),
-            escape(abbrev(e.label)),
+            escape(abbreviate(e.label)),
             style
         );
     }

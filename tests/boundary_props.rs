@@ -2,20 +2,26 @@
 //!
 //! `import::from_text`, `import::from_xml`, `import::from_idl` and
 //! `persist::from_text` read files an ontology author or an earlier run
-//! wrote. Whatever the bytes, each returns `Ok` or `Err`. The properties
-//! feed every reader the same inputs: token soup built from the formats'
-//! pieces (keywords, quotes, XML markup and entities, braces, rule
-//! arrows, dots, tabs, line breaks, NUL and non-ASCII labels), that soup
-//! arranged in keyword-led lines so it reaches each line parser, and
-//! arbitrary strings.
+//! wrote; `parse_rules`, `HornProgram::parse`, `Query::parse`,
+//! `Pattern::parse` and `pattern_query::compile_scoped` read the rules,
+//! programs, queries and patterns an expert or a user types. Whatever
+//! the bytes, each returns `Ok` or `Err`. The properties feed every
+//! reader the same inputs: token soup built from the formats' pieces
+//! (keywords, quotes, XML markup and entities, braces, rule and pattern
+//! arrows, clause necks, comparison operators, dots, tabs, line breaks,
+//! NUL and non-ASCII labels), that soup arranged in keyword-led lines so
+//! it reaches each line parser, and arbitrary strings.
 
 use proptest::prelude::*;
 
 use onion_core::articulate::persist;
+use onion_core::graph::Pattern;
 use onion_core::ontology::import::{self, IdlOptions};
+use onion_core::query::{pattern_query, Query};
+use onion_core::rules::{parse_rules, HornProgram};
 
 /// The words that start a line or an element in one of the formats.
-const KEYWORDS: [&str; 9] = [
+const KEYWORDS: [&str; 10] = [
     "ontology",
     "node",
     "edge",
@@ -25,17 +31,20 @@ const KEYWORDS: [&str; 9] = [
     "articulation",
     "interface",
     "attribute",
+    "find",
 ];
 
 /// Punctuation, whitespace, entities and characters none of the formats
 /// expects.
-const PUNCTUATION: [&str; 32] = [
+const PUNCTUATION: [&str; 39] = [
     " ", "\t", "\n", "\r\n", "\r", "\0", "\"", "'", "\\", "<", ">", "/>", "</", "<!--", "-->", "=",
     "&amp;", "&#x", "&#", "&", ";", "{", "}", "};", ":", ",", "=>", ".", "Über", "日本", "é", "7",
+    ":-", "%", "(", ")", "<=", "!=", "->",
 ];
 
-/// Names, bridge kinds and whole XML markup, so some soup parses.
-const WORDS: [&str; 18] = [
+/// Names, bridge kinds, query words and whole XML markup, so some soup
+/// parses.
+const WORDS: [&str; 20] = [
     "label",
     "from",
     "to",
@@ -54,6 +63,8 @@ const WORDS: [&str; 18] = [
     "<edge from=\"",
     "\" label=\"",
     "\" to=\"",
+    "where",
+    "and",
 ];
 
 /// How many pieces [`piece`] indexes.
@@ -74,6 +85,11 @@ fn read_all(text: &str) {
     let _ = import::from_idl(text, &IdlOptions::default());
     let _ = import::from_idl(text, &IdlOptions { name: "idl.v2".into(), keep_types: true });
     let _ = persist::from_text(text);
+    let _ = parse_rules(text);
+    let _ = HornProgram::parse(text);
+    let _ = Query::parse(text);
+    let _ = Pattern::parse(text);
+    let _ = pattern_query::compile_scoped(text);
 }
 
 proptest! {
