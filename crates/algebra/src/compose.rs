@@ -37,11 +37,6 @@ impl Composition {
     pub fn top(&self) -> &Articulation {
         self.steps.last().expect("composition has at least one step")
     }
-
-    /// Number of composed sources.
-    pub fn source_count(&self) -> usize {
-        self.steps.len() + 1
-    }
 }
 
 /// Articulates `sources` pairwise left to right with a fresh engine per
@@ -120,7 +115,6 @@ mod tests {
         let r = retailer();
         let lex = transport_lexicon();
         let comp = compose_all(&[&c, &f, &r], &lex, &mut AcceptAll).unwrap();
-        assert_eq!(comp.source_count(), 3);
         assert_eq!(comp.steps.len(), 2);
         // namespaces are distinct per step
         assert_eq!(comp.steps[0].name(), "art1");
@@ -149,7 +143,7 @@ mod tests {
         let report = add_source(&mut comp, &r, &lex, &mut AcceptAll).unwrap();
         assert!(report.accepted > 0);
         assert_eq!(comp.steps[0].bridges, first, "reuse without restructuring (§4.2)");
-        assert_eq!(comp.source_count(), 3);
+        assert_eq!(comp.steps.len(), 2, "one step per added source");
     }
 
     #[test]

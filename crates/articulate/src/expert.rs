@@ -114,9 +114,8 @@ impl Expert for ScriptedExpert {
 }
 
 /// Knows the planted ground-truth correspondence (from the workload
-/// generator) and accepts exactly the simple implications it contains —
-/// optionally with label noise to model expert error. Enables
-/// precision/recall measurement in experiment B2.
+/// generator) and accepts exactly the simple implications it contains.
+/// Enables precision/recall measurement in experiment B2.
 ///
 /// Truth pairs are interned into a private [`AtomTable`] at
 /// construction; each review then probes by looked-up [`AtomId`]s —
@@ -131,10 +130,6 @@ pub struct OracleExpert {
     atoms: AtomTable,
     /// Accepted (from, to) pairs over `atoms`.
     truth: FxHashSet<(AtomId, AtomId)>,
-    /// Probability of flipping a verdict (deterministic counter-based,
-    /// not RNG, so runs reproduce exactly).
-    noise_period: Option<usize>,
-    reviewed: usize,
 }
 
 impl OracleExpert {
@@ -143,14 +138,7 @@ impl OracleExpert {
         let mut atoms = AtomTable::new();
         let truth =
             pairs.into_iter().map(|(from, to)| (atoms.intern(&from), atoms.intern(&to))).collect();
-        OracleExpert { atoms, truth, noise_period: None, reviewed: 0 }
-    }
-
-    /// Flips every `period`-th verdict (models an imperfect expert);
-    /// `period == 0` disables noise.
-    pub fn with_noise_period(mut self, period: usize) -> Self {
-        self.noise_period = if period == 0 { None } else { Some(period) };
-        self
+        OracleExpert { atoms, truth }
     }
 
     /// Whether the pair is in the planted truth.
@@ -164,8 +152,7 @@ impl OracleExpert {
 
 impl Expert for OracleExpert {
     fn review(&mut self, candidate: &CandidateRule) -> Verdict {
-        self.reviewed += 1;
-        let base = match &candidate.rule {
+        match &candidate.rule {
             ArticulationRule::Implication { chain } if candidate.rule.is_simple_implication() => {
                 let from = chain[0].terms()[0];
                 let to = chain[1].terms()[0];
@@ -184,17 +171,7 @@ impl Expert for OracleExpert {
                     Verdict::Reject
                 }
             }
-        };
-        if let Some(p) = self.noise_period {
-            if self.reviewed % p == 0 {
-                return match base {
-                    Verdict::Accept => Verdict::Reject,
-                    Verdict::Reject => Verdict::Accept,
-                    m @ Verdict::Modify(_) => m,
-                };
-            }
         }
-        base
     }
 }
 
@@ -255,16 +232,6 @@ mod tests {
         );
         assert_eq!(e.review(&rev), Verdict::Accept);
         assert_eq!(e.review(&cand("A", "C", 0.99)), Verdict::Reject);
-    }
-
-    #[test]
-    fn oracle_noise_flips_periodically() {
-        let mut e =
-            OracleExpert::new([("o1.A".to_string(), "o2.B".to_string())]).with_noise_period(2);
-        assert_eq!(e.review(&cand("A", "B", 1.0)), Verdict::Accept); // 1st: true verdict
-        assert_eq!(e.review(&cand("A", "B", 1.0)), Verdict::Reject); // 2nd: flipped
-        assert_eq!(e.review(&cand("X", "Y", 1.0)), Verdict::Reject); // 3rd: true verdict
-        assert_eq!(e.review(&cand("X", "Y", 1.0)), Verdict::Accept); // 4th: flipped
     }
 
     #[test]

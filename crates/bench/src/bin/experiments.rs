@@ -17,9 +17,8 @@
 //! tier (each series repeated ≥5× with the min/max spread recorded),
 //! the B1/B2/B4 end-to-end medians, the B10 parallel-throughput matrix
 //! (1/2/4/available-parallelism threads, with byte-identical results
-//! asserted against the sequential path), the B11 incremental-publish
-//! curve (publish latency vs dirty-shard fraction, with exact rebuild
-//! accounting asserted) and the B12–B15 series — and writes it to `PATH`
+//! asserted against the sequential path) and the B12–B15 series — and
+//! writes it to `PATH`
 //! (default `BENCH_onion.json`); this is the smoke step CI runs on
 //! every push. An optional `--compare BASE` reads a previously
 //! committed baseline, prints every named row's machine-normalised
@@ -42,9 +41,8 @@ use onion_bench::cache::{B15Report, B15_CONCEPTS, B15_INSTANCES, B15_QUERIES};
 use onion_bench::durability::{B13Report, B13_BATCH_OPS};
 use onion_bench::hotpaths::Fixture;
 use onion_bench::inference::B12Report;
-use onion_bench::observability::{B14Report, B14_BURST, B14_CHAIN, B14_PUBLISH_ROUNDS};
+use onion_bench::observability::{B14Report, B14_BURST, B14_CHAIN, B14_PUBLISH_ROUNDS, B14_SHARDS};
 use onion_bench::parallel::B10Report;
-use onion_bench::publish::B11Report;
 use onion_bench::{articulated, instance_kbs, pair, run_series, truth_rules, BenchResult};
 use onion_core::algebra::compose::{add_source, compose_all};
 use onion_core::articulate::maintain::{apply_delta, rebuild, triage};
@@ -141,7 +139,6 @@ struct Baseline {
     results: Vec<BenchResult>,
     end_to_end: Vec<BenchResult>,
     b10: B10Report,
-    b11: B11Report,
     b12: B12Report,
     b13: B13Report,
     b14: B14Report,
@@ -150,8 +147,8 @@ struct Baseline {
 
 impl Baseline {
     /// Runs the baseline suite: hot paths, end-to-end medians, the B10
-    /// parallel matrix, the B11 incremental-publish curve and the
-    /// B12–B15 series, each with its correctness assertions.
+    /// parallel matrix and the B12–B15 series, each with its
+    /// correctness assertions.
     fn run() -> Self {
         let tier = onion_bench::hotpaths::tier();
         eprintln!(
@@ -181,8 +178,6 @@ impl Baseline {
         ];
         eprintln!("running B10 parallel batches (byte-identity asserted per thread count) …");
         let b10 = onion_bench::parallel::run_b10();
-        eprintln!("running B11 incremental publish (exact dirty-shard rebuilds asserted) …");
-        let b11 = onion_bench::publish::run_b11();
         eprintln!("running B12 inference seam (string/interned fact-set identity asserted) …");
         let b12 = onion_bench::inference::run_b12();
         eprintln!(
@@ -193,17 +188,16 @@ impl Baseline {
         let b14 = onion_bench::observability::run_b14(5);
         eprintln!("running B15 query cache (checksums + hit ratio + 10x warm bar asserted) …");
         let b15 = onion_bench::cache::run_b15(5);
-        Baseline { results, end_to_end, b10, b11, b12, b13, b14, b15 }
+        Baseline { results, end_to_end, b10, b12, b13, b14, b15 }
     }
 
     /// The baseline file. Hand-rolled JSON: the workspace is offline, no
     /// serde. Every named row goes through [`push_rows`].
     fn to_json(&self) -> String {
         let tier = onion_bench::hotpaths::tier();
-        let (b10, b11, b12, b13, b14, b15) =
-            (&self.b10, &self.b11, &self.b12, &self.b13, &self.b14, &self.b15);
+        let (b10, b12, b13, b14, b15) = (&self.b10, &self.b12, &self.b13, &self.b14, &self.b15);
         let mut body = format!(
-            "{{\n  \"schema\": \"onion-bench/v12\",\n  \"tier\": {{ \"seed\": {}, \"nodes\": {}, \
+            "{{\n  \"schema\": \"onion-bench/v13\",\n  \"tier\": {{ \"seed\": {}, \"nodes\": {}, \
              \"edges\": {} }},\n  \"results\": [\n",
             tier.seed, tier.nodes, tier.edges
         );
@@ -227,25 +221,6 @@ impl Baseline {
                 row.query_per_sec,
                 b10.query_speedup(row),
                 if i + 1 == b10.rows.len() { "" } else { "," }
-            ));
-        }
-        body.push_str("    ]\n  },\n");
-        body.push_str(&format!(
-            "  \"b11_incremental_publish\": {{\n    \"nodes\": {}, \"edges\": {}, \"shards\": {}, \
-             \"reps\": {},\n    \"rows\": [\n",
-            b11.nodes, b11.edges, b11.shards, b11.reps
-        ));
-        for (i, row) in b11.rows.iter().enumerate() {
-            body.push_str(&format!(
-                "      {{ \"dirty_shards\": {}, \"fraction\": {:.3}, \"median_us\": {:.1}, \
-                 \"min_us\": {:.1}, \"max_us\": {:.1}, \"speedup_vs_full\": {:.2} }}{}\n",
-                row.dirty_shards,
-                row.fraction,
-                row.median_us,
-                row.min_us,
-                row.max_us,
-                b11.speedup_vs_full(row),
-                if i + 1 == b11.rows.len() { "" } else { "," }
             ));
         }
         body.push_str("    ]\n  },\n");
@@ -281,7 +256,7 @@ impl Baseline {
                 "\"note\": \"durable WAL stack on the tier: b13_wal_append_1k_ops is one \
                  group-flushed committed batch of {B13_BATCH_OPS} EdgeAdd ops (Begin..Commit, \
                  one write + sync_data; checksum = final LSN); the checkpoint rows dirty k of 64 \
-                 shards with the B11 content-neutral self-loop probe and assert the checkpoint \
+                 shards with a content-neutral self-loop probe and assert the checkpoint \
                  rewrote exactly k shards and reused 64-k; the recover rows reopen a WAL-only \
                  directory (no manifest shortcut) and assert the replayed edge count\",\n    \
                  \"nodes\": {}, \"edges\": {}, \"shards\": {}, \"reps\": {}, \"batch_ops\": \
@@ -297,7 +272,8 @@ impl Baseline {
                 "\"note\": \"onion-obs recording overhead: each workload timed with recording \
                  disabled (the production default — one relaxed atomic load per instrumented \
                  site) and enabled (relaxed fetch_add on one cell per metric); publish = {B14_PUBLISH_ROUNDS} \
-                 one-dirty-shard publish rounds on the B11 fixture, infer = semi-naive \
+                 one-dirty-shard OnionSystem::publish_source rounds on an in-memory source (the \
+                 tier graph at {B14_SHARDS} shards), infer = semi-naive \
                  saturation of a {B14_CHAIN}-node transitivity chain (derivation count asserted \
                  identical in both modes), count_burst = {B14_BURST} bare count!+observe_us! \
                  macro hits; overhead_* = enabled/disabled median ratio\",\n    \
@@ -363,7 +339,7 @@ impl Baseline {
 
     /// The human-readable summary printed after the file is written.
     fn print_summary(&self) {
-        let (b10, b11, b12, b14, b15) = (&self.b10, &self.b11, &self.b12, &self.b14, &self.b15);
+        let (b10, b12, b14, b15) = (&self.b10, &self.b12, &self.b14, &self.b15);
         for r in self.named_rows() {
             println!("{:<32} {}", r.name, fmt_us(r.median_us));
         }
@@ -381,15 +357,6 @@ impl Baseline {
                 "note: host reports available_parallelism = {}; B10 speedups are not meaningful \
                  here",
                 b10.available_parallelism
-            );
-        }
-        for row in &b11.rows {
-            println!(
-                "b11 {:>2}/{} dirty shards: publish {} ({:.2}x vs full rebuild)",
-                row.dirty_shards,
-                b11.shards,
-                fmt_us(row.median_us),
-                b11.speedup_vs_full(row)
             );
         }
         let (string_build, interned_warm) = (b12.rows[0].median_us, b12.rows[2].median_us);
@@ -608,7 +575,7 @@ fn compare_baselines(base_path: &str, new_path: &str) {
         println!(
             "::warning::machine-speed factor is {machine_factor:.1}x — either this host is much \
              slower than the baseline machine, or a code change slowed most series uniformly; \
-             check the dimensionless B10/B11 speedup columns before trusting the normalised gate"
+             check the dimensionless B10 speedup column before trusting the normalised gate"
         );
     }
     for s in &v.series {
@@ -1177,7 +1144,6 @@ fn b8_triage() {
 #[cfg(test)]
 mod tests {
     use onion_bench::parallel::B10Row;
-    use onion_bench::publish::B11Row;
 
     use super::*;
 
@@ -1206,10 +1172,6 @@ mod tests {
                 rows: vec![B10Row { threads: 1, query_us: 9.0, ..Default::default() }],
                 ..Default::default()
             },
-            b11: B11Report {
-                rows: vec![B11Row { dirty_shards: 1, median_us: 7.0, ..Default::default() }],
-                ..Default::default()
-            },
             b12: B12Report { rows: vec![row("b12_x", 1.0)], ..Default::default() },
             b13: B13Report {
                 rows: vec![row("b13_x", 2.0), row("b13_y", 0.1)],
@@ -1223,7 +1185,7 @@ mod tests {
         let want: Vec<(String, f64)> =
             baseline.named_rows().map(|r| (r.name.clone(), r.median_us)).collect();
         assert_eq!(want.len(), 9);
-        // the unnamed B10/B11 curve rows are not series the gate reads;
+        // the unnamed B10 curve rows are not series the gate reads;
         // medians round to the writer's one decimal
         let got = parse_rows(&baseline.to_json());
         assert_eq!(got.len(), want.len());

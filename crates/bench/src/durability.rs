@@ -3,30 +3,30 @@
 //!
 //! Three series on the durability stack introduced with the WAL
 //! refactor, all with their correctness contracts asserted inside the
-//! timed loop (mirroring B10/B11: "fast because it skipped work" is a
+//! timed loop (mirroring B10: "fast because it skipped work" is a
 //! failure, not a result):
 //!
 //! * **append** — group-flushing a 1 000-op committed batch
 //!   (`Begin … Commit`, one `write` + `sync_data`); the checksum is
 //!   the final LSN, so a run that dropped records cannot pass;
 //! * **checkpoint** — shard-incremental checkpoints of the 10k/50k
-//!   tier frozen at 64 shards, with `k ∈ {1, 16, 64}` shards dirtied
-//!   per round via the B11 content-neutral self-loop probe; each round
-//!   asserts the checkpoint rewrote **exactly** `k` shards and reused
-//!   the other `64 − k`;
+//!   tier graph at 64 shards, with `k ∈ {1, 16, 64}` shards dirtied per
+//!   round by a content-neutral self-loop probe; each round asserts the
+//!   checkpoint rewrote **exactly** `k` shards and reused the other
+//!   `64 − k`;
 //! * **recover** — `Durability::open` of a WAL-only directory (no
 //!   checkpoint to shortcut through) at 1 000 and 8 000 logged ops;
 //!   each open asserts the replayed op count.
 
 use onion_core::graph::wal::Durability;
-use onion_core::graph::{GraphOp, OntGraph, ShardedSnapshot};
+use onion_core::graph::{GraphOp, OntGraph};
 use onion_core::testkit::fs::TempDir;
 use onion_core::testkit::generate_graph;
 
 use crate::hotpaths::tier;
 use crate::{run_series, BenchResult};
 
-/// Shard count the checkpoint series freezes the tier at (same as B11).
+/// Shard count of the checkpoint series' tier graph.
 pub const B13_SHARDS: usize = 64;
 
 /// Ops per appended batch in the WAL-append series.
@@ -39,7 +39,7 @@ pub struct B13Report {
     pub nodes: usize,
     /// Tier edge count (checkpoint series).
     pub edges: usize,
-    /// Shard count of the checkpointed view.
+    /// Shard count of the checkpointed graph.
     pub shards: usize,
     /// Timed repetitions per row.
     pub reps: usize,
@@ -89,7 +89,7 @@ fn checkpoint_rows(dirty_counts: &[usize], reps: usize) -> Vec<BenchResult> {
     }
     assert_eq!(probe.len(), B13_SHARDS, "tier fills 64 shards");
     let mut dur = Durability::create(td.path(), g.name()).expect("fresh dir");
-    let full = dur.checkpoint(&ShardedSnapshot::of(&g), dur.last_lsn()).expect("first checkpoint");
+    let full = dur.checkpoint(&g, dur.last_lsn()).expect("first checkpoint");
     assert_eq!((full.shards_written, full.shards_reused), (B13_SHARDS, 0));
     dirty_counts
         .iter()
@@ -101,14 +101,13 @@ fn checkpoint_rows(dirty_counts: &[usize], reps: usize) -> Vec<BenchResult> {
                 _ => "b13_checkpoint_dirty_64_of_64",
             };
             run_series(name, reps, || {
-                // Content-neutral dirtying (B11's probe): bumps the
-                // shard version without changing what gets serialized.
+                // Content-neutral dirtying: bumps the shard version
+                // without changing what gets serialized.
                 for &n in &probe[..k] {
                     let e = g.add_edge(n, "b13dirty", n).expect("probe node is live");
                     g.delete_edge(e).expect("just added");
                 }
-                let t = ShardedSnapshot::of(&g);
-                let stats = dur.checkpoint(&t, dur.last_lsn()).expect("checkpoint");
+                let stats = dur.checkpoint(&g, dur.last_lsn()).expect("checkpoint");
                 assert_eq!(
                     (stats.shards_written, stats.shards_reused),
                     (k, B13_SHARDS - k),

@@ -23,7 +23,6 @@ pub mod hotpaths;
 pub mod inference;
 pub mod observability;
 pub mod parallel;
-pub mod publish;
 
 /// One measured series.
 #[derive(Debug, Clone, Default)]

@@ -5,8 +5,9 @@
 //! relaxed `fetch_add` on the metric's one cell while it is enabled. B14 measures both
 //! steady states on three workloads that hit the instrumented layers:
 //!
-//! * **publish** — 50 one-dirty-shard publish rounds on the B11
-//!   fixture (span + counters + per-shard rebuild timing per round);
+//! * **publish** — 50 one-dirty-shard `OnionSystem::publish_source`
+//!   rounds on an in-memory source, the 10k/50k tier graph at 64 shards
+//!   (span + counters per round);
 //! * **infer** — semi-naive saturation of a transitivity chain
 //!   (per-run counters + a per-round delta histogram);
 //! * **count burst** — one million bare `count!` + `observe_us!`
@@ -18,16 +19,22 @@
 //! count in both modes — instrumentation must be strictly
 //! observational.
 
+use onion_core::graph::NodeId;
 use onion_core::obs;
+use onion_core::ontology::Ontology;
 use onion_core::rules::{AtomTable, FactBase, HornProgram, InferenceEngine};
+use onion_core::testkit::generate_graph;
+use onion_core::OnionSystem;
 
-use crate::publish::B11Fixture;
+use crate::hotpaths::tier;
 use crate::{run_series, BenchResult};
 
 /// Chain length for the inference workload (`derived = n(n-1)/2`).
 pub const B14_CHAIN: usize = 128;
 /// Publish rounds per timed repetition.
 pub const B14_PUBLISH_ROUNDS: usize = 50;
+/// Shard count of the publish workload's source.
+pub const B14_SHARDS: usize = 64;
 /// Macro hits per count-burst repetition.
 pub const B14_BURST: usize = 1_000_000;
 
@@ -44,6 +51,44 @@ pub fn infer_chain(n: usize) -> usize {
     let stats = InferenceEngine::new(program).run(&mut atoms, &mut fb).expect("no budget");
     assert_eq!(stats.derived, n * (n - 1) / 2, "instrumentation must not change inference");
     stats.derived
+}
+
+/// The publish workload: the tier graph loaded as an in-memory facade
+/// source at [`B14_SHARDS`] shards and published once.
+struct PublishFixture {
+    system: OnionSystem,
+    name: String,
+    probe: NodeId,
+}
+
+impl PublishFixture {
+    fn new() -> Self {
+        let g = generate_graph(&tier());
+        let name = g.name().to_string();
+        let probe = g.node_ids().next().expect("the tier has nodes");
+        let mut system = OnionSystem::with_transport_lexicon();
+        system.set_shard_count(B14_SHARDS);
+        system.add_source(Ontology::from_graph(g));
+        system.publish_source(&name).expect("the source is loaded");
+        PublishFixture { system, name, probe }
+    }
+
+    /// One round: a content-neutral self-loop add + delete on the probe
+    /// node moves its shard's stamp without changing the graph, then a
+    /// publish that must count exactly that shard — "fast because it
+    /// skipped work" is a failure, not a result.
+    fn publish_dirty_shard(&mut self) -> usize {
+        let g = self.system.source_mut(&self.name).expect("the source is loaded").graph_mut();
+        let e = g.add_edge(self.probe, "b14dirty", self.probe).expect("probe node is live");
+        g.delete_edge(e).expect("just added");
+        let (_, stats) = self.system.publish_source(&self.name).expect("the source is loaded");
+        assert_eq!(
+            (stats.rebuilt, stats.reused),
+            (1, B14_SHARDS - 1),
+            "publish must count exactly the edited shard"
+        );
+        stats.rebuilt
+    }
 }
 
 /// `n` hits of the `count!` + `observe_us!` macro pair — the raw
@@ -83,13 +128,13 @@ impl B14Report {
 /// state it found.
 pub fn run_b14(reps: usize) -> B14Report {
     let was_enabled = obs::enabled();
-    let mut fixture = B11Fixture::new();
+    let mut fixture = PublishFixture::new();
     let mut rows = Vec::new();
     for enabled in [false, true] {
         obs::set_enabled(enabled);
         let suffix = if enabled { "enabled" } else { "disabled" };
         rows.push(run_series(&format!("b14_publish_{suffix}"), reps, || {
-            (0..B14_PUBLISH_ROUNDS).map(|_| fixture.publish_dirty(1).rebuilt as u64).sum()
+            (0..B14_PUBLISH_ROUNDS).map(|_| fixture.publish_dirty_shard() as u64).sum()
         }));
         rows.push(run_series(&format!("b14_infer_{suffix}"), reps, || {
             infer_chain(B14_CHAIN) as u64

@@ -34,7 +34,7 @@
 
 pub mod system;
 
-pub use system::{DurableOpen, OnionSystem};
+pub use system::{DurableOpen, OnionSystem, PublishStats};
 
 // Re-export the subsystem crates under their short names.
 pub use onion_algebra as algebra;
@@ -51,6 +51,7 @@ pub use onion_viewer as viewer;
 
 /// The commonly-used types in one import.
 pub mod prelude {
+    pub use crate::PublishStats;
     pub use onion_algebra::{difference, extract, filter, intersect, union};
     pub use onion_articulate::{
         AcceptAll, Articulation, ArticulationEngine, ArticulationGenerator, Bridge, BridgeKind,
@@ -60,8 +61,7 @@ pub mod prelude {
     pub use onion_exec::{CacheKey, CacheStats, Executor, ResultCache};
     pub use onion_graph::{
         rel, CheckpointStats, Durability, EdgeId, GraphOp, LabelEquiv, Lsn, MatchConfig, Matcher,
-        NodeId, OntGraph, Pattern, PublishStats, RecoveryStats, ShardedSnapshot, SnapshotStore,
-        WalError,
+        NodeId, OntGraph, Pattern, RecoveryStats, WalError,
     };
     pub use onion_lexicon::{builtin::transport_lexicon, Lexicon};
     pub use onion_obs::{MetricsSnapshot, TraceEvent};

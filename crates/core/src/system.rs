@@ -11,7 +11,7 @@ use onion_articulate::{
 };
 use onion_exec::{CacheKey, CacheStats, ResultCache};
 use onion_graph::wal::{CheckpointStats, Durability, Lsn, RecoveryStats, WalError};
-use onion_graph::{GraphOp, OntGraph, PublishStats, ShardedSnapshot, SnapshotStore};
+use onion_graph::{GraphOp, OntGraph};
 use onion_lexicon::Lexicon;
 use onion_ontology::Ontology;
 use onion_query::{
@@ -91,13 +91,12 @@ pub struct OnionSystem {
     rules: RuleSet,
     articulation: Option<Articulation>,
     engine_config: EngineConfig,
-    /// Snapshot shard count applied to every loaded source graph;
-    /// `0` (the default) means adaptive ≈√E sizing per graph.
+    /// Shard count applied to every loaded source graph; `0` (the
+    /// default) means adaptive ≈√E sizing per graph.
     shard_count: usize,
-    /// Per-source snapshot stores, created on first publish and
-    /// published through `&mut self`; publishes are incremental (dirty
-    /// shards only), and checkpoints serialise the current snapshot.
-    stores: BTreeMap<String, SnapshotStore>,
+    /// Per source, the graph identity and shard stamps its latest
+    /// publish saw: the next publish counts the shards edited since.
+    published: BTreeMap<String, (u64, Vec<u64>)>,
     /// The system-wide atom table backing inference runs. Shared into
     /// every generator the facade builds, so interned symbols and
     /// per-graph label memos persist across articulation and
@@ -111,7 +110,7 @@ pub struct OnionSystem {
     /// A durable source's journal is drained into its WAL (and
     /// group-flushed) at every publish, so the in-memory journal only
     /// ever holds the unflushed tail.
-    durables: BTreeMap<String, DurableSource>,
+    durables: BTreeMap<String, Durability>,
     /// Monotonic facade **state epoch**: bumped by every mutation that
     /// can change a query's answer (sources, KBs, rules, conversions,
     /// articulation, publishes). Part of every query-cache key, so a
@@ -129,12 +128,18 @@ pub struct OnionSystem {
     query_cache: Option<ResultCache<ResultSet>>,
 }
 
-/// Durable state attached to one source.
-struct DurableSource {
-    dur: Durability,
-    /// Commit LSN covering everything included in the latest publish —
-    /// the `last_lsn` the next checkpoint records.
-    publish_lsn: Lsn,
+/// What one [`OnionSystem::publish_source`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PublishStats {
+    /// The state epoch the publish made current
+    /// ([`OnionSystem::query_epoch`]).
+    pub epoch: u64,
+    /// Shards edited since the source's previous publish: each whose
+    /// stamp moved, or every shard when there was no previous publish
+    /// of this graph identity at this shard count.
+    pub rebuilt: usize,
+    /// Shards left untouched since the previous publish.
+    pub reused: usize,
 }
 
 /// What [`OnionSystem::open_durable`] did.
@@ -161,7 +166,7 @@ impl OnionSystem {
             articulation: None,
             engine_config: EngineConfig::default(),
             shard_count: 0,
-            stores: BTreeMap::new(),
+            published: BTreeMap::new(),
             atoms: Arc::new(Mutex::new(AtomTable::new())),
             inference_executor: None,
             durables: BTreeMap::new(),
@@ -205,8 +210,8 @@ impl OnionSystem {
     // data layer
     // ------------------------------------------------------------------
 
-    /// Loads a source ontology (its graph adopts the system's snapshot
-    /// shard count).
+    /// Loads a source ontology (its graph adopts the system's shard
+    /// count).
     pub fn add_source(&mut self, mut ontology: Ontology) {
         ontology.graph_mut().set_shard_count(self.shard_count);
         self.sources.insert(ontology.name().to_string(), ontology);
@@ -241,21 +246,21 @@ impl OnionSystem {
     }
 
     // ------------------------------------------------------------------
-    // snapshots: shard configuration + incremental publish
+    // shard configuration + publish
     // ------------------------------------------------------------------
 
-    /// The configured snapshot shard count: `0` means adaptive (each
-    /// graph is sized ≈√E by [`onion_graph::adaptive_shard_count`]),
-    /// any other value is applied to every loaded source graph.
+    /// The configured shard count: `0` means adaptive (each graph is
+    /// sized ≈√E by [`onion_graph::adaptive_shard_count`]), any other
+    /// value is applied to every loaded source graph.
     pub fn shard_count(&self) -> usize {
         self.shard_count
     }
 
-    /// Reconfigures the snapshot shard count for every loaded source
-    /// graph and for sources loaded later. `0` selects adaptive ≈√E
-    /// sizing per graph (the default); explicit counts pin the layout.
-    /// Published snapshots keep serving their old layout until the next
-    /// [`OnionSystem::publish_source`], which does a full rebuild.
+    /// Reconfigures the shard count for every loaded source graph and
+    /// for sources loaded later. `0` selects adaptive ≈√E sizing per
+    /// graph (the default); explicit counts pin the layout. Every shard
+    /// is freshly stamped, so the next publish counts all of them and
+    /// the next checkpoint rewrites all of them.
     pub fn set_shard_count(&mut self, count: usize) {
         self.shard_count = count;
         for ontology in self.sources.values_mut() {
@@ -263,50 +268,44 @@ impl OnionSystem {
         }
     }
 
-    /// Publishes the current state of a source's graph into its
-    /// snapshot store, creating the store on first use. The publish is
-    /// **incremental**: only shards dirtied since the previous publish
-    /// are rebuilt (see [`PublishStats`]); the rest are shared
-    /// structurally with the previous epoch.
+    /// Publishes the current state of a source: a durable source
+    /// ([`OnionSystem::open_durable`]) first drains its journal tail
+    /// into the WAL as one committed batch and group-flushes it, then
+    /// the state epoch moves, so every later query and checkpoint reads
+    /// a recoverable cut. Returns the commit LSN of a durable publish
+    /// (`None` for an in-memory source) and the [`PublishStats`]: the
+    /// shards edited since the source's previous publish, by the rule
+    /// checkpoints reuse shard files by
+    /// ([`OntGraph::shard_unchanged_since`]).
     ///
     /// With the adaptive shard policy (no explicit
     /// [`OnionSystem::set_shard_count`]), the first publish of a source
     /// re-derives its ≈√E layout from the edge count at that moment, so
     /// a graph grown substantially between load and first publish still
-    /// gets a right-sized layout; later publishes keep it stable to
-    /// preserve incremental rebuilds.
-    /// For a durable source ([`OnionSystem::open_durable`]), every
-    /// publish first drains the journal tail into the WAL as one
-    /// committed batch and group-flushes it — write-ahead of the
-    /// snapshot becoming visible, so the published state is always a
-    /// recoverable cut.
-    pub fn publish_source(&mut self, name: &str) -> Result<(Arc<ShardedSnapshot>, PublishStats)> {
-        let flushed = self.flush_durable(name)?;
-        if self.shard_count == 0 && !self.stores.contains_key(name) {
-            let ontology = self
-                .sources
-                .get_mut(name)
-                .ok_or_else(|| SystemError::UnknownSource(name.to_string()))?;
+    /// gets a right-sized layout; later publishes keep it stable, so
+    /// checkpoints stay incremental.
+    pub fn publish_source(&mut self, name: &str) -> Result<(Option<Lsn>, PublishStats)> {
+        let lsn = self.flush_durable(name)?;
+        let _span = onion_obs::span!("publish");
+        let ontology = self
+            .sources
+            .get_mut(name)
+            .ok_or_else(|| SystemError::UnknownSource(name.to_string()))?;
+        let last = self.published.get(name);
+        if self.shard_count == 0 && last.is_none() {
             ontology.graph_mut().set_shard_count(0);
         }
-        let ontology =
-            self.sources.get(name).ok_or_else(|| SystemError::UnknownSource(name.to_string()))?;
         let g = ontology.graph();
-        let store = self.stores.entry(name.to_string()).or_insert_with(|| SnapshotStore::new(g));
-        let out = store.publish_stats(g);
-        if let Some(lsn) = flushed {
-            self.durables.get_mut(name).expect("flushed implies durable").publish_lsn = lsn;
-        }
+        let rebuilt = (0..g.shard_count())
+            .filter(|&s| !last.is_some_and(|(id, stamps)| g.shard_unchanged_since(*id, stamps, s)))
+            .count();
+        let reused = g.shard_count() - rebuilt;
+        self.published.insert(name.to_string(), (g.graph_id(), g.shard_stamps().to_vec()));
         self.touch();
-        Ok(out)
-    }
-
-    /// The latest published snapshot of a source (`None` until the
-    /// first [`OnionSystem::publish_source`]). The returned `Arc` keeps
-    /// its epoch for as long as the caller holds it, whatever is
-    /// published later.
-    pub fn source_snapshot(&self, name: &str) -> Option<Arc<ShardedSnapshot>> {
-        self.stores.get(name).map(SnapshotStore::load)
+        onion_obs::count!("onion_publish_total");
+        onion_obs::count!("onion_publish_shards_rebuilt_total", rebuilt);
+        onion_obs::count!("onion_publish_shards_reused_total", reused);
+        Ok((lsn, PublishStats { epoch: self.state_epoch, rebuilt, reused }))
     }
 
     // ------------------------------------------------------------------
@@ -321,10 +320,10 @@ impl OnionSystem {
     /// from the first reading are still servable.
     ///
     /// It is the facade's only notion of "query-visible state
-    /// changed": the result cache keys on it, and the implication
-    /// index is built once per epoch, at its first query miss. A
-    /// source's snapshot epoch (`source_snapshot(name)?.epoch()`)
-    /// counts its publishes only.
+    /// changed": the result cache keys on it, the implication index is
+    /// built once per epoch, at its first query miss, and
+    /// [`PublishStats::epoch`] reports the epoch a publish made
+    /// current.
     pub fn query_epoch(&self) -> u64 {
         self.state_epoch
     }
@@ -411,7 +410,7 @@ impl OnionSystem {
             }
             g.enable_journal();
             self.add_source(onion_ontology::Ontology::from_graph(g));
-            self.durables.insert(name.to_string(), DurableSource { dur, publish_lsn: Lsn::ZERO });
+            self.durables.insert(name.to_string(), dur);
             self.publish_source(name)?;
             Ok(DurableOpen { recovered: true, recovery: Some(recovery), checkpoint: None })
         } else {
@@ -436,13 +435,13 @@ impl OnionSystem {
             }
             let mut dur = Durability::create(dir, name).map_err(SystemError::Durability)?;
             dur.log_batch(&ops);
-            let lsn = dur.flush().map_err(SystemError::Durability)?;
+            dur.flush().map_err(SystemError::Durability)?;
             let graph = self.sources.get_mut(name).expect("checked above").graph_mut();
             // Any pre-durability journal is already covered by the
             // bootstrap batch; journaling starts fresh from here.
             graph.take_journal();
             graph.enable_journal();
-            self.durables.insert(name.to_string(), DurableSource { dur, publish_lsn: lsn });
+            self.durables.insert(name.to_string(), dur);
             self.publish_source(name)?;
             let stats = self.checkpoint_source(name)?;
             Ok(DurableOpen { recovered: false, recovery: None, checkpoint: Some(stats) })
@@ -450,19 +449,21 @@ impl OnionSystem {
     }
 
     /// Flushes and checkpoints a durable source: journal tail → WAL
-    /// (committed + group-flushed), incremental publish, then a
-    /// **shard-incremental** checkpoint — only shards whose version
-    /// stamps changed since the previous checkpoint are rewritten, and
-    /// WAL segments no longer needed for recovery are retired.
+    /// (committed + group-flushed) by a publish, then a
+    /// **shard-incremental** checkpoint of the graph at that commit LSN
+    /// — only shards whose version stamps changed since the previous
+    /// checkpoint are encoded and written, and WAL segments no longer
+    /// needed for recovery are retired.
     pub fn checkpoint_source(&mut self, name: &str) -> Result<CheckpointStats> {
         if !self.durables.contains_key(name) {
             return Err(SystemError::Durability(WalError::Unsupported(format!(
                 "source {name:?} is not durable; call open_durable first"
             ))));
         }
-        let (snap, _) = self.publish_source(name)?;
-        let ds = self.durables.get_mut(name).expect("checked above");
-        ds.dur.checkpoint(&snap, ds.publish_lsn).map_err(SystemError::Durability)
+        let (lsn, _) = self.publish_source(name)?;
+        let lsn = lsn.expect("a durable publish returns its commit LSN");
+        let dur = self.durables.get_mut(name).expect("checked above");
+        dur.checkpoint(self.sources[name].graph(), lsn).map_err(SystemError::Durability)
     }
 
     /// Recovers a graph from a durable directory without loading it
@@ -477,14 +478,14 @@ impl OnionSystem {
     /// The durability handle of a source, if `open_durable` attached
     /// one (observability: manifests, WAL segments, unflushed bytes).
     pub fn durable(&self, name: &str) -> Option<&Durability> {
-        self.durables.get(name).map(|ds| &ds.dur)
+        self.durables.get(name)
     }
 
     /// Drains a durable source's journal tail into its WAL as one
     /// committed, group-flushed batch. Returns the durable LSN, or
     /// `None` when `name` isn't durable.
     fn flush_durable(&mut self, name: &str) -> Result<Option<Lsn>> {
-        let Some(ds) = self.durables.get_mut(name) else {
+        let Some(dur) = self.durables.get_mut(name) else {
             return Ok(None);
         };
         let ontology = self
@@ -492,8 +493,8 @@ impl OnionSystem {
             .get_mut(name)
             .ok_or_else(|| SystemError::UnknownSource(name.to_string()))?;
         let ops = ontology.graph_mut().drain_journal();
-        ds.dur.log_batch(&ops);
-        let lsn = ds.dur.flush().map_err(SystemError::Durability)?;
+        dur.log_batch(&ops);
+        let lsn = dur.flush().map_err(SystemError::Durability)?;
         Ok(Some(lsn))
     }
 
@@ -699,10 +700,8 @@ impl OnionSystem {
     /// anything.
     ///
     /// The system is read-only for the whole batch (`&self`), so every
-    /// worker plans and executes against the same articulation state —
-    /// the facade-level counterpart of snapshot isolation (the
-    /// graph-level machinery is `OntGraph::snapshot` /
-    /// `SnapshotStore`). Result *values* are identical to calling
+    /// worker plans and executes against the same articulation state.
+    /// Result *values* are identical to calling
     /// [`OnionSystem::run_query`] per query sequentially, for every
     /// thread count, cache on or off.
     pub fn run_batch(
@@ -1137,27 +1136,69 @@ mod tests {
     }
 
     #[test]
-    fn publish_source_is_incremental_and_loads_are_live() {
+    fn publish_source_counts_the_shards_edited_since_the_last_publish() {
         let mut s = loaded();
         s.set_shard_count(4);
         assert_eq!(s.shard_count(), 4);
-        assert!(s.source_snapshot("carrier").is_none(), "no store before first publish");
-        let (snap0, stats0) = s.publish_source("carrier").unwrap();
-        assert_eq!(stats0.epoch, 1);
-        let shard_count = snap0.shard_count();
-        assert_eq!(shard_count, 4);
+        let (lsn, stats0) = s.publish_source("carrier").unwrap();
+        assert_eq!(lsn, None, "an in-memory source has no commit LSN");
+        assert_eq!(stats0.epoch, s.query_epoch(), "the epoch the publish made current");
+        assert_eq!((stats0.rebuilt, stats0.reused), (4, 0), "a first publish counts every shard");
         // a single same-shard mutation dirties exactly one shard
         let g = s.source_mut("carrier").unwrap().graph_mut();
         let n = g.node_ids().next().unwrap();
-        g.add_edge(n, "b11probe", n).unwrap();
-        let (snap1, stats1) = s.publish_source("carrier").unwrap();
-        assert_eq!(stats1.rebuilt, 1, "self-loop touches one shard");
-        assert_eq!(stats1.reused, 3);
-        assert_eq!(snap1.epoch(), 2);
-        assert_eq!(s.source_snapshot("carrier").unwrap().epoch(), 2);
-        // the old epoch is untouched
-        assert_eq!(snap0.edge_count() + 1, snap1.edge_count());
+        g.add_edge(n, "probe", n).unwrap();
+        let (_, stats1) = s.publish_source("carrier").unwrap();
+        assert_eq!((stats1.rebuilt, stats1.reused), (1, 3), "self-loop touches one shard");
+        assert!(stats1.epoch > stats0.epoch);
+        assert_eq!(stats1.epoch, s.query_epoch());
+        let (_, stats2) = s.publish_source("carrier").unwrap();
+        assert_eq!((stats2.rebuilt, stats2.reused), (0, 4), "no edit, nothing counted");
         assert!(matches!(s.publish_source("nope"), Err(SystemError::UnknownSource(_))));
+    }
+
+    #[test]
+    fn publish_source_counts_only_the_shard_a_self_loop_edits() {
+        let mut s = OnionSystem::with_transport_lexicon();
+        s.set_shard_count(4);
+        // nodes 0..8 spread round-robin across the 4 shards
+        let mut g = OntGraph::new("t");
+        for i in 0..8 {
+            g.add_node(&format!("N{i}")).unwrap();
+        }
+        s.add_source(Ontology::from_graph(g));
+        s.publish_source("t").unwrap();
+        let before = s.published["t"].1.clone();
+        // a self-loop on node 0 touches only shard 0
+        let g = s.source_mut("t").unwrap().graph_mut();
+        let n0 = g.node_by_label("N0").unwrap();
+        g.add_edge(n0, "loop", n0).unwrap();
+        let (_, stats) = s.publish_source("t").unwrap();
+        assert_eq!((stats.rebuilt, stats.reused), (1, 3));
+        let after = &s.published["t"].1;
+        let moved: Vec<usize> = (0..4).filter(|&i| after[i] != before[i]).collect();
+        assert_eq!(moved, vec![0], "only the self-loop's shard moved");
+        assert_eq!(s.source("t").unwrap().graph().edge_count(), 1);
+        // an untouched publish counts nothing
+        let (_, stats) = s.publish_source("t").unwrap();
+        assert_eq!((stats.rebuilt, stats.reused), (0, 4));
+    }
+
+    #[test]
+    fn publish_source_counts_every_shard_after_a_shard_count_change_or_clone() {
+        let mut s = loaded();
+        s.set_shard_count(4);
+        s.publish_source("carrier").unwrap();
+        // a shard count change re-stamps every shard
+        s.set_shard_count(2);
+        let (_, stats) = s.publish_source("carrier").unwrap();
+        assert_eq!((stats.rebuilt, stats.reused), (2, 0), "count change counts everything");
+        // a clone keeps every stamp but has a fresh identity: its stamps
+        // are not comparable
+        let g = s.source_mut("carrier").unwrap().graph_mut();
+        *g = g.clone();
+        let (_, stats) = s.publish_source("carrier").unwrap();
+        assert_eq!((stats.rebuilt, stats.reused), (2, 0));
     }
 
     #[test]
@@ -1183,15 +1224,16 @@ mod tests {
             g.add_edge(n, "SubclassOf", first).unwrap();
         }
         let edges = g.edge_count();
-        let (snap, _) = s.publish_source("carrier").unwrap();
-        assert_eq!(snap.shard_count(), onion_graph::adaptive_shard_count(edges));
+        s.publish_source("carrier").unwrap();
+        let shards = s.source("carrier").unwrap().graph().shard_count();
+        assert_eq!(shards, onion_graph::adaptive_shard_count(edges));
         // second publish keeps the layout (incremental path preserved)
         let g = s.source_mut("carrier").unwrap().graph_mut();
         let n = g.node_ids().next().unwrap();
         g.add_edge(n, "probe", n).unwrap();
-        let (snap2, stats2) = s.publish_source("carrier").unwrap();
-        assert_eq!(snap2.shard_count(), snap.shard_count());
-        assert!(stats2.reused > 0, "layout stable: publish stays incremental");
+        let (_, stats2) = s.publish_source("carrier").unwrap();
+        assert_eq!(s.source("carrier").unwrap().graph().shard_count(), shards);
+        assert_eq!((stats2.rebuilt, stats2.reused), (1, shards - 1), "layout stable");
     }
 
     #[test]
@@ -1266,7 +1308,8 @@ mod tests {
         let g = s.source_mut("carrier").unwrap().graph_mut();
         g.ensure_edge_by_labels("Scooters", "SubclassOf", "Bikes").unwrap();
         g.delete_node_by_label("Scooters").unwrap();
-        s.publish_source("carrier").unwrap();
+        let (lsn, _) = s.publish_source("carrier").unwrap();
+        assert_eq!(lsn, Some(s.durable("carrier").unwrap().last_lsn()), "the commit LSN");
         let want = label_shape(s.source("carrier").unwrap().graph());
         drop(s);
 
@@ -1275,7 +1318,8 @@ mod tests {
         let open = s2.open_durable("carrier", td.path()).unwrap();
         assert!(open.recovered);
         assert_eq!(label_shape(s2.source("carrier").unwrap().graph()), want);
-        assert!(s2.source_snapshot("carrier").is_some(), "recovery re-publishes");
+        let (_, stats) = s2.publish_source("carrier").unwrap();
+        assert_eq!(stats.rebuilt, 0, "recovery publishes the recovered graph");
 
         // The recovered source articulates like any loaded one.
         s2.add_rules(fig2_rules_text()).unwrap();

@@ -40,22 +40,24 @@ use crate::label::{Interner, LabelId};
 use crate::ops::GraphOp;
 use crate::Result;
 
-/// Default number of snapshot shards a fresh graph is configured with
-/// (see [`OntGraph::set_shard_count`] and [`crate::snapshot`]).
+/// Default number of shards a fresh graph is configured with: the unit
+/// a checkpoint writes one file for (see [`OntGraph::set_shard_count`]
+/// and [`crate::wal`]).
 pub const DEFAULT_SHARD_COUNT: usize = 8;
 
-/// Largest shard count the adaptive policy will pick. Past this,
-/// per-shard version bookkeeping and publish fan-out cost more than
-/// finer dirty tracking saves.
+/// Largest shard count the adaptive policy will pick. Past this, the
+/// per-shard files and stamps a checkpoint writes, compares and
+/// garbage-collects cost more than finer dirty tracking saves.
 pub const MAX_ADAPTIVE_SHARDS: usize = 64;
 
 /// The adaptive shard count for a graph with `edges` live edges:
 /// `round(√E)` clamped to `[1, MAX_ADAPTIVE_SHARDS]`.
 ///
-/// Rationale: an incremental publish rebuilds dirty shards at ~`E/S`
-/// edges each while stamping/compare work grows with `S`; `S ≈ √E`
-/// equalises the two, so publish latency stays ∝ the dirty fraction
-/// across graph sizes (ROADMAP "Adaptive shard count").
+/// Rationale, checkpoint file granularity: an incremental checkpoint
+/// rewrites each dirty shard's file, about `E/S` edges, while its
+/// manifest, stamp comparisons and file count grow with `S`; `S ≈ √E`
+/// balances the two, so a checkpoint after a few edits writes about
+/// `√E` edges per dirty shard across graph sizes.
 pub fn adaptive_shard_count(edges: usize) -> usize {
     ((edges as f64).sqrt().round() as usize).clamp(1, MAX_ADAPTIVE_SHARDS)
 }
@@ -177,10 +179,10 @@ pub struct OntGraph {
     live_nodes: usize,
     live_edges: usize,
     journal: Option<Vec<GraphOp>>,
-    /// Unique identity for shard-version comparison (fresh per
+    /// Unique identity for shard-stamp comparison (fresh per
     /// construction *and* per clone — clones diverge independently).
     graph_id: u64,
-    /// Snapshot shard count; node `n` belongs to shard `n.index() %
+    /// Shard count; node `n` belongs to shard `n.index() %
     /// shard_count` (stable under arena growth).
     shard_count: usize,
     /// Per-shard modification stamps, drawn from `version_clock` so a
@@ -191,10 +193,10 @@ pub struct OntGraph {
 
 impl Clone for OntGraph {
     /// Clones content and journal state, but under a **fresh graph
-    /// identity**: the clone's shard versions are not comparable with
-    /// snapshots of the original (the two graphs mutate independently
-    /// from the moment of the clone), so an incremental publish against
-    /// a store fed by the other graph falls back to a full rebuild.
+    /// identity**: the clone's shard stamps are not comparable with
+    /// stamps recorded from the original (the two graphs mutate
+    /// independently from the moment of the clone), so every shard of
+    /// the clone counts as changed against such a record.
     fn clone(&self) -> Self {
         OntGraph {
             name: self.name.clone(),
@@ -233,17 +235,17 @@ impl OntGraph {
     }
 
     // ------------------------------------------------------------------
-    // Snapshot sharding configuration and dirty-shard tracking
+    // Sharding configuration and dirty-shard tracking
     // ------------------------------------------------------------------
 
-    /// The graph's unique identity. Shard versions are comparable only
-    /// between a graph and snapshots taken from the *same* identity;
-    /// clones and compacted graphs get fresh ids.
+    /// The graph's unique identity. Shard stamps are comparable only
+    /// within one identity; clones and compacted graphs get fresh ids.
     pub fn graph_id(&self) -> u64 {
         self.graph_id
     }
 
-    /// Number of snapshot shards (see [`crate::snapshot`]).
+    /// Number of shards: the unit of dirty tracking, and of the files a
+    /// checkpoint writes (see [`crate::wal`]).
     pub fn shard_count(&self) -> usize {
         self.shard_count
     }
@@ -260,18 +262,35 @@ impl OntGraph {
     /// identity; bumped by adding or deleting a node the shard owns and
     /// by adding or deleting an edge whose source it owns — a shard
     /// holds its nodes' labels and out-rows, nothing of their in-edges).
-    /// [`crate::SnapshotStore::publish`] rebuilds exactly the shards
-    /// whose stamp differs from the previous snapshot's.
+    /// A checkpoint rewrites exactly the shards whose stamp moved since
+    /// the previous manifest, and a facade publish counts them.
     pub fn shard_version(&self, s: usize) -> u64 {
         self.shard_versions.get(s).copied().unwrap_or(0)
+    }
+
+    /// Every shard's stamp, in shard order: what a caller records to
+    /// ask [`OntGraph::shard_unchanged_since`] later.
+    pub fn shard_stamps(&self) -> &[u64] {
+        &self.shard_versions
+    }
+
+    /// True if shard `s` holds what it held when `stamps` were recorded
+    /// from the graph identified by `graph_id`: the same identity, the
+    /// same shard count and the same stamp for `s`. The one reuse rule
+    /// of checkpoints (a clean shard's file is re-referenced) and of
+    /// publish accounting (`PublishStats` at the facade).
+    pub fn shard_unchanged_since(&self, graph_id: u64, stamps: &[u64], s: usize) -> bool {
+        graph_id == self.graph_id
+            && stamps.len() == self.shard_count
+            && stamps[s] == self.shard_versions[s]
     }
 
     /// Reconfigures the shard count. `0` means **adaptive**: the count
     /// is derived from the current live edge count via
     /// [`adaptive_shard_count`] (≈√E, clamped to `[1, 64]`), which
-    /// balances per-shard rebuild cost against publish bookkeeping
-    /// without manual tuning. All shards are freshly stamped, so the
-    /// next publish is a full rebuild.
+    /// balances a checkpoint's per-shard file size against its file
+    /// count without manual tuning. All shards are freshly stamped, so
+    /// the next checkpoint rewrites every shard.
     pub fn set_shard_count(&mut self, count: usize) {
         let count = if count == 0 { adaptive_shard_count(self.live_edges) } else { count };
         self.shard_count = count;
@@ -509,8 +528,8 @@ impl OntGraph {
         self.nodes[src.index()].out.push((id, lid, dst));
         self.nodes[dst.index()].inc.push((id, lid, src));
         self.live_edges += 1;
-        // snapshot shards hold labels and out-rows, so only the source's
-        // shard changes
+        // a shard holds its nodes' labels and out-rows, so only the
+        // source's shard changes
         self.touch_shard(src);
         self.record(|g| {
             GraphOp::edge_add(
@@ -688,12 +707,6 @@ impl OntGraph {
             .map(|&(_, _, m)| m)
     }
 
-    /// The `(src, label-id, dst)` triple of a live edge.
-    #[inline]
-    pub fn edge_entry(&self, id: EdgeId) -> Option<(NodeId, LabelId, NodeId)> {
-        self.edges.get(id.index()).filter(|e| e.alive).map(|e| (e.src, e.label, e.dst))
-    }
-
     /// Iterates every live edge as `(id, src, label-id, dst)` without
     /// resolving labels.
     pub fn edge_entries(&self) -> impl Iterator<Item = (EdgeId, NodeId, LabelId, NodeId)> + '_ {
@@ -861,20 +874,19 @@ impl OntGraph {
     /// (`node_capacity`/`edge_capacity` track every slot ever
     /// allocated, and dense traversal scratch is sized by them), so
     /// long-lived servers should compact when the tombstone fraction
-    /// gets large — the natural point is right before a
-    /// [`OntGraph::snapshot`] publish, since snapshots inherit the
-    /// capacity. Compaction invalidates outstanding [`NodeId`]s,
-    /// [`EdgeId`]s and [`LabelId`]s (the interner is rebuilt too):
-    /// callers holding ids across a compact must remap through the
-    /// returned table. The label-level shape is unchanged, so an active
-    /// journal records nothing for a compact.
+    /// gets large — the natural point is right before a checkpoint,
+    /// whose shard files span the capacity. Compaction invalidates
+    /// outstanding [`NodeId`]s, [`EdgeId`]s and [`LabelId`]s (the
+    /// interner is rebuilt too): callers holding ids across a compact
+    /// must remap through the returned table. The label-level shape is
+    /// unchanged, so an active journal records nothing for a compact.
     pub fn compact(&mut self) -> HashMap<NodeId, NodeId> {
         let (mut dense, map) = self.compacted();
         // keep journaling state (compaction itself is a label-level
         // no-op, so no ops are recorded for it) and the shard
         // configuration; the dense graph carries a fresh graph_id, so
-        // the next publish against any store is a full rebuild — ids
-        // were remapped, every shard's content may have moved.
+        // every shard counts as changed against any recorded stamps —
+        // ids were remapped, every shard's content may have moved.
         dense.journal = self.journal.take();
         dense.set_shard_count(self.shard_count);
         *self = dense;
@@ -1248,9 +1260,7 @@ mod tests {
         assert_eq!(g.out_neighbors_by_id(a, s).count(), 1);
         let b_s = g.out_neighbors_by_id(b, s).count() + g.in_neighbors_by_id(b, s).count();
         assert_eq!(b_s, 2, "B has one S in-edge and one S out-edge");
-        let entries: Vec<_> = g.out_edge_entries(a).collect();
-        assert_eq!(entries.len(), g.out_degree(a));
-        assert!(entries.iter().all(|&(e, lid, dst)| g.edge_entry(e) == Some((a, lid, dst))));
+        assert_eq!(g.out_edge_entries(a).count(), g.out_degree(a));
     }
 
     #[test]
@@ -1320,6 +1330,26 @@ mod tests {
         // explicit counts still win
         g.set_shard_count(3);
         assert_eq!(g.shard_count(), 3);
+    }
+
+    #[test]
+    fn shard_unchanged_since_needs_identity_count_and_stamp() {
+        let mut g = abc();
+        g.set_shard_count(2);
+        let (id, stamps) = (g.graph_id(), g.shard_stamps().to_vec());
+        assert!((0..2).all(|s| g.shard_unchanged_since(id, &stamps, s)));
+        let a = g.node_by_label("A").unwrap();
+        g.add_edge(a, "loop", a).unwrap();
+        let edited = g.shard_of(a);
+        for s in 0..2 {
+            assert_eq!(g.shard_unchanged_since(id, &stamps, s), s != edited, "shard {s}");
+        }
+        let stamps = g.shard_stamps().to_vec();
+        let clone = g.clone();
+        assert_eq!(clone.shard_stamps(), &stamps[..], "a clone keeps every stamp");
+        assert!(!clone.shard_unchanged_since(id, &stamps, 0), "but not the identity");
+        g.set_shard_count(3);
+        assert!(!g.shard_unchanged_since(id, &stamps, 0), "nor a re-sharded graph");
     }
 
     #[test]

@@ -36,11 +36,11 @@ impl fmt::Debug for LabelId {
 /// An append-only string interner.
 ///
 /// Each label is stored once, as one `Arc<str>` shared by the id vector
-/// and the lookup map, so cloning an interner (a graph clone, or a
-/// snapshot publish after a new label) copies two tables of pointers
-/// and shares every label's bytes. The interner never removes entries:
-/// label churn in ontologies is low and tombstoned graph elements may
-/// still reference their labels for journal replay.
+/// and the lookup map, so cloning an interner (a graph clone) copies two
+/// tables of pointers and shares every label's bytes. The interner
+/// never removes entries: label churn in ontologies is low and
+/// tombstoned graph elements may still reference their labels for
+/// journal replay.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     strings: Vec<Arc<str>>,

@@ -36,15 +36,10 @@
 //!   ontology's normalised-label index compare labels;
 //! * **durability** ([`wal`]): an LSN-stamped, CRC-framed write-ahead
 //!   log of `GraphOp` records with group flush and segment rotation,
-//!   fuzzy shard-incremental checkpoints of the published snapshot, and
-//!   crash recovery (torn-tail truncation, torn-manifest fallback,
-//!   committed-batch replay) behind the [`wal::Durability`] handle;
-//! * published snapshots: [`snapshot::ShardedSnapshot`] (an immutable,
-//!   `Send + Sync` frozen view holding each node's label and out-edge
-//!   row, partitioned into [`snapshot::SnapshotShard`]s that rebuild
-//!   independently) and [`snapshot::SnapshotStore`] (the single-writer
-//!   slot behind incremental dirty-shard publish), which checkpoints
-//!   serialise;
+//!   shard-incremental checkpoints of the live graph (only the shards
+//!   whose stamp moved are rewritten), and crash recovery (torn-tail
+//!   truncation, torn-manifest fallback, committed-batch replay) behind
+//!   the [`wal::Durability`] handle;
 //! * interchange formats: a line-oriented [`text`] format, a minimal
 //!   [`xml`] subset, and [`dot`] output for visualisation.
 //!
@@ -64,7 +59,6 @@ pub mod matcher;
 pub mod normalize;
 pub mod ops;
 pub mod pattern;
-pub mod snapshot;
 pub mod text;
 pub mod traverse;
 pub mod wal;
@@ -79,7 +73,6 @@ pub use label::{Interner, LabelId};
 pub use matcher::{CaseInsensitiveEquiv, ExactEquiv, LabelEquiv, Match, MatchConfig, Matcher};
 pub use ops::GraphOp;
 pub use pattern::{EdgeConstraint, NodeConstraint, Pattern, PatternEdge, PatternNode};
-pub use snapshot::{PublishStats, ShardedSnapshot, SnapshotShard, SnapshotStore};
 pub use wal::{CheckpointStats, Durability, Lsn, RecoveryStats, WalError};
 
 /// Result alias used throughout the crate.

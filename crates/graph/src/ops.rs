@@ -186,11 +186,6 @@ impl GraphOp {
             }
         }
     }
-
-    /// True if this op only adds (never removes) structure.
-    pub fn is_additive(&self) -> bool {
-        matches!(self, GraphOp::NodeAdd { .. } | GraphOp::EdgeAdd { .. })
-    }
 }
 
 /// Applies a sequence of ops, stopping at the first error.
@@ -322,13 +317,5 @@ mod tests {
         let ops = vec![GraphOp::edge_add("A", "S", "B"), GraphOp::node_delete("ghost")];
         let err = apply_all(&mut g, &ops).unwrap_err();
         assert!(err.to_string().contains("op 1"));
-    }
-
-    #[test]
-    fn is_additive_classification() {
-        assert!(GraphOp::node_add("x").is_additive());
-        assert!(GraphOp::edge_add("a", "l", "b").is_additive());
-        assert!(!GraphOp::node_delete("x").is_additive());
-        assert!(!GraphOp::edge_delete("a", "l", "b").is_additive());
     }
 }

@@ -1,30 +1,30 @@
-//! Fuzzy, shard-incremental checkpoints of the published snapshot.
+//! Shard-incremental checkpoints of the live graph.
 //!
-//! A checkpoint serializes a [`ShardedSnapshot`] — the *published
-//! immutable* view, never the live graph — so taking one cannot block
-//! readers or the writer. Incrementality reuses the machinery that
-//! already drives incremental publish: shard files are named by
-//! `(graph_id, shard index, version stamp)`, so a shard whose stamp is
-//! unchanged since the previous checkpoint is simply re-referenced by
-//! the new manifest instead of rewritten. The **fuzzy-checkpoint
-//! invariant**: a manifest with `last_lsn = L` plus replay of every
-//! committed batch with commit LSN `> L` reconstructs exactly the graph
-//! state the snapshot was published from, because the snapshot is
-//! itself a consistent cut at a publish (= flush) boundary.
+//! A checkpoint encodes an [`OntGraph`] straight from its slots and
+//! out-edge rows, taken under `&mut` at a flush boundary, so nothing
+//! moves under it. Shard files are named by `(graph_id, shard index,
+//! version stamp)`, so a shard whose stamp is unchanged since the
+//! previous checkpoint ([`OntGraph::shard_unchanged_since`]) is simply
+//! re-referenced by the new manifest instead of rewritten. The
+//! invariant: a manifest with `last_lsn = L` plus replay of every
+//! committed batch with commit LSN `> L` reconstructs exactly the
+//! checkpointed graph, because the graph was written at the flush that
+//! made `L` durable, with nothing unflushed in its journal.
 //!
 //! On-disk layout (all files CRC-framed like WAL records —
 //! `[u32 len][u32 crc][payload]`):
 //!
 //! * `ckpt-{seq:020}.mf` — the manifest: `{magic, format version, seq,
-//!   graph name, consistent-label byte (always 1), graph_id, epoch,
-//!   shard_count, last_lsn, per-shard version stamps}`. Written to a temp file, synced, then renamed —
-//!   the rename is the checkpoint's commit point; a torn manifest is
-//!   skipped at recovery, falling back to the previous one.
-//! * `strings-{seq:020}.bin` — the snapshot interner (label table).
-//! * `shard-{graph_id:016x}-{idx:05}-v{version:020}.bin` — one CSR
-//!   shard: per-slot labels plus out-edge rows. In-edges are not
-//!   stored; restore re-derives them (edge insertion maintains both
-//!   directions).
+//!   graph name, consistent-label byte (always 1), graph_id, 8 epoch
+//!   bytes (written as 0, ignored on read), shard_count, last_lsn,
+//!   per-shard version stamps}`. Written to a temp file, synced, then
+//!   renamed — the rename is the checkpoint's commit point; a torn
+//!   manifest is skipped at recovery, falling back to the previous one.
+//! * `strings-{seq:020}.bin` — the graph's interner (label table).
+//! * `shard-{graph_id:016x}-{idx:05}-v{version:020}.bin` — one shard:
+//!   per-slot labels plus out-edge rows, for the slots `n` with
+//!   `n % shard_count == idx`. In-edges are not stored; restore
+//!   re-derives them (edge insertion maintains both directions).
 //!
 //! The two newest manifests are retained (so the newest can always be
 //! abandoned for its predecessor); everything unreferenced is GC'd.
@@ -36,8 +36,7 @@ use std::path::{Path, PathBuf};
 
 use super::record::{put_str, put_u32, put_u64, Reader, CONSISTENT_LABELS};
 use super::{crc32, Lsn, WalError, WalResult};
-use crate::snapshot::{shard::owned_slots, ShardedSnapshot};
-use crate::{LabelId, OntGraph};
+use crate::{LabelId, NodeId, OntGraph};
 
 const MAGIC_MANIFEST: u32 = 0x4F4E_4D46; // "ONMF"
 const MAGIC_STRINGS: u32 = 0x4F4E_5354; // "ONST"
@@ -58,9 +57,7 @@ pub struct Manifest {
     /// a recovered graph gets a fresh id, so the first checkpoint after
     /// recovery is a full one by construction.
     pub graph_id: u64,
-    /// Snapshot epoch the checkpoint serialized (informational).
-    pub epoch: u64,
-    /// Shard count of the serialized snapshot.
+    /// Shard count of the checkpointed graph.
     pub shard_count: usize,
     /// Replay resumes after this committed LSN.
     pub last_lsn: Lsn,
@@ -89,7 +86,7 @@ impl Manifest {
         put_str(&mut p, &self.name);
         p.push(CONSISTENT_LABELS);
         put_u64(&mut p, self.graph_id);
-        put_u64(&mut p, self.epoch);
+        put_u64(&mut p, 0); // epoch bytes: kept in the format, unused
         put_u32(&mut p, self.shard_count as u32);
         put_u64(&mut p, self.last_lsn.0);
         put_u32(&mut p, self.shard_versions.len() as u32);
@@ -113,7 +110,7 @@ impl Manifest {
         let name = r.str()?;
         r.consistent_labels()?;
         let graph_id = r.u64()?;
-        let epoch = r.u64()?;
+        r.u64()?; // epoch bytes: any value is accepted and ignored
         let shard_count = r.u32()? as usize;
         let last_lsn = Lsn(r.u64()?);
         let n = r.count(8)?;
@@ -125,13 +122,12 @@ impl Manifest {
             shard_versions.push(r.u64()?);
         }
         r.expect_end()?;
-        Ok(Manifest { seq, name, graph_id, epoch, shard_count, last_lsn, shard_versions })
+        Ok(Manifest { seq, name, graph_id, shard_count, last_lsn, shard_versions })
     }
 }
 
 /// What one checkpoint did — the exact-accounting surface the
-/// incremental invariant is asserted against (mirroring B11's
-/// `PublishStats`).
+/// incremental invariant is asserted against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Manifest sequence number written.
@@ -197,8 +193,19 @@ fn sync_dir(dir: &Path) -> WalResult<()> {
 // shard / strings serialization
 // ---------------------------------------------------------------------
 
-fn encode_strings(snap: &ShardedSnapshot) -> Vec<u8> {
-    let interner = snap.interner();
+/// Number of arena slots shard `shard` of `count` owns under `cap`
+/// total slots (slot `n` belongs to shard `n % count`).
+#[inline]
+fn owned_slots(cap: usize, shard: usize, count: usize) -> usize {
+    if cap > shard {
+        (cap - shard - 1) / count + 1
+    } else {
+        0
+    }
+}
+
+fn encode_strings(g: &OntGraph) -> Vec<u8> {
+    let interner = g.interner();
     let mut p = Vec::new();
     put_u32(&mut p, MAGIC_STRINGS);
     put_u32(&mut p, interner.len() as u32);
@@ -222,25 +229,26 @@ fn decode_strings(payload: &[u8], what: &str) -> WalResult<Vec<String>> {
     Ok(v)
 }
 
-fn encode_shard(snap: &ShardedSnapshot, s: usize) -> Vec<u8> {
-    let shard = snap.shard(s);
-    let slots = owned_slots(snap.node_capacity(), s, snap.shard_count());
+/// Shard `s` of `g`: each owned slot's label id (`DEAD_SLOT` for a
+/// tombstone or a never-used slot), then each slot's out-edge row in
+/// adjacency order (a tombstone's row is empty).
+fn encode_shard(g: &OntGraph, s: usize) -> Vec<u8> {
+    let count = g.shard_count();
+    let owned = owned_slots(g.node_capacity(), s, count);
+    let slot = |local: usize| NodeId((s + local * count) as u32);
     let mut p = Vec::new();
     put_u32(&mut p, MAGIC_SHARD);
     put_u32(&mut p, s as u32);
-    put_u32(&mut p, snap.shard_count() as u32);
-    put_u64(&mut p, shard.version());
-    put_u32(&mut p, slots as u32);
-    for local in 0..slots {
-        match shard.label_local(local) {
-            Some(lid) => put_u32(&mut p, lid.index() as u32),
-            None => put_u32(&mut p, DEAD_SLOT),
-        }
+    put_u32(&mut p, count as u32);
+    put_u64(&mut p, g.shard_version(s));
+    put_u32(&mut p, owned as u32);
+    for local in 0..owned {
+        put_u32(&mut p, g.node_label_id(slot(local)).map_or(DEAD_SLOT, |lid| lid.index() as u32));
     }
-    for local in 0..slots {
-        let row = shard.out_local(local);
-        put_u32(&mut p, row.len() as u32);
-        for &(lid, dst) in row {
+    for local in 0..owned {
+        let n = slot(local);
+        put_u32(&mut p, g.out_degree(n) as u32);
+        for (_, lid, dst) in g.out_edge_entries(n) {
             put_u32(&mut p, lid.index() as u32);
             put_u32(&mut p, dst.index() as u32);
         }
@@ -292,49 +300,44 @@ fn decode_shard(
 // checkpoint write / load / restore / gc
 // ---------------------------------------------------------------------
 
-/// Writes a checkpoint of `snap` into `dir`, reusing every shard file
+/// Writes a checkpoint of `g` into `dir`, reusing every shard file
 /// whose version stamp is unchanged since `prev`. The rename of the
 /// manifest is the commit point.
 pub(crate) fn write_checkpoint(
     dir: &Path,
-    snap: &ShardedSnapshot,
+    g: &OntGraph,
     last_lsn: Lsn,
     prev: Option<&Manifest>,
 ) -> WalResult<(Manifest, CheckpointStats)> {
     let seq = prev.map(|m| m.seq + 1).unwrap_or(1);
     let manifest = Manifest {
         seq,
-        name: snap.name().to_string(),
-        graph_id: snap.graph_id(),
-        epoch: snap.epoch(),
-        shard_count: snap.shard_count(),
+        name: g.name().to_string(),
+        graph_id: g.graph_id(),
+        shard_count: g.shard_count(),
         last_lsn,
-        shard_versions: (0..snap.shard_count()).map(|s| snap.shard(s).version()).collect(),
+        shard_versions: g.shard_stamps().to_vec(),
     };
     // A shard is reusable only when the previous *committed* manifest
     // references the same (graph_id, version) — trusting arbitrary
     // same-named files on disk would resurrect torn writes from a
     // crashed checkpoint.
-    let comparable =
-        prev.filter(|p| p.graph_id == manifest.graph_id && p.shard_count == manifest.shard_count);
     let mut written = 0usize;
     let mut reused = 0usize;
     let mut bytes = 0u64;
     for s in 0..manifest.shard_count {
-        let reusable = comparable
-            .map(|p| {
-                p.shard_versions[s] == manifest.shard_versions[s]
-                    && dir.join(p.shard_file(s)).exists()
-            })
-            .unwrap_or(false);
+        let reusable = prev.is_some_and(|p| {
+            g.shard_unchanged_since(p.graph_id, &p.shard_versions, s)
+                && dir.join(p.shard_file(s)).exists()
+        });
         if reusable {
             reused += 1;
         } else {
-            bytes += write_framed(&dir.join(manifest.shard_file(s)), &encode_shard(snap, s))?;
+            bytes += write_framed(&dir.join(manifest.shard_file(s)), &encode_shard(g, s))?;
             written += 1;
         }
     }
-    bytes += write_framed(&dir.join(manifest.strings_file()), &encode_strings(snap))?;
+    bytes += write_framed(&dir.join(manifest.strings_file()), &encode_strings(g))?;
     // Commit point: temp + sync + rename + dir sync.
     let commit_start = onion_obs::enabled().then(std::time::Instant::now);
     let final_path = dir.join(Manifest::manifest_file(seq));
@@ -495,7 +498,6 @@ mod tests {
 
     use super::super::testdir::TestDir;
     use super::*;
-    use crate::snapshot::SnapshotStore;
 
     fn sample_graph() -> OntGraph {
         let mut g = OntGraph::new("ckpt");
@@ -528,11 +530,54 @@ mod tests {
     }
 
     #[test]
+    fn owned_slots_partition_the_capacity() {
+        for cap in [0usize, 1, 7, 8, 63, 64, 65, 1000] {
+            for count in [1usize, 2, 7, 64] {
+                let total: usize = (0..count).map(|s| owned_slots(cap, s, count)).sum();
+                assert_eq!(total, cap, "cap={cap} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn owned_slots_are_stable_under_growth() {
+        // adding one slot grows exactly the shard that owns it
+        for cap in 0usize..130 {
+            for count in [2usize, 7] {
+                for s in 0..count {
+                    let before = owned_slots(cap, s, count);
+                    let after = owned_slots(cap + 1, s, count);
+                    if s == cap % count {
+                        assert_eq!(after, before + 1);
+                    } else {
+                        assert_eq!(after, before);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cross_shard_edges_are_written_in_their_source_shard() {
+        let mut g = OntGraph::new("t");
+        g.set_shard_count(2);
+        let a = g.add_node("A").unwrap(); // shard 0
+        let b = g.add_node("B").unwrap(); // shard 1
+        g.add_edge(a, "S", b).unwrap();
+        assert_eq!((g.shard_of(a), g.shard_of(b)), (0, 1));
+        let lid = g.label_id("S").unwrap().index() as u32;
+        let dump = |s: usize| {
+            decode_shard(&encode_shard(&g, s), "shard", s, 2, g.shard_version(s)).unwrap()
+        };
+        assert_eq!(dump(0).rows, vec![vec![(lid, b.index() as u32)]]);
+        assert_eq!(dump(1).rows, vec![Vec::new()], "the target's shard holds no in-rows");
+    }
+
+    #[test]
     fn checkpoint_then_restore_reproduces_graph() {
         let td = TestDir::new("ckpt-roundtrip");
         let g = sample_graph();
-        let snap = crate::ShardedSnapshot::of(&g);
-        let (m, stats) = write_checkpoint(&td.0, &snap, Lsn(9), None).unwrap();
+        let (m, stats) = write_checkpoint(&td.0, &g, Lsn(9), None).unwrap();
         assert_eq!(stats.shards_written, 4, "first checkpoint is full");
         assert_eq!(m.last_lsn, Lsn(9));
         let restored = restore_graph(&td.0, &m).unwrap();
@@ -545,17 +590,14 @@ mod tests {
     fn second_checkpoint_rewrites_only_dirty_shards() {
         let td = TestDir::new("ckpt-incremental");
         let mut g = sample_graph();
-        let mut store = SnapshotStore::new(&g);
-        let snap = store.load();
-        let (m1, s1) = write_checkpoint(&td.0, &snap, Lsn(4), None).unwrap();
+        let (m1, s1) = write_checkpoint(&td.0, &g, Lsn(4), None).unwrap();
         assert_eq!((s1.shards_written, s1.shards_reused), (4, 0));
 
         // One edge edit dirties its source's shard only.
         let car = g.node_by_label("Car").unwrap();
         let e = g.add_edge(car, "dirty", car).unwrap();
         g.delete_edge(e).unwrap();
-        let snap2 = store.publish(&g);
-        let (m2, s2) = write_checkpoint(&td.0, &snap2, Lsn(6), Some(&m1)).unwrap();
+        let (m2, s2) = write_checkpoint(&td.0, &g, Lsn(6), Some(&m1)).unwrap();
         assert_eq!(s2.shards_written, 1, "single same-shard edit rewrites exactly one shard");
         assert_eq!(s2.shards_reused, 3);
         let restored = restore_graph(&td.0, &m2).unwrap();
@@ -569,9 +611,8 @@ mod tests {
     fn torn_manifest_is_skipped_and_gc_keeps_referenced_files() {
         let td = TestDir::new("ckpt-torn");
         let g = sample_graph();
-        let store = SnapshotStore::new(&g);
-        let (m1, _) = write_checkpoint(&td.0, &store.load(), Lsn(4), None).unwrap();
-        let (m2, _) = write_checkpoint(&td.0, &store.load(), Lsn(8), Some(&m1)).unwrap();
+        let (m1, _) = write_checkpoint(&td.0, &g, Lsn(4), None).unwrap();
+        let (m2, _) = write_checkpoint(&td.0, &g, Lsn(8), Some(&m1)).unwrap();
         // Tear the newest manifest mid-file.
         let p2 = td.0.join(Manifest::manifest_file(m2.seq));
         let len = std::fs::metadata(&p2).unwrap().len();
@@ -593,16 +634,17 @@ mod tests {
 
     /// A manifest's bytes, field by field, as the format writes them:
     /// magic, format version, seq, name, the consistent-label byte `1`,
-    /// graph_id, epoch, shard count, last LSN, per-shard stamps. The
-    /// byte set to anything but `1` in a CRC-valid file is corrupt, and
-    /// recovery skips that manifest.
+    /// graph_id, 8 epoch bytes written as 0, shard count, last LSN,
+    /// per-shard stamps. The epoch bytes may hold any value on read
+    /// (older writers stored a publish epoch there). The label byte set
+    /// to anything but `1` in a CRC-valid file is corrupt, and recovery
+    /// skips that manifest.
     #[test]
     fn manifest_bytes_are_pinned_and_only_label_byte_1_decodes() {
         let m = Manifest {
             seq: 3,
             name: "carrier".into(),
             graph_id: 0x0102_0304_0506_0708,
-            epoch: 5,
             shard_count: 2,
             last_lsn: Lsn(42),
             shard_versions: vec![7, 9],
@@ -615,7 +657,8 @@ mod tests {
         let label_byte = want.len();
         want.push(1);
         want.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
-        want.extend_from_slice(&5u64.to_le_bytes());
+        let epoch = want.len();
+        want.extend_from_slice(&0u64.to_le_bytes());
         want.extend_from_slice(&2u32.to_le_bytes());
         want.extend_from_slice(&42u64.to_le_bytes());
         want.extend_from_slice(&2u32.to_le_bytes());
@@ -623,6 +666,11 @@ mod tests {
         want.extend_from_slice(&9u64.to_le_bytes());
         assert_eq!(m.encode(), want);
         assert_eq!(Manifest::decode(&want, "mf").unwrap(), m);
+        for value in [5u64, u64::MAX] {
+            let mut bytes = want.clone();
+            bytes[epoch..epoch + 8].copy_from_slice(&value.to_le_bytes());
+            assert_eq!(Manifest::decode(&bytes, "mf").unwrap(), m, "epoch {value} is ignored");
+        }
 
         let td = TestDir::new("ckpt-label-byte");
         let path = td.0.join(Manifest::manifest_file(m.seq));
@@ -646,25 +694,24 @@ mod tests {
     /// Every payload of a checkpoint of [`sample_graph`] (manifest,
     /// strings, each shard), each with the decoder recovery runs on it.
     fn valid_payloads() -> Vec<(Vec<u8>, Decoder)> {
-        let snap = crate::ShardedSnapshot::of(&sample_graph());
-        let count = snap.shard_count();
+        let g = sample_graph();
+        let count = g.shard_count();
         let manifest = Manifest {
             seq: 3,
-            name: snap.name().to_string(),
-            graph_id: snap.graph_id(),
-            epoch: snap.epoch(),
+            name: g.name().to_string(),
+            graph_id: g.graph_id(),
             shard_count: count,
             last_lsn: Lsn(7),
-            shard_versions: (0..count).map(|s| snap.shard(s).version()).collect(),
+            shard_versions: g.shard_stamps().to_vec(),
         };
         let mut out: Vec<(Vec<u8>, Decoder)> = vec![
             (manifest.encode(), Box::new(|b| Manifest::decode(b, "mf").is_ok())),
-            (encode_strings(&snap), Box::new(|b| decode_strings(b, "strings").is_ok())),
+            (encode_strings(&g), Box::new(|b| decode_strings(b, "strings").is_ok())),
         ];
         for s in 0..count {
-            let version = snap.shard(s).version();
+            let version = g.shard_version(s);
             out.push((
-                encode_shard(&snap, s),
+                encode_shard(&g, s),
                 Box::new(move |b| decode_shard(b, "shard", s, count, version).is_ok()),
             ));
         }
@@ -708,7 +755,6 @@ mod tests {
             seq: 1,
             name: "forged".into(),
             graph_id: 1,
-            epoch: 0,
             shard_count: shards.len(),
             last_lsn: Lsn(0),
             shard_versions: vec![1; shards.len()],

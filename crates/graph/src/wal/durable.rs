@@ -33,7 +33,6 @@ use super::checkpoint::{
 use super::log::LogManager;
 use super::record::{put_str, put_u32, Reader, WalRecord, CONSISTENT_LABELS};
 use super::{CheckpointStats, Lsn, Manifest, WalError, WalResult};
-use crate::snapshot::ShardedSnapshot;
 use crate::{ops, GraphOp, OntGraph};
 
 const MAGIC_META: u32 = 0x4F4E_4D45; // "ONME"
@@ -188,20 +187,18 @@ impl Durability {
         self.log.flush()
     }
 
-    /// Writes a (shard-incremental) checkpoint of `snap`, covering the
-    /// log through `last_lsn`, then retires WAL segments no longer
-    /// needed by the retained manifests.
+    /// Writes a shard-incremental checkpoint of `g`, covering the log
+    /// through `last_lsn`, then retires WAL segments no longer needed
+    /// by the retained manifests. Only the shards whose stamp moved
+    /// since the previous manifest are encoded and written.
     ///
-    /// `snap` must be a publish of this graph's state at a flush
-    /// boundary ≤ `last_lsn` — the `OnionSystem` wrapper flushes and
-    /// publishes in one motion to guarantee it.
-    pub fn checkpoint(
-        &mut self,
-        snap: &ShardedSnapshot,
-        last_lsn: Lsn,
-    ) -> WalResult<CheckpointStats> {
+    /// `g` must be this graph as of the flush that made `last_lsn`
+    /// durable: every op it has applied is in the log at or before
+    /// `last_lsn`. `OnionSystem::checkpoint_source` publishes (journal
+    /// drained into the WAL, WAL flushed) on the line before.
+    pub fn checkpoint(&mut self, g: &OntGraph, last_lsn: Lsn) -> WalResult<CheckpointStats> {
         let (manifest, mut stats) =
-            write_checkpoint(&self.dir, snap, last_lsn, self.manifests.first())?;
+            write_checkpoint(&self.dir, g, last_lsn, self.manifests.first())?;
         self.log.append(&WalRecord::Checkpoint { manifest_seq: manifest.seq, last_lsn });
         self.log.flush()?;
         self.manifests.insert(0, manifest);
@@ -250,7 +247,6 @@ impl Durability {
 mod tests {
     use super::super::testdir::TestDir;
     use super::*;
-    use crate::snapshot::SnapshotStore;
 
     fn shape(g: &OntGraph) -> (Vec<String>, Vec<(String, String, String)>) {
         let mut nodes: Vec<String> =
@@ -299,11 +295,9 @@ mod tests {
         let mut g = OntGraph::new("src");
         g.set_shard_count(4);
         let mut dur = Durability::create(&td.0, "src").unwrap();
-        let mut store = SnapshotStore::new(&g);
         commit(&mut g, &mut dur, &[GraphOp::edge_add("A", "s", "B")]);
         let lsn = commit(&mut g, &mut dur, &[GraphOp::edge_add("B", "s", "C")]);
-        let snap = store.publish(&g);
-        let s1 = dur.checkpoint(&snap, lsn).unwrap();
+        let s1 = dur.checkpoint(&g, lsn).unwrap();
         assert_eq!(s1.seq, 1);
         let post = commit(&mut g, &mut dur, &[GraphOp::edge_add("C", "s", "D")]);
         assert!(post > lsn);

@@ -9,15 +9,13 @@
 //!   [`LogManager::flush`] (group flush — the durable layer flushes at
 //!   publish/commit boundaries, not per record). On reopen, a torn tail
 //!   record is truncated; only batches closed by a `Commit` replay.
-//! * the checkpointer ([`Manifest`], [`CheckpointStats`]) — **fuzzy,
-//!   shard-incremental** checkpoints. The
-//!   per-shard version stamps that drive incremental publish also tell
-//!   the checkpointer exactly which CSR shards changed since the last
-//!   checkpoint, so it writes only dirty shards plus a small manifest
-//!   `{graph_id, shard_count, per-shard stamp, last_lsn}`. Because it
-//!   serializes the *published immutable* [`crate::ShardedSnapshot`]
-//!   shards — never the live graph — checkpointing cannot block readers
-//!   or writers.
+//! * the checkpointer ([`Manifest`], [`CheckpointStats`]) —
+//!   **shard-incremental** checkpoints of the live graph at a flush
+//!   boundary. The graph's per-shard version stamps tell the
+//!   checkpointer exactly which shards changed since the last
+//!   checkpoint, so it encodes and writes only those (each owned slot's
+//!   label and out-edge row, read straight from the graph) plus a small
+//!   manifest `{graph_id, shard_count, per-shard stamp, last_lsn}`.
 //! * [`Durability`] — the per-graph handle tying the two together:
 //!   bootstrap, batch logging, checkpointing with WAL-segment
 //!   retirement, and crash recovery (newest valid manifest, restore,

@@ -16,9 +16,9 @@
 //! straight into the graph pattern matcher as the paper's §3 "fuzzy
 //! matching" relaxation (nodes match when their labels are synonyms).
 //!
-//! The [`similarity`] module supplies the string metrics (Levenshtein,
-//! Jaro-Winkler, n-gram Dice) SKAT-style matchers use when the lexicon
-//! has no entry, and [`normalize`] handles the label conventions of real
+//! The [`similarity`] module supplies the string metrics (Jaro-Winkler
+//! and token Dice) SKAT-style matchers use when the lexicon has no
+//! entry, and [`normalize`] handles the label conventions of real
 //! ontologies (CamelCase compounds such as `CargoCarrier`, plural forms).
 //! `normalize` lives in the data layer (`onion_graph::normalize`), so an
 //! ontology can index its labels by normalised form without depending on

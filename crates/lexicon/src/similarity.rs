@@ -9,38 +9,6 @@ use std::cmp::Ordering;
 
 use crate::normalize::normalize;
 
-/// Levenshtein edit distance (unit costs), iterative two-row DP.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
-    }
-    if b.is_empty() {
-        return a.len();
-    }
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// Levenshtein similarity: `1 - dist / max_len`, 1.0 for two empty strings.
-pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
-    if max == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max as f64
-}
-
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
@@ -97,31 +65,6 @@ fn common_prefix(a: &[char], b: &[char]) -> usize {
 /// `prefix` chars; increasing in `j` for every prefix up to 4.
 fn winkler(j: f64, prefix: usize) -> f64 {
     j + prefix as f64 * 0.1 * (1.0 - j)
-}
-
-/// Character-bigram Dice coefficient.
-pub fn bigram_dice(a: &str, b: &str) -> f64 {
-    let grams = |s: &str| -> Vec<(char, char)> {
-        let cs: Vec<char> = s.chars().collect();
-        cs.windows(2).map(|w| (w[0], w[1])).collect()
-    };
-    let ga = grams(a);
-    let gb = grams(b);
-    if ga.is_empty() && gb.is_empty() {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    if ga.is_empty() || gb.is_empty() {
-        return 0.0;
-    }
-    let mut gb_pool = gb.clone();
-    let mut overlap = 0usize;
-    for g in &ga {
-        if let Some(pos) = gb_pool.iter().position(|x| x == g) {
-            gb_pool.swap_remove(pos);
-            overlap += 1;
-        }
-    }
-    2.0 * overlap as f64 / (ga.len() + gb.len()) as f64
 }
 
 /// Token-set similarity after [`normalize`]: Dice coefficient over the
@@ -276,30 +219,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn levenshtein_basics() {
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("", "abc"), 3);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
-        assert_eq!(levenshtein("car", "car"), 0);
-        assert_eq!(levenshtein("car", "cart"), 1);
-    }
-
-    #[test]
-    fn levenshtein_symmetry() {
-        assert_eq!(levenshtein("truck", "trucks"), levenshtein("trucks", "truck"));
-    }
-
-    #[test]
-    fn levenshtein_sim_range() {
-        assert_eq!(levenshtein_sim("", ""), 1.0);
-        assert_eq!(levenshtein_sim("a", "a"), 1.0);
-        assert_eq!(levenshtein_sim("a", "b"), 0.0);
-        let s = levenshtein_sim("vehicle", "vehicles");
-        assert!(s > 0.8 && s < 1.0);
-    }
-
-    #[test]
     fn jaro_known_values() {
         assert!((jaro("MARTHA", "MARHTA") - 0.944444).abs() < 1e-4);
         assert!((jaro("DIXON", "DICKSONX") - 0.766667).abs() < 1e-4);
@@ -315,15 +234,6 @@ mod tests {
         assert!(jw > j);
         assert!(jw <= 1.0);
         assert_eq!(jaro_winkler("same", "same"), 1.0);
-    }
-
-    #[test]
-    fn bigram_dice_basics() {
-        assert_eq!(bigram_dice("night", "night"), 1.0);
-        assert!(bigram_dice("night", "nacht") > 0.0);
-        assert_eq!(bigram_dice("a", "a"), 1.0); // no bigrams but identical
-        assert_eq!(bigram_dice("", ""), 1.0);
-        assert_eq!(bigram_dice("ab", "cd"), 0.0);
     }
 
     #[test]
@@ -355,7 +265,7 @@ mod tests {
             ("SUV", "suv"),
         ];
         for (a, b) in pairs {
-            for f in [levenshtein_sim, jaro, jaro_winkler, bigram_dice, token_sim, label_sim] {
+            for f in [jaro, jaro_winkler, token_sim, label_sim] {
                 let s = f(a, b);
                 assert!((0.0..=1.0).contains(&s), "{a:?} vs {b:?} gave {s}");
             }

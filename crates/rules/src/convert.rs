@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::atoms::{AtomId, AtomTable};
 use crate::{Result, RuleError};
 
 /// A named scalar conversion function.
@@ -125,19 +124,6 @@ impl ConversionRegistry {
         self.converters.get(name)
     }
 
-    /// Looks up a converter by an interned function-name atom — the
-    /// id-path view used when rules are processed on [`AtomId`]s.
-    pub fn get_atom(&self, atoms: &AtomTable, function: AtomId) -> Option<&Converter> {
-        self.converters.get(atoms.resolve(function))
-    }
-
-    /// Applies the converter named by an interned atom to `x`.
-    pub fn apply_atom(&self, atoms: &AtomTable, function: AtomId, x: f64) -> Result<f64> {
-        self.get_atom(atoms, function)
-            .map(|c| c.apply(x))
-            .ok_or_else(|| RuleError::UnknownFunction(atoms.resolve(function).to_string()))
-    }
-
     /// Applies `name` to `x`, erroring if unregistered.
     pub fn apply(&self, name: &str, x: f64) -> Result<f64> {
         self.get(name)
@@ -152,39 +138,6 @@ impl ConversionRegistry {
             .inverse_name()
             .ok_or_else(|| RuleError::UnknownFunction(format!("inverse of {name}")))?;
         self.apply(inv, x)
-    }
-
-    /// Composes a chain of conversions left to right.
-    pub fn apply_chain(&self, names: &[&str], x: f64) -> Result<f64> {
-        let mut v = x;
-        for n in names {
-            v = self.apply(n, v)?;
-        }
-        Ok(v)
-    }
-
-    /// True if every converter's declared inverse exists and round-trips
-    /// `probe` to within `tol` relative error — a rule-set sanity check
-    /// run by conflict detection.
-    pub fn check_inverses(&self, probe: f64, tol: f64) -> Vec<String> {
-        let mut bad = Vec::new();
-        for (name, c) in &self.converters {
-            if let Some(inv) = c.inverse_name() {
-                match self.get(inv) {
-                    None => bad.push(format!("{name}: inverse {inv} not registered")),
-                    Some(ic) => {
-                        let rt = ic.apply(c.apply(probe));
-                        let err = ((rt - probe) / probe).abs();
-                        if err > tol {
-                            bad.push(format!(
-                                "{name}∘{inv} drifts: {probe} -> {rt} (rel err {err:.2e})"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        bad
     }
 
     /// Registered converter names, sorted.
@@ -234,18 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn atom_lookup_matches_string_lookup() {
-        let r = ConversionRegistry::standard();
-        let mut atoms = AtomTable::new();
-        let f = atoms.intern("DGToEuroFn");
-        assert_eq!(r.get_atom(&atoms, f).unwrap().name(), "DGToEuroFn");
-        let eur = r.apply_atom(&atoms, f, 2.20371).unwrap();
-        assert!((eur - 1.0).abs() < 1e-12);
-        let missing = atoms.intern("NoSuchFn");
-        assert!(matches!(r.apply_atom(&atoms, missing, 1.0), Err(RuleError::UnknownFunction(_))));
-    }
-
-    #[test]
     fn unknown_function_errors() {
         let r = ConversionRegistry::standard();
         assert!(matches!(r.apply("NoSuchFn", 1.0), Err(RuleError::UnknownFunction(_))));
@@ -258,33 +199,6 @@ mod tests {
         r.register(Converter::new("CelsiusToKelvinFn", None, |c| c + 273.15));
         assert_eq!(r.apply("CelsiusToKelvinFn", 0.0).unwrap(), 273.15);
         assert!(r.apply_inverse("CelsiusToKelvinFn", 0.0).is_err());
-    }
-
-    #[test]
-    fn chain_composition() {
-        let r = ConversionRegistry::standard();
-        // guilders -> euro -> sterling
-        let gbp = r.apply_chain(&["DGToEuroFn", "EuroToPSFn"], 220.371).unwrap();
-        assert!((gbp - 100.0 * 0.6533).abs() < 1e-9);
-        assert!(r.apply_chain(&["DGToEuroFn", "Nope"], 1.0).is_err());
-        assert_eq!(r.apply_chain(&[], 5.0).unwrap(), 5.0);
-    }
-
-    #[test]
-    fn check_inverses_all_good_in_standard() {
-        let r = ConversionRegistry::standard();
-        assert!(r.check_inverses(123.456, 1e-9).is_empty());
-    }
-
-    #[test]
-    fn check_inverses_flags_drift_and_missing() {
-        let mut r = ConversionRegistry::new();
-        r.register(Converter::new("bad", Some("badInv"), |x| x * 2.0));
-        r.register(Converter::new("badInv", Some("bad"), |x| x / 3.0)); // wrong
-        r.register(Converter::new("orphan", Some("ghost"), |x| x));
-        let problems = r.check_inverses(10.0, 1e-9);
-        assert_eq!(problems.len(), 3, "{problems:?}");
-        assert!(problems.iter().any(|p| p.contains("ghost")));
     }
 
     #[test]

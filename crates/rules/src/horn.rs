@@ -81,11 +81,6 @@ impl Atom {
         Atom::new(pred, vec![TermArg::Var(a.into()), TermArg::Var(b.into())])
     }
 
-    /// Binary atom over two constants (a ground fact).
-    pub fn consts2(pred: &str, a: &str, b: &str) -> Self {
-        Atom::new(pred, vec![TermArg::Const(a.into()), TermArg::Const(b.into())])
-    }
-
     /// True if no argument is a variable.
     pub fn is_ground(&self) -> bool {
         self.args.iter().all(|a| matches!(a, TermArg::Const(_)))
@@ -407,9 +402,14 @@ fn parse_atom(src: &str, clauseno: usize) -> Result<Atom> {
 mod tests {
     use super::*;
 
+    /// Binary atom over two constants (a ground fact).
+    fn fact(pred: &str, a: &str, b: &str) -> Atom {
+        Atom::new(pred, vec![TermArg::Const(a.into()), TermArg::Const(b.into())])
+    }
+
     #[test]
     fn atom_display_and_ground() {
-        let a = Atom::consts2("si", "carrier.Car", "factory.Vehicle");
+        let a = fact("si", "carrier.Car", "factory.Vehicle");
         assert!(a.is_ground());
         assert_eq!(a.to_string(), "si(\"carrier.Car\", \"factory.Vehicle\")");
         let v = Atom::vars2("subclass", "X", "Y");
@@ -434,7 +434,7 @@ mod tests {
 
     #[test]
     fn ground_fact_clause_is_safe() {
-        let fact = HornClause::new(Atom::consts2("si", "a", "b"), vec![]);
+        let fact = HornClause::new(fact("si", "a", "b"), vec![]);
         assert!(fact.is_safe());
     }
 
@@ -480,7 +480,7 @@ subclass("carrier.Car", "carrier.Vehicle").
         // comment and neck characters inside a quoted constant, in a
         // head and in a body
         for c in ["a#b", "a%b", "a:-b"] {
-            let fact = HornClause::new(Atom::consts2("p", c, "z"), vec![]);
+            let fact = HornClause::new(fact("p", c, "z"), vec![]);
             let rule = HornClause::new(
                 Atom::new("q", vec![TermArg::Var("X".into())]),
                 vec![Atom::new("p", vec![TermArg::Var("X".into()), TermArg::Const(c.into())])],

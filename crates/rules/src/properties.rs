@@ -9,8 +9,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::atoms::{AtomId, AtomTable};
-
 /// Logical properties of one relationship (edge label).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelationProperties {
@@ -107,11 +105,6 @@ impl RelationRegistry {
         self.relations.get(name)
     }
 
-    /// Properties with defaults for unknown relations.
-    pub fn get_or_default(&self, name: &str) -> RelationProperties {
-        self.relations.get(name).cloned().unwrap_or_default()
-    }
-
     /// True if the relation is declared transitive.
     pub fn is_transitive(&self, name: &str) -> bool {
         self.get(name).map(|p| p.transitive).unwrap_or(false)
@@ -130,16 +123,6 @@ impl RelationRegistry {
     /// Iterates `(name, properties)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &RelationProperties)> {
         self.relations.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Interns the canonical predicate name (see
-    /// [`crate::horn::pred_name`]) of every declared relation, in name
-    /// order — the id-space the inference engine joins over.
-    pub fn pred_atoms(&self, atoms: &mut AtomTable) -> Vec<(AtomId, &RelationProperties)> {
-        self.relations
-            .iter()
-            .map(|(name, props)| (atoms.intern(&crate::horn::pred_name(name)), props))
-            .collect()
     }
 }
 
@@ -174,7 +157,6 @@ mod tests {
     fn unknown_relations_default_to_plain() {
         let r = RelationRegistry::onion_default();
         assert!(!r.is_transitive("drives"));
-        assert_eq!(r.get_or_default("drives"), RelationProperties::none());
         assert!(r.get("drives").is_none());
     }
 
@@ -185,16 +167,6 @@ mod tests {
         r.declare("rel", RelationProperties::none().transitive());
         assert!(r.is_transitive("rel"));
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn pred_atoms_intern_lowercased_names_in_order() {
-        let r = RelationRegistry::onion_default();
-        let mut atoms = AtomTable::new();
-        let preds = r.pred_atoms(&mut atoms);
-        let names: Vec<&str> = preds.iter().map(|(id, _)| atoms.resolve(*id)).collect();
-        assert_eq!(names, vec!["attributeof", "instanceof", "si", "subclassof"]);
-        assert!(preds.iter().any(|(id, p)| atoms.resolve(*id) == "subclassof" && p.transitive));
     }
 
     #[test]

@@ -33,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opened = onion.open_durable("carrier", &dir)?;
     println!("durable open: recovered = {}", opened.recovered);
 
-    // --- edit + publish rounds: journal → WAL group flush → snapshot ----
+    // --- edit + publish rounds: journal → WAL group flush → new epoch ---
     for i in 0..3 {
         let g = onion.source_mut("carrier").expect("loaded").graph_mut();
         onion_core::graph::ops::apply_all(g, &[GraphOp::node_add(&format!("ObsDemo{i}"))])?;
-        let (_snap, stats) = onion.publish_source("carrier")?;
+        let (_lsn, stats) = onion.publish_source("carrier")?;
         println!("publish round {i}: rebuilt {} / reused {}", stats.rebuilt, stats.reused);
     }
     let ckpt = onion.checkpoint_source("carrier")?;

@@ -11,10 +11,15 @@
 //!   (segment retirement keeps the older manifest's WAL suffix);
 //! * a checkpoint after `k` edge edits rewrites **exactly** the dirty
 //!   shards (the shards whose version stamp moved: the edited edges'
-//!   source shards, at most `k`) and reuses the rest, mirroring the B11
-//!   incremental-publish accounting;
+//!   source shards, at most `k`) and reuses the rest;
 //! * recovery keeps every node's out-edge order: the live graph,
 //!   WAL-only recovery and checkpoint recovery agree node by node;
+//! * the checkpoint encoder, which reads the graph's slots and out-rows
+//!   directly, writes every shard file and the strings file byte for
+//!   byte as the snapshot-based writer it replaced did (a copy of that
+//!   writer is kept below, in `snapshot_writer`), and the manifest
+//!   differs at most in its 8 epoch bytes; a directory in the old
+//!   writer's format, epoch bytes set, recovers to the same graph;
 //! * a recovered source articulates byte-identically to the uncrashed
 //!   run.
 
@@ -27,6 +32,7 @@ use proptest::prelude::*;
 
 use onion_core::prelude::*;
 use onion_core::testkit::fs::TempDir;
+use onion_core::testkit::{generate_graph, GraphSpec};
 use onion_core::OnionSystem;
 
 const VERBS: [&str; 3] = ["SubclassOf", "AttributeOf", "uses.part"];
@@ -110,8 +116,7 @@ fn run_script(dir: &Path, acts: &[Act]) -> Run {
             Act::Commit => commit(&mut g, &mut dur, &mut ledger),
             Act::Checkpoint => {
                 commit(&mut g, &mut dur, &mut ledger);
-                let snap = ShardedSnapshot::of(&g);
-                dur.checkpoint(&snap, dur.last_lsn()).unwrap();
+                dur.checkpoint(&g, dur.last_lsn()).unwrap();
                 checkpoints += 1;
             }
         }
@@ -269,10 +274,10 @@ proptest! {
         prop_assert_eq!(&out_rows(&from_ckpt), &want, "checkpoint recovery");
     }
 
-    /// Incremental checkpoint accounting, mirroring B11: after `k` edge
-    /// edits, the next checkpoint rewrites exactly the shards whose
-    /// version stamp moved — the edited edges' source shards — and
-    /// reuses every other shard's file.
+    /// Incremental checkpoint accounting: after `k` edge edits, the
+    /// next checkpoint rewrites exactly the shards whose version stamp
+    /// moved — the edited edges' source shards — and reuses every other
+    /// shard's file.
     #[test]
     fn checkpoint_rewrites_exactly_the_dirty_shards(
         seed in 0u64..1000,
@@ -291,7 +296,7 @@ proptest! {
         }
         let mut ledger = Vec::new();
         commit(&mut g, &mut dur, &mut ledger);
-        let full = dur.checkpoint(&ShardedSnapshot::of(&g), dur.last_lsn()).unwrap();
+        let full = dur.checkpoint(&g, dur.last_lsn()).unwrap();
         prop_assert_eq!((full.shards_written, full.shards_reused), (SHARDS, 0));
 
         let before: Vec<u64> = (0..SHARDS).map(|s| g.shard_version(s)).collect();
@@ -309,7 +314,7 @@ proptest! {
         let dirty = moved.len();
 
         commit(&mut g, &mut dur, &mut ledger);
-        let inc = dur.checkpoint(&ShardedSnapshot::of(&g), dur.last_lsn()).unwrap();
+        let inc = dur.checkpoint(&g, dur.last_lsn()).unwrap();
         prop_assert_eq!(
             (inc.shards_written, inc.shards_reused),
             (dirty, SHARDS - dirty),
@@ -320,6 +325,95 @@ proptest! {
         drop(dur);
         let (g2, _dur2, _) = Durability::open(td.path()).unwrap();
         prop_assert_eq!(checksum(&g2), want);
+    }
+
+    /// The checkpoint encoder reads the graph's slots and out-rows
+    /// directly. On generated graphs after node and edge churn (dead
+    /// slots, out-rows not in label order) at every shard count, every
+    /// shard file and the strings file equal, byte for byte, what the
+    /// snapshot-based writer it replaced wrote, and the manifest differs
+    /// at most in its 8 epoch bytes. A directory holding the old
+    /// writer's files, its manifest carrying a publish epoch, recovers
+    /// to the same graph as the new one.
+    #[test]
+    fn checkpoint_files_equal_the_snapshot_writers(
+        seed in 0u64..1000,
+        shards in prop_oneof![Just(1usize), Just(2), Just(7), Just(64)],
+        churn in proptest::collection::vec((0u8..4, 0u8..255, 0u8..255), 0..60),
+        epoch in 1u64..1000,
+    ) {
+        let mut g = generate_graph(&GraphSpec::sized(seed, 60, 240));
+        g.set_shard_count(shards);
+        for &(kind, a, b) in &churn {
+            let nodes: Vec<NodeId> = g.node_ids().collect();
+            let (x, y) = (nodes[a as usize % nodes.len()], nodes[b as usize % nodes.len()]);
+            match kind {
+                0 if nodes.len() > 2 => g.delete_node(x).unwrap(),
+                1 => {
+                    let first = g.out_edge_entries(x).next();
+                    if let Some((e, _, _)) = first {
+                        g.delete_edge(e).unwrap();
+                    }
+                }
+                // appended after the row's existing edges, whatever its label
+                2 => {
+                    g.ensure_edge(x, VERBS[b as usize % VERBS.len()], y).unwrap();
+                }
+                _ => {
+                    g.ensure_node(&format!("added{a}")).unwrap();
+                }
+            }
+        }
+        let td = TempDir::new("rec-encoder");
+        let mut dur = Durability::create(td.path(), g.name()).unwrap();
+        let last_lsn = dur.last_lsn();
+        let stats = dur.checkpoint(&g, last_lsn).unwrap();
+        prop_assert_eq!(stats.shards_written, shards);
+        let read = |file: &str| std::fs::read(td.path().join(file)).unwrap();
+        for (s, version) in g.shard_stamps().iter().enumerate() {
+            let file = format!("shard-{:016x}-{s:05}-v{version:020}.bin", g.graph_id());
+            let old = snapshot_writer::framed(&snapshot_writer::encode_shard(&g, s));
+            prop_assert!(read(&file) == old, "shard {} of {}", s, shards);
+        }
+        let strings = snapshot_writer::framed(&snapshot_writer::encode_strings(&g));
+        prop_assert!(read(&format!("strings-{:020}.bin", stats.seq)) == strings);
+        let manifest = read(&format!("ckpt-{:020}.mf", stats.seq));
+        let old = snapshot_writer::encode_manifest(&g, stats.seq, epoch, last_lsn);
+        let at = snapshot_writer::epoch_offset(g.name());
+        let mut masked = old.clone();
+        masked[at..at + 8].fill(0);
+        prop_assert!(manifest[8..] == masked[..], "only the epoch bytes differ");
+        prop_assert!(manifest == snapshot_writer::framed(&masked));
+        drop(dur);
+
+        // the same checkpoint as the old writer wrote it
+        let parent = TempDir::new("rec-encoder-parent");
+        for entry in std::fs::read_dir(td.path()).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            if name == "meta.bin" || name.starts_with("wal-") {
+                std::fs::copy(&path, parent.path().join(&name)).unwrap();
+            }
+        }
+        for s in 0..shards {
+            let file = format!("shard-{:016x}-{s:05}-v{:020}.bin", g.graph_id(), g.shard_version(s));
+            let bytes = snapshot_writer::framed(&snapshot_writer::encode_shard(&g, s));
+            std::fs::write(parent.path().join(file), bytes).unwrap();
+        }
+        std::fs::write(parent.path().join(format!("strings-{:020}.bin", stats.seq)), strings)
+            .unwrap();
+        std::fs::write(
+            parent.path().join(format!("ckpt-{:020}.mf", stats.seq)),
+            snapshot_writer::framed(&old),
+        )
+        .unwrap();
+        let (from_new, _dur, new_stats) = Durability::open(td.path()).unwrap();
+        let (from_old, _dur, old_stats) = Durability::open(parent.path()).unwrap();
+        prop_assert_eq!(new_stats.manifest_seq, Some(stats.seq));
+        prop_assert_eq!(old_stats.manifest_seq, Some(stats.seq));
+        prop_assert_eq!(checksum(&from_old), checksum(&g));
+        prop_assert_eq!(&out_rows(&from_old), &out_rows(&g));
+        prop_assert_eq!(&out_rows(&from_new), &out_rows(&from_old));
     }
 }
 
@@ -401,4 +495,157 @@ fn render(a: &Articulation) -> String {
     }
     out.push_str(rest);
     out
+}
+
+/// A copy of the checkpoint writer as it was while checkpoints
+/// serialised a frozen `ShardedSnapshot`: `SnapshotShard::build` took
+/// each owned slot's label (none for a dead slot) and, for a live slot,
+/// its out-edge row in adjacency order; `encode_shard`,
+/// `encode_strings` and `Manifest::encode` wrote them, the manifest
+/// with the snapshot's publish epoch. Every file is framed as
+/// `[u32 len][u32 crc32][payload]`.
+mod snapshot_writer {
+    use onion_core::graph::{LabelId, NodeId, OntGraph};
+
+    const MAGIC_MANIFEST: u32 = 0x4F4E_4D46;
+    const MAGIC_STRINGS: u32 = 0x4F4E_5354;
+    const MAGIC_SHARD: u32 = 0x4F4E_5348;
+    const FORMAT_VERSION: u32 = 1;
+    const DEAD_SLOT: u32 = u32::MAX;
+
+    fn put_u32(p: &mut Vec<u8>, v: u32) {
+        p.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(p: &mut Vec<u8>, v: u64) {
+        p.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_str(p: &mut Vec<u8>, s: &str) {
+        put_u32(p, s.len() as u32);
+        p.extend_from_slice(s.as_bytes());
+    }
+
+    /// CRC-32 (IEEE), bit by bit.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// `payload` as a whole file: length, CRC, payload.
+    pub fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(payload.len() + 8);
+        put_u32(&mut out, payload.len() as u32);
+        put_u32(&mut out, crc32(payload));
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// A frozen shard: per owned slot its label, and one out-CSR.
+    struct SnapshotShard {
+        labels: Vec<Option<LabelId>>,
+        start: Vec<u32>,
+        out: Vec<(LabelId, NodeId)>,
+        version: u64,
+    }
+
+    fn owned_slots(cap: usize, shard: usize, count: usize) -> usize {
+        if cap > shard {
+            (cap - shard - 1) / count + 1
+        } else {
+            0
+        }
+    }
+
+    fn build(g: &OntGraph, shard: usize, count: usize) -> SnapshotShard {
+        // slot index -> live node (a dead slot has no live `NodeId`)
+        let live: std::collections::HashMap<usize, NodeId> =
+            g.node_ids().map(|n| (n.index(), n)).collect();
+        let owned = owned_slots(g.node_capacity(), shard, count);
+        let mut labels = Vec::with_capacity(owned);
+        let mut start = vec![0u32];
+        let mut out = Vec::new();
+        for local in 0..owned {
+            let n = live.get(&(shard + local * count)).copied();
+            let label = n.and_then(|n| g.node_label_id(n));
+            if let (Some(n), Some(_)) = (n, label) {
+                out.extend(g.out_edge_entries(n).map(|(_, lid, dst)| (lid, dst)));
+            }
+            labels.push(label);
+            start.push(out.len() as u32);
+        }
+        SnapshotShard { labels, start, out, version: g.shard_version(shard) }
+    }
+
+    pub fn encode_shard(g: &OntGraph, s: usize) -> Vec<u8> {
+        let count = g.shard_count();
+        let shard = build(g, s, count);
+        let slots = owned_slots(g.node_capacity(), s, count);
+        let mut p = Vec::new();
+        put_u32(&mut p, MAGIC_SHARD);
+        put_u32(&mut p, s as u32);
+        put_u32(&mut p, count as u32);
+        put_u64(&mut p, shard.version);
+        put_u32(&mut p, slots as u32);
+        for local in 0..slots {
+            match shard.labels.get(local).copied().flatten() {
+                Some(lid) => put_u32(&mut p, lid.index() as u32),
+                None => put_u32(&mut p, DEAD_SLOT),
+            }
+        }
+        for local in 0..slots {
+            let row = &shard.out[shard.start[local] as usize..shard.start[local + 1] as usize];
+            put_u32(&mut p, row.len() as u32);
+            for &(lid, dst) in row {
+                put_u32(&mut p, lid.index() as u32);
+                put_u32(&mut p, dst.index() as u32);
+            }
+        }
+        p
+    }
+
+    pub fn encode_strings(g: &OntGraph) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_u32(&mut p, MAGIC_STRINGS);
+        put_u32(&mut p, g.interner().len() as u32);
+        for (_, label) in g.interner().iter() {
+            put_str(&mut p, label);
+        }
+        p
+    }
+
+    pub fn encode_manifest(
+        g: &OntGraph,
+        seq: u64,
+        epoch: u64,
+        last_lsn: onion_core::graph::Lsn,
+    ) -> Vec<u8> {
+        let mut p = Vec::new();
+        put_u32(&mut p, MAGIC_MANIFEST);
+        put_u32(&mut p, FORMAT_VERSION);
+        put_u64(&mut p, seq);
+        put_str(&mut p, g.name());
+        p.push(1); // consistent-label byte
+        put_u64(&mut p, g.graph_id());
+        put_u64(&mut p, epoch);
+        put_u32(&mut p, g.shard_count() as u32);
+        put_u64(&mut p, last_lsn.0);
+        put_u32(&mut p, g.shard_count() as u32);
+        for s in 0..g.shard_count() {
+            put_u64(&mut p, g.shard_version(s));
+        }
+        p
+    }
+
+    /// Offset of the epoch bytes in a manifest payload for a graph
+    /// named `name`: magic, version, seq, name, label byte, graph_id.
+    pub fn epoch_offset(name: &str) -> usize {
+        4 + 4 + 8 + 4 + name.len() + 1 + 8
+    }
 }
